@@ -14,7 +14,6 @@ from .errors import (
     UnsupportedDimensionalityError,
 )
 from .fusion import (
-    AtlasSet,
     build_pseudo_labels,
     consistency_refine,
     ensemble_fuse,
@@ -52,14 +51,13 @@ from .transforms import (
     AffineTransform,
     BSplineTransform,
     bspline_kernel,
-    compose_displacement,
-    deform,
     load_transform,
     save_transform,
     warp_labels,
     warp_volume,
 )
 from .volume import (
+    Grid,
     LabelVolume,
     ProbabilityVolume,
     Volume,

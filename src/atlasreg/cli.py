@@ -71,13 +71,28 @@ def _write_manifest(out_path, subcommand, args_dict, inputs, outputs, timer,
 
 
 def _parse_remap(text):
-    if not text:
-        return None
+    """argparse type: "200:1,500:2" -> {200: 1, 500: 2}."""
     table = {}
     for pair in text.split(","):
-        src, dst = pair.split(":")
-        table[int(src)] = int(dst)
+        src, _, dst = pair.partition(":")
+        try:
+            table[int(src)] = int(dst)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected SRC:DST integer pairs, got {pair!r}") from None
     return table
+
+
+def _at_least_one(cast):
+    """argparse type: `cast` of the text, rejected below 1."""
+    def parse(text):
+        value = cast(text)
+        if not value >= 1:
+            raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+        return value
+
+    parse.__name__ = cast.__name__  # argparse names it in "invalid int value"
+    return parse
 
 
 def _parse_img_lbl(text):
@@ -148,16 +163,15 @@ def cmd_register(args) -> int:
 def cmd_fuse(args) -> int:
     timer = _Timer()
     if args.fuse_mode == "vote":
-        labels = [read_nifti(p, labels=True, label_remap=_parse_remap(args.label_remap))
+        labels = [read_nifti(p, labels=True, label_remap=args.label_remap)
                   for p in args.labels]
         with timer.stage("vote"):
             fused = majority_vote(labels)
         inputs = args.labels
     elif args.fuse_mode == "consistency":
-        remap = _parse_remap(args.label_remap)
-        type1 = read_nifti(args.type1, labels=True, label_remap=remap)
-        bssfp = read_nifti(args.bssfp, labels=True, label_remap=remap)
-        t2 = read_nifti(args.t2, labels=True, label_remap=remap)
+        type1 = read_nifti(args.type1, labels=True, label_remap=args.label_remap)
+        bssfp = read_nifti(args.bssfp, labels=True, label_remap=args.label_remap)
+        t2 = read_nifti(args.t2, labels=True, label_remap=args.label_remap)
         with timer.stage("consistency"):
             fused = consistency_refine(type1, bssfp, t2)
         inputs = [args.type1, args.bssfp, args.t2]
@@ -187,9 +201,8 @@ def cmd_fuse(args) -> int:
 
 def cmd_evaluate(args) -> int:
     timer = _Timer()
-    remap = _parse_remap(args.label_remap)
-    pred = read_nifti(args.pred, labels=True, label_remap=remap)
-    gt = read_nifti(args.gt, labels=True, label_remap=remap)
+    pred = read_nifti(args.pred, labels=True, label_remap=args.label_remap)
+    gt = read_nifti(args.gt, labels=True, label_remap=args.label_remap)
     with timer.stage("evaluate"):
         report = evaluate(pred, gt)
     Path(args.out_csv).write_text(report.to_csv())
@@ -201,20 +214,19 @@ def cmd_evaluate(args) -> int:
 
 def cmd_pipeline(args) -> int:
     timer = _Timer()
-    remap = _parse_remap(args.label_remap)
     target = read_nifti(args.target)
     atlases = []
     inputs = [args.target]
     for img_path, lbl_path in args.atlas:
         atlases.append((read_nifti(img_path),
-                        read_nifti(lbl_path, labels=True, label_remap=remap)))
+                        read_nifti(lbl_path, labels=True, label_remap=args.label_remap)))
         inputs.extend([img_path, lbl_path])
     same_patient = None
     if args.bssfp and args.t2:
         pairs = []
         for img_path, lbl_path in (args.bssfp, args.t2):
             pairs.append((read_nifti(img_path),
-                          read_nifti(lbl_path, labels=True, label_remap=remap)))
+                          read_nifti(lbl_path, labels=True, label_remap=args.label_remap)))
             inputs.extend([img_path, lbl_path])
         same_patient = tuple(pairs)
 
@@ -275,9 +287,9 @@ def build_parser() -> argparse.ArgumentParser:
     reg.add_argument("--preset", choices=("type1", "type2"), default="type1")
     reg.add_argument("--alpha", type=float, default=None)
     reg.add_argument("--beta", type=float, default=None)
-    reg.add_argument("--levels", type=int, default=None)
-    reg.add_argument("--max-iter", type=int, default=None)
-    reg.add_argument("--final-spacing", type=float, default=None)
+    reg.add_argument("--levels", type=_at_least_one(int), default=None)
+    reg.add_argument("--max-iter", type=_at_least_one(int), default=None)
+    reg.add_argument("--final-spacing", type=_at_least_one(float), default=None)
     reg.add_argument("--affine-only", action="store_true")
     reg.set_defaults(func=cmd_register)
 
@@ -287,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     vote = fuse_sub.add_parser("vote", help="majority voting over label maps")
     vote.add_argument("--labels", nargs="+", required=True)
     vote.add_argument("--out", required=True)
-    vote.add_argument("--label-remap", default=None,
+    vote.add_argument("--label-remap", type=_parse_remap, default=None,
                       help="e.g. 200:1,500:2,600:3")
     vote.set_defaults(func=cmd_fuse)
 
@@ -297,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     cons.add_argument("--bssfp", required=True)
     cons.add_argument("--t2", required=True)
     cons.add_argument("--out", required=True)
-    cons.add_argument("--label-remap", default=None)
+    cons.add_argument("--label-remap", type=_parse_remap, default=None)
     cons.set_defaults(func=cmd_fuse)
 
     ens = fuse_sub.add_parser("ensemble",
@@ -313,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--pred", required=True)
     ev.add_argument("--gt", required=True)
     ev.add_argument("--out-csv", required=True)
-    ev.add_argument("--label-remap", default=None)
+    ev.add_argument("--label-remap", type=_parse_remap, default=None)
     ev.set_defaults(func=cmd_evaluate)
 
     pipe = sub.add_parser("pipeline", help="pseudo-label generation end to end")
@@ -325,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     pipe.add_argument("--t2", type=_parse_img_lbl, default=None,
                       metavar="IMAGE:LABELS")
     pipe.add_argument("--out", required=True)
-    pipe.add_argument("--label-remap", default=None)
+    pipe.add_argument("--label-remap", type=_parse_remap, default=None)
     pipe.add_argument("--threads", type=int, default=os.cpu_count(),
                       help="parallel atlas registrations; 1 = bit-reproducible")
     pipe.set_defaults(func=cmd_pipeline)

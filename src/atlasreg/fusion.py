@@ -5,13 +5,12 @@ largest-connected-component post-processing.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 
 from .errors import AtlasRegError, InvalidInputError
-from .registration import RegistrationConfig, RegistrationResult, default_config, register
+from .registration import RegistrationConfig, default_config, register
 from .transforms import warp_labels
 from .volume import (
     LABEL_CLASS_IDS,
@@ -20,23 +19,6 @@ from .volume import (
     Volume,
     require_same_geometry,
 )
-
-
-@dataclass
-class AtlasSet:
-    """Atlas images/labels with their registrations onto one target geometry."""
-
-    entries: list[tuple[Volume, LabelVolume, RegistrationResult]]
-
-    def __post_init__(self):
-        if not self.entries:
-            raise InvalidInputError("atlas set must contain at least one atlas")
-
-    def warped_labels(self, target) -> list[LabelVolume]:
-        return [
-            warp_labels(lbl, target, res.affine, res.fwd)
-            for _, lbl, res in self.entries
-        ]
 
 
 def majority_vote(warped_labels: list[LabelVolume]) -> LabelVolume:
@@ -106,10 +88,7 @@ def largest_component(labels: LabelVolume) -> LabelVolume:
     if len(tied) == 1:
         keep = tied[0]
     else:
-        nx, ny, nz = labels.dims
-        ii, jj, kk = np.meshgrid(np.arange(nx), np.arange(ny), np.arange(nz),
-                                 indexing="ij")
-        linear = ii + nx * (jj + ny * kk)
+        linear = np.arange(labels.data.size).reshape(labels.dims, order="F")
         firsts = ndimage.minimum(linear, labels=comp, index=tied)
         keep = tied[int(np.argmin(firsts))]
     out = np.where(comp == keep, labels.data, 0).astype(np.uint8)

@@ -8,18 +8,20 @@ Voxel data is stored x-fastest, matching the on-disk layout.
 from __future__ import annotations
 
 import gzip
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
 from .errors import (
+    InvalidInputError,
     NiftiFormatError,
     TruncatedFileError,
     UnsupportedDatatypeError,
     UnsupportedDimensionalityError,
 )
-from .volume import LabelVolume, Volume
+from .volume import Grid, LabelVolume, Volume
 
 HEADER_SIZE = 348
 # sizeof_hdr (=348) read with the wrong byte order comes out as this value.
@@ -77,6 +79,8 @@ def read_nifti(path, *, labels: bool = False, label_remap: dict | None = None):
     pixdim = struct.unpack_from(f"{order}8f", raw, 76)
     spacing = tuple(abs(float(p)) if p != 0 else 1.0 for p in pixdim[1:4])
     (vox_offset,) = struct.unpack_from(f"{order}f", raw, 108)
+    if not HEADER_SIZE <= vox_offset < math.inf:
+        raise NiftiFormatError(f"{path}: vox_offset {vox_offset} does not point past the header")
     scl_slope, scl_inter = struct.unpack_from(f"{order}2f", raw, 112)
     (sform_code,) = struct.unpack_from(f"{order}h", raw, 254)
 
@@ -88,11 +92,15 @@ def read_nifti(path, *, labels: bool = False, label_remap: dict | None = None):
         origin = srow[:, 3].copy()
         m = srow[:, :3]
         norms = np.linalg.norm(m, axis=0)
-        if np.any(norms <= 0):
+        if not np.all(np.isfinite(srow)) or np.any(norms <= 0):
             raise NiftiFormatError(f"{path}: degenerate srow matrix")
         direction = m / norms
         if abs(abs(np.linalg.det(direction)) - 1.0) > 1e-4:
             raise NiftiFormatError(f"{path}: srow direction is not orthonormal")
+    try:
+        Grid(dims, spacing, origin, direction)
+    except InvalidInputError as exc:
+        raise NiftiFormatError(f"{path}: {exc}") from exc
 
     dtype = _DTYPES[datatype].newbyteorder(order)
     count = dims[0] * dims[1] * dims[2]
@@ -116,7 +124,8 @@ def read_nifti(path, *, labels: bool = False, label_remap: dict | None = None):
 
     data = data.astype(np.float32)
     if scl_slope != 0.0 and not (scl_slope == 1.0 and scl_inter == 0.0):
-        data = data * np.float32(scl_slope) + np.float32(scl_inter)
+        with np.errstate(over="ignore", invalid="ignore"):  # rejected below as Inf/NaN
+            data = data * np.float32(scl_slope) + np.float32(scl_inter)
     if not np.all(np.isfinite(data)):
         raise NiftiFormatError(f"{path}: voxel data contains NaN or Inf")
     return Volume(data, spacing, origin, direction)

@@ -18,17 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, GeometryMismatchError, InvalidInputError
+from .errors import DegenerateInputError, InvalidInputError
 from .transforms import (
     BSplineTransform,
-    _interp_field_clamped,
     bspline_kernel,
     bspline_kernel_d1,
     dense_displacement,
     splat_to_coefficients,
     world_grid,
 )
-from .volume import Volume, _trilinear_impl, require_same_geometry
+from .volume import TrilinearStencil, Volume, require_same_geometry
 
 DEFAULT_BINS = 64
 _PAD = 1.0  # histogram deposit offset keeping the 4-bin footprint in range
@@ -143,35 +142,29 @@ def _entropy(p: np.ndarray) -> float:
     return float(-(p[nz] * np.log(p[nz])).sum())
 
 
-def nmi(h: JointHistogram) -> float:
-    """Normalized mutual information (H(R) + H(F)) / H(R, F), in [1, 2]."""
-    total = h.total
-    if total <= 0:
-        raise DegenerateInputError("joint histogram has zero mass")
-    p = h.counts / total
-    h_r = _entropy(p.sum(axis=1))
-    h_f = _entropy(p.sum(axis=0))
-    h_j = _entropy(p.reshape(-1))
-    if h_j <= 0:
-        raise DegenerateInputError("joint entropy is zero (constant images)")
-    return (h_r + h_f) / h_j
-
-
-def _nmi_and_count_gradient(counts: np.ndarray):
-    """NMI value and its derivative with respect to each histogram count."""
+def _nmi_terms(counts: np.ndarray):
+    """NMI of a count histogram with the terms its gradient reuses:
+    (nmi, joint entropy, joint p, ref marginal, float marginal, total)."""
     total = counts.sum()
     if total <= 0:
         raise DegenerateInputError("joint histogram has zero mass")
     p = counts / total
     p_r = p.sum(axis=1)
     p_f = p.sum(axis=0)
-    h_r = _entropy(p_r)
-    h_f = _entropy(p_f)
     h_j = _entropy(p.reshape(-1))
     if h_j <= 0:
         raise DegenerateInputError("joint entropy is zero (constant images)")
-    s = (h_r + h_f) / h_j
+    return (_entropy(p_r) + _entropy(p_f)) / h_j, h_j, p, p_r, p_f, total
 
+
+def nmi(h: JointHistogram) -> float:
+    """Normalized mutual information (H(R) + H(F)) / H(R, F), in [1, 2]."""
+    return _nmi_terms(h.counts)[0]
+
+
+def _nmi_and_count_gradient(counts: np.ndarray):
+    """NMI value and its derivative with respect to each histogram count."""
+    s, h_j, p, p_r, p_f, total = _nmi_terms(counts)
     log_r = np.log(p_r, out=np.zeros_like(p_r), where=p_r > 0)
     log_f = np.log(p_f, out=np.zeros_like(p_f), where=p_f > 0)
     log_j = np.log(p, out=np.zeros_like(p), where=p > 0)
@@ -187,10 +180,6 @@ def _nmi_and_count_gradient(counts: np.ndarray):
 # Similarity through a B-spline transform
 # ---------------------------------------------------------------------------
 
-def _identity_world(vol: Volume) -> np.ndarray:
-    return world_grid(vol)
-
-
 def similarity_and_gradient(ref: Volume, flt: Volume, ffd: BSplineTransform,
                             bins: int = DEFAULT_BINS, ranges=None,
                             ref_mask=None, flt_valid=None, with_gradient=True):
@@ -201,18 +190,19 @@ def similarity_and_gradient(ref: Volume, flt: Volume, ffd: BSplineTransform,
     (pairs whose warped sample touches invalid voxels are skipped).
     Returns (nmi, gradient | None).
     """
-    world = _identity_world(ref) + dense_displacement(ffd).reshape(-1, 3)
-    coords = flt.voxel_from_world(world)
-    vals, grad_vox, inside = _trilinear_impl(flt.data, coords, 0.0,
-                                             want_gradient=with_gradient)
+    world = world_grid(ref) + dense_displacement(ffd).reshape(-1, 3)
+    stencil = TrilinearStencil(flt.dims, flt.voxel_from_world(world))
+    if with_gradient:
+        vals, grad_vox = stencil.gather(flt.data, 0.0, want_gradient=True)
+    else:
+        vals, grad_vox = stencil.gather(flt.data, 0.0), None
 
-    mask = inside
+    mask = stencil.inside
     if ref_mask is not None:
         mask = mask & np.asarray(ref_mask, dtype=bool).reshape(-1)
     if flt_valid is not None:
-        validity = _trilinear_impl(np.asarray(flt_valid, dtype=np.float64),
-                                   coords, 0.0, want_gradient=False)[0]
-        mask = mask & (validity >= 0.999)
+        mask = mask & (stencil.gather(flt_valid, 0.0) >= 0.999)
+    del stencil
     if not mask.any():
         raise DegenerateInputError("no overlapping voxels between the images")
 
@@ -266,7 +256,7 @@ _BENDING_TERMS = (
 def _bending(t: BSplineTransform, with_gradient: bool):
     from .transforms import _weight_matrices
 
-    n_vox = float(np.prod(t.reference_dims))
+    n_vox = float(np.prod(t.reference.dims))
     energy = 0.0
     grad = np.zeros_like(t.coefficients) if with_gradient else None
     for ox, oy, oz, mult in _BENDING_TERMS:
@@ -298,52 +288,27 @@ def bending_energy_gradient(t: BSplineTransform):
 # Inverse-consistency penalty
 # ---------------------------------------------------------------------------
 
-def _trilinear_scatter(dims, pts, vecs):
-    """Adjoint of edge-clamped trilinear interpolation of a vector field."""
-    nx, ny, nz = dims
-    p = np.asarray(pts, dtype=np.float64).reshape(-1, 3).copy()
-    p[:, 0] = np.clip(p[:, 0], 0.0, nx - 1)
-    p[:, 1] = np.clip(p[:, 1], 0.0, ny - 1)
-    p[:, 2] = np.clip(p[:, 2], 0.0, nz - 1)
-    i0 = np.clip(np.floor(p[:, 0]).astype(np.intp), 0, max(nx - 2, 0))
-    j0 = np.clip(np.floor(p[:, 1]).astype(np.intp), 0, max(ny - 2, 0))
-    k0 = np.clip(np.floor(p[:, 2]).astype(np.intp), 0, max(nz - 2, 0))
-    fx, fy, fz = p[:, 0] - i0, p[:, 1] - j0, p[:, 2] - k0
-
-    out = np.zeros((nx * ny * nz, 3))
-    size = nx * ny * nz
-    for di, wxv in ((0, 1 - fx), (1, fx)):
-        ii = np.minimum(i0 + di, nx - 1)
-        for dj, wyv in ((0, 1 - fy), (1, fy)):
-            jj = np.minimum(j0 + dj, ny - 1)
-            for dk, wzv in ((0, 1 - fz), (1, fz)):
-                kk = np.minimum(k0 + dk, nz - 1)
-                w = wxv * wyv * wzv
-                lin = (ii * ny + jj) * nz + kk
-                for d in range(3):
-                    out[:, d] += np.bincount(lin, weights=w * vecs[:, d],
-                                             minlength=size)
-    return out.reshape(nx, ny, nz, 3)
-
-
 def _roundtrip_residual(outer: BSplineTransform, inner: BSplineTransform,
                         dense_outer=None, dense_inner=None):
-    """Residual m(x) = u_inner(x) + u_outer(map_inner(x)) at every voxel."""
+    """Residual m(x) = u_inner(x) + u_outer(map_inner(x)) at every voxel.
+
+    Returns (m, stencil): the outer field is sampled edge-clamped through
+    `stencil`, whose scatter is the adjoint of that sampling.
+    """
     if dense_inner is None:
         dense_inner = dense_displacement(inner)
     if dense_outer is None:
         dense_outer = dense_displacement(outer)
     u_in = dense_inner.reshape(-1, 3)
-    y_world = world_grid(inner) + u_in
-    y_vox = outer.voxel_from_world(y_world)
-    u_out = _interp_field_clamped(dense_outer, y_vox)
-    return u_in + u_out, y_vox
+    y_world = inner.reference.world_points() + u_in
+    stencil = TrilinearStencil(outer.reference.dims,
+                               outer.reference.voxel_from_world(y_world))
+    return u_in + stencil.gather(dense_outer), stencil
 
 
 def _inconsistency(fwd, bwd, with_gradient):
-    if not fwd.same_reference(bwd):
-        raise GeometryMismatchError("fwd and bwd transforms must share a reference")
-    n_vox = float(np.prod(fwd.reference_dims))
+    require_same_geometry(fwd.reference, bwd.reference, "fwd and bwd references")
+    n_vox = float(np.prod(fwd.reference.dims))
     dense_f = dense_displacement(fwd)
     dense_b = dense_displacement(bwd)
 
@@ -351,11 +316,12 @@ def _inconsistency(fwd, bwd, with_gradient):
     grads = []
     for outer, inner, d_out, d_in in ((fwd, bwd, dense_f, dense_b),
                                       (bwd, fwd, dense_b, dense_f)):
-        m, y_vox = _roundtrip_residual(outer, inner, d_out, d_in)
+        m, stencil = _roundtrip_residual(outer, inner, d_out, d_in)
         value += float((m ** 2).sum()) / n_vox
         if with_gradient:
-            adj = _trilinear_scatter(outer.reference_dims, y_vox, (2.0 / n_vox) * m)
+            adj = stencil.scatter((2.0 / n_vox) * m)
             grads.append(splat_to_coefficients(outer, adj))
+        del stencil
     if with_gradient:
         return value, grads[0], grads[1]
     return value, None, None

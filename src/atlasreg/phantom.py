@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .transforms import BSplineTransform, dense_displacement
-from .volume import LabelVolume, Volume
+from .volume import Grid, LabelVolume, Volume
 
 # class intensity tables per pseudo-modality: {class id: mean intensity}
 DEFAULT_INTENSITIES = {
@@ -86,11 +86,7 @@ def scaled_spec(dims=(64, 64, 64), spacing=(1.0, 1.0, 1.0), **kwargs) -> Phantom
 def generate_phantom(spec: PhantomSpec) -> tuple[Volume, LabelVolume]:
     """Render the phantom image and its ground-truth labels."""
     spec.validate_margin()
-    nx, ny, nz = spec.dims
-    sp = np.asarray(spec.spacing)
-    ii, jj, kk = np.meshgrid(np.arange(nx), np.arange(ny), np.arange(nz),
-                             indexing="ij")
-    pos = np.stack([ii, jj, kk], axis=-1) * sp  # mm, identity direction
+    pos = Grid(spec.dims, spec.spacing).world_points().reshape(*spec.dims, 3)  # mm
 
     c = spec.center()
     d_lv = np.sqrt(((pos - c) ** 2).sum(axis=-1))
@@ -155,7 +151,7 @@ def random_smooth_deformation(geometry, max_disp_mm: float, grid_spacing,
 
     Control displacements are drawn uniformly in [-max, max]^3 and the whole
     coefficient set is rescaled so the dense field's maximum voxel norm lands
-    exactly on max_disp_mm (deform is linear in the coefficients).
+    exactly on max_disp_mm (the field is linear in the coefficients).
     """
     if max_disp_mm < 0:
         raise InvalidInputError("max_disp_mm must be non-negative")

@@ -17,8 +17,14 @@ from scipy.ndimage import gaussian_filter
 from .errors import NumericalFailureError
 from .objective import ObjectiveWeights, nmi, objective, robust_range
 from .objective import JointHistogram, _bin_positions, _deposit_counts
-from .transforms import AffineTransform, BSplineTransform, subdivide, warp_volume_masked
-from .volume import Volume, _trilinear_impl, resample
+from .transforms import (
+    AffineTransform,
+    BSplineTransform,
+    subdivide,
+    warp_volume_masked,
+    world_grid,
+)
+from .volume import TrilinearStencil, Volume, resample
 
 
 @dataclass(frozen=True)
@@ -112,22 +118,16 @@ def _center_of_mass(vol: Volume) -> np.ndarray:
     total = w.sum()
     if total <= 0:
         return vol.world_from_voxel((np.asarray(vol.dims, dtype=np.float64) - 1) / 2)
-    nx, ny, nz = vol.dims
-    ii, jj, kk = np.meshgrid(np.arange(nx), np.arange(ny), np.arange(nz),
-                             indexing="ij")
-    vox = np.array([
-        (w * ii).sum() / total, (w * jj).sum() / total, (w * kk).sum() / total,
-    ])
-    return vol.world_from_voxel(vox)
+    w, pts = w.reshape(-1), vol.grid.voxel_points()
+    return vol.world_from_voxel(np.array([(w * pts[:, a]).sum() / total for a in range(3)]))
 
 
 def _nmi_between(ref: Volume, float_src: Volume, matrix: np.ndarray,
                  ref_world: np.ndarray, ref_vals: np.ndarray,
                  ranges, bins: int) -> float:
     pts = ref_world @ matrix[:3, :3].T + matrix[:3, 3]
-    coords = float_src.voxel_from_world(pts)
-    vals, _, inside = _trilinear_impl(float_src.data, coords, 0.0,
-                                      want_gradient=False)
+    stencil = TrilinearStencil(float_src.dims, float_src.voxel_from_world(pts))
+    vals, inside = stencil.gather(float_src.data, 0.0), stencil.inside
     if not inside.any():
         return -np.inf
     q_r, _, _ = _bin_positions(ref_vals[inside], ranges[0], bins)
@@ -185,11 +185,7 @@ def register_affine(ref: Volume, flt: Volume, *, bins: int = 64,
             flt_l = _smooth(flt, 0.7 * factor)
         else:
             ref_l, flt_l = ref, flt
-        nx, ny, nz = ref_l.dims
-        ii, jj, kk = np.meshgrid(np.arange(nx), np.arange(ny), np.arange(nz),
-                                 indexing="ij")
-        ref_world = ref_l.world_from_voxel(
-            np.stack([ii, jj, kk], axis=-1).reshape(-1, 3).astype(np.float64))
+        ref_world = world_grid(ref_l)
         ref_vals = ref_l.data.reshape(-1).astype(np.float64)
         ranges = (robust_range(ref_vals), flt_range)
 

@@ -11,7 +11,7 @@ world(x) + u(x). Zero coefficients therefore give the identity.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -19,11 +19,12 @@ import numpy as np
 
 from .errors import GeometryMismatchError, InvalidInputError, InvalidTransformError
 from .volume import (
+    Grid,
     LabelVolume,
+    TrilinearStencil,
     Volume,
     _nearest_values,
-    _trilinear_impl,
-    _trilinear_values,
+    require_same_geometry,
 )
 
 # ---------------------------------------------------------------------------
@@ -67,35 +68,9 @@ def grid_dim_for(n: int, spacing: float) -> int:
     return int(np.floor((n - 1) / spacing)) + 4
 
 
-@lru_cache(maxsize=32)
-def _voxel_grid(dims) -> np.ndarray:
-    nx, ny, nz = dims
-    ii, jj, kk = np.meshgrid(np.arange(nx), np.arange(ny), np.arange(nz),
-                             indexing="ij")
-    vox = np.stack([ii, jj, kk], axis=-1).reshape(-1, 3).astype(np.float64)
-    vox.flags.writeable = False
-    return vox
-
-
-@lru_cache(maxsize=32)
-def _world_grid_cached(dims, spacing, origin_bytes, direction_bytes) -> np.ndarray:
-    origin = np.frombuffer(origin_bytes, dtype=np.float64)
-    direction = np.frombuffer(direction_bytes, dtype=np.float64).reshape(3, 3)
-    w = (_voxel_grid(dims) * np.asarray(spacing)) @ direction.T + origin
-    w.flags.writeable = False
-    return w
-
-
-def world_grid(geom) -> np.ndarray:
-    """World coordinates of every voxel of a volume/transform geometry (N, 3)."""
-    if isinstance(geom, BSplineTransform):
-        dims, spacing = geom.reference_dims, geom.reference_spacing
-        origin, direction = geom.reference_origin, geom.reference_direction
-    else:
-        dims, spacing = geom.dims, geom.spacing
-        origin, direction = geom.origin, geom.direction
-    return _world_grid_cached(tuple(dims), tuple(spacing),
-                              origin.tobytes(), np.ascontiguousarray(direction).tobytes())
+def world_grid(vol) -> np.ndarray:
+    """World coordinates (N, 3) of every voxel of a volume; cached, read-only."""
+    return vol.grid.world_points()
 
 
 @lru_cache(maxsize=256)
@@ -168,18 +143,16 @@ class BSplineTransform:
     grid_dims: tuple[int, int, int]
     grid_spacing: tuple[float, float, float]  # in voxels of the reference grid
     coefficients: np.ndarray                  # (gx, gy, gz, 3), mm
-    reference_dims: tuple[int, int, int]
-    reference_spacing: tuple[float, float, float]  # mm
-    reference_origin: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    reference_direction: np.ndarray = field(default_factory=lambda: np.eye(3))
+    reference: Grid
 
     def __post_init__(self):
         gd = tuple(int(g) for g in self.grid_dims)
         gs = tuple(float(s) for s in self.grid_spacing)
-        rd = tuple(int(n) for n in self.reference_dims)
-        rs = tuple(float(s) for s in self.reference_spacing)
-        if any(s <= 0 for s in gs) or any(s <= 0 for s in rs) or any(n <= 0 for n in rd):
-            raise InvalidInputError("spacings and dims must be positive")
+        if not isinstance(self.reference, Grid):
+            raise InvalidInputError("reference must be a Grid")
+        if any(not (s > 0) for s in gs):
+            raise InvalidInputError(f"grid spacings must be positive, got {gs}")
+        rd = self.reference.dims
         expected = tuple(grid_dim_for(rd[a], gs[a]) for a in range(3))
         if gd != expected:
             raise InvalidTransformError(
@@ -195,90 +168,26 @@ class BSplineTransform:
         object.__setattr__(self, "coefficients", coef)
         object.__setattr__(self, "grid_dims", gd)
         object.__setattr__(self, "grid_spacing", gs)
-        object.__setattr__(self, "reference_dims", rd)
-        object.__setattr__(self, "reference_spacing", rs)
-        origin = np.asarray(self.reference_origin, dtype=np.float64).reshape(3).copy()
-        origin.flags.writeable = False
-        object.__setattr__(self, "reference_origin", origin)
-        direction = np.asarray(self.reference_direction, dtype=np.float64).copy()
-        direction.flags.writeable = False
-        object.__setattr__(self, "reference_direction", direction)
 
     @classmethod
     def zeros(cls, reference, grid_spacing) -> "BSplineTransform":
-        """Identity transform over the geometry of `reference` (a Volume)."""
+        """Identity transform over the geometry of `reference` (a volume)."""
         gs = tuple(float(s) for s in np.broadcast_to(grid_spacing, (3,)))
         gd = tuple(grid_dim_for(reference.dims[a], gs[a]) for a in range(3))
-        return cls(
-            grid_dims=gd,
-            grid_spacing=gs,
-            coefficients=np.zeros(gd + (3,)),
-            reference_dims=reference.dims,
-            reference_spacing=reference.spacing,
-            reference_origin=reference.origin,
-            reference_direction=reference.direction,
-        )
+        return cls(grid_dims=gd, grid_spacing=gs, coefficients=np.zeros(gd + (3,)),
+                   reference=reference.grid)
 
     def with_coefficients(self, coef) -> "BSplineTransform":
         return replace(self, coefficients=np.asarray(coef, dtype=np.float64))
-
-    def same_reference(self, other, tol: float = 1e-5) -> bool:
-        return (
-            self.reference_dims == other.reference_dims
-            and np.allclose(self.reference_spacing, other.reference_spacing, atol=tol)
-            and np.allclose(self.reference_origin, other.reference_origin, atol=tol)
-            and np.allclose(self.reference_direction, other.reference_direction, atol=tol)
-        )
-
-    def world_from_voxel(self, pts) -> np.ndarray:
-        pts = np.asarray(pts, dtype=np.float64)
-        return (pts * np.asarray(self.reference_spacing)) @ self.reference_direction.T \
-            + self.reference_origin
-
-    def voxel_from_world(self, pts) -> np.ndarray:
-        pts = np.asarray(pts, dtype=np.float64)
-        return ((pts - self.reference_origin) @ self.reference_direction) \
-            / np.asarray(self.reference_spacing)
 
 
 # ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def deform(t: BSplineTransform, x) -> np.ndarray:
-    """Displacement (mm) at continuous reference voxel coordinate(s) x (..., 3)."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    pts = x.reshape(-1, 3)
-    n = pts.shape[0]
-    out = np.zeros((n, 3))
-
-    idx = []
-    wts = []
-    for a in range(3):
-        ta = pts[:, a] / t.grid_spacing[a]
-        fa = np.clip(np.floor(ta).astype(np.intp), 0, t.grid_dims[a] - 4)
-        ua = ta - fa
-        w = np.stack([bspline_kernel(ua + 1.0 - m) for m in range(4)], axis=1)
-        idx.append(fa)
-        wts.append(w)
-
-    coef = t.coefficients
-    for mx in range(4):
-        wx = wts[0][:, mx]
-        ix = idx[0] + mx
-        for my in range(4):
-            wxy = wx * wts[1][:, my]
-            iy = idx[1] + my
-            for mz in range(4):
-                w = wxy * wts[2][:, mz]
-                out += w[:, None] * coef[ix, iy, idx[2] + mz]
-    return out[0] if single else out.reshape(x.shape)
-
-
 def _weight_matrices(t: BSplineTransform, orders=(0, 0, 0)):
     return tuple(
-        _axis_weights(t.reference_dims[a], t.grid_spacing[a], t.grid_dims[a], orders[a])
+        _axis_weights(t.reference.dims[a], t.grid_spacing[a], t.grid_dims[a], orders[a])
         for a in range(3)
     )
 
@@ -303,59 +212,6 @@ def max_displacement(t: BSplineTransform) -> float:
     return float(np.sqrt((u ** 2).sum(axis=-1)).max())
 
 
-def _interp_field_clamped(fieldarr: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Trilinear interpolation of an (nx, ny, nz, 3) field with edge clamping."""
-    nx, ny, nz = fieldarr.shape[:3]
-    p = np.asarray(pts, dtype=np.float64).reshape(-1, 3)
-    px = np.clip(p[:, 0], 0.0, nx - 1)
-    py = np.clip(p[:, 1], 0.0, ny - 1)
-    pz = np.clip(p[:, 2], 0.0, nz - 1)
-    i0 = np.minimum(px.astype(np.intp), max(nx - 2, 0))
-    j0 = np.minimum(py.astype(np.intp), max(ny - 2, 0))
-    k0 = np.minimum(pz.astype(np.intp), max(nz - 2, 0))
-    fx = (px - i0)[:, None]
-    fy = (py - j0)[:, None]
-    fz = (pz - k0)[:, None]
-
-    rows = np.ascontiguousarray(fieldarr).reshape(-1, 3)
-    sx = ny * nz if nx > 1 else 0
-    sy = nz if ny > 1 else 0
-    sz = 1 if nz > 1 else 0
-    base = (i0 * ny + j0) * nz + k0
-
-    def gather(off):
-        return rows.take(base + off, axis=0)
-
-    c00 = gather(0) * (1 - fx) + gather(sx) * fx
-    c10 = gather(sy) * (1 - fx) + gather(sx + sy) * fx
-    c01 = gather(sz) * (1 - fx) + gather(sx + sz) * fx
-    c11 = gather(sy + sz) * (1 - fx) + gather(sx + sy + sz) * fx
-    c0 = c00 + (c10 - c00) * fy
-    c1 = c01 + (c11 - c01) * fy
-    return c0 + (c1 - c0) * fz
-
-
-def compose_displacement(fwd: BSplineTransform, bwd: BSplineTransform, x) -> np.ndarray:
-    """Residual displacement of the round trip map_fwd(map_bwd(x)) - world(x).
-
-    x is given in voxel coordinates of the shared reference geometry.
-    Displacements are evaluated by trilinear interpolation of the dense
-    per-voxel fields (edge-clamped outside the grid).
-    """
-    if not fwd.same_reference(bwd):
-        raise GeometryMismatchError("fwd and bwd transforms must share a reference")
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    pts = x.reshape(-1, 3)
-
-    u_b = _interp_field_clamped(dense_displacement(bwd), pts)
-    y_world = bwd.world_from_voxel(pts) + u_b
-    y_vox = fwd.voxel_from_world(y_world)
-    u_f = _interp_field_clamped(dense_displacement(fwd), y_vox)
-    m = u_b + u_f
-    return m[0] if single else m.reshape(x.shape)
-
-
 # ---------------------------------------------------------------------------
 # Warping
 # ---------------------------------------------------------------------------
@@ -364,23 +220,11 @@ def _mapped_source_coords(src, ref_geometry, affine, ffd):
     """Source voxel coordinates sampled for every voxel of the ref grid."""
     world = world_grid(ref_geometry)
     if ffd is not None:
+        require_same_geometry(ffd.reference, ref_geometry.grid, "FFD reference and target")
         world = world + dense_displacement(ffd).reshape(-1, 3)
     if affine is not None:
         world = affine.apply(world)
     return src.voxel_from_world(world)
-
-
-def _check_ffd_reference(ffd, ref_geometry):
-    if ffd is None:
-        return
-    ok = (
-        ffd.reference_dims == ref_geometry.dims
-        and np.allclose(ffd.reference_spacing, ref_geometry.spacing, atol=1e-5)
-        and np.allclose(ffd.reference_origin, ref_geometry.origin, atol=1e-5)
-        and np.allclose(ffd.reference_direction, ref_geometry.direction, atol=1e-5)
-    )
-    if not ok:
-        raise GeometryMismatchError("FFD is not defined over the target geometry")
 
 
 def warp_volume(src: Volume, ref_geometry, affine: AffineTransform | None,
@@ -391,27 +235,25 @@ def warp_volume(src: Volume, ref_geometry, affine: AffineTransform | None,
     Each output voxel samples the source trilinearly at affine(world + u) of
     the voxel's world position; with no FFD the affine alone is applied.
     """
-    _check_ffd_reference(ffd, ref_geometry)
     coords = _mapped_source_coords(src, ref_geometry, affine, ffd)
-    vals = _trilinear_values(src.data, coords, oob=out_of_bounds)
+    vals = TrilinearStencil(src.dims, coords).gather(src.data, out_of_bounds)
     return Volume(vals.reshape(ref_geometry.dims).astype(np.float32),
                   ref_geometry.spacing, ref_geometry.origin, ref_geometry.direction)
 
 
 def warp_volume_masked(src, ref_geometry, affine, ffd=None):
     """Like warp_volume but also returns the in-bounds sample mask."""
-    _check_ffd_reference(ffd, ref_geometry)
     coords = _mapped_source_coords(src, ref_geometry, affine, ffd)
-    vals, _, inside = _trilinear_impl(src.data, coords, 0.0, want_gradient=False)
+    stencil = TrilinearStencil(src.dims, coords)
+    vals = stencil.gather(src.data, 0.0)
     vol = Volume(vals.reshape(ref_geometry.dims).astype(np.float32),
                  ref_geometry.spacing, ref_geometry.origin, ref_geometry.direction)
-    return vol, inside.reshape(ref_geometry.dims)
+    return vol, stencil.inside.reshape(ref_geometry.dims)
 
 
 def warp_labels(src: LabelVolume, ref_geometry, affine: AffineTransform | None,
                 ffd: BSplineTransform | None = None) -> LabelVolume:
     """Nearest-neighbor label warp; out-of-bounds samples become background."""
-    _check_ffd_reference(ffd, ref_geometry)
     coords = _mapped_source_coords(src, ref_geometry, affine, ffd)
     vals = _nearest_values(src.data, coords, oob=0)
     return LabelVolume(vals.reshape(ref_geometry.dims),
@@ -449,7 +291,7 @@ def subdivide(t: BSplineTransform, fine_reference) -> BSplineTransform:
     `fine_reference` must have doubled resolution (half spacing, same origin
     and direction); the grid spacing in local voxels is unchanged.
     """
-    ratio = np.asarray(t.reference_spacing) / np.asarray(fine_reference.spacing)
+    ratio = np.asarray(t.reference.spacing) / np.asarray(fine_reference.spacing)
     if not np.allclose(ratio, 2.0, atol=1e-6):
         raise GeometryMismatchError(
             f"subdivision requires a 2x finer grid, got spacing ratio {ratio}"
@@ -460,15 +302,8 @@ def subdivide(t: BSplineTransform, fine_reference) -> BSplineTransform:
     coef = t.coefficients
     for a in range(3):
         coef = _subdivide_axis(coef, a, new_gd[a])
-    return BSplineTransform(
-        grid_dims=new_gd,
-        grid_spacing=t.grid_spacing,
-        coefficients=coef,
-        reference_dims=fine_reference.dims,
-        reference_spacing=fine_reference.spacing,
-        reference_origin=fine_reference.origin,
-        reference_direction=fine_reference.direction,
-    )
+    return BSplineTransform(grid_dims=new_gd, grid_spacing=t.grid_spacing,
+                            coefficients=coef, reference=fine_reference.grid)
 
 
 # ---------------------------------------------------------------------------
@@ -496,10 +331,10 @@ def _pack_ffd(t: BSplineTransform) -> bytes:
     parts = [
         struct.pack("<3I", *t.grid_dims),
         struct.pack("<3d", *t.grid_spacing),
-        struct.pack("<3I", *t.reference_dims),
-        struct.pack("<3d", *t.reference_spacing),
-        struct.pack("<3d", *t.reference_origin),
-        struct.pack("<9d", *t.reference_direction.reshape(-1)),
+        struct.pack("<3I", *t.reference.dims),
+        struct.pack("<3d", *t.reference.spacing),
+        struct.pack("<3d", *t.reference.origin),
+        struct.pack("<9d", *t.reference.direction.reshape(-1)),
         np.ascontiguousarray(t.coefficients, dtype="<f8").tobytes(),
     ]
     return b"".join(parts)
@@ -515,11 +350,9 @@ def _unpack_ffd(buf: bytes, off: int):
     n = gd[0] * gd[1] * gd[2] * 3
     coef = np.frombuffer(buf, dtype="<f8", count=n, offset=off).reshape(gd + (3,))
     off += n * 8
-    t = BSplineTransform(
-        grid_dims=gd, grid_spacing=gs, coefficients=coef,
-        reference_dims=rd, reference_spacing=rs,
-        reference_origin=np.array(ro), reference_direction=np.array(rdir).reshape(3, 3),
-    )
+    reference = Grid(rd, rs, np.array(ro), np.array(rdir).reshape(3, 3))
+    t = BSplineTransform(grid_dims=gd, grid_spacing=gs, coefficients=coef,
+                         reference=reference)
     return t, off
 
 

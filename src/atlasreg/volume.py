@@ -1,14 +1,20 @@
-"""Core volumetric types, trilinear sampling and resampling.
+"""Voxel grid geometry, the volume types, trilinear sampling and resampling.
 
-A volume is a 3D scalar grid with physical geometry: voxel spacing in mm,
-a world-space origin (center of voxel (0,0,0)) and an orthonormal direction
-matrix whose columns are the world axes of the voxel axes. Data is stored as
-an (nx, ny, nz) array; the serialized layout is x-fastest.
+A Grid is the geometry of a volume: dims, voxel spacing in mm, a world-space
+origin (center of voxel (0,0,0)) and an orthonormal direction matrix whose
+columns are the world axes of the voxel axes. Volume, LabelVolume and
+ProbabilityVolume each carry one. Data is stored as an (nx, ny, nz) array;
+the serialized layout is x-fastest.
+
+Every trilinear interpolation of the package (images, masks, displacement
+fields) goes through TrilinearStencil, whose scatter is the exact adjoint of
+its edge-clamped gather.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -18,29 +24,50 @@ LABEL_CLASS_IDS = (0, 1, 2, 3)
 CLASS_NAMES = {1: "lv_cavity", 2: "lv_myocardium", 3: "rv_cavity"}
 
 
-def _check_geometry(dims, spacing):
-    if len(dims) != 3 or any(int(n) <= 0 for n in dims):
-        raise InvalidInputError(f"dims must be three positive integers, got {dims}")
-    if len(spacing) != 3 or any(not (s > 0) for s in spacing):
-        raise InvalidInputError(f"spacings must be strictly positive, got {spacing}")
+@dataclass(frozen=True, eq=False)
+class Grid:
+    """Voxel grid geometry: dims, spacing (mm), origin and direction.
 
+    The origin is the world position of voxel (0, 0, 0); the columns of the
+    orthonormal direction matrix are the world axes of the voxel axes.
+    Instances are immutable and hashable; `==` and `hash` are exact, while
+    `same_geometry` compares within a tolerance.
+    """
 
-class _Spatial:
-    """Shared world/voxel coordinate mapping for the grid types below."""
+    dims: tuple[int, int, int]
+    spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
+    origin: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    direction: np.ndarray = field(default_factory=lambda: np.eye(3))
 
-    def _freeze_geometry(self):
-        _check_geometry(self.dims, self.spacing)
-        object.__setattr__(self, "spacing", tuple(float(s) for s in self.spacing))
+    def __post_init__(self):
+        dims, spacing = tuple(self.dims), tuple(self.spacing)
+        if len(dims) != 3 or any(int(n) <= 0 for n in dims):
+            raise InvalidInputError(f"dims must be three positive integers, got {dims}")
+        if len(spacing) != 3 or any(not (0 < s < math.inf) for s in spacing):
+            raise InvalidInputError(f"spacings must be finite and positive, got {spacing}")
         origin = np.asarray(self.origin, dtype=np.float64).reshape(3).copy()
-        origin.flags.writeable = False
-        object.__setattr__(self, "origin", origin)
+        if not np.all(np.isfinite(origin)):
+            raise InvalidInputError(f"origin must be finite, got {origin}")
         direction = np.asarray(self.direction, dtype=np.float64).copy()
         if direction.shape != (3, 3):
             raise InvalidInputError(f"direction must be 3x3, got {direction.shape}")
-        if abs(abs(np.linalg.det(direction)) - 1.0) > 1e-6:
+        if not abs(abs(np.linalg.det(direction)) - 1.0) <= 1e-6:
             raise InvalidInputError("direction matrix must be orthonormal (|det| = 1)")
+        origin.flags.writeable = False
         direction.flags.writeable = False
+        object.__setattr__(self, "dims", tuple(int(n) for n in dims))
+        object.__setattr__(self, "spacing", tuple(float(s) for s in spacing))
+        object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "direction", direction)
+
+    def _key(self):
+        return (self.dims, self.spacing, self.origin.tobytes(), self.direction.tobytes())
+
+    def __eq__(self, other):
+        return isinstance(other, Grid) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def world_from_voxel(self, pts) -> np.ndarray:
         """Map continuous voxel coordinates (..., 3) to world mm coordinates."""
@@ -52,7 +79,7 @@ class _Spatial:
         pts = np.asarray(pts, dtype=np.float64)
         return (pts - self.origin) @ self.direction / np.asarray(self.spacing)
 
-    def same_geometry(self, other, tol: float = 1e-5) -> bool:
+    def same_geometry(self, other: "Grid", tol: float = 1e-5) -> bool:
         return (
             self.dims == other.dims
             and np.allclose(self.spacing, other.spacing, atol=tol)
@@ -60,15 +87,59 @@ class _Spatial:
             and np.allclose(self.direction, other.direction, atol=tol)
         )
 
+    def voxel_points(self) -> np.ndarray:
+        """Voxel coordinates (N, 3) of every voxel, x-slowest; cached, read-only."""
+        return _grid_points(self, world=False)
+
+    def world_points(self) -> np.ndarray:
+        """World coordinates (N, 3) of every voxel, x-slowest; cached, read-only."""
+        return _grid_points(self, world=True)
+
+
+@lru_cache(maxsize=32)
+def _grid_points(grid: Grid, world: bool) -> np.ndarray:
+    if world:
+        pts = grid.world_from_voxel(_grid_points(grid, world=False))
+    else:
+        ii, jj, kk = np.meshgrid(*(np.arange(n) for n in grid.dims), indexing="ij")
+        pts = np.stack([ii, jj, kk], axis=-1).reshape(-1, 3).astype(np.float64)
+    pts.flags.writeable = False
+    return pts
+
+
+class _OnGrid:
+    """Geometry accessors of the volume types below, all answered by their Grid."""
+
+    def _set_grid(self, dims):
+        grid = Grid(dims, self.spacing, self.origin, self.direction)
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "spacing", grid.spacing)
+        object.__setattr__(self, "origin", grid.origin)
+        object.__setattr__(self, "direction", grid.direction)
+
+    @property
+    def dims(self) -> tuple[int, int, int]:
+        return self.grid.dims
+
+    def world_from_voxel(self, pts) -> np.ndarray:
+        return self.grid.world_from_voxel(pts)
+
+    def voxel_from_world(self, pts) -> np.ndarray:
+        return self.grid.voxel_from_world(pts)
+
+    def same_geometry(self, other, tol: float = 1e-5) -> bool:
+        return self.grid.same_geometry(other.grid, tol)
+
 
 @dataclass(frozen=True)
-class Volume(_Spatial):
+class Volume(_OnGrid):
     """3D scalar image with physical geometry. Immutable after construction."""
 
     data: np.ndarray
     spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
     origin: np.ndarray = field(default_factory=lambda: np.zeros(3))
     direction: np.ndarray = field(default_factory=lambda: np.eye(3))
+    grid: Grid = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=np.float32)
@@ -79,21 +150,18 @@ class Volume(_Spatial):
         data = data.copy()
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
-        self._freeze_geometry()
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.data.shape
+        self._set_grid(data.shape)
 
 
 @dataclass(frozen=True)
-class LabelVolume(_Spatial):
+class LabelVolume(_OnGrid):
     """Integer-class grid; 0 background, 1 LV cavity, 2 LV myocardium, 3 RV cavity."""
 
     data: np.ndarray
     spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
     origin: np.ndarray = field(default_factory=lambda: np.zeros(3))
     direction: np.ndarray = field(default_factory=lambda: np.eye(3))
+    grid: Grid = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         data = np.asarray(self.data)
@@ -105,21 +173,18 @@ class LabelVolume(_Spatial):
         data = data.astype(np.uint8)
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
-        self._freeze_geometry()
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.data.shape
+        self._set_grid(data.shape)
 
 
 @dataclass(frozen=True)
-class ProbabilityVolume(_Spatial):
+class ProbabilityVolume(_OnGrid):
     """Per-class probability channels; shape (C, nx, ny, nz), per-voxel sum 1."""
 
     channels: np.ndarray
     spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
     origin: np.ndarray = field(default_factory=lambda: np.zeros(3))
     direction: np.ndarray = field(default_factory=lambda: np.eye(3))
+    grid: Grid = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ch = np.asarray(self.channels, dtype=np.float32)
@@ -133,15 +198,11 @@ class ProbabilityVolume(_Spatial):
         ch = ch.copy()
         ch.flags.writeable = False
         object.__setattr__(self, "channels", ch)
-        self._freeze_geometry()
+        self._set_grid(ch.shape[1:])
 
     @property
     def num_classes(self) -> int:
         return self.channels.shape[0]
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.channels.shape[1:]
 
 
 def require_same_geometry(a, b, what: str = "volumes"):
@@ -155,71 +216,95 @@ def require_same_geometry(a, b, what: str = "volumes"):
 # Trilinear sampling
 # ---------------------------------------------------------------------------
 
-def _trilinear_impl(data, pts, oob, want_gradient):
-    data = np.ascontiguousarray(data, dtype=np.float64)
-    pts = np.asarray(pts, dtype=np.float64)
-    shape = pts.shape[:-1]
-    p = pts.reshape(-1, 3)
-    nx, ny, nz = data.shape
+class TrilinearStencil:
+    """Trilinear interpolation of points on a voxel grid, and its adjoint.
 
-    inside = (
-        (p[:, 0] >= 0) & (p[:, 0] <= nx - 1)
-        & (p[:, 1] >= 0) & (p[:, 1] <= ny - 1)
-        & (p[:, 2] >= 0) & (p[:, 2] <= nz - 1)
-    )
-    i0 = np.clip(np.floor(p[:, 0]).astype(np.intp), 0, max(nx - 2, 0))
-    j0 = np.clip(np.floor(p[:, 1]).astype(np.intp), 0, max(ny - 2, 0))
-    k0 = np.clip(np.floor(p[:, 2]).astype(np.intp), 0, max(nz - 2, 0))
-    fx = np.clip(p[:, 0] - i0, 0.0, 1.0)
-    fy = np.clip(p[:, 1] - j0, 0.0, 1.0)
-    fz = np.clip(p[:, 2] - k0, 0.0, 1.0)
+    Built once from the grid dims and continuous voxel coordinates (N, 3):
+    it holds each point's cell (base linear index, clamped so the cell lies
+    inside the grid), the per-axis fractions (clamped to [0, 1], so points
+    outside take the values of the nearest face) and the `inside` mask of
+    points within [0, n-1] on every axis. An axis of length 1 has a zero
+    stride, so both cell corners are that single voxel.
+    """
 
-    flat = data.reshape(-1)
-    sx = ny * nz if nx > 1 else 0
-    sy = nz if ny > 1 else 0
-    sz = 1 if nz > 1 else 0
-    base = (i0 * ny + j0) * nz + k0
-    c000 = flat.take(base)
-    c100 = flat.take(base + sx)
-    c010 = flat.take(base + sy)
-    c110 = flat.take(base + sx + sy)
-    c001 = flat.take(base + sz)
-    c101 = flat.take(base + sx + sz)
-    c011 = flat.take(base + sy + sz)
-    c111 = flat.take(base + sx + sy + sz)
-
-    c00 = c000 + (c100 - c000) * fx
-    c01 = c001 + (c101 - c001) * fx
-    c10 = c010 + (c110 - c010) * fx
-    c11 = c011 + (c111 - c011) * fx
-    c0 = c00 + (c10 - c00) * fy
-    c1 = c01 + (c11 - c01) * fy
-    vals = c0 + (c1 - c0) * fz
-    vals = np.where(inside, vals, oob)
-
-    grad = None
-    if want_gradient:
-        gx = (
-            ((c100 - c000) * (1 - fy) + (c110 - c010) * fy) * (1 - fz)
-            + ((c101 - c001) * (1 - fy) + (c111 - c011) * fy) * fz
+    def __init__(self, dims, points):
+        p = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+        self.dims = tuple(int(n) for n in dims)
+        nx, ny, nz = self.dims
+        self.inside = (
+            (p[:, 0] >= 0) & (p[:, 0] <= nx - 1)
+            & (p[:, 1] >= 0) & (p[:, 1] <= ny - 1)
+            & (p[:, 2] >= 0) & (p[:, 2] <= nz - 1)
         )
+        base = 0
+        fractions = []
+        for a, n in enumerate(self.dims):
+            i0 = np.clip(np.floor(p[:, a]).astype(np.intp), 0, max(n - 2, 0))
+            fractions.append(np.clip(p[:, a] - i0, 0.0, 1.0))
+            base = base * n + i0
+        self.base = base
+        self.fx, self.fy, self.fz = fractions
+        self.strides = (ny * nz if nx > 1 else 0, nz if ny > 1 else 0,
+                        1 if nz > 1 else 0)
+
+    def gather(self, data, oob=None, want_gradient=False):
+        """Interpolate `data`, (nx, ny, nz) or (nx, ny, nz, C), at the points.
+
+        Returns values of shape (N,) or (N, C). Points outside the grid take
+        `oob` when it is given, and the edge-clamped value when it is None.
+        With want_gradient, returns (values, d values / d voxel coordinate),
+        the latter (N, 3) or (N, C, 3) and zero outside the grid.
+        """
+        data = np.ascontiguousarray(data, dtype=np.float64)
+        flat = data.reshape((-1,) + data.shape[3:])
+        tail = (slice(None),) + (None,) * (flat.ndim - 1)
+        fx, fy, fz = self.fx[tail], self.fy[tail], self.fz[tail]
+        sx, sy, sz = self.strides
+        slopes = []  # x-differences along the four cell edges, for the gradient
+
+        def edge(off):
+            a = flat.take(self.base + off, axis=0)
+            d = flat.take(self.base + off + sx, axis=0) - a
+            if want_gradient:
+                slopes.append(d)
+            return a + d * fx
+
+        c00, c10, c01, c11 = edge(0), edge(sy), edge(sz), edge(sy + sz)
+        c0 = c00 + (c10 - c00) * fy
+        c1 = c01 + (c11 - c01) * fy
+        vals = c0 + (c1 - c0) * fz
+        if oob is not None:
+            vals = np.where(self.inside[tail], vals, oob)
+        if not want_gradient:
+            return vals
+        d00, d10, d01, d11 = slopes
+        gx = (d00 * (1 - fy) + d10 * fy) * (1 - fz) + (d01 * (1 - fy) + d11 * fy) * fz
         gy = (c10 - c00) * (1 - fz) + (c11 - c01) * fz
         gz = c1 - c0
         grad = np.stack([gx, gy, gz], axis=-1)
-        grad[~inside] = 0.0
-        grad = grad.reshape(shape + (3,))
-    return vals.reshape(shape), grad, inside.reshape(shape)
+        grad[~self.inside] = 0.0
+        return vals, grad
 
+    def scatter(self, vecs) -> np.ndarray:
+        """Adjoint of the edge-clamped gather (oob=None).
 
-def _trilinear_values(data, pts, oob):
-    """Trilinear interpolation of `data` at continuous voxel coords (..., 3)."""
-    vals, _, _ = _trilinear_impl(data, pts, oob, want_gradient=False)
-    return vals
-
-
-def _trilinear_with_gradient(data, pts, oob):
-    """Values, in-cell spatial gradient (d value / d voxel coord), inside mask."""
-    return _trilinear_impl(data, pts, oob, want_gradient=True)
+        Deposits per-point values (N,) or (N, C) onto the grid with the same
+        indices and weights; returns (nx, ny, nz) or (nx, ny, nz, C).
+        """
+        vecs = np.asarray(vecs, dtype=np.float64)
+        cols = vecs.reshape(len(self.base), -1)
+        size = int(np.prod(self.dims))
+        out = np.zeros((size, cols.shape[1]))
+        sx, sy, sz = self.strides
+        for dx, wx in ((0, 1 - self.fx), (sx, self.fx)):
+            for dy, wy in ((0, 1 - self.fy), (sy, self.fy)):
+                for dz, wz in ((0, 1 - self.fz), (sz, self.fz)):
+                    w = wx * wy * wz
+                    lin = self.base + (dx + dy + dz)
+                    for d in range(cols.shape[1]):
+                        out[:, d] += np.bincount(lin, weights=w * cols[:, d],
+                                                 minlength=size)
+        return out.reshape(self.dims + vecs.shape[1:])
 
 
 def sample_trilinear(vol: Volume, p, out_of_bounds: float = 0.0):
@@ -229,9 +314,8 @@ def sample_trilinear(vol: Volume, p, out_of_bounds: float = 0.0):
     (background padding). Accepts a single 3-vector or an (..., 3) array.
     """
     p = np.asarray(p, dtype=np.float64)
-    single = p.ndim == 1
-    vals = _trilinear_values(vol.data, p.reshape(-1, 3), out_of_bounds)
-    return float(vals[0]) if single else vals.reshape(p.shape[:-1])
+    vals = TrilinearStencil(vol.dims, p).gather(vol.data, out_of_bounds)
+    return float(vals[0]) if p.ndim == 1 else vals.reshape(p.shape[:-1])
 
 
 def _nearest_values(data, pts, oob):
@@ -257,16 +341,6 @@ def _nearest_values(data, pts, oob):
 # Resampling
 # ---------------------------------------------------------------------------
 
-def _grid_points(dims, step):
-    ii, jj, kk = np.meshgrid(
-        np.arange(dims[0]) * step[0],
-        np.arange(dims[1]) * step[1],
-        np.arange(dims[2]) * step[2],
-        indexing="ij",
-    )
-    return np.stack([ii, jj, kk], axis=-1).reshape(-1, 3)
-
-
 def resample(vol, target_spacing):
     """Resample to a new voxel spacing; origin and direction are preserved.
 
@@ -281,11 +355,11 @@ def resample(vol, target_spacing):
     old = np.asarray(vol.spacing)
     new = np.asarray(target_spacing)
     new_dims = tuple(int(math.ceil(vol.dims[a] * old[a] / new[a])) for a in range(3))
-    pts = _grid_points(new_dims, new / old)
+    pts = Grid(new_dims, target_spacing, vol.origin, vol.direction).voxel_points() * (new / old)
 
     if isinstance(vol, LabelVolume):
         vals = _nearest_values(vol.data, pts, oob=None)
         return LabelVolume(vals.reshape(new_dims), target_spacing, vol.origin, vol.direction)
-    vals = _trilinear_values(vol.data, pts, oob=0.0)
+    vals = TrilinearStencil(vol.dims, pts).gather(vol.data, oob=0.0)
     return Volume(vals.reshape(new_dims).astype(np.float32), target_spacing,
                   vol.origin, vol.direction)

@@ -1,0 +1,72 @@
+import json
+
+import pytest
+
+from atlasreg.cli import main
+
+MANIFEST_KEYS = {"config", "inputs", "outputs", "timings_s"}
+
+
+def _manifest(path):
+    return json.loads((path.parent / (path.name + ".manifest.json")).read_text())
+
+
+@pytest.fixture(scope="module")
+def phantom_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli")
+    paths = []
+    for seed in (1, 2, 3):
+        img, lbl = root / f"img{seed}.nii", root / f"lbl{seed}.nii"
+        assert main(["phantom", "--out-image", str(img), "--out-labels", str(lbl),
+                     "--dims", "24", "24", "24", "--seed", str(seed)]) == 0
+        paths.append((img, lbl))
+    return root, paths
+
+
+def test_phantom_vote_evaluate_exit_zero_and_write_manifests(phantom_files):
+    root, paths = phantom_files
+    manifest = _manifest(paths[0][0])
+    assert MANIFEST_KEYS <= manifest.keys()
+    assert manifest["outputs"] == [str(p) for p in paths[0]]
+
+    fused = root / "fused.nii"
+    labels = [str(lbl) for _, lbl in paths]
+    assert main(["fuse", "vote", "--labels", *labels, "--out", str(fused),
+                 "--label-remap", "1:1,2:2,3:3"]) == 0
+    manifest = _manifest(fused)
+    assert MANIFEST_KEYS <= manifest.keys()
+    assert manifest["inputs"] == labels
+
+    csv = root / "report.csv"
+    assert main(["evaluate", "--pred", str(fused), "--gt", labels[0],
+                 "--out-csv", str(csv)]) == 0
+    assert csv.read_text().strip()
+    manifest = _manifest(csv)
+    assert MANIFEST_KEYS <= manifest.keys()
+    assert manifest["outputs"] == [str(csv)]
+    assert "evaluate" in manifest["timings_s"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["register", "--ref", "a.nii", "--float", "b.nii", "--out-transform", "t", "--levels", "0"],
+    ["register", "--ref", "a.nii", "--float", "b.nii", "--out-transform", "t", "--max-iter", "0"],
+    ["register", "--ref", "a.nii", "--float", "b.nii", "--out-transform", "t",
+     "--final-spacing", "0.5"],
+    ["fuse", "vote", "--labels", "a.nii", "--out", "o.nii", "--label-remap", "1-2"],
+    ["evaluate", "--pred", "a.nii", "--gt", "b.nii", "--out-csv", "r.csv", "--label-remap", "1:x"],
+])
+def test_bad_flags_exit_two(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_truncated_nifti_exits_three(phantom_files, capsys):
+    root, paths = phantom_files
+    img, lbl = paths[0]
+    truncated = root / "truncated.nii"
+    truncated.write_bytes(lbl.read_bytes()[:-100])
+    assert main(["evaluate", "--pred", str(truncated), "--gt", str(lbl),
+                 "--out-csv", str(root / "bad.csv")]) == 3
+    assert "truncated" in capsys.readouterr().err

@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atlasreg import (
     LabelVolume,
@@ -117,6 +119,44 @@ def test_truncated_payload(tmp_path):
     path.write_bytes(bytes(hdr) + b"\x00" * 4 + np.zeros(5, dtype="<f4").tobytes())
     with pytest.raises(TruncatedFileError):
         read_nifti(path)
+
+
+@pytest.mark.parametrize("vox_offset", [-4.0, float("nan"), 100.0])
+def test_vox_offset_before_payload_is_rejected(tmp_path, vox_offset):
+    hdr = build_header(vox_offset=vox_offset)
+    path = tmp_path / "offset.nii"
+    path.write_bytes(bytes(hdr) + b"\x00" * 4 + np.zeros(8, dtype="<f4").tobytes())
+    with pytest.raises(NiftiFormatError):
+        read_nifti(path)
+
+
+_FLOAT_FIELDS = [*range(76, 120, 4), *range(280, 328, 4)]  # pixdim, vox_offset, scl, srow
+_SHORT_FIELDS = [*range(40, 56, 2), 70, 72, 254]            # dim, datatype, bitpix, sform
+_EDIT = st.one_of(
+    st.tuples(st.integers(0, 347), st.binary(min_size=1, max_size=1)),
+    st.tuples(st.sampled_from(_FLOAT_FIELDS),
+              st.one_of(st.sampled_from([np.nan, np.inf, -np.inf, -1.0, 0.0, 1e30]),
+                        st.floats(width=32)).map(lambda v: struct.pack("<f", v))),
+    st.tuples(st.sampled_from(_SHORT_FIELDS),
+              st.integers(-2 ** 15, 2 ** 15 - 1).map(lambda v: struct.pack("<h", v))),
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(_EDIT, min_size=1, max_size=4))
+def test_mutated_header_raises_only_format_errors(tmp_path_factory, edits):
+    hdr = build_header(datatype=4, sform=1)
+    struct.pack_into("<12f", hdr, 280, 1.0, 0.0, 0.0, 2.0, 0.0, 1.0, 0.0, -1.0,
+                     0.0, 0.0, 1.0, 0.5)
+    struct.pack_into("<2f", hdr, 112, 2.0, 1.0)  # scl_slope, scl_inter
+    for offset, chunk in edits:
+        hdr[offset:offset + len(chunk)] = chunk
+    path = tmp_path_factory.getbasetemp() / "mutated.nii"
+    path.write_bytes(bytes(hdr) + b"\x00" * 4 + np.arange(8, dtype="<i2").tobytes())
+    try:
+        read_nifti(path)
+    except NiftiFormatError:
+        pass
 
 
 def test_big_endian_header_is_byte_swapped(tmp_path):

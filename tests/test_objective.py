@@ -184,9 +184,9 @@ def test_bending_positive_and_matches_dense_fd_oracle():
     e = bending_energy(t)
     assert e > 0
 
-    from atlasreg import deform
+    from bspline_oracle import deform
 
-    nx, ny, nz = t.reference_dims
+    nx, ny, nz = t.reference.dims
     ii, jj, kk = np.meshgrid(np.arange(nx), np.arange(ny), np.arange(nz),
                              indexing="ij")
     x = np.stack([ii, jj, kk], axis=-1).reshape(-1, 3).astype(float)
@@ -259,7 +259,7 @@ def test_inconsistency_gradient_matches_per_term_fd():
     fwd = base.with_coefficients(rng.normal(0, 0.8, base.coefficients.shape))
     bwd = base.with_coefficients(rng.normal(0, 0.8, base.coefficients.shape))
     val, g_f, g_b = inconsistency_gradient(fwd, bwd)
-    n_vox = float(np.prod(fwd.reference_dims))
+    n_vox = float(np.prod(fwd.reference.dims))
 
     def term(outer, inner):
         m, _ = _roundtrip_residual(outer, inner)

@@ -9,19 +9,20 @@ from atlasreg import (
     LabelVolume,
     Volume,
     bspline_kernel,
-    compose_displacement,
-    deform,
     load_transform,
     save_transform,
     warp_labels,
     warp_volume,
 )
+from atlasreg.objective import _roundtrip_residual
 from atlasreg.transforms import (
     bspline_kernel_d1,
     bspline_kernel_d2,
     dense_displacement,
+    splat_to_coefficients,
     subdivide,
 )
+from bspline_oracle import deform
 
 
 def _zeros_volume(dims=(8, 8, 8), spacing=(1.0, 1.0, 1.0)):
@@ -122,6 +123,16 @@ def test_dense_displacement_matches_pointwise_deform():
                                    atol=1e-12)
 
 
+def test_splat_is_adjoint_of_dense_displacement():
+    rng = np.random.default_rng(14)
+    t = BSplineTransform.zeros(_zeros_volume((9, 7, 5), (1.5, 1.0, 2.0)), (2.0, 3.0, 2.5))
+    coef = rng.normal(size=t.coefficients.shape)
+    vecs = rng.normal(size=(9, 7, 5, 3))
+    lhs = np.vdot(dense_displacement(t.with_coefficients(coef)), vecs)
+    rhs = np.vdot(coef, splat_to_coefficients(t, vecs))
+    assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
 # --- affine --------------------------------------------------------------
 
 def test_affine_validates_structure():
@@ -216,8 +227,8 @@ def test_compose_zero_transforms():
     vol = _zeros_volume()
     fwd = BSplineTransform.zeros(vol, 2.0)
     bwd = BSplineTransform.zeros(vol, 2.0)
-    pts = np.random.default_rng(9).uniform(0, 7, (30, 3))
-    np.testing.assert_allclose(compose_displacement(fwd, bwd, pts), 0.0, atol=1e-12)
+    m, _ = _roundtrip_residual(fwd, bwd)
+    np.testing.assert_allclose(m, 0.0, atol=1e-12)
 
 
 def test_compose_constant_inverse_pair_cancels():
@@ -226,8 +237,8 @@ def test_compose_constant_inverse_pair_cancels():
     fwd = BSplineTransform.zeros(vol, 2.0)
     fwd = fwd.with_coefficients(np.broadcast_to(d, fwd.coefficients.shape))
     bwd = fwd.with_coefficients(np.broadcast_to(-d, fwd.coefficients.shape))
-    pts = np.random.default_rng(10).uniform(0, 7, (30, 3))
-    np.testing.assert_allclose(compose_displacement(fwd, bwd, pts), 0.0, atol=1e-9)
+    m, _ = _roundtrip_residual(fwd, bwd)
+    np.testing.assert_allclose(m, 0.0, atol=1e-9)
 
 
 def test_compose_forward_only_returns_its_displacement():
@@ -236,9 +247,8 @@ def test_compose_forward_only_returns_its_displacement():
     fwd = BSplineTransform.zeros(vol, 2.0)
     fwd = fwd.with_coefficients(np.broadcast_to(d, fwd.coefficients.shape))
     bwd = BSplineTransform.zeros(vol, 2.0)
-    pts = np.random.default_rng(11).uniform(0, 7, (30, 3))
-    got = compose_displacement(fwd, bwd, pts)
-    np.testing.assert_allclose(got, np.broadcast_to(d, (30, 3)), atol=1e-9)
+    m, _ = _roundtrip_residual(fwd, bwd)
+    np.testing.assert_allclose(m, np.broadcast_to(d, m.shape), atol=1e-9)
 
 
 # --- subdivision ---------------------------------------------------------
@@ -283,7 +293,7 @@ def test_transform_container_round_trip(tmp_path):
     np.testing.assert_array_equal(a2.matrix, affine.matrix)
     np.testing.assert_array_equal(f2.coefficients, fwd.coefficients)
     np.testing.assert_array_equal(b2.coefficients, bwd.coefficients)
-    assert f2.reference_dims == vol.dims
+    assert f2.reference.dims == vol.dims
     assert f2.grid_spacing == fwd.grid_spacing
 
     save_transform(path, affine)  # affine-only container

@@ -9,6 +9,7 @@ from atlasreg import (
     resample,
     sample_trilinear,
 )
+from atlasreg.volume import TrilinearStencil
 
 
 def test_constant_volume_interpolates_to_constant():
@@ -46,6 +47,24 @@ def test_interpolation_bounded_by_neighbors():
         i, j, k = min(i, 4), min(j, 4), min(k, 4)
         cube = data[i:i + 2, j:j + 2, k:k + 2]
         assert cube.min() - 1e-6 <= v <= cube.max() + 1e-6
+
+
+@pytest.mark.parametrize("dims", [(7, 5, 6), (6, 1, 5)])
+@pytest.mark.parametrize("channels", [(), (3,)])
+def test_stencil_scatter_is_adjoint_of_gather(dims, channels):
+    rng = np.random.default_rng(len(dims) * dims[1] + len(channels))
+    upper = np.array(dims) - 1.0
+    inside = rng.uniform(0, upper, (200, 3))
+    outside = rng.uniform(-3, upper + 3, (200, 3))
+    faces = rng.uniform(0, upper, (60, 3))
+    axis = np.arange(60) % 3
+    faces[np.arange(60), axis] = upper[axis]
+    stencil = TrilinearStencil(dims, np.concatenate([inside, outside, faces]))
+    field = rng.normal(size=dims + channels)
+    vecs = rng.normal(size=(460,) + channels)
+    lhs = np.vdot(stencil.gather(field), vecs)
+    rhs = np.vdot(field, stencil.scatter(vecs))
+    assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 def test_volume_rejects_nan_and_bad_geometry():
