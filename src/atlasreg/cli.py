@@ -12,6 +12,7 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -31,24 +32,20 @@ from .objective import ObjectiveWeights
 from .phantom import generate_phantom, scaled_spec
 from .registration import RegistrationConfig, default_config, register
 from .transforms import max_displacement, save_transform
-from .volume import ProbabilityVolume
+from .volume import ProbabilityVolume, require_same_geometry
 
 
 class _Timer:
     def __init__(self):
         self.stages = {}
 
+    @contextmanager
     def stage(self, name):
-        timer = self
-
-        class _Ctx:
-            def __enter__(self):
-                self.t0 = time.perf_counter()
-
-            def __exit__(self, *exc):
-                timer.stages[name] = round(time.perf_counter() - self.t0, 3)
-
-        return _Ctx()
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.stages[name] = round(time.perf_counter() - t0, 3)
 
 
 def _write_manifest(out_path, subcommand, args_dict, inputs, outputs, timer,
@@ -130,9 +127,6 @@ def _config_dict(cfg: RegistrationConfig):
         "levels": cfg.levels,
         "max_iter_per_level": cfg.max_iter_per_level,
         "final_grid_spacing": cfg.final_grid_spacing,
-        "step_tolerance": cfg.step_tolerance,
-        "objective_tolerance": cfg.objective_tolerance,
-        "bins": cfg.bins,
     }
 
 
@@ -184,8 +178,10 @@ def cmd_fuse(args) -> int:
                 continue
             paths = [p.strip() for p in line.split(",")]
             vols = [read_nifti(p) for p in paths]
-            channels = np.stack([v.data for v in vols])
             first = vols[0]
+            for p, v in zip(paths[1:], vols[1:]):
+                require_same_geometry(v, first, f"{p} and {paths[0]}")
+            channels = np.stack([v.data for v in vols])
             models.append(ProbabilityVolume(channels, first.spacing,
                                             first.origin, first.direction))
             inputs.extend(paths)

@@ -120,7 +120,10 @@ def read_nifti(path, *, labels: bool = False, label_remap: dict | None = None):
             for src, dst in label_remap.items():
                 out[arr == src] = dst
             arr = out
-        return LabelVolume(arr, spacing, origin, direction)
+        try:
+            return LabelVolume(arr, spacing, origin, direction)
+        except InvalidInputError as exc:
+            raise NiftiFormatError(f"{path}: {exc}") from exc
 
     data = data.astype(np.float32)
     if scl_slope != 0.0 and not (scl_slope == 1.0 and scl_inter == 0.0):

@@ -180,17 +180,10 @@ def _nmi_and_count_gradient(counts: np.ndarray):
 # Similarity through a B-spline transform
 # ---------------------------------------------------------------------------
 
-def similarity_and_gradient(ref: Volume, flt: Volume, ffd: BSplineTransform,
-                            bins: int = DEFAULT_BINS, ranges=None,
-                            ref_mask=None, flt_valid=None, with_gradient=True):
-    """NMI between ref and flt warped by `ffd`, plus its coefficient gradient.
-
-    The FFD must be defined over the geometry of `ref`. `ref_mask` excludes
-    reference voxels; `flt_valid` marks usable voxels of the floating image
-    (pairs whose warped sample touches invalid voxels are skipped).
-    Returns (nmi, gradient | None).
-    """
-    world = world_grid(ref) + dense_displacement(ffd).reshape(-1, 3)
+def _similarity_field(ref: Volume, flt: Volume, world: np.ndarray, bins: int,
+                      ranges, ref_mask, flt_valid, with_gradient: bool):
+    """NMI between ref and flt sampled at `world`, one point per ref voxel:
+    (nmi, mask of the voxels in the histogram, dNMI/d(point) on the mask | None)."""
     stencil = TrilinearStencil(flt.dims, flt.voxel_from_world(world))
     if with_gradient:
         vals, grad_vox = stencil.gather(flt.data, 0.0, want_gradient=True)
@@ -216,7 +209,7 @@ def similarity_and_gradient(ref: Volume, flt: Volume, ffd: BSplineTransform,
 
     if not with_gradient:
         return nmi(JointHistogram(bins, counts, int(mask.sum()),
-                                  tuple(ranges[0]), tuple(ranges[1]))), None
+                                  tuple(ranges[0]), tuple(ranges[1]))), mask, None
 
     s, ds_dc = _nmi_and_count_gradient(counts)
     ds_flat = ds_dc.reshape(-1)
@@ -230,12 +223,29 @@ def similarity_and_gradient(ref: Volume, flt: Volume, ffd: BSplineTransform,
     # clamped samples sit on the flat part of the intensity mapping
     lam = np.where(interior_f, lam * scale_f, 0.0)
 
-    # d(sample)/d(world displacement): direction @ (voxel gradient / spacing)
+    # d(sample)/d(world point): direction @ (voxel gradient / spacing)
     gw = (grad_vox[mask] / np.asarray(flt.spacing)) @ flt.direction.T
+    return s, mask, lam[:, None] * gw
+
+
+def similarity_and_gradient(ref: Volume, flt: Volume, ffd: BSplineTransform,
+                            bins: int = DEFAULT_BINS, ranges=None,
+                            ref_mask=None, flt_valid=None, with_gradient=True):
+    """NMI between ref and flt warped by `ffd`, plus its coefficient gradient.
+
+    The FFD must be defined over the geometry of `ref`. `ref_mask` excludes
+    reference voxels; `flt_valid` marks usable voxels of the floating image
+    (pairs whose warped sample touches invalid voxels are skipped).
+    Returns (nmi, gradient | None).
+    """
+    world = world_grid(ref) + dense_displacement(ffd).reshape(-1, 3)
+    s, mask, fld = _similarity_field(ref, flt, world, bins, ranges, ref_mask,
+                                     flt_valid, with_gradient)
+    if fld is None:
+        return s, None
     voxel_field = np.zeros((ref.data.size, 3))
-    voxel_field[mask] = lam[:, None] * gw
-    grad = splat_to_coefficients(ffd, voxel_field.reshape(ref.dims + (3,)))
-    return s, grad
+    voxel_field[mask] = fld
+    return s, splat_to_coefficients(ffd, voxel_field.reshape(ref.dims + (3,)))
 
 
 # ---------------------------------------------------------------------------

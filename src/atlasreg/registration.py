@@ -14,9 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
-from .errors import NumericalFailureError
-from .objective import ObjectiveWeights, nmi, objective, robust_range
-from .objective import JointHistogram, _bin_positions, _deposit_counts
+from .errors import DegenerateInputError, NumericalFailureError
+from .objective import DEFAULT_BINS, ObjectiveWeights, _similarity_field, objective, robust_range
 from .transforms import (
     AffineTransform,
     BSplineTransform,
@@ -24,7 +23,11 @@ from .transforms import (
     warp_volume_masked,
     world_grid,
 )
-from .volume import TrilinearStencil, Volume, resample
+from .volume import Volume, resample
+
+STEP_FLOOR_MM = 0.01      # smallest line-search probe, both stages
+AFFINE_GAIN_FLOOR = 1e-7  # relative gain per iteration below which a stage stops
+FFD_GAIN_FLOOR = 1e-5
 
 
 @dataclass(frozen=True)
@@ -33,9 +36,6 @@ class RegistrationConfig:
     max_iter_per_level: int = 300
     final_grid_spacing: float = 5.0  # control spacing in voxels, per axis
     weights: ObjectiveWeights = field(default_factory=ObjectiveWeights)
-    step_tolerance: float = 0.01     # mm; line-search floor
-    objective_tolerance: float = 1e-5  # relative gain floor per iteration
-    bins: int = 64
 
     def __post_init__(self):
         if self.levels < 1 or self.max_iter_per_level < 1:
@@ -109,6 +109,55 @@ def usable_levels(dims, requested: int, min_dim: int = 4) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Gradient ascent
+# ---------------------------------------------------------------------------
+
+def _ascend(value, gradient, x, direction, step, max_iter, gain_tol):
+    """Maximize `value` from `x` by gradient ascent with a halving line search.
+
+    `direction(gradient(x))` is the search direction, None at a zero gradient.
+    A probe is accepted when the value rises; one whose evaluation raises
+    DegenerateInputError (lost overlap) is rejected. The step halves on each
+    rejection and doubles, up to its start value, after an acceptance. It
+    converges at a zero gradient, when no probe of at least STEP_FLOOR_MM is
+    accepted, or when the gain falls below gain_tol * max(|previous|, 1).
+    Returns (x, trace of the start and accepted values, converged); converged
+    is False only when max_iter runs out. A non-finite value raises
+    NumericalFailureError carrying the iteration.
+    """
+    def finite(v, it):
+        if not math.isfinite(v):
+            raise NumericalFailureError(f"objective is not finite at iteration {it}",
+                                        iteration=it)
+        return v
+
+    step_max = step
+    val = finite(value(x), 0)
+    trace = [val]
+    for it in range(max_iter):
+        d = direction(gradient(x))
+        if d is None:
+            return x, trace, True
+        while True:
+            if step < STEP_FLOOR_MM:
+                return x, trace, True
+            cand = x + step * d
+            try:
+                cval = finite(value(cand), it)
+            except DegenerateInputError:
+                cval = -math.inf
+            if cval > val:
+                break
+            step /= 2
+        x, val = cand, cval
+        trace.append(val)
+        if val - trace[-2] < gain_tol * max(abs(trace[-2]), 1.0):
+            return x, trace, True
+        step = min(step * 2, step_max)
+    return x, trace, False
+
+
+# ---------------------------------------------------------------------------
 # Affine registration
 # ---------------------------------------------------------------------------
 
@@ -122,26 +171,7 @@ def _center_of_mass(vol: Volume) -> np.ndarray:
     return vol.world_from_voxel(np.array([(w * pts[:, a]).sum() / total for a in range(3)]))
 
 
-def _nmi_between(ref: Volume, float_src: Volume, matrix: np.ndarray,
-                 ref_world: np.ndarray, ref_vals: np.ndarray,
-                 ranges, bins: int) -> float:
-    pts = ref_world @ matrix[:3, :3].T + matrix[:3, 3]
-    stencil = TrilinearStencil(float_src.dims, float_src.voxel_from_world(pts))
-    vals, inside = stencil.gather(float_src.data, 0.0), stencil.inside
-    if not inside.any():
-        return -np.inf
-    q_r, _, _ = _bin_positions(ref_vals[inside], ranges[0], bins)
-    q_f, _, _ = _bin_positions(vals[inside], ranges[1], bins)
-    counts, _ = _deposit_counts(q_r, q_f, bins)
-    try:
-        return nmi(JointHistogram(bins, counts, int(inside.sum()),
-                                  tuple(ranges[0]), tuple(ranges[1])))
-    except Exception:
-        return -np.inf
-
-
-def register_affine(ref: Volume, flt: Volume, *, bins: int = 64,
-                    max_iter=(40, 25, 12), gain_tolerance: float = 1e-7) -> AffineTransform:
+def register_affine(ref: Volume, flt: Volume, *, max_iter=(40, 25, 12)) -> AffineTransform:
     """Maximize NMI over 12 affine parameters, coarse to fine (x4, x2, x1).
 
     A coarse stage (x4, x2) is skipped when its grid would have fewer than
@@ -151,11 +181,12 @@ def register_affine(ref: Volume, flt: Volume, *, bins: int = 64,
     alignment, which the finer stages cannot climb back from.
 
     Parameters are optimized in a millimeter-scaled space (linear part scaled
-    by the half-extent) with central-difference gradients and a backtracking
-    line search, starting from center-of-mass alignment.
+    by the half-extent) by `_ascend` on central-difference gradients, starting
+    from center-of-mass alignment; a stage stops once its relative NMI gain
+    falls below AFFINE_GAIN_FLOOR.
     """
     robust_range(ref.data.reshape(-1))   # reject degenerate inputs early
-    robust_range(flt.data.reshape(-1))
+    flt_range = robust_range(flt.data.reshape(-1))
 
     center = ref.world_from_voxel((np.asarray(ref.dims, dtype=np.float64) - 1) / 2)
     extent = float(np.max(np.asarray(ref.dims) * np.asarray(ref.spacing)))
@@ -163,8 +194,6 @@ def register_affine(ref: Volume, flt: Volume, *, bins: int = 64,
 
     t0 = _center_of_mass(flt) - _center_of_mass(ref)
     q = np.concatenate([np.zeros(9), t0])  # [L*(M - I).flat, t] in mm
-
-    flt_range = robust_range(flt.data.reshape(-1))
 
     def matrix_of(qv):
         m3 = np.eye(3) + qv[:9].reshape(3, 3) / scale_len
@@ -186,39 +215,23 @@ def register_affine(ref: Volume, flt: Volume, *, bins: int = 64,
         else:
             ref_l, flt_l = ref, flt
         ref_world = world_grid(ref_l)
-        ref_vals = ref_l.data.reshape(-1).astype(np.float64)
-        ranges = (robust_range(ref_vals), flt_range)
+        ranges = (robust_range(ref_l.data.reshape(-1).astype(np.float64)), flt_range)
 
         def score(qv):
-            return _nmi_between(ref_l, flt_l, matrix_of(qv), ref_world,
-                                ref_vals, ranges, bins)
+            m = matrix_of(qv)
+            return _similarity_field(ref_l, flt_l, ref_world @ m[:3, :3].T + m[:3, 3],
+                                     DEFAULT_BINS, ranges, None, None, with_gradient=False)[0]
 
-        h = 0.05
-        step = max(extent / 32.0, 1.0)
-        val = score(q)
-        for _ in range(iters):
-            grad = np.zeros(12)
-            for p in range(12):
-                dq = np.zeros(12)
-                dq[p] = h
-                grad[p] = (score(q + dq) - score(q - dq)) / (2 * h)
+        def gradient(qv, h=0.05):
+            return np.array([(score(qv + e) - score(qv - e)) / (2 * h)
+                             for e in h * np.eye(12)])
+
+        def direction(grad):
             gmax = np.abs(grad).max()
-            if gmax == 0:
-                break
-            direction = grad / gmax
-            improved = False
-            while step >= 0.01:
-                cand = q + step * direction
-                cval = score(cand)
-                if cval > val:
-                    gain = cval - val
-                    q, val = cand, cval
-                    improved = True
-                    break
-                step /= 2
-            if not improved or gain < gain_tolerance * max(abs(val), 1.0):
-                break
-            step = min(step * 2, max(extent / 32.0, 1.0))
+            return None if gmax == 0 else grad / gmax
+
+        q, _, _ = _ascend(score, gradient, q, direction, max(extent / 32.0, 1.0),
+                          iters, AFFINE_GAIN_FLOOR)
 
     mat = matrix_of(q)
     if abs(np.linalg.det(mat[:3, :3])) <= 1e-12:
@@ -230,19 +243,14 @@ def register_affine(ref: Volume, flt: Volume, *, bins: int = 64,
 # FFD registration
 # ---------------------------------------------------------------------------
 
-def _max_pointwise_norm(*grids) -> float:
-    best = 0.0
-    for g in grids:
-        n = np.sqrt((g ** 2).sum(axis=-1)).max()
-        best = max(best, float(n))
-    return best
-
-
-def _ascent_direction(grad: np.ndarray, gmax: float, softness: float = 0.05):
+def _soft_direction(grad: np.ndarray, softness: float = 0.05):
     """Per-node normalized gradient (soft): every control point moves at a
     comparable rate while keeping a positive inner product with the gradient,
-    so backtracking line search still guarantees ascent."""
+    so backtracking line search still guarantees ascent. None at zero."""
     norms = np.sqrt((grad ** 2).sum(axis=-1, keepdims=True))
+    gmax = norms.max()
+    if gmax == 0:
+        return None
     return grad / (norms + softness * gmax)
 
 
@@ -253,9 +261,11 @@ def register_ffd(ref: Volume, flt: Volume, affine: AffineTransform | None,
     The floating image is resampled into the affinely aligned frame once per
     level; forward and backward lattices live on the (level) reference grid
     and are optimized jointly by gradient ascent with a halving line search
-    (initial step 0.4 x control spacing per level). A level stops early when
-    the relative objective gain drops below objective_tolerance or the step
-    falls below step_tolerance.
+    (initial step 0.4 x control spacing per level), run by `_ascend` on the
+    stacked (fwd, bwd) coefficients. A level stops early when the relative
+    objective gain drops below FFD_GAIN_FLOOR or no step of at least
+    STEP_FLOOR_MM raises the objective. A non-finite objective raises
+    NumericalFailureError carrying the level and iteration.
     """
     if affine is None:
         affine = AffineTransform.identity()
@@ -281,53 +291,32 @@ def register_ffd(ref: Volume, flt: Volume, affine: AffineTransform | None,
         r_ref = robust_range(ref_k.data.reshape(-1))
         masked = f_al.data[f_mask]
         r_fal = robust_range(masked.reshape(-1)) if masked.size else r_ref
-        kwargs = dict(bins=cfg.bins, ranges_fwd=(r_ref, r_fal),
-                      ranges_bwd=(r_fal, r_ref), flt_mask=f_mask)
+        kwargs = dict(ranges_fwd=(r_ref, r_fal), ranges_bwd=(r_fal, r_ref),
+                      flt_mask=f_mask)
 
-        step_init = 0.4 * cfg.final_grid_spacing * float(np.mean(ref_k.spacing))
-        step = step_init
-        res = objective(ref_k, f_al, fwd, bwd, cfg.weights, with_gradient=True,
-                        **kwargs)
-        trace = [res.value]
-        level_converged = False
+        def pair(x):
+            return fwd.with_coefficients(x[0]), bwd.with_coefficients(x[1])
 
-        for it in range(cfg.max_iter_per_level):
-            if not math.isfinite(res.value):
-                raise NumericalFailureError("objective is not finite",
-                                            level=k, iteration=it)
-            gmax = _max_pointwise_norm(res.grad_fwd, res.grad_bwd)
-            if gmax == 0:
-                level_converged = True
-                break
-            d_f = _ascent_direction(res.grad_fwd, gmax)
-            d_b = _ascent_direction(res.grad_bwd, gmax)
+        def value(x):
+            return objective(ref_k, f_al, *pair(x), cfg.weights,
+                             with_gradient=False, **kwargs).value
 
-            accepted = False
-            while step >= cfg.step_tolerance:
-                cand_f = fwd.with_coefficients(fwd.coefficients + step * d_f)
-                cand_b = bwd.with_coefficients(bwd.coefficients + step * d_b)
-                probe = objective(ref_k, f_al, cand_f, cand_b, cfg.weights,
-                                  with_gradient=False, **kwargs)
-                if probe.value > res.value:
-                    accepted = True
-                    break
-                step /= 2
-            if not accepted:
-                level_converged = True
-                break
-
-            fwd, bwd = cand_f, cand_b
-            res = objective(ref_k, f_al, fwd, bwd, cfg.weights,
+        def gradient(x):
+            res = objective(ref_k, f_al, *pair(x), cfg.weights,
                             with_gradient=True, **kwargs)
-            gain = res.value - trace[-1]
-            trace.append(res.value)
-            if gain < cfg.objective_tolerance * max(abs(trace[-2]), 1e-12):
-                level_converged = True
-                break
-            step = min(step * 2, step_init)
+            return np.stack([res.grad_fwd, res.grad_bwd])
 
+        step = 0.4 * cfg.final_grid_spacing * float(np.mean(ref_k.spacing))
+        try:
+            x, trace, done = _ascend(
+                value, gradient, np.stack([fwd.coefficients, bwd.coefficients]),
+                _soft_direction, step, cfg.max_iter_per_level, FFD_GAIN_FLOOR)
+        except NumericalFailureError as exc:
+            raise NumericalFailureError("objective is not finite", level=k,
+                                        iteration=exc.iteration) from exc
+        fwd, bwd = pair(x)
         traces.append(trace)
-        converged.append(level_converged)
+        converged.append(done)
 
     return RegistrationResult(affine, fwd, bwd, traces, converged)
 
@@ -337,7 +326,7 @@ def register(ref: Volume, flt: Volume, cfg: RegistrationConfig | None = None,
     """Affine initialization followed by symmetric FFD refinement."""
     if cfg is None:
         cfg = default_config("type1")
-    affine = register_affine(ref, flt, bins=cfg.bins)
+    affine = register_affine(ref, flt)
     if affine_only:
         return RegistrationResult(affine, None, None, [], [])
     return register_ffd(ref, flt, affine, cfg)

@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from atlasreg import Volume, write_nifti
 from atlasreg.cli import main
 
 MANIFEST_KEYS = {"config", "inputs", "outputs", "timings_s"}
@@ -70,3 +72,31 @@ def test_truncated_nifti_exits_three(phantom_files, capsys):
     assert main(["evaluate", "--pred", str(truncated), "--gt", str(lbl),
                  "--out-csv", str(root / "bad.csv")]) == 3
     assert "truncated" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dims, spacing", [
+    ((4, 4, 5), (1.0, 1.0, 1.0)),   # different dims: np.stack would fail
+    ((4, 4, 4), (2.0, 2.0, 2.0)),   # same dims, different spacing
+])
+def test_ensemble_files_off_one_geometry_exit_three(tmp_path, capsys, dims, spacing):
+    first = tmp_path / "p0.nii"
+    other = tmp_path / "p1.nii"
+    write_nifti(Volume(np.full((4, 4, 4), 0.5, dtype=np.float32)), first)
+    write_nifti(Volume(np.full(dims, 0.5, dtype=np.float32), spacing), other)
+    manifest = tmp_path / "models.txt"
+    manifest.write_text(f"{first},{other}\n")
+    assert main(["fuse", "ensemble", "--manifest", str(manifest),
+                 "--out", str(tmp_path / "fused.nii")]) == 3
+    err = capsys.readouterr().err
+    assert "must share geometry" in err and "Traceback" not in err
+    assert not (tmp_path / "fused.nii").exists()
+
+
+def test_timer_records_a_stage_that_raises():
+    from atlasreg.cli import _Timer
+
+    timer = _Timer()
+    with pytest.raises(RuntimeError):
+        with timer.stage("failing"):
+            raise RuntimeError("boom")
+    assert timer.stages["failing"] >= 0.0

@@ -153,10 +153,20 @@ def test_mutated_header_raises_only_format_errors(tmp_path_factory, edits):
         hdr[offset:offset + len(chunk)] = chunk
     path = tmp_path_factory.getbasetemp() / "mutated.nii"
     path.write_bytes(bytes(hdr) + b"\x00" * 4 + np.arange(8, dtype="<i2").tobytes())
-    try:
-        read_nifti(path)
-    except NiftiFormatError:
-        pass
+    for labels in (False, True):
+        try:
+            read_nifti(path, labels=labels)
+        except NiftiFormatError:
+            pass
+
+
+@pytest.mark.parametrize("value", [7.0, -1.0, 1.5, float("nan")])
+def test_label_file_with_undeclared_class_is_a_format_error(tmp_path, value):
+    hdr = build_header(datatype=16)
+    path = tmp_path / "labels.nii"
+    path.write_bytes(bytes(hdr) + b"\x00" * 4 + np.full(8, value, dtype="<f4").tobytes())
+    with pytest.raises(NiftiFormatError, match="undeclared class ids"):
+        read_nifti(path, labels=True)
 
 
 def test_big_endian_header_is_byte_swapped(tmp_path):

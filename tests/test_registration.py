@@ -4,6 +4,7 @@ import pytest
 from atlasreg import (
     AffineTransform,
     DegenerateInputError,
+    NumericalFailureError,
     ObjectiveWeights,
     RegistrationConfig,
     Volume,
@@ -12,7 +13,9 @@ from atlasreg import (
     register_ffd,
 )
 from atlasreg.phantom import generate_phantom, scaled_spec
-from atlasreg.registration import build_pyramid, usable_levels
+from atlasreg import registration
+from atlasreg.objective import ObjectiveResult
+from atlasreg.registration import STEP_FLOOR_MM, _ascend, build_pyramid, usable_levels
 from atlasreg.transforms import max_displacement, warp_volume
 from atlasreg.volume import resample
 
@@ -80,6 +83,92 @@ def test_usable_levels_caps_small_volumes():
     assert usable_levels((40, 40, 40), 3, min_dim=16) == 2
     assert usable_levels((64, 64, 64), 3, min_dim=16) == 3
     assert usable_levels((128, 128, 16), 3, min_dim=16) == 1
+
+
+# --- ascent loop ------------------------------------------------------------
+
+PEAK = np.array([3.0, -1.0])
+
+
+class Quadratic:
+    """-|x - PEAK|^2, recording every point at which it is evaluated."""
+
+    def __init__(self, bad=lambda x: None):
+        self.bad = bad  # returns an exception or a value to use instead
+        self.points = []
+
+    def value(self, x):
+        self.points.append(x.copy())
+        override = self.bad(x)
+        if isinstance(override, Exception):
+            raise override
+        return float(-((x - PEAK) ** 2).sum()) if override is None else override
+
+    @staticmethod
+    def gradient(x):
+        return -2.0 * (x - PEAK)
+
+    @staticmethod
+    def direction(grad):
+        gmax = np.abs(grad).max()
+        return None if gmax == 0 else grad / gmax
+
+
+def _climb(f, x0=(0.0, 0.0), step=1.0, max_iter=100, gain_tol=1e-9):
+    return _ascend(f.value, f.gradient, np.array(x0), f.direction, step,
+                   max_iter, gain_tol)
+
+
+def test_ascend_trace_is_monotone_and_reaches_the_peak():
+    x, trace, converged = _climb(Quadratic())
+    assert converged
+    assert all(b > a for a, b in zip(trace, trace[1:]))
+    np.testing.assert_allclose(x, PEAK, atol=2 * STEP_FLOOR_MM)
+
+
+def test_ascend_gain_floor_converges():
+    x, trace, converged = _climb(Quadratic(), gain_tol=1e3)
+    assert converged and len(trace) == 2  # the first gain is under the floor
+
+
+def test_ascend_max_iter_is_not_convergence():
+    x, trace, converged = _climb(Quadratic(), step=0.1, max_iter=3)
+    assert not converged and len(trace) == 4
+
+
+def test_ascend_zero_gradient_stops_before_any_probe():
+    f = Quadratic()
+    x, trace, converged = _climb(f, x0=PEAK)
+    assert converged and trace == [0.0]
+    assert len(f.points) == 1  # the start value only
+
+
+def test_ascend_rejects_a_degenerate_probe_and_halves_the_step():
+    f = Quadratic(lambda x: DegenerateInputError("no overlap") if x[0] > 1.5 else None)
+    x, trace, converged = _climb(f, step=2.0, max_iter=1)
+    # start, the rejected probe at step 2, then the accepted probe at step 1
+    np.testing.assert_array_equal(f.points[1], [2.0, -2.0 / 3.0])
+    np.testing.assert_array_equal(x, [1.0, -1.0 / 3.0])
+    assert trace[1] == f.value(x)
+
+
+def test_ascend_non_finite_value_raises_with_iteration():
+    f = Quadratic(lambda x: np.nan if x[0] > 2.5 else None)
+    with pytest.raises(NumericalFailureError) as exc:
+        _climb(f, step=1.0)
+    assert exc.value.iteration == 2  # probes at x0 = 1, 2 accepted, then 3
+
+
+def test_ffd_non_finite_objective_names_level_and_iteration(monkeypatch):
+    def nan_objective(*args, **kwargs):
+        return ObjectiveResult(np.nan, *[0.0] * 5, None, None)
+
+    monkeypatch.setattr(registration, "objective", nan_objective)
+    vol = _phantom((16, 16, 16))
+    with pytest.raises(NumericalFailureError) as exc:
+        register_ffd(vol, vol, None, SMALL_CFG)
+    assert (exc.value.level, exc.value.iteration) == (0, 0)
+    assert "level 0, iteration 0" in str(exc.value)
 
 
 # --- affine -----------------------------------------------------------------
