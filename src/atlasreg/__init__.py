@@ -30,7 +30,6 @@ from .metrics import (
 )
 from .nifti import read_nifti, write_nifti
 from .objective import (
-    JointHistogram,
     ObjectiveWeights,
     bending_energy,
     build_joint_histogram,

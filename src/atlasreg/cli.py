@@ -218,7 +218,7 @@ def cmd_pipeline(args) -> int:
                         read_nifti(lbl_path, labels=True, label_remap=args.label_remap)))
         inputs.extend([img_path, lbl_path])
     same_patient = None
-    if args.bssfp and args.t2:
+    if args.bssfp is not None:
         pairs = []
         for img_path, lbl_path in (args.bssfp, args.t2):
             pairs.append((read_nifti(img_path),
@@ -334,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
                       metavar="IMAGE:LABELS")
     pipe.add_argument("--out", required=True)
     pipe.add_argument("--label-remap", type=_parse_remap, default=None)
-    pipe.add_argument("--threads", type=int, default=os.cpu_count(),
+    pipe.add_argument("--threads", type=_at_least_one(int), default=os.cpu_count(),
                       help="parallel atlas registrations; 1 = bit-reproducible")
     pipe.set_defaults(func=cmd_pipeline)
 
@@ -353,6 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "pipeline" and (args.bssfp is None) != (args.t2 is None):
+        parser.error("pipeline: --bssfp and --t2 must be given together")
     try:
         return args.func(args)
     except NumericalFailureError as exc:

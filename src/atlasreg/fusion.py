@@ -4,6 +4,7 @@ largest-connected-component post-processing.
 """
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -108,47 +109,45 @@ def build_pseudo_labels(target: Volume,
     `same_patient`, when given, is ((bssfp image, bssfp labels),
     (t2 image, t2 labels)) of the same patient; both are registered with the
     type-2 preset and fused through the consistency constraint.
-    `registrations_out`, if provided, collects the RegistrationResults in
-    input order (type-1 first) for manifest reporting.
+    Every registration is one job on a pool of `threads` worker threads
+    (None: the executor's default); a failure names its atlas, and no job
+    starts after it. `registrations_out`, if provided, collects the
+    RegistrationResults in input order (type-1 first) for manifest reporting.
     """
     if not atlases:
         raise InvalidInputError("at least one atlas is required")
+    if same_patient is not None and len(same_patient) != 2:
+        raise InvalidInputError("same_patient must be the (bSSFP, T2) pair")
+    if threads is not None and threads < 1:
+        raise InvalidInputError(f"threads must be >= 1, got {threads}")
     type1_cfg = type1_cfg or default_config("type1")
     type2_cfg = type2_cfg or default_config("type2")
 
-    def run_one(idx_img_cfg):
-        idx, img, cfg = idx_img_cfg
+    jobs = [(f"atlas {i}", img, lbl, type1_cfg) for i, (img, lbl) in enumerate(atlases)]
+    if same_patient is not None:
+        jobs += [(f"same-patient atlas {i}", img, lbl, type2_cfg)
+                 for i, (img, lbl) in enumerate(same_patient)]
+
+    failed = threading.Event()
+
+    def run_one(job):
+        name, img, _, cfg = job
+        if failed.is_set():
+            return None  # never read: the failure is raised first
         try:
             return register(target, img, cfg)
         except AtlasRegError as exc:
-            raise type(exc)(f"atlas {idx}: {exc}") from exc
+            failed.set()
+            raise type(exc)(f"{name}: {exc}") from exc
 
-    jobs = [(i, img, type1_cfg) for i, (img, _) in enumerate(atlases)]
-    if threads is not None and threads <= 1:
-        results = [run_one(j) for j in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_one, jobs))
-
-    warped = [
-        warp_labels(lbl, target, res.affine, res.fwd)
-        for (_, lbl), res in zip(atlases, results)
-    ]
-    fused = majority_vote(warped)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        results = list(pool.map(run_one, jobs))
     if registrations_out is not None:
         registrations_out.extend(results)
 
+    warped = [warp_labels(lbl, target, res.affine, res.fwd)
+              for (_, _, lbl, _), res in zip(jobs, results)]
+    fused = majority_vote(warped[:len(atlases)])
     if same_patient is None:
         return fused
-
-    (bssfp_img, bssfp_lbl), (t2_img, t2_lbl) = same_patient
-    refined = []
-    for idx, (img, lbl) in enumerate(((bssfp_img, bssfp_lbl), (t2_img, t2_lbl))):
-        try:
-            res = register(target, img, type2_cfg)
-        except AtlasRegError as exc:
-            raise type(exc)(f"same-patient atlas {idx}: {exc}") from exc
-        refined.append(warp_labels(lbl, target, res.affine, res.fwd))
-        if registrations_out is not None:
-            registrations_out.append(res)
-    return consistency_refine(fused, refined[0], refined[1])
+    return consistency_refine(fused, *warped[len(atlases):])

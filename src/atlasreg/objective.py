@@ -1,12 +1,13 @@
 """Registration objective: NMI similarity plus two regularization penalties.
 
 The similarity is normalized mutual information computed from a Parzen-window
-joint histogram: each image is affinely mapped to the continuous bin range
-[1, bins-3] (robust percentile clamping) and every voxel pair deposits a
-cubic-kernel-weighted 4x4 footprint, so the histogram is differentiable in
-the transform. The smoothness penalty averages squared second derivatives of
-the displacement field (cross terms doubled); the inconsistency penalty
-averages the squared residual of composing the forward and backward maps.
+joint histogram of BINS x BINS cells: each image is affinely mapped to the
+continuous bin range [1, BINS-3] (robust percentile clamping) and every voxel
+pair deposits a cubic-kernel-weighted 4x4 footprint, so the histogram is
+differentiable in the transform. The smoothness penalty averages squared
+second derivatives of the displacement field (cross terms doubled); the
+inconsistency penalty averages the squared residual of composing the forward
+and backward maps.
 
 All gradients with respect to B-spline coefficients are analytic. The
 composition gradient treats the inner field of each round trip as fixed, so
@@ -25,11 +26,11 @@ from .transforms import (
     bspline_kernel_d1,
     dense_displacement,
     splat_to_coefficients,
-    world_grid,
+    _weight_matrices,
 )
 from .volume import TrilinearStencil, Volume, require_same_geometry
 
-DEFAULT_BINS = 64
+BINS = 64  # joint histogram bins per axis
 _PAD = 1.0  # histogram deposit offset keeping the 4-bin footprint in range
 
 
@@ -51,29 +52,6 @@ class ObjectiveWeights:
         return 1.0 - self.alpha - self.beta
 
 
-@dataclass(frozen=True)
-class JointHistogram:
-    """Parzen-window joint intensity histogram of a reference/warped pair."""
-
-    bins: int
-    counts: np.ndarray          # (bins, bins), reference bins along axis 0
-    n_contributing: int
-    ref_range: tuple[float, float]
-    flt_range: tuple[float, float]
-
-    @property
-    def ref_marginal(self) -> np.ndarray:
-        return self.counts.sum(axis=1)
-
-    @property
-    def flt_marginal(self) -> np.ndarray:
-        return self.counts.sum(axis=0)
-
-    @property
-    def total(self) -> float:
-        return float(self.counts.sum())
-
-
 def robust_range(values: np.ndarray) -> tuple[float, float]:
     """0.1-99.9 percentile intensity range; degenerate ranges are rejected."""
     lo, hi = np.percentile(values, (0.1, 99.9))
@@ -82,15 +60,15 @@ def robust_range(values: np.ndarray) -> tuple[float, float]:
     return float(lo), float(hi)
 
 
-def _bin_positions(values, vrange, bins):
-    """Continuous bin coordinates in [1, bins-3] plus the unclamped mask."""
+def _bin_positions(values, vrange):
+    """Continuous bin coordinates in [1, BINS-3] plus the unclamped mask."""
     lo, hi = vrange
     if not hi > lo:
         raise DegenerateInputError("empty intensity range")
     interior = (values >= lo) & (values <= hi)
-    scale = (bins - 4) / (hi - lo)
+    scale = (BINS - 4) / (hi - lo)
     q = (np.clip(values, lo, hi) - lo) * scale + _PAD
-    q = np.clip(q, _PAD, bins - 3.0)
+    q = np.clip(q, _PAD, BINS - 3.0)
     return q, scale, interior
 
 
@@ -101,21 +79,38 @@ def _footprint_weights(q, kernel):
     return kernel(q[:, None] - f[:, None] - offsets), f
 
 
-def _deposit_counts(q_r, q_f, bins):
+# (ref offset, float offset, flat cell offset) of the 4x4 deposit footprint
+_FOOTPRINT = tuple((dr, df, dr * BINS + df) for dr in range(4) for df in range(4))
+
+
+def _joint_counts(rv: np.ndarray, fv: np.ndarray, ranges):
+    """Parzen joint histogram (BINS, BINS) of paired ref/float samples.
+
+    `ranges` fixes the (ref, float) intensity ranges; None takes the robust
+    percentile ranges of the samples. Also returns the per-pair terms the
+    gradient reuses: (first footprint cell, ref weights, float positions,
+    float scale, float unclamped mask).
+    """
+    if rv.size == 0:
+        raise DegenerateInputError("no contributing voxels (empty mask or no overlap)")
+    if ranges is None:
+        ranges = (robust_range(rv), robust_range(fv))
+    q_r, _, _ = _bin_positions(rv, ranges[0])
+    q_f, scale_f, interior_f = _bin_positions(fv, ranges[1])
     w_r, f_r = _footprint_weights(q_r, bspline_kernel)
     w_f, f_f = _footprint_weights(q_f, bspline_kernel)
-    counts = np.zeros(bins * bins)
-    for dr in range(4):
-        idx_r = (f_r - 1 + dr) * bins + f_f - 1
-        for df in range(4):
-            counts += np.bincount(idx_r + df, weights=w_r[:, dr] * w_f[:, df],
-                                  minlength=bins * bins)
-    return counts.reshape(bins, bins), (f_r, f_f, w_r)
+    cell0 = (f_r - 1) * BINS + f_f - 1
+    counts = np.zeros(BINS * BINS)
+    for dr, df, off in _FOOTPRINT:
+        counts += np.bincount(cell0 + off, weights=w_r[:, dr] * w_f[:, df],
+                              minlength=BINS * BINS)
+    return counts.reshape(BINS, BINS), (cell0, w_r, q_f, scale_f, interior_f)
 
 
 def build_joint_histogram(ref: Volume, warped: Volume, mask=None,
-                          bins: int = DEFAULT_BINS, ranges=None) -> JointHistogram:
-    """Fill the Parzen joint histogram of two geometrically identical volumes.
+                          ranges=None) -> np.ndarray:
+    """Parzen joint histogram counts (BINS, BINS) of two geometrically
+    identical volumes, reference bins along axis 0.
 
     `mask` (bool array over the grid) excludes padding or irrelevant voxels.
     `ranges` optionally fixes the (ref, float) intensity ranges; by default
@@ -127,14 +122,7 @@ def build_joint_histogram(ref: Volume, warped: Volume, mask=None,
     if mask is not None:
         m = np.asarray(mask, dtype=bool).reshape(-1)
         rv, fv = rv[m], fv[m]
-    if rv.size == 0:
-        raise DegenerateInputError("no contributing voxels")
-    if ranges is None:
-        ranges = (robust_range(rv), robust_range(fv))
-    q_r, _, _ = _bin_positions(rv, ranges[0], bins)
-    q_f, _, _ = _bin_positions(fv, ranges[1], bins)
-    counts, _ = _deposit_counts(q_r, q_f, bins)
-    return JointHistogram(bins, counts, rv.size, tuple(ranges[0]), tuple(ranges[1]))
+    return _joint_counts(rv, fv, ranges)[0]
 
 
 def _entropy(p: np.ndarray) -> float:
@@ -157,9 +145,10 @@ def _nmi_terms(counts: np.ndarray):
     return (_entropy(p_r) + _entropy(p_f)) / h_j, h_j, p, p_r, p_f, total
 
 
-def nmi(h: JointHistogram) -> float:
-    """Normalized mutual information (H(R) + H(F)) / H(R, F), in [1, 2]."""
-    return _nmi_terms(h.counts)[0]
+def nmi(counts: np.ndarray) -> float:
+    """Normalized mutual information (H(R) + H(F)) / H(R, F), in [1, 2], of a
+    joint count histogram with reference bins along axis 0."""
+    return _nmi_terms(counts)[0]
 
 
 def _nmi_and_count_gradient(counts: np.ndarray):
@@ -180,7 +169,7 @@ def _nmi_and_count_gradient(counts: np.ndarray):
 # Similarity through a B-spline transform
 # ---------------------------------------------------------------------------
 
-def _similarity_field(ref: Volume, flt: Volume, world: np.ndarray, bins: int,
+def _similarity_field(ref: Volume, flt: Volume, world: np.ndarray,
                       ranges, ref_mask, flt_valid, with_gradient: bool):
     """NMI between ref and flt sampled at `world`, one point per ref voxel:
     (nmi, mask of the voxels in the histogram, dNMI/d(point) on the mask | None)."""
@@ -196,30 +185,19 @@ def _similarity_field(ref: Volume, flt: Volume, world: np.ndarray, bins: int,
     if flt_valid is not None:
         mask = mask & (stencil.gather(flt_valid, 0.0) >= 0.999)
     del stencil
-    if not mask.any():
-        raise DegenerateInputError("no overlapping voxels between the images")
 
-    rv = ref.data.reshape(-1).astype(np.float64)[mask]
-    fv = vals[mask]
-    if ranges is None:
-        ranges = (robust_range(rv), robust_range(fv))
-    q_r, _, _ = _bin_positions(rv, ranges[0], bins)
-    q_f, scale_f, interior_f = _bin_positions(fv, ranges[1], bins)
-    counts, (f_r, f_f, w_r) = _deposit_counts(q_r, q_f, bins)
-
+    counts, (cell0, w_r, q_f, scale_f, interior_f) = _joint_counts(
+        ref.data.reshape(-1).astype(np.float64)[mask], vals[mask], ranges)
     if not with_gradient:
-        return nmi(JointHistogram(bins, counts, int(mask.sum()),
-                                  tuple(ranges[0]), tuple(ranges[1]))), mask, None
+        return nmi(counts), mask, None
 
     s, ds_dc = _nmi_and_count_gradient(counts)
     ds_flat = ds_dc.reshape(-1)
 
     dw_f, _ = _footprint_weights(q_f, bspline_kernel_d1)
     lam = np.zeros(q_f.shape)
-    for dr in range(4):
-        idx_r = (f_r - 1 + dr) * bins + f_f - 1
-        for df in range(4):
-            lam += ds_flat.take(idx_r + df) * w_r[:, dr] * dw_f[:, df]
+    for dr, df, off in _FOOTPRINT:
+        lam += ds_flat.take(cell0 + off) * w_r[:, dr] * dw_f[:, df]
     # clamped samples sit on the flat part of the intensity mapping
     lam = np.where(interior_f, lam * scale_f, 0.0)
 
@@ -229,8 +207,8 @@ def _similarity_field(ref: Volume, flt: Volume, world: np.ndarray, bins: int,
 
 
 def similarity_and_gradient(ref: Volume, flt: Volume, ffd: BSplineTransform,
-                            bins: int = DEFAULT_BINS, ranges=None,
-                            ref_mask=None, flt_valid=None, with_gradient=True):
+                            ranges=None, ref_mask=None, flt_valid=None,
+                            with_gradient=True):
     """NMI between ref and flt warped by `ffd`, plus its coefficient gradient.
 
     The FFD must be defined over the geometry of `ref`. `ref_mask` excludes
@@ -238,8 +216,8 @@ def similarity_and_gradient(ref: Volume, flt: Volume, ffd: BSplineTransform,
     (pairs whose warped sample touches invalid voxels are skipped).
     Returns (nmi, gradient | None).
     """
-    world = world_grid(ref) + dense_displacement(ffd).reshape(-1, 3)
-    s, mask, fld = _similarity_field(ref, flt, world, bins, ranges, ref_mask,
+    world = ref.grid.world_points() + dense_displacement(ffd).reshape(-1, 3)
+    s, mask, fld = _similarity_field(ref, flt, world, ranges, ref_mask,
                                      flt_valid, with_gradient)
     if fld is None:
         return s, None
@@ -264,8 +242,6 @@ _BENDING_TERMS = (
 
 
 def _bending(t: BSplineTransform, with_gradient: bool):
-    from .transforms import _weight_matrices
-
     n_vox = float(np.prod(t.reference.dims))
     energy = 0.0
     grad = np.zeros_like(t.coefficients) if with_gradient else None
@@ -370,23 +346,24 @@ class ObjectiveResult:
 
 def objective(ref: Volume, flt: Volume, fwd: BSplineTransform,
               bwd: BSplineTransform, weights: ObjectiveWeights,
-              bins: int = DEFAULT_BINS, ranges_fwd=None, ranges_bwd=None,
-              ref_mask=None, flt_mask=None, with_gradient=True) -> ObjectiveResult:
+              ranges_fwd=None, ranges_bwd=None, flt_mask=None,
+              with_gradient=True) -> ObjectiveResult:
     """Symmetric registration objective and its coefficient gradients.
 
     value = (1-a-b) * (S_fwd + S_bwd) - a * (bend_fwd + bend_bwd) - b * C_inc
 
     where S_fwd is the NMI of flt warped onto ref by `fwd` and S_bwd the NMI
     of ref warped onto flt by `bwd`. `fwd` must be defined over ref's
-    geometry and `bwd` over flt's.
+    geometry and `bwd` over flt's. `flt_mask` marks the usable voxels of
+    flt (the in-bounds part of an affinely resampled floating image).
     """
     ws = weights.similarity
     s_f, g_sf = similarity_and_gradient(
-        ref, flt, fwd, bins=bins, ranges=ranges_fwd,
-        ref_mask=ref_mask, flt_valid=flt_mask, with_gradient=with_gradient)
+        ref, flt, fwd, ranges=ranges_fwd, flt_valid=flt_mask,
+        with_gradient=with_gradient)
     s_b, g_sb = similarity_and_gradient(
-        flt, ref, bwd, bins=bins, ranges=ranges_bwd,
-        ref_mask=flt_mask, flt_valid=ref_mask, with_gradient=with_gradient)
+        flt, ref, bwd, ranges=ranges_bwd, ref_mask=flt_mask,
+        with_gradient=with_gradient)
 
     e_f = e_b = c = 0.0
     g_ef = g_eb = g_cf = g_cb = 0.0

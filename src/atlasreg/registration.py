@@ -14,14 +14,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
-from .errors import DegenerateInputError, NumericalFailureError
-from .objective import DEFAULT_BINS, ObjectiveWeights, _similarity_field, objective, robust_range
+from .errors import DegenerateInputError, InvalidInputError, NumericalFailureError
+from .objective import ObjectiveWeights, _similarity_field, objective, robust_range
 from .transforms import (
     AffineTransform,
     BSplineTransform,
     subdivide,
     warp_volume_masked,
-    world_grid,
 )
 from .volume import Volume, resample
 
@@ -183,8 +182,13 @@ def register_affine(ref: Volume, flt: Volume, *, max_iter=(40, 25, 12)) -> Affin
     Parameters are optimized in a millimeter-scaled space (linear part scaled
     by the half-extent) by `_ascend` on central-difference gradients, starting
     from center-of-mass alignment; a stage stops once its relative NMI gain
-    falls below AFFINE_GAIN_FLOOR.
+    falls below AFFINE_GAIN_FLOOR. `max_iter` holds one iteration cap >= 1
+    per stage.
     """
+    max_iter = tuple(max_iter)
+    if len(max_iter) != 3 or not all(n >= 1 for n in max_iter):
+        raise InvalidInputError(
+            f"max_iter needs 3 iteration caps >= 1 (x4, x2, x1), got {max_iter}")
     robust_range(ref.data.reshape(-1))   # reject degenerate inputs early
     flt_range = robust_range(flt.data.reshape(-1))
 
@@ -214,13 +218,13 @@ def register_affine(ref: Volume, flt: Volume, *, max_iter=(40, 25, 12)) -> Affin
             flt_l = _smooth(flt, 0.7 * factor)
         else:
             ref_l, flt_l = ref, flt
-        ref_world = world_grid(ref_l)
+        ref_world = ref_l.grid.world_points()
         ranges = (robust_range(ref_l.data.reshape(-1).astype(np.float64)), flt_range)
 
         def score(qv):
             m = matrix_of(qv)
             return _similarity_field(ref_l, flt_l, ref_world @ m[:3, :3].T + m[:3, 3],
-                                     DEFAULT_BINS, ranges, None, None, with_gradient=False)[0]
+                                     ranges, None, None, with_gradient=False)[0]
 
         def gradient(qv, h=0.05):
             return np.array([(score(qv + e) - score(qv - e)) / (2 * h)

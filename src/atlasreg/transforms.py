@@ -68,11 +68,6 @@ def grid_dim_for(n: int, spacing: float) -> int:
     return int(np.floor((n - 1) / spacing)) + 4
 
 
-def world_grid(vol) -> np.ndarray:
-    """World coordinates (N, 3) of every voxel of a volume; cached, read-only."""
-    return vol.grid.world_points()
-
-
 @lru_cache(maxsize=256)
 def _axis_weights(n: int, spacing: float, grid_n: int, order: int) -> np.ndarray:
     """(n x grid_n) matrix of kernel (or derivative) weights at integer voxels.
@@ -198,11 +193,10 @@ def dense_displacement(t: BSplineTransform) -> np.ndarray:
     return np.einsum("ia,jb,kc,abcd->ijkd", wx, wy, wz, t.coefficients, optimize=True)
 
 
-def splat_to_coefficients(t: BSplineTransform, voxel_field: np.ndarray,
-                          orders=(0, 0, 0)) -> np.ndarray:
+def splat_to_coefficients(t: BSplineTransform, voxel_field: np.ndarray) -> np.ndarray:
     """Adjoint of dense evaluation: scatter an (nx, ny, nz, 3) voxel field to
     per-coefficient sums with the same tensor-product weights."""
-    wx, wy, wz = _weight_matrices(t, orders)
+    wx, wy, wz = _weight_matrices(t)
     return np.einsum("ia,jb,kc,ijkd->abcd", wx, wy, wz, voxel_field, optimize=True)
 
 
@@ -218,7 +212,7 @@ def max_displacement(t: BSplineTransform) -> float:
 
 def _mapped_source_coords(src, ref_geometry, affine, ffd):
     """Source voxel coordinates sampled for every voxel of the ref grid."""
-    world = world_grid(ref_geometry)
+    world = ref_geometry.grid.world_points()
     if ffd is not None:
         require_same_geometry(ffd.reference, ref_geometry.grid, "FFD reference and target")
         world = world + dense_displacement(ffd).reshape(-1, 3)
@@ -228,17 +222,14 @@ def _mapped_source_coords(src, ref_geometry, affine, ffd):
 
 
 def warp_volume(src: Volume, ref_geometry, affine: AffineTransform | None,
-                ffd: BSplineTransform | None = None,
-                out_of_bounds: float = 0.0) -> Volume:
+                ffd: BSplineTransform | None = None) -> Volume:
     """Resample `src` onto the geometry of `ref_geometry`.
 
     Each output voxel samples the source trilinearly at affine(world + u) of
     the voxel's world position; with no FFD the affine alone is applied.
+    Samples outside the source are 0.
     """
-    coords = _mapped_source_coords(src, ref_geometry, affine, ffd)
-    vals = TrilinearStencil(src.dims, coords).gather(src.data, out_of_bounds)
-    return Volume(vals.reshape(ref_geometry.dims).astype(np.float32),
-                  ref_geometry.spacing, ref_geometry.origin, ref_geometry.direction)
+    return warp_volume_masked(src, ref_geometry, affine, ffd)[0]
 
 
 def warp_volume_masked(src, ref_geometry, affine, ffd=None):

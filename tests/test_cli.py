@@ -56,6 +56,13 @@ def test_phantom_vote_evaluate_exit_zero_and_write_manifests(phantom_files):
      "--final-spacing", "0.5"],
     ["fuse", "vote", "--labels", "a.nii", "--out", "o.nii", "--label-remap", "1-2"],
     ["evaluate", "--pred", "a.nii", "--gt", "b.nii", "--out-csv", "r.csv", "--label-remap", "1:x"],
+    # pipeline: --bssfp and --t2 come together, checked before any file is read
+    ["pipeline", "--target", "t.nii", "--atlas", "a.nii:l.nii", "--out", "o.nii",
+     "--bssfp", "b.nii:bl.nii"],
+    ["pipeline", "--target", "t.nii", "--atlas", "a.nii:l.nii", "--out", "o.nii",
+     "--t2", "c.nii:cl.nii"],
+    ["pipeline", "--target", "t.nii", "--atlas", "a.nii:l.nii", "--out", "o.nii",
+     "--threads", "0"],
 ])
 def test_bad_flags_exit_two(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -1,18 +1,25 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
 
 from atlasreg import (
+    AffineTransform,
     GeometryMismatchError,
     InvalidInputError,
     LabelVolume,
     ProbabilityVolume,
+    RegistrationConfig,
+    RegistrationResult,
+    Volume,
+    build_pseudo_labels,
     consistency_refine,
     ensemble_fuse,
     largest_component,
     majority_vote,
 )
+from atlasreg import fusion
 
 
 def _lbl(data, spacing=(1.0, 1.0, 1.0)):
@@ -238,3 +245,90 @@ def test_largest_component_never_adds_foreground_or_changes_classes():
     changed = out.data != lbl.data
     assert (out.data[changed] == 0).all()
     assert (out.data > 0).sum() <= (lbl.data > 0).sum()
+
+
+# --- pseudo-label pipeline ----------------------------------------------------
+
+def _pseudo_inputs(seed=0, dims=(6, 6, 6)):
+    """Target, three type-1 atlases and a (bSSFP, T2) pair; each image is
+    constant at its job index so a fake registration can tell them apart."""
+    rng = np.random.default_rng(seed)
+    target = Volume(np.zeros(dims, dtype=np.float32))
+    pairs = [(Volume(np.full(dims, float(k), dtype=np.float32)),
+              _lbl(rng.integers(0, 4, dims))) for k in range(5)]
+    return target, pairs[:3], tuple(pairs[3:])
+
+
+def _fake_register(calls, fail_on=None):
+    """Stand-in for `register`: records (job index, cfg), returns an identity
+    affine whose trace holds the job index, and finishes later jobs first."""
+    def register(target, img, cfg):
+        k = int(img.data.flat[0])
+        calls.append((k, cfg))
+        time.sleep(0.02 * (5 - k))
+        if k == fail_on:
+            raise GeometryMismatchError("boom")
+        return RegistrationResult(AffineTransform.identity(), None, None, [[float(k)]], [True])
+    return register
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_pseudo_labels_order_configs_and_fusion(monkeypatch, threads):
+    target, atlases, same_patient = _pseudo_inputs()
+    cfg1 = RegistrationConfig(levels=1, max_iter_per_level=1)
+    cfg2 = RegistrationConfig(levels=2, max_iter_per_level=1)
+    calls = []
+    monkeypatch.setattr(fusion, "register", _fake_register(calls))
+    regs = []
+    fused = build_pseudo_labels(target, atlases, same_patient, type1_cfg=cfg1,
+                                type2_cfg=cfg2, threads=threads, registrations_out=regs)
+    assert [r.objective_trace for r in regs] == [[[float(k)]] for k in range(5)]
+    assert sorted(calls, key=lambda c: c[0]) == [(0, cfg1), (1, cfg1), (2, cfg1),
+                                                  (3, cfg2), (4, cfg2)]
+    expected = consistency_refine(majority_vote([lbl for _, lbl in atlases]),
+                                  same_patient[0][1], same_patient[1][1])
+    np.testing.assert_array_equal(fused.data, expected.data)
+    assert fused.same_geometry(target)
+
+
+def test_pseudo_labels_without_same_patient_is_the_vote(monkeypatch):
+    target, atlases, _ = _pseudo_inputs(seed=1)
+    calls = []
+    monkeypatch.setattr(fusion, "register", _fake_register(calls))
+    fused = build_pseudo_labels(target, atlases, threads=2)
+    np.testing.assert_array_equal(fused.data,
+                                  majority_vote([lbl for _, lbl in atlases]).data)
+    assert sorted(k for k, _ in calls) == [0, 1, 2]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_pseudo_labels_t2_failure_names_its_atlas(monkeypatch, threads):
+    target, atlases, same_patient = _pseudo_inputs()
+    monkeypatch.setattr(fusion, "register", _fake_register([], fail_on=4))
+    with pytest.raises(GeometryMismatchError, match="^same-patient atlas 1: boom$"):
+        build_pseudo_labels(target, atlases, same_patient, threads=threads)
+
+
+def test_pseudo_labels_start_no_job_after_a_failure(monkeypatch):
+    target, atlases, same_patient = _pseudo_inputs()
+    calls = []
+    monkeypatch.setattr(fusion, "register", _fake_register(calls, fail_on=0))
+    with pytest.raises(GeometryMismatchError, match="^atlas 0: boom$"):
+        build_pseudo_labels(target, atlases, same_patient, threads=1)
+    assert [k for k, _ in calls] == [0]
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_pseudo_labels_reject_threads_below_one(threads):
+    target, atlases, _ = _pseudo_inputs()
+    with pytest.raises(InvalidInputError, match="threads"):
+        build_pseudo_labels(target, atlases, threads=threads)
+
+
+def test_pseudo_labels_need_both_same_patient_atlases(monkeypatch):
+    target, atlases, same_patient = _pseudo_inputs()
+    calls = []
+    monkeypatch.setattr(fusion, "register", _fake_register(calls))
+    with pytest.raises(InvalidInputError, match="same_patient"):
+        build_pseudo_labels(target, atlases, same_patient[:1])
+    assert calls == []

@@ -4,6 +4,7 @@ import pytest
 from atlasreg import (
     AffineTransform,
     DegenerateInputError,
+    InvalidInputError,
     NumericalFailureError,
     ObjectiveWeights,
     RegistrationConfig,
@@ -210,6 +211,13 @@ def test_affine_rejects_constant_images():
         register_affine(const, const)
 
 
+@pytest.mark.parametrize("max_iter", [(10,), (10, 5), (10, 5, 3, 1), (10, 0, 4), (10, 5, -1)])
+def test_affine_max_iter_needs_one_cap_per_stage(max_iter):
+    vol = _phantom((16, 16, 16))
+    with pytest.raises(InvalidInputError, match="max_iter"):
+        register_affine(vol, vol, max_iter=max_iter)
+
+
 # --- FFD ---------------------------------------------------------------------
 
 def test_ffd_self_registration_stays_near_identity():
@@ -233,14 +241,14 @@ def test_ffd_trace_is_monotone_and_levels_double():
 
 def test_ffd_recovers_small_deformation():
     from atlasreg import random_smooth_deformation
-    from atlasreg.transforms import dense_displacement, world_grid
+    from atlasreg.transforms import dense_displacement
 
     vol = _phantom((32, 32, 32), seed=6)
     t_true = random_smooth_deformation(vol, 2.5, 8.0, seed=3)
     warped = warp_volume(vol, vol, AffineTransform.identity(), t_true)
     res = register_ffd(warped, vol, AffineTransform.identity(), SMALL_CFG)
 
-    w = world_grid(vol)
+    w = vol.grid.world_points()
     rec = w + dense_displacement(res.fwd).reshape(-1, 3)
     tru = w + dense_displacement(t_true).reshape(-1, 3)
     err = np.sqrt(((rec - tru) ** 2).sum(-1))
