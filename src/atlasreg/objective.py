@@ -5,9 +5,11 @@ joint histogram of BINS x BINS cells: each image is affinely mapped to the
 continuous bin range [1, BINS-3] (robust percentile clamping) and every voxel
 pair deposits a cubic-kernel-weighted 4x4 footprint, so the histogram is
 differentiable in the transform. The smoothness penalty averages squared
-second derivatives of the displacement field (cross terms doubled); the
-inconsistency penalty averages the squared residual of composing the forward
-and backward maps.
+second derivatives of the displacement field (cross terms doubled); it is
+evaluated on the lattice through per-axis Gram matrices of the B-spline
+derivative weights, which equals the voxel average without forming the
+voxel fields. The inconsistency penalty averages the squared residual of
+composing the forward and backward maps.
 
 All gradients with respect to B-spline coefficients are analytic. The
 composition gradient treats the inner field of each round trip as fixed, so
@@ -22,8 +24,6 @@ import numpy as np
 from .errors import DegenerateInputError, InvalidInputError
 from .transforms import (
     BSplineTransform,
-    bspline_kernel,
-    bspline_kernel_d1,
     dense_displacement,
     splat_to_coefficients,
     _weight_matrices,
@@ -72,24 +72,49 @@ def _bin_positions(values, vrange):
     return q, scale, interior
 
 
-def _footprint_weights(q, kernel):
-    """(N, 4) kernel weights of the four bins around each continuous position."""
-    f = np.floor(q).astype(np.intp)
-    offsets = np.arange(4) - 1.0
-    return kernel(q[:, None] - f[:, None] - offsets), f
+def _footprint_weights(q, with_d1=False):
+    """Cubic B-spline weights (4, N) of the bins floor(q)-1 .. floor(q)+2
+    around each continuous position q, with the kernel's first derivative
+    there (4, N) when with_d1 (else None), and floor(q) as integers.
+
+    Row k evaluates the branch of `bspline_kernel` (and `bspline_kernel_d1`)
+    that covers the offset t + 1 - k, t = q - floor(q) in [0, 1), with the
+    kernel's own operations in their order, so the weights equal the kernel's
+    bit for bit. Rows 0 and 3 lie where the kernel's inner cubic is zero.
+    """
+    fq = np.floor(q)
+    t = q - fq
+    r1_1 = 1.0 - t                       # |t - 1|, and 1 - |t| of row 1
+    r2_0, r2_1, r2_3 = 2.0 - (t + 1.0), 2.0 - t, 2.0 - (2.0 - t)
+    r2_2, r1_2 = 2.0 - r1_1, 1.0 - r1_1
+    w = np.empty((4, q.size))
+    w[0] = r2_0 * r2_0 * r2_0 / 6.0
+    w[1] = (r2_1 * r2_1 * r2_1 - 4.0 * r1_1 * r1_1 * r1_1) / 6.0
+    w[2] = (r2_2 * r2_2 * r2_2 - 4.0 * r1_2 * r1_2 * r1_2) / 6.0
+    w[3] = r2_3 * r2_3 * r2_3 / 6.0
+    dw = None
+    if with_d1:
+        # sign(u) is +1 on row 0, -1 on rows 2-3; on row 1 it is 0 only at
+        # t = 0, where the bracket is exactly 0 as well
+        dw = np.empty((4, q.size))
+        dw[0] = 0.0 - 0.5 * r2_0 * r2_0
+        dw[1] = 2.0 * r1_1 * r1_1 - 0.5 * r2_1 * r2_1
+        dw[2] = -(2.0 * r1_2 * r1_2 - 0.5 * r2_2 * r2_2)
+        dw[3] = -(0.0 - 0.5 * r2_3 * r2_3)
+    return w, dw, fq.astype(np.intp)
 
 
 # (ref offset, float offset, flat cell offset) of the 4x4 deposit footprint
 _FOOTPRINT = tuple((dr, df, dr * BINS + df) for dr in range(4) for df in range(4))
 
 
-def _joint_counts(rv: np.ndarray, fv: np.ndarray, ranges):
+def _joint_counts(rv: np.ndarray, fv: np.ndarray, ranges, with_gradient=False):
     """Parzen joint histogram (BINS, BINS) of paired ref/float samples.
 
     `ranges` fixes the (ref, float) intensity ranges; None takes the robust
     percentile ranges of the samples. Also returns the per-pair terms the
-    gradient reuses: (first footprint cell, ref weights, float positions,
-    float scale, float unclamped mask).
+    gradient reuses: (first footprint cell, ref weights, float kernel
+    derivative weights | None, float scale, float unclamped mask).
     """
     if rv.size == 0:
         raise DegenerateInputError("no contributing voxels (empty mask or no overlap)")
@@ -97,14 +122,14 @@ def _joint_counts(rv: np.ndarray, fv: np.ndarray, ranges):
         ranges = (robust_range(rv), robust_range(fv))
     q_r, _, _ = _bin_positions(rv, ranges[0])
     q_f, scale_f, interior_f = _bin_positions(fv, ranges[1])
-    w_r, f_r = _footprint_weights(q_r, bspline_kernel)
-    w_f, f_f = _footprint_weights(q_f, bspline_kernel)
+    w_r, _, f_r = _footprint_weights(q_r)
+    w_f, dw_f, f_f = _footprint_weights(q_f, with_d1=with_gradient)
     cell0 = (f_r - 1) * BINS + f_f - 1
     counts = np.zeros(BINS * BINS)
     for dr, df, off in _FOOTPRINT:
-        counts += np.bincount(cell0 + off, weights=w_r[:, dr] * w_f[:, df],
+        counts += np.bincount(cell0 + off, weights=w_r[dr] * w_f[df],
                               minlength=BINS * BINS)
-    return counts.reshape(BINS, BINS), (cell0, w_r, q_f, scale_f, interior_f)
+    return counts.reshape(BINS, BINS), (cell0, w_r, dw_f, scale_f, interior_f)
 
 
 def build_joint_histogram(ref: Volume, warped: Volume, mask=None,
@@ -182,22 +207,23 @@ def _similarity_field(ref: Volume, flt: Volume, world: np.ndarray,
     mask = stencil.inside
     if ref_mask is not None:
         mask = mask & np.asarray(ref_mask, dtype=bool).reshape(-1)
-    if flt_valid is not None:
+    # an all-True mask gathers to exactly 1 at every inside point: no-op
+    if flt_valid is not None and not np.all(flt_valid):
         mask = mask & (stencil.gather(flt_valid, 0.0) >= 0.999)
     del stencil
 
-    counts, (cell0, w_r, q_f, scale_f, interior_f) = _joint_counts(
-        ref.data.reshape(-1).astype(np.float64)[mask], vals[mask], ranges)
+    counts, (cell0, w_r, dw_f, scale_f, interior_f) = _joint_counts(
+        ref.data.reshape(-1).astype(np.float64)[mask], vals[mask], ranges,
+        with_gradient)
     if not with_gradient:
         return nmi(counts), mask, None
 
     s, ds_dc = _nmi_and_count_gradient(counts)
     ds_flat = ds_dc.reshape(-1)
 
-    dw_f, _ = _footprint_weights(q_f, bspline_kernel_d1)
-    lam = np.zeros(q_f.shape)
+    lam = np.zeros(cell0.shape)
     for dr, df, off in _FOOTPRINT:
-        lam += ds_flat.take(cell0 + off) * w_r[:, dr] * dw_f[:, df]
+        lam += ds_flat.take(cell0 + off) * w_r[dr] * dw_f[df]
     # clamped samples sit on the flat part of the intensity mapping
     lam = np.where(interior_f, lam * scale_f, 0.0)
 
@@ -242,17 +268,18 @@ _BENDING_TERMS = (
 
 
 def _bending(t: BSplineTransform, with_gradient: bool):
+    # The voxel sum of a squared derivative field W C is <C, W^T W C>, and
+    # W^T W factorises per axis, so every term is a product on the lattice.
     n_vox = float(np.prod(t.reference.dims))
+    coef = t.coefficients
     energy = 0.0
-    grad = np.zeros_like(t.coefficients) if with_gradient else None
+    grad = np.zeros_like(coef) if with_gradient else None
     for ox, oy, oz, mult in _BENDING_TERMS:
-        wx, wy, wz = _weight_matrices(t, (ox, oy, oz))
-        fld = np.einsum("ia,jb,kc,abcd->ijkd", wx, wy, wz, t.coefficients,
-                        optimize=True)
-        energy += mult * float((fld ** 2).sum())
+        gx, gy, gz = _weight_matrices(t, (ox, oy, oz), gram=True)
+        gc = np.einsum("ap,bq,cr,pqrd->abcd", gx, gy, gz, coef, optimize=True)
+        energy += mult * float(np.vdot(coef, gc))
         if with_gradient:
-            grad += (2.0 * mult / n_vox) * np.einsum(
-                "ia,jb,kc,ijkd->abcd", wx, wy, wz, fld, optimize=True)
+            grad += (2.0 * mult / n_vox) * gc
     return energy / n_vox, grad
 
 

@@ -38,9 +38,9 @@ class RegistrationConfig:
 
     def __post_init__(self):
         if self.levels < 1 or self.max_iter_per_level < 1:
-            raise ValueError("levels and max_iter_per_level must be >= 1")
+            raise InvalidInputError("levels and max_iter_per_level must be >= 1")
         if self.final_grid_spacing < 1:
-            raise ValueError("final_grid_spacing must be >= 1 voxel")
+            raise InvalidInputError("final_grid_spacing must be >= 1 voxel")
 
 
 def default_config(kind: str) -> RegistrationConfig:
@@ -59,7 +59,7 @@ def default_config(kind: str) -> RegistrationConfig:
         return RegistrationConfig(levels=6, max_iter_per_level=4000,
                                   final_grid_spacing=1.0,
                                   weights=ObjectiveWeights(0.001, 0.001))
-    raise ValueError(f"unknown registration preset {kind!r}")
+    raise InvalidInputError(f"unknown registration preset {kind!r}")
 
 
 @dataclass

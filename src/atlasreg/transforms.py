@@ -88,6 +88,16 @@ def _axis_weights(n: int, spacing: float, grid_n: int, order: int) -> np.ndarray
     return w
 
 
+@lru_cache(maxsize=256)
+def _axis_gram(n: int, spacing: float, grid_n: int, order: int) -> np.ndarray:
+    """(grid_n x grid_n) Gram matrix W^T W of `_axis_weights`: the voxel sum of
+    products of two lattice basis functions (or derivatives) along one axis."""
+    w = _axis_weights(n, spacing, grid_n, order)
+    g = w.T @ w
+    g.flags.writeable = False
+    return g
+
+
 # ---------------------------------------------------------------------------
 # Transform types
 # ---------------------------------------------------------------------------
@@ -180,9 +190,12 @@ class BSplineTransform:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def _weight_matrices(t: BSplineTransform, orders=(0, 0, 0)):
+def _weight_matrices(t: BSplineTransform, orders=(0, 0, 0), gram=False):
+    """Per-axis weight matrices of `t` at the given derivative orders, or with
+    gram their Gram matrices W^T W."""
+    table = _axis_gram if gram else _axis_weights
     return tuple(
-        _axis_weights(t.reference.dims[a], t.grid_spacing[a], t.grid_dims[a], orders[a])
+        table(t.reference.dims[a], t.grid_spacing[a], t.grid_dims[a], orders[a])
         for a in range(3)
     )
 

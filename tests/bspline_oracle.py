@@ -1,7 +1,9 @@
-"""Pointwise B-spline evaluation, the reference the dense evaluation is tested against."""
+"""Pointwise B-spline evaluation and the voxel-sum bending energy: the
+references the dense evaluation and the lattice bending are tested against."""
 import numpy as np
 
-from atlasreg.transforms import BSplineTransform, bspline_kernel
+from atlasreg.objective import _BENDING_TERMS
+from atlasreg.transforms import BSplineTransform, _weight_matrices, bspline_kernel
 
 
 def deform(t: BSplineTransform, x) -> np.ndarray:
@@ -33,3 +35,17 @@ def deform(t: BSplineTransform, x) -> np.ndarray:
                 w = wxy * wts[2][:, mz]
                 out += w[:, None] * coef[ix, iy, idx[2] + mz]
     return out[0] if single else out.reshape(x.shape)
+
+
+def bending_voxel_sum(t: BSplineTransform):
+    """(energy, gradient) of the bending penalty from the voxel fields: each
+    second derivative is evaluated at every reference voxel and squared."""
+    n_vox = float(np.prod(t.reference.dims))
+    energy = 0.0
+    grad = np.zeros_like(t.coefficients)
+    for ox, oy, oz, mult in _BENDING_TERMS:
+        wx, wy, wz = _weight_matrices(t, (ox, oy, oz))
+        fld = np.einsum("ia,jb,kc,abcd->ijkd", wx, wy, wz, t.coefficients)
+        energy += mult * float((fld ** 2).sum())
+        grad += (2.0 * mult / n_vox) * np.einsum("ia,jb,kc,ijkd->abcd", wx, wy, wz, fld)
+    return energy / n_vox, grad

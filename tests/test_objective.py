@@ -17,13 +17,16 @@ from atlasreg import (
     random_smooth_deformation,
 )
 from atlasreg.objective import (
+    BINS,
     bending_energy_gradient,
     inconsistency_gradient,
     robust_range,
     similarity_and_gradient,
+    _footprint_weights,
     _roundtrip_residual,
 )
-from atlasreg.transforms import bspline_kernel, dense_displacement
+from atlasreg.transforms import bspline_kernel, bspline_kernel_d1, dense_displacement
+from atlasreg.volume import TrilinearStencil
 
 
 def _noise_volume(seed, dims=(8, 8, 8), lo=0.0, hi=100.0):
@@ -77,6 +80,28 @@ def test_two_voxel_hand_footprint():
         for bf, wf in w_flt.items():
             expected[br, bf] = wr * wf
     np.testing.assert_allclose(h, expected, atol=1e-12)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def test_footprint_weights_equal_kernel_bit_for_bit():
+    rng = np.random.default_rng(21)
+    top = BINS - 3.0
+    ints = np.arange(1.0, top + 1.0)  # 1 .. BINS-3, the ends of the bin range
+    q = np.concatenate([rng.uniform(1.0, top, 5000), ints,
+                        np.nextafter(ints[1:], 0.0), np.nextafter(ints[:-1], np.inf)])
+    f = np.floor(q).astype(np.intp)
+    u = q[:, None] - f[:, None] - (np.arange(4) - 1.0)
+    w, dw, idx = _footprint_weights(q, with_d1=True)
+    assert np.array_equal(idx, f)
+    assert w.shape == dw.shape == (4, q.size)
+    assert np.array_equal(_bits(w), _bits(bspline_kernel(u).T))
+    assert np.array_equal(_bits(dw), _bits(bspline_kernel_d1(u).T))
+    w_only, no_d1, _ = _footprint_weights(q)
+    assert no_d1 is None
+    assert np.array_equal(_bits(w_only), _bits(w))
 
 
 def test_constant_image_is_degenerate():
@@ -219,6 +244,20 @@ def test_bending_gradient_matches_finite_differences():
         assert g[ix] == pytest.approx(fd, rel=1e-2, abs=1e-10)
 
 
+def test_lattice_bending_matches_voxel_sum_oracle():
+    from bspline_oracle import bending_voxel_sum
+
+    rng = np.random.default_rng(11)
+    ref = Volume(np.zeros((20, 18, 6), dtype=np.float32), spacing=(1.25, 1.25, 5.0))
+    t = BSplineTransform.zeros(ref, (3.7, 4.3, 1.6))
+    t = t.with_coefficients(rng.normal(0, 1.0, t.coefficients.shape))
+    e, g = bending_energy_gradient(t)
+    e_oracle, g_oracle = bending_voxel_sum(t)
+    assert bending_energy(t) == e
+    assert e == pytest.approx(e_oracle, rel=1e-12)
+    assert np.abs(g - g_oracle).max() <= 1e-12 * np.abs(g_oracle).max()
+
+
 # --- inconsistency penalty -----------------------------------------------
 
 def test_inconsistency_trivial_cases():
@@ -300,6 +339,24 @@ def test_similarity_gradient_matches_finite_differences():
         errs.append(abs(g[ix] - fd) / max(abs(fd), abs(g[ix]), 1e-10))
     assert np.median(errs) < 1e-4
     assert np.mean(np.asarray(errs) <= 5e-2) >= 0.99
+
+
+def test_all_true_flt_valid_equals_no_mask():
+    ref = _gradient_phantom(3)
+    flt = _gradient_phantom(4)
+    ffd = random_smooth_deformation(ref, 1.5, 5.0, seed=2)
+    valid = np.ones(flt.dims, dtype=bool)
+    # the premise: an all-True mask gathers to exactly 1 at every inside point
+    world = ref.grid.world_points() + dense_displacement(ffd).reshape(-1, 3)
+    stencil = TrilinearStencil(flt.dims, flt.voxel_from_world(world))
+    assert np.all(stencil.gather(valid, 0.0)[stencil.inside] == 1.0)
+    for with_gradient in (True, False):
+        s0, g0 = similarity_and_gradient(ref, flt, ffd, with_gradient=with_gradient)
+        s1, g1 = similarity_and_gradient(ref, flt, ffd, flt_valid=valid,
+                                         with_gradient=with_gradient)
+        assert s1 == s0
+        if with_gradient:
+            assert np.array_equal(_bits(g1), _bits(g0))
 
 
 # --- combined objective ----------------------------------------------------

@@ -51,11 +51,11 @@ def test_default_config_type2_matches_published_settings():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInputError):
         RegistrationConfig(levels=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInputError):
         RegistrationConfig(final_grid_spacing=0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInputError):
         default_config("type3")
 
 
