@@ -357,6 +357,9 @@ def test_all_true_flt_valid_equals_no_mask():
         assert s1 == s0
         if with_gradient:
             assert np.array_equal(_bits(g1), _bits(g0))
+    # a mask below the 0.999 threshold everywhere still excludes every voxel
+    with pytest.raises(DegenerateInputError):
+        similarity_and_gradient(ref, flt, ffd, flt_valid=np.full(flt.dims, 0.5))
 
 
 # --- combined objective ----------------------------------------------------
