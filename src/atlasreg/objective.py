@@ -207,8 +207,7 @@ def _similarity_field(ref: Volume, flt: Volume, world: np.ndarray,
     mask = stencil.inside
     if ref_mask is not None:
         mask = mask & np.asarray(ref_mask, dtype=bool).reshape(-1)
-    # an all-ones mask gathers to exactly 1 at every inside point: no-op
-    if flt_valid is not None and not np.all(np.asarray(flt_valid) == 1):
+    if flt_valid is not None:
         mask = mask & (stencil.gather(flt_valid, 0.0) >= 0.999)
     del stencil
 

@@ -295,8 +295,10 @@ def register_ffd(ref: Volume, flt: Volume, affine: AffineTransform | None,
         r_ref = robust_range(ref_k.data.reshape(-1))
         masked = f_al.data[f_mask]
         r_fal = robust_range(masked.reshape(-1)) if masked.size else r_ref
+        # an all-True mask excludes nothing (its gather is 1 at every
+        # in-bounds point), so leave it out of every objective call
         kwargs = dict(ranges_fwd=(r_ref, r_fal), ranges_bwd=(r_fal, r_ref),
-                      flt_mask=f_mask)
+                      flt_mask=None if f_mask.all() else f_mask)
 
         def pair(x):
             return fwd.with_coefficients(x[0]), bwd.with_coefficients(x[1])

@@ -292,18 +292,19 @@ class TrilinearStencil:
         indices and weights; returns (nx, ny, nz) or (nx, ny, nz, C).
         """
         vecs = np.asarray(vecs, dtype=np.float64)
-        rows = vecs.reshape(len(self.base), -1).T
+        cols = vecs.reshape(len(self.base), -1)
         size = int(np.prod(self.dims))
-        out = np.zeros((rows.shape[0], size))  # one contiguous row per channel
+        out = np.zeros((size, cols.shape[1]))
         sx, sy, sz = self.strides
         for dx, wx in ((0, 1 - self.fx), (sx, self.fx)):
             for dy, wy in ((0, 1 - self.fy), (sy, self.fy)):
                 for dz, wz in ((0, 1 - self.fz), (sz, self.fz)):
                     w = wx * wy * wz
                     lin = self.base + (dx + dy + dz)
-                    for acc, row in zip(out, rows):
-                        acc += np.bincount(lin, weights=w * row, minlength=size)
-        return np.ascontiguousarray(out.T).reshape(self.dims + vecs.shape[1:])
+                    for d in range(cols.shape[1]):
+                        out[:, d] += np.bincount(lin, weights=w * cols[:, d],
+                                                 minlength=size)
+        return out.reshape(self.dims + vecs.shape[1:])
 
 
 def sample_trilinear(vol: Volume, p, out_of_bounds: float = 0.0):

@@ -2,8 +2,12 @@
 references the dense evaluation and the lattice bending are tested against."""
 import numpy as np
 
-from atlasreg.objective import _BENDING_TERMS
-from atlasreg.transforms import BSplineTransform, _weight_matrices, bspline_kernel
+from atlasreg.transforms import (
+    BSplineTransform,
+    bspline_kernel,
+    bspline_kernel_d1,
+    bspline_kernel_d2,
+)
 
 
 def deform(t: BSplineTransform, x) -> np.ndarray:
@@ -37,15 +41,31 @@ def deform(t: BSplineTransform, x) -> np.ndarray:
     return out[0] if single else out.reshape(x.shape)
 
 
+def _basis(n: int, spacing: float, grid_n: int, order: int) -> np.ndarray:
+    """(n, grid_n) `order`-th voxel-coordinate derivative of every lattice basis
+    function at each integer voxel; node j sits at voxel (j - 1) * spacing."""
+    kernel = (bspline_kernel, bspline_kernel_d1, bspline_kernel_d2)[order]
+    u = np.arange(n)[:, None] / spacing - np.arange(grid_n)[None, :] + 1.0
+    return kernel(u) / spacing ** order
+
+
 def bending_voxel_sum(t: BSplineTransform):
-    """(energy, gradient) of the bending penalty from the voxel fields: each
-    second derivative is evaluated at every reference voxel and squared."""
+    """(energy, gradient) of the bending penalty from its definition: the
+    squared Frobenius norm of the displacement's Hessian, in voxel
+    coordinates, averaged over the reference voxels. Summing over all nine
+    (a, b) axis pairs counts each cross derivative twice."""
     n_vox = float(np.prod(t.reference.dims))
+    coef = t.coefficients
     energy = 0.0
-    grad = np.zeros_like(t.coefficients)
-    for ox, oy, oz, mult in _BENDING_TERMS:
-        wx, wy, wz = _weight_matrices(t, (ox, oy, oz))
-        fld = np.einsum("ia,jb,kc,abcd->ijkd", wx, wy, wz, t.coefficients)
-        energy += mult * float((fld ** 2).sum())
-        grad += (2.0 * mult / n_vox) * np.einsum("ia,jb,kc,ijkd->abcd", wx, wy, wz, fld)
+    grad = np.zeros_like(coef)
+    for a in range(3):
+        for b in range(3):
+            orders = [0, 0, 0]
+            orders[a] += 1
+            orders[b] += 1
+            wx, wy, wz = (_basis(t.reference.dims[k], t.grid_spacing[k],
+                                 t.grid_dims[k], orders[k]) for k in range(3))
+            fld = np.einsum("ia,jb,kc,abcd->ijkd", wx, wy, wz, coef)
+            energy += float((fld ** 2).sum())
+            grad += (2.0 / n_vox) * np.einsum("ia,jb,kc,ijkd->abcd", wx, wy, wz, fld)
     return energy / n_vox, grad

@@ -172,6 +172,28 @@ def test_ffd_non_finite_objective_names_level_and_iteration(monkeypatch):
     assert "level 0, iteration 0" in str(exc.value)
 
 
+@pytest.mark.parametrize("shift_mm, all_in_bounds", [(0.0, True), (6.0, False)])
+def test_ffd_passes_the_floating_mask_only_when_it_excludes_voxels(
+        monkeypatch, shift_mm, all_in_bounds):
+    masks = []
+    real = registration.objective
+
+    def spy(*args, **kwargs):
+        masks.append(kwargs["flt_mask"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(registration, "objective", spy)
+    vol = _phantom((16, 16, 16))
+    shift = AffineTransform(np.array([[1.0, 0, 0, shift_mm], [0, 1, 0, 0],
+                                      [0, 0, 1, 0], [0, 0, 0, 1]]))
+    register_ffd(vol, vol, shift, RegistrationConfig(levels=1, max_iter_per_level=1))
+    assert masks
+    if all_in_bounds:
+        assert all(m is None for m in masks)
+    else:
+        assert all(m is not None and m.any() and not m.all() for m in masks)
+
+
 # --- affine -----------------------------------------------------------------
 
 def test_affine_self_registration_is_identity():
