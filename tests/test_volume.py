@@ -67,17 +67,6 @@ def test_stencil_scatter_is_adjoint_of_gather(dims, channels):
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
-def test_stencil_scatter_channels_equal_scalar_scatters():
-    rng = np.random.default_rng(5)
-    dims = (7, 5, 6)
-    stencil = TrilinearStencil(dims, rng.uniform(-1.0, 7.0, (300, 3)))
-    vecs = rng.normal(size=(300, 3))
-    out = stencil.scatter(vecs)
-    assert out.shape == dims + (3,) and out.flags.c_contiguous
-    for d in range(3):
-        assert np.array_equal(out[..., d], stencil.scatter(vecs[:, d]))
-
-
 def test_volume_rejects_nan_and_bad_geometry():
     with pytest.raises(InvalidInputError):
         Volume(np.array([[[np.nan]]]))
