@@ -36,6 +36,7 @@ from .objective import (
     inconsistency_penalty,
     nmi,
     objective,
+    sample_map,
 )
 from .phantom import PhantomSpec, generate_phantom, random_smooth_deformation
 from .registration import (

@@ -138,7 +138,9 @@ def build_pseudo_labels(target: Volume,
             return register(target, img, cfg)
         except AtlasRegError as exc:
             failed.set()
-            raise type(exc)(f"{name}: {exc}") from exc
+            named = type(exc)(f"{name}: {exc}")
+            named.__dict__.update(exc.__dict__)  # e.g. level and iteration
+            raise named from exc
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         results = list(pool.map(run_one, jobs))

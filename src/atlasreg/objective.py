@@ -11,6 +11,16 @@ derivative weights, which equals the voxel average without forming the
 voxel fields. The inconsistency penalty averages the squared residual of
 composing the forward and backward maps.
 
+Each map is sampled once per objective call (`sample_map`): one dense
+displacement and one trilinear stencil of the mapped points x + u(x). The
+similarity and the inconsistency share them. When the images and both
+lattices lie on one grid, the points where the backward similarity samples
+the reference are those where the round trip with the forward map outer
+samples the forward field, and the other way round. The penalty therefore
+requires both lattices on one grid, and each map sampled onto that grid;
+the similarity requires its map's lattice over the reference and its
+stencil on the floating grid. A violation raises GeometryMismatchError.
+
 All gradients with respect to B-spline coefficients are analytic. The
 composition gradient treats the inner field of each round trip as fixed, so
 each of the two composition terms drives only its outer transform.
@@ -28,7 +38,7 @@ from .transforms import (
     splat_to_coefficients,
     _weight_matrices,
 )
-from .volume import TrilinearStencil, Volume, require_same_geometry
+from .volume import Grid, TrilinearStencil, Volume, require_same_geometry
 
 BINS = 64  # joint histogram bins per axis
 _PAD = 1.0  # histogram deposit offset keeping the 4-bin footprint in range
@@ -191,14 +201,48 @@ def _nmi_and_count_gradient(counts: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
+# One sampling of an FFD map
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class SampledMap:
+    """An FFD map x -> x + u(x), sampled once at every voxel x of its
+    reference grid.
+
+    `u` is the displacement (mm) channel-first, (3, nx, ny, nz) and
+    C-contiguous, so each world axis is one contiguous scalar field.
+    `stencil` interpolates on the grid `onto` at the mapped points, one per
+    reference voxel in C order.
+    """
+
+    ffd: BSplineTransform
+    onto: Grid
+    u: np.ndarray
+    stencil: TrilinearStencil
+
+
+def sample_map(ffd: BSplineTransform, onto: Grid) -> SampledMap:
+    """Sample `ffd` once for the similarity and the inconsistency penalty.
+
+    `onto` is the grid the mapped points are interpolated on: that of the
+    image the map points into, or for the penalty alone the FFD's own
+    reference grid.
+    """
+    u = np.ascontiguousarray(np.moveaxis(dense_displacement(ffd), -1, 0))
+    world = ffd.reference.world_points() + u.reshape(3, -1).T
+    return SampledMap(ffd, onto, u,
+                      TrilinearStencil(onto.dims, onto.voxel_from_world(world)))
+
+
+# ---------------------------------------------------------------------------
 # Similarity through a B-spline transform
 # ---------------------------------------------------------------------------
 
-def _similarity_field(ref: Volume, flt: Volume, world: np.ndarray,
+def _similarity_field(ref: Volume, flt: Volume, stencil: TrilinearStencil,
                       ranges, ref_mask, flt_valid, with_gradient: bool):
-    """NMI between ref and flt sampled at `world`, one point per ref voxel:
-    (nmi, mask of the voxels in the histogram, dNMI/d(point) on the mask | None)."""
-    stencil = TrilinearStencil(flt.dims, flt.voxel_from_world(world))
+    """NMI between ref and flt sampled through `stencil`, one point per ref
+    voxel: (nmi, mask of the voxels in the histogram, dNMI/d(point) on the
+    mask | None)."""
     if with_gradient:
         vals, grad_vox = stencil.gather(flt.data, 0.0, want_gradient=True)
     else:
@@ -209,7 +253,6 @@ def _similarity_field(ref: Volume, flt: Volume, world: np.ndarray,
         mask = mask & np.asarray(ref_mask, dtype=bool).reshape(-1)
     if flt_valid is not None:
         mask = mask & (stencil.gather(flt_valid, 0.0) >= 0.999)
-    del stencil
 
     counts, (cell0, w_r, dw_f, scale_f, interior_f) = _joint_counts(
         ref.data.reshape(-1).astype(np.float64)[mask], vals[mask], ranges,
@@ -231,24 +274,27 @@ def _similarity_field(ref: Volume, flt: Volume, world: np.ndarray,
     return s, mask, lam[:, None] * gw
 
 
-def similarity_and_gradient(ref: Volume, flt: Volume, ffd: BSplineTransform,
+def similarity_and_gradient(ref: Volume, flt: Volume, sampled: SampledMap,
                             ranges=None, ref_mask=None, flt_valid=None,
                             with_gradient=True):
-    """NMI between ref and flt warped by `ffd`, plus its coefficient gradient.
+    """NMI between ref and flt warped by a sampled FFD map, plus the
+    gradient with respect to that FFD's coefficients.
 
-    The FFD must be defined over the geometry of `ref`. `ref_mask` excludes
-    reference voxels; `flt_valid` marks usable voxels of the floating image
-    (pairs whose warped sample touches invalid voxels are skipped).
+    `sampled` must come from an FFD over ref's geometry, sampled onto flt's
+    grid: `sample_map(ffd, flt.grid)`. `ref_mask` excludes reference voxels;
+    `flt_valid` marks usable voxels of the floating image (pairs whose
+    warped sample touches invalid voxels are skipped).
     Returns (nmi, gradient | None).
     """
-    world = ref.grid.world_points() + dense_displacement(ffd).reshape(-1, 3)
-    s, mask, fld = _similarity_field(ref, flt, world, ranges, ref_mask,
+    require_same_geometry(sampled.ffd.reference, ref.grid, "FFD reference and ref")
+    require_same_geometry(sampled.onto, flt.grid, "sampled grid and flt")
+    s, mask, fld = _similarity_field(ref, flt, sampled.stencil, ranges, ref_mask,
                                      flt_valid, with_gradient)
     if fld is None:
         return s, None
     voxel_field = np.zeros((ref.data.size, 3))
     voxel_field[mask] = fld
-    return s, splat_to_coefficients(ffd, voxel_field.reshape(ref.dims + (3,)))
+    return s, splat_to_coefficients(sampled.ffd, voxel_field.reshape(ref.dims + (3,)))
 
 
 # ---------------------------------------------------------------------------
@@ -300,52 +346,42 @@ def bending_energy_gradient(t: BSplineTransform):
 # Inverse-consistency penalty
 # ---------------------------------------------------------------------------
 
-def _roundtrip_residual(outer: BSplineTransform, inner: BSplineTransform,
-                        dense_outer=None, dense_inner=None):
-    """Residual m(x) = u_inner(x) + u_outer(map_inner(x)) at every voxel.
-
-    Returns (m, stencil): the outer field is sampled edge-clamped through
-    `stencil`, whose scatter is the adjoint of that sampling.
-    """
-    if dense_inner is None:
-        dense_inner = dense_displacement(inner)
-    if dense_outer is None:
-        dense_outer = dense_displacement(outer)
-    u_in = dense_inner.reshape(-1, 3)
-    y_world = inner.reference.world_points() + u_in
-    stencil = TrilinearStencil(outer.reference.dims,
-                               outer.reference.voxel_from_world(y_world))
-    return u_in + stencil.gather(dense_outer), stencil
-
-
-def _inconsistency(fwd, bwd, with_gradient):
-    require_same_geometry(fwd.reference, bwd.reference, "fwd and bwd references")
-    n_vox = float(np.prod(fwd.reference.dims))
-    dense_f = dense_displacement(fwd)
-    dense_b = dense_displacement(bwd)
+def _inconsistency(fwd: SampledMap, bwd: SampledMap, with_gradient):
+    require_same_geometry(fwd.ffd.reference, bwd.ffd.reference,
+                          "fwd and bwd references")
+    n_vox = float(np.prod(fwd.ffd.reference.dims))
 
     value = 0.0
     grads = []
-    for outer, inner, d_out, d_in in ((fwd, bwd, dense_f, dense_b),
-                                      (bwd, fwd, dense_b, dense_f)):
-        m, stencil = _roundtrip_residual(outer, inner, d_out, d_in)
+    for outer, inner in ((fwd, bwd), (bwd, fwd)):
+        # the inner map's points are where the outer field is read
+        require_same_geometry(inner.onto, outer.ffd.reference,
+                              "sampled grid and outer reference")
+        # residual m(x) = u_inner(x) + u_outer(x + u_inner(x)), C-contiguous
+        # (N, 3); the outer field is sampled edge-clamped
+        m = np.empty((inner.stencil.base.size, 3))
+        for d in range(3):
+            m[:, d] = inner.u[d].reshape(-1) + inner.stencil.gather(outer.u[d])
         value += float((m ** 2).sum()) / n_vox
         if with_gradient:
-            adj = stencil.scatter((2.0 / n_vox) * m)
-            grads.append(splat_to_coefficients(outer, adj))
-        del stencil
+            adj = inner.stencil.scatter((2.0 / n_vox) * m)
+            grads.append(splat_to_coefficients(outer.ffd, adj))
     if with_gradient:
         return value, grads[0], grads[1]
     return value, None, None
 
 
-def inconsistency_penalty(fwd: BSplineTransform, bwd: BSplineTransform) -> float:
-    """Voxel-average squared residual of fwd∘bwd plus that of bwd∘fwd (mm^2)."""
+def inconsistency_penalty(fwd: SampledMap, bwd: SampledMap) -> float:
+    """Voxel-average squared residual of fwd∘bwd plus that of bwd∘fwd (mm^2).
+
+    Both lattices must lie on one grid, each map sampled onto it:
+    `inconsistency_penalty(sample_map(fwd, grid), sample_map(bwd, grid))`.
+    """
     return _inconsistency(fwd, bwd, with_gradient=False)[0]
 
 
-def inconsistency_gradient(fwd: BSplineTransform, bwd: BSplineTransform):
-    """(value, grad wrt fwd, grad wrt bwd).
+def inconsistency_gradient(fwd: SampledMap, bwd: SampledMap):
+    """(value, grad wrt fwd's coefficients, grad wrt bwd's coefficients).
 
     Each round-trip term drives only its outer transform; the inner field is
     held fixed (alternating scheme), so each returned gradient is the exact
@@ -380,15 +416,20 @@ def objective(ref: Volume, flt: Volume, fwd: BSplineTransform,
 
     where S_fwd is the NMI of flt warped onto ref by `fwd` and S_bwd the NMI
     of ref warped onto flt by `bwd`. `fwd` must be defined over ref's
-    geometry and `bwd` over flt's. `flt_mask` marks the usable voxels of
-    flt (the in-bounds part of an affinely resampled floating image).
+    geometry and `bwd` over flt's, and with beta > 0 ref and flt must share
+    one grid; otherwise GeometryMismatchError is raised. Each map is sampled
+    once and shared by its similarity and the inconsistency penalty.
+    `flt_mask` marks the usable voxels of flt (the in-bounds part of an
+    affinely resampled floating image).
     """
     ws = weights.similarity
+    map_f = sample_map(fwd, flt.grid)
+    map_b = sample_map(bwd, ref.grid)
     s_f, g_sf = similarity_and_gradient(
-        ref, flt, fwd, ranges=ranges_fwd, flt_valid=flt_mask,
+        ref, flt, map_f, ranges=ranges_fwd, flt_valid=flt_mask,
         with_gradient=with_gradient)
     s_b, g_sb = similarity_and_gradient(
-        flt, ref, bwd, ranges=ranges_bwd, ref_mask=flt_mask,
+        flt, ref, map_b, ranges=ranges_bwd, ref_mask=flt_mask,
         with_gradient=with_gradient)
 
     e_f = e_b = c = 0.0
@@ -401,9 +442,9 @@ def objective(ref: Volume, flt: Volume, fwd: BSplineTransform,
             e_f, e_b = bending_energy(fwd), bending_energy(bwd)
     if weights.beta != 0:
         if with_gradient:
-            c, g_cf, g_cb = inconsistency_gradient(fwd, bwd)
+            c, g_cf, g_cb = inconsistency_gradient(map_f, map_b)
         else:
-            c = inconsistency_penalty(fwd, bwd)
+            c = inconsistency_penalty(map_f, map_b)
 
     value = ws * (s_f + s_b) - weights.alpha * (e_f + e_b) - weights.beta * c
     if not with_gradient:

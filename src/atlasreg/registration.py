@@ -22,7 +22,7 @@ from .transforms import (
     subdivide,
     warp_volume_masked,
 )
-from .volume import Volume, resample
+from .volume import TrilinearStencil, Volume, resample
 
 STEP_FLOOR_MM = 0.01      # smallest line-search probe, both stages
 AFFINE_GAIN_FLOOR = 1e-7  # relative gain per iteration below which a stage stops
@@ -223,7 +223,8 @@ def register_affine(ref: Volume, flt: Volume, *, max_iter=(40, 25, 12)) -> Affin
 
         def score(qv):
             m = matrix_of(qv)
-            return _similarity_field(ref_l, flt_l, ref_world @ m[:3, :3].T + m[:3, 3],
+            points = flt_l.voxel_from_world(ref_world @ m[:3, :3].T + m[:3, 3])
+            return _similarity_field(ref_l, flt_l, TrilinearStencil(flt_l.dims, points),
                                      ranges, None, None, with_gradient=False)[0]
 
         def gradient(qv, h=0.05):

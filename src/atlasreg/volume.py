@@ -225,6 +225,13 @@ class TrilinearStencil:
     outside take the values of the nearest face) and the `inside` mask of
     points within [0, n-1] on every axis. An axis of length 1 has a zero
     stride, so both cell corners are that single voxel.
+
+    Channel layout: `gather` reads one scalar field (nx, ny, nz). A vector
+    field is gathered one channel at a time, best from a C-contiguous
+    channel-first copy (C, nx, ny, nz), whose channels are contiguous and are
+    read without a copy. `scatter` takes per-point vectors (N, C) and
+    returns the channel-last grid field (nx, ny, nz, C), the layout
+    `splat_to_coefficients` takes.
     """
 
     def __init__(self, dims, points):
@@ -248,23 +255,25 @@ class TrilinearStencil:
                         1 if nz > 1 else 0)
 
     def gather(self, data, oob=None, want_gradient=False):
-        """Interpolate `data`, (nx, ny, nz) or (nx, ny, nz, C), at the points.
+        """Interpolate the scalar field `data` (nx, ny, nz) at the points.
 
-        Returns values of shape (N,) or (N, C). Points outside the grid take
-        `oob` when it is given, and the edge-clamped value when it is None.
-        With want_gradient, returns (values, d values / d voxel coordinate),
-        the latter (N, 3) or (N, C, 3) and zero outside the grid.
+        Returns values (N,). Points outside the grid take `oob` when it is
+        given, and the edge-clamped value when it is None. With
+        want_gradient, returns (values, d values / d voxel coordinate), the
+        latter (N, 3) and zero outside the grid.
         """
-        data = np.ascontiguousarray(data, dtype=np.float64)
-        flat = data.reshape((-1,) + data.shape[3:])
-        tail = (slice(None),) + (None,) * (flat.ndim - 1)
-        fx, fy, fz = self.fx[tail], self.fy[tail], self.fz[tail]
+        data = np.asarray(data)
+        if data.shape != self.dims:
+            raise InvalidInputError(
+                f"gather takes one scalar field of shape {self.dims}, got {data.shape}")
+        flat = np.ascontiguousarray(data, dtype=np.float64).reshape(-1)
+        fx, fy, fz = self.fx, self.fy, self.fz
         sx, sy, sz = self.strides
         slopes = []  # x-differences along the four cell edges, for the gradient
 
         def edge(off):
-            a = flat.take(self.base + off, axis=0)
-            d = flat.take(self.base + off + sx, axis=0) - a
+            a = flat.take(self.base + off)
+            d = flat.take(self.base + off + sx) - a
             if want_gradient:
                 slopes.append(d)
             return a + d * fx
@@ -274,7 +283,7 @@ class TrilinearStencil:
         c1 = c01 + (c11 - c01) * fy
         vals = c0 + (c1 - c0) * fz
         if oob is not None:
-            vals = np.where(self.inside[tail], vals, oob)
+            vals = np.where(self.inside, vals, oob)
         if not want_gradient:
             return vals
         d00, d10, d01, d11 = slopes
@@ -286,10 +295,11 @@ class TrilinearStencil:
         return vals, grad
 
     def scatter(self, vecs) -> np.ndarray:
-        """Adjoint of the edge-clamped gather (oob=None).
+        """Adjoint of the edge-clamped gather (oob=None), channel by channel.
 
-        Deposits per-point values (N,) or (N, C) onto the grid with the same
-        indices and weights; returns (nx, ny, nz) or (nx, ny, nz, C).
+        Deposits per-point values (N,) or vectors (N, C) onto the grid with
+        the same indices and weights; returns (nx, ny, nz) or the
+        channel-last (nx, ny, nz, C).
         """
         vecs = np.asarray(vecs, dtype=np.float64)
         cols = vecs.reshape(len(self.base), -1)

@@ -1,13 +1,18 @@
-"""Pointwise B-spline evaluation and the voxel-sum bending energy: the
-references the dense evaluation and the lattice bending are tested against."""
+"""Pointwise B-spline evaluation, the voxel-sum bending energy and the
+four-stencil objective: the references the dense evaluation, the lattice
+bending and the shared sampling of the objective are tested against."""
 import numpy as np
 
+from atlasreg.objective import ObjectiveResult, _similarity_field, bending_energy_gradient
 from atlasreg.transforms import (
     BSplineTransform,
     bspline_kernel,
     bspline_kernel_d1,
     bspline_kernel_d2,
+    dense_displacement,
+    splat_to_coefficients,
 )
+from atlasreg.volume import TrilinearStencil
 
 
 def deform(t: BSplineTransform, x) -> np.ndarray:
@@ -69,3 +74,57 @@ def bending_voxel_sum(t: BSplineTransform):
             energy += float((fld ** 2).sum())
             grad += (2.0 / n_vox) * np.einsum("ia,jb,kc,ijkd->abcd", wx, wy, wz, fld)
     return energy / n_vox, grad
+
+
+def _roundtrip_residual(outer: BSplineTransform, inner: BSplineTransform):
+    """Residual m(x) = u_inner(x) + u_outer(map_inner(x)) at every voxel,
+    (N, 3), from the transforms alone.
+
+    Returns (m, stencil): the outer field is sampled edge-clamped through
+    `stencil`, whose scatter is the adjoint of that sampling.
+    """
+    dense_outer = dense_displacement(outer)
+    u_in = dense_displacement(inner).reshape(-1, 3)
+    y_world = inner.reference.world_points() + u_in
+    stencil = TrilinearStencil(outer.reference.dims,
+                               outer.reference.voxel_from_world(y_world))
+    sampled = np.stack([stencil.gather(dense_outer[..., d]) for d in range(3)], axis=-1)
+    return u_in + sampled, stencil
+
+
+def _similarity(ref, flt, ffd, ranges, ref_mask, flt_valid, with_gradient):
+    world = ref.grid.world_points() + dense_displacement(ffd).reshape(-1, 3)
+    stencil = TrilinearStencil(flt.dims, flt.voxel_from_world(world))
+    s, mask, fld = _similarity_field(ref, flt, stencil, ranges, ref_mask,
+                                     flt_valid, with_gradient)
+    if fld is None:
+        return s, None
+    voxel_field = np.zeros((ref.data.size, 3))
+    voxel_field[mask] = fld
+    return s, splat_to_coefficients(ffd, voxel_field.reshape(ref.dims + (3,)))
+
+
+def objective_four_stencils(ref, flt, fwd, bwd, weights, ranges_fwd=None,
+                            ranges_bwd=None, flt_mask=None, with_gradient=True):
+    """The symmetric objective with every term sampling its own maps: a
+    stencil and a dense displacement for each similarity and each round
+    trip, four of each per call, in the order of operations of the shared
+    form. Both weights must be nonzero."""
+    ws = weights.similarity
+    s_f, g_sf = _similarity(ref, flt, fwd, ranges_fwd, None, flt_mask, with_gradient)
+    s_b, g_sb = _similarity(flt, ref, bwd, ranges_bwd, flt_mask, None, with_gradient)
+    e_f, g_ef = bending_energy_gradient(fwd)
+    e_b, g_eb = bending_energy_gradient(bwd)
+    n_vox = float(np.prod(fwd.reference.dims))
+    c = 0.0
+    g_c = []
+    for outer, inner in ((fwd, bwd), (bwd, fwd)):
+        m, stencil = _roundtrip_residual(outer, inner)
+        c += float((m ** 2).sum()) / n_vox
+        g_c.append(splat_to_coefficients(outer, stencil.scatter((2.0 / n_vox) * m)))
+    value = ws * (s_f + s_b) - weights.alpha * (e_f + e_b) - weights.beta * c
+    if not with_gradient:
+        return ObjectiveResult(value, s_f, s_b, e_f, e_b, c, None, None)
+    grad_fwd = ws * g_sf - weights.alpha * g_ef - weights.beta * g_c[0]
+    grad_bwd = ws * g_sb - weights.alpha * g_eb - weights.beta * g_c[1]
+    return ObjectiveResult(value, s_f, s_b, e_f, e_b, c, grad_fwd, grad_bwd)

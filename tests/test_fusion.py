@@ -9,6 +9,7 @@ from atlasreg import (
     GeometryMismatchError,
     InvalidInputError,
     LabelVolume,
+    NumericalFailureError,
     ProbabilityVolume,
     RegistrationConfig,
     RegistrationResult,
@@ -259,15 +260,16 @@ def _pseudo_inputs(seed=0, dims=(6, 6, 6)):
     return target, pairs[:3], tuple(pairs[3:])
 
 
-def _fake_register(calls, fail_on=None):
+def _fake_register(calls, fail_on=None, error=None):
     """Stand-in for `register`: records (job index, cfg), returns an identity
-    affine whose trace holds the job index, and finishes later jobs first."""
+    affine whose trace holds the job index, and finishes later jobs first.
+    Job `fail_on` raises `error`, by default GeometryMismatchError("boom")."""
     def register(target, img, cfg):
         k = int(img.data.flat[0])
         calls.append((k, cfg))
         time.sleep(0.02 * (5 - k))
         if k == fail_on:
-            raise GeometryMismatchError("boom")
+            raise error or GeometryMismatchError("boom")
         return RegistrationResult(AffineTransform.identity(), None, None, [[float(k)]], [True])
     return register
 
@@ -307,6 +309,15 @@ def test_pseudo_labels_t2_failure_names_its_atlas(monkeypatch, threads):
     monkeypatch.setattr(fusion, "register", _fake_register([], fail_on=4))
     with pytest.raises(GeometryMismatchError, match="^same-patient atlas 1: boom$"):
         build_pseudo_labels(target, atlases, same_patient, threads=threads)
+    # the named error keeps the attributes of the one it replaces
+    error = NumericalFailureError("objective is not finite", level=1, iteration=3)
+    monkeypatch.setattr(fusion, "register", _fake_register([], fail_on=4, error=error))
+    with pytest.raises(NumericalFailureError) as info:
+        build_pseudo_labels(target, atlases, same_patient, threads=threads)
+    assert str(info.value) == ("same-patient atlas 1: objective is not finite "
+                               "(level 1, iteration 3)")
+    assert (info.value.level, info.value.iteration) == (1, 3)
+    assert info.value.__cause__ is error
 
 
 def test_pseudo_labels_start_no_job_after_a_failure(monkeypatch):

@@ -1,9 +1,12 @@
+import importlib
+
 import numpy as np
 import pytest
 
 from atlasreg import (
     BSplineTransform,
     DegenerateInputError,
+    GeometryMismatchError,
     InvalidInputError,
     ObjectiveWeights,
     PhantomSpec,
@@ -15,6 +18,7 @@ from atlasreg import (
     nmi,
     objective,
     random_smooth_deformation,
+    sample_map,
 )
 from atlasreg.objective import (
     BINS,
@@ -23,7 +27,6 @@ from atlasreg.objective import (
     robust_range,
     similarity_and_gradient,
     _footprint_weights,
-    _roundtrip_residual,
 )
 from atlasreg.transforms import bspline_kernel, bspline_kernel_d1, dense_displacement
 from atlasreg.volume import TrilinearStencil
@@ -181,6 +184,11 @@ def _transform(dims=(12, 12, 12), spacing=4.0):
     return BSplineTransform.zeros(Volume(np.zeros(dims, dtype=np.float32)), spacing)
 
 
+def _sampled(t):
+    """`t` sampled onto its own reference grid, as the penalty alone takes it."""
+    return sample_map(t, t.reference)
+
+
 def test_bending_zero_for_identity_and_constant():
     t = _transform()
     assert bending_energy(t) == 0.0
@@ -263,15 +271,15 @@ def test_lattice_bending_matches_voxel_sum_oracle():
 def test_inconsistency_trivial_cases():
     fwd = _transform()
     bwd = _transform()
-    assert inconsistency_penalty(fwd, bwd) == 0.0
+    assert inconsistency_penalty(_sampled(fwd), _sampled(bwd)) == 0.0
 
     d = np.array([1.0, 2.0, -1.5])
     fwd_c = fwd.with_coefficients(np.broadcast_to(d, fwd.coefficients.shape))
     bwd_c = bwd.with_coefficients(np.broadcast_to(-d, bwd.coefficients.shape))
-    assert inconsistency_penalty(fwd_c, bwd_c) == pytest.approx(0.0, abs=1e-18)
+    assert inconsistency_penalty(_sampled(fwd_c), _sampled(bwd_c)) == pytest.approx(0.0, abs=1e-18)
 
     # fwd constant +d, bwd zero: both round trips leave residual d
-    val = inconsistency_penalty(fwd_c, bwd)
+    val = inconsistency_penalty(_sampled(fwd_c), _sampled(bwd))
     assert val == pytest.approx(2.0 * float(d @ d), rel=1e-12)
 
 
@@ -279,8 +287,8 @@ def test_inconsistency_symmetry_and_nonnegativity():
     rng = np.random.default_rng(11)
     fwd = _transform().with_coefficients(rng.normal(0, 1, _transform().coefficients.shape))
     bwd = _transform().with_coefficients(rng.normal(0, 1, _transform().coefficients.shape))
-    v1 = inconsistency_penalty(fwd, bwd)
-    v2 = inconsistency_penalty(bwd, fwd)
+    v1 = inconsistency_penalty(_sampled(fwd), _sampled(bwd))
+    v2 = inconsistency_penalty(_sampled(bwd), _sampled(fwd))
     assert v1 >= 0
     assert v1 == pytest.approx(v2, rel=1e-12)
 
@@ -288,11 +296,13 @@ def test_inconsistency_symmetry_and_nonnegativity():
 def test_inconsistency_gradient_matches_per_term_fd():
     # each round-trip term drives only its outer transform (inner frozen),
     # so the oracle differentiates that term alone
+    from bspline_oracle import _roundtrip_residual
+
     rng = np.random.default_rng(12)
     base = _transform()
     fwd = base.with_coefficients(rng.normal(0, 0.8, base.coefficients.shape))
     bwd = base.with_coefficients(rng.normal(0, 0.8, base.coefficients.shape))
-    val, g_f, g_b = inconsistency_gradient(fwd, bwd)
+    val, g_f, g_b = inconsistency_gradient(_sampled(fwd), _sampled(bwd))
     n_vox = float(np.prod(fwd.reference.dims))
 
     def term(outer, inner):
@@ -319,11 +329,12 @@ def test_similarity_gradient_matches_finite_differences():
     flt = _gradient_phantom(4)
     base = random_smooth_deformation(ref, 1.5, 5.0, seed=2)
     ranges = (robust_range(ref.data.reshape(-1)), robust_range(flt.data.reshape(-1)))
-    s, g = similarity_and_gradient(ref, flt, base, ranges=ranges)
+    s, g = similarity_and_gradient(ref, flt, sample_map(base, flt.grid), ranges=ranges)
     assert 1.0 <= s <= 2.0
 
     def value(coef):
-        return similarity_and_gradient(ref, flt, base.with_coefficients(coef),
+        return similarity_and_gradient(ref, flt,
+                                       sample_map(base.with_coefficients(coef), flt.grid),
                                        ranges=ranges, with_gradient=False)[0]
 
     rng = np.random.default_rng(13)
@@ -351,15 +362,37 @@ def test_all_true_flt_valid_equals_no_mask():
     stencil = TrilinearStencil(flt.dims, flt.voxel_from_world(world))
     assert np.all(stencil.gather(valid, 0.0)[stencil.inside] == 1.0)
     for with_gradient in (True, False):
-        s0, g0 = similarity_and_gradient(ref, flt, ffd, with_gradient=with_gradient)
-        s1, g1 = similarity_and_gradient(ref, flt, ffd, flt_valid=valid,
+        sampled = sample_map(ffd, flt.grid)
+        s0, g0 = similarity_and_gradient(ref, flt, sampled, with_gradient=with_gradient)
+        s1, g1 = similarity_and_gradient(ref, flt, sampled, flt_valid=valid,
                                          with_gradient=with_gradient)
         assert s1 == s0
         if with_gradient:
             assert np.array_equal(_bits(g1), _bits(g0))
     # a mask below the 0.999 threshold everywhere still excludes every voxel
     with pytest.raises(DegenerateInputError):
-        similarity_and_gradient(ref, flt, ffd, flt_valid=np.full(flt.dims, 0.5))
+        similarity_and_gradient(ref, flt, sample_map(ffd, flt.grid),
+                                flt_valid=np.full(flt.dims, 0.5))
+
+
+def test_similarity_rejects_a_map_off_the_reference_grid():
+    ref = _gradient_phantom(3)
+    flt = _gradient_phantom(4)
+    # a lattice over other dims
+    other = random_smooth_deformation(Volume(np.zeros((16, 16, 12), np.float32)),
+                                      1.5, 5.0, seed=2)
+    with pytest.raises(GeometryMismatchError):
+        similarity_and_gradient(ref, flt, sample_map(other, flt.grid))
+    # a 1 mm lattice over a 2 mm reference
+    coarse = Volume(ref.data, spacing=(2.0, 2.0, 2.0))
+    ffd = random_smooth_deformation(ref, 1.5, 5.0, seed=2)
+    for with_gradient in (True, False):
+        with pytest.raises(GeometryMismatchError):
+            similarity_and_gradient(coarse, flt, sample_map(ffd, flt.grid),
+                                    with_gradient=with_gradient)
+    # and its stencil must lie on the floating grid
+    with pytest.raises(GeometryMismatchError):
+        similarity_and_gradient(ref, flt, sample_map(ffd, coarse.grid))
 
 
 # --- combined objective ----------------------------------------------------
@@ -409,4 +442,91 @@ def test_objective_value_matches_components():
                 - w.beta * res.inconsistency)
     assert res.value == pytest.approx(expected, abs=1e-12)
     assert res.bending_fwd == pytest.approx(bending_energy(fwd), rel=1e-12)
-    assert res.inconsistency == pytest.approx(inconsistency_penalty(fwd, bwd), rel=1e-12)
+    assert res.inconsistency == pytest.approx(inconsistency_penalty(_sampled(fwd), _sampled(bwd)),
+                                              rel=1e-12)
+
+
+def _anisotropic_pair():
+    """Images, lattices and a partial floating mask on one rotated
+    1.25 x 1.25 x 5 mm grid."""
+    rng = np.random.default_rng(31)
+    c, sn = np.cos(0.3), np.sin(0.3)
+    direction = np.array([[c, -sn, 0.0], [sn, c, 0.0], [0.0, 0.0, 1.0]])
+    geometry = dict(spacing=(1.25, 1.25, 5.0), origin=(3.0, -7.5, 12.0),
+                    direction=direction)
+    ref = Volume(rng.uniform(0, 100, (36, 32, 12)).astype(np.float32), **geometry)
+    flt = Volume(rng.uniform(0, 100, (36, 32, 12)).astype(np.float32), **geometry)
+    fwd = BSplineTransform.zeros(ref, (3.0, 2.5, 1.5))
+    fwd = fwd.with_coefficients(rng.normal(0, 1.5, fwd.coefficients.shape))
+    bwd = fwd.with_coefficients(rng.normal(0, 1.5, fwd.coefficients.shape))
+    flt_mask = np.ones(flt.dims, dtype=bool)
+    flt_mask[:4] = False
+    flt_mask[:, -3:, 4:] = False
+    return ref, flt, fwd, bwd, flt_mask
+
+
+@pytest.mark.parametrize("with_gradient", [True, False])
+def test_objective_samples_each_map_once(monkeypatch, with_gradient):
+    # the package's `objective` attribute is the function, not the module
+    objective_module = importlib.import_module("atlasreg.objective")
+    ref, flt, fwd, bwd, flt_mask = _anisotropic_pair()
+    counts = {"stencils": 0, "dense": 0}
+    build = TrilinearStencil.__init__
+    dense = objective_module.dense_displacement
+
+    def counted_build(self, *args):
+        counts["stencils"] += 1
+        build(self, *args)
+
+    def counted_dense(t):
+        counts["dense"] += 1
+        return dense(t)
+
+    monkeypatch.setattr(TrilinearStencil, "__init__", counted_build)
+    monkeypatch.setattr(objective_module, "dense_displacement", counted_dense)
+    objective(ref, flt, fwd, bwd, ObjectiveWeights(0.01, 0.02), flt_mask=flt_mask,
+              with_gradient=with_gradient)
+    assert counts == {"stencils": 2, "dense": 2}
+
+
+@pytest.mark.parametrize("with_gradient", [True, False])
+def test_objective_equals_four_stencil_oracle_bit_for_bit(with_gradient):
+    from bspline_oracle import objective_four_stencils
+
+    ref, flt, fwd, bwd, flt_mask = _anisotropic_pair()
+    w = ObjectiveWeights(0.01, 0.02)
+    ranges = ((10.0, 90.0), (5.0, 95.0))
+    for kwargs in (dict(flt_mask=flt_mask),
+                   dict(ranges_fwd=ranges, ranges_bwd=ranges[::-1], flt_mask=flt_mask)):
+        res = objective(ref, flt, fwd, bwd, w, with_gradient=with_gradient, **kwargs)
+        oracle = objective_four_stencils(ref, flt, fwd, bwd, w,
+                                         with_gradient=with_gradient, **kwargs)
+        assert res.inconsistency > 0 and res.bending_fwd > 0
+        for name in ("value", "similarity_fwd", "similarity_bwd", "bending_fwd",
+                     "bending_bwd", "inconsistency"):
+            assert _bits(getattr(res, name)) == _bits(getattr(oracle, name)), name
+        if with_gradient:
+            assert np.array_equal(_bits(res.grad_fwd), _bits(oracle.grad_fwd))
+            assert np.array_equal(_bits(res.grad_bwd), _bits(oracle.grad_bwd))
+        else:
+            assert res.grad_fwd is None and res.grad_bwd is None
+
+
+def test_objective_rejects_lattices_off_their_grids():
+    ref, flt, fwd, bwd, _ = _anisotropic_pair()
+    w = ObjectiveWeights(0.01, 0.02)
+    # a lattice over a grid of other spacing, as fwd or as bwd
+    shifted = Volume(ref.data, spacing=(1.0, 1.0, 4.0), origin=ref.origin,
+                     direction=ref.direction)
+    off = BSplineTransform.zeros(shifted, (3.0, 2.5, 1.5))
+    off = off.with_coefficients(fwd.coefficients)
+    for with_gradient in (True, False):
+        with pytest.raises(GeometryMismatchError):
+            objective(ref, flt, off, bwd, w, with_gradient=with_gradient)
+        with pytest.raises(GeometryMismatchError):
+            objective(ref, flt, fwd, off, w, with_gradient=with_gradient)
+    # the penalty reads each field at the other map's points, on its grid
+    with pytest.raises(GeometryMismatchError):
+        inconsistency_penalty(_sampled(fwd), sample_map(off, ref.grid))
+    with pytest.raises(GeometryMismatchError):
+        inconsistency_penalty(sample_map(fwd, shifted.grid), _sampled(bwd))

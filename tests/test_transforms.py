@@ -14,7 +14,6 @@ from atlasreg import (
     warp_labels,
     warp_volume,
 )
-from atlasreg.objective import _roundtrip_residual
 from atlasreg.transforms import (
     bspline_kernel_d1,
     bspline_kernel_d2,
@@ -22,7 +21,7 @@ from atlasreg.transforms import (
     splat_to_coefficients,
     subdivide,
 )
-from bspline_oracle import deform
+from bspline_oracle import _roundtrip_residual, deform
 
 
 def _zeros_volume(dims=(8, 8, 8), spacing=(1.0, 1.0, 1.0)):

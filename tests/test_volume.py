@@ -62,9 +62,18 @@ def test_stencil_scatter_is_adjoint_of_gather(dims, channels):
     stencil = TrilinearStencil(dims, np.concatenate([inside, outside, faces]))
     field = rng.normal(size=dims + channels)
     vecs = rng.normal(size=(460,) + channels)
-    lhs = np.vdot(stencil.gather(field), vecs)
+    # gather reads one scalar field: a vector field goes channel by channel
+    channels_first = np.moveaxis(field, -1, 0) if channels else field[None]
+    gathered = np.stack([stencil.gather(c) for c in channels_first], axis=-1)
+    lhs = np.vdot(gathered.reshape(vecs.shape), vecs)
     rhs = np.vdot(field, stencil.scatter(vecs))
     assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+def test_stencil_gather_takes_one_scalar_field():
+    stencil = TrilinearStencil((4, 5, 6), np.zeros((3, 3)))
+    with pytest.raises(InvalidInputError, match="scalar field"):
+        stencil.gather(np.zeros((4, 5, 6, 3)))
 
 
 def test_volume_rejects_nan_and_bad_geometry():
