@@ -238,11 +238,12 @@ def sample_map(ffd: BSplineTransform, onto: Grid) -> SampledMap:
 # Similarity through a B-spline transform
 # ---------------------------------------------------------------------------
 
-def _similarity_field(ref: Volume, flt: Volume, stencil: TrilinearStencil,
-                      ranges, ref_mask, flt_valid, with_gradient: bool):
-    """NMI between ref and flt sampled through `stencil`, one point per ref
-    voxel: (nmi, mask of the voxels in the histogram, dNMI/d(point) on the
-    mask | None)."""
+def _floating_samples(stencil: TrilinearStencil, flt: Volume, ref_mask, flt_valid,
+                      with_gradient: bool):
+    """flt sampled through `stencil`, one point per ref voxel: (values,
+    d value / d voxel coordinate | None, mask of the points that enter the
+    histogram). Kept apart from `_similarity_field` so that a caller can
+    release a stencil of its own before the histogram allocates."""
     if with_gradient:
         vals, grad_vox = stencil.gather(flt.data, 0.0, want_gradient=True)
     else:
@@ -253,7 +254,15 @@ def _similarity_field(ref: Volume, flt: Volume, stencil: TrilinearStencil,
         mask = mask & np.asarray(ref_mask, dtype=bool).reshape(-1)
     if flt_valid is not None:
         mask = mask & (stencil.gather(flt_valid, 0.0) >= 0.999)
+    return vals, grad_vox, mask
 
+
+def _similarity_field(ref: Volume, flt: Volume, samples, ranges):
+    """NMI between ref and the `_floating_samples` of flt: (nmi, mask of the
+    voxels in the histogram, dNMI/d(point) on the mask when the samples
+    carry a gradient, else None)."""
+    vals, grad_vox, mask = samples
+    with_gradient = grad_vox is not None
     counts, (cell0, w_r, dw_f, scale_f, interior_f) = _joint_counts(
         ref.data.reshape(-1).astype(np.float64)[mask], vals[mask], ranges,
         with_gradient)
@@ -288,8 +297,8 @@ def similarity_and_gradient(ref: Volume, flt: Volume, sampled: SampledMap,
     """
     require_same_geometry(sampled.ffd.reference, ref.grid, "FFD reference and ref")
     require_same_geometry(sampled.onto, flt.grid, "sampled grid and flt")
-    s, mask, fld = _similarity_field(ref, flt, sampled.stencil, ranges, ref_mask,
-                                     flt_valid, with_gradient)
+    samples = _floating_samples(sampled.stencil, flt, ref_mask, flt_valid, with_gradient)
+    s, mask, fld = _similarity_field(ref, flt, samples, ranges)
     if fld is None:
         return s, None
     voxel_field = np.zeros((ref.data.size, 3))

@@ -15,7 +15,13 @@ import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from .errors import DegenerateInputError, InvalidInputError, NumericalFailureError
-from .objective import ObjectiveWeights, _similarity_field, objective, robust_range
+from .objective import (
+    ObjectiveWeights,
+    _floating_samples,
+    _similarity_field,
+    objective,
+    robust_range,
+)
 from .transforms import (
     AffineTransform,
     BSplineTransform,
@@ -223,9 +229,11 @@ def register_affine(ref: Volume, flt: Volume, *, max_iter=(40, 25, 12)) -> Affin
 
         def score(qv):
             m = matrix_of(qv)
-            points = flt_l.voxel_from_world(ref_world @ m[:3, :3].T + m[:3, 3])
-            return _similarity_field(ref_l, flt_l, TrilinearStencil(flt_l.dims, points),
-                                     ranges, None, None, with_gradient=False)[0]
+            stencil = TrilinearStencil(
+                flt_l.dims, flt_l.voxel_from_world(ref_world @ m[:3, :3].T + m[:3, 3]))
+            samples = _floating_samples(stencil, flt_l, None, None, with_gradient=False)
+            del stencil  # its memory then serves the histogram: fewer page faults
+            return _similarity_field(ref_l, flt_l, samples, ranges)[0]
 
         def gradient(qv, h=0.05):
             return np.array([(score(qv + e) - score(qv - e)) / (2 * h)

@@ -3,7 +3,12 @@ four-stencil objective: the references the dense evaluation, the lattice
 bending and the shared sampling of the objective are tested against."""
 import numpy as np
 
-from atlasreg.objective import ObjectiveResult, _similarity_field, bending_energy_gradient
+from atlasreg.objective import (
+    ObjectiveResult,
+    _floating_samples,
+    _similarity_field,
+    bending_energy_gradient,
+)
 from atlasreg.transforms import (
     BSplineTransform,
     bspline_kernel,
@@ -95,8 +100,8 @@ def _roundtrip_residual(outer: BSplineTransform, inner: BSplineTransform):
 def _similarity(ref, flt, ffd, ranges, ref_mask, flt_valid, with_gradient):
     world = ref.grid.world_points() + dense_displacement(ffd).reshape(-1, 3)
     stencil = TrilinearStencil(flt.dims, flt.voxel_from_world(world))
-    s, mask, fld = _similarity_field(ref, flt, stencil, ranges, ref_mask,
-                                     flt_valid, with_gradient)
+    samples = _floating_samples(stencil, flt, ref_mask, flt_valid, with_gradient)
+    s, mask, fld = _similarity_field(ref, flt, samples, ranges)
     if fld is None:
         return s, None
     voxel_field = np.zeros((ref.data.size, 3))
