@@ -25,7 +25,6 @@ from .metrics import (
     dice,
     evaluate,
     jaccard,
-    soft_dice_loss,
     surface_distances,
 )
 from .nifti import read_nifti, write_nifti
@@ -35,7 +34,6 @@ from .objective import (
     build_joint_histogram,
     inconsistency_penalty,
     nmi,
-    objective,
     sample_map,
 )
 from .phantom import PhantomSpec, generate_phantom, random_smooth_deformation
@@ -62,7 +60,6 @@ from .volume import (
     ProbabilityVolume,
     Volume,
     resample,
-    sample_trilinear,
 )
 
 __version__ = "0.1.0"

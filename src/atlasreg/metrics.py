@@ -16,7 +16,7 @@ from scipy import ndimage
 from scipy.spatial import cKDTree
 
 from .errors import UndefinedMetricError
-from .volume import CLASS_NAMES, LabelVolume, ProbabilityVolume, require_same_geometry
+from .volume import CLASS_NAMES, LabelVolume, require_same_geometry
 
 FOREGROUND_CLASSES = (1, 2, 3)
 
@@ -41,25 +41,6 @@ def jaccard(pred: LabelVolume, gt: LabelVolume, class_id: int) -> float:
     if union == 0:
         return 1.0
     return int((p & g).sum()) / union
-
-
-def soft_dice_loss(prob: ProbabilityVolume, target: LabelVolume,
-                   class_id: int | None = None) -> float:
-    """1 - 2*sum(y*yhat) / (sum(y^2) + sum(yhat^2)) with one-hot targets.
-
-    `class_id` selects one channel; None averages the loss over the
-    foreground channels (1..C-1).
-    """
-    require_same_geometry(prob, target)
-    if class_id is None:
-        classes = range(1, prob.num_classes)
-        return float(np.mean([soft_dice_loss(prob, target, c) for c in classes]))
-    y = prob.channels[class_id].astype(np.float64)
-    yhat = (target.data == class_id).astype(np.float64)
-    denom = (y ** 2).sum() + (yhat ** 2).sum()
-    if denom == 0:
-        return 0.0
-    return float(1.0 - 2.0 * (y * yhat).sum() / denom)
 
 
 def _surface_points(mask: np.ndarray, spacing) -> np.ndarray:

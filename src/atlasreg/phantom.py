@@ -1,14 +1,17 @@
 """Synthetic cardiac-like test volumes with ground-truth labels.
 
-The phantom is a spherical LV cavity inside a myocardial shell with an
-overlapping RV sphere trimmed to a crescent. Per-class intensities come from
-a per-pseudo-modality table; the tables are deliberately not affinely related
-to each other so that an intensity-relationship-agnostic similarity is needed
-to register across modalities. All randomness is driven by the explicit seed.
+The phantom is a spherical LV cavity, centered in the volume, inside a
+myocardial shell with an overlapping RV sphere trimmed to a crescent.
+Per-class intensities come from the per-pseudo-modality table
+DEFAULT_INTENSITIES; the tables are deliberately not affinely related to each
+other so that an intensity-relationship-agnostic similarity is needed to
+register across modalities. Every structure keeps MARGIN_VOXELS voxels from
+the volume border. All randomness is driven by the explicit seed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,19 +25,18 @@ DEFAULT_INTENSITIES = {
     "bssfp": {0: 70.0, 1: 25.0, 2: 50.0, 3: 30.0},
     "t2": {0: 20.0, 1: 65.0, 2: 90.0, 3: 60.0},
 }
+MARGIN_VOXELS = 4.0  # least distance, in voxels, from any structure to the border
 
 
 @dataclass(frozen=True)
 class PhantomSpec:
     dims: tuple[int, int, int] = (64, 64, 64)
     spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
-    lv_center: tuple[float, float, float] | None = None  # mm; None = volume center
     lv_radius: float = 10.0          # mm, cavity
     myo_thickness: float = 6.0       # mm, shell around the cavity
     rv_offset: tuple[float, float, float] = (18.0, 6.0, 0.0)  # mm from LV center
     rv_radius: float = 9.0           # mm
     modality: str = "lge"
-    intensities: dict = field(default_factory=lambda: DEFAULT_INTENSITIES)
     noise_sigma: float = 2.0
     texture_amplitude: float = 0.0   # smooth tissue-like intensity variation
     seed: int = 0
@@ -42,25 +44,29 @@ class PhantomSpec:
     def __post_init__(self):
         if self.lv_radius <= 0 or self.myo_thickness <= 0 or self.rv_radius <= 0:
             raise InvalidInputError("phantom radii and thickness must be positive")
-        if self.modality not in self.intensities:
+        if self.modality not in DEFAULT_INTENSITIES:
             raise InvalidInputError(f"no intensity table for modality {self.modality!r}")
+        for name in ("noise_sigma", "texture_amplitude"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise InvalidInputError(f"{name} must be finite and >= 0, got {value}")
 
     def center(self) -> np.ndarray:
-        if self.lv_center is not None:
-            return np.asarray(self.lv_center, dtype=np.float64)
+        """LV center in mm: the center of the volume."""
         return (np.asarray(self.dims) - 1) * np.asarray(self.spacing) / 2.0
 
-    def validate_margin(self, margin_voxels: float = 4.0):
-        """Structures must fit inside the volume with the given voxel margin."""
+    def validate_margin(self):
+        """Structures must fit inside the volume with a MARGIN_VOXELS margin."""
         c = self.center()
         rv_c = c + np.asarray(self.rv_offset)
         extent = (np.asarray(self.dims) - 1) * np.asarray(self.spacing)
-        margin = margin_voxels * np.asarray(self.spacing)
+        margin = MARGIN_VOXELS * np.asarray(self.spacing)
         r_out = self.lv_radius + self.myo_thickness
         for center, radius in ((c, r_out), (rv_c, self.rv_radius)):
             if np.any(center - radius < margin) or np.any(center + radius > extent - margin):
                 raise InvalidInputError(
-                    "phantom structures do not fit inside the volume with a 4-voxel margin"
+                    f"phantom structures do not fit inside the volume with a "
+                    f"{MARGIN_VOXELS:g}-voxel margin"
                 )
 
 
@@ -68,13 +74,14 @@ def scaled_spec(dims=(64, 64, 64), spacing=(1.0, 1.0, 1.0), **kwargs) -> Phantom
     """Default phantom geometry scaled to fit an arbitrary volume extent.
 
     The farthest structure reach from the LV center is 27 mm at the default
-    64 mm extent; the scale keeps that reach inside the 4-voxel margin.
+    64 mm extent; the scale keeps that reach inside the MARGIN_VOXELS margin.
     """
     half = min((n - 1) * s for n, s in zip(dims, spacing)) / 2.0
-    margin = 4.0 * max(spacing)
+    margin = MARGIN_VOXELS * max(spacing)
     k = (half - margin) / 28.0
     if k <= 0:
-        raise InvalidInputError("volume too small for a phantom with a 4-voxel margin")
+        raise InvalidInputError(
+            f"volume too small for a phantom with a {MARGIN_VOXELS:g}-voxel margin")
     return PhantomSpec(
         dims=tuple(dims), spacing=tuple(spacing),
         lv_radius=10.0 * k, myo_thickness=6.0 * k,
@@ -98,7 +105,7 @@ def generate_phantom(spec: PhantomSpec) -> tuple[Volume, LabelVolume]:
     labels[shell] = 2                       # myocardium trims the RV overlap
     labels[d_lv < spec.lv_radius] = 1
 
-    table = spec.intensities[spec.modality]
+    table = DEFAULT_INTENSITIES[spec.modality]
     data = np.zeros(spec.dims, dtype=np.float64)
     for cls, value in table.items():
         data[labels == cls] = value
@@ -115,34 +122,6 @@ def generate_phantom(spec: PhantomSpec) -> tuple[Volume, LabelVolume]:
 
     vol = Volume(data.astype(np.float32), spec.spacing)
     return vol, LabelVolume(labels, spec.spacing)
-
-
-def analytic_class_volumes(spec: PhantomSpec) -> dict[int, float]:
-    """Expected class volumes in mm^3 from sphere/shell/lens formulas."""
-    r_in = spec.lv_radius
-    r_out = spec.lv_radius + spec.myo_thickness
-    r_rv = spec.rv_radius
-    d = float(np.linalg.norm(spec.rv_offset))
-
-    def sphere(r):
-        return 4.0 / 3.0 * np.pi * r ** 3
-
-    def lens(r1, r2, dist):
-        # intersection volume of two spheres
-        if dist >= r1 + r2:
-            return 0.0
-        if dist <= abs(r1 - r2):
-            return sphere(min(r1, r2))
-        return (np.pi * (r1 + r2 - dist) ** 2
-                * (dist ** 2 + 2 * dist * (r1 + r2) - 3 * (r1 - r2) ** 2)
-                / (12 * dist))
-
-    # RV keeps only the part of its sphere outside the outer myo surface
-    return {
-        1: sphere(r_in),
-        2: sphere(r_out) - sphere(r_in),
-        3: sphere(r_rv) - lens(r_rv, r_out, d),
-    }
 
 
 def random_smooth_deformation(geometry, max_disp_mm: float, grid_spacing,

@@ -33,13 +33,15 @@ from .volume import TrilinearStencil, Volume, resample
 STEP_FLOOR_MM = 0.01      # smallest line-search probe, both stages
 AFFINE_GAIN_FLOOR = 1e-7  # relative gain per iteration below which a stage stops
 FFD_GAIN_FLOOR = 1e-5
+AFFINE_FD_STEP = 0.05     # central-difference step of the affine gradient (mm-scaled)
+DIRECTION_SOFTNESS = 0.05  # share of the largest node gradient norm added per node
 
 
 @dataclass(frozen=True)
 class RegistrationConfig:
     levels: int = 5
     max_iter_per_level: int = 300
-    final_grid_spacing: float = 5.0  # control spacing in voxels, per axis
+    final_grid_spacing: float = 5.0  # control spacing in voxels, the same on every axis
     weights: ObjectiveWeights = field(default_factory=ObjectiveWeights)
 
     def __post_init__(self):
@@ -235,9 +237,9 @@ def register_affine(ref: Volume, flt: Volume, *, max_iter=(40, 25, 12)) -> Affin
             del stencil  # its memory then serves the histogram: fewer page faults
             return _similarity_field(ref_l, flt_l, samples, ranges)[0]
 
-        def gradient(qv, h=0.05):
-            return np.array([(score(qv + e) - score(qv - e)) / (2 * h)
-                             for e in h * np.eye(12)])
+        def gradient(qv):
+            return np.array([(score(qv + e) - score(qv - e)) / (2 * AFFINE_FD_STEP)
+                             for e in AFFINE_FD_STEP * np.eye(12)])
 
         def direction(grad):
             gmax = np.abs(grad).max()
@@ -256,7 +258,7 @@ def register_affine(ref: Volume, flt: Volume, *, max_iter=(40, 25, 12)) -> Affin
 # FFD registration
 # ---------------------------------------------------------------------------
 
-def _soft_direction(grad: np.ndarray, softness: float = 0.05):
+def _soft_direction(grad: np.ndarray):
     """Per-node normalized gradient (soft): every control point moves at a
     comparable rate while keeping a positive inner product with the gradient,
     so backtracking line search still guarantees ascent. None at zero."""
@@ -264,7 +266,7 @@ def _soft_direction(grad: np.ndarray, softness: float = 0.05):
     gmax = norms.max()
     if gmax == 0:
         return None
-    return grad / (norms + softness * gmax)
+    return grad / (norms + DIRECTION_SOFTNESS * gmax)
 
 
 def register_ffd(ref: Volume, flt: Volume, affine: AffineTransform | None,

@@ -18,14 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import GeometryMismatchError, InvalidInputError, InvalidTransformError
-from .volume import (
-    Grid,
-    LabelVolume,
-    TrilinearStencil,
-    Volume,
-    _nearest_values,
-    require_same_geometry,
-)
+from .volume import Grid, LabelVolume, TrilinearStencil, Volume, require_same_geometry
 
 # ---------------------------------------------------------------------------
 # Cubic B-spline kernel
@@ -112,6 +105,8 @@ class AffineTransform:
         m = np.asarray(self.matrix, dtype=np.float64)
         if m.shape != (4, 4):
             raise InvalidTransformError(f"affine matrix must be 4x4, got {m.shape}")
+        if not np.all(np.isfinite(m)):
+            raise InvalidTransformError("affine matrix contains NaN or Inf")
         if not np.allclose(m[3], (0, 0, 0, 1), atol=1e-12):
             raise InvalidTransformError("affine last row must be (0, 0, 0, 1)")
         if abs(np.linalg.det(m[:3, :3])) <= 1e-12:
@@ -131,9 +126,6 @@ class AffineTransform:
         m[:3, :3] = linear
         m[:3, 3] = translation
         return cls(m)
-
-    def inverse(self) -> "AffineTransform":
-        return AffineTransform(np.linalg.inv(self.matrix))
 
     def apply(self, pts) -> np.ndarray:
         """Apply to world points of shape (..., 3)."""
@@ -255,11 +247,27 @@ def warp_volume_masked(src, ref_geometry, affine, ffd=None):
     return vol, stencil.inside.reshape(ref_geometry.dims)
 
 
+def _nearest_values(data, pts):
+    """Nearest-neighbor lookup; out-of-bounds points return 0 (background)."""
+    pts = np.asarray(pts, dtype=np.float64).reshape(-1, 3)
+    nx, ny, nz = data.shape
+    idx = np.rint(pts).astype(np.intp)
+    inside = (
+        (idx[:, 0] >= 0) & (idx[:, 0] <= nx - 1)
+        & (idx[:, 1] >= 0) & (idx[:, 1] <= ny - 1)
+        & (idx[:, 2] >= 0) & (idx[:, 2] <= nz - 1)
+    )
+    i = np.clip(idx[:, 0], 0, nx - 1)
+    j = np.clip(idx[:, 1], 0, ny - 1)
+    k = np.clip(idx[:, 2], 0, nz - 1)
+    return np.where(inside, data[i, j, k], 0)
+
+
 def warp_labels(src: LabelVolume, ref_geometry, affine: AffineTransform | None,
                 ffd: BSplineTransform | None = None) -> LabelVolume:
     """Nearest-neighbor label warp; out-of-bounds samples become background."""
     coords = _mapped_source_coords(src, ref_geometry, affine, ffd)
-    vals = _nearest_values(src.data, coords, oob=0)
+    vals = _nearest_values(src.data, coords)
     return LabelVolume(vals.reshape(ref_geometry.dims),
                        ref_geometry.spacing, ref_geometry.origin, ref_geometry.direction)
 
@@ -319,7 +327,7 @@ def subdivide(t: BSplineTransform, fine_reference) -> BSplineTransform:
 #   version         uint32   (1)
 #   flags           uint32   bit0 = forward FFD present, bit1 = backward FFD present
 #   affine          16 float64, row-major 4x4
-#   per present FFD (forward first):
+#   per present FFD (forward first), a header then the coefficients:
 #     grid_dims           3 uint32
 #     grid_spacing        3 float64  (reference voxels)
 #     reference_dims      3 uint32
@@ -327,33 +335,33 @@ def subdivide(t: BSplineTransform, fine_reference) -> BSplineTransform:
 #     reference_origin    3 float64
 #     reference_direction 9 float64, row-major
 #     coefficients        gx*gy*gz*3 float64, C order of (gx, gy, gz, 3)
+# and nothing after the last FFD.
 
 TRANSFORM_MAGIC = b"ATLXFRM1"
+_FFD_HEADER = struct.Struct("<3I3d3I3d3d9d")
 
 
 def _pack_ffd(t: BSplineTransform) -> bytes:
-    parts = [
-        struct.pack("<3I", *t.grid_dims),
-        struct.pack("<3d", *t.grid_spacing),
-        struct.pack("<3I", *t.reference.dims),
-        struct.pack("<3d", *t.reference.spacing),
-        struct.pack("<3d", *t.reference.origin),
-        struct.pack("<9d", *t.reference.direction.reshape(-1)),
-        np.ascontiguousarray(t.coefficients, dtype="<f8").tobytes(),
-    ]
-    return b"".join(parts)
+    ref = t.reference
+    header = _FFD_HEADER.pack(*t.grid_dims, *t.grid_spacing, *ref.dims, *ref.spacing,
+                              *ref.origin, *ref.direction.reshape(-1))
+    return header + np.ascontiguousarray(t.coefficients, dtype="<f8").tobytes()
 
 
 def _unpack_ffd(buf: bytes, off: int):
-    gd = struct.unpack_from("<3I", buf, off); off += 12
-    gs = struct.unpack_from("<3d", buf, off); off += 24
-    rd = struct.unpack_from("<3I", buf, off); off += 12
-    rs = struct.unpack_from("<3d", buf, off); off += 24
-    ro = struct.unpack_from("<3d", buf, off); off += 24
-    rdir = struct.unpack_from("<9d", buf, off); off += 72
+    """Read one FFD block at `off`; returns (transform, offset after it)."""
+    if len(buf) - off < _FFD_HEADER.size:
+        raise InvalidInputError("transform container ends inside an FFD header")
+    h = _FFD_HEADER.unpack_from(buf, off)
+    off += _FFD_HEADER.size
+    gd, gs, rd, rs, ro, rdir = h[0:3], h[3:6], h[6:9], h[9:12], h[12:15], h[15:]
     n = gd[0] * gd[1] * gd[2] * 3
+    if len(buf) - off < n * 8:
+        raise InvalidInputError("transform container ends inside FFD coefficients")
     coef = np.frombuffer(buf, dtype="<f8", count=n, offset=off).reshape(gd + (3,))
     off += n * 8
+    if not np.all(np.isfinite(coef)):
+        raise InvalidTransformError("FFD coefficients contain NaN or Inf")
     reference = Grid(rd, rs, np.array(ro), np.array(rdir).reshape(3, 3))
     t = BSplineTransform(grid_dims=gd, grid_spacing=gs, coefficients=coef,
                          reference=reference)
@@ -392,4 +400,6 @@ def load_transform(path):
         fwd, off = _unpack_ffd(buf, off)
     if flags & 2:
         bwd, off = _unpack_ffd(buf, off)
+    if off != len(buf):
+        raise InvalidInputError(f"{path}: {len(buf) - off} bytes after the last transform")
     return affine, fwd, bwd

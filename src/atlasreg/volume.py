@@ -8,7 +8,8 @@ the serialized layout is x-fastest.
 
 Every trilinear interpolation of the package (images, masks, displacement
 fields) goes through TrilinearStencil, whose scatter is the exact adjoint of
-its edge-clamped gather.
+its edge-clamped gather. `resample` changes the spacing of intensity volumes
+only; labels move between grids by nearest neighbour in `transforms.warp_labels`.
 """
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ from .errors import GeometryMismatchError, InvalidInputError
 
 LABEL_CLASS_IDS = (0, 1, 2, 3)
 CLASS_NAMES = {1: "lv_cavity", 2: "lv_myocardium", 3: "rv_cavity"}
+GEOMETRY_TOL = 1e-5  # absolute tolerance of `same_geometry` on spacing, origin, direction
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,7 +33,7 @@ class Grid:
     The origin is the world position of voxel (0, 0, 0); the columns of the
     orthonormal direction matrix are the world axes of the voxel axes.
     Instances are immutable and hashable; `==` and `hash` are exact, while
-    `same_geometry` compares within a tolerance.
+    `same_geometry` compares within GEOMETRY_TOL.
     """
 
     dims: tuple[int, int, int]
@@ -79,12 +81,12 @@ class Grid:
         pts = np.asarray(pts, dtype=np.float64)
         return (pts - self.origin) @ self.direction / np.asarray(self.spacing)
 
-    def same_geometry(self, other: "Grid", tol: float = 1e-5) -> bool:
+    def same_geometry(self, other: "Grid") -> bool:
         return (
             self.dims == other.dims
-            and np.allclose(self.spacing, other.spacing, atol=tol)
-            and np.allclose(self.origin, other.origin, atol=tol)
-            and np.allclose(self.direction, other.direction, atol=tol)
+            and np.allclose(self.spacing, other.spacing, atol=GEOMETRY_TOL)
+            and np.allclose(self.origin, other.origin, atol=GEOMETRY_TOL)
+            and np.allclose(self.direction, other.direction, atol=GEOMETRY_TOL)
         )
 
     def voxel_points(self) -> np.ndarray:
@@ -127,8 +129,8 @@ class _OnGrid:
     def voxel_from_world(self, pts) -> np.ndarray:
         return self.grid.voxel_from_world(pts)
 
-    def same_geometry(self, other, tol: float = 1e-5) -> bool:
-        return self.grid.same_geometry(other.grid, tol)
+    def same_geometry(self, other) -> bool:
+        return self.grid.same_geometry(other.grid)
 
 
 @dataclass(frozen=True)
@@ -317,46 +319,16 @@ class TrilinearStencil:
         return out.reshape(self.dims + vecs.shape[1:])
 
 
-def sample_trilinear(vol: Volume, p, out_of_bounds: float = 0.0):
-    """Trilinear sample of a volume at continuous voxel coordinate(s).
-
-    Coordinates outside [0, n-1] on any axis return `out_of_bounds`
-    (background padding). Accepts a single 3-vector or an (..., 3) array.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    vals = TrilinearStencil(vol.dims, p).gather(vol.data, out_of_bounds)
-    return float(vals[0]) if p.ndim == 1 else vals.reshape(p.shape[:-1])
-
-
-def _nearest_values(data, pts, oob):
-    """Nearest-neighbor lookup; out-of-bounds points return `oob` (None = clamp)."""
-    pts = np.asarray(pts, dtype=np.float64).reshape(-1, 3)
-    nx, ny, nz = data.shape
-    idx = np.rint(pts).astype(np.intp)
-    inside = (
-        (idx[:, 0] >= 0) & (idx[:, 0] <= nx - 1)
-        & (idx[:, 1] >= 0) & (idx[:, 1] <= ny - 1)
-        & (idx[:, 2] >= 0) & (idx[:, 2] <= nz - 1)
-    )
-    i = np.clip(idx[:, 0], 0, nx - 1)
-    j = np.clip(idx[:, 1], 0, ny - 1)
-    k = np.clip(idx[:, 2], 0, nz - 1)
-    vals = data[i, j, k]
-    if oob is not None:
-        vals = np.where(inside, vals, oob)
-    return vals
-
-
 # ---------------------------------------------------------------------------
 # Resampling
 # ---------------------------------------------------------------------------
 
-def resample(vol, target_spacing):
-    """Resample to a new voxel spacing; origin and direction are preserved.
+def resample(vol: Volume, target_spacing) -> Volume:
+    """Resample an intensity volume to a new voxel spacing; origin and
+    direction are preserved.
 
-    Output dims are ceil(n * s_old / s_new) per axis. Intensity volumes are
-    sampled trilinearly (background 0 outside the source grid); label volumes
-    use clamped nearest-neighbor so no new class id can appear.
+    Output dims are ceil(n * s_old / s_new) per axis. Samples are trilinear,
+    with background 0 outside the source grid.
     """
     target_spacing = tuple(float(s) for s in target_spacing)
     if any(not (s > 0) for s in target_spacing):
@@ -366,10 +338,6 @@ def resample(vol, target_spacing):
     new = np.asarray(target_spacing)
     new_dims = tuple(int(math.ceil(vol.dims[a] * old[a] / new[a])) for a in range(3))
     pts = Grid(new_dims, target_spacing, vol.origin, vol.direction).voxel_points() * (new / old)
-
-    if isinstance(vol, LabelVolume):
-        vals = _nearest_values(vol.data, pts, oob=None)
-        return LabelVolume(vals.reshape(new_dims), target_spacing, vol.origin, vol.direction)
     vals = TrilinearStencil(vol.dims, pts).gather(vol.data, oob=0.0)
     return Volume(vals.reshape(new_dims).astype(np.float32), target_spacing,
                   vol.origin, vol.direction)

@@ -71,6 +71,16 @@ def test_bad_flags_exit_two(argv, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("noise", ["-1", "nan"])
+def test_phantom_rejects_negative_or_non_finite_noise(tmp_path, capsys, noise):
+    img, lbl = tmp_path / "img.nii", tmp_path / "lbl.nii"
+    assert main(["phantom", "--out-image", str(img), "--out-labels", str(lbl),
+                 "--dims", "24", "24", "24", "--noise", noise]) == 3
+    err = capsys.readouterr().err
+    assert "noise_sigma" in err and "Traceback" not in err
+    assert not img.exists() and not lbl.exists()
+
+
 def test_truncated_nifti_exits_three(phantom_files, capsys):
     root, paths = phantom_files
     img, lbl = paths[0]

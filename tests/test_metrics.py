@@ -4,12 +4,10 @@ import pytest
 from atlasreg import (
     GeometryMismatchError,
     LabelVolume,
-    ProbabilityVolume,
     UndefinedMetricError,
     dice,
     evaluate,
     jaccard,
-    soft_dice_loss,
     surface_distances,
 )
 
@@ -172,60 +170,6 @@ def test_empty_class_raises_undefined_metric():
     one = _lbl(np.full((3, 3, 3), 1, dtype=np.uint8))
     with pytest.raises(UndefinedMetricError):
         surface_distances(one, empty, 1)
-
-
-# --- soft dice -----------------------------------------------------------
-
-def _one_hot(target, classes=4):
-    ch = np.stack([(target.data == c) for c in range(classes)]).astype(np.float32)
-    return ProbabilityVolume(ch, target.spacing, target.origin, target.direction)
-
-
-def test_soft_dice_perfect_prediction_is_zero():
-    rng = np.random.default_rng(5)
-    target = _lbl(rng.integers(0, 4, (4, 4, 4)))
-    prob = _one_hot(target)
-    for cls in (1, 2, 3):
-        assert soft_dice_loss(prob, target, cls) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_soft_dice_zero_channel_is_one():
-    data = np.zeros((4, 1, 1), dtype=np.uint8)
-    data[:2] = 1
-    target = _lbl(data)
-    ch = np.zeros((2, 4, 1, 1), dtype=np.float32)
-    ch[0] = 1.0  # all mass on background; channel 1 empty
-    prob = ProbabilityVolume(ch)
-    assert soft_dice_loss(prob, target, 1) == pytest.approx(1.0)
-
-
-def test_soft_dice_hand_arithmetic():
-    # uniform 0.5 probability on 4 voxels, 2 positives:
-    # 1 - 2*(0.5*2) / (4*0.25 + 2) = 1/3
-    data = np.zeros((4, 1, 1), dtype=np.uint8)
-    data[:2] = 1
-    target = _lbl(data)
-    ch = np.full((2, 4, 1, 1), 0.5, dtype=np.float32)
-    prob = ProbabilityVolume(ch)
-    assert soft_dice_loss(prob, target, 1) == pytest.approx(1.0 / 3.0)
-
-
-def test_soft_dice_one_hot_equals_one_minus_dice():
-    rng = np.random.default_rng(6)
-    for _ in range(10):
-        pred, gt = _random_pair(rng)
-        prob = _one_hot(pred)
-        for cls in (1, 2, 3):
-            assert soft_dice_loss(prob, gt, cls) == pytest.approx(
-                1.0 - dice(pred, gt, cls), abs=1e-9)
-
-
-def test_soft_dice_multiclass_averages_foreground():
-    rng = np.random.default_rng(7)
-    pred, gt = _random_pair(rng)
-    prob = _one_hot(pred)
-    per_class = [soft_dice_loss(prob, gt, c) for c in (1, 2, 3)]
-    assert soft_dice_loss(prob, gt) == pytest.approx(np.mean(per_class))
 
 
 # --- full report ---------------------------------------------------------

@@ -1,8 +1,9 @@
-import importlib
+import sys
 
 import numpy as np
 import pytest
 
+import atlasreg.objective as objective_module
 from atlasreg import (
     BSplineTransform,
     DegenerateInputError,
@@ -16,7 +17,6 @@ from atlasreg import (
     generate_phantom,
     inconsistency_penalty,
     nmi,
-    objective,
     random_smooth_deformation,
     sample_map,
 )
@@ -24,6 +24,7 @@ from atlasreg.objective import (
     BINS,
     bending_energy_gradient,
     inconsistency_gradient,
+    objective,
     robust_range,
     similarity_and_gradient,
     _footprint_weights,
@@ -467,8 +468,6 @@ def _anisotropic_pair():
 
 @pytest.mark.parametrize("with_gradient", [True, False])
 def test_objective_samples_each_map_once(monkeypatch, with_gradient):
-    # the package's `objective` attribute is the function, not the module
-    objective_module = importlib.import_module("atlasreg.objective")
     ref, flt, fwd, bwd, flt_mask = _anisotropic_pair()
     counts = {"stencils": 0, "dense": 0}
     build = TrilinearStencil.__init__
@@ -510,6 +509,38 @@ def test_objective_equals_four_stencil_oracle_bit_for_bit(with_gradient):
             assert np.array_equal(_bits(res.grad_bwd), _bits(oracle.grad_bwd))
         else:
             assert res.grad_fwd is None and res.grad_bwd is None
+
+
+def test_inconsistency_sums_the_residual_point_major():
+    # bit identity with earlier outputs rests on summing each round-trip
+    # residual as a C-contiguous (N, 3) array; on this fixture a channel-major
+    # (3, N) sum rounds differently, so a reordered reduction shows here
+    from bspline_oracle import _roundtrip_residual
+
+    rng = np.random.default_rng(0)
+    ref = Volume(np.zeros((12, 10, 6), dtype=np.float32), spacing=(1.25, 1.25, 5.0))
+    fwd = BSplineTransform.zeros(ref, (3.0, 2.5, 1.5))
+    fwd = fwd.with_coefficients(rng.normal(0, 1.5, fwd.coefficients.shape))
+    bwd = fwd.with_coefficients(rng.normal(0, 1.5, fwd.coefficients.shape))
+    n_vox = float(np.prod(ref.dims))
+    point_major = channel_major = 0.0
+    for outer, inner in ((fwd, bwd), (bwd, fwd)):
+        m, _ = _roundtrip_residual(outer, inner)
+        assert m.shape[1] == 3 and m.flags.c_contiguous
+        point_major += float((m ** 2).sum()) / n_vox
+        channel_major += float((np.ascontiguousarray(m.T) ** 2).sum()) / n_vox
+    assert _bits(point_major) != _bits(channel_major)
+    penalty = inconsistency_penalty(_sampled(fwd), _sampled(bwd))
+    assert _bits(penalty) == _bits(point_major)
+
+
+def test_objective_submodule_is_not_shadowed():
+    import atlasreg
+    import atlasreg.objective as module
+
+    assert module is sys.modules["atlasreg.objective"]
+    assert atlasreg.objective is module
+    assert module.dense_displacement is dense_displacement
 
 
 def test_objective_rejects_lattices_off_their_grids():

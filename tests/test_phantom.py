@@ -2,15 +2,43 @@ import numpy as np
 import pytest
 
 from atlasreg import InvalidInputError, PhantomSpec, generate_phantom, random_smooth_deformation
-from atlasreg.phantom import analytic_class_volumes
+from atlasreg.phantom import DEFAULT_INTENSITIES
 from atlasreg.transforms import dense_displacement
 from atlasreg.volume import Volume
+
+
+def analytic_class_volumes(spec: PhantomSpec) -> dict[int, float]:
+    """Expected class volumes in mm^3 from sphere/shell/lens formulas."""
+    r_in = spec.lv_radius
+    r_out = spec.lv_radius + spec.myo_thickness
+    r_rv = spec.rv_radius
+    d = float(np.linalg.norm(spec.rv_offset))
+
+    def sphere(r):
+        return 4.0 / 3.0 * np.pi * r ** 3
+
+    def lens(r1, r2, dist):
+        # intersection volume of two spheres
+        if dist >= r1 + r2:
+            return 0.0
+        if dist <= abs(r1 - r2):
+            return sphere(min(r1, r2))
+        return (np.pi * (r1 + r2 - dist) ** 2
+                * (dist ** 2 + 2 * dist * (r1 + r2) - 3 * (r1 - r2) ** 2)
+                / (12 * dist))
+
+    # RV keeps only the part of its sphere outside the outer myo surface
+    return {
+        1: sphere(r_in),
+        2: sphere(r_out) - sphere(r_in),
+        3: sphere(r_rv) - lens(r_rv, r_out, d),
+    }
 
 
 def test_noiseless_phantom_is_piecewise_constant():
     spec = PhantomSpec(noise_sigma=0.0, seed=1)
     vol, lbl = generate_phantom(spec)
-    table = spec.intensities[spec.modality]
+    table = DEFAULT_INTENSITIES[spec.modality]
     for cls, value in table.items():
         region = vol.data[lbl.data == cls]
         if region.size:
@@ -50,10 +78,8 @@ def test_margin_validation_rejects_oversized_structures():
 
 
 def test_modalities_are_not_affinely_related():
-    spec_a = PhantomSpec(noise_sigma=0.0, modality="lge")
-    spec_b = PhantomSpec(noise_sigma=0.0, modality="bssfp")
-    ta = [spec_a.intensities["lge"][c] for c in range(4)]
-    tb = [spec_b.intensities["bssfp"][c] for c in range(4)]
+    ta = [DEFAULT_INTENSITIES["lge"][c] for c in range(4)]
+    tb = [DEFAULT_INTENSITIES["bssfp"][c] for c in range(4)]
     order_a = np.argsort(ta)
     order_b = np.argsort(tb)
     assert not np.array_equal(order_a, order_b)  # no monotone map exists
@@ -62,6 +88,13 @@ def test_modalities_are_not_affinely_related():
 def test_unknown_modality_rejected():
     with pytest.raises(InvalidInputError):
         PhantomSpec(modality="ct")
+
+
+@pytest.mark.parametrize("field", ["noise_sigma", "texture_amplitude"])
+@pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
+def test_negative_or_non_finite_noise_rejected(field, value):
+    with pytest.raises(InvalidInputError, match=field):
+        PhantomSpec(**{field: value})
 
 
 # --- random deformation ---------------------------------------------------

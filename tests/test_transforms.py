@@ -1,10 +1,14 @@
+import struct
+
 import numpy as np
 import pytest
 
 from atlasreg import (
     AffineTransform,
+    AtlasRegError,
     BSplineTransform,
     GeometryMismatchError,
+    InvalidInputError,
     InvalidTransformError,
     LabelVolume,
     Volume,
@@ -154,7 +158,8 @@ def test_affine_inverse_round_trip():
     m[:3, 3] = rng.normal(size=3)
     a = AffineTransform(m)
     pts = rng.normal(size=(20, 3))
-    np.testing.assert_allclose(a.inverse().apply(a.apply(pts)), pts, atol=1e-9)
+    inverse = AffineTransform(np.linalg.inv(a.matrix))
+    np.testing.assert_allclose(inverse.apply(a.apply(pts)), pts, atol=1e-9)
 
 
 # --- warping -------------------------------------------------------------
@@ -184,7 +189,7 @@ def test_warp_then_inverse_recovers_smooth_phantom():
     m[:3, 3] = (0.4, -0.3, 0.2)
     a = AffineTransform(m)
     fwd = warp_volume(vol, vol, a)
-    back = warp_volume(fwd, vol, a.inverse())
+    back = warp_volume(fwd, vol, AffineTransform(np.linalg.inv(a.matrix)))
     interior = np.s_[3:-3, 3:-3, 3:-3]
     assert np.abs(back.data[interior] - vol.data[interior]).max() < 1e-3
 
@@ -299,3 +304,46 @@ def test_transform_container_round_trip(tmp_path):
     a3, f3, b3 = load_transform(path)
     assert f3 is None and b3 is None
     np.testing.assert_array_equal(a3.matrix, affine.matrix)
+
+
+def _two_ffd_container(path):
+    """A saved affine plus forward and backward FFDs on an 8^3 grid."""
+    rng = np.random.default_rng(17)
+    vol = _zeros_volume()
+    fwd = BSplineTransform.zeros(vol, 4.0)
+    fwd = fwd.with_coefficients(rng.normal(size=fwd.coefficients.shape))
+    bwd = fwd.with_coefficients(rng.normal(size=fwd.coefficients.shape))
+    save_transform(path, AffineTransform.from_linear(np.eye(3), (1.0, 2.0, 3.0)), fwd, bwd)
+    return path.read_bytes()
+
+
+def test_truncated_or_padded_container_raises_package_errors(tmp_path):
+    path = tmp_path / "t.tfm"
+    buf = _two_ffd_container(path)
+    for n in range(len(buf)):
+        path.write_bytes(buf[:n])
+        with pytest.raises(AtlasRegError):
+            load_transform(path)
+    path.write_bytes(buf + b"\0")
+    with pytest.raises(InvalidInputError, match="after the last transform"):
+        load_transform(path)
+    # grid dims of 4e9 in the forward FFD header: the coefficients cannot fit
+    path.write_bytes(buf[:144] + struct.pack("<3I", 4_000_000_000, 4_000_000_000, 5)
+                     + buf[156:])
+    with pytest.raises(InvalidInputError, match="inside FFD coefficients"):
+        load_transform(path)
+
+
+@pytest.mark.parametrize("offset, value", [
+    (16 + 8 * 5, np.nan),     # linear part, m[1, 1]
+    (16 + 8 * 3, np.inf),     # translation, m[0, 3]
+    (-8, np.nan),             # last coefficient of the backward FFD
+])
+def test_non_finite_transform_is_rejected(tmp_path, offset, value):
+    path = tmp_path / "t.tfm"
+    buf = bytearray(_two_ffd_container(path))
+    start = offset % len(buf)
+    buf[start:start + 8] = struct.pack("<d", value)
+    path.write_bytes(bytes(buf))
+    with pytest.raises(InvalidTransformError, match="NaN or Inf"):
+        load_transform(path)
