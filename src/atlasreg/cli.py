@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -81,11 +82,11 @@ def _parse_remap(text):
 
 
 def _at_least_one(cast):
-    """argparse type: `cast` of the text, rejected below 1."""
+    """argparse type: `cast` of the text, rejected below 1 or when not finite."""
     def parse(text):
         value = cast(text)
-        if not value >= 1:
-            raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+        if not (math.isfinite(value) and value >= 1):
+            raise argparse.ArgumentTypeError(f"must be a finite number >= 1, got {text}")
         return value
 
     parse.__name__ = cast.__name__  # argparse names it in "invalid int value"

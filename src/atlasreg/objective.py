@@ -24,10 +24,22 @@ stencil on the floating grid. A violation raises GeometryMismatchError.
 All gradients with respect to B-spline coefficients are analytic. The
 composition gradient treats the inner field of each round trip as fixed, so
 each of the two composition terms drives only its outer transform.
+
+An objective evaluation is a forward pass and a finishing step. The forward
+pass (`objective`) computes the value and keeps only what the gradient
+reads: both maps' stencils, both round-trip residuals m (the only readers of
+the displacement fields, which are then dropped) and, per similarity, the
+voxel mask, the joint counts and the bin positions of the reference and
+floating samples with the floating scale and unclamped mask. The finishing
+step (`objective_gradient`) turns that state into the gradients: it runs
+the round-trip scatters first and frees the residuals, then the two
+similarity gradients, whose footprint weights and cells it recomputes from
+the bin positions bit for bit. A line search thus pays for the gradient
+only at the probes it accepts, without evaluating them twice.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -118,13 +130,13 @@ def _footprint_weights(q, with_d1=False):
 _FOOTPRINT = tuple((dr, df, dr * BINS + df) for dr in range(4) for df in range(4))
 
 
-def _joint_counts(rv: np.ndarray, fv: np.ndarray, ranges, with_gradient=False):
+def _joint_counts(rv: np.ndarray, fv: np.ndarray, ranges):
     """Parzen joint histogram (BINS, BINS) of paired ref/float samples.
 
     `ranges` fixes the (ref, float) intensity ranges; None takes the robust
-    percentile ranges of the samples. Also returns the per-pair terms the
-    gradient reuses: (first footprint cell, ref weights, float kernel
-    derivative weights | None, float scale, float unclamped mask).
+    percentile ranges of the samples. Also returns the per-pair bin
+    positions the gradient reads: (ref positions, float positions, float
+    scale, float unclamped mask).
     """
     if rv.size == 0:
         raise DegenerateInputError("no contributing voxels (empty mask or no overlap)")
@@ -133,13 +145,13 @@ def _joint_counts(rv: np.ndarray, fv: np.ndarray, ranges, with_gradient=False):
     q_r, _, _ = _bin_positions(rv, ranges[0])
     q_f, scale_f, interior_f = _bin_positions(fv, ranges[1])
     w_r, _, f_r = _footprint_weights(q_r)
-    w_f, dw_f, f_f = _footprint_weights(q_f, with_d1=with_gradient)
+    w_f, _, f_f = _footprint_weights(q_f)
     cell0 = (f_r - 1) * BINS + f_f - 1
     counts = np.zeros(BINS * BINS)
     for dr, df, off in _FOOTPRINT:
         counts += np.bincount(cell0 + off, weights=w_r[dr] * w_f[df],
                               minlength=BINS * BINS)
-    return counts.reshape(BINS, BINS), (cell0, w_r, dw_f, scale_f, interior_f)
+    return counts.reshape(BINS, BINS), (q_r, q_f, scale_f, interior_f)
 
 
 def build_joint_histogram(ref: Volume, warped: Volume, mask=None,
@@ -238,49 +250,67 @@ def sample_map(ffd: BSplineTransform, onto: Grid) -> SampledMap:
 # Similarity through a B-spline transform
 # ---------------------------------------------------------------------------
 
-def _floating_samples(stencil: TrilinearStencil, flt: Volume, ref_mask, flt_valid,
-                      with_gradient: bool):
-    """flt sampled through `stencil`, one point per ref voxel: (values,
-    d value / d voxel coordinate | None, mask of the points that enter the
-    histogram). Kept apart from `_similarity_field` so that a caller can
-    release a stencil of its own before the histogram allocates."""
-    if with_gradient:
-        vals, grad_vox = stencil.gather(flt.data, 0.0, want_gradient=True)
-    else:
-        vals, grad_vox = stencil.gather(flt.data, 0.0), None
-
+def _floating_samples(stencil: TrilinearStencil, flt: Volume, ref_mask, flt_valid):
+    """flt sampled through `stencil`, one point per ref voxel: (values, mask
+    of the points that enter the histogram). Kept apart from
+    `_histogram_nmi` so that a caller can release a stencil of its own
+    before the histogram allocates."""
+    vals = stencil.gather(flt.data, 0.0)
     mask = stencil.inside
     if ref_mask is not None:
         mask = mask & np.asarray(ref_mask, dtype=bool).reshape(-1)
     if flt_valid is not None:
         mask = mask & (stencil.gather(flt_valid, 0.0) >= 0.999)
-    return vals, grad_vox, mask
+    return vals, mask
 
 
-def _similarity_field(ref: Volume, flt: Volume, samples, ranges):
-    """NMI between ref and the `_floating_samples` of flt: (nmi, mask of the
-    voxels in the histogram, dNMI/d(point) on the mask when the samples
-    carry a gradient, else None)."""
-    vals, grad_vox, mask = samples
-    with_gradient = grad_vox is not None
-    counts, (cell0, w_r, dw_f, scale_f, interior_f) = _joint_counts(
-        ref.data.reshape(-1).astype(np.float64)[mask], vals[mask], ranges,
-        with_gradient)
-    if not with_gradient:
-        return nmi(counts), mask, None
+def _histogram_nmi(ref: Volume, samples, ranges):
+    """NMI between ref and the `_floating_samples` of flt: (nmi, joint
+    counts, the `_joint_counts` bin positions)."""
+    vals, mask = samples
+    counts, positions = _joint_counts(
+        ref.data.reshape(-1).astype(np.float64)[mask], vals[mask], ranges)
+    return nmi(counts), counts, positions
 
-    s, ds_dc = _nmi_and_count_gradient(counts)
-    ds_flat = ds_dc.reshape(-1)
+
+@dataclass(frozen=True, eq=False)
+class SimilarityForward:
+    """What the gradient of one similarity reads of its value pass: the
+    map's FFD and the stencil flt was sampled through, the floating image,
+    the histogram mask, the joint counts and the `_joint_counts` bin
+    positions."""
+
+    ffd: BSplineTransform
+    stencil: TrilinearStencil
+    flt: Volume
+    mask: np.ndarray
+    counts: np.ndarray
+    positions: tuple
+
+
+def _similarity_gradient(fw: SimilarityForward) -> np.ndarray:
+    """d NMI / d coefficients of the FFD, finished from its value pass. The
+    footprint weights and cells are recomputed from the bin positions, bit
+    for bit those of the deposit."""
+    q_r, q_f, scale_f, interior_f = fw.positions
+    ds_flat = _nmi_and_count_gradient(fw.counts)[1].reshape(-1)
+    w_r, _, f_r = _footprint_weights(q_r)
+    dw_f, f_f = _footprint_weights(q_f, with_d1=True)[1:]
+    cell0 = (f_r - 1) * BINS + f_f - 1
 
     lam = np.zeros(cell0.shape)
     for dr, df, off in _FOOTPRINT:
         lam += ds_flat.take(cell0 + off) * w_r[dr] * dw_f[df]
     # clamped samples sit on the flat part of the intensity mapping
     lam = np.where(interior_f, lam * scale_f, 0.0)
+    del w_r, dw_f, cell0  # the (4, N) weights go before the gradient gather allocates
 
     # d(sample)/d(world point): direction @ (voxel gradient / spacing)
-    gw = (grad_vox[mask] / np.asarray(flt.spacing)) @ flt.direction.T
-    return s, mask, lam[:, None] * gw
+    grad_vox = fw.stencil.gather(fw.flt.data, 0.0, want_gradient=True)[1]
+    gw = (grad_vox[fw.mask] / np.asarray(fw.flt.spacing)) @ fw.flt.direction.T
+    voxel_field = np.zeros((fw.mask.size, 3))
+    voxel_field[fw.mask] = lam[:, None] * gw
+    return splat_to_coefficients(fw.ffd, voxel_field.reshape(fw.ffd.reference.dims + (3,)))
 
 
 def similarity_and_gradient(ref: Volume, flt: Volume, sampled: SampledMap,
@@ -293,17 +323,18 @@ def similarity_and_gradient(ref: Volume, flt: Volume, sampled: SampledMap,
     grid: `sample_map(ffd, flt.grid)`. `ref_mask` excludes reference voxels;
     `flt_valid` marks usable voxels of the floating image (pairs whose
     warped sample touches invalid voxels are skipped).
-    Returns (nmi, gradient | None).
+    Returns (nmi, gradient), or without the gradient (nmi, the
+    SimilarityForward its gradient is finished from).
     """
     require_same_geometry(sampled.ffd.reference, ref.grid, "FFD reference and ref")
     require_same_geometry(sampled.onto, flt.grid, "sampled grid and flt")
-    samples = _floating_samples(sampled.stencil, flt, ref_mask, flt_valid, with_gradient)
-    s, mask, fld = _similarity_field(ref, flt, samples, ranges)
-    if fld is None:
-        return s, None
-    voxel_field = np.zeros((ref.data.size, 3))
-    voxel_field[mask] = fld
-    return s, splat_to_coefficients(sampled.ffd, voxel_field.reshape(ref.dims + (3,)))
+    samples = _floating_samples(sampled.stencil, flt, ref_mask, flt_valid)
+    s, counts, positions = _histogram_nmi(ref, samples, ranges)
+    forward = SimilarityForward(sampled.ffd, sampled.stencil, flt, samples[1], counts,
+                                positions)
+    if not with_gradient:
+        return s, forward
+    return s, _similarity_gradient(forward)
 
 
 # ---------------------------------------------------------------------------
@@ -355,29 +386,33 @@ def bending_energy_gradient(t: BSplineTransform):
 # Inverse-consistency penalty
 # ---------------------------------------------------------------------------
 
-def _inconsistency(fwd: SampledMap, bwd: SampledMap, with_gradient):
+def _roundtrip_residuals(fwd: SampledMap, bwd: SampledMap):
+    """(penalty, round trips): each trip is (outer FFD, inner stencil,
+    residual), fwd outer first. The residual m(x) = u_inner(x) +
+    u_outer(x + u_inner(x)) is C-contiguous (N, 3); the outer field is
+    sampled edge-clamped through the inner map's stencil."""
     require_same_geometry(fwd.ffd.reference, bwd.ffd.reference,
                           "fwd and bwd references")
     n_vox = float(np.prod(fwd.ffd.reference.dims))
-
     value = 0.0
-    grads = []
+    trips = []
     for outer, inner in ((fwd, bwd), (bwd, fwd)):
         # the inner map's points are where the outer field is read
         require_same_geometry(inner.onto, outer.ffd.reference,
                               "sampled grid and outer reference")
-        # residual m(x) = u_inner(x) + u_outer(x + u_inner(x)), C-contiguous
-        # (N, 3); the outer field is sampled edge-clamped
         m = np.empty((inner.stencil.base.size, 3))
         for d in range(3):
             m[:, d] = inner.u[d].reshape(-1) + inner.stencil.gather(outer.u[d])
         value += float((m ** 2).sum()) / n_vox
-        if with_gradient:
-            adj = inner.stencil.scatter((2.0 / n_vox) * m)
-            grads.append(splat_to_coefficients(outer.ffd, adj))
-    if with_gradient:
-        return value, grads[0], grads[1]
-    return value, None, None
+        trips.append((outer.ffd, inner.stencil, m))
+    return value, trips
+
+
+def _roundtrip_gradient(outer: BSplineTransform, stencil: TrilinearStencil,
+                        m: np.ndarray) -> np.ndarray:
+    """d(mean |m|^2) / d outer coefficients, the inner field held fixed."""
+    n_vox = float(np.prod(outer.reference.dims))
+    return splat_to_coefficients(outer, stencil.scatter((2.0 / n_vox) * m))
 
 
 def inconsistency_penalty(fwd: SampledMap, bwd: SampledMap) -> float:
@@ -386,7 +421,7 @@ def inconsistency_penalty(fwd: SampledMap, bwd: SampledMap) -> float:
     Both lattices must lie on one grid, each map sampled onto it:
     `inconsistency_penalty(sample_map(fwd, grid), sample_map(bwd, grid))`.
     """
-    return _inconsistency(fwd, bwd, with_gradient=False)[0]
+    return _roundtrip_residuals(fwd, bwd)[0]
 
 
 def inconsistency_gradient(fwd: SampledMap, bwd: SampledMap):
@@ -396,12 +431,28 @@ def inconsistency_gradient(fwd: SampledMap, bwd: SampledMap):
     held fixed (alternating scheme), so each returned gradient is the exact
     derivative of its own term.
     """
-    return _inconsistency(fwd, bwd, with_gradient=True)
+    value, trips = _roundtrip_residuals(fwd, bwd)
+    return (value, *(_roundtrip_gradient(*trip) for trip in trips))
 
 
 # ---------------------------------------------------------------------------
 # Full objective
 # ---------------------------------------------------------------------------
+
+@dataclass(eq=False)
+class ObjectiveForward:
+    """What a value-only `objective` call keeps for `objective_gradient`:
+    the transforms, the weights, the SimilarityForward of each map and,
+    when beta > 0, the two round trips of `_roundtrip_residuals`. The
+    displacement fields are not kept. `objective_gradient` empties the
+    lists as it goes."""
+
+    fwd: BSplineTransform
+    bwd: BSplineTransform
+    weights: ObjectiveWeights
+    similarities: list
+    roundtrips: list
+
 
 @dataclass(frozen=True)
 class ObjectiveResult:
@@ -413,6 +464,8 @@ class ObjectiveResult:
     inconsistency: float
     grad_fwd: np.ndarray | None
     grad_bwd: np.ndarray | None
+    # set by a value-only call; None when the gradients were asked for
+    forward: ObjectiveForward | None = field(default=None, repr=False, compare=False)
 
 
 def objective(ref: Volume, flt: Volume, fwd: BSplineTransform,
@@ -430,35 +483,56 @@ def objective(ref: Volume, flt: Volume, fwd: BSplineTransform,
     once and shared by its similarity and the inconsistency penalty.
     `flt_mask` marks the usable voxels of flt (the in-bounds part of an
     affinely resampled floating image).
+
+    This is the forward pass; a value-only call returns its state as
+    `forward`, which `objective_gradient` finishes into the gradients. With
+    the gradient, the same finishing step runs before the call returns.
     """
-    ws = weights.similarity
     map_f = sample_map(fwd, flt.grid)
     map_b = sample_map(bwd, ref.grid)
-    s_f, g_sf = similarity_and_gradient(
-        ref, flt, map_f, ranges=ranges_fwd, flt_valid=flt_mask,
-        with_gradient=with_gradient)
-    s_b, g_sb = similarity_and_gradient(
-        flt, ref, map_b, ranges=ranges_bwd, ref_mask=flt_mask,
-        with_gradient=with_gradient)
+    s_f, sim_f = similarity_and_gradient(
+        ref, flt, map_f, ranges=ranges_fwd, flt_valid=flt_mask, with_gradient=False)
+    s_b, sim_b = similarity_and_gradient(
+        flt, ref, map_b, ranges=ranges_bwd, ref_mask=flt_mask, with_gradient=False)
 
     e_f = e_b = c = 0.0
-    g_ef = g_eb = g_cf = g_cb = 0.0
+    trips = []
     if weights.alpha != 0:
-        if with_gradient:
-            e_f, g_ef = bending_energy_gradient(fwd)
-            e_b, g_eb = bending_energy_gradient(bwd)
-        else:
-            e_f, e_b = bending_energy(fwd), bending_energy(bwd)
+        e_f, e_b = bending_energy(fwd), bending_energy(bwd)
     if weights.beta != 0:
-        if with_gradient:
-            c, g_cf, g_cb = inconsistency_gradient(map_f, map_b)
-        else:
-            c = inconsistency_penalty(map_f, map_b)
+        c, trips = _roundtrip_residuals(map_f, map_b)
+    del map_f, map_b  # the displacements: only the residuals read them
 
+    ws = weights.similarity
     value = ws * (s_f + s_b) - weights.alpha * (e_f + e_b) - weights.beta * c
+    forward = ObjectiveForward(fwd, bwd, weights, [sim_f, sim_b], trips)
+    del sim_f, sim_b, trips  # so that the finishing step frees each part it is done with
     if not with_gradient:
-        return ObjectiveResult(value, s_f, s_b, e_f, e_b, c, None, None)
+        return ObjectiveResult(value, s_f, s_b, e_f, e_b, c, None, None, forward)
+    return ObjectiveResult(value, s_f, s_b, e_f, e_b, c, *objective_gradient(forward))
 
-    grad_fwd = ws * g_sf - weights.alpha * g_ef - weights.beta * g_cf
-    grad_bwd = ws * g_sb - weights.alpha * g_eb - weights.beta * g_cb
-    return ObjectiveResult(value, s_f, s_b, e_f, e_b, c, grad_fwd, grad_bwd)
+
+def objective_gradient(forward: ObjectiveForward):
+    """(grad_fwd, grad_bwd) of the objective, finished from the `forward`
+    state of a value-only `objective` call.
+
+    The round-trip scatters run first, each residual dropped after its own;
+    then the similarity gradients, each similarity's state dropped after its
+    own. The state is consumed: a second call raises InvalidInputError.
+    """
+    if not forward.similarities:
+        raise InvalidInputError("this objective evaluation's gradient was already finished")
+    weights = forward.weights
+    g_ef = g_eb = g_cf = g_cb = 0.0
+    if forward.roundtrips:
+        g_cf = _roundtrip_gradient(*forward.roundtrips.pop(0))
+        g_cb = _roundtrip_gradient(*forward.roundtrips.pop(0))
+    g_sf = _similarity_gradient(forward.similarities.pop(0))
+    g_sb = _similarity_gradient(forward.similarities.pop(0))
+    if weights.alpha != 0:
+        g_ef = bending_energy_gradient(forward.fwd)[1]
+        g_eb = bending_energy_gradient(forward.bwd)[1]
+
+    ws = weights.similarity
+    return (ws * g_sf - weights.alpha * g_ef - weights.beta * g_cf,
+            ws * g_sb - weights.alpha * g_eb - weights.beta * g_cb)

@@ -18,8 +18,9 @@ from .errors import DegenerateInputError, InvalidInputError, NumericalFailureErr
 from .objective import (
     ObjectiveWeights,
     _floating_samples,
-    _similarity_field,
+    _histogram_nmi,
     objective,
+    objective_gradient,
     robust_range,
 )
 from .transforms import (
@@ -47,8 +48,8 @@ class RegistrationConfig:
     def __post_init__(self):
         if self.levels < 1 or self.max_iter_per_level < 1:
             raise InvalidInputError("levels and max_iter_per_level must be >= 1")
-        if self.final_grid_spacing < 1:
-            raise InvalidInputError("final_grid_spacing must be >= 1 voxel")
+        if not (math.isfinite(self.final_grid_spacing) and self.final_grid_spacing >= 1):
+            raise InvalidInputError("final_grid_spacing must be a finite number >= 1 voxel")
 
 
 def default_config(kind: str) -> RegistrationConfig:
@@ -119,10 +120,20 @@ def usable_levels(dims, requested: int, min_dim: int = 4) -> int:
 # Gradient ascent
 # ---------------------------------------------------------------------------
 
-def _ascend(value, gradient, x, direction, step, max_iter, gain_tol):
-    """Maximize `value` from `x` by gradient ascent with a halving line search.
+def _ascend(evaluate, x, direction, step, max_iter, gain_tol):
+    """Maximize an objective from `x` by gradient ascent with a halving line
+    search.
 
-    `direction(gradient(x))` is the search direction, None at a zero gradient.
+    `evaluate(x)` returns (value, finish): `finish()` returns the gradient
+    at x, completed from whatever state the evaluation kept. It is called
+    once at the start point and once per accepted probe that a further
+    iteration starts from, never for a rejected probe, so an evaluation
+    pays for its gradient only when the ascent moves there. At most one
+    evaluation's state is held: the current point's until it is finished,
+    then the probe under test's; a rejected probe's is dropped before the
+    next probe is evaluated.
+
+    `direction(gradient)` is the search direction, None at a zero gradient.
     A probe is accepted when the value rises; one whose evaluation raises
     DegenerateInputError (lost overlap) is rejected. The step halves on each
     rejection and doubles, up to its start value, after an acceptance. It
@@ -139,10 +150,11 @@ def _ascend(value, gradient, x, direction, step, max_iter, gain_tol):
         return v
 
     step_max = step
-    val = finite(value(x), 0)
-    trace = [val]
+    val, finish = evaluate(x)
+    trace = [finite(val, 0)]
     for it in range(max_iter):
-        d = direction(gradient(x))
+        d = direction(finish())
+        finish = None  # the point's state was kept for its gradient only
         if d is None:
             return x, trace, True
         while True:
@@ -150,11 +162,13 @@ def _ascend(value, gradient, x, direction, step, max_iter, gain_tol):
                 return x, trace, True
             cand = x + step * d
             try:
-                cval = finite(value(cand), it)
+                cval, finish = evaluate(cand)
+                finite(cval, it)
             except DegenerateInputError:
-                cval = -math.inf
+                cval, finish = -math.inf, None
             if cval > val:
                 break
+            finish = None  # drop a rejected probe's state before the next probe
             step /= 2
         x, val = cand, cval
         trace.append(val)
@@ -233,19 +247,21 @@ def register_affine(ref: Volume, flt: Volume, *, max_iter=(40, 25, 12)) -> Affin
             m = matrix_of(qv)
             stencil = TrilinearStencil(
                 flt_l.dims, flt_l.voxel_from_world(ref_world @ m[:3, :3].T + m[:3, 3]))
-            samples = _floating_samples(stencil, flt_l, None, None, with_gradient=False)
+            samples = _floating_samples(stencil, flt_l, None, None)
             del stencil  # its memory then serves the histogram: fewer page faults
-            return _similarity_field(ref_l, flt_l, samples, ranges)[0]
+            return _histogram_nmi(ref_l, samples, ranges)[0]
 
-        def gradient(qv):
-            return np.array([(score(qv + e) - score(qv - e)) / (2 * AFFINE_FD_STEP)
-                             for e in AFFINE_FD_STEP * np.eye(12)])
+        def evaluate(qv):
+            def central_differences():
+                return np.array([(score(qv + e) - score(qv - e)) / (2 * AFFINE_FD_STEP)
+                                 for e in AFFINE_FD_STEP * np.eye(12)])
+            return score(qv), central_differences
 
         def direction(grad):
             gmax = np.abs(grad).max()
             return None if gmax == 0 else grad / gmax
 
-        q, _, _ = _ascend(score, gradient, q, direction, max(extent / 32.0, 1.0),
+        q, _, _ = _ascend(evaluate, q, direction, max(extent / 32.0, 1.0),
                           iters, AFFINE_GAIN_FLOOR)
 
     mat = matrix_of(q)
@@ -277,8 +293,10 @@ def register_ffd(ref: Volume, flt: Volume, affine: AffineTransform | None,
     level; forward and backward lattices live on the (level) reference grid
     and are optimized jointly by gradient ascent with a halving line search
     (initial step 0.4 x control spacing per level), run by `_ascend` on the
-    stacked (fwd, bwd) coefficients. A level stops early when the relative
-    objective gain drops below FFD_GAIN_FLOOR or no step of at least
+    stacked (fwd, bwd) coefficients. Every probe is a value-only `objective`
+    call; the gradient at an accepted probe is finished from that call's
+    forward state by `objective_gradient`. A level stops early when the
+    relative objective gain drops below FFD_GAIN_FLOOR or no step of at least
     STEP_FLOOR_MM raises the objective. A non-finite objective raises
     NumericalFailureError carrying the level and iteration.
     """
@@ -314,19 +332,15 @@ def register_ffd(ref: Volume, flt: Volume, affine: AffineTransform | None,
         def pair(x):
             return fwd.with_coefficients(x[0]), bwd.with_coefficients(x[1])
 
-        def value(x):
-            return objective(ref_k, f_al, *pair(x), cfg.weights,
-                             with_gradient=False, **kwargs).value
-
-        def gradient(x):
+        def evaluate(x):
             res = objective(ref_k, f_al, *pair(x), cfg.weights,
-                            with_gradient=True, **kwargs)
-            return np.stack([res.grad_fwd, res.grad_bwd])
+                            with_gradient=False, **kwargs)
+            return res.value, lambda: np.stack(objective_gradient(res.forward))
 
         step = 0.4 * cfg.final_grid_spacing * float(np.mean(ref_k.spacing))
         try:
             x, trace, done = _ascend(
-                value, gradient, np.stack([fwd.coefficients, bwd.coefficients]),
+                evaluate, np.stack([fwd.coefficients, bwd.coefficients]),
                 _soft_direction, step, cfg.max_iter_per_level, FFD_GAIN_FLOOR)
         except NumericalFailureError as exc:
             raise NumericalFailureError("objective is not finite", level=k,

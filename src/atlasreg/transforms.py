@@ -10,6 +10,7 @@ world(x) + u(x). Zero coefficients therefore give the identity.
 """
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -147,8 +148,8 @@ class BSplineTransform:
         gs = tuple(float(s) for s in self.grid_spacing)
         if not isinstance(self.reference, Grid):
             raise InvalidInputError("reference must be a Grid")
-        if any(not (s > 0) for s in gs):
-            raise InvalidInputError(f"grid spacings must be positive, got {gs}")
+        if not all(math.isfinite(s) and s > 0 for s in gs):
+            raise InvalidInputError(f"grid spacings must be finite and positive, got {gs}")
         rd = self.reference.dims
         expected = tuple(grid_dim_for(rd[a], gs[a]) for a in range(3))
         if gd != expected:
@@ -325,7 +326,8 @@ def subdivide(t: BSplineTransform, fine_reference) -> BSplineTransform:
 # Layout (little-endian):
 #   magic           8 bytes  b"ATLXFRM1"
 #   version         uint32   (1)
-#   flags           uint32   bit0 = forward FFD present, bit1 = backward FFD present
+#   flags           uint32   bit0 = forward FFD present, bit1 = backward FFD present;
+#                            the other bits are 0 (a file setting one is rejected)
 #   affine          16 float64, row-major 4x4
 #   per present FFD (forward first), a header then the coefficients:
 #     grid_dims           3 uint32
@@ -392,6 +394,8 @@ def load_transform(path):
     version, flags = struct.unpack_from("<II", buf, 8)
     if version != 1:
         raise InvalidInputError(f"{path}: unsupported container version {version}")
+    if flags & ~3:
+        raise InvalidInputError(f"{path}: unknown flag bits {flags & ~3:#x} (flags {flags})")
     mat = np.frombuffer(buf, dtype="<f8", count=16, offset=16).reshape(4, 4)
     affine = AffineTransform(mat)
     off = 16 + 128

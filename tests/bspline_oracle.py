@@ -5,8 +5,10 @@ import numpy as np
 
 from atlasreg.objective import (
     ObjectiveResult,
+    SimilarityForward,
     _floating_samples,
-    _similarity_field,
+    _histogram_nmi,
+    _similarity_gradient,
     bending_energy_gradient,
 )
 from atlasreg.transforms import (
@@ -100,13 +102,12 @@ def _roundtrip_residual(outer: BSplineTransform, inner: BSplineTransform):
 def _similarity(ref, flt, ffd, ranges, ref_mask, flt_valid, with_gradient):
     world = ref.grid.world_points() + dense_displacement(ffd).reshape(-1, 3)
     stencil = TrilinearStencil(flt.dims, flt.voxel_from_world(world))
-    samples = _floating_samples(stencil, flt, ref_mask, flt_valid, with_gradient)
-    s, mask, fld = _similarity_field(ref, flt, samples, ranges)
-    if fld is None:
+    samples = _floating_samples(stencil, flt, ref_mask, flt_valid)
+    s, counts, positions = _histogram_nmi(ref, samples, ranges)
+    if not with_gradient:
         return s, None
-    voxel_field = np.zeros((ref.data.size, 3))
-    voxel_field[mask] = fld
-    return s, splat_to_coefficients(ffd, voxel_field.reshape(ref.dims + (3,)))
+    return s, _similarity_gradient(
+        SimilarityForward(ffd, stencil, flt, samples[1], counts, positions))
 
 
 def objective_four_stencils(ref, flt, fwd, bwd, weights, ranges_fwd=None,

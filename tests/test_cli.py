@@ -71,6 +71,16 @@ def test_bad_flags_exit_two(argv, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spacing", ["inf", "nan"])
+def test_register_rejects_a_non_finite_final_spacing(capsys, spacing):
+    with pytest.raises(SystemExit) as exc:
+        main(["register", "--ref", "a.nii", "--float", "b.nii", "--out-transform", "t",
+              "--final-spacing", spacing])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "finite" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("noise", ["-1", "nan"])
 def test_phantom_rejects_negative_or_non_finite_noise(tmp_path, capsys, noise):
     img, lbl = tmp_path / "img.nii", tmp_path / "lbl.nii"

@@ -25,6 +25,7 @@ from atlasreg.objective import (
     bending_energy_gradient,
     inconsistency_gradient,
     objective,
+    objective_gradient,
     robust_range,
     similarity_and_gradient,
     _footprint_weights,
@@ -561,3 +562,24 @@ def test_objective_rejects_lattices_off_their_grids():
         inconsistency_penalty(_sampled(fwd), sample_map(off, ref.grid))
     with pytest.raises(GeometryMismatchError):
         inconsistency_penalty(sample_map(fwd, shifted.grid), _sampled(bwd))
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.001, 0.001), (0.0, 0.02), (0.01, 0.0)])
+def test_finished_value_pass_equals_gradient_call_and_oracle_bit_for_bit(alpha, beta):
+    from bspline_oracle import objective_four_stencils
+
+    ref, flt, fwd, bwd, flt_mask = _anisotropic_pair()
+    w = ObjectiveWeights(alpha, beta)
+    value_only = objective(ref, flt, fwd, bwd, w, flt_mask=flt_mask, with_gradient=False)
+    finished = objective_gradient(value_only.forward)
+    full = objective(ref, flt, fwd, bwd, w, flt_mask=flt_mask)
+    oracle = objective_four_stencils(ref, flt, fwd, bwd, w, flt_mask=flt_mask)
+    assert full.forward is None
+    assert _bits(value_only.value) == _bits(full.value) == _bits(oracle.value)
+    for k, name in enumerate(("grad_fwd", "grad_bwd")):
+        assert np.array_equal(_bits(finished[k]), _bits(getattr(full, name))), name
+        assert np.array_equal(_bits(finished[k]), _bits(getattr(oracle, name))), name
+    # the finishing step consumes what the value pass kept
+    assert value_only.forward.similarities == [] and value_only.forward.roundtrips == []
+    with pytest.raises(InvalidInputError, match="already finished"):
+        objective_gradient(value_only.forward)

@@ -1,3 +1,6 @@
+import importlib
+import weakref
+
 import numpy as np
 import pytest
 
@@ -59,6 +62,12 @@ def test_config_validation():
         default_config("type3")
 
 
+@pytest.mark.parametrize("spacing", [np.inf, np.nan])
+def test_config_rejects_a_non_finite_grid_spacing(spacing):
+    with pytest.raises(InvalidInputError, match="finite"):
+        RegistrationConfig(final_grid_spacing=spacing)
+
+
 # --- pyramid ----------------------------------------------------------------
 
 def test_pyramid_doubles_resolution_between_levels():
@@ -116,8 +125,8 @@ class Quadratic:
 
 
 def _climb(f, x0=(0.0, 0.0), step=1.0, max_iter=100, gain_tol=1e-9):
-    return _ascend(f.value, f.gradient, np.array(x0), f.direction, step,
-                   max_iter, gain_tol)
+    return _ascend(lambda x: (f.value(x), lambda: f.gradient(x)), np.array(x0),
+                   f.direction, step, max_iter, gain_tol)
 
 
 def test_ascend_trace_is_monotone_and_reaches_the_peak():
@@ -158,6 +167,77 @@ def test_ascend_non_finite_value_raises_with_iteration():
     with pytest.raises(NumericalFailureError) as exc:
         _climb(f, step=1.0)
     assert exc.value.iteration == 2  # probes at x0 = 1, 2 accepted, then 3
+
+
+class _State:
+    """Stands for what an evaluation keeps for its gradient."""
+
+
+def test_ascend_finishes_the_start_and_accepted_probes_only_and_drops_rejected_state():
+    f = Quadratic()
+    evaluated, alive_at_evaluation, finished = [], [], []
+
+    def evaluate(x):
+        alive_at_evaluation.append([k for k, (_, ref) in enumerate(evaluated) if ref()])
+        state = _State()
+        state.index = len(evaluated)
+        evaluated.append((x.copy(), weakref.ref(state)))
+        if x[0] > 3.5:  # a probe past the peak that loses overlap
+            raise DegenerateInputError("no overlap")
+        value = f.value(x)
+
+        def finish():
+            finished.append((x.copy(), state.index))
+            return f.gradient(x)
+
+        return value, finish
+
+    x, trace, converged = _ascend(evaluate, np.zeros(2), f.direction, 1.3, 100, 1e-9)
+    values = [f.value(p) if p[0] <= 3.5 else None for p, _ in evaluated]
+    # probes were rejected both for lost overlap and for a value that fell
+    assert converged and None in values
+    assert len([v for v in values if v is not None]) > len(trace)
+    # every earlier evaluation's state is gone before the next is evaluated:
+    # a rejected probe's at once, an accepted one's once it is finished
+    assert alive_at_evaluation == [[]] * len(evaluated)
+    # the start point and each accepted probe an iteration started from are
+    # finished once each, in order; no rejected probe is
+    accepted = [evaluated[0][0]] + [evaluated[values.index(v)][0] for v in trace[1:]]
+    points = [p for p, _ in finished]
+    assert len(finished) in (len(accepted) - 1, len(accepted))
+    assert all(np.array_equal(p, a) for p, a in zip(points, accepted))
+    assert len({k for _, k in finished}) == len(finished)
+
+
+def test_ffd_level_samples_maps_twice_per_value_probe_and_never_in_a_gradient(monkeypatch):
+    objective_module = importlib.import_module("atlasreg.objective")
+    dense, ascend = objective_module.dense_displacement, registration._ascend
+    calls = []  # [kind, dense_displacement calls] per evaluation and per finish
+
+    def counted_dense(t):
+        calls[-1][1] += 1
+        return dense(t)
+
+    def counted_ascend(evaluate, *args):
+        def counted_evaluate(x):
+            calls.append(["value", 0])
+            value, finish = evaluate(x)
+
+            def counted_finish():
+                calls.append(["gradient", 0])
+                return finish()
+
+            return value, counted_finish
+
+        return ascend(counted_evaluate, *args)
+
+    monkeypatch.setattr(objective_module, "dense_displacement", counted_dense)
+    monkeypatch.setattr(registration, "_ascend", counted_ascend)
+    register_ffd(_phantom((16, 16, 16)), _phantom((16, 16, 16), seed=2), None,
+                 RegistrationConfig(levels=1, max_iter_per_level=4))
+    kinds = [kind for kind, _ in calls]
+    assert kinds.count("gradient") >= 1 and kinds.count("value") > kinds.count("gradient")
+    assert all(n == (2 if kind == "value" else 0) for kind, n in calls)
 
 
 def test_ffd_non_finite_objective_names_level_and_iteration(monkeypatch):

@@ -347,3 +347,23 @@ def test_non_finite_transform_is_rejected(tmp_path, offset, value):
     path.write_bytes(bytes(buf))
     with pytest.raises(InvalidTransformError, match="NaN or Inf"):
         load_transform(path)
+
+
+def test_infinite_grid_spacing_is_rejected():
+    grid = _zeros_volume().grid
+    with pytest.raises(InvalidInputError, match="finite"):
+        BSplineTransform((4, 4, 4), (np.inf, np.inf, np.inf), np.zeros((4, 4, 4, 3)), grid)
+
+
+@pytest.mark.parametrize("ffds, flags", [(False, 12), (False, 4), (True, 3 | 1 << 31)])
+def test_unknown_flag_bits_are_rejected(tmp_path, ffds, flags):
+    path = tmp_path / "t.tfm"
+    if ffds:
+        buf = bytearray(_two_ffd_container(path))
+    else:
+        save_transform(path, AffineTransform.from_linear(np.eye(3), (1.0, 2.0, 3.0)))
+        buf = bytearray(path.read_bytes())
+    buf[12:16] = struct.pack("<I", flags)
+    path.write_bytes(bytes(buf))
+    with pytest.raises(InvalidInputError, match="unknown flag bits"):
+        load_transform(path)
