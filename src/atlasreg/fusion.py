@@ -110,8 +110,11 @@ def build_pseudo_labels(target: Volume,
     (t2 image, t2 labels)) of the same patient; both are registered with the
     type-2 preset and fused through the consistency constraint.
     Every registration is one job on a pool of `threads` worker threads
-    (None: the executor's default); a failure names its atlas, and no job
-    starts after it. `registrations_out`, if provided, collects the
+    (None: the executor's default), so `threads` counts registration jobs.
+    All FFD objectives share one more helper thread besides (see
+    `atlasreg.objective`), so the run uses `threads` + 1 threads. Outputs
+    are bit-identical for any thread count. A failure names its atlas, and
+    no job starts after it. `registrations_out`, if provided, collects the
     RegistrationResults in input order (type-1 first) for manifest reporting.
     """
     if not atlases:

@@ -36,9 +36,30 @@ the round-trip scatters first and frees the residuals, then the two
 similarity gradients, whose footprint weights and cells it recomputes from
 the bin positions bit for bit. A line search thus pays for the gradient
 only at the probes it accepts, without evaluating them twice.
+
+Both passes split into a forward and a backward half, which do not meet
+until their values and gradients are summed. The forward pass runs the
+halves twice: the sampling and similarity of each map, then the residual of
+each round trip (the forward half's trip has the forward map outer). The
+finishing step also runs them twice: the scatter of each round trip, then
+the gradient of each similarity. The forward half runs on one helper thread
+that the whole process shares (a forked child starts its own), and the
+backward half on the calling thread.
+Each reduction keeps its serial order, so results are bit for bit those of
+running the halves one after the other. `build_pseudo_labels(threads=n)`
+therefore runs n + 1 threads, and on one core the halves take turns. A call
+returns or raises only once both halves have finished, so no work of a
+rejected line-search probe runs on into the next probe. If both halves
+raise, the forward half's error propagates: the serial order raised it
+first. The per-voxel kernels (the trilinear gather and scatter, the Parzen
+footprint) work in place in a few reused buffers, which keeps the memory
+of two halves at once near that of one.
 """
 from __future__ import annotations
 
+import os
+from concurrent import futures
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,6 +95,57 @@ class ObjectiveWeights:
         return 1.0 - self.alpha - self.beta
 
 
+# ---------------------------------------------------------------------------
+# The forward and backward halves
+# ---------------------------------------------------------------------------
+
+def _start_helper():
+    """Create the one helper thread's executor of this process: every
+    objective evaluation, from whichever thread, runs its forward half there.
+    The thread itself starts with the first evaluation."""
+    global _HELPER
+    _HELPER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="atlasreg-fwd-half")
+
+
+_start_helper()
+if hasattr(os, "register_at_fork"):
+    # a forked child has no copy of the parent's helper thread, and work
+    # submitted to the parent's executor would wait there for ever
+    os.register_at_fork(after_in_child=_start_helper)
+
+
+def _both_halves(fwd_part, bwd_part):
+    """(fwd_part(), bwd_part()), the forward half run on the helper thread
+    while this thread runs the backward half.
+
+    Returns or raises only once both halves have finished, so no work of a
+    call outlives it. If both raise, the forward half's error propagates: the
+    serial order ran that half first.
+    """
+    future = _HELPER.submit(fwd_part)
+    try:
+        bwd = bwd_part()
+    except BaseException:
+        futures.wait((future,))
+        fwd_error = future.exception()
+        if fwd_error is not None:
+            raise fwd_error
+        raise
+    return future.result(), bwd
+
+
+def _finish_both(pair: list, finish):
+    """(finish(pair[0]), finish(pair[1])) as the two halves. Empties `pair`,
+    so that its items go once both are finished."""
+    fwd_item, bwd_item = pair
+    pair.clear()
+    return _both_halves(lambda: finish(fwd_item), lambda: finish(bwd_item))
+
+
+# ---------------------------------------------------------------------------
+# Parzen joint histogram and NMI
+# ---------------------------------------------------------------------------
+
 def robust_range(values: np.ndarray) -> tuple[float, float]:
     """0.1-99.9 percentile intensity range; degenerate ranges are rejected."""
     lo, hi = np.percentile(values, (0.1, 99.9))
@@ -83,51 +155,104 @@ def robust_range(values: np.ndarray) -> tuple[float, float]:
 
 
 def _bin_positions(values, vrange):
-    """Continuous bin coordinates in [1, BINS-3] plus the unclamped mask."""
+    """Continuous bin coordinates in [1, BINS-3], computed in place of the
+    float64 `values`, plus the scale and the unclamped mask."""
     lo, hi = vrange
     if not hi > lo:
         raise DegenerateInputError("empty intensity range")
-    interior = (values >= lo) & (values <= hi)
+    interior = values >= lo
+    interior &= values <= hi
     scale = (BINS - 4) / (hi - lo)
-    q = (np.clip(values, lo, hi) - lo) * scale + _PAD
-    q = np.clip(q, _PAD, BINS - 3.0)
+    q = np.clip(values, lo, hi, out=values)
+    q -= lo
+    q *= scale
+    q += _PAD
+    np.clip(q, _PAD, BINS - 3.0, out=q)
     return q, scale, interior
 
 
-def _footprint_weights(q, with_d1=False):
-    """Cubic B-spline weights (4, N) of the bins floor(q)-1 .. floor(q)+2
-    around each continuous position q, with the kernel's first derivative
-    there (4, N) when with_d1 (else None), and floor(q) as integers.
+def _footprint_row(t, k, d1=False, out=None):
+    """Row k (0-3) of the cubic B-spline footprint at fractional bin offsets
+    t = q - floor(q) in [0, 1), into `out` if given: the kernel's weight at
+    the offset u = t + 1 - k, that of bin floor(q) - 1 + k, or with d1 the
+    kernel's first derivative there.
 
-    Row k evaluates the branch of `bspline_kernel` (and `bspline_kernel_d1`)
-    that covers the offset t + 1 - k, t = q - floor(q) in [0, 1), with the
-    kernel's own operations in their order, so the weights equal the kernel's
-    bit for bit. Rows 0 and 3 lie where the kernel's inner cubic is zero.
+    Evaluates the branch of `bspline_kernel` (and `bspline_kernel_d1`) that
+    covers u, with the kernel's own operations in their order, so the row
+    equals the kernel bit for bit, signed zeros included. With r2 = 2 - |u|
+    and r1 = 1 - |u|: rows 0 and 3 lie where the kernel's inner cubic in r1
+    is zero, rows 1 and 2 where both cubics count.
     """
-    fq = np.floor(q)
-    t = q - fq
-    r1_1 = 1.0 - t                       # |t - 1|, and 1 - |t| of row 1
-    r2_0, r2_1, r2_3 = 2.0 - (t + 1.0), 2.0 - t, 2.0 - (2.0 - t)
-    r2_2, r1_2 = 2.0 - r1_1, 1.0 - r1_1
-    w = np.empty((4, q.size))
-    w[0] = r2_0 * r2_0 * r2_0 / 6.0
-    w[1] = (r2_1 * r2_1 * r2_1 - 4.0 * r1_1 * r1_1 * r1_1) / 6.0
-    w[2] = (r2_2 * r2_2 * r2_2 - 4.0 * r1_2 * r1_2 * r1_2) / 6.0
-    w[3] = r2_3 * r2_3 * r2_3 / 6.0
-    dw = None
-    if with_d1:
+    if k == 0:
+        r2 = np.add(t, 1.0)
+        np.subtract(2.0, r2, out=r2)
+        r1 = None
+    elif k == 1:
+        r2, r1 = 2.0 - t, 1.0 - t
+    elif k == 2:
+        r1 = 1.0 - t
+        r2 = 2.0 - r1
+        np.subtract(1.0, r1, out=r1)
+    else:
+        r2 = 2.0 - t
+        np.subtract(2.0, r2, out=r2)
+        r1 = None
+    row = np.empty_like(t) if out is None else out
+    if d1:
         # sign(u) is +1 on row 0, -1 on rows 2-3; on row 1 it is 0 only at
         # t = 0, where the bracket is exactly 0 as well
-        dw = np.empty((4, q.size))
-        dw[0] = 0.0 - 0.5 * r2_0 * r2_0
-        dw[1] = 2.0 * r1_1 * r1_1 - 0.5 * r2_1 * r2_1
-        dw[2] = -(2.0 * r1_2 * r1_2 - 0.5 * r2_2 * r2_2)
-        dw[3] = -(0.0 - 0.5 * r2_3 * r2_3)
-    return w, dw, fq.astype(np.intp)
+        np.multiply(0.5, r2, out=row)
+        row *= r2
+        if r1 is None:
+            np.subtract(0.0, row, out=row)
+        else:
+            inner = np.multiply(2.0, r1, out=r2)
+            inner *= r1
+            np.subtract(inner, row, out=row)
+        if k >= 2:
+            np.negative(row, out=row)
+        return row
+    np.multiply(r2, r2, out=row)
+    row *= r2
+    if r1 is not None:
+        inner = np.multiply(4.0, r1, out=r2)
+        inner *= r1
+        inner *= r1
+        row -= inner
+    row /= 6.0
+    return row
 
 
-# (ref offset, float offset, flat cell offset) of the 4x4 deposit footprint
-_FOOTPRINT = tuple((dr, df, dr * BINS + df) for dr in range(4) for df in range(4))
+def _bin_offsets(q):
+    """(t = q - floor(q), floor(q) as integers) of continuous bin positions."""
+    t = np.floor(q)
+    f = t.astype(np.intp)
+    return np.subtract(q, t, out=t), f
+
+
+def _footprint(q_r, q_f, d1_f=False):
+    """The 4x4 Parzen footprint of every (ref, float) bin-position pair,
+    cell by cell with the reference offset slowest.
+
+    Yields (flat histogram cell of each pair, reference weight, floating
+    weight, or with d1_f the kernel's derivative there). The cell and
+    reference-weight arrays are buffers, rewritten as the loop goes on: the
+    four floating rows are computed once, the reference rows one at a time.
+    """
+    t, cell = _bin_offsets(q_f)
+    rows_f = [_footprint_row(t, k, d1_f) for k in range(4)]
+    t, f_r = _bin_offsets(q_r)
+    # the footprint's first cell, (floor(q_r) - 1) * BINS + floor(q_f) - 1
+    f_r -= 1
+    f_r *= BINS
+    cell += f_r
+    cell -= 1
+    del f_r
+    idx, w_r = np.empty_like(cell), np.empty_like(t)
+    for dr in range(4):
+        _footprint_row(t, dr, out=w_r)
+        for df in range(4):
+            yield np.add(cell, dr * BINS + df, out=idx), w_r, rows_f[df]
 
 
 def _joint_counts(rv: np.ndarray, fv: np.ndarray, ranges):
@@ -136,20 +261,19 @@ def _joint_counts(rv: np.ndarray, fv: np.ndarray, ranges):
     `ranges` fixes the (ref, float) intensity ranges; None takes the robust
     percentile ranges of the samples. Also returns the per-pair bin
     positions the gradient reads: (ref positions, float positions, float
-    scale, float unclamped mask).
+    scale, float unclamped mask). The positions are computed in place of
+    the float64 samples rv and fv.
     """
     if rv.size == 0:
         raise DegenerateInputError("no contributing voxels (empty mask or no overlap)")
     if ranges is None:
         ranges = (robust_range(rv), robust_range(fv))
-    q_r, _, _ = _bin_positions(rv, ranges[0])
+    q_r = _bin_positions(rv, ranges[0])[0]
     q_f, scale_f, interior_f = _bin_positions(fv, ranges[1])
-    w_r, _, f_r = _footprint_weights(q_r)
-    w_f, _, f_f = _footprint_weights(q_f)
-    cell0 = (f_r - 1) * BINS + f_f - 1
     counts = np.zeros(BINS * BINS)
-    for dr, df, off in _FOOTPRINT:
-        counts += np.bincount(cell0 + off, weights=w_r[dr] * w_f[df],
+    weights = np.empty(q_r.size)
+    for cell, w_r, w_f in _footprint(q_r, q_f):
+        counts += np.bincount(cell, weights=np.multiply(w_r, w_f, out=weights),
                               minlength=BINS * BINS)
     return counts.reshape(BINS, BINS), (q_r, q_f, scale_f, interior_f)
 
@@ -241,9 +365,9 @@ def sample_map(ffd: BSplineTransform, onto: Grid) -> SampledMap:
     reference grid.
     """
     u = np.ascontiguousarray(np.moveaxis(dense_displacement(ffd), -1, 0))
-    world = ffd.reference.world_points() + u.reshape(3, -1).T
-    return SampledMap(ffd, onto, u,
-                      TrilinearStencil(onto.dims, onto.voxel_from_world(world)))
+    # the world points x + u(x) go as soon as their voxel coordinates exist
+    points = onto.voxel_from_world(ffd.reference.world_points() + u.reshape(3, -1).T)
+    return SampledMap(ffd, onto, u, TrilinearStencil(onto.dims, points))
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +393,7 @@ def _histogram_nmi(ref: Volume, samples, ranges):
     counts, the `_joint_counts` bin positions)."""
     vals, mask = samples
     counts, positions = _joint_counts(
-        ref.data.reshape(-1).astype(np.float64)[mask], vals[mask], ranges)
+        ref.data.reshape(-1)[mask].astype(np.float64), vals[mask], ranges)
     return nmi(counts), counts, positions
 
 
@@ -288,29 +412,40 @@ class SimilarityForward:
     positions: tuple
 
 
-def _similarity_gradient(fw: SimilarityForward) -> np.ndarray:
-    """d NMI / d coefficients of the FFD, finished from its value pass. The
-    footprint weights and cells are recomputed from the bin positions, bit
-    for bit those of the deposit."""
-    q_r, q_f, scale_f, interior_f = fw.positions
-    ds_flat = _nmi_and_count_gradient(fw.counts)[1].reshape(-1)
-    w_r, _, f_r = _footprint_weights(q_r)
-    dw_f, f_f = _footprint_weights(q_f, with_d1=True)[1:]
-    cell0 = (f_r - 1) * BINS + f_f - 1
-
-    lam = np.zeros(cell0.shape)
-    for dr, df, off in _FOOTPRINT:
-        lam += ds_flat.take(cell0 + off) * w_r[dr] * dw_f[df]
+def _sample_gradient(counts, positions):
+    """d NMI / d floating sample of every histogram pair, from the joint
+    counts and the `_joint_counts` bin positions. The footprint cells and
+    reference weights are recomputed, bit for bit those of the deposit; of
+    the floating footprint only the kernel derivative is evaluated."""
+    q_r, q_f, scale_f, interior_f = positions
+    ds_flat = _nmi_and_count_gradient(counts)[1].reshape(-1)
+    lam = np.zeros(q_r.size)
+    term = np.empty(q_r.size)
+    for cell, w_r, dw_f in _footprint(q_r, q_f, d1_f=True):
+        # the cells lie in the histogram, so "clip" changes none of them
+        ds_flat.take(cell, out=term, mode="clip")
+        term *= w_r
+        term *= dw_f
+        lam += term
     # clamped samples sit on the flat part of the intensity mapping
-    lam = np.where(interior_f, lam * scale_f, 0.0)
-    del w_r, dw_f, cell0  # the (4, N) weights go before the gradient gather allocates
+    lam *= scale_f
+    lam[~interior_f] = 0.0
+    return lam
 
-    # d(sample)/d(world point): direction @ (voxel gradient / spacing)
-    grad_vox = fw.stencil.gather(fw.flt.data, 0.0, want_gradient=True)[1]
-    gw = (grad_vox[fw.mask] / np.asarray(fw.flt.spacing)) @ fw.flt.direction.T
-    voxel_field = np.zeros((fw.mask.size, 3))
-    voxel_field[fw.mask] = lam[:, None] * gw
-    return splat_to_coefficients(fw.ffd, voxel_field.reshape(fw.ffd.reference.dims + (3,)))
+
+def _similarity_gradient(fw: SimilarityForward) -> np.ndarray:
+    """d NMI / d coefficients of the FFD, finished from its value pass."""
+    lam = _sample_gradient(fw.counts, fw.positions)
+    # d(sample)/d(world point): direction @ (voxel gradient / spacing); the
+    # gradient's (N, 3) buffer then holds the voxel field
+    field = fw.stencil.gather(fw.flt.data, 0.0, want_gradient=True)[1]
+    gw = field[fw.mask]
+    gw /= np.asarray(fw.flt.spacing)
+    gw = gw @ fw.flt.direction.T
+    gw *= lam[:, None]
+    field[~fw.mask] = 0.0
+    field[fw.mask] = gw
+    return splat_to_coefficients(fw.ffd, field.reshape(fw.ffd.reference.dims + (3,)))
 
 
 def similarity_and_gradient(ref: Volume, flt: Volume, sampled: SampledMap,
@@ -386,33 +521,38 @@ def bending_energy_gradient(t: BSplineTransform):
 # Inverse-consistency penalty
 # ---------------------------------------------------------------------------
 
+def _roundtrip(outer: SampledMap, inner: SampledMap):
+    """(mean |m|^2, trip) of the round trip with `outer` as the outer map;
+    the trip is (outer FFD, inner stencil, residual). The residual m(x) =
+    u_inner(x) + u_outer(x + u_inner(x)) is C-contiguous (N, 3); the outer
+    field is sampled edge-clamped through the inner map's stencil."""
+    # the inner map's points are where the outer field is read
+    require_same_geometry(inner.onto, outer.ffd.reference,
+                          "sampled grid and outer reference")
+    m = np.empty((inner.stencil.base.size, 3))
+    for d in range(3):
+        np.add(inner.u[d].reshape(-1), inner.stencil.gather(outer.u[d]), out=m[:, d])
+    n_vox = float(np.prod(outer.ffd.reference.dims))
+    return float((m ** 2).sum()) / n_vox, (outer.ffd, inner.stencil, m)
+
+
 def _roundtrip_residuals(fwd: SampledMap, bwd: SampledMap):
-    """(penalty, round trips): each trip is (outer FFD, inner stencil,
-    residual), fwd outer first. The residual m(x) = u_inner(x) +
-    u_outer(x + u_inner(x)) is C-contiguous (N, 3); the outer field is
-    sampled edge-clamped through the inner map's stencil."""
+    """(penalty, [trip with fwd outer, trip with bwd outer]), see `_roundtrip`;
+    the two trips run as the two halves."""
     require_same_geometry(fwd.ffd.reference, bwd.ffd.reference,
                           "fwd and bwd references")
-    n_vox = float(np.prod(fwd.ffd.reference.dims))
-    value = 0.0
-    trips = []
-    for outer, inner in ((fwd, bwd), (bwd, fwd)):
-        # the inner map's points are where the outer field is read
-        require_same_geometry(inner.onto, outer.ffd.reference,
-                              "sampled grid and outer reference")
-        m = np.empty((inner.stencil.base.size, 3))
-        for d in range(3):
-            m[:, d] = inner.u[d].reshape(-1) + inner.stencil.gather(outer.u[d])
-        value += float((m ** 2).sum()) / n_vox
-        trips.append((outer.ffd, inner.stencil, m))
-    return value, trips
+    (c_f, trip_f), (c_b, trip_b) = _both_halves(lambda: _roundtrip(fwd, bwd),
+                                                lambda: _roundtrip(bwd, fwd))
+    return (0.0 + c_f) + c_b, [trip_f, trip_b]
 
 
 def _roundtrip_gradient(outer: BSplineTransform, stencil: TrilinearStencil,
                         m: np.ndarray) -> np.ndarray:
-    """d(mean |m|^2) / d outer coefficients, the inner field held fixed."""
+    """d(mean |m|^2) / d outer coefficients, the inner field held fixed. The
+    residual m is scaled in place: it is not read again."""
     n_vox = float(np.prod(outer.reference.dims))
-    return splat_to_coefficients(outer, stencil.scatter((2.0 / n_vox) * m))
+    m *= 2.0 / n_vox
+    return splat_to_coefficients(outer, stencil.scatter(m))
 
 
 def inconsistency_penalty(fwd: SampledMap, bwd: SampledMap) -> float:
@@ -432,7 +572,7 @@ def inconsistency_gradient(fwd: SampledMap, bwd: SampledMap):
     derivative of its own term.
     """
     value, trips = _roundtrip_residuals(fwd, bwd)
-    return (value, *(_roundtrip_gradient(*trip) for trip in trips))
+    return (value, *_finish_both(trips, lambda trip: _roundtrip_gradient(*trip)))
 
 
 # ---------------------------------------------------------------------------
@@ -487,13 +627,20 @@ def objective(ref: Volume, flt: Volume, fwd: BSplineTransform,
     This is the forward pass; a value-only call returns its state as
     `forward`, which `objective_gradient` finishes into the gradients. With
     the gradient, the same finishing step runs before the call returns.
+    Each pass runs its forward half on the shared helper thread and its
+    backward half on the calling thread (see the module docstring).
     """
-    map_f = sample_map(fwd, flt.grid)
-    map_b = sample_map(bwd, ref.grid)
-    s_f, sim_f = similarity_and_gradient(
-        ref, flt, map_f, ranges=ranges_fwd, flt_valid=flt_mask, with_gradient=False)
-    s_b, sim_b = similarity_and_gradient(
-        flt, ref, map_b, ranges=ranges_bwd, ref_mask=flt_mask, with_gradient=False)
+    def forward_half():
+        sampled = sample_map(fwd, flt.grid)
+        return sampled, similarity_and_gradient(
+            ref, flt, sampled, ranges=ranges_fwd, flt_valid=flt_mask, with_gradient=False)
+
+    def backward_half():
+        sampled = sample_map(bwd, ref.grid)
+        return sampled, similarity_and_gradient(
+            flt, ref, sampled, ranges=ranges_bwd, ref_mask=flt_mask, with_gradient=False)
+
+    (map_f, (s_f, sim_f)), (map_b, (s_b, sim_b)) = _both_halves(forward_half, backward_half)
 
     e_f = e_b = c = 0.0
     trips = []
@@ -516,19 +663,18 @@ def objective_gradient(forward: ObjectiveForward):
     """(grad_fwd, grad_bwd) of the objective, finished from the `forward`
     state of a value-only `objective` call.
 
-    The round-trip scatters run first, each residual dropped after its own;
-    then the similarity gradients, each similarity's state dropped after its
-    own. The state is consumed: a second call raises InvalidInputError.
+    The two round-trip scatters run first, as the two halves, and their
+    residuals are dropped; then the two similarity gradients, as the two
+    halves, and the similarities' state is dropped. The state is consumed:
+    a second call raises InvalidInputError.
     """
     if not forward.similarities:
         raise InvalidInputError("this objective evaluation's gradient was already finished")
     weights = forward.weights
     g_ef = g_eb = g_cf = g_cb = 0.0
     if forward.roundtrips:
-        g_cf = _roundtrip_gradient(*forward.roundtrips.pop(0))
-        g_cb = _roundtrip_gradient(*forward.roundtrips.pop(0))
-    g_sf = _similarity_gradient(forward.similarities.pop(0))
-    g_sb = _similarity_gradient(forward.similarities.pop(0))
+        g_cf, g_cb = _finish_both(forward.roundtrips, lambda trip: _roundtrip_gradient(*trip))
+    g_sf, g_sb = _finish_both(forward.similarities, _similarity_gradient)
     if weights.alpha != 0:
         g_ef = bending_energy_gradient(forward.fwd)[1]
         g_eb = bending_energy_gradient(forward.bwd)[1]

@@ -79,7 +79,9 @@ class Grid:
     def voxel_from_world(self, pts) -> np.ndarray:
         """Map world mm coordinates (..., 3) to continuous voxel coordinates."""
         pts = np.asarray(pts, dtype=np.float64)
-        return (pts - self.origin) @ self.direction / np.asarray(self.spacing)
+        vox = (pts - self.origin) @ self.direction
+        vox /= np.asarray(self.spacing)
+        return vox
 
     def same_geometry(self, other: "Grid") -> bool:
         return (
@@ -100,11 +102,12 @@ class Grid:
 
 @lru_cache(maxsize=32)
 def _grid_points(grid: Grid, world: bool) -> np.ndarray:
+    # world points start from a voxel grid of their own, so that asking for
+    # them caches no voxel points beside them
+    ii, jj, kk = np.meshgrid(*(np.arange(n) for n in grid.dims), indexing="ij")
+    pts = np.stack([ii, jj, kk], axis=-1).reshape(-1, 3).astype(np.float64)
     if world:
-        pts = grid.world_from_voxel(_grid_points(grid, world=False))
-    else:
-        ii, jj, kk = np.meshgrid(*(np.arange(n) for n in grid.dims), indexing="ij")
-        pts = np.stack([ii, jj, kk], axis=-1).reshape(-1, 3).astype(np.float64)
+        pts = grid.world_from_voxel(pts)
     pts.flags.writeable = False
     return pts
 
@@ -245,12 +248,19 @@ class TrilinearStencil:
             & (p[:, 1] >= 0) & (p[:, 1] <= ny - 1)
             & (p[:, 2] >= 0) & (p[:, 2] <= nz - 1)
         )
-        base = 0
+        base = None
         fractions = []
         for a, n in enumerate(self.dims):
-            i0 = np.clip(np.floor(p[:, a]).astype(np.intp), 0, max(n - 2, 0))
-            fractions.append(np.clip(p[:, a] - i0, 0.0, 1.0))
-            base = base * n + i0
+            frac = np.floor(p[:, a])
+            i0 = frac.astype(np.intp)
+            np.clip(i0, 0, max(n - 2, 0), out=i0)
+            np.subtract(p[:, a], i0, out=frac)
+            fractions.append(np.clip(frac, 0.0, 1.0, out=frac))
+            if base is None:
+                base = i0
+            else:
+                base *= n
+                base += i0
         self.base = base
         self.fx, self.fy, self.fz = fractions
         self.strides = (ny * nz if nx > 1 else 0, nz if ny > 1 else 0,
@@ -263,6 +273,12 @@ class TrilinearStencil:
         given, and the edge-clamped value when it is None. With
         want_gradient, returns (values, d values / d voxel coordinate), the
         latter (N, 3) and zero outside the grid.
+
+        Every interpolation step is a lerp a + (b - a) * f: along x on the
+        four cell edges, then along y, then along z. The gradient weighs the
+        x slopes of the edges along y and z, the y slopes of the two z faces
+        along z, and takes the z slope. The work runs in a few reused (N,)
+        buffers, and the gradient columns are written in place.
         """
         data = np.asarray(data)
         if data.shape != self.dims:
@@ -271,28 +287,65 @@ class TrilinearStencil:
         flat = np.ascontiguousarray(data, dtype=np.float64).reshape(-1)
         fx, fy, fz = self.fx, self.fy, self.fz
         sx, sy, sz = self.strides
-        slopes = []  # x-differences along the four cell edges, for the gradient
+        n = self.base.size
+        idx = np.empty(n, dtype=np.intp)
 
-        def edge(off):
-            a = flat.take(self.base + off)
-            d = flat.take(self.base + off + sx) - a
-            if want_gradient:
-                slopes.append(d)
-            return a + d * fx
+        def edge(off, out, slope, scratch):
+            """Values along the x-edge at `off` of every cell into `out`, and
+            its x slope into `slope` (which may be the scratch)."""
+            # the indices lie in the grid by construction, so "clip" changes
+            # none of them; unlike "raise" it lets take write into `out`
+            # without a buffer
+            np.add(self.base, off, out=idx)
+            flat.take(idx, out=out, mode="clip")
+            np.add(idx, sx, out=idx)
+            flat.take(idx, out=slope, mode="clip")
+            slope -= out
+            out += np.multiply(slope, fx, out=scratch)
 
-        c00, c10, c01, c11 = edge(0), edge(sy), edge(sz), edge(sy + sz)
-        c0 = c00 + (c10 - c00) * fy
-        c1 = c01 + (c11 - c01) * fy
-        vals = c0 + (c1 - c0) * fz
-        if oob is not None:
-            vals = np.where(self.inside, vals, oob)
+        def face(dz, lo, hi, slope_lo, slope_hi, scratch):
+            """Values lerped along y on the cell face at `dz` into `lo`, and
+            its y slope into `hi` (which may be the scratch)."""
+            edge(dz, lo, slope_lo, scratch)
+            edge(sy + dz, hi, slope_hi, scratch)
+            hi -= lo
+            lo += np.multiply(hi, fy, out=scratch)
+
+        c0, c1, dy, slope = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
         if not want_gradient:
+            face(0, c0, dy, slope, slope, slope)
+            face(sz, c1, dy, slope, slope, slope)
+            vals = c1
+            vals -= c0
+            vals *= fz
+            vals += c0
+            if oob is not None:
+                vals[~self.inside] = oob
             return vals
-        d00, d10, d01, d11 = slopes
-        gx = (d00 * (1 - fy) + d10 * fy) * (1 - fz) + (d01 * (1 - fy) + d11 * fy) * fz
-        gy = (c10 - c00) * (1 - fz) + (c11 - c01) * fz
-        gz = c1 - c0
-        grad = np.stack([gx, gy, gz], axis=-1)
+
+        slope_hi, tmp = np.empty(n), np.empty(n)
+
+        def x_slope():
+            """The face's x slope lerped along y, into `slope`."""
+            np.multiply(slope, np.subtract(1.0, fy, out=tmp), out=slope)
+            np.add(slope, np.multiply(slope_hi, fy, out=tmp), out=slope)
+            return slope
+
+        grad = np.empty((n, 3))
+        gx, gy, gz = grad[:, 0], grad[:, 1], grad[:, 2]
+        face(0, c0, dy, slope, slope_hi, tmp)
+        one_minus_fz = np.subtract(1.0, fz, out=c1)
+        np.multiply(dy, one_minus_fz, out=gy)
+        np.multiply(x_slope(), one_minus_fz, out=gx)
+        face(sz, c1, dy, slope, slope_hi, tmp)
+        gx += np.multiply(x_slope(), fz, out=tmp)
+        dy *= fz
+        gy += dy
+        np.subtract(c1, c0, out=gz)
+        vals = np.multiply(gz, fz, out=c1)
+        vals += c0
+        if oob is not None:
+            vals[~self.inside] = oob
         grad[~self.inside] = 0.0
         return vals, grad
 
@@ -308,14 +361,21 @@ class TrilinearStencil:
         size = int(np.prod(self.dims))
         out = np.zeros((size, cols.shape[1]))
         sx, sy, sz = self.strides
-        for dx, wx in ((0, 1 - self.fx), (sx, self.fx)):
-            for dy, wy in ((0, 1 - self.fy), (sy, self.fy)):
-                for dz, wz in ((0, 1 - self.fz), (sz, self.fz)):
-                    w = wx * wy * wz
-                    lin = self.base + (dx + dy + dz)
+        n = self.base.size
+        lin = np.empty(n, dtype=np.intp)
+        w, deposit = np.empty(n), np.empty(n)
+        x_weights = ((0, 1.0 - self.fx), (sx, self.fx))
+        y_weights = ((0, 1.0 - self.fy), (sy, self.fy))
+        z_weights = ((0, 1.0 - self.fz), (sz, self.fz))
+        for dx, wx in x_weights:
+            for dy, wy in y_weights:
+                for dz, wz in z_weights:
+                    np.multiply(wx, wy, out=w)
+                    w *= wz
+                    np.add(self.base, dx + dy + dz, out=lin)
                     for d in range(cols.shape[1]):
-                        out[:, d] += np.bincount(lin, weights=w * cols[:, d],
-                                                 minlength=size)
+                        np.multiply(w, cols[:, d], out=deposit)
+                        out[:, d] += np.bincount(lin, weights=deposit, minlength=size)
         return out.reshape(self.dims + vecs.shape[1:])
 
 

@@ -1,6 +1,7 @@
-"""Pointwise B-spline evaluation, the voxel-sum bending energy and the
-four-stencil objective: the references the dense evaluation, the lattice
-bending and the shared sampling of the objective are tested against."""
+"""Pointwise B-spline evaluation, the voxel-sum bending energy, the
+four-stencil objective and the expression form of the trilinear gather: the
+references the dense evaluation, the lattice bending, the shared sampling of
+the objective and the buffered gather are tested against."""
 import numpy as np
 
 from atlasreg.objective import (
@@ -81,6 +82,38 @@ def bending_voxel_sum(t: BSplineTransform):
             energy += float((fld ** 2).sum())
             grad += (2.0 / n_vox) * np.einsum("ia,jb,kc,ijkd->abcd", wx, wy, wz, fld)
     return energy / n_vox, grad
+
+
+def gather_lerp(stencil: TrilinearStencil, data, oob=None, want_gradient=False):
+    """`TrilinearStencil.gather` written as plain expressions, each
+    intermediate a new array: lerps along x on the four cell edges, then
+    along y and z."""
+    flat = np.ascontiguousarray(data, dtype=np.float64).reshape(-1)
+    fx, fy, fz = stencil.fx, stencil.fy, stencil.fz
+    sx, sy, sz = stencil.strides
+    slopes = []
+
+    def edge(off):
+        a = flat.take(stencil.base + off)
+        d = flat.take(stencil.base + off + sx) - a
+        slopes.append(d)
+        return a + d * fx
+
+    c00, c10, c01, c11 = edge(0), edge(sy), edge(sz), edge(sy + sz)
+    c0 = c00 + (c10 - c00) * fy
+    c1 = c01 + (c11 - c01) * fy
+    vals = c0 + (c1 - c0) * fz
+    if oob is not None:
+        vals = np.where(stencil.inside, vals, oob)
+    if not want_gradient:
+        return vals
+    d00, d10, d01, d11 = slopes
+    gx = (d00 * (1 - fy) + d10 * fy) * (1 - fz) + (d01 * (1 - fy) + d11 * fy) * fz
+    gy = (c10 - c00) * (1 - fz) + (c11 - c01) * fz
+    gz = c1 - c0
+    grad = np.stack([gx, gy, gz], axis=-1)
+    grad[~stencil.inside] = 0.0
+    return vals, grad
 
 
 def _roundtrip_residual(outer: BSplineTransform, inner: BSplineTransform):

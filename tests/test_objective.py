@@ -1,4 +1,8 @@
 import sys
+import threading
+import time
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -28,7 +32,9 @@ from atlasreg.objective import (
     objective_gradient,
     robust_range,
     similarity_and_gradient,
-    _footprint_weights,
+    _bin_offsets,
+    _footprint,
+    _footprint_row,
 )
 from atlasreg.transforms import bspline_kernel, bspline_kernel_d1, dense_displacement
 from atlasreg.volume import TrilinearStencil
@@ -91,22 +97,47 @@ def _bits(a):
     return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
 
 
-def test_footprint_weights_equal_kernel_bit_for_bit():
-    rng = np.random.default_rng(21)
+def _footprint_positions(seed, n):
+    """Random bin positions plus every integer of the bin range and both its
+    neighbours, where the kernel's branches meet."""
+    rng = np.random.default_rng(seed)
     top = BINS - 3.0
     ints = np.arange(1.0, top + 1.0)  # 1 .. BINS-3, the ends of the bin range
-    q = np.concatenate([rng.uniform(1.0, top, 5000), ints,
-                        np.nextafter(ints[1:], 0.0), np.nextafter(ints[:-1], np.inf)])
+    return np.concatenate([rng.uniform(1.0, top, n), ints,
+                           np.nextafter(ints[1:], 0.0), np.nextafter(ints[:-1], np.inf)])
+
+
+def test_footprint_weights_equal_kernel_bit_for_bit():
+    q = _footprint_positions(21, 5000)
     f = np.floor(q).astype(np.intp)
     u = q[:, None] - f[:, None] - (np.arange(4) - 1.0)
-    w, dw, idx = _footprint_weights(q, with_d1=True)
+    t, idx = _bin_offsets(q)
     assert np.array_equal(idx, f)
-    assert w.shape == dw.shape == (4, q.size)
-    assert np.array_equal(_bits(w), _bits(bspline_kernel(u).T))
-    assert np.array_equal(_bits(dw), _bits(bspline_kernel_d1(u).T))
-    w_only, no_d1, _ = _footprint_weights(q)
-    assert no_d1 is None
-    assert np.array_equal(_bits(w_only), _bits(w))
+    signed_zeros = 0
+    for k in range(4):
+        for d1, kernel in ((False, bspline_kernel), (True, bspline_kernel_d1)):
+            row, expected = _footprint_row(t, k, d1), kernel(u[:, k])
+            assert np.array_equal(_bits(row), _bits(expected)), (k, d1)
+            assert np.array_equal(np.signbit(row), np.signbit(expected)), (k, d1)
+            signed_zeros += int(np.count_nonzero((row == 0) & np.signbit(row)))
+    assert signed_zeros > 0  # the fixture reaches the kernel's negative zeros
+
+
+@pytest.mark.parametrize("d1_f", [False, True])
+def test_footprint_yields_the_deposit_cells_and_kernel_rows(d1_f):
+    q_r, q_f = _footprint_positions(22, 400), _footprint_positions(23, 400)[::-1]
+    f_r, f_f = np.floor(q_r).astype(np.intp), np.floor(q_f).astype(np.intp)
+    u_r = q_r[:, None] - f_r[:, None] - (np.arange(4) - 1.0)
+    u_f = q_f[:, None] - f_f[:, None] - (np.arange(4) - 1.0)
+    kernel_f = bspline_kernel_d1 if d1_f else bspline_kernel
+    seen = []
+    for cell, w_r, w_f in _footprint(q_r, q_f, d1_f):
+        dr, df = divmod(len(seen), 4)
+        assert np.array_equal(cell, (f_r - 1 + dr) * BINS + f_f - 1 + df)
+        assert np.array_equal(_bits(w_r), _bits(bspline_kernel(u_r[:, dr])))
+        assert np.array_equal(_bits(w_f), _bits(kernel_f(u_f[:, df])))
+        seen.append((dr, df))
+    assert seen == [(dr, df) for dr in range(4) for df in range(4)]
 
 
 def test_constant_image_is_degenerate():
@@ -583,3 +614,167 @@ def test_finished_value_pass_equals_gradient_call_and_oracle_bit_for_bit(alpha, 
     assert value_only.forward.similarities == [] and value_only.forward.roundtrips == []
     with pytest.raises(InvalidInputError, match="already finished"):
         objective_gradient(value_only.forward)
+
+
+def _record_threads(monkeypatch, calls, fwd):
+    """Wrap each binding of the objective module that one half calls, so that
+    `calls` collects (name, "fwd" or "bwd", thread id) per call; `which`
+    maps a call's arguments to the transform of its half."""
+    which_ffd = {
+        "sample_map": lambda ffd, onto: ffd,
+        "similarity_and_gradient": lambda ref, flt, sampled, **kwargs: sampled.ffd,
+        "_roundtrip": lambda outer, inner: outer.ffd,
+        "_roundtrip_gradient": lambda outer, stencil, m: outer,
+        "_similarity_gradient": lambda fw: fw.ffd,
+    }
+    for name, which in which_ffd.items():
+        def wrapper(*args, _name=name, _which=which, _original=getattr(objective_module, name),
+                    **kwargs):
+            half = "fwd" if _which(*args, **kwargs) is fwd else "bwd"
+            calls.append((_name, half, threading.get_ident()))
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(objective_module, name, wrapper)
+    return set(which_ffd)
+
+
+def test_each_pass_runs_its_forward_half_on_one_helper_thread(monkeypatch):
+    from bspline_oracle import objective_four_stencils
+
+    ref, flt, fwd, bwd, flt_mask = _anisotropic_pair()
+    w = ObjectiveWeights(0.01, 0.02)
+    calls = []
+    names = _record_threads(monkeypatch, calls, fwd)
+    for _ in range(2):
+        value_only = objective(ref, flt, fwd, bwd, w, flt_mask=flt_mask, with_gradient=False)
+        finished = objective_gradient(value_only.forward)
+    caller = threading.get_ident()
+    helpers = {thread for _, half, thread in calls if half == "fwd"}
+    assert {thread for _, half, thread in calls if half == "bwd"} == {caller}
+    assert len(helpers) == 1 and caller not in helpers
+    assert Counter((name, half) for name, half, _ in calls) == {
+        (name, half): 2 for name in names for half in ("fwd", "bwd")}
+    oracle = objective_four_stencils(ref, flt, fwd, bwd, w, flt_mask=flt_mask)
+    assert _bits(value_only.value) == _bits(oracle.value)
+    assert np.array_equal(_bits(finished[0]), _bits(oracle.grad_fwd))
+    assert np.array_equal(_bits(finished[1]), _bits(oracle.grad_bwd))
+
+
+def test_concurrent_objective_calls_equal_serial_ones_bit_for_bit():
+    # as in build_pseudo_labels, registrations on a pool share the helper;
+    # more callers than cores, switching threads often
+    ref, flt, fwd, bwd, flt_mask = _anisotropic_pair()
+    other = fwd.with_coefficients(np.random.default_rng(7).normal(0, 1.0, fwd.coefficients.shape))
+    calls = [(fwd, bwd, ObjectiveWeights(0.01, 0.02), flt_mask),
+             (other, fwd, ObjectiveWeights(), None),
+             (bwd, other, ObjectiveWeights(0.0, 0.02), flt_mask)]
+
+    def evaluate(call):
+        a, b, w, mask = call
+        res = objective(ref, flt, a, b, w, flt_mask=mask, with_gradient=False)
+        return (res.value, res.inconsistency, *objective_gradient(res.forward))
+
+    serial = [evaluate(call) for call in calls]
+    assert len({_bits(values[0]).item() for values in serial}) == len(calls)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(len(calls)) as pool:
+            for _ in range(3):
+                for got, expected in zip(pool.map(evaluate, calls, timeout=120), serial):
+                    for g, e in zip(got, expected):
+                        assert np.array_equal(_bits(g), _bits(e))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _fork_child_value(call):
+    ref, flt, fwd, bwd, w, flt_mask = call
+    return objective(ref, flt, fwd, bwd, w, flt_mask=flt_mask).value
+
+
+def test_a_forked_child_evaluates_with_a_helper_of_its_own():
+    import multiprocessing
+
+    ref, flt, fwd, bwd, flt_mask = _anisotropic_pair()
+    call = (ref, flt, fwd, bwd, ObjectiveWeights(0.01, 0.02), flt_mask)
+    value = _fork_child_value(call)  # the parent's helper thread is running
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        child = pool.apply_async(_fork_child_value, (call,)).get(timeout=60)
+    assert _bits(child) == _bits(value)
+
+
+def _lost(t):
+    """`t` moved 10 m along every axis: no point it maps overlaps an image."""
+    return t.with_coefficients(np.full_like(t.coefficients, 1e4))
+
+
+def _slow_half(monkeypatch, slow, finished):
+    """Delay the similarity of the half whose transform is `slow`, and list
+    in `finished` the transform of every similarity that returns."""
+    def delayed(ref, flt, sampled, **kwargs):
+        if sampled.ffd is slow:
+            time.sleep(0.3)
+        out = similarity_and_gradient(ref, flt, sampled, **kwargs)
+        finished.append(sampled.ffd)
+        return out
+
+    monkeypatch.setattr(objective_module, "similarity_and_gradient", delayed)
+
+
+def test_an_error_in_one_half_is_raised_after_the_other_half_finishes(monkeypatch):
+    from bspline_oracle import objective_four_stencils
+
+    ref, flt, fwd, bwd, flt_mask = _anisotropic_pair()
+    w = ObjectiveWeights(0.01, 0.02)
+    finished = []
+    # the helper's half raises at once; the caller's half is slow
+    _slow_half(monkeypatch, bwd, finished)
+    with pytest.raises(DegenerateInputError, match="no contributing voxels"):
+        objective(ref, flt, _lost(fwd), bwd, w, flt_mask=flt_mask, with_gradient=False)
+    assert finished == [bwd]
+    # the caller's half raises at once; the helper's half is slow
+    finished.clear()
+    _slow_half(monkeypatch, fwd, finished)
+    with pytest.raises(DegenerateInputError, match="no contributing voxels"):
+        objective(ref, flt, fwd, _lost(bwd), w, flt_mask=flt_mask, with_gradient=False)
+    assert finished == [fwd]
+    # the next call succeeds, bit for bit
+    res = objective(ref, flt, fwd, bwd, w, flt_mask=flt_mask)
+    oracle = objective_four_stencils(ref, flt, fwd, bwd, w, flt_mask=flt_mask)
+    assert _bits(res.value) == _bits(oracle.value)
+    assert np.array_equal(_bits(res.grad_fwd), _bits(oracle.grad_fwd))
+
+
+def test_when_both_halves_raise_the_forward_error_propagates(monkeypatch):
+    ref, flt, fwd, bwd, flt_mask = _anisotropic_pair()
+    # bwd over a grid of other spacing fails its geometry check at once,
+    # while the slowed forward half loses its overlap later
+    shifted = Volume(flt.data, spacing=(1.0, 1.0, 4.0), origin=flt.origin,
+                     direction=flt.direction)
+    off = BSplineTransform.zeros(shifted, (3.0, 2.5, 1.5))
+    lost = _lost(fwd)
+    finished = []
+    _slow_half(monkeypatch, lost, finished)
+    with pytest.raises(GeometryMismatchError):
+        objective(ref, flt, fwd, off, ObjectiveWeights(), with_gradient=False)
+    assert finished == [fwd]
+    with pytest.raises(DegenerateInputError, match="no contributing voxels"):
+        objective(ref, flt, lost, off, ObjectiveWeights(), with_gradient=False)
+    assert finished == [fwd]
+
+
+def test_similarity_gradient_evaluates_no_floating_weights(monkeypatch):
+    ref, flt, fwd, _, flt_mask = _anisotropic_pair()
+    _, forward = similarity_and_gradient(ref, flt, sample_map(fwd, flt.grid),
+                                         flt_valid=flt_mask, with_gradient=False)
+    rows = []
+    footprint_row = objective_module._footprint_row
+
+    def counted(t, k, d1=False, out=None):
+        rows.append(d1)
+        return footprint_row(t, k, d1, out)
+
+    monkeypatch.setattr(objective_module, "_footprint_row", counted)
+    objective_module._similarity_gradient(forward)
+    # four reference weight rows and four floating derivative rows
+    assert sorted(rows) == [False] * 4 + [True] * 4

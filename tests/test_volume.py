@@ -72,6 +72,46 @@ def test_stencil_scatter_is_adjoint_of_gather(dims, channels):
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("dims", [(7, 5, 6), (6, 1, 5), (1, 4, 3)])
+@pytest.mark.parametrize("oob", [None, 0.0])
+def test_gather_equals_the_lerp_oracle_bit_for_bit(dims, oob):
+    from bspline_oracle import gather_lerp
+
+    rng = np.random.default_rng(sum(dims))
+    top = np.asarray(dims, dtype=np.float64)
+    pts = rng.uniform(-1.5, top + 0.5, (4000, 3))  # inside and outside the grid
+    pts[:100] = rng.integers(0, dims, (100, 3))    # on voxels: zero fractions
+    stencil = TrilinearStencil(dims, pts)
+    assert stencil.inside.any() and not stencil.inside.all()
+    image = rng.normal(size=dims).astype(np.float32)
+    for data in (image, 3.1 * image.astype(np.float64)):
+        assert np.array_equal(_bits(stencil.gather(data, oob)),
+                              _bits(gather_lerp(stencil, data, oob)))
+        got = stencil.gather(data, oob, want_gradient=True)
+        expected = gather_lerp(stencil, data, oob, want_gradient=True)
+        for g, e in zip(got, expected):
+            assert g.shape == e.shape
+            assert np.array_equal(_bits(g), _bits(e))
+
+
+def test_world_points_cache_no_voxel_grid():
+    from atlasreg.volume import Grid, _grid_points
+
+    c, s = np.cos(0.4), np.sin(0.4)
+    grid = Grid((5, 4, 3), (1.25, 1.25, 5.0), (3.0, -2.0, 1.0),
+                [[c, 0.0, -s], [0.0, 1.0, 0.0], [s, 0.0, c]])
+    _grid_points.cache_clear()
+    world = grid.world_points()
+    assert _grid_points.cache_info().currsize == 1
+    assert grid.world_points() is world and not world.flags.writeable
+    expected = grid.world_from_voxel(grid.voxel_points())
+    assert np.array_equal(_bits(world), _bits(expected))
+
+
 def test_stencil_gather_takes_one_scalar_field():
     stencil = TrilinearStencil((4, 5, 6), np.zeros((3, 3)))
     with pytest.raises(InvalidInputError, match="scalar field"):
