@@ -58,8 +58,7 @@ of two halves at once near that of one.
 from __future__ import annotations
 
 import os
-from concurrent import futures
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -120,13 +119,14 @@ def _both_halves(fwd_part, bwd_part):
 
     Returns or raises only once both halves have finished, so no work of a
     call outlives it. If both raise, the forward half's error propagates: the
-    serial order ran that half first.
+    serial order ran that half first. A forward half must not call this
+    function: the helper would wait for itself.
     """
     future = _HELPER.submit(fwd_part)
     try:
         bwd = bwd_part()
     except BaseException:
-        futures.wait((future,))
+        wait((future,))
         fwd_error = future.exception()
         if fwd_error is not None:
             raise fwd_error
