@@ -44,7 +44,10 @@ each round trip (the forward half's trip has the forward map outer). The
 finishing step also runs them twice: the scatter of each round trip, then
 the gradient of each similarity. The forward half runs on one helper thread
 that the whole process shares (a forked child starts its own), and the
-backward half on the calling thread.
+backward half on the calling thread. When the helper has not started a
+forward half by the time its backward half is done, because it is busy
+with the halves of other registrations, the calling thread runs that half
+itself, so no call waits behind a queue of others' halves.
 Each reduction keeps its serial order, so results are bit for bit those of
 running the halves one after the other. `build_pseudo_labels(threads=n)`
 therefore runs n + 1 threads, and on one core the halves take turns. A call
@@ -117,21 +120,34 @@ def _both_halves(fwd_part, bwd_part):
     """(fwd_part(), bwd_part()), the forward half run on the helper thread
     while this thread runs the backward half.
 
+    If the helper has not started the forward half by the time the backward
+    half is done (it is busy with other callers' halves, or takes no more
+    work because the interpreter is shutting down), this thread runs it. The
+    halves are independent, so the results are the same either way.
+
     Returns or raises only once both halves have finished, so no work of a
     call outlives it. If both raise, the forward half's error propagates: the
     serial order ran that half first. A forward half must not call this
     function: the helper would wait for itself.
     """
-    future = _HELPER.submit(fwd_part)
+    try:
+        future = _HELPER.submit(fwd_part)
+    except RuntimeError:  # the executor takes no work after interpreter shutdown
+        future = None
     try:
         bwd = bwd_part()
     except BaseException:
-        wait((future,))
-        fwd_error = future.exception()
-        if fwd_error is not None:
-            raise fwd_error
+        _forward_result(future, fwd_part)  # its error, if any, supersedes this one
         raise
-    return future.result(), bwd
+    return _forward_result(future, fwd_part), bwd
+
+
+def _forward_result(future, fwd_part):
+    """fwd_part()'s result: the helper's if it has started the half, else
+    computed on this thread."""
+    if future is None or future.cancel():
+        return fwd_part()
+    return future.result()
 
 
 def _finish_both(pair: list, finish):

@@ -616,10 +616,13 @@ def test_finished_value_pass_equals_gradient_call_and_oracle_bit_for_bit(alpha, 
         objective_gradient(value_only.forward)
 
 
-def _record_threads(monkeypatch, calls, fwd):
+def _record_threads(monkeypatch, calls, fwd, bwd_waits=False):
     """Wrap each binding of the objective module that one half calls, so that
     `calls` collects (name, "fwd" or "bwd", thread id) per call; `which`
-    maps a call's arguments to the transform of its half."""
+    maps a call's arguments to the transform of its half. With `bwd_waits`,
+    each backward call first waits until the forward half has made its own
+    call of that binding, so the forward half has started before the
+    backward half is done."""
     which_ffd = {
         "sample_map": lambda ffd, onto: ffd,
         "similarity_and_gradient": lambda ref, flt, sampled, **kwargs: sampled.ffd,
@@ -627,11 +630,21 @@ def _record_threads(monkeypatch, calls, fwd):
         "_roundtrip_gradient": lambda outer, stencil, m: outer,
         "_similarity_gradient": lambda fw: fw.ffd,
     }
+    started = threading.Condition()
+
+    def count(name, half):
+        return sum(1 for n, h, _ in calls if (n, h) == (name, half))
+
     for name, which in which_ffd.items():
         def wrapper(*args, _name=name, _which=which, _original=getattr(objective_module, name),
                     **kwargs):
             half = "fwd" if _which(*args, **kwargs) is fwd else "bwd"
-            calls.append((_name, half, threading.get_ident()))
+            with started:
+                if bwd_waits and half == "bwd":
+                    n = count(_name, "bwd") + 1
+                    assert started.wait_for(lambda: count(_name, "fwd") >= n, timeout=60)
+                calls.append((_name, half, threading.get_ident()))
+                started.notify_all()
             return _original(*args, **kwargs)
         monkeypatch.setattr(objective_module, name, wrapper)
     return set(which_ffd)
@@ -643,7 +656,8 @@ def test_each_pass_runs_its_forward_half_on_one_helper_thread(monkeypatch):
     ref, flt, fwd, bwd, flt_mask = _anisotropic_pair()
     w = ObjectiveWeights(0.01, 0.02)
     calls = []
-    names = _record_threads(monkeypatch, calls, fwd)
+    # the helper is idle, so the forward half it has started stays there
+    names = _record_threads(monkeypatch, calls, fwd, bwd_waits=True)
     for _ in range(2):
         value_only = objective(ref, flt, fwd, bwd, w, flt_mask=flt_mask, with_gradient=False)
         finished = objective_gradient(value_only.forward)
@@ -687,11 +701,65 @@ def test_concurrent_objective_calls_equal_serial_ones_bit_for_bit():
         sys.setswitchinterval(interval)
 
 
+def test_a_forward_half_the_busy_helper_has_not_started_runs_on_its_caller(monkeypatch):
+    from bspline_oracle import objective_four_stencils
+
+    ref, flt, fwd, bwd, flt_mask = _anisotropic_pair()
+    w = ObjectiveWeights(0.01, 0.02)
+    oracle = objective_four_stencils(ref, flt, fwd, bwd, w, flt_mask=flt_mask)
+    calls = []
+    _record_threads(monkeypatch, calls, fwd)
+    helper = ThreadPoolExecutor(max_workers=1)
+    monkeypatch.setattr(objective_module, "_HELPER", helper)
+    release, helper_thread = threading.Event(), []
+    # the helper is kept busy, so every forward half stays queued behind it
+    helper.submit(lambda: helper_thread.append(threading.get_ident()) or release.wait(120))
+
+    def evaluate(_):
+        res = objective(ref, flt, fwd, bwd, w, flt_mask=flt_mask, with_gradient=False)
+        return threading.get_ident(), res.value, *objective_gradient(res.forward)
+
+    try:
+        with ThreadPoolExecutor(3) as pool:
+            results = list(pool.map(evaluate, range(3), timeout=60))
+    finally:
+        release.set()
+        helper.shutdown()
+    callers = {thread for thread, *_ in results}
+    assert len(callers) == 3 and not callers & set(helper_thread)
+    assert {thread for _, half, thread in calls if half == "fwd"} == callers
+    for _, value, grad_fwd, grad_bwd in results:
+        assert _bits(value) == _bits(oracle.value)
+        assert np.array_equal(_bits(grad_fwd), _bits(oracle.grad_fwd))
+        assert np.array_equal(_bits(grad_bwd), _bits(oracle.grad_bwd))
+
+
+def test_an_objective_evaluates_after_its_helper_is_shut_down(monkeypatch):
+    # at interpreter exit the executors take no more work, while a thread
+    # that outlives the main thread may still be registering
+    from bspline_oracle import objective_four_stencils
+
+    ref, flt, fwd, bwd, flt_mask = _anisotropic_pair()
+    w = ObjectiveWeights(0.01, 0.02)
+    helper = ThreadPoolExecutor(max_workers=1)
+    helper.shutdown()
+    monkeypatch.setattr(objective_module, "_HELPER", helper)
+    value_only = objective(ref, flt, fwd, bwd, w, flt_mask=flt_mask, with_gradient=False)
+    finished = objective_gradient(value_only.forward)
+    oracle = objective_four_stencils(ref, flt, fwd, bwd, w, flt_mask=flt_mask)
+    assert _bits(value_only.value) == _bits(oracle.value)
+    assert np.array_equal(_bits(finished[0]), _bits(oracle.grad_fwd))
+    assert np.array_equal(_bits(finished[1]), _bits(oracle.grad_bwd))
+
+
 def _fork_child_value(call):
     ref, flt, fwd, bwd, w, flt_mask = call
     return objective(ref, flt, fwd, bwd, w, flt_mask=flt_mask).value
 
 
+# Python 3.12+ warns on any fork in a process with threads; the helper
+# thread is running on purpose here, to show that the child starts its own
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
 def test_a_forked_child_evaluates_with_a_helper_of_its_own():
     import multiprocessing
 
