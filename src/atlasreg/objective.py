@@ -61,7 +61,7 @@ of two halves at once near that of one.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,8 +111,9 @@ def _start_helper():
 
 _start_helper()
 if hasattr(os, "register_at_fork"):
-    # a forked child has no copy of the parent's helper thread, and work
-    # submitted to the parent's executor would wait there for ever
+    # a forked child has no copy of the parent's helper thread, and the
+    # parent's executor would never start one: every forward half would
+    # then run on its caller
     os.register_at_fork(after_in_child=_start_helper)
 
 
@@ -127,8 +128,7 @@ def _both_halves(fwd_part, bwd_part):
 
     Returns or raises only once both halves have finished, so no work of a
     call outlives it. If both raise, the forward half's error propagates: the
-    serial order ran that half first. A forward half must not call this
-    function: the helper would wait for itself.
+    serial order ran that half first.
     """
     try:
         future = _HELPER.submit(fwd_part)

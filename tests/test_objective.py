@@ -753,8 +753,11 @@ def test_an_objective_evaluates_after_its_helper_is_shut_down(monkeypatch):
 
 
 def _fork_child_value(call):
+    """The objective's value and the number of live helper threads after it."""
     ref, flt, fwd, bwd, w, flt_mask = call
-    return objective(ref, flt, fwd, bwd, w, flt_mask=flt_mask).value
+    value = objective(ref, flt, fwd, bwd, w, flt_mask=flt_mask).value
+    helpers = [t for t in threading.enumerate() if t.name.startswith("atlasreg-fwd-half")]
+    return value, len(helpers)
 
 
 # Python 3.12+ warns on any fork in a process with threads; the helper
@@ -765,10 +768,12 @@ def test_a_forked_child_evaluates_with_a_helper_of_its_own():
 
     ref, flt, fwd, bwd, flt_mask = _anisotropic_pair()
     call = (ref, flt, fwd, bwd, ObjectiveWeights(0.01, 0.02), flt_mask)
-    value = _fork_child_value(call)  # the parent's helper thread is running
+    value, helpers = _fork_child_value(call)  # the parent's helper thread is running
+    assert helpers == 1
     with multiprocessing.get_context("fork").Pool(1) as pool:
-        child = pool.apply_async(_fork_child_value, (call,)).get(timeout=60)
+        child, child_helpers = pool.apply_async(_fork_child_value, (call,)).get(timeout=60)
     assert _bits(child) == _bits(value)
+    assert child_helpers == 1
 
 
 def _lost(t):
