@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import AtlasRegError, NumericalFailureError
+from .errors import AtlasRegError, InvalidInputError, NumericalFailureError
 from .fusion import (
     build_pseudo_labels,
     consistency_refine,
@@ -173,7 +173,13 @@ def cmd_fuse(args) -> int:
     else:  # ensemble
         models = []
         inputs = [args.manifest]
-        for line in Path(args.manifest).read_text().splitlines():
+        try:
+            text = Path(args.manifest).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise InvalidInputError(
+                f"{args.manifest}: manifest is not UTF-8 text "
+                f"(byte {exc.start}: {exc.reason})") from None
+        for line in text.splitlines():
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -312,7 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     ens = fuse_sub.add_parser("ensemble",
                               help="median-argmax fusion of probability maps")
     ens.add_argument("--manifest", required=True,
-                     help="text file: one model per line, comma-separated per-class NIfTI paths")
+                     help="UTF-8 text file: one model per line, comma-separated "
+                          "per-class NIfTI paths")
     ens.add_argument("--out", required=True)
     ens.add_argument("--keep-largest", action="store_true",
                      help="keep only the largest foreground component")

@@ -39,9 +39,11 @@ class PhantomSpec:
     modality: str = "lge"
     noise_sigma: float = 2.0
     texture_amplitude: float = 0.0   # smooth tissue-like intensity variation
-    seed: int = 0
+    seed: int = 0                    # >= 0, as numpy's default_rng requires
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
         if self.lv_radius <= 0 or self.myo_thickness <= 0 or self.rv_radius <= 0:
             raise InvalidInputError("phantom radii and thickness must be positive")
         if self.modality not in DEFAULT_INTENSITIES:
@@ -130,10 +132,13 @@ def random_smooth_deformation(geometry, max_disp_mm: float, grid_spacing,
 
     Control displacements are drawn uniformly in [-max, max]^3 and the whole
     coefficient set is rescaled so the dense field's maximum voxel norm lands
-    exactly on max_disp_mm (the field is linear in the coefficients).
+    exactly on max_disp_mm (the field is linear in the coefficients). `seed`
+    must be >= 0.
     """
     if max_disp_mm < 0:
         raise InvalidInputError("max_disp_mm must be non-negative")
+    if seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
     t = BSplineTransform.zeros(geometry, grid_spacing)
     if max_disp_mm == 0:
         return t

@@ -35,7 +35,6 @@ STEP_FLOOR_MM = 0.01      # smallest line-search probe, both stages
 AFFINE_GAIN_FLOOR = 1e-7  # relative gain per iteration below which a stage stops
 FFD_GAIN_FLOOR = 1e-5
 AFFINE_FD_STEP = 0.05     # central-difference step of the affine gradient (mm-scaled)
-DIRECTION_SOFTNESS = 0.05  # share of the largest node gradient norm added per node
 
 
 @dataclass(frozen=True)
@@ -120,9 +119,16 @@ def usable_levels(dims, requested: int, min_dim: int = 4) -> int:
 # Gradient ascent
 # ---------------------------------------------------------------------------
 
-def _ascend(evaluate, x, direction, step, max_iter, gain_tol):
+def _ascend(evaluate, x, step, max_iter, gain_tol):
     """Maximize an objective from `x` by gradient ascent with a halving line
     search.
+
+    The last axis of `x` holds the components of one node: one control point
+    (3 components) of the FFD lattices, or one parameter (1 component) of the
+    affine. The search direction is the gradient divided by its largest node
+    norm, so the first probe moves the node with the largest gradient norm by
+    exactly `step`, and every other node moves in proportion to its share of
+    the gradient.
 
     `evaluate(x)` returns (value, finish): `finish()` returns the gradient
     at x, completed from whatever state the evaluation kept. It is called
@@ -133,7 +139,6 @@ def _ascend(evaluate, x, direction, step, max_iter, gain_tol):
     then the probe under test's; a rejected probe's is dropped before the
     next probe is evaluated.
 
-    `direction(gradient)` is the search direction, None at a zero gradient.
     A probe is accepted when the value rises; one whose evaluation raises
     DegenerateInputError (lost overlap) is rejected. The step halves on each
     rejection and doubles, up to its start value, after an acceptance. It
@@ -153,10 +158,12 @@ def _ascend(evaluate, x, direction, step, max_iter, gain_tol):
     val, finish = evaluate(x)
     trace = [finite(val, 0)]
     for it in range(max_iter):
-        d = direction(finish())
+        g = finish()
         finish = None  # the point's state was kept for its gradient only
-        if d is None:
+        gmax = np.sqrt((g * g).sum(axis=-1)).max()
+        if gmax == 0:
             return x, trace, True
+        d = g / gmax
         while True:
             if step < STEP_FLOOR_MM:
                 return x, trace, True
@@ -203,7 +210,10 @@ def register_affine(ref: Volume, flt: Volume, *, max_iter=(40, 25, 12)) -> Affin
 
     Parameters are optimized in a millimeter-scaled space (linear part scaled
     by the half-extent) by `_ascend` on central-difference gradients, starting
-    from center-of-mass alignment; a stage stops once its relative NMI gain
+    from center-of-mass alignment. Each of the 12 parameters is a
+    one-component node of `_ascend`, so its direction is g / max|g|: the
+    first probe of a stage moves the parameter with the largest derivative
+    by max(extent / 32, 1) mm. A stage stops once its relative NMI gain
     falls below AFFINE_GAIN_FLOOR. `max_iter` holds one iteration cap >= 1
     per stage.
     """
@@ -219,11 +229,12 @@ def register_affine(ref: Volume, flt: Volume, *, max_iter=(40, 25, 12)) -> Affin
     scale_len = max(extent / 2.0, 1.0)
 
     t0 = _center_of_mass(flt) - _center_of_mass(ref)
-    q = np.concatenate([np.zeros(9), t0])  # [L*(M - I).flat, t] in mm
+    # [L*(M - I).flat, t] in mm, one parameter per node of `_ascend`
+    q = np.concatenate([np.zeros(9), t0]).reshape(12, 1)
 
     def matrix_of(qv):
-        m3 = np.eye(3) + qv[:9].reshape(3, 3) / scale_len
-        t = qv[9:]
+        m3 = np.eye(3) + qv[:9, 0].reshape(3, 3) / scale_len
+        t = qv[9:, 0]
         mat = np.eye(4)
         mat[:3, :3] = m3
         # rotation/scale about the reference center: A(w) = M(w-c) + c + t
@@ -253,16 +264,12 @@ def register_affine(ref: Volume, flt: Volume, *, max_iter=(40, 25, 12)) -> Affin
 
         def evaluate(qv):
             def central_differences():
-                return np.array([(score(qv + e) - score(qv - e)) / (2 * AFFINE_FD_STEP)
-                                 for e in AFFINE_FD_STEP * np.eye(12)])
+                return np.array([[(score(qv + e) - score(qv - e)) / (2 * AFFINE_FD_STEP)]
+                                 for e in AFFINE_FD_STEP * np.eye(12)[:, :, None]])
             return score(qv), central_differences
 
-        def direction(grad):
-            gmax = np.abs(grad).max()
-            return None if gmax == 0 else grad / gmax
-
-        q, _, _ = _ascend(evaluate, q, direction, max(extent / 32.0, 1.0),
-                          iters, AFFINE_GAIN_FLOOR)
+        q, _, _ = _ascend(evaluate, q, max(extent / 32.0, 1.0), iters,
+                          AFFINE_GAIN_FLOOR)
 
     mat = matrix_of(q)
     if abs(np.linalg.det(mat[:3, :3])) <= 1e-12:
@@ -274,31 +281,23 @@ def register_affine(ref: Volume, flt: Volume, *, max_iter=(40, 25, 12)) -> Affin
 # FFD registration
 # ---------------------------------------------------------------------------
 
-def _soft_direction(grad: np.ndarray):
-    """Per-node normalized gradient (soft): every control point moves at a
-    comparable rate while keeping a positive inner product with the gradient,
-    so backtracking line search still guarantees ascent. None at zero."""
-    norms = np.sqrt((grad ** 2).sum(axis=-1, keepdims=True))
-    gmax = norms.max()
-    if gmax == 0:
-        return None
-    return grad / (norms + DIRECTION_SOFTNESS * gmax)
-
-
 def register_ffd(ref: Volume, flt: Volume, affine: AffineTransform | None,
                  cfg: RegistrationConfig) -> RegistrationResult:
     """Symmetric coarse-to-fine FFD refinement of an affine pre-alignment.
 
     The floating image is resampled into the affinely aligned frame once per
     level; forward and backward lattices live on the (level) reference grid
-    and are optimized jointly by gradient ascent with a halving line search
-    (initial step 0.4 x control spacing per level), run by `_ascend` on the
-    stacked (fwd, bwd) coefficients. Every probe is a value-only `objective`
-    call; the gradient at an accepted probe is finished from that call's
-    forward state by `objective_gradient`. A level stops early when the
-    relative objective gain drops below FFD_GAIN_FLOOR or no step of at least
-    STEP_FLOOR_MM raises the objective. A non-finite objective raises
-    NumericalFailureError carrying the level and iteration.
+    and are optimized jointly by `_ascend` on the stacked (2, gx, gy, gz, 3)
+    coefficients, in which a node is one control point. The direction is the
+    gradient over its largest control-point norm, so the first probe of a
+    level moves that control point by 0.4 x the lattice spacing in mm (the
+    mean over axes), and every other one in proportion to its gradient.
+    Every probe is a value-only `objective` call; the gradient at an accepted
+    probe is finished from that call's forward state by `objective_gradient`.
+    A level stops early when the relative objective gain drops below
+    FFD_GAIN_FLOOR or no step of at least STEP_FLOOR_MM raises the objective.
+    A non-finite objective raises NumericalFailureError carrying the level
+    and iteration.
     """
     if affine is None:
         affine = AffineTransform.identity()
@@ -341,7 +340,7 @@ def register_ffd(ref: Volume, flt: Volume, affine: AffineTransform | None,
         try:
             x, trace, done = _ascend(
                 evaluate, np.stack([fwd.coefficients, bwd.coefficients]),
-                _soft_direction, step, cfg.max_iter_per_level, FFD_GAIN_FLOOR)
+                step, cfg.max_iter_per_level, FFD_GAIN_FLOOR)
         except NumericalFailureError as exc:
             raise NumericalFailureError("objective is not finite", level=k,
                                         iteration=exc.iteration) from exc

@@ -91,6 +91,15 @@ def test_phantom_rejects_negative_or_non_finite_noise(tmp_path, capsys, noise):
     assert not img.exists() and not lbl.exists()
 
 
+def test_phantom_rejects_a_negative_seed(tmp_path, capsys):
+    img, lbl = tmp_path / "img.nii", tmp_path / "lbl.nii"
+    assert main(["phantom", "--out-image", str(img), "--out-labels", str(lbl),
+                 "--dims", "24", "24", "24", "--seed", "-1"]) == 3
+    err = capsys.readouterr().err
+    assert "seed" in err and "Traceback" not in err
+    assert not img.exists() and not lbl.exists()
+
+
 def test_truncated_nifti_exits_three(phantom_files, capsys):
     root, paths = phantom_files
     img, lbl = paths[0]
@@ -116,6 +125,16 @@ def test_ensemble_files_off_one_geometry_exit_three(tmp_path, capsys, dims, spac
                  "--out", str(tmp_path / "fused.nii")]) == 3
     err = capsys.readouterr().err
     assert "must share geometry" in err and "Traceback" not in err
+    assert not (tmp_path / "fused.nii").exists()
+
+
+def test_ensemble_manifest_that_is_not_utf8_exits_three(tmp_path, capsys):
+    manifest = tmp_path / "models.txt"
+    manifest.write_bytes(b"\xff\xfe" + "p0.nii\n".encode("utf-16-le"))  # a UTF-16 file
+    assert main(["fuse", "ensemble", "--manifest", str(manifest),
+                 "--out", str(tmp_path / "fused.nii")]) == 3
+    err = capsys.readouterr().err
+    assert "not UTF-8" in err and "Traceback" not in err
     assert not (tmp_path / "fused.nii").exists()
 
 

@@ -97,6 +97,11 @@ def test_negative_or_non_finite_noise_rejected(field, value):
         PhantomSpec(**{field: value})
 
 
+def test_negative_seed_rejected():
+    with pytest.raises(InvalidInputError, match="seed"):
+        PhantomSpec(seed=-1)
+
+
 # --- random deformation ---------------------------------------------------
 
 def _geometry(dims=(32, 32, 32)):
@@ -122,6 +127,12 @@ def test_deformation_deterministic_from_seed():
     np.testing.assert_array_equal(a.coefficients, b.coefficients)
     c = random_smooth_deformation(_geometry(), 2.0, 8.0, seed=6)
     assert not np.array_equal(a.coefficients, c.coefficients)
+
+
+@pytest.mark.parametrize("max_disp_mm", [0.0, 2.0])
+def test_deformation_rejects_a_negative_seed(max_disp_mm):
+    with pytest.raises(InvalidInputError, match="seed"):
+        random_smooth_deformation(_geometry(), max_disp_mm, 8.0, seed=-1)
 
 
 def test_warped_labels_keep_single_component_at_five_voxels():

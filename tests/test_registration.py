@@ -13,8 +13,11 @@ from atlasreg import (
     RegistrationConfig,
     Volume,
     default_config,
+    dice,
+    random_smooth_deformation,
     register_affine,
     register_ffd,
+    warp_labels,
 )
 from atlasreg.phantom import generate_phantom, scaled_spec
 from atlasreg import registration
@@ -97,14 +100,15 @@ def test_usable_levels_caps_small_volumes():
 
 # --- ascent loop ------------------------------------------------------------
 
-PEAK = np.array([3.0, -1.0])
+PEAK = np.array([[3.0], [-1.0]])  # two one-component nodes
 
 
 class Quadratic:
     """-|x - PEAK|^2, recording every point at which it is evaluated."""
 
-    def __init__(self, bad=lambda x: None):
+    def __init__(self, bad=lambda x: None, peak=PEAK):
         self.bad = bad  # returns an exception or a value to use instead
+        self.peak = peak
         self.points = []
 
     def value(self, x):
@@ -112,21 +116,15 @@ class Quadratic:
         override = self.bad(x)
         if isinstance(override, Exception):
             raise override
-        return float(-((x - PEAK) ** 2).sum()) if override is None else override
+        return float(-((x - self.peak) ** 2).sum()) if override is None else override
 
-    @staticmethod
-    def gradient(x):
-        return -2.0 * (x - PEAK)
-
-    @staticmethod
-    def direction(grad):
-        gmax = np.abs(grad).max()
-        return None if gmax == 0 else grad / gmax
+    def gradient(self, x):
+        return -2.0 * (x - self.peak)
 
 
-def _climb(f, x0=(0.0, 0.0), step=1.0, max_iter=100, gain_tol=1e-9):
+def _climb(f, x0=((0.0,), (0.0,)), step=1.0, max_iter=100, gain_tol=1e-9):
     return _ascend(lambda x: (f.value(x), lambda: f.gradient(x)), np.array(x0),
-                   f.direction, step, max_iter, gain_tol)
+                   step, max_iter, gain_tol)
 
 
 def test_ascend_trace_is_monotone_and_reaches_the_peak():
@@ -154,16 +152,27 @@ def test_ascend_zero_gradient_stops_before_any_probe():
 
 
 def test_ascend_rejects_a_degenerate_probe_and_halves_the_step():
-    f = Quadratic(lambda x: DegenerateInputError("no overlap") if x[0] > 1.5 else None)
+    f = Quadratic(lambda x: DegenerateInputError("no overlap") if x[0, 0] > 1.5 else None)
     x, trace, converged = _climb(f, step=2.0, max_iter=1)
     # start, the rejected probe at step 2, then the accepted probe at step 1
-    np.testing.assert_array_equal(f.points[1], [2.0, -2.0 / 3.0])
-    np.testing.assert_array_equal(x, [1.0, -1.0 / 3.0])
+    np.testing.assert_array_equal(f.points[1], [[2.0], [-2.0 / 3.0]])
+    np.testing.assert_array_equal(x, [[1.0], [-1.0 / 3.0]])
     assert trace[1] == f.value(x)
 
 
+def test_ascend_moves_the_node_of_largest_gradient_norm_by_the_step():
+    # three-component nodes: node 1 has gradient norm 2 * 13 = 26, node 0
+    # has 2 * 5 = 10, so the first probe moves node 1 by exactly the step
+    peak = np.array([[3.0, 4.0, 0.0], [12.0, 0.0, -5.0]])
+    f = Quadratic(peak=peak)
+    _climb(f, x0=np.zeros((2, 3)), step=0.5, max_iter=1)
+    moved = np.sqrt((f.points[1] ** 2).sum(axis=-1))
+    np.testing.assert_allclose(moved, [0.5 * 5.0 / 13.0, 0.5], rtol=1e-15)
+    np.testing.assert_allclose(f.points[1], 0.5 * peak / 13.0, rtol=1e-15)
+
+
 def test_ascend_non_finite_value_raises_with_iteration():
-    f = Quadratic(lambda x: np.nan if x[0] > 2.5 else None)
+    f = Quadratic(lambda x: np.nan if x[0, 0] > 2.5 else None)
     with pytest.raises(NumericalFailureError) as exc:
         _climb(f, step=1.0)
     assert exc.value.iteration == 2  # probes at x0 = 1, 2 accepted, then 3
@@ -182,7 +191,7 @@ def test_ascend_finishes_the_start_and_accepted_probes_only_and_drops_rejected_s
         state = _State()
         state.index = len(evaluated)
         evaluated.append((x.copy(), weakref.ref(state)))
-        if x[0] > 3.5:  # a probe past the peak that loses overlap
+        if x[0, 0] > 3.5:  # a probe past the peak that loses overlap
             raise DegenerateInputError("no overlap")
         value = f.value(x)
 
@@ -192,8 +201,8 @@ def test_ascend_finishes_the_start_and_accepted_probes_only_and_drops_rejected_s
 
         return value, finish
 
-    x, trace, converged = _ascend(evaluate, np.zeros(2), f.direction, 1.3, 100, 1e-9)
-    values = [f.value(p) if p[0] <= 3.5 else None for p, _ in evaluated]
+    x, trace, converged = _ascend(evaluate, np.zeros((2, 1)), 1.3, 100, 1e-9)
+    values = [f.value(p) if p[0, 0] <= 3.5 else None for p, _ in evaluated]
     # probes were rejected both for lost overlap and for a value that fell
     assert converged and None in values
     assert len([v for v in values if v is not None]) > len(trace)
@@ -342,7 +351,6 @@ def test_ffd_trace_is_monotone_and_levels_double():
 
 
 def test_ffd_recovers_small_deformation():
-    from atlasreg import random_smooth_deformation
     from atlasreg.transforms import dense_displacement
 
     vol = _phantom((32, 32, 32), seed=6)
@@ -368,3 +376,60 @@ def test_registration_is_deterministic():
     np.testing.assert_array_equal(r1.fwd.coefficients, r2.fwd.coefficients)
     np.testing.assert_array_equal(r1.bwd.coefficients, r2.bwd.coefficients)
     assert r1.objective_trace == r2.objective_trace
+
+
+def _textured(dims, modality, seed):
+    return generate_phantom(scaled_spec(dims=dims, modality=modality, seed=seed,
+                                        noise_sigma=1.5, texture_amplitude=6.0))
+
+
+def _deformed(vol, seed):
+    t = random_smooth_deformation(vol, 3.0, 8.0, seed=seed)
+    return t, warp_volume(vol, vol, AffineTransform.identity(), t)
+
+
+def test_ffd_result_is_stable_under_gradient_rounding(monkeypatch):
+    # a 2-voxel lattice across modalities, like the type-2 preset: a 1e-14
+    # relative change of every gradient must not grow into the result
+    ref = _textured((24, 24, 24), "lge", 11)[0]
+    _, flt = _deformed(_textured((24, 24, 24), "bssfp", 12)[0], 13)
+    cfg = RegistrationConfig(levels=3, max_iter_per_level=5, final_grid_spacing=2.0)
+    exact = register_ffd(ref, flt, None, cfg)
+
+    ascend, rng = registration._ascend, np.random.default_rng(0)
+
+    def perturbed_ascend(evaluate, *args):
+        def perturbed_evaluate(x):
+            value, finish = evaluate(x)
+
+            def perturbed_finish():
+                g = finish()
+                return g * (1.0 + 1e-14 * rng.standard_normal(g.shape))
+
+            return value, perturbed_finish
+
+        return ascend(perturbed_evaluate, *args)
+
+    monkeypatch.setattr(registration, "_ascend", perturbed_ascend)
+    perturbed = register_ffd(ref, flt, None, cfg)
+    a = np.stack([exact.fwd.coefficients, exact.bwd.coefficients])
+    b = np.stack([perturbed.fwd.coefficients, perturbed.bwd.coefficients])
+    assert np.abs(a - b).max() / np.abs(a).max() < 1e-3
+
+
+def test_ffd_labels_score_no_lower_dice_than_the_affine_alone():
+    target, target_labels = _textured((32, 32, 32), "lge", 21)
+    image, labels = _textured((32, 32, 32), "lge", 22)
+    t, atlas = _deformed(image, 23)
+    atlas_labels = warp_labels(labels, labels, AffineTransform.identity(), t)
+
+    affine = register_affine(target, atlas)
+    res = register_ffd(target, atlas, affine,
+                       RegistrationConfig(levels=3, max_iter_per_level=5,
+                                          final_grid_spacing=5.0))
+
+    def mean_dice(ffd):
+        warped = warp_labels(atlas_labels, target, affine, ffd)
+        return np.mean([dice(warped, target_labels, c) for c in (1, 2, 3)])
+
+    assert mean_dice(res.fwd) >= mean_dice(None)
