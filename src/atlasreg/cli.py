@@ -176,9 +176,7 @@ def cmd_fuse(args) -> int:
         try:
             text = Path(args.manifest).read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:
-            raise InvalidInputError(
-                f"{args.manifest}: manifest is not UTF-8 text "
-                f"(byte {exc.start}: {exc.reason})") from None
+            raise InvalidInputError(f"{args.manifest} is not UTF-8 text: {exc}") from None
         for line in text.splitlines():
             line = line.strip()
             if not line or line.startswith("#"):
@@ -318,8 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     ens = fuse_sub.add_parser("ensemble",
                               help="median-argmax fusion of probability maps")
     ens.add_argument("--manifest", required=True,
-                     help="UTF-8 text file: one model per line, comma-separated "
-                          "per-class NIfTI paths")
+                     help="UTF-8 text: one model per line, comma-separated per-class NIfTI paths")
     ens.add_argument("--out", required=True)
     ens.add_argument("--keep-largest", action="store_true",
                      help="keep only the largest foreground component")

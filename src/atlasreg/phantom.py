@@ -132,8 +132,7 @@ def random_smooth_deformation(geometry, max_disp_mm: float, grid_spacing,
 
     Control displacements are drawn uniformly in [-max, max]^3 and the whole
     coefficient set is rescaled so the dense field's maximum voxel norm lands
-    exactly on max_disp_mm (the field is linear in the coefficients). `seed`
-    must be >= 0.
+    exactly on max_disp_mm (the field is linear in the coefficients).
     """
     if max_disp_mm < 0:
         raise InvalidInputError("max_disp_mm must be non-negative")

@@ -123,12 +123,9 @@ def _ascend(evaluate, x, step, max_iter, gain_tol):
     """Maximize an objective from `x` by gradient ascent with a halving line
     search.
 
-    The last axis of `x` holds the components of one node: one control point
-    (3 components) of the FFD lattices, or one parameter (1 component) of the
-    affine. The search direction is the gradient divided by its largest node
-    norm, so the first probe moves the node with the largest gradient norm by
-    exactly `step`, and every other node moves in proportion to its share of
-    the gradient.
+    The last axis of `x` holds one node's components (an FFD control point's
+    3, or one affine parameter). The direction is the gradient over its
+    largest node norm: the first probe moves that node by exactly `step`.
 
     `evaluate(x)` returns (value, finish): `finish()` returns the gradient
     at x, completed from whatever state the evaluation kept. It is called
@@ -210,12 +207,10 @@ def register_affine(ref: Volume, flt: Volume, *, max_iter=(40, 25, 12)) -> Affin
 
     Parameters are optimized in a millimeter-scaled space (linear part scaled
     by the half-extent) by `_ascend` on central-difference gradients, starting
-    from center-of-mass alignment. Each of the 12 parameters is a
-    one-component node of `_ascend`, so its direction is g / max|g|: the
-    first probe of a stage moves the parameter with the largest derivative
-    by max(extent / 32, 1) mm. A stage stops once its relative NMI gain
-    falls below AFFINE_GAIN_FLOOR. `max_iter` holds one iteration cap >= 1
-    per stage.
+    from center-of-mass alignment; each parameter is one node, so the first
+    probe of a stage moves the one of largest derivative by max(extent/32, 1)
+    mm. A stage stops once its relative NMI gain falls below
+    AFFINE_GAIN_FLOOR. `max_iter` holds one iteration cap >= 1 per stage.
     """
     max_iter = tuple(max_iter)
     if len(max_iter) != 3 or not all(n >= 1 for n in max_iter):
@@ -229,8 +224,7 @@ def register_affine(ref: Volume, flt: Volume, *, max_iter=(40, 25, 12)) -> Affin
     scale_len = max(extent / 2.0, 1.0)
 
     t0 = _center_of_mass(flt) - _center_of_mass(ref)
-    # [L*(M - I).flat, t] in mm, one parameter per node of `_ascend`
-    q = np.concatenate([np.zeros(9), t0]).reshape(12, 1)
+    q = np.concatenate([np.zeros(9), t0])[:, None]  # [L*(M - I).flat, t] in mm
 
     def matrix_of(qv):
         m3 = np.eye(3) + qv[:9, 0].reshape(3, 3) / scale_len
@@ -268,8 +262,7 @@ def register_affine(ref: Volume, flt: Volume, *, max_iter=(40, 25, 12)) -> Affin
                                  for e in AFFINE_FD_STEP * np.eye(12)[:, :, None]])
             return score(qv), central_differences
 
-        q, _, _ = _ascend(evaluate, q, max(extent / 32.0, 1.0), iters,
-                          AFFINE_GAIN_FLOOR)
+        q, _, _ = _ascend(evaluate, q, max(extent / 32.0, 1.0), iters, AFFINE_GAIN_FLOOR)
 
     mat = matrix_of(q)
     if abs(np.linalg.det(mat[:3, :3])) <= 1e-12:
@@ -288,16 +281,14 @@ def register_ffd(ref: Volume, flt: Volume, affine: AffineTransform | None,
     The floating image is resampled into the affinely aligned frame once per
     level; forward and backward lattices live on the (level) reference grid
     and are optimized jointly by `_ascend` on the stacked (2, gx, gy, gz, 3)
-    coefficients, in which a node is one control point. The direction is the
-    gradient over its largest control-point norm, so the first probe of a
-    level moves that control point by 0.4 x the lattice spacing in mm (the
-    mean over axes), and every other one in proportion to its gradient.
-    Every probe is a value-only `objective` call; the gradient at an accepted
-    probe is finished from that call's forward state by `objective_gradient`.
-    A level stops early when the relative objective gain drops below
-    FFD_GAIN_FLOOR or no step of at least STEP_FLOOR_MM raises the objective.
-    A non-finite objective raises NumericalFailureError carrying the level
-    and iteration.
+    coefficients, one node per control point: the first probe of a level
+    moves the control point of largest gradient norm by 0.4 x the lattice
+    spacing in mm. Every probe is a value-only `objective` call; the gradient
+    at an accepted probe is finished from that call's forward state by
+    `objective_gradient`. A level stops early when the relative objective gain
+    drops below FFD_GAIN_FLOOR or no step of at least STEP_FLOOR_MM raises the
+    objective. A non-finite objective raises NumericalFailureError carrying
+    the level and iteration.
     """
     if affine is None:
         affine = AffineTransform.identity()
