@@ -11,6 +11,7 @@ the volume border. All randomness is driven by the explicit seed.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,11 +40,11 @@ class PhantomSpec:
     modality: str = "lge"
     noise_sigma: float = 2.0
     texture_amplitude: float = 0.0   # smooth tissue-like intensity variation
-    seed: int = 0                    # >= 0, as numpy's default_rng requires
+    seed: int = 0                    # an integer >= 0, as numpy's default_rng requires
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise InvalidInputError(f"seed must be an integer >= 0, got {self.seed!r}")
         if self.lv_radius <= 0 or self.myo_thickness <= 0 or self.rv_radius <= 0:
             raise InvalidInputError("phantom radii and thickness must be positive")
         if self.modality not in DEFAULT_INTENSITIES:
@@ -136,8 +137,8 @@ def random_smooth_deformation(geometry, max_disp_mm: float, grid_spacing,
     """
     if max_disp_mm < 0:
         raise InvalidInputError("max_disp_mm must be non-negative")
-    if seed < 0:
-        raise InvalidInputError(f"seed must be >= 0, got {seed}")
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise InvalidInputError(f"seed must be an integer >= 0, got {seed!r}")
     t = BSplineTransform.zeros(geometry, grid_spacing)
     if max_disp_mm == 0:
         return t

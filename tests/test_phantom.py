@@ -97,9 +97,10 @@ def test_negative_or_non_finite_noise_rejected(field, value):
         PhantomSpec(**{field: value})
 
 
-def test_negative_seed_rejected():
+@pytest.mark.parametrize("seed", [-1, 1.5])
+def test_negative_or_fractional_seed_rejected(seed):
     with pytest.raises(InvalidInputError, match="seed"):
-        PhantomSpec(seed=-1)
+        PhantomSpec(seed=seed)
 
 
 # --- random deformation ---------------------------------------------------
@@ -129,10 +130,11 @@ def test_deformation_deterministic_from_seed():
     assert not np.array_equal(a.coefficients, c.coefficients)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5])
 @pytest.mark.parametrize("max_disp_mm", [0.0, 2.0])
-def test_deformation_rejects_a_negative_seed(max_disp_mm):
+def test_deformation_rejects_a_negative_or_fractional_seed(max_disp_mm, seed):
     with pytest.raises(InvalidInputError, match="seed"):
-        random_smooth_deformation(_geometry(), max_disp_mm, 8.0, seed=-1)
+        random_smooth_deformation(_geometry(), max_disp_mm, 8.0, seed=seed)
 
 
 def test_warped_labels_keep_single_component_at_five_voxels():
