@@ -340,9 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
     pipe.add_argument("--out", required=True)
     pipe.add_argument("--label-remap", type=_parse_remap, default=None)
     pipe.add_argument("--threads", type=_at_least_one(int), default=os.cpu_count(),
-                      help="parallel atlas registrations; the FFD objectives share one "
-                           "more helper thread, and results are bit-identical for any "
-                           "thread count")
+                      help="parallel atlas registrations; each runs its FFD forward "
+                           "halves on a short-lived thread of its own (up to 2 x THREADS "
+                           "threads), and results are bit-identical for any thread count")
     pipe.set_defaults(func=cmd_pipeline)
 
     ph = sub.add_parser("phantom", help="write a synthetic image + label pair")

@@ -42,8 +42,9 @@ def read_nifti(path, *, labels: bool = False, label_remap: dict | None = None):
     """Parse a single-file NIfTI-1 volume.
 
     With labels=True the voxel values are validated (after applying the
-    optional `label_remap` table, e.g. {200: 1, 500: 2, 600: 3}) against the
-    internal class ids and a LabelVolume is returned.
+    optional `label_remap` table, e.g. {200: 1, 500: 2, 600: 3}, which leaves
+    the values it does not name as they are) against the internal class ids
+    and a LabelVolume is returned.
     """
     raw = _read_bytes(path)
     if len(raw) < HEADER_SIZE:
@@ -116,7 +117,8 @@ def read_nifti(path, *, labels: bool = False, label_remap: dict | None = None):
     if labels:
         arr = np.asarray(data)
         if label_remap:
-            out = np.zeros(arr.shape, dtype=np.int64)
+            # a value the table does not name passes through, to be validated
+            out = arr.astype(np.float64)
             for src, dst in label_remap.items():
                 out[arr == src] = dst
             arr = out

@@ -42,26 +42,22 @@ until their values and gradients are summed. The forward pass runs the
 halves twice: the sampling and similarity of each map, then the residual of
 each round trip (the forward half's trip has the forward map outer). The
 finishing step also runs them twice: the scatter of each round trip, then
-the gradient of each similarity. The forward half runs on one helper thread
-that the whole process shares (a forked child starts its own), and the
-backward half on the calling thread. When the helper has not started a
-forward half by the time its backward half is done, because it is busy
-with the halves of other registrations, the calling thread runs that half
-itself, so no call waits behind a queue of others' halves.
-Each reduction keeps its serial order, so results are bit for bit those of
-running the halves one after the other. `build_pseudo_labels(threads=n)`
-therefore runs n + 1 threads, and on one core the halves take turns. A call
-returns or raises only once both halves have finished, so no work of a
-rejected line-search probe runs on into the next probe. If both halves
-raise, the forward half's error propagates: the serial order raised it
-first. The per-voxel kernels (the trilinear gather and scatter, the Parzen
-footprint) work in place in a few reused buffers, which keeps the memory
-of two halves at once near that of one.
+the gradient of each similarity. Each time, the forward half runs on a
+thread started for it and the backward half on the calling thread, which
+then joins that thread. Nothing is shared between calls and no thread
+outlives its call, so `build_pseudo_labels(threads=n)` runs up to 2n
+threads; on one core the halves take turns. Each reduction keeps its
+serial order, so results are bit for bit those of running the halves one
+after the other. A call returns or raises only once both halves have
+finished, so no work of a rejected line-search probe runs on into the next
+probe. If both halves raise, the forward half's error propagates: the
+serial order raised it first. The per-voxel kernels (the trilinear gather
+and scatter, the Parzen footprint) work in place in a few reused buffers,
+which keeps the memory of two halves at once near that of one.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,53 +97,32 @@ class ObjectiveWeights:
 # The forward and backward halves
 # ---------------------------------------------------------------------------
 
-def _start_helper():
-    """Create the one helper thread's executor of this process: every
-    objective evaluation, from whichever thread, runs its forward half there.
-    The thread itself starts with the first evaluation."""
-    global _HELPER
-    _HELPER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="atlasreg-fwd-half")
-
-
-_start_helper()
-if hasattr(os, "register_at_fork"):
-    # a forked child has no copy of the parent's helper thread, and the
-    # parent's executor would never start one: every forward half would
-    # then run on its caller
-    os.register_at_fork(after_in_child=_start_helper)
-
-
 def _both_halves(fwd_part, bwd_part):
-    """(fwd_part(), bwd_part()), the forward half run on the helper thread
-    while this thread runs the backward half.
-
-    If the helper has not started the forward half by the time the backward
-    half is done (it is busy with other callers' halves, or takes no more
-    work because the interpreter is shutting down), this thread runs it. The
-    halves are independent, so the results are the same either way.
+    """(fwd_part(), bwd_part()), the forward half run on a thread started
+    for this call while this thread runs the backward half.
 
     Returns or raises only once both halves have finished, so no work of a
     call outlives it. If both raise, the forward half's error propagates: the
     serial order ran that half first.
     """
-    try:
-        future = _HELPER.submit(fwd_part)
-    except RuntimeError:  # the executor takes no work after interpreter shutdown
-        future = None
+    fwd = error = None
+
+    def run_forward():
+        nonlocal fwd, error
+        try:
+            fwd = fwd_part()
+        except BaseException as exc:  # raised on the caller, after the join
+            error = exc
+
+    helper = threading.Thread(target=run_forward, name="atlasreg-fwd-half")
+    helper.start()
     try:
         bwd = bwd_part()
-    except BaseException:
-        _forward_result(future, fwd_part)  # its error, if any, supersedes this one
-        raise
-    return _forward_result(future, fwd_part), bwd
-
-
-def _forward_result(future, fwd_part):
-    """fwd_part()'s result: the helper's if it has started the half, else
-    computed on this thread."""
-    if future is None or future.cancel():
-        return fwd_part()
-    return future.result()
+    finally:
+        helper.join()
+        if error is not None:
+            raise error  # inside `finally`, so it supersedes bwd_part's error
+    return fwd, bwd
 
 
 def _finish_both(pair: list, finish):
@@ -643,8 +618,8 @@ def objective(ref: Volume, flt: Volume, fwd: BSplineTransform,
     This is the forward pass; a value-only call returns its state as
     `forward`, which `objective_gradient` finishes into the gradients. With
     the gradient, the same finishing step runs before the call returns.
-    Each pass runs its forward half on the shared helper thread and its
-    backward half on the calling thread (see the module docstring).
+    Each pass runs its forward half on a thread of its own and its backward
+    half on the calling thread (see the module docstring).
     """
     def forward_half():
         sampled = sample_map(fwd, flt.grid)

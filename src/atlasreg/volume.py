@@ -195,6 +195,8 @@ class ProbabilityVolume(_OnGrid):
         ch = np.asarray(self.channels, dtype=np.float32)
         if ch.ndim != 4 or ch.shape[0] < 2:
             raise InvalidInputError(f"channels must be (C>=2, nx, ny, nz), got {ch.shape}")
+        if not np.all(np.isfinite(ch)):
+            raise InvalidInputError("channels contain NaN or Inf")
         if ch.min() < -1e-6 or ch.max() > 1 + 1e-6:
             raise InvalidInputError("channel values must lie in [0, 1]")
         sums = ch.sum(axis=0, dtype=np.float64)

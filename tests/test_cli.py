@@ -110,6 +110,17 @@ def test_truncated_nifti_exits_three(phantom_files, capsys):
     assert "truncated" in capsys.readouterr().err
 
 
+def test_a_label_value_the_remap_does_not_name_exits_three(tmp_path, capsys):
+    labels = tmp_path / "challenge.nii"
+    values = np.array([0, 200, 500, 600, 700, 0, 600, 500], dtype=np.float32)
+    write_nifti(Volume(values.reshape(2, 2, 2)), labels)
+    assert main(["fuse", "vote", "--labels", str(labels), "--out", str(tmp_path / "o.nii"),
+                 "--label-remap", "200:1,500:2,600:3"]) == 3
+    err = capsys.readouterr().err
+    assert "undeclared class ids" in err and "Traceback" not in err
+    assert not (tmp_path / "o.nii").exists()
+
+
 @pytest.mark.parametrize("dims, spacing", [
     ((4, 4, 5), (1.0, 1.0, 1.0)),   # different dims: np.stack would fail
     ((4, 4, 4), (2.0, 2.0, 2.0)),   # same dims, different spacing

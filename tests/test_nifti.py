@@ -201,10 +201,16 @@ def test_scl_slope_applied_to_int16(tmp_path):
 
 
 def test_label_remap_table(tmp_path):
+    table = {200: 1, 500: 2, 600: 3}
     raw = np.array([0, 200, 500, 600, 200, 0, 600, 500], dtype="<i2")
     hdr = build_header(datatype=4)
     path = tmp_path / "challenge.nii"
     path.write_bytes(bytes(hdr) + b"\x00" * 4 + raw.tobytes())
-    lbl = read_nifti(path, labels=True, label_remap={200: 1, 500: 2, 600: 3})
+    lbl = read_nifti(path, labels=True, label_remap=table)
     expected = np.array([0, 1, 2, 3, 1, 0, 3, 2]).reshape((2, 2, 2), order="F")
     np.testing.assert_array_equal(lbl.data, expected)
+    # a value the table does not name is validated, not taken as background
+    raw[4] = 700
+    path.write_bytes(bytes(hdr) + b"\x00" * 4 + raw.tobytes())
+    with pytest.raises(NiftiFormatError, match=r"undeclared class ids \[700"):
+        read_nifti(path, labels=True, label_remap=table)

@@ -1,8 +1,13 @@
+import hashlib
+import os
+import pickle
+import subprocess
 import sys
 import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -616,13 +621,10 @@ def test_finished_value_pass_equals_gradient_call_and_oracle_bit_for_bit(alpha, 
         objective_gradient(value_only.forward)
 
 
-def _record_threads(monkeypatch, calls, fwd, bwd_waits=False):
+def _record_threads(monkeypatch, calls, fwd):
     """Wrap each binding of the objective module that one half calls, so that
     `calls` collects (name, "fwd" or "bwd", thread id) per call; `which`
-    maps a call's arguments to the transform of its half. With `bwd_waits`,
-    each backward call first waits until the forward half has made its own
-    call of that binding, so the forward half has started before the
-    backward half is done."""
+    maps a call's arguments to the transform of its half."""
     which_ffd = {
         "sample_map": lambda ffd, onto: ffd,
         "similarity_and_gradient": lambda ref, flt, sampled, **kwargs: sampled.ffd,
@@ -630,41 +632,33 @@ def _record_threads(monkeypatch, calls, fwd, bwd_waits=False):
         "_roundtrip_gradient": lambda outer, stencil, m: outer,
         "_similarity_gradient": lambda fw: fw.ffd,
     }
-    started = threading.Condition()
-
-    def count(name, half):
-        return sum(1 for n, h, _ in calls if (n, h) == (name, half))
-
     for name, which in which_ffd.items():
         def wrapper(*args, _name=name, _which=which, _original=getattr(objective_module, name),
                     **kwargs):
             half = "fwd" if _which(*args, **kwargs) is fwd else "bwd"
-            with started:
-                if bwd_waits and half == "bwd":
-                    n = count(_name, "bwd") + 1
-                    assert started.wait_for(lambda: count(_name, "fwd") >= n, timeout=60)
-                calls.append((_name, half, threading.get_ident()))
-                started.notify_all()
+            calls.append((_name, half, threading.get_ident()))
             return _original(*args, **kwargs)
         monkeypatch.setattr(objective_module, name, wrapper)
     return set(which_ffd)
 
 
-def test_each_pass_runs_its_forward_half_on_one_helper_thread(monkeypatch):
+def _live_helpers():
+    return [t for t in threading.enumerate() if t.name == "atlasreg-fwd-half"]
+
+
+def test_each_pass_runs_its_forward_half_on_another_thread(monkeypatch):
     from bspline_oracle import objective_four_stencils
 
     ref, flt, fwd, bwd, flt_mask = _anisotropic_pair()
     w = ObjectiveWeights(0.01, 0.02)
     calls = []
-    # the helper is idle, so the forward half it has started stays there
-    names = _record_threads(monkeypatch, calls, fwd, bwd_waits=True)
+    names = _record_threads(monkeypatch, calls, fwd)
     for _ in range(2):
         value_only = objective(ref, flt, fwd, bwd, w, flt_mask=flt_mask, with_gradient=False)
         finished = objective_gradient(value_only.forward)
     caller = threading.get_ident()
-    helpers = {thread for _, half, thread in calls if half == "fwd"}
     assert {thread for _, half, thread in calls if half == "bwd"} == {caller}
-    assert len(helpers) == 1 and caller not in helpers
+    assert caller not in {thread for _, half, thread in calls if half == "fwd"}
     assert Counter((name, half) for name, half, _ in calls) == {
         (name, half): 2 for name in names for half in ("fwd", "bwd")}
     oracle = objective_four_stencils(ref, flt, fwd, bwd, w, flt_mask=flt_mask)
@@ -674,8 +668,9 @@ def test_each_pass_runs_its_forward_half_on_one_helper_thread(monkeypatch):
 
 
 def test_concurrent_objective_calls_equal_serial_ones_bit_for_bit():
-    # as in build_pseudo_labels, registrations on a pool share the helper;
-    # more callers than cores, switching threads often
+    # as in build_pseudo_labels, registrations run on a pool, each call
+    # starting forward-half threads of its own; more callers than cores,
+    # switching threads often
     ref, flt, fwd, bwd, flt_mask = _anisotropic_pair()
     other = fwd.with_coefficients(np.random.default_rng(7).normal(0, 1.0, fwd.coefficients.shape))
     calls = [(fwd, bwd, ObjectiveWeights(0.01, 0.02), flt_mask),
@@ -701,79 +696,64 @@ def test_concurrent_objective_calls_equal_serial_ones_bit_for_bit():
         sys.setswitchinterval(interval)
 
 
-def test_a_forward_half_the_busy_helper_has_not_started_runs_on_its_caller(monkeypatch):
+# A non-daemon thread evaluates once the main thread has returned, while the
+# interpreter shuts down: executors then take no more work.
+_AFTER_MAIN_SCRIPT = """
+import hashlib, pickle, sys, threading
+from atlasreg.objective import objective, objective_gradient
+
+with open(sys.argv[1], "rb") as f:
+    ref, flt, fwd, bwd, w, flt_mask = pickle.load(f)
+
+def evaluate():
+    threading.main_thread().join()
+    res = objective(ref, flt, fwd, bwd, w, flt_mask=flt_mask, with_gradient=False)
+    grads = objective_gradient(res.forward)
+    print(res.value.hex(), *(hashlib.sha256(g.tobytes()).hexdigest() for g in grads))
+
+threading.Thread(target=evaluate).start()
+"""
+
+
+def test_an_objective_evaluates_after_the_main_thread_has_returned(tmp_path):
     from bspline_oracle import objective_four_stencils
 
     ref, flt, fwd, bwd, flt_mask = _anisotropic_pair()
     w = ObjectiveWeights(0.01, 0.02)
+    call = tmp_path / "call.pkl"
+    call.write_bytes(pickle.dumps((ref, flt, fwd, bwd, w, flt_mask)))
+    src = str(Path(objective_module.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    run = subprocess.run([sys.executable, "-c", _AFTER_MAIN_SCRIPT, str(call)],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0 and not run.stderr, run.stderr
     oracle = objective_four_stencils(ref, flt, fwd, bwd, w, flt_mask=flt_mask)
-    calls = []
-    _record_threads(monkeypatch, calls, fwd)
-    helper = ThreadPoolExecutor(max_workers=1)
-    monkeypatch.setattr(objective_module, "_HELPER", helper)
-    release, helper_thread = threading.Event(), []
-    # the helper is kept busy, so every forward half stays queued behind it
-    helper.submit(lambda: helper_thread.append(threading.get_ident()) or release.wait(120))
-
-    def evaluate(_):
-        res = objective(ref, flt, fwd, bwd, w, flt_mask=flt_mask, with_gradient=False)
-        return threading.get_ident(), res.value, *objective_gradient(res.forward)
-
-    try:
-        with ThreadPoolExecutor(3) as pool:
-            results = list(pool.map(evaluate, range(3), timeout=60))
-    finally:
-        release.set()
-        helper.shutdown()
-    callers = {thread for thread, *_ in results}
-    assert len(callers) == 3 and not callers & set(helper_thread)
-    assert {thread for _, half, thread in calls if half == "fwd"} == callers
-    for _, value, grad_fwd, grad_bwd in results:
-        assert _bits(value) == _bits(oracle.value)
-        assert np.array_equal(_bits(grad_fwd), _bits(oracle.grad_fwd))
-        assert np.array_equal(_bits(grad_bwd), _bits(oracle.grad_bwd))
-
-
-def test_an_objective_evaluates_after_its_helper_is_shut_down(monkeypatch):
-    # at interpreter exit the executors take no more work, while a thread
-    # that outlives the main thread may still be registering
-    from bspline_oracle import objective_four_stencils
-
-    ref, flt, fwd, bwd, flt_mask = _anisotropic_pair()
-    w = ObjectiveWeights(0.01, 0.02)
-    helper = ThreadPoolExecutor(max_workers=1)
-    helper.shutdown()
-    monkeypatch.setattr(objective_module, "_HELPER", helper)
-    value_only = objective(ref, flt, fwd, bwd, w, flt_mask=flt_mask, with_gradient=False)
-    finished = objective_gradient(value_only.forward)
-    oracle = objective_four_stencils(ref, flt, fwd, bwd, w, flt_mask=flt_mask)
-    assert _bits(value_only.value) == _bits(oracle.value)
-    assert np.array_equal(_bits(finished[0]), _bits(oracle.grad_fwd))
-    assert np.array_equal(_bits(finished[1]), _bits(oracle.grad_bwd))
+    assert run.stdout.split() == [
+        oracle.value.hex(),
+        *(hashlib.sha256(g.tobytes()).hexdigest() for g in (oracle.grad_fwd, oracle.grad_bwd))]
 
 
 def _fork_child_value(call):
     """The objective's value and the number of live helper threads after it."""
     ref, flt, fwd, bwd, w, flt_mask = call
     value = objective(ref, flt, fwd, bwd, w, flt_mask=flt_mask).value
-    helpers = [t for t in threading.enumerate() if t.name.startswith("atlasreg-fwd-half")]
-    return value, len(helpers)
+    return value, len(_live_helpers())
 
 
-# Python 3.12+ warns on any fork in a process with threads; the helper
-# thread is running on purpose here, to show that the child starts its own
+# Python 3.12+ warns on any fork in a process with threads, and other threads
+# of the test session may still run at the fork
 @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
 def test_a_forked_child_evaluates_with_a_helper_of_its_own():
     import multiprocessing
 
     ref, flt, fwd, bwd, flt_mask = _anisotropic_pair()
     call = (ref, flt, fwd, bwd, ObjectiveWeights(0.01, 0.02), flt_mask)
-    value, helpers = _fork_child_value(call)  # the parent's helper thread is running
-    assert helpers == 1
+    value, helpers = _fork_child_value(call)
     with multiprocessing.get_context("fork").Pool(1) as pool:
         child, child_helpers = pool.apply_async(_fork_child_value, (call,)).get(timeout=60)
     assert _bits(child) == _bits(value)
-    assert child_helpers == 1
+    assert helpers == child_helpers == 0
 
 
 def _lost(t):
@@ -804,13 +784,13 @@ def test_an_error_in_one_half_is_raised_after_the_other_half_finishes(monkeypatc
     _slow_half(monkeypatch, bwd, finished)
     with pytest.raises(DegenerateInputError, match="no contributing voxels"):
         objective(ref, flt, _lost(fwd), bwd, w, flt_mask=flt_mask, with_gradient=False)
-    assert finished == [bwd]
+    assert finished == [bwd] and not _live_helpers()
     # the caller's half raises at once; the helper's half is slow
     finished.clear()
     _slow_half(monkeypatch, fwd, finished)
     with pytest.raises(DegenerateInputError, match="no contributing voxels"):
         objective(ref, flt, fwd, _lost(bwd), w, flt_mask=flt_mask, with_gradient=False)
-    assert finished == [fwd]
+    assert finished == [fwd] and not _live_helpers()
     # the next call succeeds, bit for bit
     res = objective(ref, flt, fwd, bwd, w, flt_mask=flt_mask)
     oracle = objective_four_stencils(ref, flt, fwd, bwd, w, flt_mask=flt_mask)

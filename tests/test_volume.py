@@ -143,6 +143,13 @@ def test_probability_volume_channel_sum():
         ProbabilityVolume(ch2)
 
 
+def test_probability_volume_rejects_nan_channels():
+    ch = np.full((2, 2, 2, 2), 0.5, dtype=np.float32)
+    ch[:, 0, 0, 0] = np.nan  # NaN passes every range and sum comparison
+    with pytest.raises(InvalidInputError, match="NaN or Inf"):
+        ProbabilityVolume(ch)
+
+
 def test_world_voxel_round_trip():
     rng = np.random.default_rng(3)
     direction = np.array([[0, -1, 0], [1, 0, 0], [0, 0, 1]], dtype=float)
