@@ -741,8 +741,8 @@ def _fork_child_value(call):
     return value, len(_live_helpers())
 
 
-# Python 3.12+ warns on any fork in a process with threads, and other threads
-# of the test session may still run at the fork
+# Python 3.12+ warns on any fork in a process with threads, and threads that
+# other tests started may still run at the fork
 @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
 def test_a_forked_child_evaluates_with_a_helper_of_its_own():
     import multiprocessing
