@@ -23,7 +23,13 @@ stencil on the floating grid. A violation raises GeometryMismatchError.
 
 All gradients with respect to B-spline coefficients are analytic. The
 composition gradient treats the inner field of each round trip as fixed, so
-each of the two composition terms drives only its outer transform.
+each of the two composition terms drives only its outer transform. The
+similarity gradient holds the histogram mask fixed: a voxel whose mapped
+point crosses the floating grid's edge enters or leaves the histogram as a
+step, and that overlap-boundary term is left out. The affine registration
+scores a soft-edged overlap instead (`registration._overlap_nmi`, through
+the `shell` deposit weights of `_joint_counts`), so its gradient includes
+the term.
 
 An objective evaluation is a forward pass and a finishing step. The forward
 pass (`objective`) computes the value and keeps only what the gradient
@@ -67,6 +73,7 @@ from .transforms import (
     BSplineTransform,
     dense_displacement,
     splat_to_coefficients,
+    _einsum,
     _weight_matrices,
 )
 from .volume import Grid, TrilinearStencil, Volume, require_same_geometry
@@ -246,14 +253,16 @@ def _footprint(q_r, q_f, d1_f=False):
             yield np.add(cell, dr * BINS + df, out=idx), w_r, rows_f[df]
 
 
-def _joint_counts(rv: np.ndarray, fv: np.ndarray, ranges):
+def _joint_counts(rv: np.ndarray, fv: np.ndarray, ranges, shell=None):
     """Parzen joint histogram (BINS, BINS) of paired ref/float samples.
 
     `ranges` fixes the (ref, float) intensity ranges; None takes the robust
-    percentile ranges of the samples. Also returns the per-pair bin
-    positions the gradient reads: (ref positions, float positions, float
-    scale, float unclamped mask). The positions are computed in place of
-    the float64 samples rv and fv.
+    percentile ranges of the samples. Every pair deposits a unit mass,
+    except those that `shell` = (indices, weights) names, which deposit
+    their weight. Also returns the per-pair bin positions the gradient
+    reads: (ref positions, float positions, float scale, float unclamped
+    mask). The positions are computed in place of the float64 samples rv
+    and fv.
     """
     if rv.size == 0:
         raise DegenerateInputError("no contributing voxels (empty mask or no overlap)")
@@ -262,10 +271,12 @@ def _joint_counts(rv: np.ndarray, fv: np.ndarray, ranges):
     q_r = _bin_positions(rv, ranges[0])[0]
     q_f, scale_f, interior_f = _bin_positions(fv, ranges[1])
     counts = np.zeros(BINS * BINS)
-    weights = np.empty(q_r.size)
+    deposit = np.empty(q_r.size)
     for cell, w_r, w_f in _footprint(q_r, q_f):
-        counts += np.bincount(cell, weights=np.multiply(w_r, w_f, out=weights),
-                              minlength=BINS * BINS)
+        np.multiply(w_r, w_f, out=deposit)
+        if shell is not None:
+            deposit[shell[0]] *= shell[1]
+        counts += np.bincount(cell, weights=deposit, minlength=BINS * BINS)
     return counts.reshape(BINS, BINS), (q_r, q_f, scale_f, interior_f)
 
 
@@ -403,13 +414,20 @@ class SimilarityForward:
     positions: tuple
 
 
-def _sample_gradient(counts, positions):
+def _sample_gradient(counts, positions, shell=None):
     """d NMI / d floating sample of every histogram pair, from the joint
     counts and the `_joint_counts` bin positions. The footprint cells and
     reference weights are recomputed, bit for bit those of the deposit; of
-    the floating footprint only the kernel derivative is evaluated."""
+    the floating footprint only the kernel derivative is evaluated.
+
+    `shell` = (indices, weights) names the pairs whose `_joint_counts`
+    deposit weight lies below 1; every other pair deposited a unit mass.
+    Their sample derivatives are scaled by the weight, and the return is
+    (sample derivatives, d NMI / d deposit weight of each shell pair).
+    """
     q_r, q_f, scale_f, interior_f = positions
-    ds_flat = _nmi_and_count_gradient(counts)[1].reshape(-1)
+    ds = _nmi_and_count_gradient(counts)[1]
+    ds_flat = ds.reshape(-1)
     lam = np.zeros(q_r.size)
     term = np.empty(q_r.size)
     for cell, w_r, dw_f in _footprint(q_r, q_f, d1_f=True):
@@ -421,7 +439,17 @@ def _sample_gradient(counts, positions):
     # clamped samples sit on the flat part of the intensity mapping
     lam *= scale_f
     lam[~interior_f] = 0.0
-    return lam
+    if shell is None:
+        return lam
+    idx, w = shell
+    lam[idx] *= w
+    mu = np.zeros(idx.size)
+    for cell, w_r, w_f in _footprint(q_r[idx], q_f[idx]):
+        mu += ds_flat[cell] * w_r * w_f
+    # a weight changes the total mass, so the uniform term of the count
+    # derivative, which cancels for a sample's value, stays here
+    mu -= float((counts * ds).sum()) / counts.sum()
+    return lam, mu
 
 
 def _similarity_gradient(fw: SimilarityForward) -> np.ndarray:
@@ -487,7 +515,7 @@ def _bending(t: BSplineTransform, with_gradient: bool):
     grad = np.zeros_like(coef) if with_gradient else None
     for ox, oy, oz, mult in _BENDING_TERMS:
         gx, gy, gz = _weight_matrices(t, (ox, oy, oz), gram=True)
-        gc = np.einsum("ap,bq,cr,pqrd->abcd", gx, gy, gz, coef, optimize=True)
+        gc = _einsum("ap,bq,cr,pqrd->abcd", gx, gy, gz, coef)
         energy += mult * float(np.vdot(coef, gc))
         if with_gradient:
             grad += (2.0 * mult / n_vox) * gc

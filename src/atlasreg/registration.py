@@ -17,8 +17,9 @@ from scipy.ndimage import gaussian_filter
 from .errors import DegenerateInputError, InvalidInputError, NumericalFailureError
 from .objective import (
     ObjectiveWeights,
-    _floating_samples,
-    _histogram_nmi,
+    _joint_counts,
+    _sample_gradient,
+    nmi,
     objective,
     objective_gradient,
     robust_range,
@@ -34,7 +35,6 @@ from .volume import TrilinearStencil, Volume, resample
 STEP_FLOOR_MM = 0.01      # smallest line-search probe, both stages
 AFFINE_GAIN_FLOOR = 1e-7  # relative gain per iteration below which a stage stops
 FFD_GAIN_FLOOR = 1e-5
-AFFINE_FD_STEP = 0.05     # central-difference step of the affine gradient (mm-scaled)
 
 
 @dataclass(frozen=True)
@@ -196,6 +196,86 @@ def _center_of_mass(vol: Volume) -> np.ndarray:
     return vol.world_from_voxel(np.array([(w * pts[:, a]).sum() / total for a in range(3)]))
 
 
+def _soft_overlap(stencil: TrilinearStencil, points: np.ndarray):
+    """The soft-edged overlap of mapped points with a grid.
+
+    `points` (N, 3) are the voxel coordinates `stencil` was built from.
+    Along each axis a point weighs 1 within [0, n - 1] and falls linearly
+    to 0 one voxel outside; its weight is the product over the axes, so it
+    is continuous in the point. Returns (the mask of the points of positive
+    weight, the shell). The shell holds the points outside the grid whose
+    weight is positive: (their indices among the points of the mask, their
+    weights, d weight / d voxel coordinate (n, 3), the mask (n, 3) of the
+    axes on which they lie inside, and the points clamped onto the grid
+    (n, 3)). Points inside the grid weigh exactly 1 and make no shell state.
+    """
+    rows = np.flatnonzero(~stencil.inside)
+    outside = points[rows]
+    clamped = np.clip(outside, 0.0, np.asarray(stencil.dims, dtype=np.float64) - 1.0)
+    excursion = np.subtract(outside, clamped, out=outside)
+    axis_w = np.maximum(1.0 - np.abs(excursion), 0.0)
+    weights = axis_w.prod(axis=1)
+    kept = weights > 0
+    shell_rows, dropped = rows[kept], rows[~kept]
+    mask = stencil.inside.copy()
+    mask[shell_rows] = True
+    axis_w, excursion = axis_w[kept], excursion[kept]
+    others = np.stack([axis_w[:, 1] * axis_w[:, 2], axis_w[:, 0] * axis_w[:, 2],
+                       axis_w[:, 0] * axis_w[:, 1]], axis=1)
+    # an axis weight falls as the point moves out through either face
+    d_weight = np.sign(excursion)
+    d_weight *= -others
+    return mask, (shell_rows - np.searchsorted(dropped, shell_rows), weights[kept],
+                  d_weight, excursion == 0, clamped[kept])
+
+
+def _overlap_nmi(ref: Volume, flt: Volume, linear: np.ndarray, offset: np.ndarray, ranges):
+    """NMI of ref against flt over the soft-edged overlap of `_soft_overlap`,
+    where ref's voxel at world x maps to voxel coordinate x @ linear +
+    offset on flt's grid. A point outside the grid reads the edge-clamped
+    value.
+
+    Returns (nmi, finish): `finish()` returns d NMI / d mapped world point,
+    (N, 3) over ref's voxels and zero where a point weighs 0. The state kept
+    for it is the joint counts and bin positions, the mask and the shell;
+    the stencil is built again, so that it is not held while the histogram
+    allocates.
+    """
+    def stencil():
+        points = ref.grid.world_points() @ linear
+        points += offset
+        return TrilinearStencil(flt.dims, points), points
+
+    sampling, points = stencil()
+    mask, (idx, w, d_w, inner, shell_points) = _soft_overlap(sampling, points)
+    values = sampling.gather(flt.data)[mask]
+    del sampling, points
+    counts, positions = _joint_counts(ref.data.reshape(-1)[mask].astype(np.float64), values,
+                                      ranges, (idx, w))
+    del values
+    state = [counts, positions]
+
+    def finish():
+        counts, positions = state
+        state.clear()
+        lam, mu = _sample_gradient(counts, positions, (idx, w))
+        del counts, positions
+        grad = stencil()[0].gather(flt.data, want_gradient=True)[1]  # 0 outside the grid
+        g = grad[mask]
+        # on a face the edge-clamped value is flat across it only
+        g[idx] = TrilinearStencil(flt.dims, shell_points).gather(
+            flt.data, want_gradient=True)[1] * inner
+        g *= lam[:, None]
+        g[idx] += mu[:, None] * d_w
+        # d(sample)/d(world point) = direction @ (voxel gradient / spacing)
+        g /= np.asarray(flt.spacing)
+        grad[~mask] = 0.0
+        grad[mask] = g @ flt.direction.T
+        return grad
+
+    return nmi(counts), finish
+
+
 def register_affine(ref: Volume, flt: Volume, *, max_iter=(40, 25, 12)) -> AffineTransform:
     """Maximize NMI over 12 affine parameters, coarse to fine (x4, x2, x1).
 
@@ -205,12 +285,23 @@ def register_affine(ref: Volume, flt: Volume, *, max_iter=(40, 25, 12)) -> Affin
     grid-aligned samples NMI has spurious maxima away from the true
     alignment, which the finer stages cannot climb back from.
 
+    The overlap has a soft edge (`_soft_overlap`): a reference voxel that
+    maps within one voxel outside the floating grid deposits the
+    edge-clamped floating value with a weight falling linearly to 0 one
+    voxel out, so NMI is continuous in the parameters. A probe whose every
+    point maps inside scores exactly the hard-masked NMI.
+
     Parameters are optimized in a millimeter-scaled space (linear part scaled
-    by the half-extent) by `_ascend` on central-difference gradients, starting
-    from center-of-mass alignment; each parameter is one node, so the first
-    probe of a stage moves the one of largest derivative by max(extent/32, 1)
-    mm. A stage stops once its relative NMI gain falls below
-    AFFINE_GAIN_FLOOR. `max_iter` holds one iteration cap >= 1 per stage.
+    by the half-extent) by `_ascend`, starting from center-of-mass
+    alignment; each parameter is one node, so the first probe of a stage
+    moves the one of largest derivative by max(extent/32, 1) mm. Every probe
+    builds one joint histogram. The gradient is analytic (Mattes et al.,
+    IEEE TMI 2003), finished from an accepted probe's state: the
+    per-sample derivative of NMI times the floating image's gradient, plus
+    the shell's weight derivative, contracted with [x - c, 1]. No central
+    differences are taken. A stage stops once its relative NMI gain falls
+    below AFFINE_GAIN_FLOOR. `max_iter` holds one iteration cap >= 1 per
+    stage.
     """
     max_iter = tuple(max_iter)
     if len(max_iter) != 3 or not all(n >= 1 for n in max_iter):
@@ -247,20 +338,22 @@ def register_affine(ref: Volume, flt: Volume, *, max_iter=(40, 25, 12)) -> Affin
             ref_l, flt_l = ref, flt
         ref_world = ref_l.grid.world_points()
         ranges = (robust_range(ref_l.data.reshape(-1).astype(np.float64)), flt_range)
-
-        def score(qv):
-            m = matrix_of(qv)
-            stencil = TrilinearStencil(
-                flt_l.dims, flt_l.voxel_from_world(ref_world @ m[:3, :3].T + m[:3, 3]))
-            samples = _floating_samples(stencil, flt_l, None, None)
-            del stencil  # its memory then serves the histogram: fewer page faults
-            return _histogram_nmi(ref_l, samples, ranges)[0]
+        to_voxel = flt_l.direction / np.asarray(flt_l.spacing)
 
         def evaluate(qv):
-            def central_differences():
-                return np.array([[(score(qv + e) - score(qv - e)) / (2 * AFFINE_FD_STEP)]
-                                 for e in AFFINE_FD_STEP * np.eye(12)[:, :, None]])
-            return score(qv), central_differences
+            m = matrix_of(qv)
+            value, finish_points = _overlap_nmi(
+                ref_l, flt_l, m[:3, :3].T @ to_voxel, (m[:3, 3] - flt_l.origin) @ to_voxel,
+                ranges)
+
+            def finish():
+                # contract d NMI / d mapped point with [x - c, 1]
+                g = finish_points()
+                g_sum = g.sum(axis=0)
+                linear = g.T @ ref_world - np.outer(g_sum, center)
+                return np.concatenate([linear.reshape(-1) / scale_len, g_sum])[:, None]
+
+            return value, finish
 
         q, _, _ = _ascend(evaluate, q, max(extent / 32.0, 1.0), iters, AFFINE_GAIN_FLOOR)
 

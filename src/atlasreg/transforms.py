@@ -193,17 +193,32 @@ def _weight_matrices(t: BSplineTransform, orders=(0, 0, 0), gram=False):
     )
 
 
+@lru_cache(maxsize=64)
+def _contraction_path(subscripts: str, shapes: tuple) -> list:
+    """The greedy contraction order np.einsum(optimize=True) would search
+    for operands of these shapes."""
+    operands = [np.broadcast_to(0.0, shape) for shape in shapes]
+    return np.einsum_path(subscripts, *operands, optimize="greedy")[0]
+
+
+def _einsum(subscripts: str, *operands) -> np.ndarray:
+    """np.einsum(subscripts, *operands, optimize=True), bit for bit, with
+    the path search done once per operand shapes instead of on every call."""
+    path = _contraction_path(subscripts, tuple(op.shape for op in operands))
+    return np.einsum(subscripts, *operands, optimize=path)
+
+
 def dense_displacement(t: BSplineTransform) -> np.ndarray:
     """Displacement field (nx, ny, nz, 3) in mm at every reference voxel."""
     wx, wy, wz = _weight_matrices(t)
-    return np.einsum("ia,jb,kc,abcd->ijkd", wx, wy, wz, t.coefficients, optimize=True)
+    return _einsum("ia,jb,kc,abcd->ijkd", wx, wy, wz, t.coefficients)
 
 
 def splat_to_coefficients(t: BSplineTransform, voxel_field: np.ndarray) -> np.ndarray:
     """Adjoint of dense evaluation: scatter an (nx, ny, nz, 3) voxel field to
     per-coefficient sums with the same tensor-product weights."""
     wx, wy, wz = _weight_matrices(t)
-    return np.einsum("ia,jb,kc,ijkd->abcd", wx, wy, wz, voxel_field, optimize=True)
+    return _einsum("ia,jb,kc,ijkd->abcd", wx, wy, wz, voxel_field)
 
 
 def max_displacement(t: BSplineTransform) -> float:

@@ -21,10 +21,10 @@ from atlasreg import (
 )
 from atlasreg.phantom import generate_phantom, scaled_spec
 from atlasreg import registration
-from atlasreg.objective import ObjectiveResult
+from atlasreg.objective import ObjectiveResult, _floating_samples, _histogram_nmi
 from atlasreg.registration import STEP_FLOOR_MM, _ascend, build_pyramid, usable_levels
 from atlasreg.transforms import max_displacement, warp_volume
-from atlasreg.volume import resample
+from atlasreg.volume import TrilinearStencil, resample
 
 
 def _phantom(dims=(32, 32, 32), seed=1, noise=1.5, texture=6.0):
@@ -327,6 +327,106 @@ def test_affine_max_iter_needs_one_cap_per_stage(max_iter):
     vol = _phantom((16, 16, 16))
     with pytest.raises(InvalidInputError, match="max_iter"):
         register_affine(vol, vol, max_iter=max_iter)
+
+
+def _affine_stages(monkeypatch, ref, flt):
+    """(evaluate, start) of every stage `register_affine` runs, none ascended."""
+    stages = []
+
+    def capture(evaluate, x, *args):
+        stages.append((evaluate, x.copy()))
+        return x, [], True
+
+    monkeypatch.setattr(registration, "_ascend", capture)
+    register_affine(ref, flt)
+    return stages
+
+
+def _xmod_pair(dims=(24, 24, 24)):
+    """An LGE reference and a bSSFP floating phantom of other noise."""
+    spec = dict(dims=dims, noise_sigma=1.5, texture_amplitude=6.0)
+    return (generate_phantom(scaled_spec(seed=1, modality="lge", **spec))[0],
+            generate_phantom(scaled_spec(seed=2, modality="bssfp", **spec))[0])
+
+
+@pytest.mark.parametrize("shift_mm", [3.5, -3.3])
+def test_affine_gradient_matches_central_differences_across_the_overlap_edge(
+        monkeypatch, shift_mm):
+    ref, flt = _xmod_pair()
+    (evaluate, start), = _affine_stages(monkeypatch, ref, flt)
+    shells = []
+    soft_overlap = registration._soft_overlap
+
+    def spy(*args):
+        mask, shell = soft_overlap(*args)
+        shells.append(shell[0].size)
+        return mask, shell
+
+    monkeypatch.setattr(registration, "_soft_overlap", spy)
+    # a shift along x and some shear and scale put a slab of the reference
+    # grid into the one-voxel shell outside the floating grid
+    q = start.copy()
+    q[9, 0] += shift_mm
+    q[0, 0] += 0.3
+    q[4, 0] -= 0.5
+    analytic = evaluate(q)[1]()[:, 0]
+    assert shells[0] > 500
+    h = 0.002
+    fd = np.array([(evaluate(q + h * e[:, None])[0] - evaluate(q - h * e[:, None])[0]) / (2 * h)
+                   for e in np.eye(12)])
+    # measured 2e-4; leaving out the shell's weight derivative gives 0.15-0.26
+    assert np.linalg.norm(analytic - fd) <= 5e-3 * np.linalg.norm(fd)
+
+
+def test_affine_score_is_the_hard_masked_nmi_inside_the_grid_and_not_across_its_edge():
+    ref, flt = _xmod_pair()
+    ranges = (registration.robust_range(ref.data.reshape(-1).astype(np.float64)),
+              registration.robust_range(flt.data.reshape(-1)))
+    n = np.asarray(flt.dims) - 1.0
+    # both grids have unit spacing, origin 0 and identity direction
+    linear = 0.9 * np.eye(3)
+
+    def scores(offset):
+        soft = registration._overlap_nmi(ref, flt, linear, offset, ranges)[0]
+        points = ref.grid.world_points() @ linear + offset
+        samples = _floating_samples(TrilinearStencil(flt.dims, points), flt, None, None)
+        return soft, _histogram_nmi(ref, samples, ranges)[0], samples[1]
+
+    soft, hard, inside = scores(0.05 * n)  # every point maps into [0.05, 0.95] n
+    assert inside.all() and soft == hard
+    # x now reaches down to -1.45: a slab maps into the one-voxel shell
+    soft, hard, inside = scores(0.05 * n - [2.6, 0.0, 0.0])
+    assert not inside.all() and soft != hard
+
+
+def test_affine_builds_one_joint_histogram_per_probe(monkeypatch):
+    objective_module = importlib.import_module("atlasreg.objective")
+    joint_counts, ascend = objective_module._joint_counts, registration._ascend
+    calls = {"evaluate": 0, "finish": 0, "histogram": 0}
+
+    def counted_joint_counts(*args, **kwargs):
+        calls["histogram"] += 1
+        return joint_counts(*args, **kwargs)
+
+    def counted_ascend(evaluate, *args):
+        def counted_evaluate(x):
+            calls["evaluate"] += 1
+            value, finish = evaluate(x)
+
+            def counted_finish():
+                calls["finish"] += 1
+                return finish()
+
+            return value, counted_finish
+
+        return ascend(counted_evaluate, *args)
+
+    monkeypatch.setattr(objective_module, "_joint_counts", counted_joint_counts)
+    monkeypatch.setattr(registration, "_joint_counts", counted_joint_counts)
+    monkeypatch.setattr(registration, "_ascend", counted_ascend)
+    register_affine(*_xmod_pair((32, 32, 32)), max_iter=(4, 4, 4))
+    assert calls["finish"] >= 2
+    assert calls["histogram"] == calls["evaluate"]
 
 
 # --- FFD ---------------------------------------------------------------------

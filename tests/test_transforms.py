@@ -19,6 +19,7 @@ from atlasreg import (
     warp_volume,
 )
 from atlasreg.transforms import (
+    _einsum,
     bspline_kernel_d1,
     bspline_kernel_d2,
     dense_displacement,
@@ -134,6 +135,24 @@ def test_splat_is_adjoint_of_dense_displacement():
     lhs = np.vdot(dense_displacement(t.with_coefficients(coef)), vecs)
     rhs = np.vdot(coef, splat_to_coefficients(t, vecs))
     assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+@pytest.mark.parametrize("subscripts, shapes", [
+    # dense evaluation, splat and bending at the ffd_stack lattice
+    ("ia,jb,kc,abcd->ijkd", ((128, 29), (128, 29), (16, 7), (29, 29, 7, 3))),
+    ("ia,jb,kc,ijkd->abcd", ((128, 29), (128, 29), (16, 7), (128, 128, 16, 3))),
+    ("ap,bq,cr,pqrd->abcd", ((29, 29), (29, 29), (7, 7), (29, 29, 7, 3))),
+    # the 2-voxel type-2 lattice on 32^3, and a 64x64x8 slice stack
+    ("ia,jb,kc,abcd->ijkd", ((32, 19), (32, 19), (32, 19), (19, 19, 19, 3))),
+    ("ap,bq,cr,pqrd->abcd", ((19, 19), (19, 19), (19, 19), (19, 19, 19, 3))),
+    ("ia,jb,kc,ijkd->abcd", ((64, 16), (64, 16), (8, 5), (64, 64, 8, 3))),
+])
+def test_einsum_with_a_cached_path_equals_the_searched_path_exactly(subscripts, shapes):
+    rng = np.random.default_rng(23)
+    for _ in range(2):  # the second call takes the cached path
+        operands = [rng.normal(size=shape) for shape in shapes]
+        assert np.array_equal(_einsum(subscripts, *operands),
+                              np.einsum(subscripts, *operands, optimize=True))
 
 
 # --- affine --------------------------------------------------------------
