@@ -28,8 +28,8 @@ similarity gradient holds the histogram mask fixed: a voxel whose mapped
 point crosses the floating grid's edge enters or leaves the histogram as a
 step, and that overlap-boundary term is left out. The affine registration
 scores a soft-edged overlap instead (`registration._overlap_nmi`, through
-the `shell` deposit weights of `_joint_counts`), so its gradient includes
-the term.
+the `shell` deposit weights of `_joint_counts` and
+`_deposit_weight_gradient`), so its gradient includes the term.
 
 An objective evaluation is a forward pass and a finishing step. The forward
 pass (`objective`) computes the value and keeps only what the gradient
@@ -378,9 +378,7 @@ def sample_map(ffd: BSplineTransform, onto: Grid) -> SampledMap:
 
 def _floating_samples(stencil: TrilinearStencil, flt: Volume, ref_mask, flt_valid):
     """flt sampled through `stencil`, one point per ref voxel: (values, mask
-    of the points that enter the histogram). Kept apart from
-    `_histogram_nmi` so that a caller can release a stencil of its own
-    before the histogram allocates."""
+    of the points that enter the histogram)."""
     vals = stencil.gather(flt.data, 0.0)
     mask = stencil.inside
     if ref_mask is not None:
@@ -414,20 +412,13 @@ class SimilarityForward:
     positions: tuple
 
 
-def _sample_gradient(counts, positions, shell=None):
+def _sample_gradient(counts, positions):
     """d NMI / d floating sample of every histogram pair, from the joint
     counts and the `_joint_counts` bin positions. The footprint cells and
     reference weights are recomputed, bit for bit those of the deposit; of
-    the floating footprint only the kernel derivative is evaluated.
-
-    `shell` = (indices, weights) names the pairs whose `_joint_counts`
-    deposit weight lies below 1; every other pair deposited a unit mass.
-    Their sample derivatives are scaled by the weight, and the return is
-    (sample derivatives, d NMI / d deposit weight of each shell pair).
-    """
+    the floating footprint only the kernel derivative is evaluated."""
     q_r, q_f, scale_f, interior_f = positions
-    ds = _nmi_and_count_gradient(counts)[1]
-    ds_flat = ds.reshape(-1)
+    ds_flat = _nmi_and_count_gradient(counts)[1].reshape(-1)
     lam = np.zeros(q_r.size)
     term = np.empty(q_r.size)
     for cell, w_r, dw_f in _footprint(q_r, q_f, d1_f=True):
@@ -439,17 +430,21 @@ def _sample_gradient(counts, positions, shell=None):
     # clamped samples sit on the flat part of the intensity mapping
     lam *= scale_f
     lam[~interior_f] = 0.0
-    if shell is None:
-        return lam
-    idx, w = shell
-    lam[idx] *= w
-    mu = np.zeros(idx.size)
-    for cell, w_r, w_f in _footprint(q_r[idx], q_f[idx]):
-        mu += ds_flat[cell] * w_r * w_f
-    # a weight changes the total mass, so the uniform term of the count
-    # derivative, which cancels for a sample's value, stays here
-    mu -= float((counts * ds).sum()) / counts.sum()
-    return lam, mu
+    return lam
+
+
+def _deposit_weight_gradient(counts, positions, idx):
+    """d NMI / d deposit weight of the histogram pairs `idx`, from the joint
+    counts and the `_joint_counts` bin positions.
+
+    A weight changes the histogram's total mass, so the uniform term of the
+    count derivative, which cancels for a sample's value, stays here.
+    """
+    ds = _nmi_and_count_gradient(counts)[1]
+    grad = np.full(idx.size, -float((counts * ds).sum()) / counts.sum())
+    for cell, w_r, w_f in _footprint(positions[0][idx], positions[1][idx]):
+        grad += ds.reshape(-1)[cell] * w_r * w_f
+    return grad
 
 
 def _similarity_gradient(fw: SimilarityForward) -> np.ndarray:

@@ -17,6 +17,7 @@ from scipy.ndimage import gaussian_filter
 from .errors import DegenerateInputError, InvalidInputError, NumericalFailureError
 from .objective import (
     ObjectiveWeights,
+    _deposit_weight_gradient,
     _joint_counts,
     _sample_gradient,
     nmi,
@@ -219,14 +220,12 @@ def _soft_overlap(stencil: TrilinearStencil, points: np.ndarray):
     shell_rows, dropped = rows[kept], rows[~kept]
     mask = stencil.inside.copy()
     mask[shell_rows] = True
-    axis_w, excursion = axis_w[kept], excursion[kept]
-    others = np.stack([axis_w[:, 1] * axis_w[:, 2], axis_w[:, 0] * axis_w[:, 2],
-                       axis_w[:, 0] * axis_w[:, 1]], axis=1)
-    # an axis weight falls as the point moves out through either face
-    d_weight = np.sign(excursion)
-    d_weight *= -others
-    return mask, (shell_rows - np.searchsorted(dropped, shell_rows), weights[kept],
-                  d_weight, excursion == 0, clamped[kept])
+    weights, excursion = weights[kept], excursion[kept]
+    # an axis weight falls as the point moves out through either face; the
+    # other axes' weights multiply its derivative (none of them is 0 here)
+    d_weight = -np.sign(excursion) * (weights[:, None] / axis_w[kept])
+    return mask, (shell_rows - np.searchsorted(dropped, shell_rows), weights, d_weight,
+                  excursion == 0, clamped[kept])
 
 
 def _overlap_nmi(ref: Volume, flt: Volume, linear: np.ndarray, offset: np.ndarray, ranges):
@@ -258,7 +257,9 @@ def _overlap_nmi(ref: Volume, flt: Volume, linear: np.ndarray, offset: np.ndarra
     def finish():
         counts, positions = state
         state.clear()
-        lam, mu = _sample_gradient(counts, positions, (idx, w))
+        lam = _sample_gradient(counts, positions)
+        lam[idx] *= w
+        d_nmi_d_w = _deposit_weight_gradient(counts, positions, idx)
         del counts, positions
         grad = stencil()[0].gather(flt.data, want_gradient=True)[1]  # 0 outside the grid
         g = grad[mask]
@@ -266,7 +267,7 @@ def _overlap_nmi(ref: Volume, flt: Volume, linear: np.ndarray, offset: np.ndarra
         g[idx] = TrilinearStencil(flt.dims, shell_points).gather(
             flt.data, want_gradient=True)[1] * inner
         g *= lam[:, None]
-        g[idx] += mu[:, None] * d_w
+        g[idx] += d_nmi_d_w[:, None] * d_w
         # d(sample)/d(world point) = direction @ (voxel gradient / spacing)
         g /= np.asarray(flt.spacing)
         grad[~mask] = 0.0

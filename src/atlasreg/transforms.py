@@ -194,11 +194,11 @@ def _weight_matrices(t: BSplineTransform, orders=(0, 0, 0), gram=False):
 
 
 @lru_cache(maxsize=64)
-def _contraction_path(subscripts: str, shapes: tuple) -> list:
+def _contraction_path(subscripts: str, shapes: tuple) -> tuple:
     """The greedy contraction order np.einsum(optimize=True) would search
-    for operands of these shapes."""
+    for operands of these shapes; it depends on the shapes alone."""
     operands = [np.broadcast_to(0.0, shape) for shape in shapes]
-    return np.einsum_path(subscripts, *operands, optimize="greedy")[0]
+    return tuple(np.einsum_path(subscripts, *operands, optimize="greedy")[0])
 
 
 def _einsum(subscripts: str, *operands) -> np.ndarray:
