@@ -4,8 +4,12 @@ largest-connected-component post-processing.
 """
 from __future__ import annotations
 
+import multiprocessing
+import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+import time
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from functools import partial
 
 import numpy as np
 from scipy import ndimage
@@ -20,6 +24,8 @@ from .volume import (
     Volume,
     require_same_geometry,
 )
+
+PARENT_POLL_S = 0.5  # how often a registration worker checks that its parent lives
 
 
 def majority_vote(warped_labels: list[LabelVolume]) -> LabelVolume:
@@ -96,6 +102,73 @@ def largest_component(labels: LabelVolume) -> LabelVolume:
     return LabelVolume(out, labels.spacing, labels.origin, labels.direction)
 
 
+def _register_job(target: Volume, img: Volume, cfg: RegistrationConfig):
+    """One registration job of `build_pseudo_labels`.
+
+    Private and module-level, so that it is sent to a worker process by name:
+    `register` itself may be rebound to a wrapper (a tracer's, say) that does
+    not pickle.
+    """
+    return register(target, img, cfg)
+
+
+def _exit_with_parent(parent: int) -> None:
+    """Worker initializer: end the worker soon after process `parent` is gone.
+
+    A parent killed outright (by a timeout's SIGKILL, say) cannot shut its
+    pool down, and its idle workers would wait for jobs for ever.
+    """
+    def watch():
+        while os.getppid() == parent:
+            time.sleep(PARENT_POLL_S)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="parent-watch", daemon=True).start()
+
+
+def _register_all(target: Volume, jobs: list, workers: int) -> list:
+    """RegistrationResults of `jobs` in input order, at most `workers` at a time.
+
+    One worker, or a platform without the fork start method, runs the jobs in
+    order in this process. Otherwise each job runs in a forked worker process
+    with a GIL of its own; jobs start in input order, and none starts once a
+    failure is seen. Workers are forked rather than spawned because a fresh
+    interpreter imports numpy and scipy again, which costs about as much as
+    a small registration; the package keeps no thread alive between calls,
+    so no thread of its own is forked mid-call.
+
+    The error raised is that of the earliest failed job in input order,
+    named after its atlas, with its attributes (such as `level` and
+    `iteration`) and chained from the job's own error.
+    """
+    if workers == 1 or "fork" not in multiprocessing.get_all_start_methods():
+        outcomes = [partial(_register_job, target, img, cfg) for _, img, _, cfg in jobs]
+    else:
+        futures = []
+        fork = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(workers, mp_context=fork, initializer=_exit_with_parent,
+                                 initargs=(os.getpid(),)) as pool:
+            running = set()
+            for _, img, _, cfg in jobs:
+                if len(running) == workers:
+                    _, running = wait(running, return_when=FIRST_COMPLETED)
+                if any(f.done() and f.exception() is not None for f in futures):
+                    break
+                futures.append(pool.submit(_register_job, target, img, cfg))
+                running.add(futures[-1])
+        outcomes = [f.result for f in futures]
+
+    results = []
+    for (name, *_), outcome in zip(jobs, outcomes):
+        try:
+            results.append(outcome())
+        except AtlasRegError as exc:
+            named = type(exc)(f"{name}: {exc}")
+            named.__dict__.update(exc.__dict__)  # e.g. level and iteration
+            raise named from exc
+    return results
+
+
 def build_pseudo_labels(target: Volume,
                         atlases: list[tuple[Volume, LabelVolume]],
                         same_patient=None,
@@ -109,12 +182,14 @@ def build_pseudo_labels(target: Volume,
     `same_patient`, when given, is ((bssfp image, bssfp labels),
     (t2 image, t2 labels)) of the same patient; both are registered with the
     type-2 preset and fused through the consistency constraint.
-    Every registration is one job on a pool of `threads` worker threads
-    (None: the executor's default), so `threads` counts registration jobs.
-    Each registration runs its FFD objectives' forward halves on a
-    short-lived thread of its own (see `atlasreg.objective`), so the run
-    uses up to 2 x `threads` threads. Outputs are bit-identical for any
-    thread count. A failure names its atlas, and no job starts after it.
+    Every registration is one job, and `threads` counts the parallel
+    registration workers (None: one per CPU), capped at the number of jobs.
+    With more than one worker, each job runs in a forked worker process, so
+    the jobs do not share a GIL; with one, they run in order in the calling
+    process. Each registration also runs its FFD objectives' forward halves
+    on a short-lived thread of its own (see `atlasreg.objective`). Outputs
+    are bit-identical for any `threads`. A failure names its atlas, and no
+    job starts after it is seen.
     `registrations_out`, if provided, collects the RegistrationResults in
     input order (type-1 first) for manifest reporting.
     """
@@ -132,22 +207,8 @@ def build_pseudo_labels(target: Volume,
         jobs += [(f"same-patient atlas {i}", img, lbl, type2_cfg)
                  for i, (img, lbl) in enumerate(same_patient)]
 
-    failed = threading.Event()
-
-    def run_one(job):
-        name, img, _, cfg = job
-        if failed.is_set():
-            return None  # never read: the failure is raised first
-        try:
-            return register(target, img, cfg)
-        except AtlasRegError as exc:
-            failed.set()
-            named = type(exc)(f"{name}: {exc}")
-            named.__dict__.update(exc.__dict__)  # e.g. level and iteration
-            raise named from exc
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(run_one, jobs))
+    workers = min(threads or os.cpu_count() or 1, len(jobs))
+    results = _register_all(target, jobs, workers)
     if registrations_out is not None:
         registrations_out.extend(results)
 

@@ -19,7 +19,14 @@ from pathlib import Path
 import numpy as np
 
 from .errors import GeometryMismatchError, InvalidInputError, InvalidTransformError
-from .volume import Grid, LabelVolume, TrilinearStencil, Volume, require_same_geometry
+from .volume import (
+    Grid,
+    LabelVolume,
+    TrilinearStencil,
+    Volume,
+    _PicklesThroughInit,
+    require_same_geometry,
+)
 
 # ---------------------------------------------------------------------------
 # Cubic B-spline kernel
@@ -97,7 +104,7 @@ def _axis_gram(n: int, spacing: float, grid_n: int, order: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class AffineTransform:
+class AffineTransform(_PicklesThroughInit):
     """4x4 homogeneous matrix mapping reference world coords to source world coords."""
 
     matrix: np.ndarray
@@ -135,7 +142,7 @@ class AffineTransform:
 
 
 @dataclass(frozen=True)
-class BSplineTransform:
+class BSplineTransform(_PicklesThroughInit):
     """Cubic B-spline lattice of displacement vectors over a reference grid."""
 
     grid_dims: tuple[int, int, int]

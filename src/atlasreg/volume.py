@@ -14,7 +14,7 @@ only; labels move between grids by nearest neighbour in `transforms.warp_labels`
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
 import numpy as np
@@ -26,8 +26,20 @@ CLASS_NAMES = {1: "lv_cavity", 2: "lv_myocardium", 3: "rv_cavity"}
 GEOMETRY_TOL = 1e-5  # absolute tolerance of `same_geometry` on spacing, origin, direction
 
 
+class _PicklesThroughInit:
+    """Pickles a dataclass as a call of its constructor with its init fields.
+
+    An unpickled copy is then validated like any new instance, and its arrays
+    are read-only like the original's; the default pickling restores the
+    instance dict as it is, with writeable arrays.
+    """
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
+
+
 @dataclass(frozen=True, eq=False)
-class Grid:
+class Grid(_PicklesThroughInit):
     """Voxel grid geometry: dims, spacing (mm), origin and direction.
 
     The origin is the world position of voxel (0, 0, 0); the columns of the
@@ -112,7 +124,7 @@ def _grid_points(grid: Grid, world: bool) -> np.ndarray:
     return pts
 
 
-class _OnGrid:
+class _OnGrid(_PicklesThroughInit):
     """Geometry accessors of the volume types below, all answered by their Grid."""
 
     def _set_grid(self, dims):

@@ -1,5 +1,12 @@
 import itertools
+import os
+import pickle
+import signal
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +27,7 @@ from atlasreg import (
     largest_component,
     majority_vote,
 )
-from atlasreg import fusion
+from atlasreg import fusion, phantom
 
 
 def _lbl(data, spacing=(1.0, 1.0, 1.0)):
@@ -260,73 +267,190 @@ def _pseudo_inputs(seed=0, dims=(6, 6, 6)):
     return target, pairs[:3], tuple(pairs[3:])
 
 
-def _fake_register(calls, fail_on=None, error=None):
-    """Stand-in for `register`: records (job index, cfg), returns an identity
-    affine whose trace holds the job index, and finishes later jobs first.
-    Job `fail_on` raises `error`, by default GeometryMismatchError("boom")."""
+def _fake_register(log, fail_on=None, error=None):
+    """Stand-in for `register`: appends the job index to the file `log` when a
+    job starts, and returns an identity affine whose trace holds the job index
+    and which has one converged flag per level of its config. Later jobs
+    finish first. Job `fail_on` raises `error` at once, by default
+    GeometryMismatchError("boom").
+
+    A job may run in a forked worker process, so the fake reports through
+    the file and the result rather than through objects of the test.
+    """
     def register(target, img, cfg):
         k = int(img.data.flat[0])
-        calls.append((k, cfg))
-        time.sleep(0.02 * (5 - k))
+        with open(log, "a") as f:
+            f.write(f"{k}\n")
         if k == fail_on:
             raise error or GeometryMismatchError("boom")
-        return RegistrationResult(AffineTransform.identity(), None, None, [[float(k)]], [True])
+        time.sleep(0.02 * (5 - k))
+        return RegistrationResult(AffineTransform.identity(), None, None, [[float(k)]],
+                                  [True] * cfg.levels)
     return register
 
 
+def _started(log):
+    return sorted(int(line) for line in log.read_text().split()) if log.exists() else []
+
+
 @pytest.mark.parametrize("threads", [1, 3])
-def test_pseudo_labels_order_configs_and_fusion(monkeypatch, threads):
+def test_pseudo_labels_order_configs_and_fusion(monkeypatch, tmp_path, threads):
     target, atlases, same_patient = _pseudo_inputs()
     cfg1 = RegistrationConfig(levels=1, max_iter_per_level=1)
     cfg2 = RegistrationConfig(levels=2, max_iter_per_level=1)
-    calls = []
-    monkeypatch.setattr(fusion, "register", _fake_register(calls))
+    monkeypatch.setattr(fusion, "register", _fake_register(tmp_path / "log"))
     regs = []
     fused = build_pseudo_labels(target, atlases, same_patient, type1_cfg=cfg1,
                                 type2_cfg=cfg2, threads=threads, registrations_out=regs)
-    assert [r.objective_trace for r in regs] == [[[float(k)]] for k in range(5)]
-    assert sorted(calls, key=lambda c: c[0]) == [(0, cfg1), (1, cfg1), (2, cfg1),
-                                                  (3, cfg2), (4, cfg2)]
+    assert [(r.objective_trace, len(r.converged)) for r in regs] == [
+        ([[0.0]], 1), ([[1.0]], 1), ([[2.0]], 1), ([[3.0]], 2), ([[4.0]], 2)]
+    assert _started(tmp_path / "log") == [0, 1, 2, 3, 4]
     expected = consistency_refine(majority_vote([lbl for _, lbl in atlases]),
                                   same_patient[0][1], same_patient[1][1])
     np.testing.assert_array_equal(fused.data, expected.data)
     assert fused.same_geometry(target)
 
 
-def test_pseudo_labels_without_same_patient_is_the_vote(monkeypatch):
+def test_pseudo_labels_without_same_patient_is_the_vote(monkeypatch, tmp_path):
     target, atlases, _ = _pseudo_inputs(seed=1)
-    calls = []
-    monkeypatch.setattr(fusion, "register", _fake_register(calls))
+    monkeypatch.setattr(fusion, "register", _fake_register(tmp_path / "log"))
     fused = build_pseudo_labels(target, atlases, threads=2)
     np.testing.assert_array_equal(fused.data,
                                   majority_vote([lbl for _, lbl in atlases]).data)
-    assert sorted(k for k, _ in calls) == [0, 1, 2]
+    assert _started(tmp_path / "log") == [0, 1, 2]
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_pseudo_labels_t2_failure_names_its_atlas(monkeypatch, threads):
+def test_pseudo_labels_t2_failure_names_its_atlas(monkeypatch, tmp_path, threads):
     target, atlases, same_patient = _pseudo_inputs()
-    monkeypatch.setattr(fusion, "register", _fake_register([], fail_on=4))
+    monkeypatch.setattr(fusion, "register", _fake_register(tmp_path / "log", fail_on=4))
     with pytest.raises(GeometryMismatchError, match="^same-patient atlas 1: boom$"):
         build_pseudo_labels(target, atlases, same_patient, threads=threads)
-    # the named error keeps the attributes of the one it replaces
+    # the named error keeps the attributes of the one it replaces, and is
+    # chained from it (from a copy of it, when the job ran in a worker)
     error = NumericalFailureError("objective is not finite", level=1, iteration=3)
-    monkeypatch.setattr(fusion, "register", _fake_register([], fail_on=4, error=error))
+    monkeypatch.setattr(fusion, "register",
+                        _fake_register(tmp_path / "log", fail_on=4, error=error))
     with pytest.raises(NumericalFailureError) as info:
         build_pseudo_labels(target, atlases, same_patient, threads=threads)
     assert str(info.value) == ("same-patient atlas 1: objective is not finite "
                                "(level 1, iteration 3)")
     assert (info.value.level, info.value.iteration) == (1, 3)
-    assert info.value.__cause__ is error
+    cause = info.value.__cause__
+    assert type(cause) is NumericalFailureError
+    assert (str(cause), cause.level, cause.iteration) == (str(error), 1, 3)
 
 
-def test_pseudo_labels_start_no_job_after_a_failure(monkeypatch):
+def test_pseudo_labels_raise_the_earliest_failure_in_input_order(monkeypatch, tmp_path):
+    # job 1 fails at once, job 0 after a sleep: the error is still job 0's
     target, atlases, same_patient = _pseudo_inputs()
-    calls = []
-    monkeypatch.setattr(fusion, "register", _fake_register(calls, fail_on=0))
-    with pytest.raises(GeometryMismatchError, match="^atlas 0: boom$"):
-        build_pseudo_labels(target, atlases, same_patient, threads=1)
-    assert [k for k, _ in calls] == [0]
+    errors = {0: GeometryMismatchError("first"), 1: InvalidInputError("second")}
+
+    def register(target, img, cfg):
+        k = int(img.data.flat[0])
+        time.sleep(0.1 if k == 0 else 0.0)
+        raise errors[k]
+
+    monkeypatch.setattr(fusion, "register", register)
+    with pytest.raises(GeometryMismatchError, match="^atlas 0: first$"):
+        build_pseudo_labels(target, atlases, same_patient, threads=2)
+
+
+def test_pseudo_labels_start_no_job_after_a_failure(monkeypatch, tmp_path):
+    # job 0 fails at once while job 1 sleeps, so with two workers the
+    # failure is seen before a worker frees up for job 2
+    target, atlases, same_patient = _pseudo_inputs()
+    for threads in (1, 2):
+        log = tmp_path / f"log{threads}"
+        monkeypatch.setattr(fusion, "register", _fake_register(log, fail_on=0))
+        with pytest.raises(GeometryMismatchError, match="^atlas 0: boom$"):
+            build_pseudo_labels(target, atlases, same_patient, threads=threads)
+        assert _started(log) == list(range(threads))
+
+
+def _running(pid):
+    """Whether process `pid` exists and is not a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+def test_registration_workers_exit_when_their_parent_is_killed(tmp_path):
+    # a parent killed outright cannot shut its pool down; its workers, here
+    # in the middle of a long job, must still end on their own
+    script = tmp_path / "pipeline.py"
+    script.write_text(textwrap.dedent(f"""
+        import os, time
+        import numpy as np
+        from atlasreg import LabelVolume, Volume, build_pseudo_labels, fusion
+
+        def register(target, img, cfg):
+            open(os.path.join({str(tmp_path)!r}, f"worker{{os.getpid()}}"), "w").close()
+            time.sleep(60)
+
+        fusion.register = register
+        vol = Volume(np.zeros((4, 4, 4)))
+        lbl = LabelVolume(np.zeros((4, 4, 4), dtype=np.uint8))
+        build_pseudo_labels(vol, [(vol, lbl)] * 3, threads=2)
+    """))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    parent = subprocess.Popen([sys.executable, str(script)], env=env)
+    try:
+        deadline = time.monotonic() + 60
+        while len(list(tmp_path.glob("worker*"))) < 2 and time.monotonic() < deadline:
+            assert parent.poll() is None, "the pipeline ended before its workers started"
+            time.sleep(0.05)
+        workers = [int(p.name[len("worker"):]) for p in tmp_path.glob("worker*")]
+        assert len(workers) == 2
+    finally:
+        parent.send_signal(signal.SIGKILL)
+        parent.wait(timeout=10)
+    deadline = time.monotonic() + 10
+    while any(map(_running, workers)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    left = [pid for pid in workers if _running(pid)]
+    for pid in left:
+        os.kill(pid, signal.SIGKILL)
+    assert left == []
+
+
+def test_numerical_failure_survives_a_pickle_round_trip():
+    error = NumericalFailureError("objective is not finite", level=2, iteration=7)
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is NumericalFailureError
+    assert str(copy) == "objective is not finite (level 2, iteration 7)"
+    assert (copy.level, copy.iteration) == (2, 7)
+
+
+def test_pseudo_labels_of_real_registrations_do_not_depend_on_threads():
+    # a small phantom case through the real `register`: in this process at
+    # threads=1, in two worker processes at threads=2
+    dims = (20, 20, 20)
+    target, _ = phantom.generate_phantom(phantom.scaled_spec(dims, modality="lge", seed=1))
+    pairs = [phantom.generate_phantom(phantom.scaled_spec(
+        dims, modality=modality, seed=2 + k, texture_amplitude=6.0))
+        for k, modality in enumerate(("lge", "lge", "lge", "bssfp", "t2"))]
+    cfg1 = RegistrationConfig(levels=2, max_iter_per_level=2, final_grid_spacing=4.0)
+    cfg2 = RegistrationConfig(levels=2, max_iter_per_level=2, final_grid_spacing=2.0)
+    runs = {}
+    for threads in (1, 2):
+        regs = []
+        fused = build_pseudo_labels(target, pairs[:3], tuple(pairs[3:]), type1_cfg=cfg1,
+                                    type2_cfg=cfg2, threads=threads, registrations_out=regs)
+        runs[threads] = fused, regs
+    (fused1, regs1), (fused2, regs2) = runs[1], runs[2]
+    np.testing.assert_array_equal(fused2.data, fused1.data)
+    assert len(regs2) == len(regs1) == 5
+    for r1, r2 in zip(regs1, regs2):
+        np.testing.assert_array_equal(r2.affine.matrix, r1.affine.matrix)
+        for t1, t2 in ((r1.fwd, r2.fwd), (r1.bwd, r2.bwd)):
+            np.testing.assert_array_equal(t2.coefficients, t1.coefficients)
+            assert not t2.coefficients.flags.writeable
+        assert r2.objective_trace == r1.objective_trace
+        assert r2.converged == r1.converged
 
 
 @pytest.mark.parametrize("threads", [0, -1])
@@ -336,10 +460,9 @@ def test_pseudo_labels_reject_threads_below_one(threads):
         build_pseudo_labels(target, atlases, threads=threads)
 
 
-def test_pseudo_labels_need_both_same_patient_atlases(monkeypatch):
+def test_pseudo_labels_need_both_same_patient_atlases(monkeypatch, tmp_path):
     target, atlases, same_patient = _pseudo_inputs()
-    calls = []
-    monkeypatch.setattr(fusion, "register", _fake_register(calls))
+    monkeypatch.setattr(fusion, "register", _fake_register(tmp_path / "log"))
     with pytest.raises(InvalidInputError, match="same_patient"):
         build_pseudo_labels(target, atlases, same_patient[:1])
-    assert calls == []
+    assert _started(tmp_path / "log") == []

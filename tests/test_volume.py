@@ -1,7 +1,12 @@
+import pickle
+
 import numpy as np
 import pytest
 
 from atlasreg import (
+    AffineTransform,
+    BSplineTransform,
+    Grid,
     InvalidInputError,
     LabelVolume,
     ProbabilityVolume,
@@ -195,3 +200,51 @@ def test_resample_rejects_bad_spacing():
     vol = Volume(np.zeros((4, 4, 4), dtype=np.float32))
     with pytest.raises(InvalidInputError):
         resample(vol, (0.0, 1.0, 1.0))
+
+
+_GEOMETRY = dict(spacing=(1.0, 2.0, 0.5), origin=(3.0, -1.0, 2.0),
+                 direction=np.eye(3)[[1, 0, 2]])
+
+
+def _pickle_cases():
+    rng = np.random.default_rng(11)
+    vol = Volume(rng.normal(size=(6, 5, 4)), **_GEOMETRY)
+    raw = rng.uniform(0.1, 1.0, size=(3, 6, 5, 4))
+    ffd = BSplineTransform.zeros(vol, 2.0)
+    return {
+        "Grid": Grid((6, 5, 4), **_GEOMETRY),
+        "Volume": vol,
+        "LabelVolume": LabelVolume(rng.integers(0, 4, (6, 5, 4)), **_GEOMETRY),
+        "ProbabilityVolume": ProbabilityVolume(raw / raw.sum(axis=0), **_GEOMETRY),
+        "AffineTransform": AffineTransform.from_linear(np.diag([1.1, 0.9, 1.0]),
+                                                       (1.0, 2.0, 3.0)),
+        "BSplineTransform": ffd.with_coefficients(
+            rng.normal(size=ffd.coefficients.shape)),
+    }
+
+
+def _arrays(obj):
+    """Every array of `obj`, its Grid's included, by attribute path."""
+    out = {}
+    for name, value in vars(obj).items():
+        if isinstance(value, np.ndarray):
+            out[name] = value
+        elif isinstance(value, Grid):
+            out.update({f"{name}.{k}": v for k, v in _arrays(value).items()})
+    return out
+
+
+@pytest.mark.parametrize("kind", sorted(_pickle_cases()))
+def test_pickle_round_trip_is_equal_and_read_only(kind):
+    original = _pickle_cases()[kind]
+    copy = pickle.loads(pickle.dumps(original))
+    assert type(copy) is type(original)
+    before, after = _arrays(original), _arrays(copy)
+    assert sorted(after) == sorted(before) and after
+    for name, array in after.items():
+        np.testing.assert_array_equal(array, before[name], err_msg=name)
+        assert array.dtype == before[name].dtype, name
+        assert not array.flags.writeable, name
+    # the rest (dims, spacings, Grids) compares with ==
+    assert ({k: v for k, v in vars(copy).items() if k not in after}
+            == {k: v for k, v in vars(original).items() if k not in before})
