@@ -340,10 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
     pipe.add_argument("--out", required=True)
     pipe.add_argument("--label-remap", type=_parse_remap, default=None)
     pipe.add_argument("--threads", type=_at_least_one(int), default=os.cpu_count(),
-                      help="parallel atlas registrations, each in a worker process "
-                           "of its own (at most one per registration; 1 runs them in "
-                           "order in this process); results are bit-identical for any "
-                           "value")
+                      help="atlas registrations run at once, each in a worker process "
+                           "(capped at the number of registrations; 1 runs them in order "
+                           "in this process); results are bit-identical for any value")
     pipe.set_defaults(func=cmd_pipeline)
 
     ph = sub.add_parser("phantom", help="write a synthetic image + label pair")

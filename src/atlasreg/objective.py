@@ -51,13 +51,13 @@ finishing step also runs them twice: the scatter of each round trip, then
 the gradient of each similarity. Each time, the forward half runs on a
 thread started for it and the backward half on the calling thread, which
 then joins that thread. Nothing is shared between calls and no thread
-outlives its call, so a registration runs at most two threads at a time;
-`build_pseudo_labels(threads=n)` runs its registrations in up to n worker
-processes, each with a GIL of its own. On one core the halves take turns.
-Each reduction keeps its serial order, so results are bit for bit those of
-running the halves one after the other. A call returns or raises only
-once both halves have finished, so no work of a rejected line-search probe
-runs on into the next probe. If both halves raise, the forward half's error
+outlives its call, so a registration runs at most two threads at a time
+(`build_pseudo_labels(threads=n)` runs up to n registrations, each in a
+worker process of its own); on one core the halves take turns. Each
+reduction keeps its serial order, so results are bit for bit those of
+running the halves one after the other. A call returns or raises only once
+both halves have finished, so no work of a rejected line-search probe runs
+on into the next probe. If both halves raise, the forward half's error
 propagates: the serial order raised it first. The per-voxel kernels (the
 trilinear gather and scatter, the Parzen footprint) work in place in a few
 reused buffers, which keeps the memory of two halves at once near that of

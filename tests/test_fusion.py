@@ -341,7 +341,7 @@ def test_pseudo_labels_t2_failure_names_its_atlas(monkeypatch, tmp_path, threads
     assert (str(cause), cause.level, cause.iteration) == (str(error), 1, 3)
 
 
-def test_pseudo_labels_raise_the_earliest_failure_in_input_order(monkeypatch, tmp_path):
+def test_pseudo_labels_raise_the_earliest_failure_in_input_order(monkeypatch):
     # job 1 fails at once, job 0 after a sleep: the error is still job 0's
     target, atlases, same_patient = _pseudo_inputs()
     errors = {0: GeometryMismatchError("first"), 1: InvalidInputError("second")}
