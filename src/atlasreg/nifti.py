@@ -10,6 +10,7 @@ from __future__ import annotations
 import gzip
 import math
 import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,12 @@ _BITPIX = {2: 8, 4: 16, 16: 32}
 def _read_bytes(path) -> bytes:
     raw = Path(path).read_bytes()
     if raw[:2] == b"\x1f\x8b":
-        raw = gzip.decompress(raw)
+        try:
+            raw = gzip.decompress(raw)
+        except EOFError as exc:
+            raise TruncatedFileError(f"{path}: gzip stream is truncated") from exc
+        except (gzip.BadGzipFile, zlib.error) as exc:
+            raise NiftiFormatError(f"{path}: gzip stream is corrupt: {exc}") from exc
     return raw
 
 

@@ -24,24 +24,24 @@ stencil on the floating grid. A violation raises GeometryMismatchError.
 All gradients with respect to B-spline coefficients are analytic. The
 composition gradient treats the inner field of each round trip as fixed, so
 each of the two composition terms drives only its outer transform. The
-similarity gradient holds the histogram mask fixed: a voxel whose mapped
-point crosses the floating grid's edge enters or leaves the histogram as a
-step, and that overlap-boundary term is left out. The affine registration
-scores a soft-edged overlap instead (`registration._overlap_nmi`, through
-the `shell` deposit weights of `_joint_counts` and
-`_deposit_weight_gradient`), so its gradient includes the term.
+affine and FFD similarities share one NMI core (`_nmi_deposit`, then
+`_nmi_point_gradient`). The FFD's overlap is hard, so its gradient holds the
+mask fixed: a voxel whose mapped point crosses the floating grid's edge
+enters or leaves the histogram as a step, and that term is left out. The
+affine's overlap has the soft edge of `_soft_overlap`, so its gradient
+includes the term.
 
 An objective evaluation is a forward pass and a finishing step. The forward
 pass (`objective`) computes the value and keeps only what the gradient
 reads: both maps' stencils, both round-trip residuals m (the only readers of
-the displacement fields, which are then dropped) and, per similarity, the
-voxel mask, the joint counts and the bin positions of the reference and
-floating samples with the floating scale and unclamped mask. The finishing
-step (`objective_gradient`) turns that state into the gradients: it runs
-the round-trip scatters first and frees the residuals, then the two
-similarity gradients, whose footprint weights and cells it recomputes from
-the bin positions bit for bit. A line search thus pays for the gradient
-only at the probes it accepts, without evaluating them twice.
+the displacement fields, which are then dropped) and, per similarity, its
+`_NMIState`: the voxel mask, the joint counts and the bin positions of the
+reference and floating samples with the floating scale and unclamped mask.
+The finishing step (`objective_gradient`) turns that state into the
+gradients: it runs the round-trip scatters first and frees the residuals,
+then the two similarity gradients, whose footprint weights and cells it
+recomputes from the bin positions bit for bit. A line search thus pays for
+the gradient only at the probes it accepts, without evaluating them twice.
 
 Both passes split into a forward and a backward half, which do not meet
 until their values and gradients are summed. The forward pass runs the
@@ -255,33 +255,6 @@ def _footprint(q_r, q_f, d1_f=False):
             yield np.add(cell, dr * BINS + df, out=idx), w_r, rows_f[df]
 
 
-def _joint_counts(rv: np.ndarray, fv: np.ndarray, ranges, shell=None):
-    """Parzen joint histogram (BINS, BINS) of paired ref/float samples.
-
-    `ranges` fixes the (ref, float) intensity ranges; None takes the robust
-    percentile ranges of the samples. Every pair deposits a unit mass,
-    except those that `shell` = (indices, weights) names, which deposit
-    their weight. Also returns the per-pair bin positions the gradient
-    reads: (ref positions, float positions, float scale, float unclamped
-    mask). The positions are computed in place of the float64 samples rv
-    and fv.
-    """
-    if rv.size == 0:
-        raise DegenerateInputError("no contributing voxels (empty mask or no overlap)")
-    if ranges is None:
-        ranges = (robust_range(rv), robust_range(fv))
-    q_r = _bin_positions(rv, ranges[0])[0]
-    q_f, scale_f, interior_f = _bin_positions(fv, ranges[1])
-    counts = np.zeros(BINS * BINS)
-    deposit = np.empty(q_r.size)
-    for cell, w_r, w_f in _footprint(q_r, q_f):
-        np.multiply(w_r, w_f, out=deposit)
-        if shell is not None:
-            deposit[shell[0]] *= shell[1]
-        counts += np.bincount(cell, weights=deposit, minlength=BINS * BINS)
-    return counts.reshape(BINS, BINS), (q_r, q_f, scale_f, interior_f)
-
-
 def build_joint_histogram(ref: Volume, warped: Volume, mask=None,
                           ranges=None) -> np.ndarray:
     """Parzen joint histogram counts (BINS, BINS) of two geometrically
@@ -292,12 +265,10 @@ def build_joint_histogram(ref: Volume, warped: Volume, mask=None,
     they are the robust percentile ranges of the masked voxels.
     """
     require_same_geometry(ref, warped)
-    rv = ref.data.reshape(-1).astype(np.float64)
-    fv = warped.data.reshape(-1).astype(np.float64)
-    if mask is not None:
-        m = np.asarray(mask, dtype=bool).reshape(-1)
-        rv, fv = rv[m], fv[m]
-    return _joint_counts(rv, fv, ranges)[0]
+    m = np.ones(ref.dims, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    m = m.reshape(-1)
+    return _nmi_deposit(ref, warped, m, warped.data.reshape(-1)[m].astype(np.float64),
+                        ranges)[0]
 
 
 def _entropy(p: np.ndarray) -> float:
@@ -341,6 +312,150 @@ def _nmi_and_count_gradient(counts: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
+# The NMI core of the affine and FFD similarities
+# ---------------------------------------------------------------------------
+
+def _soft_overlap(stencil: TrilinearStencil, points: np.ndarray):
+    """The soft-edged overlap of mapped points with a grid.
+
+    `points` (N, 3) are the voxel coordinates `stencil` was built from.
+    Along each axis a point weighs 1 within [0, n - 1] and falls linearly
+    to 0 one voxel outside; its weight is the product over the axes, so it
+    is continuous in the point. Returns (the mask of the points of positive
+    weight, the shell). The shell holds the points outside the grid whose
+    weight is positive: (their indices among the points of the mask, their
+    weights, d weight / d voxel coordinate (n, 3), the mask (n, 3) of the
+    axes on which they lie inside, and the points clamped onto the grid
+    (n, 3)). Points inside the grid weigh exactly 1 and make no shell state.
+    """
+    rows = np.flatnonzero(~stencil.inside)
+    outside = points[rows]
+    clamped = np.clip(outside, 0.0, np.asarray(stencil.dims, dtype=np.float64) - 1.0)
+    excursion = np.subtract(outside, clamped, out=outside)
+    axis_w = np.maximum(1.0 - np.abs(excursion), 0.0)
+    weights = axis_w.prod(axis=1)
+    kept = weights > 0
+    shell_rows, dropped = rows[kept], rows[~kept]
+    mask = stencil.inside.copy()
+    mask[shell_rows] = True
+    weights, excursion = weights[kept], excursion[kept]
+    # an axis weight falls as the point moves out through either face; the
+    # other axes' weights multiply its derivative (none of them is 0 here)
+    d_weight = -np.sign(excursion) * (weights[:, None] / axis_w[kept])
+    return mask, (shell_rows - np.searchsorted(dropped, shell_rows), weights, d_weight,
+                  excursion == 0, clamped[kept])
+
+
+@dataclass(eq=False)
+class _NMIState:
+    """What `_nmi_point_gradient` reads of an `_nmi_deposit`; `histogram`
+    holds the joint counts and bin positions, and the finishing step empties it."""
+
+    flt: Volume
+    mask: np.ndarray
+    shell: tuple | None
+    histogram: list
+
+
+def _nmi_deposit(ref: Volume, flt: Volume, mask, values, ranges, shell=None):
+    """The Parzen joint histogram (BINS, BINS) of ref's voxels under `mask`
+    paired with `values`, flt's float64 samples at their mapped points, and
+    the `_NMIState` its gradient is finished from.
+
+    `ranges` fixes the (ref, float) intensity ranges; None takes the robust
+    percentile ranges of the samples. Every pair deposits a unit mass,
+    except those of a `_soft_overlap` shell, which deposit their weight. The
+    bin positions the gradient reads, (ref positions, float positions, float
+    scale, float unclamped mask), are computed in place of `values`.
+    """
+    rv = ref.data.reshape(-1)[mask].astype(np.float64)
+    if rv.size == 0:
+        raise DegenerateInputError("no contributing voxels (empty mask or no overlap)")
+    if ranges is None:
+        ranges = (robust_range(rv), robust_range(values))
+    q_r = _bin_positions(rv, ranges[0])[0]
+    q_f, scale_f, interior_f = _bin_positions(values, ranges[1])
+    counts = np.zeros(BINS * BINS)
+    deposit = np.empty(q_r.size)
+    for cell, w_r, w_f in _footprint(q_r, q_f):
+        np.multiply(w_r, w_f, out=deposit)
+        if shell is not None:
+            deposit[shell[0]] *= shell[1]
+        counts += np.bincount(cell, weights=deposit, minlength=BINS * BINS)
+    counts = counts.reshape(BINS, BINS)
+    return counts, _NMIState(flt, mask, shell, [counts, (q_r, q_f, scale_f, interior_f)])
+
+
+def _sample_gradient(ds, positions):
+    """d NMI / d floating sample of every histogram pair, from the count
+    derivative `ds` of `_nmi_and_count_gradient` and the `_nmi_deposit` bin
+    positions. The footprint cells and reference weights are recomputed,
+    bit for bit those of the deposit; of the floating footprint only the
+    kernel derivative is evaluated."""
+    q_r, q_f, scale_f, interior_f = positions
+    ds_flat = ds.reshape(-1)
+    lam = np.zeros(q_r.size)
+    term = np.empty(q_r.size)
+    for cell, w_r, dw_f in _footprint(q_r, q_f, d1_f=True):
+        # the cells lie in the histogram, so "clip" changes none of them
+        ds_flat.take(cell, out=term, mode="clip")
+        term *= w_r
+        term *= dw_f
+        lam += term
+    # clamped samples sit on the flat part of the intensity mapping
+    lam *= scale_f
+    lam[~interior_f] = 0.0
+    return lam
+
+
+def _deposit_weight_gradient(counts, ds, positions, idx):
+    """d NMI / d deposit weight of the histogram pairs `idx`, from the joint
+    counts, their derivative `ds` and the `_nmi_deposit` bin positions.
+
+    A weight changes the histogram's total mass, so the uniform term of the
+    count derivative, which cancels for a sample's value, stays here.
+    """
+    grad = np.full(idx.size, -float((counts * ds).sum()) / counts.sum())
+    for cell, w_r, w_f in _footprint(positions[0][idx], positions[1][idx]):
+        grad += ds.reshape(-1)[cell] * w_r * w_f
+    return grad
+
+
+def _nmi_point_gradient(state: _NMIState, stencil) -> np.ndarray:
+    """d NMI / d mapped world point (N, 3), zero off the mask, finished from
+    an `_nmi_deposit` state: the floating gradient times d NMI / d sample
+    (Mattes et al., IEEE TMI 2003), plus a shell point's deposit-weight
+    derivative. `stencil()` gives the stencil the points were sampled
+    through; it is called only once the counts and bin positions are gone."""
+    flt, mask, shell = state.flt, state.mask, state.shell
+    counts, positions = state.histogram
+    state.histogram.clear()
+    ds = _nmi_and_count_gradient(counts)[1]
+    lam = _sample_gradient(ds, positions)
+    if shell is not None:
+        idx, w, d_w, inner, clamped = shell
+        lam[idx] *= w
+        d_nmi_d_w = _deposit_weight_gradient(counts, ds, positions, idx)
+    del counts, positions, ds
+    grad = stencil().gather(flt.data, want_gradient=True)[1]  # 0 outside the grid
+    g = grad[mask]
+    if shell is not None:
+        # on a face the edge-clamped value is flat across it only
+        g[idx] = TrilinearStencil(flt.dims, clamped).gather(
+            flt.data, want_gradient=True)[1] * inner
+    # d(sample)/d(world point) = direction @ (voxel gradient / spacing)
+    spacing = np.asarray(flt.spacing)
+    g /= spacing
+    g = g @ flt.direction.T
+    g *= lam[:, None]
+    if shell is not None:
+        g[idx] += (d_nmi_d_w[:, None] * d_w / spacing) @ flt.direction.T
+    grad[~mask] = 0.0
+    grad[mask] = g
+    return grad
+
+
+# ---------------------------------------------------------------------------
 # One sampling of an FFD map
 # ---------------------------------------------------------------------------
 
@@ -378,89 +493,19 @@ def sample_map(ffd: BSplineTransform, onto: Grid) -> SampledMap:
 # Similarity through a B-spline transform
 # ---------------------------------------------------------------------------
 
-def _floating_samples(stencil: TrilinearStencil, flt: Volume, ref_mask, flt_valid):
-    """flt sampled through `stencil`, one point per ref voxel: (values, mask
-    of the points that enter the histogram)."""
-    vals = stencil.gather(flt.data, 0.0)
-    mask = stencil.inside
-    if ref_mask is not None:
-        mask = mask & np.asarray(ref_mask, dtype=bool).reshape(-1)
-    if flt_valid is not None:
-        mask = mask & (stencil.gather(flt_valid, 0.0) >= 0.999)
-    return vals, mask
-
-
-def _histogram_nmi(ref: Volume, samples, ranges):
-    """NMI between ref and the `_floating_samples` of flt: (nmi, joint
-    counts, the `_joint_counts` bin positions)."""
-    vals, mask = samples
-    counts, positions = _joint_counts(
-        ref.data.reshape(-1)[mask].astype(np.float64), vals[mask], ranges)
-    return nmi(counts), counts, positions
-
-
 @dataclass(frozen=True, eq=False)
 class SimilarityForward:
     """What the gradient of one similarity reads of its value pass: the
-    map's FFD and the stencil flt was sampled through, the floating image,
-    the histogram mask, the joint counts and the `_joint_counts` bin
-    positions."""
+    map's FFD, the stencil flt was sampled through and the `_NMIState`."""
 
     ffd: BSplineTransform
     stencil: TrilinearStencil
-    flt: Volume
-    mask: np.ndarray
-    counts: np.ndarray
-    positions: tuple
-
-
-def _sample_gradient(counts, positions):
-    """d NMI / d floating sample of every histogram pair, from the joint
-    counts and the `_joint_counts` bin positions. The footprint cells and
-    reference weights are recomputed, bit for bit those of the deposit; of
-    the floating footprint only the kernel derivative is evaluated."""
-    q_r, q_f, scale_f, interior_f = positions
-    ds_flat = _nmi_and_count_gradient(counts)[1].reshape(-1)
-    lam = np.zeros(q_r.size)
-    term = np.empty(q_r.size)
-    for cell, w_r, dw_f in _footprint(q_r, q_f, d1_f=True):
-        # the cells lie in the histogram, so "clip" changes none of them
-        ds_flat.take(cell, out=term, mode="clip")
-        term *= w_r
-        term *= dw_f
-        lam += term
-    # clamped samples sit on the flat part of the intensity mapping
-    lam *= scale_f
-    lam[~interior_f] = 0.0
-    return lam
-
-
-def _deposit_weight_gradient(counts, positions, idx):
-    """d NMI / d deposit weight of the histogram pairs `idx`, from the joint
-    counts and the `_joint_counts` bin positions.
-
-    A weight changes the histogram's total mass, so the uniform term of the
-    count derivative, which cancels for a sample's value, stays here.
-    """
-    ds = _nmi_and_count_gradient(counts)[1]
-    grad = np.full(idx.size, -float((counts * ds).sum()) / counts.sum())
-    for cell, w_r, w_f in _footprint(positions[0][idx], positions[1][idx]):
-        grad += ds.reshape(-1)[cell] * w_r * w_f
-    return grad
+    state: _NMIState
 
 
 def _similarity_gradient(fw: SimilarityForward) -> np.ndarray:
     """d NMI / d coefficients of the FFD, finished from its value pass."""
-    lam = _sample_gradient(fw.counts, fw.positions)
-    # d(sample)/d(world point): direction @ (voxel gradient / spacing); the
-    # gradient's (N, 3) buffer then holds the voxel field
-    field = fw.stencil.gather(fw.flt.data, 0.0, want_gradient=True)[1]
-    gw = field[fw.mask]
-    gw /= np.asarray(fw.flt.spacing)
-    gw = gw @ fw.flt.direction.T
-    gw *= lam[:, None]
-    field[~fw.mask] = 0.0
-    field[fw.mask] = gw
+    field = _nmi_point_gradient(fw.state, lambda: fw.stencil)
     return splat_to_coefficients(fw.ffd, field.reshape(fw.ffd.reference.dims + (3,)))
 
 
@@ -479,13 +524,16 @@ def similarity_and_gradient(ref: Volume, flt: Volume, sampled: SampledMap,
     """
     require_same_geometry(sampled.ffd.reference, ref.grid, "FFD reference and ref")
     require_same_geometry(sampled.onto, flt.grid, "sampled grid and flt")
-    samples = _floating_samples(sampled.stencil, flt, ref_mask, flt_valid)
-    s, counts, positions = _histogram_nmi(ref, samples, ranges)
-    forward = SimilarityForward(sampled.ffd, sampled.stencil, flt, samples[1], counts,
-                                positions)
-    if not with_gradient:
-        return s, forward
-    return s, _similarity_gradient(forward)
+    stencil = sampled.stencil
+    # a hard overlap: only points inside the floating grid count
+    mask = stencil.inside
+    if ref_mask is not None:
+        mask = mask & np.asarray(ref_mask, dtype=bool).reshape(-1)
+    if flt_valid is not None:
+        mask = mask & (stencil.gather(flt_valid) >= 0.999)
+    counts, state = _nmi_deposit(ref, flt, mask, stencil.gather(flt.data)[mask], ranges)
+    forward = SimilarityForward(sampled.ffd, stencil, state)
+    return nmi(counts), _similarity_gradient(forward) if with_gradient else forward
 
 
 # ---------------------------------------------------------------------------

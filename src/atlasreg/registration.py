@@ -17,9 +17,9 @@ from scipy.ndimage import gaussian_filter
 from .errors import DegenerateInputError, InvalidInputError, NumericalFailureError
 from .objective import (
     ObjectiveWeights,
-    _deposit_weight_gradient,
-    _joint_counts,
-    _sample_gradient,
+    _nmi_deposit,
+    _nmi_point_gradient,
+    _soft_overlap,
     nmi,
     objective,
     objective_gradient,
@@ -197,48 +197,16 @@ def _center_of_mass(vol: Volume) -> np.ndarray:
     return vol.world_from_voxel(np.array([(w * pts[:, a]).sum() / total for a in range(3)]))
 
 
-def _soft_overlap(stencil: TrilinearStencil, points: np.ndarray):
-    """The soft-edged overlap of mapped points with a grid.
-
-    `points` (N, 3) are the voxel coordinates `stencil` was built from.
-    Along each axis a point weighs 1 within [0, n - 1] and falls linearly
-    to 0 one voxel outside; its weight is the product over the axes, so it
-    is continuous in the point. Returns (the mask of the points of positive
-    weight, the shell). The shell holds the points outside the grid whose
-    weight is positive: (their indices among the points of the mask, their
-    weights, d weight / d voxel coordinate (n, 3), the mask (n, 3) of the
-    axes on which they lie inside, and the points clamped onto the grid
-    (n, 3)). Points inside the grid weigh exactly 1 and make no shell state.
-    """
-    rows = np.flatnonzero(~stencil.inside)
-    outside = points[rows]
-    clamped = np.clip(outside, 0.0, np.asarray(stencil.dims, dtype=np.float64) - 1.0)
-    excursion = np.subtract(outside, clamped, out=outside)
-    axis_w = np.maximum(1.0 - np.abs(excursion), 0.0)
-    weights = axis_w.prod(axis=1)
-    kept = weights > 0
-    shell_rows, dropped = rows[kept], rows[~kept]
-    mask = stencil.inside.copy()
-    mask[shell_rows] = True
-    weights, excursion = weights[kept], excursion[kept]
-    # an axis weight falls as the point moves out through either face; the
-    # other axes' weights multiply its derivative (none of them is 0 here)
-    d_weight = -np.sign(excursion) * (weights[:, None] / axis_w[kept])
-    return mask, (shell_rows - np.searchsorted(dropped, shell_rows), weights, d_weight,
-                  excursion == 0, clamped[kept])
-
-
 def _overlap_nmi(ref: Volume, flt: Volume, linear: np.ndarray, offset: np.ndarray, ranges):
     """NMI of ref against flt over the soft-edged overlap of `_soft_overlap`,
     where ref's voxel at world x maps to voxel coordinate x @ linear +
     offset on flt's grid. A point outside the grid reads the edge-clamped
     value.
 
-    Returns (nmi, finish): `finish()` returns d NMI / d mapped world point,
-    (N, 3) over ref's voxels and zero where a point weighs 0. The state kept
-    for it is the joint counts and bin positions, the mask and the shell;
-    the stencil is built again, so that it is not held while the histogram
-    allocates.
+    Returns (nmi, finish): `finish()` returns `_nmi_point_gradient`, d NMI /
+    d mapped world point, (N, 3) over ref's voxels and zero where a point
+    weighs 0. The stencil is built again for it, so that it is not held
+    while the histogram allocates.
     """
     def stencil():
         points = ref.grid.world_points() @ linear
@@ -246,35 +214,11 @@ def _overlap_nmi(ref: Volume, flt: Volume, linear: np.ndarray, offset: np.ndarra
         return TrilinearStencil(flt.dims, points), points
 
     sampling, points = stencil()
-    mask, (idx, w, d_w, inner, shell_points) = _soft_overlap(sampling, points)
+    mask, shell = _soft_overlap(sampling, points)
     values = sampling.gather(flt.data)[mask]
     del sampling, points
-    counts, positions = _joint_counts(ref.data.reshape(-1)[mask].astype(np.float64), values,
-                                      ranges, (idx, w))
-    del values
-    state = [counts, positions]
-
-    def finish():
-        counts, positions = state
-        state.clear()
-        lam = _sample_gradient(counts, positions)
-        lam[idx] *= w
-        d_nmi_d_w = _deposit_weight_gradient(counts, positions, idx)
-        del counts, positions
-        grad = stencil()[0].gather(flt.data, want_gradient=True)[1]  # 0 outside the grid
-        g = grad[mask]
-        # on a face the edge-clamped value is flat across it only
-        g[idx] = TrilinearStencil(flt.dims, shell_points).gather(
-            flt.data, want_gradient=True)[1] * inner
-        g *= lam[:, None]
-        g[idx] += d_nmi_d_w[:, None] * d_w
-        # d(sample)/d(world point) = direction @ (voxel gradient / spacing)
-        g /= np.asarray(flt.spacing)
-        grad[~mask] = 0.0
-        grad[mask] = g @ flt.direction.T
-        return grad
-
-    return nmi(counts), finish
+    counts, state = _nmi_deposit(ref, flt, mask, values, ranges, shell)
+    return nmi(counts), lambda: _nmi_point_gradient(state, lambda: stencil()[0])
 
 
 def register_affine(ref: Volume, flt: Volume, *, max_iter=(40, 25, 12)) -> AffineTransform:
@@ -296,13 +240,14 @@ def register_affine(ref: Volume, flt: Volume, *, max_iter=(40, 25, 12)) -> Affin
     by the half-extent) by `_ascend`, starting from center-of-mass
     alignment; each parameter is one node, so the first probe of a stage
     moves the one of largest derivative by max(extent/32, 1) mm. Every probe
-    builds one joint histogram. The gradient is analytic (Mattes et al.,
-    IEEE TMI 2003), finished from an accepted probe's state: the
-    per-sample derivative of NMI times the floating image's gradient, plus
-    the shell's weight derivative, contracted with [x - c, 1]. No central
-    differences are taken. A stage stops once its relative NMI gain falls
-    below AFFINE_GAIN_FLOOR. `max_iter` holds one iteration cap >= 1 per
-    stage.
+    builds one joint histogram, through the NMI core the FFD shares
+    (`objective._nmi_deposit` with the soft-overlap shell). The gradient is
+    analytic, finished from an accepted probe's state by the same core:
+    `objective._nmi_point_gradient` gives d NMI / d mapped world point,
+    shell weight derivative included, which is contracted with [x - c, 1].
+    No central differences are taken. A stage stops once its relative NMI
+    gain falls below AFFINE_GAIN_FLOOR. `max_iter` holds one iteration cap
+    >= 1 per stage.
     """
     max_iter = tuple(max_iter)
     if len(max_iter) != 3 or not all(n >= 1 for n in max_iter):

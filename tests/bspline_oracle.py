@@ -6,11 +6,10 @@ import numpy as np
 
 from atlasreg.objective import (
     ObjectiveResult,
-    SimilarityForward,
-    _floating_samples,
-    _histogram_nmi,
-    _similarity_gradient,
+    _nmi_deposit,
+    _nmi_point_gradient,
     bending_energy_gradient,
+    nmi,
 )
 from atlasreg.transforms import (
     BSplineTransform,
@@ -133,14 +132,21 @@ def _roundtrip_residual(outer: BSplineTransform, inner: BSplineTransform):
 
 
 def _similarity(ref, flt, ffd, ranges, ref_mask, flt_valid, with_gradient):
+    """NMI of ref against flt warped by `ffd` over the hard overlap (mapped
+    point inside flt's grid, ref_mask set, flt_valid gathered >= 0.999),
+    and its gradient, through a stencil of its own."""
     world = ref.grid.world_points() + dense_displacement(ffd).reshape(-1, 3)
     stencil = TrilinearStencil(flt.dims, flt.voxel_from_world(world))
-    samples = _floating_samples(stencil, flt, ref_mask, flt_valid)
-    s, counts, positions = _histogram_nmi(ref, samples, ranges)
+    mask = stencil.inside.copy()
+    if ref_mask is not None:
+        mask &= ref_mask.reshape(-1)
+    if flt_valid is not None:
+        mask &= stencil.gather(flt_valid, 0.0) >= 0.999
+    counts, state = _nmi_deposit(ref, flt, mask, stencil.gather(flt.data, 0.0)[mask], ranges)
     if not with_gradient:
-        return s, None
-    return s, _similarity_gradient(
-        SimilarityForward(ffd, stencil, flt, samples[1], counts, positions))
+        return nmi(counts), None
+    field = _nmi_point_gradient(state, lambda: stencil)
+    return nmi(counts), splat_to_coefficients(ffd, field.reshape(ffd.reference.dims + (3,)))
 
 
 def objective_four_stencils(ref, flt, fwd, bwd, weights, ranges_fwd=None,

@@ -1,3 +1,4 @@
+import gzip
 import json
 
 import numpy as np
@@ -103,11 +104,19 @@ def test_phantom_rejects_a_negative_seed(tmp_path, capsys):
 def test_truncated_nifti_exits_three(phantom_files, capsys):
     root, paths = phantom_files
     img, lbl = paths[0]
-    truncated = root / "truncated.nii"
-    truncated.write_bytes(lbl.read_bytes()[:-100])
-    assert main(["evaluate", "--pred", str(truncated), "--gt", str(lbl),
-                 "--out-csv", str(root / "bad.csv")]) == 3
-    assert "truncated" in capsys.readouterr().err
+    raw = lbl.read_bytes()
+    packed = gzip.compress(raw)
+    corrupt = bytearray(packed)
+    corrupt[20:40] = b"\xff" * 20  # overwrites deflate data
+    for name, content, message in [("truncated.nii", raw[:-100], "truncated"),
+                                   ("truncated.nii.gz", packed[:-100], "truncated"),
+                                   ("corrupt.nii.gz", bytes(corrupt), "corrupt")]:
+        broken = root / name
+        broken.write_bytes(content)
+        assert main(["evaluate", "--pred", str(broken), "--gt", str(lbl),
+                     "--out-csv", str(root / "bad.csv")]) == 3, name
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err, name
 
 
 def test_a_label_value_the_remap_does_not_name_exits_three(tmp_path, capsys):

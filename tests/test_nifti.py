@@ -189,6 +189,38 @@ def test_gzip_input_is_transparent(tmp_path):
     np.testing.assert_array_equal(back.data, vol.data)
 
 
+def _broken_gzip(packed: bytes, how: str) -> bytes:
+    """A gzip stream cut short, with its deflate data overwritten, with a
+    wrong CRC or with an unknown compression method."""
+    if how == "truncated":
+        return packed[:-100]
+    broken = bytearray(packed)
+    if how == "deflate":
+        broken[20:40] = b"\xff" * 20
+    elif how == "crc":
+        broken[-8] ^= 1
+    else:
+        broken[2] = 7
+    return bytes(broken)
+
+
+@pytest.mark.parametrize("how, error", [
+    ("truncated", TruncatedFileError),
+    ("deflate", NiftiFormatError),
+    ("crc", NiftiFormatError),
+    ("method", NiftiFormatError),
+])
+def test_broken_gzip_input_raises_a_format_error(tmp_path, how, error):
+    plain = tmp_path / "v.nii"
+    write_nifti(_make_volume(seed=2, dims=(12, 12, 12)), plain)
+    gz = tmp_path / "v.nii.gz"
+    gz.write_bytes(_broken_gzip(gzip.compress(plain.read_bytes()), how))
+    with pytest.raises(error) as caught:
+        read_nifti(gz)
+    # only the cut stream is a truncated file
+    assert isinstance(caught.value, TruncatedFileError) == (how == "truncated")
+
+
 def test_scl_slope_applied_to_int16(tmp_path):
     hdr = build_header(datatype=4)
     struct.pack_into("<2f", hdr, 112, 0.5, 10.0)  # scl_slope, scl_inter
