@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from contextlib import contextmanager
@@ -26,6 +25,7 @@ from .fusion import (
     ensemble_fuse,
     largest_component,
     majority_vote,
+    usable_cpus,
 )
 from .metrics import evaluate
 from .nifti import read_nifti, write_nifti
@@ -339,10 +339,15 @@ def build_parser() -> argparse.ArgumentParser:
                       metavar="IMAGE:LABELS")
     pipe.add_argument("--out", required=True)
     pipe.add_argument("--label-remap", type=_parse_remap, default=None)
-    pipe.add_argument("--threads", type=_at_least_one(int), default=os.cpu_count(),
-                      help="atlas registrations run at once, each in a worker process "
-                           "(capped at the number of registrations; 1 runs them in order "
-                           "in this process); results are bit-identical for any value")
+    pipe.add_argument("--threads", type=_at_least_one(int), default=usable_cpus(),
+                      help="worker processes for the atlas registrations (default: the "
+                           "CPUs this process may use; capped at the number of "
+                           "registrations). Each registration runs as an affine task, "
+                           "then an FFD task; every affine task starts first. When the "
+                           "workers fill the usable CPUs, each runs its objective's "
+                           "halves one after the other rather than on two threads. 1 "
+                           "runs the registrations in order in this process. Results "
+                           "are bit-identical for any value")
     pipe.set_defaults(func=cmd_pipeline)
 
     ph = sub.add_parser("phantom", help="write a synthetic image + label pair")

@@ -14,9 +14,17 @@ from functools import partial
 import numpy as np
 from scipy import ndimage
 
+from . import objective
 from .errors import AtlasRegError, InvalidInputError
-from .registration import RegistrationConfig, default_config, register
-from .transforms import warp_labels
+from .registration import (
+    RegistrationConfig,
+    RegistrationResult,
+    default_config,
+    register,
+    register_affine,
+    register_ffd,
+)
+from .transforms import AffineTransform, warp_labels
 from .volume import (
     LABEL_CLASS_IDS,
     LabelVolume,
@@ -102,22 +110,38 @@ def largest_component(labels: LabelVolume) -> LabelVolume:
     return LabelVolume(out, labels.spacing, labels.origin, labels.direction)
 
 
-def _register_job(target: Volume, img: Volume, cfg: RegistrationConfig):
-    """One registration job of `build_pseudo_labels`.
-
-    Private and module-level, so that it is sent to a worker process by name:
-    `register` itself may be rebound to a wrapper (a tracer's, say) that does
-    not pickle.
-    """
-    return register(target, img, cfg)
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on: its affinity mask where
+    the platform has one (a cpuset or `taskset` narrows it), else all."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
-def _exit_with_parent(parent: int) -> None:
-    """Worker initializer: end the worker soon after process `parent` is gone.
+# The two stages of a registration job in a worker process. Private and
+# module-level, so that they are sent to the worker by name: `register_affine`
+# and `register_ffd` themselves may be rebound to wrappers (a tracer's, say)
+# that do not pickle.
+
+def _affine_task(target: Volume, img: Volume) -> AffineTransform:
+    return register_affine(target, img)
+
+
+def _ffd_task(target: Volume, img: Volume, affine: AffineTransform,
+              cfg: RegistrationConfig) -> RegistrationResult:
+    return register_ffd(target, img, affine, cfg)
+
+
+def _start_worker(parent: int, serial_halves: bool) -> None:
+    """Worker initializer: end the worker soon after process `parent` is
+    gone, and with `serial_halves` have every objective evaluation run its
+    halves in order on the worker's thread (`objective._SERIAL_HALVES`).
 
     A parent killed outright (by a timeout's SIGKILL, say) cannot shut its
     pool down, and its idle workers would wait for jobs for ever.
     """
+    objective._SERIAL_HALVES = serial_halves
+
     def watch():
         while os.getppid() == parent:
             time.sleep(PARENT_POLL_S)
@@ -126,47 +150,84 @@ def _exit_with_parent(parent: int) -> None:
     threading.Thread(target=watch, name="parent-watch", daemon=True).start()
 
 
+def _named(name: str, call):
+    """call(), with an AtlasRegError it raises renamed after atlas `name`,
+    keeping its attributes (such as `level` and `iteration`) and chained
+    from it."""
+    try:
+        return call()
+    except AtlasRegError as exc:
+        named = type(exc)(f"{name}: {exc}")
+        named.__dict__.update(exc.__dict__)
+        raise named from exc
+
+
+def _register_in_pool(target: Volume, jobs: list, workers: int) -> list:
+    """Per job, the futures of the tasks it started: [affine] or [affine,
+    FFD]. See `_register_all`."""
+    tasks = [[] for _ in jobs]
+
+    def next_task():
+        for (_, img, _, _), started in zip(jobs, tasks):
+            if not started:
+                return started, (_affine_task, target, img)
+        for (_, img, _, cfg), started in zip(jobs, tasks):
+            if len(started) == 1 and started[0].done() and started[0].exception() is None:
+                return started, (_ffd_task, target, img, started[0].result(), cfg)
+        return None
+
+    fork = multiprocessing.get_context("fork")
+    serial_halves = workers >= usable_cpus()
+    with ProcessPoolExecutor(workers, mp_context=fork, initializer=_start_worker,
+                             initargs=(os.getpid(), serial_halves)) as pool:
+        running = set()
+        while not any(f.done() and f.exception() is not None
+                      for started in tasks for f in started):
+            task = next_task() if len(running) < workers else None
+            if task is not None:
+                started, call = task
+                started.append(pool.submit(*call))
+                running.add(started[-1])
+            elif running:
+                _, running = wait(running, return_when=FIRST_COMPLETED)
+            else:
+                break
+    return tasks
+
+
 def _register_all(target: Volume, jobs: list, workers: int) -> list:
-    """RegistrationResults of `jobs` in input order, at most `workers` at a time.
+    """RegistrationResults of `jobs` in input order, at most `workers`
+    tasks at a time.
 
-    One worker, or a platform without the fork start method, runs the jobs in
-    order in this process. Otherwise each job runs in a forked worker process
-    with a GIL of its own; jobs start in input order, and none starts once a
-    failure is seen. Workers are forked rather than spawned because a fresh
-    interpreter imports numpy and scipy again, which costs about as much as
-    a small registration; the package keeps no thread alive between calls,
-    so no thread of its own is forked mid-call.
+    One worker, or a platform without the fork start method, runs the jobs
+    in order in this process through `register`. Otherwise each job is two
+    tasks, its affine stage and then its FFD stage from that affine, each
+    run in a forked worker process with a GIL of its own. Every affine task
+    starts first, in input order; then the FFD tasks, in input order among
+    those whose affine has returned. A task starts as soon as a worker is
+    free, so no worker idles while a task is ready, and the shorter tasks
+    leave less idle time at the end than whole registrations do. None starts
+    once a failure is seen. Workers are forked rather than spawned because a
+    fresh interpreter imports numpy and scipy again, which costs about as
+    much as a small registration; the package keeps no thread alive between
+    calls, so no thread of its own is forked mid-call. When the workers fill
+    the usable CPUs, each runs its objectives' halves in order rather than
+    on a thread per half, which would only compete with the other workers.
 
-    The error raised is that of the earliest failed job in input order,
-    named after its atlas, with its attributes (such as `level` and
-    `iteration`) and chained from the job's own error.
+    Each result is bit for bit that of `register`. The error raised is that
+    of the earliest failed job in input order, named after its atlas, with
+    its attributes (such as `level` and `iteration`) and chained from the
+    job's own error.
     """
     if workers == 1 or "fork" not in multiprocessing.get_all_start_methods():
-        outcomes = [partial(_register_job, target, img, cfg) for _, img, _, cfg in jobs]
-    else:
-        futures = []
-        fork = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(workers, mp_context=fork, initializer=_exit_with_parent,
-                                 initargs=(os.getpid(),)) as pool:
-            running = set()
-            for _, img, _, cfg in jobs:
-                if len(running) == workers:
-                    _, running = wait(running, return_when=FIRST_COMPLETED)
-                if any(f.done() and f.exception() is not None for f in futures):
-                    break
-                futures.append(pool.submit(_register_job, target, img, cfg))
-                running.add(futures[-1])
-        outcomes = [f.result for f in futures]
-
-    results = []
-    for (name, *_), outcome in zip(jobs, outcomes):
-        try:
-            results.append(outcome())
-        except AtlasRegError as exc:
-            named = type(exc)(f"{name}: {exc}")
-            named.__dict__.update(exc.__dict__)  # e.g. level and iteration
-            raise named from exc
-    return results
+        return [_named(name, partial(register, target, img, cfg))
+                for name, img, _, cfg in jobs]
+    tasks = _register_in_pool(target, jobs, workers)
+    for (name, *_), started in zip(jobs, tasks):
+        for future in started:
+            if future.exception() is not None:
+                _named(name, future.result)  # raises
+    return [ffd.result() for _, ffd in tasks]
 
 
 def build_pseudo_labels(target: Volume,
@@ -183,13 +244,17 @@ def build_pseudo_labels(target: Volume,
     (t2 image, t2 labels)) of the same patient; both are registered with the
     type-2 preset and fused through the consistency constraint.
     Every registration is one job, and `threads` counts the parallel
-    registration workers (None: one per CPU), capped at the number of jobs.
-    With more than one worker, each job runs in a forked worker process, so
-    the jobs do not share a GIL; with one, they run in order in the calling
-    process. Each registration also runs its FFD objectives' forward halves
-    on a short-lived thread of its own (see `atlasreg.objective`). Outputs
-    are bit-identical for any `threads`. A failure names its atlas, and no
-    job starts after it is seen.
+    registration workers (None: one per usable CPU, see `usable_cpus`),
+    capped at the number of jobs. With one worker, the jobs run in order in
+    the calling process. With more, each job runs as two tasks in forked
+    worker processes, which do not share a GIL: its affine stage, then its
+    FFD stage; every affine task starts before any FFD task (see
+    `_register_all`). In the calling process, or in a pool of fewer
+    workers than usable CPUs, a registration runs its FFD objectives'
+    forward halves on a short-lived thread of their own; in a pool whose
+    workers fill the usable CPUs, it runs the halves one after the other
+    (see `atlasreg.objective`). Outputs are bit-identical for any `threads`.
+    A failure names its atlas, and no task starts after it is seen.
     `registrations_out`, if provided, collects the RegistrationResults in
     input order (type-1 first) for manifest reporting.
     """
@@ -207,7 +272,7 @@ def build_pseudo_labels(target: Volume,
         jobs += [(f"same-patient atlas {i}", img, lbl, type2_cfg)
                  for i, (img, lbl) in enumerate(same_patient)]
 
-    workers = min(threads or os.cpu_count() or 1, len(jobs))
+    workers = min(threads or usable_cpus(), len(jobs))
     results = _register_all(target, jobs, workers)
     if registrations_out is not None:
         registrations_out.extend(results)

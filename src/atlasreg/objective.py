@@ -34,9 +34,11 @@ includes the term.
 An objective evaluation is a forward pass and a finishing step. The forward
 pass (`objective`) computes the value and keeps only what the gradient
 reads: both maps' stencils, both round-trip residuals m (the only readers of
-the displacement fields, which are then dropped) and, per similarity, its
-`_NMIState`: the voxel mask, the joint counts and the bin positions of the
-reference and floating samples with the floating scale and unclamped mask.
+the displacement fields, which are then dropped), both bending gradients
+(each costs one scaled sum more than its energy, so the forward pass takes
+them) and, per similarity, its `_NMIState`: the voxel mask, the joint counts
+and the bin positions of the reference and floating samples with the
+floating scale and unclamped mask.
 The finishing step (`objective_gradient`) turns that state into the
 gradients: it runs the round-trip scatters first and frees the residuals,
 then the two similarity gradients, whose footprint weights and cells it
@@ -51,17 +53,19 @@ finishing step also runs them twice: the scatter of each round trip, then
 the gradient of each similarity. Each time, the forward half runs on a
 thread started for it and the backward half on the calling thread, which
 then joins that thread. Nothing is shared between calls and no thread
-outlives its call, so a registration runs at most two threads at a time
-(`build_pseudo_labels(threads=n)` runs up to n registrations, each in a
-worker process of its own); on one core the halves take turns. Each
-reduction keeps its serial order, so results are bit for bit those of
-running the halves one after the other. A call returns or raises only once
-both halves have finished, so no work of a rejected line-search probe runs
-on into the next probe. If both halves raise, the forward half's error
-propagates: the serial order raised it first. The per-voxel kernels (the
-trilinear gather and scatter, the Parzen footprint) work in place in a few
-reused buffers, which keeps the memory of two halves at once near that of
-one.
+outlives its call, so a registration runs at most two threads at a time;
+on one core the halves take turns. In a registration worker of
+`build_pseudo_labels` whose pool fills the usable CPUs, the other workers
+already keep every core busy, so there the halves run one after the other
+on the calling thread and start no thread (`_SERIAL_HALVES`, set by the
+pool's initializer). Each reduction keeps its serial order, so results are
+bit for bit those of running the halves one after the other. A call returns
+or raises only once both halves have finished, so no work of a rejected
+line-search probe runs on into the next probe. If both halves raise, the
+forward half's error propagates: the serial order raised it first. The
+per-voxel kernels (the trilinear gather and scatter, the Parzen footprint)
+work in place in a few reused buffers, which keeps the memory of two halves
+at once near that of one.
 """
 from __future__ import annotations
 
@@ -106,14 +110,22 @@ class ObjectiveWeights:
 # The forward and backward halves
 # ---------------------------------------------------------------------------
 
+# True in a registration worker whose pool fills the usable CPUs; set by
+# the pool's initializer (`fusion._start_worker`), never in the caller.
+_SERIAL_HALVES = False
+
+
 def _both_halves(fwd_part, bwd_part):
     """(fwd_part(), bwd_part()), the forward half run on a thread started
-    for this call while this thread runs the backward half.
+    for this call while this thread runs the backward half; with
+    `_SERIAL_HALVES`, both on this thread, the forward half first.
 
     Returns or raises only once both halves have finished, so no work of a
     call outlives it. If both raise, the forward half's error propagates: the
     serial order ran that half first.
     """
+    if _SERIAL_HALVES:
+        return fwd_part(), bwd_part()
     fwd = error = None
 
     def run_forward():
@@ -646,15 +658,14 @@ def inconsistency_gradient(fwd: SampledMap, bwd: SampledMap):
 @dataclass(eq=False)
 class ObjectiveForward:
     """What a value-only `objective` call keeps for `objective_gradient`:
-    the transforms, the weights, the SimilarityForward of each map and,
-    when beta > 0, the two round trips of `_roundtrip_residuals`. The
-    displacement fields are not kept. `objective_gradient` empties the
-    lists as it goes."""
+    the weights, the SimilarityForward of each map, the bending gradients
+    of both maps (zeros when alpha is 0) and, when beta > 0, the two round
+    trips of `_roundtrip_residuals`. The displacement fields are not kept.
+    `objective_gradient` empties the lists as it goes."""
 
-    fwd: BSplineTransform
-    bwd: BSplineTransform
     weights: ObjectiveWeights
     similarities: list
+    bending: tuple
     roundtrips: list
 
 
@@ -692,7 +703,8 @@ def objective(ref: Volume, flt: Volume, fwd: BSplineTransform,
     `forward`, which `objective_gradient` finishes into the gradients. With
     the gradient, the same finishing step runs before the call returns.
     Each pass runs its forward half on a thread of its own and its backward
-    half on the calling thread (see the module docstring).
+    half on the calling thread, or both in order on the calling thread in a
+    registration worker whose pool fills the CPUs (see the module docstring).
     """
     def forward_half():
         sampled = sample_map(fwd, flt.grid)
@@ -706,17 +718,18 @@ def objective(ref: Volume, flt: Volume, fwd: BSplineTransform,
 
     (map_f, (s_f, sim_f)), (map_b, (s_b, sim_b)) = _both_halves(forward_half, backward_half)
 
-    e_f = e_b = c = 0.0
+    e_f = e_b = c = g_ef = g_eb = 0.0
     trips = []
     if weights.alpha != 0:
-        e_f, e_b = bending_energy(fwd), bending_energy(bwd)
+        e_f, g_ef = bending_energy_gradient(fwd)
+        e_b, g_eb = bending_energy_gradient(bwd)
     if weights.beta != 0:
         c, trips = _roundtrip_residuals(map_f, map_b)
     del map_f, map_b  # the displacements: only the residuals read them
 
     ws = weights.similarity
     value = ws * (s_f + s_b) - weights.alpha * (e_f + e_b) - weights.beta * c
-    forward = ObjectiveForward(fwd, bwd, weights, [sim_f, sim_b], trips)
+    forward = ObjectiveForward(weights, [sim_f, sim_b], (g_ef, g_eb), trips)
     del sim_f, sim_b, trips  # so that the finishing step frees each part it is done with
     if not with_gradient:
         return ObjectiveResult(value, s_f, s_b, e_f, e_b, c, None, None, forward)
@@ -729,19 +742,18 @@ def objective_gradient(forward: ObjectiveForward):
 
     The two round-trip scatters run first, as the two halves, and their
     residuals are dropped; then the two similarity gradients, as the two
-    halves, and the similarities' state is dropped. The state is consumed:
-    a second call raises InvalidInputError.
+    halves, and the similarities' state is dropped. The bending gradients
+    were taken by the forward pass. The state is consumed: a second call
+    raises InvalidInputError.
     """
     if not forward.similarities:
         raise InvalidInputError("this objective evaluation's gradient was already finished")
     weights = forward.weights
-    g_ef = g_eb = g_cf = g_cb = 0.0
+    g_ef, g_eb = forward.bending
+    g_cf = g_cb = 0.0
     if forward.roundtrips:
         g_cf, g_cb = _finish_both(forward.roundtrips, lambda trip: _roundtrip_gradient(*trip))
     g_sf, g_sb = _finish_both(forward.similarities, _similarity_gradient)
-    if weights.alpha != 0:
-        g_ef = bending_energy_gradient(forward.fwd)[1]
-        g_eb = bending_energy_gradient(forward.bwd)[1]
 
     ws = weights.similarity
     return (ws * g_sf - weights.alpha * g_ef - weights.beta * g_cf,

@@ -96,7 +96,7 @@ class Grid(_PicklesThroughInit):
         return vox
 
     def same_geometry(self, other: "Grid") -> bool:
-        return (
+        return self is other or self == other or (
             self.dims == other.dims
             and np.allclose(self.spacing, other.spacing, atol=GEOMETRY_TOL)
             and np.allclose(self.origin, other.origin, atol=GEOMETRY_TOL)

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import os
 import pickle
@@ -5,7 +6,9 @@ import signal
 import subprocess
 import sys
 import textwrap
+import threading
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -13,10 +16,12 @@ import pytest
 
 from atlasreg import (
     AffineTransform,
+    BSplineTransform,
     GeometryMismatchError,
     InvalidInputError,
     LabelVolume,
     NumericalFailureError,
+    ObjectiveWeights,
     ProbabilityVolume,
     RegistrationConfig,
     RegistrationResult,
@@ -28,6 +33,8 @@ from atlasreg import (
     majority_vote,
 )
 from atlasreg import fusion, phantom
+
+objective_module = importlib.import_module("atlasreg.objective")
 
 
 def _lbl(data, spacing=(1.0, 1.0, 1.0)):
@@ -267,30 +274,50 @@ def _pseudo_inputs(seed=0, dims=(6, 6, 6)):
     return target, pairs[:3], tuple(pairs[3:])
 
 
-def _fake_register(log, fail_on=None, error=None):
-    """Stand-in for `register`: appends the job index to the file `log` when a
-    job starts, and returns an identity affine whose trace holds the job index
-    and which has one converged flag per level of its config. Later jobs
-    finish first. Job `fail_on` raises `error` at once, by default
-    GeometryMismatchError("boom").
+def _fake_stages(monkeypatch, log, fail_on=None, error=None, stage="ffd"):
+    """Installs stand-ins for the two registration stages in `fusion`:
+    `register_affine`, `register_ffd` and `register`, which runs the two in
+    order as the real one does.
 
-    A job may run in a forked worker process, so the fake reports through
+    A stage appends its letter ("a" or "f") and the job index to the file
+    `log` when it starts. The affine of job k translates by k mm along x;
+    the FFD returns an identity affine whose trace holds the job index and
+    the translation it was given, with one converged flag per level of its
+    config. Later jobs finish first. Stage `stage` of job `fail_on` raises
+    `error` at once, by default GeometryMismatchError("boom").
+
+    A stage may run in a forked worker process, so the fakes report through
     the file and the result rather than through objects of the test.
     """
-    def register(target, img, cfg):
+    def start(letter, img):
         k = int(img.data.flat[0])
         with open(log, "a") as f:
-            f.write(f"{k}\n")
-        if k == fail_on:
+            f.write(f"{letter}{k}\n")
+        if k == fail_on and letter == stage[0]:
             raise error or GeometryMismatchError("boom")
-        time.sleep(0.02 * (5 - k))
-        return RegistrationResult(AffineTransform.identity(), None, None, [[float(k)]],
-                                  [True] * cfg.levels)
-    return register
+        time.sleep(0.01 * (5 - k))
+        return k
+
+    def register_affine(target, img):
+        return AffineTransform.from_linear(np.eye(3), (start("a", img), 0.0, 0.0))
+
+    def register_ffd(target, img, affine, cfg):
+        k = start("f", img)
+        return RegistrationResult(AffineTransform.identity(), None, None,
+                                  [[float(k), affine.matrix[0, 3]]], [True] * cfg.levels)
+
+    monkeypatch.setattr(fusion, "register_affine", register_affine)
+    monkeypatch.setattr(fusion, "register_ffd", register_ffd)
+    monkeypatch.setattr(fusion, "register",
+                        lambda target, img, cfg: register_ffd(
+                            target, img, register_affine(target, img), cfg))
 
 
-def _started(log):
-    return sorted(int(line) for line in log.read_text().split()) if log.exists() else []
+def _started(log, letter="a"):
+    """The job indices whose stage `letter` started, sorted."""
+    if not log.exists():
+        return []
+    return sorted(int(line[1:]) for line in log.read_text().split() if line[0] == letter)
 
 
 @pytest.mark.parametrize("threads", [1, 3])
@@ -298,39 +325,59 @@ def test_pseudo_labels_order_configs_and_fusion(monkeypatch, tmp_path, threads):
     target, atlases, same_patient = _pseudo_inputs()
     cfg1 = RegistrationConfig(levels=1, max_iter_per_level=1)
     cfg2 = RegistrationConfig(levels=2, max_iter_per_level=1)
-    monkeypatch.setattr(fusion, "register", _fake_register(tmp_path / "log"))
+    _fake_stages(monkeypatch, tmp_path / "log")
     regs = []
     fused = build_pseudo_labels(target, atlases, same_patient, type1_cfg=cfg1,
                                 type2_cfg=cfg2, threads=threads, registrations_out=regs)
+    # each job's FFD started from that job's affine
     assert [(r.objective_trace, len(r.converged)) for r in regs] == [
-        ([[0.0]], 1), ([[1.0]], 1), ([[2.0]], 1), ([[3.0]], 2), ([[4.0]], 2)]
-    assert _started(tmp_path / "log") == [0, 1, 2, 3, 4]
+        ([[0.0, 0.0]], 1), ([[1.0, 1.0]], 1), ([[2.0, 2.0]], 1), ([[3.0, 3.0]], 2),
+        ([[4.0, 4.0]], 2)]
+    assert _started(tmp_path / "log", "a") == _started(tmp_path / "log", "f") == [0, 1, 2, 3, 4]
     expected = consistency_refine(majority_vote([lbl for _, lbl in atlases]),
                                   same_patient[0][1], same_patient[1][1])
     np.testing.assert_array_equal(fused.data, expected.data)
     assert fused.same_geometry(target)
 
 
+def test_pseudo_labels_start_every_affine_task_first_in_input_order(monkeypatch, tmp_path):
+    # with two workers, the order in which the pool is handed tasks is the
+    # order in which they start: one task at most is in flight per worker
+    target, atlases, same_patient = _pseudo_inputs()
+    _fake_stages(monkeypatch, tmp_path / "log")
+    submitted = []
+
+    class Recording(ProcessPoolExecutor):
+        def submit(self, fn, target, img, *args):
+            stage = {fusion._affine_task: "a", fusion._ffd_task: "f"}[fn]
+            submitted.append(f"{stage}{int(img.data.flat[0])}")
+            return super().submit(fn, target, img, *args)
+
+    monkeypatch.setattr(fusion, "ProcessPoolExecutor", Recording)
+    build_pseudo_labels(target, atlases, same_patient, threads=2)
+    assert submitted[:5] == ["a0", "a1", "a2", "a3", "a4"]
+    assert sorted(submitted[5:]) == ["f0", "f1", "f2", "f3", "f4"]
+
+
 def test_pseudo_labels_without_same_patient_is_the_vote(monkeypatch, tmp_path):
     target, atlases, _ = _pseudo_inputs(seed=1)
-    monkeypatch.setattr(fusion, "register", _fake_register(tmp_path / "log"))
+    _fake_stages(monkeypatch, tmp_path / "log")
     fused = build_pseudo_labels(target, atlases, threads=2)
     np.testing.assert_array_equal(fused.data,
                                   majority_vote([lbl for _, lbl in atlases]).data)
-    assert _started(tmp_path / "log") == [0, 1, 2]
+    assert _started(tmp_path / "log", "f") == [0, 1, 2]
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_pseudo_labels_t2_failure_names_its_atlas(monkeypatch, tmp_path, threads):
     target, atlases, same_patient = _pseudo_inputs()
-    monkeypatch.setattr(fusion, "register", _fake_register(tmp_path / "log", fail_on=4))
+    _fake_stages(monkeypatch, tmp_path / "log", fail_on=4)
     with pytest.raises(GeometryMismatchError, match="^same-patient atlas 1: boom$"):
         build_pseudo_labels(target, atlases, same_patient, threads=threads)
     # the named error keeps the attributes of the one it replaces, and is
     # chained from it (from a copy of it, when the job ran in a worker)
     error = NumericalFailureError("objective is not finite", level=1, iteration=3)
-    monkeypatch.setattr(fusion, "register",
-                        _fake_register(tmp_path / "log", fail_on=4, error=error))
+    _fake_stages(monkeypatch, tmp_path / "log", fail_on=4, error=error)
     with pytest.raises(NumericalFailureError) as info:
         build_pseudo_labels(target, atlases, same_patient, threads=threads)
     assert str(info.value) == ("same-patient atlas 1: objective is not finite "
@@ -342,30 +389,100 @@ def test_pseudo_labels_t2_failure_names_its_atlas(monkeypatch, tmp_path, threads
 
 
 def test_pseudo_labels_raise_the_earliest_failure_in_input_order(monkeypatch):
-    # job 1 fails at once, job 0 after a sleep: the error is still job 0's
+    # job 1's affine fails at once, job 0's after a sleep: the error is
+    # still job 0's
     target, atlases, same_patient = _pseudo_inputs()
     errors = {0: GeometryMismatchError("first"), 1: InvalidInputError("second")}
 
-    def register(target, img, cfg):
+    def register_affine(target, img):
         k = int(img.data.flat[0])
         time.sleep(0.1 if k == 0 else 0.0)
         raise errors[k]
 
-    monkeypatch.setattr(fusion, "register", register)
+    monkeypatch.setattr(fusion, "register_affine", register_affine)
     with pytest.raises(GeometryMismatchError, match="^atlas 0: first$"):
         build_pseudo_labels(target, atlases, same_patient, threads=2)
 
 
 def test_pseudo_labels_start_no_job_after_a_failure(monkeypatch, tmp_path):
-    # job 0 fails at once while job 1 sleeps, so with two workers the
-    # failure is seen before a worker frees up for job 2
+    # job 0's affine fails at once while job 1's sleeps, so with two workers
+    # the failure is seen before a worker frees up for job 2
     target, atlases, same_patient = _pseudo_inputs()
     for threads in (1, 2):
         log = tmp_path / f"log{threads}"
-        monkeypatch.setattr(fusion, "register", _fake_register(log, fail_on=0))
+        _fake_stages(monkeypatch, log, fail_on=0, stage="affine")
         with pytest.raises(GeometryMismatchError, match="^atlas 0: boom$"):
             build_pseudo_labels(target, atlases, same_patient, threads=threads)
-        assert _started(log) == list(range(threads))
+        assert _started(log, "a") == list(range(threads))
+        assert _started(log, "f") == []
+
+
+def test_a_failed_affine_task_stops_every_later_start(monkeypatch, tmp_path):
+    # job 1's affine fails at once while job 0's runs on: job 0's affine
+    # still returns, yet neither its FFD nor job 2's affine starts, and the
+    # error is job 1's, named, with its attributes and cause
+    target, atlases, same_patient = _pseudo_inputs()
+    log = tmp_path / "log"
+    error = NumericalFailureError("affine collapsed", level=0, iteration=2)
+    _fake_stages(monkeypatch, log, fail_on=1, error=error, stage="affine")
+    affine = fusion.register_affine
+
+    def register_affine(target, img):
+        result = affine(target, img)
+        if int(img.data.flat[0]) == 0:
+            time.sleep(0.5)
+        return result
+
+    monkeypatch.setattr(fusion, "register_affine", register_affine)
+    with pytest.raises(NumericalFailureError) as info:
+        build_pseudo_labels(target, atlases, same_patient, threads=2)
+    assert str(info.value) == "atlas 1: affine collapsed (level 0, iteration 2)"
+    assert (info.value.level, info.value.iteration) == (0, 2)
+    cause = info.value.__cause__
+    assert type(cause) is NumericalFailureError
+    assert (str(cause), cause.level, cause.iteration) == (str(error), 0, 2)
+    assert _started(log, "a") == [0, 1]
+    assert _started(log, "f") == []
+
+
+def _log_half_threads(monkeypatch, log):
+    """Has every FFD stage evaluate one real objective, whose map samplings
+    (one per half) append the name of the thread they run on to `log`."""
+    sample_map = objective_module.sample_map
+
+    def logged(ffd, onto):
+        with open(log, "a") as f:
+            f.write(f"{threading.current_thread().name}\n")
+        return sample_map(ffd, onto)
+
+    vol = Volume(np.random.default_rng(0).normal(size=(8, 8, 8)).astype(np.float32))
+    ffd = BSplineTransform.zeros(vol, 4.0)
+
+    def register_ffd(target, img, affine, cfg):
+        objective_module.objective(vol, vol, ffd, ffd, ObjectiveWeights(), with_gradient=False)
+        return RegistrationResult(affine, None, None, [], [])
+
+    monkeypatch.setattr(objective_module, "sample_map", logged)
+    monkeypatch.setattr(fusion, "register_affine",
+                        lambda target, img: AffineTransform.identity())
+    monkeypatch.setattr(fusion, "register_ffd", register_ffd)
+
+
+def test_a_worker_starts_no_forward_half_thread_when_the_workers_fill_the_cpus(
+        monkeypatch, tmp_path):
+    target, atlases, _ = _pseudo_inputs()
+    log = tmp_path / "threads"
+    _log_half_threads(monkeypatch, log)
+    # on one CPU, one worker would run the jobs in this process: ask for two
+    workers = max(fusion.usable_cpus(), 2)
+    build_pseudo_labels(target, atlases[:1] * workers, threads=workers)
+    names = log.read_text().split()
+    assert len(names) == 2 * workers and "atlasreg-fwd-half" not in names
+    # two workers on three CPUs leave one spare: each forward half gets a thread
+    log.unlink()
+    monkeypatch.setattr(fusion, "usable_cpus", lambda: 3)
+    build_pseudo_labels(target, atlases[:2], threads=2)
+    assert log.read_text().split().count("atlasreg-fwd-half") == 2
 
 
 def _running(pid):
@@ -387,11 +504,11 @@ def test_registration_workers_exit_when_their_parent_is_killed(tmp_path):
         import numpy as np
         from atlasreg import LabelVolume, Volume, build_pseudo_labels, fusion
 
-        def register(target, img, cfg):
+        def register_affine(target, img):
             open(os.path.join({str(tmp_path)!r}, f"worker{{os.getpid()}}"), "w").close()
             time.sleep(60)
 
-        fusion.register = register
+        fusion.register_affine = register_affine
         vol = Volume(np.zeros((4, 4, 4)))
         lbl = LabelVolume(np.zeros((4, 4, 4), dtype=np.uint8))
         build_pseudo_labels(vol, [(vol, lbl)] * 3, threads=2)
@@ -426,8 +543,9 @@ def test_numerical_failure_survives_a_pickle_round_trip():
 
 
 def test_pseudo_labels_of_real_registrations_do_not_depend_on_threads():
-    # a small phantom case through the real `register`: in this process at
-    # threads=1, in two worker processes at threads=2
+    # a small phantom case through the real stages: in this process at
+    # threads=1, as affine and FFD tasks in two or three worker processes
+    # at threads=2 and 3
     dims = (20, 20, 20)
     target, _ = phantom.generate_phantom(phantom.scaled_spec(dims, modality="lge", seed=1))
     pairs = [phantom.generate_phantom(phantom.scaled_spec(
@@ -436,21 +554,22 @@ def test_pseudo_labels_of_real_registrations_do_not_depend_on_threads():
     cfg1 = RegistrationConfig(levels=2, max_iter_per_level=2, final_grid_spacing=4.0)
     cfg2 = RegistrationConfig(levels=2, max_iter_per_level=2, final_grid_spacing=2.0)
     runs = {}
-    for threads in (1, 2):
+    for threads in (1, 2, 3):
         regs = []
         fused = build_pseudo_labels(target, pairs[:3], tuple(pairs[3:]), type1_cfg=cfg1,
                                     type2_cfg=cfg2, threads=threads, registrations_out=regs)
         runs[threads] = fused, regs
-    (fused1, regs1), (fused2, regs2) = runs[1], runs[2]
-    np.testing.assert_array_equal(fused2.data, fused1.data)
-    assert len(regs2) == len(regs1) == 5
-    for r1, r2 in zip(regs1, regs2):
-        np.testing.assert_array_equal(r2.affine.matrix, r1.affine.matrix)
-        for t1, t2 in ((r1.fwd, r2.fwd), (r1.bwd, r2.bwd)):
-            np.testing.assert_array_equal(t2.coefficients, t1.coefficients)
-            assert not t2.coefficients.flags.writeable
-        assert r2.objective_trace == r1.objective_trace
-        assert r2.converged == r1.converged
+    fused1, regs1 = runs[1]
+    for fused, regs in (runs[2], runs[3]):
+        np.testing.assert_array_equal(fused.data, fused1.data)
+        assert len(regs) == len(regs1) == 5
+        for r1, r2 in zip(regs1, regs):
+            np.testing.assert_array_equal(r2.affine.matrix, r1.affine.matrix)
+            for t1, t2 in ((r1.fwd, r2.fwd), (r1.bwd, r2.bwd)):
+                np.testing.assert_array_equal(t2.coefficients, t1.coefficients)
+                assert not t2.coefficients.flags.writeable
+            assert r2.objective_trace == r1.objective_trace
+            assert r2.converged == r1.converged
 
 
 @pytest.mark.parametrize("threads", [0, -1])
@@ -462,7 +581,7 @@ def test_pseudo_labels_reject_threads_below_one(threads):
 
 def test_pseudo_labels_need_both_same_patient_atlases(monkeypatch, tmp_path):
     target, atlases, same_patient = _pseudo_inputs()
-    monkeypatch.setattr(fusion, "register", _fake_register(tmp_path / "log"))
+    _fake_stages(monkeypatch, tmp_path / "log")
     with pytest.raises(InvalidInputError, match="same_patient"):
         build_pseudo_labels(target, atlases, same_patient[:1])
     assert _started(tmp_path / "log") == []
