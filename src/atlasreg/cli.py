@@ -342,12 +342,11 @@ def build_parser() -> argparse.ArgumentParser:
     pipe.add_argument("--threads", type=_at_least_one(int), default=usable_cpus(),
                       help="worker processes for the atlas registrations (default: the "
                            "CPUs this process may use; capped at the number of "
-                           "registrations). Each registration runs as an affine task, "
-                           "then an FFD task; every affine task starts first. When the "
-                           "workers fill the usable CPUs, each runs its objective's "
-                           "halves one after the other rather than on two threads. 1 "
-                           "runs the registrations in order in this process. Results "
-                           "are bit-identical for any value")
+                           "registrations; 1 runs them in order in this process). In a "
+                           "pool, each registration is an affine task, then an FFD task, "
+                           "and every affine task starts first; workers that fill the "
+                           "usable CPUs run each objective's two halves in order rather "
+                           "than on two threads. Results are bit-identical for any value")
     pipe.set_defaults(func=cmd_pipeline)
 
     ph = sub.add_parser("phantom", help="write a synthetic image + label pair")

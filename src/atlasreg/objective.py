@@ -111,7 +111,8 @@ class ObjectiveWeights:
 # ---------------------------------------------------------------------------
 
 # True in a registration worker whose pool fills the usable CPUs; set by
-# the pool's initializer (`fusion._start_worker`), never in the caller.
+# the pool's initializer (`fusion._start_worker`), never in the process that
+# owns the pool.
 _SERIAL_HALVES = False
 
 
@@ -659,7 +660,7 @@ def inconsistency_gradient(fwd: SampledMap, bwd: SampledMap):
 class ObjectiveForward:
     """What a value-only `objective` call keeps for `objective_gradient`:
     the weights, the SimilarityForward of each map, the bending gradients
-    of both maps (zeros when alpha is 0) and, when beta > 0, the two round
+    of both maps (0.0 when alpha is 0) and, when beta > 0, the two round
     trips of `_roundtrip_residuals`. The displacement fields are not kept.
     `objective_gradient` empties the lists as it goes."""
 

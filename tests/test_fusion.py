@@ -295,7 +295,7 @@ def _fake_stages(monkeypatch, log, fail_on=None, error=None, stage="ffd"):
             f.write(f"{letter}{k}\n")
         if k == fail_on and letter == stage[0]:
             raise error or GeometryMismatchError("boom")
-        time.sleep(0.01 * (5 - k))
+        time.sleep(0.02 * (5 - k))
         return k
 
     def register_affine(target, img):
