@@ -344,9 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
                            "CPUs this process may use; capped at the number of "
                            "registrations; 1 runs them in order in this process). In a "
                            "pool, each registration is an affine task, then an FFD task, "
-                           "and every affine task starts first; workers that fill the "
-                           "usable CPUs run each objective's two halves in order rather "
-                           "than on two threads. Results are bit-identical for any value")
+                           "and every affine task starts first; a worker runs each "
+                           "objective's two halves in order rather than on two threads. "
+                           "Results are bit-identical for any value")
     pipe.set_defaults(func=cmd_pipeline)
 
     ph = sub.add_parser("phantom", help="write a synthetic image + label pair")

@@ -132,15 +132,15 @@ def _ffd_task(target: Volume, img: Volume, affine: AffineTransform,
     return register_ffd(target, img, affine, cfg)
 
 
-def _start_worker(parent: int, serial_halves: bool) -> None:
-    """Worker initializer: end the worker soon after process `parent` is
-    gone, and with `serial_halves` have every objective evaluation run its
-    halves in order on the worker's thread (`objective._SERIAL_HALVES`).
+def _start_worker(parent: int) -> None:
+    """Worker initializer: have every objective evaluation run its halves
+    in order on the worker's thread (`objective._SERIAL_HALVES`), and end
+    the worker soon after process `parent` is gone.
 
     A parent killed outright (by a timeout's SIGKILL, say) cannot shut its
     pool down, and its idle workers would wait for jobs for ever.
     """
-    objective._SERIAL_HALVES = serial_halves
+    objective._SERIAL_HALVES = True
 
     def watch():
         while os.getppid() == parent:
@@ -163,26 +163,28 @@ def _named(name: str, call):
 
 
 def _register_in_pool(target: Volume, jobs: list, workers: int) -> list:
-    """Per job, the futures of the tasks it started: [affine] or [affine,
-    FFD]. See `_register_all`."""
+    """Per job, the futures of the tasks it started: none, [affine] or
+    [affine, FFD]. See `_register_all`."""
     tasks = [[] for _ in jobs]
 
     def next_task():
-        for (_, img, _, _), started in zip(jobs, tasks):
+        # jobs after the earliest failed one start nothing more
+        live = next((i for i, started in enumerate(tasks)
+                     if any(f.done() and f.exception() is not None for f in started)),
+                    len(jobs))
+        for (_, img, _, _), started in zip(jobs[:live], tasks):
             if not started:
                 return started, (_affine_task, target, img)
-        for (_, img, _, cfg), started in zip(jobs, tasks):
-            if len(started) == 1 and started[0].done() and started[0].exception() is None:
+        for (_, img, _, cfg), started in zip(jobs[:live], tasks):
+            if len(started) == 1 and started[0].done():
                 return started, (_ffd_task, target, img, started[0].result(), cfg)
         return None
 
     fork = multiprocessing.get_context("fork")
-    serial_halves = workers >= usable_cpus()
     with ProcessPoolExecutor(workers, mp_context=fork, initializer=_start_worker,
-                             initargs=(os.getpid(), serial_halves)) as pool:
+                             initargs=(os.getpid(),)) as pool:
         running = set()
-        while not any(f.done() and f.exception() is not None
-                      for started in tasks for f in started):
+        while True:
             task = next_task() if len(running) < workers else None
             if task is not None:
                 started, call = task
@@ -205,14 +207,17 @@ def _register_all(target: Volume, jobs: list, workers: int) -> list:
     run in a forked worker process with a GIL of its own. Every affine task
     starts first, in input order; then the FFD tasks, in input order among
     those whose affine has returned. A task starts as soon as a worker is
-    free, so no worker idles while a task is ready, and the shorter tasks
-    leave less idle time at the end than whole registrations do. None starts
-    once a failure is seen. Workers are forked rather than spawned because a
-    fresh interpreter imports numpy and scipy again, which costs about as
-    much as a small registration; the package keeps no thread alive between
-    calls, so no thread of its own is forked mid-call. When the workers fill
-    the usable CPUs, each runs its objectives' halves in order rather than
-    on a thread per half, which would only compete with the other workers.
+    free, so no worker idles while a task is ready. When the job count is
+    not a multiple of the worker count (5 jobs on 2 workers, or the paper's
+    7 per target on 2 to 6), the shorter tasks leave less idle time at the
+    end than whole registrations do. Once a job has failed, no task of a
+    later job starts; the earlier jobs still run to the end, so the failure
+    raised is the one that `threads=1` raises. Workers are forked rather
+    than spawned because a fresh interpreter imports numpy and scipy again,
+    which costs about as much as a small registration; the package keeps
+    no thread alive between calls, so no thread of its own is forked
+    mid-call. The workers already share the CPUs, so each runs its
+    objectives' halves in order rather than on a thread per half.
 
     Each result is bit for bit that of `register`. The error raised is that
     of the earliest failed job in input order, named after its atlas, with
@@ -249,12 +254,13 @@ def build_pseudo_labels(target: Volume,
     the calling process. With more, each job runs as two tasks in forked
     worker processes, which do not share a GIL: its affine stage, then its
     FFD stage; every affine task starts before any FFD task (see
-    `_register_all`). In the calling process, or in a pool of fewer
-    workers than usable CPUs, a registration runs its FFD objectives'
-    forward halves on a short-lived thread of their own; in a pool whose
-    workers fill the usable CPUs, it runs the halves one after the other
-    (see `atlasreg.objective`). Outputs are bit-identical for any `threads`.
-    A failure names its atlas, and no task starts after it is seen.
+    `_register_all`). In the calling process, a registration runs its FFD
+    objectives' forward halves on a short-lived thread of their own; in a
+    worker, it runs the halves one after the other (see
+    `atlasreg.objective`). Outputs are bit-identical for any `threads`.
+    A failure names its atlas. The error raised is that of the earliest
+    failed job in input order, and no task of a later job starts once a
+    failure is seen.
     `registrations_out`, if provided, collects the RegistrationResults in
     input order (type-1 first) for manifest reporting.
     """

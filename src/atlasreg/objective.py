@@ -55,10 +55,9 @@ thread started for it and the backward half on the calling thread, which
 then joins that thread. Nothing is shared between calls and no thread
 outlives its call, so a registration runs at most two threads at a time;
 on one core the halves take turns. In a registration worker of
-`build_pseudo_labels` whose pool fills the usable CPUs, the other workers
-already keep every core busy, so there the halves run one after the other
-on the calling thread and start no thread (`_SERIAL_HALVES`, set by the
-pool's initializer). Each reduction keeps its serial order, so results are
+`build_pseudo_labels`, the other workers already share the CPUs, so there
+the halves run one after the other on the calling thread and start no
+thread (`_SERIAL_HALVES`, set by the pool's initializer). Each reduction keeps its serial order, so results are
 bit for bit those of running the halves one after the other. A call returns
 or raises only once both halves have finished, so no work of a rejected
 line-search probe runs on into the next probe. If both halves raise, the
@@ -110,9 +109,9 @@ class ObjectiveWeights:
 # The forward and backward halves
 # ---------------------------------------------------------------------------
 
-# True in a registration worker whose pool fills the usable CPUs; set by
-# the pool's initializer (`fusion._start_worker`), never in the process that
-# owns the pool.
+# True in a registration worker of `build_pseudo_labels`; set by the pool's
+# initializer (`fusion._start_worker`), never in the process that owns the
+# pool.
 _SERIAL_HALVES = False
 
 
@@ -705,7 +704,7 @@ def objective(ref: Volume, flt: Volume, fwd: BSplineTransform,
     the gradient, the same finishing step runs before the call returns.
     Each pass runs its forward half on a thread of its own and its backward
     half on the calling thread, or both in order on the calling thread in a
-    registration worker whose pool fills the CPUs (see the module docstring).
+    registration worker (see the module docstring).
     """
     def forward_half():
         sampled = sample_map(fwd, flt.grid)

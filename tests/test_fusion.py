@@ -417,10 +417,11 @@ def test_pseudo_labels_start_no_job_after_a_failure(monkeypatch, tmp_path):
         assert _started(log, "f") == []
 
 
-def test_a_failed_affine_task_stops_every_later_start(monkeypatch, tmp_path):
+def test_a_failed_affine_task_stops_its_ffd_and_every_later_job(monkeypatch, tmp_path):
     # job 1's affine fails at once while job 0's runs on: job 0's affine
-    # still returns, yet neither its FFD nor job 2's affine starts, and the
-    # error is job 1's, named, with its attributes and cause
+    # returns and its FFD still runs, as it would at threads=1, yet neither
+    # job 1's FFD nor job 2's affine starts, and the error is job 1's,
+    # named, with its attributes and cause
     target, atlases, same_patient = _pseudo_inputs()
     log = tmp_path / "log"
     error = NumericalFailureError("affine collapsed", level=0, iteration=2)
@@ -442,12 +443,39 @@ def test_a_failed_affine_task_stops_every_later_start(monkeypatch, tmp_path):
     assert type(cause) is NumericalFailureError
     assert (str(cause), cause.level, cause.iteration) == (str(error), 0, 2)
     assert _started(log, "a") == [0, 1]
-    assert _started(log, "f") == []
+    assert _started(log, "f") == [0]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_an_earlier_jobs_ffd_failure_wins_over_a_later_jobs_affine_failure(
+        monkeypatch, tmp_path, threads):
+    # job 0's FFD fails, and job 3's affine fails at once; at threads=2 that
+    # affine starts, and fails, before job 0's FFD. The error raised is job
+    # 0's, as at threads=1, and no FFD starts after it.
+    target, atlases, same_patient = _pseudo_inputs()
+    log = tmp_path / "log"
+    error = NumericalFailureError("objective is not finite", level=1, iteration=3)
+    _fake_stages(monkeypatch, log, fail_on=0, error=error)
+    affine = fusion.register_affine
+
+    def register_affine(target, img):
+        if int(img.data.flat[0]) == 3:
+            raise GeometryMismatchError("late")
+        return affine(target, img)
+
+    monkeypatch.setattr(fusion, "register_affine", register_affine)
+    with pytest.raises(NumericalFailureError) as info:
+        build_pseudo_labels(target, atlases, same_patient, threads=threads)
+    assert str(info.value) == "atlas 0: objective is not finite (level 1, iteration 3)"
+    assert (info.value.level, info.value.iteration) == (1, 3)
+    assert type(info.value.__cause__) is NumericalFailureError
+    assert _started(log, "f") == [0]
 
 
 def _log_half_threads(monkeypatch, log):
-    """Has every FFD stage evaluate one real objective, whose map samplings
-    (one per half) append the name of the thread they run on to `log`."""
+    """Has every FFD stage, and every registration in this process, evaluate
+    one real objective, whose map samplings (one per half) append the name
+    of the thread they run on to `log`."""
     sample_map = objective_module.sample_map
 
     def logged(ffd, onto):
@@ -466,22 +494,20 @@ def _log_half_threads(monkeypatch, log):
     monkeypatch.setattr(fusion, "register_affine",
                         lambda target, img: AffineTransform.identity())
     monkeypatch.setattr(fusion, "register_ffd", register_ffd)
+    monkeypatch.setattr(fusion, "register", lambda target, img, cfg: register_ffd(
+        target, img, AffineTransform.identity(), cfg))
 
 
-def test_a_worker_starts_no_forward_half_thread_when_the_workers_fill_the_cpus(
-        monkeypatch, tmp_path):
+def test_a_worker_starts_no_forward_half_thread(monkeypatch, tmp_path):
     target, atlases, _ = _pseudo_inputs()
     log = tmp_path / "threads"
     _log_half_threads(monkeypatch, log)
-    # on one CPU, one worker would run the jobs in this process: ask for two
-    workers = max(fusion.usable_cpus(), 2)
-    build_pseudo_labels(target, atlases[:1] * workers, threads=workers)
-    names = log.read_text().split()
-    assert len(names) == 2 * workers and "atlasreg-fwd-half" not in names
-    # two workers on three CPUs leave one spare: each forward half gets a thread
-    log.unlink()
-    monkeypatch.setattr(fusion, "usable_cpus", lambda: 3)
     build_pseudo_labels(target, atlases[:2], threads=2)
+    names = log.read_text().split()
+    assert len(names) == 4 and "atlasreg-fwd-half" not in names
+    # in this process, each forward half still gets a thread
+    log.unlink()
+    build_pseudo_labels(target, atlases[:2], threads=1)
     assert log.read_text().split().count("atlasreg-fwd-half") == 2
 
 
