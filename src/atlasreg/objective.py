@@ -24,29 +24,34 @@ stencil on the floating grid. A violation raises GeometryMismatchError.
 All gradients with respect to B-spline coefficients are analytic. The
 composition gradient treats the inner field of each round trip as fixed, so
 each of the two composition terms drives only its outer transform. The
-affine and FFD similarities share one NMI core (`_nmi_deposit`, then
-`_nmi_point_gradient`). The FFD's overlap is hard, so its gradient holds the
+affine and FFD similarities share one NMI core, `_nmi_deposit` and the
+finish it returns. The FFD's overlap is hard, so its gradient holds the
 mask fixed: a voxel whose mapped point crosses the floating grid's edge
 enters or leaves the histogram as a step, and that term is left out. The
 affine's overlap has the soft edge of `_soft_overlap`, so its gradient
 includes the term.
 
-An objective evaluation is a forward pass and a finishing step. The forward
-pass (`objective`) computes the value and keeps only what the gradient
-reads: both maps' stencils, both round-trip residuals m (the only readers of
-the displacement fields, which are then dropped), both bending gradients
-(each costs one scaled sum more than its energy, so the forward pass takes
-them) and, per similarity, its `_NMIState`: the voxel mask, the joint counts
+An objective evaluation is a value pass and a finishing step. Every value
+pass returns its value and a finish: a closure that holds only what its
+gradient reads and returns that gradient when called. `_nmi_deposit`
+returns the joint counts and a finish holding the voxel mask, the counts
 and the bin positions of the reference and floating samples with the
-floating scale and unclamped mask.
-The finishing step (`objective_gradient`) turns that state into the
-gradients: it runs the round-trip scatters first and frees the residuals,
-then the two similarity gradients, whose footprint weights and cells it
-recomputes from the bin positions bit for bit. A line search thus pays for
-the gradient only at the probes it accepts, without evaluating them twice.
+floating scale and unclamped mask; `similarity_and_gradient` returns the
+NMI and a finish that adds the map's stencil and FFD; `_roundtrip` returns
+one round trip's penalty and a finish holding its residual m. The value
+pass (`objective`) keeps the finishes of both similarities and both round
+trips (the only readers of the displacement fields, which are then
+dropped) and both bending gradients (each costs one scaled sum more than
+its energy, so the value pass takes them). The finishing step
+(`objective_gradient`) runs the round-trip finishes first, which scatter
+and free the residuals, then the similarity finishes, which recompute the
+footprint weights and cells from the bin positions bit for bit. A line
+search thus pays for the gradient only at the probes it accepts, without
+evaluating them twice. The affine hands its ascent the same kind of finish
+(`registration._overlap_nmi`).
 
 Both passes split into a forward and a backward half, which do not meet
-until their values and gradients are summed. The forward pass runs the
+until their values and gradients are summed. The value pass runs the
 halves twice: the sampling and similarity of each map, then the residual of
 each round trip (the forward half's trip has the forward map outer). The
 finishing step also runs them twice: the scatter of each round trip, then
@@ -146,12 +151,12 @@ def _both_halves(fwd_part, bwd_part):
     return fwd, bwd
 
 
-def _finish_both(pair: list, finish):
-    """(finish(pair[0]), finish(pair[1])) as the two halves. Empties `pair`,
-    so that its items go once both are finished."""
-    fwd_item, bwd_item = pair
+def _finish_both(pair: list):
+    """(pair[0](), pair[1]()) of two finishes, run as the two halves.
+    Empties `pair`, so that the finishes go once both have run."""
+    fwd_finish, bwd_finish = pair
     pair.clear()
-    return _both_halves(lambda: finish(fwd_item), lambda: finish(bwd_item))
+    return _both_halves(fwd_finish, bwd_finish)
 
 
 # ---------------------------------------------------------------------------
@@ -358,27 +363,23 @@ def _soft_overlap(stencil: TrilinearStencil, points: np.ndarray):
                   excursion == 0, clamped[kept])
 
 
-@dataclass(eq=False)
-class _NMIState:
-    """What `_nmi_point_gradient` reads of an `_nmi_deposit`; `histogram`
-    holds the joint counts and bin positions, and the finishing step empties it."""
-
-    flt: Volume
-    mask: np.ndarray
-    shell: tuple | None
-    histogram: list
-
-
 def _nmi_deposit(ref: Volume, flt: Volume, mask, values, ranges, shell=None):
     """The Parzen joint histogram (BINS, BINS) of ref's voxels under `mask`
     paired with `values`, flt's float64 samples at their mapped points, and
-    the `_NMIState` its gradient is finished from.
+    the finish of its gradient.
 
     `ranges` fixes the (ref, float) intensity ranges; None takes the robust
     percentile ranges of the samples. Every pair deposits a unit mass,
     except those of a `_soft_overlap` shell, which deposit their weight. The
     bin positions the gradient reads, (ref positions, float positions, float
     scale, float unclamped mask), are computed in place of `values`.
+
+    Returns (counts, finish). `finish(stencil)` returns d NMI / d mapped
+    world point (N, 3), zero off the mask: the floating gradient times
+    d NMI / d sample (Mattes et al., IEEE TMI 2003), plus a shell point's
+    deposit-weight derivative. `stencil()` gives the stencil the points were
+    sampled through; it is called only once the counts and bin positions
+    are gone, which the finish drops.
     """
     rv = ref.data.reshape(-1)[mask].astype(np.float64)
     if rv.size == 0:
@@ -395,7 +396,36 @@ def _nmi_deposit(ref: Volume, flt: Volume, mask, values, ranges, shell=None):
             deposit[shell[0]] *= shell[1]
         counts += np.bincount(cell, weights=deposit, minlength=BINS * BINS)
     counts = counts.reshape(BINS, BINS)
-    return counts, _NMIState(flt, mask, shell, [counts, (q_r, q_f, scale_f, interior_f)])
+    histogram = [counts, (q_r, q_f, scale_f, interior_f)]
+
+    def finish(stencil):
+        counts, positions = histogram
+        histogram.clear()
+        ds = _nmi_and_count_gradient(counts)[1]
+        lam = _sample_gradient(ds, positions)
+        if shell is not None:
+            idx, w, d_w, inner, clamped = shell
+            lam[idx] *= w
+            d_nmi_d_w = _deposit_weight_gradient(counts, ds, positions, idx)
+        del counts, positions, ds
+        grad = stencil().gather(flt.data, want_gradient=True)[1]  # 0 outside the grid
+        g = grad[mask]
+        if shell is not None:
+            # on a face the edge-clamped value is flat across it only
+            g[idx] = TrilinearStencil(flt.dims, clamped).gather(
+                flt.data, want_gradient=True)[1] * inner
+        # d(sample)/d(world point) = direction @ (voxel gradient / spacing)
+        spacing = np.asarray(flt.spacing)
+        g /= spacing
+        g = g @ flt.direction.T
+        g *= lam[:, None]
+        if shell is not None:
+            g[idx] += (d_nmi_d_w[:, None] * d_w / spacing) @ flt.direction.T
+        grad[~mask] = 0.0
+        grad[mask] = g
+        return grad
+
+    return counts, finish
 
 
 def _sample_gradient(ds, positions):
@@ -430,40 +460,6 @@ def _deposit_weight_gradient(counts, ds, positions, idx):
     grad = np.full(idx.size, -float((counts * ds).sum()) / counts.sum())
     for cell, w_r, w_f in _footprint(positions[0][idx], positions[1][idx]):
         grad += ds.reshape(-1)[cell] * w_r * w_f
-    return grad
-
-
-def _nmi_point_gradient(state: _NMIState, stencil) -> np.ndarray:
-    """d NMI / d mapped world point (N, 3), zero off the mask, finished from
-    an `_nmi_deposit` state: the floating gradient times d NMI / d sample
-    (Mattes et al., IEEE TMI 2003), plus a shell point's deposit-weight
-    derivative. `stencil()` gives the stencil the points were sampled
-    through; it is called only once the counts and bin positions are gone."""
-    flt, mask, shell = state.flt, state.mask, state.shell
-    counts, positions = state.histogram
-    state.histogram.clear()
-    ds = _nmi_and_count_gradient(counts)[1]
-    lam = _sample_gradient(ds, positions)
-    if shell is not None:
-        idx, w, d_w, inner, clamped = shell
-        lam[idx] *= w
-        d_nmi_d_w = _deposit_weight_gradient(counts, ds, positions, idx)
-    del counts, positions, ds
-    grad = stencil().gather(flt.data, want_gradient=True)[1]  # 0 outside the grid
-    g = grad[mask]
-    if shell is not None:
-        # on a face the edge-clamped value is flat across it only
-        g[idx] = TrilinearStencil(flt.dims, clamped).gather(
-            flt.data, want_gradient=True)[1] * inner
-    # d(sample)/d(world point) = direction @ (voxel gradient / spacing)
-    spacing = np.asarray(flt.spacing)
-    g /= spacing
-    g = g @ flt.direction.T
-    g *= lam[:, None]
-    if shell is not None:
-        g[idx] += (d_nmi_d_w[:, None] * d_w / spacing) @ flt.direction.T
-    grad[~mask] = 0.0
-    grad[mask] = g
     return grad
 
 
@@ -505,47 +501,34 @@ def sample_map(ffd: BSplineTransform, onto: Grid) -> SampledMap:
 # Similarity through a B-spline transform
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class SimilarityForward:
-    """What the gradient of one similarity reads of its value pass: the
-    map's FFD, the stencil flt was sampled through and the `_NMIState`."""
-
-    ffd: BSplineTransform
-    stencil: TrilinearStencil
-    state: _NMIState
-
-
-def _similarity_gradient(fw: SimilarityForward) -> np.ndarray:
-    """d NMI / d coefficients of the FFD, finished from its value pass."""
-    field = _nmi_point_gradient(fw.state, lambda: fw.stencil)
-    return splat_to_coefficients(fw.ffd, field.reshape(fw.ffd.reference.dims + (3,)))
-
-
 def similarity_and_gradient(ref: Volume, flt: Volume, sampled: SampledMap,
-                            ranges=None, ref_mask=None, flt_valid=None,
-                            with_gradient=True):
-    """NMI between ref and flt warped by a sampled FFD map, plus the
-    gradient with respect to that FFD's coefficients.
+                            ranges=None, ref_mask=None, flt_valid=None):
+    """NMI between ref and flt warped by a sampled FFD map, and the finish
+    of its gradient with respect to that FFD's coefficients.
 
     `sampled` must come from an FFD over ref's geometry, sampled onto flt's
     grid: `sample_map(ffd, flt.grid)`. `ref_mask` excludes reference voxels;
     `flt_valid` marks usable voxels of the floating image (pairs whose
     warped sample touches invalid voxels are skipped).
-    Returns (nmi, gradient), or without the gradient (nmi, the
-    SimilarityForward its gradient is finished from).
+    Returns (nmi, finish); `finish()` returns the gradient, from the
+    deposit's finish through the stencil flt was sampled through.
     """
     require_same_geometry(sampled.ffd.reference, ref.grid, "FFD reference and ref")
     require_same_geometry(sampled.onto, flt.grid, "sampled grid and flt")
-    stencil = sampled.stencil
+    ffd, stencil = sampled.ffd, sampled.stencil
     # a hard overlap: only points inside the floating grid count
     mask = stencil.inside
     if ref_mask is not None:
         mask = mask & np.asarray(ref_mask, dtype=bool).reshape(-1)
     if flt_valid is not None:
         mask = mask & (stencil.gather(flt_valid) >= 0.999)
-    counts, state = _nmi_deposit(ref, flt, mask, stencil.gather(flt.data)[mask], ranges)
-    forward = SimilarityForward(sampled.ffd, stencil, state)
-    return nmi(counts), _similarity_gradient(forward) if with_gradient else forward
+    counts, finish_points = _nmi_deposit(ref, flt, mask, stencil.gather(flt.data)[mask], ranges)
+
+    def finish():
+        field = finish_points(lambda: stencil)
+        return splat_to_coefficients(ffd, field.reshape(ffd.reference.dims + (3,)))
+
+    return nmi(counts), finish
 
 
 # ---------------------------------------------------------------------------
@@ -598,37 +581,35 @@ def bending_energy_gradient(t: BSplineTransform):
 # ---------------------------------------------------------------------------
 
 def _roundtrip(outer: SampledMap, inner: SampledMap):
-    """(mean |m|^2, trip) of the round trip with `outer` as the outer map;
-    the trip is (outer FFD, inner stencil, residual). The residual m(x) =
-    u_inner(x) + u_outer(x + u_inner(x)) is C-contiguous (N, 3); the outer
-    field is sampled edge-clamped through the inner map's stencil."""
+    """(mean |m|^2, finish) of the round trip with `outer` as the outer map.
+    The residual m(x) = u_inner(x) + u_outer(x + u_inner(x)) is C-contiguous
+    (N, 3); the outer field is sampled edge-clamped through the inner map's
+    stencil. `finish()` returns d(mean |m|^2) / d outer coefficients, the
+    inner field held fixed; it scales m in place, as nothing reads m again."""
     # the inner map's points are where the outer field is read
     require_same_geometry(inner.onto, outer.ffd.reference,
                           "sampled grid and outer reference")
-    m = np.empty((inner.stencil.base.size, 3))
+    ffd, stencil = outer.ffd, inner.stencil
+    m = np.empty((stencil.base.size, 3))
     for d in range(3):
-        np.add(inner.u[d].reshape(-1), inner.stencil.gather(outer.u[d]), out=m[:, d])
-    n_vox = float(np.prod(outer.ffd.reference.dims))
-    return float((m ** 2).sum()) / n_vox, (outer.ffd, inner.stencil, m)
+        np.add(inner.u[d].reshape(-1), stencil.gather(outer.u[d]), out=m[:, d])
+    n_vox = float(np.prod(ffd.reference.dims))
+
+    def finish():
+        np.multiply(m, 2.0 / n_vox, out=m)
+        return splat_to_coefficients(ffd, stencil.scatter(m))
+
+    return float((m ** 2).sum()) / n_vox, finish
 
 
 def _roundtrip_residuals(fwd: SampledMap, bwd: SampledMap):
-    """(penalty, [trip with fwd outer, trip with bwd outer]), see `_roundtrip`;
-    the two trips run as the two halves."""
+    """(penalty, [finish of the trip with fwd outer, that with bwd outer]),
+    see `_roundtrip`; the two trips run as the two halves."""
     require_same_geometry(fwd.ffd.reference, bwd.ffd.reference,
                           "fwd and bwd references")
-    (c_f, trip_f), (c_b, trip_b) = _both_halves(lambda: _roundtrip(fwd, bwd),
-                                                lambda: _roundtrip(bwd, fwd))
-    return (0.0 + c_f) + c_b, [trip_f, trip_b]
-
-
-def _roundtrip_gradient(outer: BSplineTransform, stencil: TrilinearStencil,
-                        m: np.ndarray) -> np.ndarray:
-    """d(mean |m|^2) / d outer coefficients, the inner field held fixed. The
-    residual m is scaled in place: it is not read again."""
-    n_vox = float(np.prod(outer.reference.dims))
-    m *= 2.0 / n_vox
-    return splat_to_coefficients(outer, stencil.scatter(m))
+    (c_f, finish_f), (c_b, finish_b) = _both_halves(lambda: _roundtrip(fwd, bwd),
+                                                    lambda: _roundtrip(bwd, fwd))
+    return (0.0 + c_f) + c_b, [finish_f, finish_b]
 
 
 def inconsistency_penalty(fwd: SampledMap, bwd: SampledMap) -> float:
@@ -647,8 +628,8 @@ def inconsistency_gradient(fwd: SampledMap, bwd: SampledMap):
     held fixed (alternating scheme), so each returned gradient is the exact
     derivative of its own term.
     """
-    value, trips = _roundtrip_residuals(fwd, bwd)
-    return (value, *_finish_both(trips, lambda trip: _roundtrip_gradient(*trip)))
+    value, finishes = _roundtrip_residuals(fwd, bwd)
+    return (value, *_finish_both(finishes))
 
 
 # ---------------------------------------------------------------------------
@@ -658,9 +639,9 @@ def inconsistency_gradient(fwd: SampledMap, bwd: SampledMap):
 @dataclass(eq=False)
 class ObjectiveForward:
     """What a value-only `objective` call keeps for `objective_gradient`:
-    the weights, the SimilarityForward of each map, the bending gradients
-    of both maps (0.0 when alpha is 0) and, when beta > 0, the two round
-    trips of `_roundtrip_residuals`. The displacement fields are not kept.
+    the weights, the finishes of both similarities, the bending gradients
+    of both maps (0.0 when alpha is 0) and, when beta > 0, the finishes of
+    both round trips. No finish holds a displacement field.
     `objective_gradient` empties the lists as it goes."""
 
     weights: ObjectiveWeights
@@ -699,8 +680,8 @@ def objective(ref: Volume, flt: Volume, fwd: BSplineTransform,
     `flt_mask` marks the usable voxels of flt (the in-bounds part of an
     affinely resampled floating image).
 
-    This is the forward pass; a value-only call returns its state as
-    `forward`, which `objective_gradient` finishes into the gradients. With
+    This is the value pass; a value-only call returns its finishes as
+    `forward`, which `objective_gradient` runs into the gradients. With
     the gradient, the same finishing step runs before the call returns.
     Each pass runs its forward half on a thread of its own and its backward
     half on the calling thread, or both in order on the calling thread in a
@@ -709,12 +690,12 @@ def objective(ref: Volume, flt: Volume, fwd: BSplineTransform,
     def forward_half():
         sampled = sample_map(fwd, flt.grid)
         return sampled, similarity_and_gradient(
-            ref, flt, sampled, ranges=ranges_fwd, flt_valid=flt_mask, with_gradient=False)
+            ref, flt, sampled, ranges=ranges_fwd, flt_valid=flt_mask)
 
     def backward_half():
         sampled = sample_map(bwd, ref.grid)
         return sampled, similarity_and_gradient(
-            flt, ref, sampled, ranges=ranges_bwd, ref_mask=flt_mask, with_gradient=False)
+            flt, ref, sampled, ranges=ranges_bwd, ref_mask=flt_mask)
 
     (map_f, (s_f, sim_f)), (map_b, (s_b, sim_b)) = _both_halves(forward_half, backward_half)
 
@@ -738,13 +719,12 @@ def objective(ref: Volume, flt: Volume, fwd: BSplineTransform,
 
 def objective_gradient(forward: ObjectiveForward):
     """(grad_fwd, grad_bwd) of the objective, finished from the `forward`
-    state of a value-only `objective` call.
+    of a value-only `objective` call.
 
-    The two round-trip scatters run first, as the two halves, and their
-    residuals are dropped; then the two similarity gradients, as the two
-    halves, and the similarities' state is dropped. The bending gradients
-    were taken by the forward pass. The state is consumed: a second call
-    raises InvalidInputError.
+    The two round-trip finishes run first, as the two halves, and are
+    dropped with their residuals; then the two similarity finishes, as the
+    two halves. The bending gradients were taken by the value pass. The
+    finishes are consumed: a second call raises InvalidInputError.
     """
     if not forward.similarities:
         raise InvalidInputError("this objective evaluation's gradient was already finished")
@@ -752,8 +732,8 @@ def objective_gradient(forward: ObjectiveForward):
     g_ef, g_eb = forward.bending
     g_cf = g_cb = 0.0
     if forward.roundtrips:
-        g_cf, g_cb = _finish_both(forward.roundtrips, lambda trip: _roundtrip_gradient(*trip))
-    g_sf, g_sb = _finish_both(forward.similarities, _similarity_gradient)
+        g_cf, g_cb = _finish_both(forward.roundtrips)
+    g_sf, g_sb = _finish_both(forward.similarities)
 
     ws = weights.similarity
     return (ws * g_sf - weights.alpha * g_ef - weights.beta * g_cf,

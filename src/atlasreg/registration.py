@@ -9,6 +9,7 @@ B-spline subdivision, so the represented field carries over unchanged.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +19,6 @@ from .errors import DegenerateInputError, InvalidInputError, NumericalFailureErr
 from .objective import (
     ObjectiveWeights,
     _nmi_deposit,
-    _nmi_point_gradient,
     _soft_overlap,
     nmi,
     objective,
@@ -46,8 +46,9 @@ class RegistrationConfig:
     weights: ObjectiveWeights = field(default_factory=ObjectiveWeights)
 
     def __post_init__(self):
-        if self.levels < 1 or self.max_iter_per_level < 1:
-            raise InvalidInputError("levels and max_iter_per_level must be >= 1")
+        if not all(isinstance(n, numbers.Integral) and n >= 1
+                   for n in (self.levels, self.max_iter_per_level)):
+            raise InvalidInputError("levels and max_iter_per_level must be integers >= 1")
         if not (math.isfinite(self.final_grid_spacing) and self.final_grid_spacing >= 1):
             raise InvalidInputError("final_grid_spacing must be a finite number >= 1 voxel")
 
@@ -203,10 +204,10 @@ def _overlap_nmi(ref: Volume, flt: Volume, linear: np.ndarray, offset: np.ndarra
     offset on flt's grid. A point outside the grid reads the edge-clamped
     value.
 
-    Returns (nmi, finish): `finish()` returns `_nmi_point_gradient`, d NMI /
-    d mapped world point, (N, 3) over ref's voxels and zero where a point
-    weighs 0. The stencil is built again for it, so that it is not held
-    while the histogram allocates.
+    Returns (nmi, finish): `finish()` returns d NMI / d mapped world point
+    from the deposit's finish, (N, 3) over ref's voxels and zero where a
+    point weighs 0. The stencil is built again for it, so that it is not
+    held while the histogram allocates.
     """
     def stencil():
         points = ref.grid.world_points() @ linear
@@ -217,8 +218,8 @@ def _overlap_nmi(ref: Volume, flt: Volume, linear: np.ndarray, offset: np.ndarra
     mask, shell = _soft_overlap(sampling, points)
     values = sampling.gather(flt.data)[mask]
     del sampling, points
-    counts, state = _nmi_deposit(ref, flt, mask, values, ranges, shell)
-    return nmi(counts), lambda: _nmi_point_gradient(state, lambda: stencil()[0])
+    counts, finish = _nmi_deposit(ref, flt, mask, values, ranges, shell)
+    return nmi(counts), lambda: finish(lambda: stencil()[0])
 
 
 def register_affine(ref: Volume, flt: Volume, *, max_iter=(40, 25, 12)) -> AffineTransform:
@@ -242,17 +243,17 @@ def register_affine(ref: Volume, flt: Volume, *, max_iter=(40, 25, 12)) -> Affin
     moves the one of largest derivative by max(extent/32, 1) mm. Every probe
     builds one joint histogram, through the NMI core the FFD shares
     (`objective._nmi_deposit` with the soft-overlap shell). The gradient is
-    analytic, finished from an accepted probe's state by the same core:
-    `objective._nmi_point_gradient` gives d NMI / d mapped world point,
-    shell weight derivative included, which is contracted with [x - c, 1].
-    No central differences are taken. A stage stops once its relative NMI
-    gain falls below AFFINE_GAIN_FLOOR. `max_iter` holds one iteration cap
-    >= 1 per stage.
+    analytic: an accepted probe runs the finish its deposit returned, which
+    gives d NMI / d mapped world point, shell weight derivative included,
+    and contracts that with [x - c, 1]. No central differences are taken.
+    A stage stops once its relative NMI gain falls below AFFINE_GAIN_FLOOR.
+    `max_iter` holds one integer iteration cap >= 1 per stage.
     """
     max_iter = tuple(max_iter)
-    if len(max_iter) != 3 or not all(n >= 1 for n in max_iter):
+    if len(max_iter) != 3 or not all(isinstance(n, numbers.Integral) and n >= 1
+                                     for n in max_iter):
         raise InvalidInputError(
-            f"max_iter needs 3 iteration caps >= 1 (x4, x2, x1), got {max_iter}")
+            f"max_iter needs 3 integer iteration caps >= 1 (x4, x2, x1), got {max_iter}")
     robust_range(ref.data.reshape(-1))   # reject degenerate inputs early
     flt_range = robust_range(flt.data.reshape(-1))
 
@@ -323,7 +324,7 @@ def register_ffd(ref: Volume, flt: Volume, affine: AffineTransform | None,
     coefficients, one node per control point: the first probe of a level
     moves the control point of largest gradient norm by 0.4 x the lattice
     spacing in mm. Every probe is a value-only `objective` call; the gradient
-    at an accepted probe is finished from that call's forward state by
+    at an accepted probe is finished from that call's finishes by
     `objective_gradient`. A level stops early when the relative objective gain
     drops below FFD_GAIN_FLOOR or no step of at least STEP_FLOOR_MM raises the
     objective. A non-finite objective raises NumericalFailureError carrying

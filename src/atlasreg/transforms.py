@@ -270,27 +270,13 @@ def warp_volume_masked(src, ref_geometry, affine, ffd=None):
     return vol, stencil.inside.reshape(ref_geometry.dims)
 
 
-def _nearest_values(data, pts):
-    """Nearest-neighbor lookup; out-of-bounds points return 0 (background)."""
-    pts = np.asarray(pts, dtype=np.float64).reshape(-1, 3)
-    nx, ny, nz = data.shape
-    idx = np.rint(pts).astype(np.intp)
-    inside = (
-        (idx[:, 0] >= 0) & (idx[:, 0] <= nx - 1)
-        & (idx[:, 1] >= 0) & (idx[:, 1] <= ny - 1)
-        & (idx[:, 2] >= 0) & (idx[:, 2] <= nz - 1)
-    )
-    i = np.clip(idx[:, 0], 0, nx - 1)
-    j = np.clip(idx[:, 1], 0, ny - 1)
-    k = np.clip(idx[:, 2], 0, nz - 1)
-    return np.where(inside, data[i, j, k], 0)
-
-
 def warp_labels(src: LabelVolume, ref_geometry, affine: AffineTransform | None,
                 ffd: BSplineTransform | None = None) -> LabelVolume:
     """Nearest-neighbor label warp; out-of-bounds samples become background."""
     coords = _mapped_source_coords(src, ref_geometry, affine, ffd)
-    vals = _nearest_values(src.data, coords)
+    # at a rounded point every fraction is 0 (or 1 on a clamped last cell),
+    # so the trilinear gather returns the nearest voxel's class exactly
+    vals = TrilinearStencil(src.dims, np.rint(coords)).gather(src.data, 0.0)
     return LabelVolume(vals.reshape(ref_geometry.dims),
                        ref_geometry.spacing, ref_geometry.origin, ref_geometry.direction)
 

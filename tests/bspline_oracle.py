@@ -7,7 +7,6 @@ import numpy as np
 from atlasreg.objective import (
     ObjectiveResult,
     _nmi_deposit,
-    _nmi_point_gradient,
     bending_energy_gradient,
     nmi,
 )
@@ -142,10 +141,10 @@ def _similarity(ref, flt, ffd, ranges, ref_mask, flt_valid, with_gradient):
         mask &= ref_mask.reshape(-1)
     if flt_valid is not None:
         mask &= stencil.gather(flt_valid, 0.0) >= 0.999
-    counts, state = _nmi_deposit(ref, flt, mask, stencil.gather(flt.data, 0.0)[mask], ranges)
+    counts, finish = _nmi_deposit(ref, flt, mask, stencil.gather(flt.data, 0.0)[mask], ranges)
     if not with_gradient:
         return nmi(counts), None
-    field = _nmi_point_gradient(state, lambda: stencil)
+    field = finish(lambda: stencil)
     return nmi(counts), splat_to_coefficients(ffd, field.reshape(ffd.reference.dims + (3,)))
 
 

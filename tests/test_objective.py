@@ -367,13 +367,14 @@ def test_similarity_gradient_matches_finite_differences():
     flt = _gradient_phantom(4)
     base = random_smooth_deformation(ref, 1.5, 5.0, seed=2)
     ranges = (robust_range(ref.data.reshape(-1)), robust_range(flt.data.reshape(-1)))
-    s, g = similarity_and_gradient(ref, flt, sample_map(base, flt.grid), ranges=ranges)
+    s, finish = similarity_and_gradient(ref, flt, sample_map(base, flt.grid), ranges=ranges)
+    g = finish()
     assert 1.0 <= s <= 2.0
 
     def value(coef):
         return similarity_and_gradient(ref, flt,
                                        sample_map(base.with_coefficients(coef), flt.grid),
-                                       ranges=ranges, with_gradient=False)[0]
+                                       ranges=ranges)[0]
 
     rng = np.random.default_rng(13)
     h = 1e-3
@@ -399,14 +400,11 @@ def test_all_true_flt_valid_equals_no_mask():
     world = ref.grid.world_points() + dense_displacement(ffd).reshape(-1, 3)
     stencil = TrilinearStencil(flt.dims, flt.voxel_from_world(world))
     assert np.all(stencil.gather(valid, 0.0)[stencil.inside] == 1.0)
-    for with_gradient in (True, False):
-        sampled = sample_map(ffd, flt.grid)
-        s0, g0 = similarity_and_gradient(ref, flt, sampled, with_gradient=with_gradient)
-        s1, g1 = similarity_and_gradient(ref, flt, sampled, flt_valid=valid,
-                                         with_gradient=with_gradient)
-        assert s1 == s0
-        if with_gradient:
-            assert np.array_equal(_bits(g1), _bits(g0))
+    sampled = sample_map(ffd, flt.grid)
+    s0, finish0 = similarity_and_gradient(ref, flt, sampled)
+    s1, finish1 = similarity_and_gradient(ref, flt, sampled, flt_valid=valid)
+    assert s1 == s0
+    assert np.array_equal(_bits(finish1()), _bits(finish0()))
     # a mask below the 0.999 threshold everywhere still excludes every voxel
     with pytest.raises(DegenerateInputError):
         similarity_and_gradient(ref, flt, sample_map(ffd, flt.grid),
@@ -424,10 +422,8 @@ def test_similarity_rejects_a_map_off_the_reference_grid():
     # a 1 mm lattice over a 2 mm reference
     coarse = Volume(ref.data, spacing=(2.0, 2.0, 2.0))
     ffd = random_smooth_deformation(ref, 1.5, 5.0, seed=2)
-    for with_gradient in (True, False):
-        with pytest.raises(GeometryMismatchError):
-            similarity_and_gradient(coarse, flt, sample_map(ffd, flt.grid),
-                                    with_gradient=with_gradient)
+    with pytest.raises(GeometryMismatchError):
+        similarity_and_gradient(coarse, flt, sample_map(ffd, flt.grid))
     # and its stencil must lie on the floating grid
     with pytest.raises(GeometryMismatchError):
         similarity_and_gradient(ref, flt, sample_map(ffd, coarse.grid))
@@ -624,13 +620,14 @@ def test_finished_value_pass_equals_gradient_call_and_oracle_bit_for_bit(alpha, 
 def _record_threads(monkeypatch, calls, fwd):
     """Wrap each binding of the objective module that one half calls, so that
     `calls` collects (name, "fwd" or "bwd", thread id) per call; `which`
-    maps a call's arguments to the transform of its half."""
+    maps a call's arguments to the transform of its half. The finishing
+    halves show through `splat_to_coefficients`, which each finish calls
+    once, with its FFD first."""
     which_ffd = {
         "sample_map": lambda ffd, onto: ffd,
         "similarity_and_gradient": lambda ref, flt, sampled, **kwargs: sampled.ffd,
         "_roundtrip": lambda outer, inner: outer.ffd,
-        "_roundtrip_gradient": lambda outer, stencil, m: outer,
-        "_similarity_gradient": lambda fw: fw.ffd,
+        "splat_to_coefficients": lambda ffd, field: ffd,
     }
     for name, which in which_ffd.items():
         def wrapper(*args, _name=name, _which=which, _original=getattr(objective_module, name),
@@ -642,7 +639,7 @@ def _record_threads(monkeypatch, calls, fwd):
     return set(which_ffd)
 
 
-def _live_helpers():
+def _live_half_threads():
     return [t for t in threading.enumerate() if t.name == "atlasreg-fwd-half"]
 
 
@@ -659,8 +656,11 @@ def test_each_pass_runs_its_forward_half_on_another_thread(monkeypatch):
     caller = threading.get_ident()
     assert {thread for _, half, thread in calls if half == "bwd"} == {caller}
     assert caller not in {thread for _, half, thread in calls if half == "fwd"}
+    # per evaluation and half: one call of each value pass, and one splat
+    # for each of the half's two finishes
     assert Counter((name, half) for name, half, _ in calls) == {
-        (name, half): 2 for name in names for half in ("fwd", "bwd")}
+        (name, half): 4 if name == "splat_to_coefficients" else 2
+        for name in names for half in ("fwd", "bwd")}
     oracle = objective_four_stencils(ref, flt, fwd, bwd, w, flt_mask=flt_mask)
     assert _bits(value_only.value) == _bits(oracle.value)
     assert np.array_equal(_bits(finished[0]), _bits(oracle.grad_fwd))
@@ -735,25 +735,26 @@ def test_an_objective_evaluates_after_the_main_thread_has_returned(tmp_path):
 
 
 def _fork_child_value(call):
-    """The objective's value and the number of live helper threads after it."""
+    """The objective's value and the number of forward-half threads still
+    running after it."""
     ref, flt, fwd, bwd, w, flt_mask = call
     value = objective(ref, flt, fwd, bwd, w, flt_mask=flt_mask).value
-    return value, len(_live_helpers())
+    return value, len(_live_half_threads())
 
 
 # Python 3.12+ warns on any fork in a process with threads, and threads that
 # other tests started may still run at the fork
 @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
-def test_a_forked_child_evaluates_with_a_helper_of_its_own():
+def test_a_forked_child_gives_the_parents_value_and_leaves_no_half_thread():
     import multiprocessing
 
     ref, flt, fwd, bwd, flt_mask = _anisotropic_pair()
     call = (ref, flt, fwd, bwd, ObjectiveWeights(0.01, 0.02), flt_mask)
-    value, helpers = _fork_child_value(call)
+    value, threads = _fork_child_value(call)
     with multiprocessing.get_context("fork").Pool(1) as pool:
-        child, child_helpers = pool.apply_async(_fork_child_value, (call,)).get(timeout=60)
+        child, child_threads = pool.apply_async(_fork_child_value, (call,)).get(timeout=60)
     assert _bits(child) == _bits(value)
-    assert helpers == child_helpers == 0
+    assert threads == child_threads == 0
 
 
 def _lost(t):
@@ -780,17 +781,17 @@ def test_an_error_in_one_half_is_raised_after_the_other_half_finishes(monkeypatc
     ref, flt, fwd, bwd, flt_mask = _anisotropic_pair()
     w = ObjectiveWeights(0.01, 0.02)
     finished = []
-    # the helper's half raises at once; the caller's half is slow
+    # the thread's half raises at once; the caller's half is slow
     _slow_half(monkeypatch, bwd, finished)
     with pytest.raises(DegenerateInputError, match="no contributing voxels"):
         objective(ref, flt, _lost(fwd), bwd, w, flt_mask=flt_mask, with_gradient=False)
-    assert finished == [bwd] and not _live_helpers()
-    # the caller's half raises at once; the helper's half is slow
+    assert finished == [bwd] and not _live_half_threads()
+    # the caller's half raises at once; the thread's half is slow
     finished.clear()
     _slow_half(monkeypatch, fwd, finished)
     with pytest.raises(DegenerateInputError, match="no contributing voxels"):
         objective(ref, flt, fwd, _lost(bwd), w, flt_mask=flt_mask, with_gradient=False)
-    assert finished == [fwd] and not _live_helpers()
+    assert finished == [fwd] and not _live_half_threads()
     # the next call succeeds, bit for bit
     res = objective(ref, flt, fwd, bwd, w, flt_mask=flt_mask)
     oracle = objective_four_stencils(ref, flt, fwd, bwd, w, flt_mask=flt_mask)
@@ -818,8 +819,8 @@ def test_when_both_halves_raise_the_forward_error_propagates(monkeypatch):
 
 def test_similarity_gradient_evaluates_no_floating_weights(monkeypatch):
     ref, flt, fwd, _, flt_mask = _anisotropic_pair()
-    _, forward = similarity_and_gradient(ref, flt, sample_map(fwd, flt.grid),
-                                         flt_valid=flt_mask, with_gradient=False)
+    _, finish = similarity_and_gradient(ref, flt, sample_map(fwd, flt.grid),
+                                        flt_valid=flt_mask)
     rows = []
     footprint_row = objective_module._footprint_row
 
@@ -828,6 +829,6 @@ def test_similarity_gradient_evaluates_no_floating_weights(monkeypatch):
         return footprint_row(t, k, d1, out)
 
     monkeypatch.setattr(objective_module, "_footprint_row", counted)
-    objective_module._similarity_gradient(forward)
+    finish()
     # four reference weight rows and four floating derivative rows
     assert sorted(rows) == [False] * 4 + [True] * 4

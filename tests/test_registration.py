@@ -59,6 +59,10 @@ def test_default_config_type2_matches_published_settings():
 def test_config_validation():
     with pytest.raises(InvalidInputError):
         RegistrationConfig(levels=0)
+    with pytest.raises(InvalidInputError, match="integers"):
+        RegistrationConfig(levels=2.5)
+    with pytest.raises(InvalidInputError, match="integers"):
+        RegistrationConfig(max_iter_per_level=3.5)
     with pytest.raises(InvalidInputError):
         RegistrationConfig(final_grid_spacing=0.5)
     with pytest.raises(InvalidInputError):
@@ -322,7 +326,8 @@ def test_affine_rejects_constant_images():
         register_affine(const, const)
 
 
-@pytest.mark.parametrize("max_iter", [(10,), (10, 5), (10, 5, 3, 1), (10, 0, 4), (10, 5, -1)])
+@pytest.mark.parametrize("max_iter", [(10,), (10, 5), (10, 5, 3, 1), (10, 0, 4), (10, 5, -1),
+                                      (2, 2, 2.5)])
 def test_affine_max_iter_needs_one_cap_per_stage(max_iter):
     vol = _phantom((16, 16, 16))
     with pytest.raises(InvalidInputError, match="max_iter"):

@@ -244,6 +244,43 @@ def test_warp_labels_one_voxel_slab_shift():
     np.testing.assert_array_equal(out.data, expected)
 
 
+def _nearest_label_oracle(data, points):
+    """Class of the nearest voxel (numpy's round-half-to-even) of each point,
+    0 where that voxel lies off the grid; one point at a time."""
+    out = np.zeros(len(points), dtype=np.uint8)
+    for n, p in enumerate(points):
+        idx = tuple(int(v) for v in np.rint(p))
+        if all(0 <= i < size for i, size in zip(idx, data.shape)):
+            out[n] = data[idx]
+    return out
+
+
+def test_warp_labels_equals_nearest_neighbour_oracle_at_ties_edges_and_size_one_axes():
+    rng = np.random.default_rng(21)
+    # foreground everywhere, so an edge-clamped read would show as a class
+    src = LabelVolume(rng.integers(1, 4, size=(5, 1, 4)))
+    # target voxels land on source coordinates in quarter and half steps:
+    # x from -1 to 5.75, y from -0.75 to 0.75 over the size-1 axis, z from -1
+    # to 4.5; among them .5 ties inside (-0.5, 2.5) and off the grid (3.5 on
+    # z rounds to 4), and points just outside every face (-0.75, 4.75)
+    target = Volume(np.zeros((28, 7, 12), np.float32), spacing=(0.25, 0.25, 0.5),
+                    origin=(-1.0, -0.75, -1.0))
+    m = np.eye(4)
+    m[:3, :3] += rng.uniform(-0.03, 0.03, size=(3, 3))
+    m[:3, 3] = rng.uniform(-0.2, 0.2, size=3)
+    for affine in (None, AffineTransform(m)):
+        world = target.grid.world_points()
+        if affine is not None:
+            world = affine.apply(world)
+        points = src.voxel_from_world(world)
+        expected = _nearest_label_oracle(src.data, points)
+        if affine is None:
+            assert (points - np.floor(points) == 0.5).any() and (expected == 0).any()
+        out = warp_labels(src, target, affine)
+        assert out.same_geometry(target)
+        np.testing.assert_array_equal(out.data.reshape(-1), expected)
+
+
 # --- composition ---------------------------------------------------------
 
 def test_compose_zero_transforms():
