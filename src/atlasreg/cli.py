@@ -13,6 +13,7 @@ import math
 import sys
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -114,10 +115,6 @@ def _config_from_args(args) -> RegistrationConfig:
         overrides["max_iter_per_level"] = args.max_iter
     if args.final_spacing is not None:
         overrides["final_grid_spacing"] = args.final_spacing
-    if not overrides:
-        return cfg
-    from dataclasses import replace
-
     return replace(cfg, **overrides)
 
 

@@ -1,4 +1,16 @@
-"""Exception hierarchy shared by all atlasreg modules."""
+"""Exception hierarchy shared by all atlasreg modules, and argument type tests."""
+
+import numbers
+
+
+def is_count(n) -> bool:
+    """True if `n` is an integer >= 1, not a bool."""
+    return isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1
+
+
+def is_number(x) -> bool:
+    """True if `x` is a real number, not a bool."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 class AtlasRegError(Exception):

@@ -15,7 +15,7 @@ import numpy as np
 from scipy import ndimage
 
 from . import objective
-from .errors import AtlasRegError, InvalidInputError
+from .errors import AtlasRegError, InvalidInputError, is_count
 from .registration import (
     RegistrationConfig,
     RegistrationResult,
@@ -268,8 +268,8 @@ def build_pseudo_labels(target: Volume,
         raise InvalidInputError("at least one atlas is required")
     if same_patient is not None and len(same_patient) != 2:
         raise InvalidInputError("same_patient must be the (bSSFP, T2) pair")
-    if threads is not None and threads < 1:
-        raise InvalidInputError(f"threads must be >= 1, got {threads}")
+    if threads is not None and not is_count(threads):
+        raise InvalidInputError(f"threads must be an integer >= 1 or None, got {threads!r}")
     type1_cfg = type1_cfg or default_config("type1")
     type2_cfg = type2_cfg or default_config("type2")
 

@@ -12,14 +12,15 @@ voxel fields. The inconsistency penalty averages the squared residual of
 composing the forward and backward maps.
 
 Each map is sampled once per objective call (`sample_map`): one dense
-displacement and one trilinear stencil of the mapped points x + u(x). The
-similarity and the inconsistency share them. When the images and both
-lattices lie on one grid, the points where the backward similarity samples
-the reference are those where the round trip with the forward map outer
-samples the forward field, and the other way round. The penalty therefore
-requires both lattices on one grid, and each map sampled onto that grid;
-the similarity requires its map's lattice over the reference and its
-stencil on the floating grid. A violation raises GeometryMismatchError.
+displacement and one trilinear stencil of the mapped points x + u(x), on
+the map's own reference grid. The similarity and the inconsistency share
+them, so both require one grid: the similarity its map's lattice, the
+reference and the floating image, the penalty both lattices. On that grid
+the points where the backward similarity samples the reference are those
+where the round trip with the forward map outer samples the forward field,
+and the other way round. `register_ffd` resamples the floating image onto
+each level's reference grid and lays both lattices over it. A violation
+raises GeometryMismatchError.
 
 All gradients with respect to B-spline coefficients are analytic. The
 composition gradient treats the inner field of each round trip as fixed, so
@@ -33,52 +34,48 @@ includes the term.
 
 An objective evaluation is a value pass and a finishing step. Every value
 pass returns its value and a finish: a closure that holds only what its
-gradient reads and returns that gradient when called. `_nmi_deposit`
-returns the joint counts and a finish holding the voxel mask, the counts
-and the bin positions of the reference and floating samples with the
-floating scale and unclamped mask; `similarity_and_gradient` returns the
-NMI and a finish that adds the map's stencil and FFD; `_roundtrip` returns
-one round trip's penalty and a finish holding its residual m. The value
-pass (`objective`) keeps the finishes of both similarities and both round
-trips (the only readers of the displacement fields, which are then
-dropped) and both bending gradients (each costs one scaled sum more than
-its energy, so the value pass takes them). The finishing step
-(`objective_gradient`) runs the round-trip finishes first, which scatter
-and free the residuals, then the similarity finishes, which recompute the
-footprint weights and cells from the bin positions bit for bit. A line
-search thus pays for the gradient only at the probes it accepts, without
-evaluating them twice. The affine hands its ascent the same kind of finish
-(`registration._overlap_nmi`).
+gradient reads and returns that gradient when called. `_nmi_deposit`'s
+finish holds the voxel mask, the counts and the bin positions;
+`similarity_and_gradient`'s adds the map's stencil and FFD; `_roundtrip`'s
+holds the residual m. The value pass (`objective`) returns one finish per
+half, holding that map's similarity finish, its bending gradient (one
+scaled sum more than the energy) and, when beta > 0, the finish of the
+round trip with that map outer; none holds a displacement field. The
+finishing step (`objective_gradient`) runs the two. Each runs its round
+trip's finish, which pops and scatters the residual, then its similarity's
+finish, which recomputes the footprint from the bin positions bit for bit,
+then applies the weights. A line search thus pays for the gradient only at
+the probes it accepts, without evaluating them twice. The affine hands its
+ascent the same kind of finish (`registration._overlap_nmi`).
 
 Both passes split into a forward and a backward half, which do not meet
-until their values and gradients are summed. The value pass runs the
-halves twice: the sampling and similarity of each map, then the residual of
-each round trip (the forward half's trip has the forward map outer). The
-finishing step also runs them twice: the scatter of each round trip, then
-the gradient of each similarity. Each time, the forward half runs on a
-thread started for it and the backward half on the calling thread, which
-then joins that thread. Nothing is shared between calls and no thread
-outlives its call, so a registration runs at most two threads at a time;
-on one core the halves take turns. In a registration worker of
-`build_pseudo_labels`, the other workers already share the CPUs, so there
-the halves run one after the other on the calling thread and start no
-thread (`_SERIAL_HALVES`, set by the pool's initializer). Each reduction keeps its serial order, so results are
-bit for bit those of running the halves one after the other. A call returns
-or raises only once both halves have finished, so no work of a rejected
-line-search probe runs on into the next probe. If both halves raise, the
-forward half's error propagates: the serial order raised it first. The
-per-voxel kernels (the trilinear gather and scatter, the Parzen footprint)
-work in place in a few reused buffers, which keeps the memory of two halves
-at once near that of one.
+until their values and gradients are summed. The value pass runs the halves
+twice, `_half` on each map, then the round trip with each map outer; the
+finishing step runs them once. Each time, the forward half runs on a thread
+started for it and the backward half on the calling thread, which then
+joins that thread: an evaluation and its finish start three threads, two
+when beta is 0. Calls share nothing and no thread outlives its call, so a
+registration runs at most two threads at a time. In a registration worker
+of `build_pseudo_labels`, the other workers already share the CPUs, so
+there the halves run one after the other on the calling thread
+(`_SERIAL_HALVES`, set by the pool's initializer). Each reduction keeps its
+serial order, so results are bit for bit those of running the halves one
+after the other. A call returns or raises only once both halves have
+finished, so no work of a rejected line-search probe runs on into the next;
+if both raise, the forward half's error propagates, as in the serial order.
+The per-voxel kernels (the trilinear gather and scatter, the Parzen
+footprint) work in place in a few reused buffers, which keeps the memory of
+two halves at once near that of one.
 """
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .errors import DegenerateInputError, InvalidInputError
+from .errors import DegenerateInputError, InvalidInputError, is_number
 from .transforms import (
     BSplineTransform,
     dense_displacement,
@@ -86,7 +83,7 @@ from .transforms import (
     _einsum,
     _weight_matrices,
 )
-from .volume import Grid, TrilinearStencil, Volume, require_same_geometry
+from .volume import TrilinearStencil, Volume, require_same_geometry
 
 BINS = 64  # joint histogram bins per axis
 _PAD = 1.0  # histogram deposit offset keeping the 4-bin footprint in range
@@ -100,6 +97,8 @@ class ObjectiveWeights:
     beta: float = 0.001   # inverse-consistency
 
     def __post_init__(self):
+        if not (is_number(self.alpha) and is_number(self.beta)):
+            raise InvalidInputError("alpha and beta must be real numbers")
         if not (0 <= self.alpha < 1 and 0 <= self.beta < 1):
             raise InvalidInputError("alpha and beta must lie in [0, 1)")
         if self.alpha + self.beta >= 1:
@@ -152,8 +151,11 @@ def _both_halves(fwd_part, bwd_part):
 
 
 def _finish_both(pair: list):
-    """(pair[0](), pair[1]()) of two finishes, run as the two halves.
-    Empties `pair`, so that the finishes go once both have run."""
+    """(pair[0](), pair[1]()) of two finishes, run as the two halves. Empties
+    `pair`, so that the finishes go once both have run; an empty `pair`
+    raises InvalidInputError."""
+    if not pair:
+        raise InvalidInputError("this objective evaluation's gradient was already finished")
     fwd_finish, bwd_finish = pair
     pair.clear()
     return _both_halves(fwd_finish, bwd_finish)
@@ -469,32 +471,27 @@ def _deposit_weight_gradient(counts, ds, positions, idx):
 
 @dataclass(frozen=True, eq=False)
 class SampledMap:
-    """An FFD map x -> x + u(x), sampled once at every voxel x of its
-    reference grid.
+    """An FFD map x -> x + u(x), sampled once at every voxel x of its reference grid.
 
     `u` is the displacement (mm) channel-first, (3, nx, ny, nz) and
     C-contiguous, so each world axis is one contiguous scalar field.
-    `stencil` interpolates on the grid `onto` at the mapped points, one per
-    reference voxel in C order.
+    `stencil` interpolates on that grid at the mapped points, one per voxel
+    in C order.
     """
 
     ffd: BSplineTransform
-    onto: Grid
     u: np.ndarray
     stencil: TrilinearStencil
 
 
-def sample_map(ffd: BSplineTransform, onto: Grid) -> SampledMap:
-    """Sample `ffd` once for the similarity and the inconsistency penalty.
-
-    `onto` is the grid the mapped points are interpolated on: that of the
-    image the map points into, or for the penalty alone the FFD's own
-    reference grid.
-    """
+def sample_map(ffd: BSplineTransform) -> SampledMap:
+    """Sample `ffd` once, onto its own reference grid, for the similarity and
+    the inconsistency penalty."""
+    grid = ffd.reference
     u = np.ascontiguousarray(np.moveaxis(dense_displacement(ffd), -1, 0))
     # the world points x + u(x) go as soon as their voxel coordinates exist
-    points = onto.voxel_from_world(ffd.reference.world_points() + u.reshape(3, -1).T)
-    return SampledMap(ffd, onto, u, TrilinearStencil(onto.dims, points))
+    points = grid.voxel_from_world(grid.world_points() + u.reshape(3, -1).T)
+    return SampledMap(ffd, u, TrilinearStencil(grid.dims, points))
 
 
 # ---------------------------------------------------------------------------
@@ -506,15 +503,14 @@ def similarity_and_gradient(ref: Volume, flt: Volume, sampled: SampledMap,
     """NMI between ref and flt warped by a sampled FFD map, and the finish
     of its gradient with respect to that FFD's coefficients.
 
-    `sampled` must come from an FFD over ref's geometry, sampled onto flt's
-    grid: `sample_map(ffd, flt.grid)`. `ref_mask` excludes reference voxels;
-    `flt_valid` marks usable voxels of the floating image (pairs whose
-    warped sample touches invalid voxels are skipped).
-    Returns (nmi, finish); `finish()` returns the gradient, from the
-    deposit's finish through the stencil flt was sampled through.
+    The FFD's reference, ref and flt must lie on one grid; `sampled` is
+    `sample_map(ffd)`. `ref_mask` excludes reference voxels; `flt_valid`
+    marks usable voxels of the floating image (pairs whose warped sample
+    touches invalid voxels are skipped). Returns (nmi, finish); `finish()`
+    returns the gradient, from the deposit's finish through the map's stencil.
     """
     require_same_geometry(sampled.ffd.reference, ref.grid, "FFD reference and ref")
-    require_same_geometry(sampled.onto, flt.grid, "sampled grid and flt")
+    require_same_geometry(ref.grid, flt.grid, "ref and flt")
     ffd, stencil = sampled.ffd, sampled.stencil
     # a hard overlap: only points inside the floating grid count
     mask = stencil.inside
@@ -546,19 +542,19 @@ _BENDING_TERMS = (
 )
 
 
-def _bending(t: BSplineTransform, with_gradient: bool):
+def bending_energy_gradient(t: BSplineTransform):
+    """(`bending_energy(t)`, d energy / d coefficients)."""
     # The voxel sum of a squared derivative field W C is <C, W^T W C>, and
     # W^T W factorises per axis, so every term is a product on the lattice.
     n_vox = float(np.prod(t.reference.dims))
     coef = t.coefficients
     energy = 0.0
-    grad = np.zeros_like(coef) if with_gradient else None
+    grad = np.zeros_like(coef)
     for ox, oy, oz, mult in _BENDING_TERMS:
         gx, gy, gz = _weight_matrices(t, (ox, oy, oz), gram=True)
         gc = _einsum("ap,bq,cr,pqrd->abcd", gx, gy, gz, coef)
         energy += mult * float(np.vdot(coef, gc))
-        if with_gradient:
-            grad += (2.0 * mult / n_vox) * gc
+        grad += (2.0 * mult / n_vox) * gc
     return energy / n_vox, grad
 
 
@@ -568,12 +564,7 @@ def bending_energy(t: BSplineTransform) -> float:
     Derivatives are taken with respect to reference voxel coordinates and
     evaluated analytically from the B-spline basis; cross terms count twice.
     """
-    return _bending(t, with_gradient=False)[0]
-
-
-def bending_energy_gradient(t: BSplineTransform):
-    """(energy, d energy / d coefficients)."""
-    return _bending(t, with_gradient=True)
+    return bending_energy_gradient(t)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -584,29 +575,27 @@ def _roundtrip(outer: SampledMap, inner: SampledMap):
     """(mean |m|^2, finish) of the round trip with `outer` as the outer map.
     The residual m(x) = u_inner(x) + u_outer(x + u_inner(x)) is C-contiguous
     (N, 3); the outer field is sampled edge-clamped through the inner map's
-    stencil. `finish()` returns d(mean |m|^2) / d outer coefficients, the
-    inner field held fixed; it scales m in place, as nothing reads m again."""
-    # the inner map's points are where the outer field is read
-    require_same_geometry(inner.onto, outer.ffd.reference,
-                          "sampled grid and outer reference")
+    stencil, so both maps must lie on one grid. `finish()` returns
+    d(mean |m|^2) / d outer coefficients, the inner field held fixed; it pops
+    m, which is freed once it returns, and scales it in place."""
     ffd, stencil = outer.ffd, inner.stencil
-    m = np.empty((stencil.base.size, 3))
+    residual = [np.empty((stencil.base.size, 3))]
     for d in range(3):
-        np.add(inner.u[d].reshape(-1), stencil.gather(outer.u[d]), out=m[:, d])
+        np.add(inner.u[d].reshape(-1), stencil.gather(outer.u[d]), out=residual[0][:, d])
     n_vox = float(np.prod(ffd.reference.dims))
 
     def finish():
+        m = residual.pop()
         np.multiply(m, 2.0 / n_vox, out=m)
         return splat_to_coefficients(ffd, stencil.scatter(m))
 
-    return float((m ** 2).sum()) / n_vox, finish
+    return float((residual[0] ** 2).sum()) / n_vox, finish
 
 
 def _roundtrip_residuals(fwd: SampledMap, bwd: SampledMap):
     """(penalty, [finish of the trip with fwd outer, that with bwd outer]),
     see `_roundtrip`; the two trips run as the two halves."""
-    require_same_geometry(fwd.ffd.reference, bwd.ffd.reference,
-                          "fwd and bwd references")
+    require_same_geometry(fwd.ffd.reference, bwd.ffd.reference, "fwd and bwd references")
     (c_f, finish_f), (c_b, finish_b) = _both_halves(lambda: _roundtrip(fwd, bwd),
                                                     lambda: _roundtrip(bwd, fwd))
     return (0.0 + c_f) + c_b, [finish_f, finish_b]
@@ -615,8 +604,8 @@ def _roundtrip_residuals(fwd: SampledMap, bwd: SampledMap):
 def inconsistency_penalty(fwd: SampledMap, bwd: SampledMap) -> float:
     """Voxel-average squared residual of fwd∘bwd plus that of bwd∘fwd (mm^2).
 
-    Both lattices must lie on one grid, each map sampled onto it:
-    `inconsistency_penalty(sample_map(fwd, grid), sample_map(bwd, grid))`.
+    Both lattices must lie on one grid:
+    `inconsistency_penalty(sample_map(fwd), sample_map(bwd))`.
     """
     return _roundtrip_residuals(fwd, bwd)[0]
 
@@ -636,20 +625,6 @@ def inconsistency_gradient(fwd: SampledMap, bwd: SampledMap):
 # Full objective
 # ---------------------------------------------------------------------------
 
-@dataclass(eq=False)
-class ObjectiveForward:
-    """What a value-only `objective` call keeps for `objective_gradient`:
-    the weights, the finishes of both similarities, the bending gradients
-    of both maps (0.0 when alpha is 0) and, when beta > 0, the finishes of
-    both round trips. No finish holds a displacement field.
-    `objective_gradient` empties the lists as it goes."""
-
-    weights: ObjectiveWeights
-    similarities: list
-    bending: tuple
-    roundtrips: list
-
-
 @dataclass(frozen=True)
 class ObjectiveResult:
     value: float
@@ -660,81 +635,71 @@ class ObjectiveResult:
     inconsistency: float
     grad_fwd: np.ndarray | None
     grad_bwd: np.ndarray | None
-    # set by a value-only call; None when the gradients were asked for
-    forward: ObjectiveForward | None = field(default=None, repr=False, compare=False)
+    # a value-only call's two half finishes; None with the gradients
+    forward: list | None = field(default=None, repr=False, compare=False)
+
+
+def _half(ref: Volume, flt: Volume, ffd: BSplineTransform, weights: ObjectiveWeights,
+          ranges, ref_mask=None, flt_valid=None):
+    """One half of the value pass: (`ffd` sampled, the NMI of ref against flt
+    warped by it, its bending energy or 0.0 when alpha is 0, finish).
+    `finish(roundtrip)` runs the finish of the round trip with `ffd` outer
+    (None when beta is 0), then the similarity's, and returns the half's
+    weighted gradient."""
+    sampled = sample_map(ffd)
+    s, similarity = similarity_and_gradient(ref, flt, sampled, ranges=ranges,
+                                            ref_mask=ref_mask, flt_valid=flt_valid)
+    e, g_e = bending_energy_gradient(ffd) if weights.alpha != 0 else (0.0, 0.0)
+
+    def finish(roundtrip):
+        g_c = 0.0 if roundtrip is None else roundtrip()
+        g_s = similarity()
+        return weights.similarity * g_s - weights.alpha * g_e - weights.beta * g_c
+
+    return sampled, s, e, finish
 
 
 def objective(ref: Volume, flt: Volume, fwd: BSplineTransform,
               bwd: BSplineTransform, weights: ObjectiveWeights,
-              ranges_fwd=None, ranges_bwd=None, flt_mask=None,
-              with_gradient=True) -> ObjectiveResult:
+              ranges=None, flt_mask=None, with_gradient=True) -> ObjectiveResult:
     """Symmetric registration objective and its coefficient gradients.
 
     value = (1-a-b) * (S_fwd + S_bwd) - a * (bend_fwd + bend_bwd) - b * C_inc
 
     where S_fwd is the NMI of flt warped onto ref by `fwd` and S_bwd the NMI
-    of ref warped onto flt by `bwd`. `fwd` must be defined over ref's
-    geometry and `bwd` over flt's, and with beta > 0 ref and flt must share
+    of ref warped onto flt by `bwd`. ref, flt and both lattices must lie on
     one grid; otherwise GeometryMismatchError is raised. Each map is sampled
     once and shared by its similarity and the inconsistency penalty.
-    `flt_mask` marks the usable voxels of flt (the in-bounds part of an
-    affinely resampled floating image).
+    `ranges` fixes the (ref, flt) intensity ranges of S_fwd, and S_bwd takes
+    the pair swapped; None takes each similarity's robust ranges. `flt_mask`
+    marks the usable voxels of flt (the in-bounds part of an affinely
+    resampled floating image).
 
-    This is the value pass; a value-only call returns its finishes as
-    `forward`, which `objective_gradient` runs into the gradients. With
-    the gradient, the same finishing step runs before the call returns.
-    Each pass runs its forward half on a thread of its own and its backward
-    half on the calling thread, or both in order on the calling thread in a
-    registration worker (see the module docstring).
+    This is the value pass; a value-only call returns its two half finishes
+    as `forward`, for `objective_gradient`. With the gradient, the same
+    finishing step runs before the call returns (see the module docstring).
     """
-    def forward_half():
-        sampled = sample_map(fwd, flt.grid)
-        return sampled, similarity_and_gradient(
-            ref, flt, sampled, ranges=ranges_fwd, flt_valid=flt_mask)
+    swapped = None if ranges is None else ranges[::-1]
+    (map_f, s_f, e_f, finish_f), (map_b, s_b, e_b, finish_b) = _both_halves(
+        lambda: _half(ref, flt, fwd, weights, ranges, flt_valid=flt_mask),
+        lambda: _half(flt, ref, bwd, weights, swapped, ref_mask=flt_mask))
 
-    def backward_half():
-        sampled = sample_map(bwd, ref.grid)
-        return sampled, similarity_and_gradient(
-            flt, ref, sampled, ranges=ranges_bwd, ref_mask=flt_mask)
-
-    (map_f, (s_f, sim_f)), (map_b, (s_b, sim_b)) = _both_halves(forward_half, backward_half)
-
-    e_f = e_b = c = g_ef = g_eb = 0.0
-    trips = []
-    if weights.alpha != 0:
-        e_f, g_ef = bending_energy_gradient(fwd)
-        e_b, g_eb = bending_energy_gradient(bwd)
+    c, trips = 0.0, [None, None]
     if weights.beta != 0:
         c, trips = _roundtrip_residuals(map_f, map_b)
     del map_f, map_b  # the displacements: only the residuals read them
 
     ws = weights.similarity
     value = ws * (s_f + s_b) - weights.alpha * (e_f + e_b) - weights.beta * c
-    forward = ObjectiveForward(weights, [sim_f, sim_b], (g_ef, g_eb), trips)
-    del sim_f, sim_b, trips  # so that the finishing step frees each part it is done with
+    forward = [partial(finish_f, trips[0]), partial(finish_b, trips[1])]
     if not with_gradient:
         return ObjectiveResult(value, s_f, s_b, e_f, e_b, c, None, None, forward)
     return ObjectiveResult(value, s_f, s_b, e_f, e_b, c, *objective_gradient(forward))
 
 
-def objective_gradient(forward: ObjectiveForward):
+def objective_gradient(forward: list):
     """(grad_fwd, grad_bwd) of the objective, finished from the `forward`
-    of a value-only `objective` call.
-
-    The two round-trip finishes run first, as the two halves, and are
-    dropped with their residuals; then the two similarity finishes, as the
-    two halves. The bending gradients were taken by the value pass. The
-    finishes are consumed: a second call raises InvalidInputError.
+    of a value-only `objective` call by running its two half finishes as the
+    two halves. They are consumed: a second call raises InvalidInputError.
     """
-    if not forward.similarities:
-        raise InvalidInputError("this objective evaluation's gradient was already finished")
-    weights = forward.weights
-    g_ef, g_eb = forward.bending
-    g_cf = g_cb = 0.0
-    if forward.roundtrips:
-        g_cf, g_cb = _finish_both(forward.roundtrips)
-    g_sf, g_sb = _finish_both(forward.similarities)
-
-    ws = weights.similarity
-    return (ws * g_sf - weights.alpha * g_ef - weights.beta * g_cf,
-            ws * g_sb - weights.alpha * g_eb - weights.beta * g_cb)
+    return _finish_both(forward)

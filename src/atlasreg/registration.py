@@ -9,13 +9,13 @@ B-spline subdivision, so the represented field carries over unchanged.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
-from .errors import DegenerateInputError, InvalidInputError, NumericalFailureError
+from .errors import (DegenerateInputError, InvalidInputError, NumericalFailureError,
+                     is_count, is_number)
 from .objective import (
     ObjectiveWeights,
     _nmi_deposit,
@@ -46,11 +46,13 @@ class RegistrationConfig:
     weights: ObjectiveWeights = field(default_factory=ObjectiveWeights)
 
     def __post_init__(self):
-        if not all(isinstance(n, numbers.Integral) and n >= 1
-                   for n in (self.levels, self.max_iter_per_level)):
+        if not (is_count(self.levels) and is_count(self.max_iter_per_level)):
             raise InvalidInputError("levels and max_iter_per_level must be integers >= 1")
-        if not (math.isfinite(self.final_grid_spacing) and self.final_grid_spacing >= 1):
+        spacing = self.final_grid_spacing
+        if not (is_number(spacing) and math.isfinite(spacing) and spacing >= 1):
             raise InvalidInputError("final_grid_spacing must be a finite number >= 1 voxel")
+        if not isinstance(self.weights, ObjectiveWeights):
+            raise InvalidInputError("weights must be an ObjectiveWeights")
 
 
 def default_config(kind: str) -> RegistrationConfig:
@@ -61,15 +63,11 @@ def default_config(kind: str) -> RegistrationConfig:
     (intra-patient, inter-modality): six levels, 4000 iterations per level,
     final grid spacing one voxel, same weights.
     """
-    if kind == "type1":
-        return RegistrationConfig(levels=5, max_iter_per_level=300,
-                                  final_grid_spacing=5.0,
-                                  weights=ObjectiveWeights(0.001, 0.001))
-    if kind == "type2":
-        return RegistrationConfig(levels=6, max_iter_per_level=4000,
-                                  final_grid_spacing=1.0,
-                                  weights=ObjectiveWeights(0.001, 0.001))
-    raise InvalidInputError(f"unknown registration preset {kind!r}")
+    presets = {"type1": (5, 300, 5.0), "type2": (6, 4000, 1.0)}
+    if kind not in presets:
+        raise InvalidInputError(f"unknown registration preset {kind!r}")
+    levels, max_iter, spacing = presets[kind]
+    return RegistrationConfig(levels, max_iter, spacing, ObjectiveWeights(0.001, 0.001))
 
 
 @dataclass
@@ -250,8 +248,7 @@ def register_affine(ref: Volume, flt: Volume, *, max_iter=(40, 25, 12)) -> Affin
     `max_iter` holds one integer iteration cap >= 1 per stage.
     """
     max_iter = tuple(max_iter)
-    if len(max_iter) != 3 or not all(isinstance(n, numbers.Integral) and n >= 1
-                                     for n in max_iter):
+    if len(max_iter) != 3 or not all(is_count(n) for n in max_iter):
         raise InvalidInputError(
             f"max_iter needs 3 integer iteration caps >= 1 (x4, x2, x1), got {max_iter}")
     robust_range(ref.data.reshape(-1))   # reject degenerate inputs early
@@ -356,8 +353,7 @@ def register_ffd(ref: Volume, flt: Volume, affine: AffineTransform | None,
         r_fal = robust_range(masked.reshape(-1)) if masked.size else r_ref
         # an all-True mask excludes nothing (its gather is 1 at every
         # in-bounds point), so leave it out of every objective call
-        kwargs = dict(ranges_fwd=(r_ref, r_fal), ranges_bwd=(r_fal, r_ref),
-                      flt_mask=None if f_mask.all() else f_mask)
+        kwargs = dict(ranges=(r_ref, r_fal), flt_mask=None if f_mask.all() else f_mask)
 
         def pair(x):
             return fwd.with_coefficients(x[0]), bwd.with_coefficients(x[1])

@@ -148,15 +148,16 @@ def _similarity(ref, flt, ffd, ranges, ref_mask, flt_valid, with_gradient):
     return nmi(counts), splat_to_coefficients(ffd, field.reshape(ffd.reference.dims + (3,)))
 
 
-def objective_four_stencils(ref, flt, fwd, bwd, weights, ranges_fwd=None,
-                            ranges_bwd=None, flt_mask=None, with_gradient=True):
+def objective_four_stencils(ref, flt, fwd, bwd, weights, ranges=None, flt_mask=None,
+                            with_gradient=True):
     """The symmetric objective with every term sampling its own maps: a
     stencil and a dense displacement for each similarity and each round
     trip, four of each per call, in the order of operations of the shared
     form. Both weights must be nonzero."""
     ws = weights.similarity
-    s_f, g_sf = _similarity(ref, flt, fwd, ranges_fwd, None, flt_mask, with_gradient)
-    s_b, g_sb = _similarity(flt, ref, bwd, ranges_bwd, flt_mask, None, with_gradient)
+    s_f, g_sf = _similarity(ref, flt, fwd, ranges, None, flt_mask, with_gradient)
+    s_b, g_sb = _similarity(flt, ref, bwd, None if ranges is None else ranges[::-1],
+                            flt_mask, None, with_gradient)
     e_f, g_ef = bending_energy_gradient(fwd)
     e_b, g_eb = bending_energy_gradient(bwd)
     n_vox = float(np.prod(fwd.reference.dims))

@@ -478,10 +478,10 @@ def _log_half_threads(monkeypatch, log):
     of the thread they run on to `log`."""
     sample_map = objective_module.sample_map
 
-    def logged(ffd, onto):
+    def logged(ffd):
         with open(log, "a") as f:
             f.write(f"{threading.current_thread().name}\n")
-        return sample_map(ffd, onto)
+        return sample_map(ffd)
 
     vol = Volume(np.random.default_rng(0).normal(size=(8, 8, 8)).astype(np.float32))
     ffd = BSplineTransform.zeros(vol, 4.0)
@@ -598,7 +598,7 @@ def test_pseudo_labels_of_real_registrations_do_not_depend_on_threads():
             assert r2.converged == r1.converged
 
 
-@pytest.mark.parametrize("threads", [0, -1])
+@pytest.mark.parametrize("threads", [0, -1, "2", 2.5, True])
 def test_pseudo_labels_reject_threads_below_one(threads):
     target, atlases, _ = _pseudo_inputs()
     with pytest.raises(InvalidInputError, match="threads"):

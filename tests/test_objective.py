@@ -222,11 +222,6 @@ def _transform(dims=(12, 12, 12), spacing=4.0):
     return BSplineTransform.zeros(Volume(np.zeros(dims, dtype=np.float32)), spacing)
 
 
-def _sampled(t):
-    """`t` sampled onto its own reference grid, as the penalty alone takes it."""
-    return sample_map(t, t.reference)
-
-
 def test_bending_zero_for_identity_and_constant():
     t = _transform()
     assert bending_energy(t) == 0.0
@@ -309,15 +304,16 @@ def test_lattice_bending_matches_voxel_sum_oracle():
 def test_inconsistency_trivial_cases():
     fwd = _transform()
     bwd = _transform()
-    assert inconsistency_penalty(_sampled(fwd), _sampled(bwd)) == 0.0
+    assert inconsistency_penalty(sample_map(fwd), sample_map(bwd)) == 0.0
 
     d = np.array([1.0, 2.0, -1.5])
     fwd_c = fwd.with_coefficients(np.broadcast_to(d, fwd.coefficients.shape))
     bwd_c = bwd.with_coefficients(np.broadcast_to(-d, bwd.coefficients.shape))
-    assert inconsistency_penalty(_sampled(fwd_c), _sampled(bwd_c)) == pytest.approx(0.0, abs=1e-18)
+    assert inconsistency_penalty(sample_map(fwd_c), sample_map(bwd_c)) == pytest.approx(
+        0.0, abs=1e-18)
 
     # fwd constant +d, bwd zero: both round trips leave residual d
-    val = inconsistency_penalty(_sampled(fwd_c), _sampled(bwd))
+    val = inconsistency_penalty(sample_map(fwd_c), sample_map(bwd))
     assert val == pytest.approx(2.0 * float(d @ d), rel=1e-12)
 
 
@@ -325,8 +321,8 @@ def test_inconsistency_symmetry_and_nonnegativity():
     rng = np.random.default_rng(11)
     fwd = _transform().with_coefficients(rng.normal(0, 1, _transform().coefficients.shape))
     bwd = _transform().with_coefficients(rng.normal(0, 1, _transform().coefficients.shape))
-    v1 = inconsistency_penalty(_sampled(fwd), _sampled(bwd))
-    v2 = inconsistency_penalty(_sampled(bwd), _sampled(fwd))
+    v1 = inconsistency_penalty(sample_map(fwd), sample_map(bwd))
+    v2 = inconsistency_penalty(sample_map(bwd), sample_map(fwd))
     assert v1 >= 0
     assert v1 == pytest.approx(v2, rel=1e-12)
 
@@ -340,7 +336,7 @@ def test_inconsistency_gradient_matches_per_term_fd():
     base = _transform()
     fwd = base.with_coefficients(rng.normal(0, 0.8, base.coefficients.shape))
     bwd = base.with_coefficients(rng.normal(0, 0.8, base.coefficients.shape))
-    val, g_f, g_b = inconsistency_gradient(_sampled(fwd), _sampled(bwd))
+    val, g_f, g_b = inconsistency_gradient(sample_map(fwd), sample_map(bwd))
     n_vox = float(np.prod(fwd.reference.dims))
 
     def term(outer, inner):
@@ -367,13 +363,13 @@ def test_similarity_gradient_matches_finite_differences():
     flt = _gradient_phantom(4)
     base = random_smooth_deformation(ref, 1.5, 5.0, seed=2)
     ranges = (robust_range(ref.data.reshape(-1)), robust_range(flt.data.reshape(-1)))
-    s, finish = similarity_and_gradient(ref, flt, sample_map(base, flt.grid), ranges=ranges)
+    s, finish = similarity_and_gradient(ref, flt, sample_map(base), ranges=ranges)
     g = finish()
     assert 1.0 <= s <= 2.0
 
     def value(coef):
         return similarity_and_gradient(ref, flt,
-                                       sample_map(base.with_coefficients(coef), flt.grid),
+                                       sample_map(base.with_coefficients(coef)),
                                        ranges=ranges)[0]
 
     rng = np.random.default_rng(13)
@@ -400,14 +396,14 @@ def test_all_true_flt_valid_equals_no_mask():
     world = ref.grid.world_points() + dense_displacement(ffd).reshape(-1, 3)
     stencil = TrilinearStencil(flt.dims, flt.voxel_from_world(world))
     assert np.all(stencil.gather(valid, 0.0)[stencil.inside] == 1.0)
-    sampled = sample_map(ffd, flt.grid)
+    sampled = sample_map(ffd)
     s0, finish0 = similarity_and_gradient(ref, flt, sampled)
     s1, finish1 = similarity_and_gradient(ref, flt, sampled, flt_valid=valid)
     assert s1 == s0
     assert np.array_equal(_bits(finish1()), _bits(finish0()))
     # a mask below the 0.999 threshold everywhere still excludes every voxel
     with pytest.raises(DegenerateInputError):
-        similarity_and_gradient(ref, flt, sample_map(ffd, flt.grid),
+        similarity_and_gradient(ref, flt, sample_map(ffd),
                                 flt_valid=np.full(flt.dims, 0.5))
 
 
@@ -418,15 +414,16 @@ def test_similarity_rejects_a_map_off_the_reference_grid():
     other = random_smooth_deformation(Volume(np.zeros((16, 16, 12), np.float32)),
                                       1.5, 5.0, seed=2)
     with pytest.raises(GeometryMismatchError):
-        similarity_and_gradient(ref, flt, sample_map(other, flt.grid))
+        similarity_and_gradient(ref, flt, sample_map(other))
     # a 1 mm lattice over a 2 mm reference
     coarse = Volume(ref.data, spacing=(2.0, 2.0, 2.0))
     ffd = random_smooth_deformation(ref, 1.5, 5.0, seed=2)
     with pytest.raises(GeometryMismatchError):
-        similarity_and_gradient(coarse, flt, sample_map(ffd, flt.grid))
-    # and its stencil must lie on the floating grid
+        similarity_and_gradient(coarse, flt, sample_map(ffd))
+    # and the floating image must lie on that grid too
     with pytest.raises(GeometryMismatchError):
-        similarity_and_gradient(ref, flt, sample_map(ffd, coarse.grid))
+        similarity_and_gradient(ref, Volume(flt.data, spacing=(2.0, 2.0, 2.0)),
+                                sample_map(ffd))
 
 
 # --- combined objective ----------------------------------------------------
@@ -437,6 +434,9 @@ def test_weights_validation():
         ObjectiveWeights(-0.1, 0.0)
     with pytest.raises(InvalidInputError):
         ObjectiveWeights(0.6, 0.5)
+    for alpha, beta in (("x", 0.0), (False, 0.0), (0.0, True)):
+        with pytest.raises(InvalidInputError, match="real numbers"):
+            ObjectiveWeights(alpha, beta)
 
 
 def test_objective_weight_algebra_alpha_beta_zero():
@@ -476,8 +476,8 @@ def test_objective_value_matches_components():
                 - w.beta * res.inconsistency)
     assert res.value == pytest.approx(expected, abs=1e-12)
     assert res.bending_fwd == pytest.approx(bending_energy(fwd), rel=1e-12)
-    assert res.inconsistency == pytest.approx(inconsistency_penalty(_sampled(fwd), _sampled(bwd)),
-                                              rel=1e-12)
+    assert res.inconsistency == pytest.approx(
+        inconsistency_penalty(sample_map(fwd), sample_map(bwd)), rel=1e-12)
 
 
 def _anisotropic_pair():
@@ -529,7 +529,7 @@ def test_objective_equals_four_stencil_oracle_bit_for_bit(with_gradient):
     w = ObjectiveWeights(0.01, 0.02)
     ranges = ((10.0, 90.0), (5.0, 95.0))
     for kwargs in (dict(flt_mask=flt_mask),
-                   dict(ranges_fwd=ranges, ranges_bwd=ranges[::-1], flt_mask=flt_mask)):
+                   dict(ranges=ranges, flt_mask=flt_mask)):
         res = objective(ref, flt, fwd, bwd, w, with_gradient=with_gradient, **kwargs)
         oracle = objective_four_stencils(ref, flt, fwd, bwd, w,
                                          with_gradient=with_gradient, **kwargs)
@@ -563,7 +563,7 @@ def test_inconsistency_sums_the_residual_point_major():
         point_major += float((m ** 2).sum()) / n_vox
         channel_major += float((np.ascontiguousarray(m.T) ** 2).sum()) / n_vox
     assert _bits(point_major) != _bits(channel_major)
-    penalty = inconsistency_penalty(_sampled(fwd), _sampled(bwd))
+    penalty = inconsistency_penalty(sample_map(fwd), sample_map(bwd))
     assert _bits(penalty) == _bits(point_major)
 
 
@@ -589,11 +589,14 @@ def test_objective_rejects_lattices_off_their_grids():
             objective(ref, flt, off, bwd, w, with_gradient=with_gradient)
         with pytest.raises(GeometryMismatchError):
             objective(ref, flt, fwd, off, w, with_gradient=with_gradient)
+    # without the penalty, ref and flt must still share the lattices' grid
+    for with_gradient in (True, False):
+        with pytest.raises(GeometryMismatchError):
+            objective(ref, shifted, fwd, off, ObjectiveWeights(0.01, 0.0),
+                      with_gradient=with_gradient)
     # the penalty reads each field at the other map's points, on its grid
     with pytest.raises(GeometryMismatchError):
-        inconsistency_penalty(_sampled(fwd), sample_map(off, ref.grid))
-    with pytest.raises(GeometryMismatchError):
-        inconsistency_penalty(sample_map(fwd, shifted.grid), _sampled(bwd))
+        inconsistency_penalty(sample_map(fwd), sample_map(off))
 
 
 @pytest.mark.parametrize("alpha, beta", [(0.001, 0.001), (0.0, 0.02), (0.01, 0.0)])
@@ -612,7 +615,7 @@ def test_finished_value_pass_equals_gradient_call_and_oracle_bit_for_bit(alpha, 
         assert np.array_equal(_bits(finished[k]), _bits(getattr(full, name))), name
         assert np.array_equal(_bits(finished[k]), _bits(getattr(oracle, name))), name
     # the finishing step consumes what the value pass kept
-    assert value_only.forward.similarities == [] and value_only.forward.roundtrips == []
+    assert value_only.forward == []
     with pytest.raises(InvalidInputError, match="already finished"):
         objective_gradient(value_only.forward)
 
@@ -624,7 +627,7 @@ def _record_threads(monkeypatch, calls, fwd):
     halves show through `splat_to_coefficients`, which each finish calls
     once, with its FFD first."""
     which_ffd = {
-        "sample_map": lambda ffd, onto: ffd,
+        "sample_map": lambda ffd: ffd,
         "similarity_and_gradient": lambda ref, flt, sampled, **kwargs: sampled.ffd,
         "_roundtrip": lambda outer, inner: outer.ffd,
         "splat_to_coefficients": lambda ffd, field: ffd,
@@ -665,6 +668,26 @@ def test_each_pass_runs_its_forward_half_on_another_thread(monkeypatch):
     assert _bits(value_only.value) == _bits(oracle.value)
     assert np.array_equal(_bits(finished[0]), _bits(oracle.grad_fwd))
     assert np.array_equal(_bits(finished[1]), _bits(oracle.grad_bwd))
+
+
+def test_an_evaluation_and_its_finish_start_one_half_thread_per_pass(monkeypatch):
+    # the value pass runs the halves twice with the penalty (sampling, then
+    # the round trips) and once without it; the finishing step runs them once
+    ref, flt, fwd, bwd, flt_mask = _anisotropic_pair()
+    names = []
+    start = threading.Thread.start
+
+    def counted(thread):
+        names.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    for beta, threads in ((0.02, 3), (0.0, 2)):
+        names.clear()
+        value_only = objective(ref, flt, fwd, bwd, ObjectiveWeights(0.01, beta),
+                               flt_mask=flt_mask, with_gradient=False)
+        objective_gradient(value_only.forward)
+        assert names == ["atlasreg-fwd-half"] * threads
 
 
 def test_concurrent_objective_calls_equal_serial_ones_bit_for_bit():
@@ -819,7 +842,7 @@ def test_when_both_halves_raise_the_forward_error_propagates(monkeypatch):
 
 def test_similarity_gradient_evaluates_no_floating_weights(monkeypatch):
     ref, flt, fwd, _, flt_mask = _anisotropic_pair()
-    _, finish = similarity_and_gradient(ref, flt, sample_map(fwd, flt.grid),
+    _, finish = similarity_and_gradient(ref, flt, sample_map(fwd),
                                         flt_valid=flt_mask)
     rows = []
     footprint_row = objective_module._footprint_row

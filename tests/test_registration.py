@@ -63,8 +63,16 @@ def test_config_validation():
         RegistrationConfig(levels=2.5)
     with pytest.raises(InvalidInputError, match="integers"):
         RegistrationConfig(max_iter_per_level=3.5)
+    for field in ("levels", "max_iter_per_level"):
+        with pytest.raises(InvalidInputError, match="integers"):
+            RegistrationConfig(**{field: True})
     with pytest.raises(InvalidInputError):
         RegistrationConfig(final_grid_spacing=0.5)
+    for spacing in ("5", True):
+        with pytest.raises(InvalidInputError, match="final_grid_spacing"):
+            RegistrationConfig(final_grid_spacing=spacing)
+    with pytest.raises(InvalidInputError, match="ObjectiveWeights"):
+        RegistrationConfig(weights="a")
     with pytest.raises(InvalidInputError):
         default_config("type3")
 
@@ -327,7 +335,7 @@ def test_affine_rejects_constant_images():
 
 
 @pytest.mark.parametrize("max_iter", [(10,), (10, 5), (10, 5, 3, 1), (10, 0, 4), (10, 5, -1),
-                                      (2, 2, 2.5)])
+                                      (2, 2, 2.5), (True, 1, 1)])
 def test_affine_max_iter_needs_one_cap_per_stage(max_iter):
     vol = _phantom((16, 16, 16))
     with pytest.raises(InvalidInputError, match="max_iter"):

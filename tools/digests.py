@@ -1,0 +1,100 @@
+"""Bit-identity digests of the three benchmark workloads.
+
+    python3 tools/digests.py
+
+Runs case 0 of affine_xmod, ffd_stack and pseudo_label for seed 1 and the
+held-out seed, with the inputs and configurations of `bench/workloads.py`,
+and prints one line per workload and seed. Each digest is the first 16 hex
+digits of a SHA-256 over the float64 bytes of:
+
+- affine_xmod: the affine matrix
+- ffd_stack: the forward and backward coefficients, then the objective traces
+- pseudo_label, at threads 1 and at threads 2: the fused labels, then each
+  registration's affine matrix, forward and backward coefficients and traces
+
+A change meant to keep the outputs bit for bit prints the same digests as its
+parent. BLAS is pinned to one thread, as in the benchmark, because a
+threaded BLAS may round differently; another machine's BLAS may also print
+other digests, so compare digests taken on one machine. Exits 1 if the two
+pseudo_label runs differ. Imports `bench/run.py` and `bench/workloads.py`
+without writing to `bench/`.
+"""
+from __future__ import annotations
+
+import hashlib
+import os
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.dont_write_bytecode = True  # leave no __pycache__ under bench/
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+import run  # noqa: E402  (bench/run.py, which loads no numpy)
+
+os.environ.update(run.THREAD_PIN)  # before numpy loads its BLAS
+
+import numpy as np  # noqa: E402
+
+import workloads  # noqa: E402
+from atlasreg import fusion, registration  # noqa: E402
+
+SEEDS = (("1", 1), ("heldout", run.HELDOUT_SEED))
+
+
+def digest(arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    return h.hexdigest()[:16]
+
+
+def _ffd_arrays(res):
+    yield res.fwd.coefficients
+    yield res.bwd.coefficients
+    yield from res.objective_trace
+
+
+def affine_xmod(seed: int) -> str:
+    inputs = workloads.make_inputs("affine_xmod", seed)
+    res = registration.register_affine(inputs["target"], inputs["floating"],
+                                       max_iter=workloads.AFFINE_MAX_ITER)
+    return digest([res.matrix])
+
+
+def ffd_stack(seed: int) -> str:
+    inputs = workloads.make_inputs("ffd_stack", seed)
+    res = registration.register_ffd(inputs["target"], inputs["floating"], None,
+                                    workloads.FFD_STACK_CFG)
+    return digest(_ffd_arrays(res))
+
+
+def pseudo_label(seed: int, threads: int) -> str:
+    inputs = workloads.make_inputs("pseudo_label", seed)
+    registrations: list = []
+    fused = fusion.build_pseudo_labels(
+        inputs["target"], inputs["atlases"], inputs["same_patient"],
+        type1_cfg=workloads.PSEUDO_TYPE1_CFG, type2_cfg=workloads.PSEUDO_TYPE2_CFG,
+        threads=threads, registrations_out=registrations)
+    arrays = [fused.data]
+    for res in registrations:
+        arrays.append(res.affine.matrix)
+        arrays.extend(_ffd_arrays(res))
+    return digest(arrays)
+
+
+def main() -> int:
+    status = 0
+    for name, seed in SEEDS:
+        print(f"affine_xmod  seed {name}: {affine_xmod(seed)}", flush=True)
+        print(f"ffd_stack    seed {name}: {ffd_stack(seed)}", flush=True)
+        one, two = pseudo_label(seed, 1), pseudo_label(seed, 2)
+        print(f"pseudo_label seed {name}: {one} (threads 1), {two} (threads 2)", flush=True)
+        if one != two:
+            print("pseudo_label differs between threads 1 and 2", file=sys.stderr)
+            status = 1
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())
