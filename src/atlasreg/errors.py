@@ -3,9 +3,14 @@
 import numbers
 
 
+def is_natural(n) -> bool:
+    """True if `n` is an integer >= 0, not a bool."""
+    return isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 0
+
+
 def is_count(n) -> bool:
     """True if `n` is an integer >= 1, not a bool."""
-    return isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1
+    return is_natural(n) and n >= 1
 
 
 def is_number(x) -> bool:

@@ -65,7 +65,11 @@ finished, so no work of a rejected line-search probe runs on into the next;
 if both raise, the forward half's error propagates, as in the serial order.
 The per-voxel kernels (the trilinear gather and scatter, the Parzen
 footprint) work in place in a few reused buffers, which keeps the memory of
-two halves at once near that of one.
+two halves at once near that of one. Freed pages stay mapped as well: the
+package sets the C allocator's thresholds at import
+(`atlasreg._keep_freed_pages_mapped`), so an evaluation reuses the pages
+the previous one freed rather than faulting them in again as zero-filled
+pages, and the resident memory after a call stays at its peak.
 """
 from __future__ import annotations
 
@@ -285,6 +289,8 @@ def build_joint_histogram(ref: Volume, warped: Volume, mask=None,
     """
     require_same_geometry(ref, warped)
     m = np.ones(ref.dims, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    if m.shape != ref.dims:
+        raise InvalidInputError(f"mask shape {m.shape} is not the grid's {ref.dims}")
     m = m.reshape(-1)
     return _nmi_deposit(ref, warped, m, warped.data.reshape(-1)[m].astype(np.float64),
                         ranges)[0]

@@ -11,12 +11,11 @@ the volume border. All randomness is driven by the explicit seed.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, is_natural, is_number
 from .transforms import BSplineTransform, dense_displacement
 from .volume import Grid, LabelVolume, Volume
 
@@ -43,7 +42,7 @@ class PhantomSpec:
     seed: int = 0                    # an integer >= 0, as numpy's default_rng requires
 
     def __post_init__(self):
-        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+        if not is_natural(self.seed):
             raise InvalidInputError(f"seed must be an integer >= 0, got {self.seed!r}")
         if self.lv_radius <= 0 or self.myo_thickness <= 0 or self.rv_radius <= 0:
             raise InvalidInputError("phantom radii and thickness must be positive")
@@ -135,9 +134,9 @@ def random_smooth_deformation(geometry, max_disp_mm: float, grid_spacing,
     coefficient set is rescaled so the dense field's maximum voxel norm lands
     exactly on max_disp_mm (the field is linear in the coefficients).
     """
-    if max_disp_mm < 0:
-        raise InvalidInputError("max_disp_mm must be non-negative")
-    if not isinstance(seed, numbers.Integral) or seed < 0:
+    if not (is_number(max_disp_mm) and math.isfinite(max_disp_mm) and max_disp_mm >= 0):
+        raise InvalidInputError(f"max_disp_mm must be finite and >= 0, got {max_disp_mm!r}")
+    if not is_natural(seed):
         raise InvalidInputError(f"seed must be an integer >= 0, got {seed!r}")
     t = BSplineTransform.zeros(geometry, grid_spacing)
     if max_disp_mm == 0:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import GeometryMismatchError, InvalidInputError, InvalidTransformError
+from .errors import GeometryMismatchError, InvalidInputError, InvalidTransformError, is_number
 from .volume import (
     Grid,
     LabelVolume,
@@ -62,6 +62,15 @@ def bspline_kernel_d2(u):
 
 
 _KERNELS = (bspline_kernel, bspline_kernel_d1, bspline_kernel_d2)
+
+
+def _lattice_spacing(spacing) -> tuple[float, float, float]:
+    """The three lattice spacings as floats; InvalidInputError unless each
+    is a finite positive number."""
+    gs = tuple(spacing)
+    if len(gs) != 3 or not all(is_number(s) and math.isfinite(s) and s > 0 for s in gs):
+        raise InvalidInputError(f"grid spacings must be three finite positive numbers, got {gs}")
+    return tuple(float(s) for s in gs)
 
 
 def grid_dim_for(n: int, spacing: float) -> int:
@@ -152,11 +161,9 @@ class BSplineTransform(_PicklesThroughInit):
 
     def __post_init__(self):
         gd = tuple(int(g) for g in self.grid_dims)
-        gs = tuple(float(s) for s in self.grid_spacing)
+        gs = _lattice_spacing(self.grid_spacing)
         if not isinstance(self.reference, Grid):
             raise InvalidInputError("reference must be a Grid")
-        if not all(math.isfinite(s) and s > 0 for s in gs):
-            raise InvalidInputError(f"grid spacings must be finite and positive, got {gs}")
         rd = self.reference.dims
         expected = tuple(grid_dim_for(rd[a], gs[a]) for a in range(3))
         if gd != expected:
@@ -177,7 +184,7 @@ class BSplineTransform(_PicklesThroughInit):
     @classmethod
     def zeros(cls, reference, grid_spacing) -> "BSplineTransform":
         """Identity transform over the geometry of `reference` (a volume)."""
-        gs = tuple(float(s) for s in np.broadcast_to(grid_spacing, (3,)))
+        gs = _lattice_spacing(np.broadcast_to(grid_spacing, (3,)).tolist())
         gd = tuple(grid_dim_for(reference.dims[a], gs[a]) for a in range(3))
         return cls(grid_dims=gd, grid_spacing=gs, coefficients=np.zeros(gd + (3,)),
                    reference=reference.grid)

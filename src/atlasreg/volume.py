@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import GeometryMismatchError, InvalidInputError
+from .errors import GeometryMismatchError, InvalidInputError, is_count, is_number
 
 LABEL_CLASS_IDS = (0, 1, 2, 3)
 CLASS_NAMES = {1: "lv_cavity", 2: "lv_myocardium", 3: "rv_cavity"}
@@ -55,9 +55,9 @@ class Grid(_PicklesThroughInit):
 
     def __post_init__(self):
         dims, spacing = tuple(self.dims), tuple(self.spacing)
-        if len(dims) != 3 or any(int(n) <= 0 for n in dims):
+        if len(dims) != 3 or not all(is_count(n) for n in dims):
             raise InvalidInputError(f"dims must be three positive integers, got {dims}")
-        if len(spacing) != 3 or any(not (0 < s < math.inf) for s in spacing):
+        if len(spacing) != 3 or not all(is_number(s) and 0 < s < math.inf for s in spacing):
             raise InvalidInputError(f"spacings must be finite and positive, got {spacing}")
         origin = np.asarray(self.origin, dtype=np.float64).reshape(3).copy()
         if not np.all(np.isfinite(origin)):

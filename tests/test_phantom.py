@@ -97,7 +97,7 @@ def test_negative_or_non_finite_noise_rejected(field, value):
         PhantomSpec(**{field: value})
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5])
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
 def test_negative_or_fractional_seed_rejected(seed):
     with pytest.raises(InvalidInputError, match="seed"):
         PhantomSpec(seed=seed)
@@ -130,11 +130,17 @@ def test_deformation_deterministic_from_seed():
     assert not np.array_equal(a.coefficients, c.coefficients)
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5])
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
 @pytest.mark.parametrize("max_disp_mm", [0.0, 2.0])
 def test_deformation_rejects_a_negative_or_fractional_seed(max_disp_mm, seed):
     with pytest.raises(InvalidInputError, match="seed"):
         random_smooth_deformation(_geometry(), max_disp_mm, 8.0, seed=seed)
+
+
+@pytest.mark.parametrize("max_disp_mm", [-1.0, float("nan"), float("inf"), "2"])
+def test_deformation_rejects_a_bad_amplitude(max_disp_mm):
+    with pytest.raises(InvalidInputError, match="max_disp_mm"):
+        random_smooth_deformation(_geometry(), max_disp_mm, 4, seed=1)
 
 
 def test_warped_labels_keep_single_component_at_five_voxels():

@@ -411,6 +411,12 @@ def test_infinite_grid_spacing_is_rejected():
         BSplineTransform((4, 4, 4), (np.inf, np.inf, np.inf), np.zeros((4, 4, 4, 3)), grid)
 
 
+@pytest.mark.parametrize("spacing", [0, -2.0, float("nan"), "5"])
+def test_zeros_rejects_a_bad_grid_spacing(spacing):
+    with pytest.raises(InvalidInputError, match="grid spacings"):
+        BSplineTransform.zeros(_zeros_volume(), spacing)
+
+
 @pytest.mark.parametrize("ffds, flags", [(False, 12), (False, 4), (True, 3 | 1 << 31)])
 def test_unknown_flag_bits_are_rejected(tmp_path, ffds, flags):
     path = tmp_path / "t.tfm"

@@ -129,7 +129,15 @@ def test_volume_rejects_nan_and_bad_geometry():
     with pytest.raises(InvalidInputError):
         Volume(np.zeros((2, 2, 2)), spacing=(0.0, 1.0, 1.0))
     with pytest.raises(InvalidInputError):
+        Volume(np.zeros((2, 2, 2)), spacing=(1, 1, "a"))
+    with pytest.raises(InvalidInputError):
         Volume(np.zeros((2, 2, 2)), direction=np.eye(3) * 2.0)
+
+
+@pytest.mark.parametrize("dims", [("a", 2, 2), (2.5, 2, 2), (True, 2, 2), (0, 2, 2)])
+def test_grid_rejects_dims_that_are_not_positive_integers(dims):
+    with pytest.raises(InvalidInputError, match="dims"):
+        Grid(dims)
 
 
 def test_label_volume_rejects_undeclared_classes():
