@@ -1,7 +1,5 @@
 """B-spline non-rigid registration and multi-atlas label fusion for 3D volumes."""
 
-import ctypes
-
 from .errors import (
     AtlasRegError,
     DegenerateInputError,
@@ -87,6 +85,8 @@ def _keep_freed_pages_mapped() -> bool:
     Returns whether both calls succeeded: False, with nothing changed,
     where the C library has no `mallopt`.
     """
+    import ctypes  # here, so that the package exports no `ctypes`
+
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, AttributeError, TypeError):

@@ -69,7 +69,8 @@ two halves at once near that of one. Freed pages stay mapped as well: the
 package sets the C allocator's thresholds at import
 (`atlasreg._keep_freed_pages_mapped`), so an evaluation reuses the pages
 the previous one freed rather than faulting them in again as zero-filled
-pages, and the resident memory after a call stays at its peak.
+pages. The resident memory after a call therefore stays at its peak, less
+what exceeds the 128 MiB of free heap kept mapped.
 """
 from __future__ import annotations
 
