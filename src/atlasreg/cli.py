@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from contextlib import contextmanager
@@ -26,13 +27,18 @@ from .fusion import (
     ensemble_fuse,
     largest_component,
     majority_vote,
-    usable_cpus,
 )
 from .metrics import evaluate
 from .nifti import read_nifti, write_nifti
 from .objective import ObjectiveWeights
 from .phantom import generate_phantom, scaled_spec
-from .registration import RegistrationConfig, default_config, register
+from .registration import (
+    RegistrationConfig,
+    RegistrationResult,
+    default_config,
+    register_affine,
+    register_ffd,
+)
 from .transforms import max_displacement, save_transform
 from .volume import ProbabilityVolume, require_same_geometry
 
@@ -94,6 +100,14 @@ def _at_least_one(cast):
     return parse
 
 
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on: its affinity mask where
+    the platform has one (a cpuset or `taskset` narrows it), else all."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _parse_img_lbl(text):
     img, _, lbl = text.rpartition(":")
     if not img:
@@ -138,7 +152,9 @@ def cmd_register(args) -> int:
     flt = read_nifti(args.float)
     cfg = _config_from_args(args)
     with timer.stage("registration"):
-        result = register(ref, flt, cfg, affine_only=args.affine_only)
+        affine = register_affine(ref, flt)
+        result = (RegistrationResult(affine, None, None, [], []) if args.affine_only
+                  else register_ffd(ref, flt, affine, cfg))
     save_transform(args.out_transform, result.affine, result.fwd, result.bwd)
     extra = {
         "objective_trace": result.objective_trace,

@@ -110,14 +110,6 @@ def largest_component(labels: LabelVolume) -> LabelVolume:
     return LabelVolume(out, labels.spacing, labels.origin, labels.direction)
 
 
-def usable_cpus() -> int:
-    """The number of CPUs this process may run on: its affinity mask where
-    the platform has one (a cpuset or `taskset` narrows it), else all."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 # The two stages of a registration job in a worker process. Private and
 # module-level, so that they are sent to the worker by name: `register_affine`
 # and `register_ffd` themselves may be rebound to wrappers (a tracer's, say)
@@ -240,7 +232,7 @@ def build_pseudo_labels(target: Volume,
                         same_patient=None,
                         type1_cfg: RegistrationConfig | None = None,
                         type2_cfg: RegistrationConfig | None = None,
-                        threads: int | None = 1,
+                        threads: int = 1,
                         registrations_out: list | None = None) -> LabelVolume:
     """Register every atlas to the target, vote, and optionally refine.
 
@@ -249,14 +241,13 @@ def build_pseudo_labels(target: Volume,
     (t2 image, t2 labels)) of the same patient; both are registered with the
     type-2 preset and fused through the consistency constraint.
     Every registration is one job, and `threads` counts the parallel
-    registration workers (None: one per usable CPU, see `usable_cpus`),
-    capped at the number of jobs. With one worker, the jobs run in order in
-    the calling process. With more, each job runs as two tasks in forked
-    worker processes, which do not share a GIL: its affine stage, then its
-    FFD stage; every affine task starts before any FFD task (see
-    `_register_all`). In the calling process, a registration runs its FFD
-    objectives' forward halves on a short-lived thread of their own; in a
-    worker, it runs the halves one after the other (see
+    registration workers, capped at the number of jobs. With one worker,
+    the jobs run in order in the calling process. With more, each job runs
+    as two tasks in forked worker processes, which do not share a GIL: its
+    affine stage, then its FFD stage; every affine task starts before any
+    FFD task (see `_register_all`). In the calling process, a registration
+    runs its FFD objectives' forward halves on a short-lived thread of
+    their own; in a worker, it runs the halves one after the other (see
     `atlasreg.objective`). Outputs are bit-identical for any `threads`.
     A failure names its atlas. The error raised is that of the earliest
     failed job in input order, and no task of a later job starts once a
@@ -268,8 +259,8 @@ def build_pseudo_labels(target: Volume,
         raise InvalidInputError("at least one atlas is required")
     if same_patient is not None and len(same_patient) != 2:
         raise InvalidInputError("same_patient must be the (bSSFP, T2) pair")
-    if threads is not None and not is_count(threads):
-        raise InvalidInputError(f"threads must be an integer >= 1 or None, got {threads!r}")
+    if not is_count(threads):
+        raise InvalidInputError(f"threads must be an integer >= 1, got {threads!r}")
     type1_cfg = type1_cfg or default_config("type1")
     type2_cfg = type2_cfg or default_config("type2")
 
@@ -278,7 +269,7 @@ def build_pseudo_labels(target: Volume,
         jobs += [(f"same-patient atlas {i}", img, lbl, type2_cfg)
                  for i, (img, lbl) in enumerate(same_patient)]
 
-    workers = min(threads or usable_cpus(), len(jobs))
+    workers = min(threads, len(jobs))
     results = _register_all(target, jobs, workers)
     if registrations_out is not None:
         registrations_out.extend(results)

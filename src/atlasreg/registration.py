@@ -223,11 +223,13 @@ def _overlap_nmi(ref: Volume, flt: Volume, linear: np.ndarray, offset: np.ndarra
 def register_affine(ref: Volume, flt: Volume, *, max_iter=(40, 25, 12)) -> AffineTransform:
     """Maximize NMI over 12 affine parameters, coarse to fine (x4, x2, x1).
 
-    A coarse stage (x4, x2) is skipped when its grid would have fewer than
-    16 voxels along some axis, the cap `usable_levels` puts on the pyramid;
-    the `max_iter` entries of skipped stages are then unused. On so few
-    grid-aligned samples NMI has spurious maxima away from the true
-    alignment, which the finer stages cannot climb back from.
+    The reference stages are the levels of `build_pyramid`, as deep as
+    `usable_levels` allows with 16 voxels along every axis: a coarse stage
+    (x4, x2) whose grid would be smaller is skipped, and the `max_iter`
+    entries of skipped stages are then unused. On so few grid-aligned
+    samples NMI has spurious maxima away from the true alignment, which the
+    finer stages cannot climb back from. The floating image of a coarse
+    stage is smoothed on its own grid with sigma 0.7 x the factor voxels.
 
     The overlap has a soft edge (`_soft_overlap`): a reference voxel that
     maps within one voxel outside the floating grid deposits the
@@ -270,16 +272,10 @@ def register_affine(ref: Volume, flt: Volume, *, max_iter=(40, 25, 12)) -> Affin
         mat[:3, 3] = center - m3 @ center + t
         return mat
 
-    n_stages = usable_levels(ref.dims, 3, min_dim=16)
-    for factor, iters in zip((4, 2, 1), max_iter):
-        if factor > 2 ** (n_stages - 1):
-            continue
-        if factor > 1:
-            ref_l = resample(_smooth(ref, 0.7 * factor),
-                             tuple(factor * s for s in ref.spacing))
-            flt_l = _smooth(flt, 0.7 * factor)
-        else:
-            ref_l, flt_l = ref, flt
+    ref_pyr = build_pyramid(ref, usable_levels(ref.dims, 3, min_dim=16))
+    n = len(ref_pyr)
+    for ref_l, factor, iters in zip(ref_pyr, (4, 2, 1)[-n:], max_iter[-n:]):
+        flt_l = _smooth(flt, 0.7 * factor) if factor > 1 else flt
         ref_world = ref_l.grid.world_points()
         ranges = (robust_range(ref_l.data.reshape(-1).astype(np.float64)), flt_range)
         to_voxel = flt_l.direction / np.asarray(flt_l.spacing)
@@ -378,12 +374,6 @@ def register_ffd(ref: Volume, flt: Volume, affine: AffineTransform | None,
     return RegistrationResult(affine, fwd, bwd, traces, converged)
 
 
-def register(ref: Volume, flt: Volume, cfg: RegistrationConfig | None = None,
-             affine_only: bool = False) -> RegistrationResult:
+def register(ref: Volume, flt: Volume, cfg: RegistrationConfig) -> RegistrationResult:
     """Affine initialization followed by symmetric FFD refinement."""
-    if cfg is None:
-        cfg = default_config("type1")
-    affine = register_affine(ref, flt)
-    if affine_only:
-        return RegistrationResult(affine, None, None, [], [])
-    return register_ffd(ref, flt, affine, cfg)
+    return register_ffd(ref, flt, register_affine(ref, flt), cfg)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -76,6 +76,11 @@ def _lattice_spacing(spacing) -> tuple[float, float, float]:
 def grid_dim_for(n: int, spacing: float) -> int:
     """Lattice node count covering voxel domain [0, n-1] at the given spacing."""
     return int(np.floor((n - 1) / spacing)) + 4
+
+
+def _lattice_dims(reference: Grid, spacing) -> tuple[int, int, int]:
+    """Node counts of the lattice at `spacing` over the reference grid."""
+    return tuple(grid_dim_for(n, s) for n, s in zip(reference.dims, spacing))
 
 
 @lru_cache(maxsize=256)
@@ -152,28 +157,27 @@ class AffineTransform(_PicklesThroughInit):
 
 @dataclass(frozen=True)
 class BSplineTransform(_PicklesThroughInit):
-    """Cubic B-spline lattice of displacement vectors over a reference grid."""
+    """Cubic B-spline lattice of displacement vectors over a reference grid.
 
-    grid_dims: tuple[int, int, int]
+    `grid_dims`, the lattice's node counts, follow from the reference dims
+    and the grid spacing (`grid_dim_for`).
+    """
+
     grid_spacing: tuple[float, float, float]  # in voxels of the reference grid
     coefficients: np.ndarray                  # (gx, gy, gz, 3), mm
     reference: Grid
+    grid_dims: tuple[int, int, int] = field(init=False)
 
     def __post_init__(self):
-        gd = tuple(int(g) for g in self.grid_dims)
         gs = _lattice_spacing(self.grid_spacing)
         if not isinstance(self.reference, Grid):
             raise InvalidInputError("reference must be a Grid")
-        rd = self.reference.dims
-        expected = tuple(grid_dim_for(rd[a], gs[a]) for a in range(3))
-        if gd != expected:
-            raise InvalidTransformError(
-                f"grid dims {gd} do not cover the reference domain (expected {expected})"
-            )
+        gd = _lattice_dims(self.reference, gs)
         coef = np.asarray(self.coefficients, dtype=np.float64)
         if coef.shape != gd + (3,):
             raise InvalidTransformError(
-                f"coefficient shape {coef.shape} does not match grid {gd} + (3,)"
+                f"coefficient shape {coef.shape} does not match the lattice {gd} + (3,) "
+                f"that covers the reference domain"
             )
         coef = coef.copy()
         coef.flags.writeable = False
@@ -185,9 +189,7 @@ class BSplineTransform(_PicklesThroughInit):
     def zeros(cls, reference, grid_spacing) -> "BSplineTransform":
         """Identity transform over the geometry of `reference` (a volume)."""
         gs = _lattice_spacing(np.broadcast_to(grid_spacing, (3,)).tolist())
-        gd = tuple(grid_dim_for(reference.dims[a], gs[a]) for a in range(3))
-        return cls(grid_dims=gd, grid_spacing=gs, coefficients=np.zeros(gd + (3,)),
-                   reference=reference.grid)
+        return cls(gs, np.zeros(_lattice_dims(reference.grid, gs) + (3,)), reference.grid)
 
     def with_coefficients(self, coef) -> "BSplineTransform":
         return replace(self, coefficients=np.asarray(coef, dtype=np.float64))
@@ -324,14 +326,10 @@ def subdivide(t: BSplineTransform, fine_reference) -> BSplineTransform:
         raise GeometryMismatchError(
             f"subdivision requires a 2x finer grid, got spacing ratio {ratio}"
         )
-    new_gd = tuple(
-        grid_dim_for(fine_reference.dims[a], t.grid_spacing[a]) for a in range(3)
-    )
     coef = t.coefficients
-    for a in range(3):
-        coef = _subdivide_axis(coef, a, new_gd[a])
-    return BSplineTransform(grid_dims=new_gd, grid_spacing=t.grid_spacing,
-                            coefficients=coef, reference=fine_reference.grid)
+    for a, g in enumerate(_lattice_dims(fine_reference.grid, t.grid_spacing)):
+        coef = _subdivide_axis(coef, a, g)
+    return BSplineTransform(t.grid_spacing, coef, fine_reference.grid)
 
 
 # ---------------------------------------------------------------------------
@@ -380,9 +378,7 @@ def _unpack_ffd(buf: bytes, off: int):
     if not np.all(np.isfinite(coef)):
         raise InvalidTransformError("FFD coefficients contain NaN or Inf")
     reference = Grid(rd, rs, np.array(ro), np.array(rdir).reshape(3, 3))
-    t = BSplineTransform(grid_dims=gd, grid_spacing=gs, coefficients=coef,
-                         reference=reference)
-    return t, off
+    return BSplineTransform(gs, coef, reference), off
 
 
 def save_transform(path, affine: AffineTransform,

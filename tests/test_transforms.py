@@ -408,7 +408,7 @@ def test_non_finite_transform_is_rejected(tmp_path, offset, value):
 def test_infinite_grid_spacing_is_rejected():
     grid = _zeros_volume().grid
     with pytest.raises(InvalidInputError, match="finite"):
-        BSplineTransform((4, 4, 4), (np.inf, np.inf, np.inf), np.zeros((4, 4, 4, 3)), grid)
+        BSplineTransform((np.inf, np.inf, np.inf), np.zeros((4, 4, 4, 3)), grid)
 
 
 @pytest.mark.parametrize("spacing", [0, -2.0, float("nan"), "5"])
