@@ -10,7 +10,6 @@ world(x) + u(x). Zero coefficients therefore give the identity.
 """
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -18,13 +17,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import GeometryMismatchError, InvalidInputError, InvalidTransformError, is_number
+from .errors import GeometryMismatchError, InvalidInputError, InvalidTransformError
 from .volume import (
     Grid,
     LabelVolume,
     TrilinearStencil,
     Volume,
     _PicklesThroughInit,
+    as_grid,
+    positive_spacings,
     require_same_geometry,
 )
 
@@ -62,15 +63,6 @@ def bspline_kernel_d2(u):
 
 
 _KERNELS = (bspline_kernel, bspline_kernel_d1, bspline_kernel_d2)
-
-
-def _lattice_spacing(spacing) -> tuple[float, float, float]:
-    """The three lattice spacings as floats; InvalidInputError unless each
-    is a finite positive number."""
-    gs = tuple(spacing)
-    if len(gs) != 3 or not all(is_number(s) and math.isfinite(s) and s > 0 for s in gs):
-        raise InvalidInputError(f"grid spacings must be three finite positive numbers, got {gs}")
-    return tuple(float(s) for s in gs)
 
 
 def grid_dim_for(n: int, spacing: float) -> int:
@@ -169,7 +161,7 @@ class BSplineTransform(_PicklesThroughInit):
     grid_dims: tuple[int, int, int] = field(init=False)
 
     def __post_init__(self):
-        gs = _lattice_spacing(self.grid_spacing)
+        gs = positive_spacings(self.grid_spacing, "grid spacings")
         if not isinstance(self.reference, Grid):
             raise InvalidInputError("reference must be a Grid")
         gd = _lattice_dims(self.reference, gs)
@@ -187,9 +179,10 @@ class BSplineTransform(_PicklesThroughInit):
 
     @classmethod
     def zeros(cls, reference, grid_spacing) -> "BSplineTransform":
-        """Identity transform over the geometry of `reference` (a volume)."""
-        gs = _lattice_spacing(np.broadcast_to(grid_spacing, (3,)).tolist())
-        return cls(gs, np.zeros(_lattice_dims(reference.grid, gs) + (3,)), reference.grid)
+        """Identity transform over `reference`, a Grid or a volume."""
+        grid = as_grid(reference, "reference")
+        gs = positive_spacings(np.broadcast_to(grid_spacing, (3,)).tolist(), "grid spacings")
+        return cls(gs, np.zeros(_lattice_dims(grid, gs) + (3,)), grid)
 
     def with_coefficients(self, coef) -> "BSplineTransform":
         return replace(self, coefficients=np.asarray(coef, dtype=np.float64))
@@ -249,9 +242,13 @@ def max_displacement(t: BSplineTransform) -> float:
 
 def _mapped_source_coords(src, ref_geometry, affine, ffd):
     """Source voxel coordinates sampled for every voxel of the ref grid."""
-    world = ref_geometry.grid.world_points()
+    for t, kind in ((affine, AffineTransform), (ffd, BSplineTransform)):
+        if t is not None and not isinstance(t, kind):
+            raise InvalidInputError(f"expected a {kind.__name__} or None, got {type(t).__name__}")
+    grid = as_grid(ref_geometry, "target geometry")
+    world = grid.world_points()
     if ffd is not None:
-        require_same_geometry(ffd.reference, ref_geometry.grid, "FFD reference and target")
+        require_same_geometry(ffd.reference, grid, "FFD reference and target")
         world = world + dense_displacement(ffd).reshape(-1, 3)
     if affine is not None:
         world = affine.apply(world)
@@ -260,7 +257,7 @@ def _mapped_source_coords(src, ref_geometry, affine, ffd):
 
 def warp_volume(src: Volume, ref_geometry, affine: AffineTransform | None,
                 ffd: BSplineTransform | None = None) -> Volume:
-    """Resample `src` onto the geometry of `ref_geometry`.
+    """Resample `src` onto `ref_geometry`, a Grid or a volume.
 
     Each output voxel samples the source trilinearly at affine(world + u) of
     the voxel's world position; with no FFD the affine alone is applied.
@@ -318,18 +315,20 @@ def _subdivide_axis(coef: np.ndarray, axis: int, new_g: int) -> np.ndarray:
 def subdivide(t: BSplineTransform, fine_reference) -> BSplineTransform:
     """Refine the lattice onto a 2x finer reference grid, preserving the field.
 
-    `fine_reference` must have doubled resolution (half spacing, same origin
-    and direction); the grid spacing in local voxels is unchanged.
+    `fine_reference`, a Grid or a volume, must have doubled resolution (half
+    spacing, same origin and direction); the grid spacing in local voxels is
+    unchanged.
     """
-    ratio = np.asarray(t.reference.spacing) / np.asarray(fine_reference.spacing)
+    fine = as_grid(fine_reference, "fine reference")
+    ratio = np.asarray(t.reference.spacing) / np.asarray(fine.spacing)
     if not np.allclose(ratio, 2.0, atol=1e-6):
         raise GeometryMismatchError(
             f"subdivision requires a 2x finer grid, got spacing ratio {ratio}"
         )
     coef = t.coefficients
-    for a, g in enumerate(_lattice_dims(fine_reference.grid, t.grid_spacing)):
+    for a, g in enumerate(_lattice_dims(fine, t.grid_spacing)):
         coef = _subdivide_axis(coef, a, g)
-    return BSplineTransform(t.grid_spacing, coef, fine_reference.grid)
+    return BSplineTransform(t.grid_spacing, coef, fine)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,18 @@ CLASS_NAMES = {1: "lv_cavity", 2: "lv_myocardium", 3: "rv_cavity"}
 GEOMETRY_TOL = 1e-5  # absolute tolerance of `same_geometry` on spacing, origin, direction
 
 
+def positive_spacings(spacing, what: str = "spacings") -> tuple[float, float, float]:
+    """The three spacings as floats; InvalidInputError unless there are three
+    and each is a finite positive number."""
+    try:
+        spacing = tuple(spacing)
+    except TypeError:
+        spacing = (spacing,)
+    if len(spacing) != 3 or not all(is_number(s) and 0 < s < math.inf for s in spacing):
+        raise InvalidInputError(f"{what} must be three finite positive numbers, got {spacing}")
+    return tuple(float(s) for s in spacing)
+
+
 class _PicklesThroughInit:
     """Pickles a dataclass as a call of its constructor with its init fields.
 
@@ -54,15 +66,19 @@ class Grid(_PicklesThroughInit):
     direction: np.ndarray = field(default_factory=lambda: np.eye(3))
 
     def __post_init__(self):
-        dims, spacing = tuple(self.dims), tuple(self.spacing)
+        dims = tuple(self.dims)
         if len(dims) != 3 or not all(is_count(n) for n in dims):
             raise InvalidInputError(f"dims must be three positive integers, got {dims}")
-        if len(spacing) != 3 or not all(is_number(s) and 0 < s < math.inf for s in spacing):
-            raise InvalidInputError(f"spacings must be finite and positive, got {spacing}")
-        origin = np.asarray(self.origin, dtype=np.float64).reshape(3).copy()
+        spacing = positive_spacings(self.spacing)
+        try:
+            origin = np.asarray(self.origin, dtype=np.float64).reshape(3).copy()
+            direction = np.asarray(self.direction, dtype=np.float64).copy()
+        except (TypeError, ValueError):
+            raise InvalidInputError(
+                f"origin must be 3 numbers and direction 3x3 numbers, got {self.origin!r} "
+                f"and {self.direction!r}") from None
         if not np.all(np.isfinite(origin)):
             raise InvalidInputError(f"origin must be finite, got {origin}")
-        direction = np.asarray(self.direction, dtype=np.float64).copy()
         if direction.shape != (3, 3):
             raise InvalidInputError(f"direction must be 3x3, got {direction.shape}")
         if not abs(abs(np.linalg.det(direction)) - 1.0) <= 1e-6:
@@ -70,7 +86,7 @@ class Grid(_PicklesThroughInit):
         origin.flags.writeable = False
         direction.flags.writeable = False
         object.__setattr__(self, "dims", tuple(int(n) for n in dims))
-        object.__setattr__(self, "spacing", tuple(float(s) for s in spacing))
+        object.__setattr__(self, "spacing", spacing)
         object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "direction", direction)
 
@@ -110,6 +126,14 @@ class Grid(_PicklesThroughInit):
     def world_points(self) -> np.ndarray:
         """World coordinates (N, 3) of every voxel, x-slowest; cached, read-only."""
         return _grid_points(self, world=True)
+
+
+def as_grid(geometry, what: str = "geometry") -> Grid:
+    """`geometry` itself when it is a Grid, else the Grid of the volume it is."""
+    grid = geometry if isinstance(geometry, Grid) else getattr(geometry, "grid", None)
+    if not isinstance(grid, Grid):
+        raise InvalidInputError(f"{what} must be a Grid or a volume, got {type(geometry).__name__}")
+    return grid
 
 
 @lru_cache(maxsize=32)
@@ -185,8 +209,10 @@ class LabelVolume(_OnGrid):
         if data.ndim != 3:
             raise InvalidInputError(f"label data must be 3D, got shape {data.shape}")
         if not np.isin(data, LABEL_CLASS_IDS).all():
-            bad = sorted(set(np.unique(data).tolist()) - set(LABEL_CLASS_IDS))
-            raise InvalidInputError(f"label volume contains undeclared class ids {bad}")
+            bad = np.setdiff1d(data, LABEL_CLASS_IDS).tolist()
+            more = ", ..." if len(bad) > 5 else ""
+            raise InvalidInputError(f"label volume contains undeclared class ids "
+                                    f"[{', '.join(map(str, bad[:5]))}{more}], {len(bad)} in all")
         data = data.astype(np.uint8)
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
@@ -404,9 +430,7 @@ def resample(vol: Volume, target_spacing) -> Volume:
     Output dims are ceil(n * s_old / s_new) per axis. Samples are trilinear,
     with background 0 outside the source grid.
     """
-    target_spacing = tuple(float(s) for s in target_spacing)
-    if any(not (s > 0) for s in target_spacing):
-        raise InvalidInputError(f"target spacings must be positive, got {target_spacing}")
+    target_spacing = positive_spacings(target_spacing, "target spacings")
 
     old = np.asarray(vol.spacing)
     new = np.asarray(target_spacing)

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from atlasreg import Volume, write_nifti
+from atlasreg import Volume, load_transform, read_nifti, write_nifti
 from atlasreg.cli import main
 
 MANIFEST_KEYS = {"config", "inputs", "outputs", "timings_s"}
@@ -166,3 +166,72 @@ def test_timer_records_a_stage_that_raises():
         with timer.stage("failing"):
             raise RuntimeError("boom")
     assert timer.stages["failing"] >= 0.0
+
+
+def test_register_pipeline_consistency_ensemble_and_evaluate_end_to_end(tmp_path):
+    # 20^3 phantoms keep every registration small, and these seeds give
+    # registrations that converge in few steps under the pipeline's presets
+    def phantom(name, seed, modality="lge"):
+        img, lbl = tmp_path / f"{name}.nii", tmp_path / f"{name}_lbl.nii"
+        assert main(["phantom", "--out-image", str(img), "--out-labels", str(lbl),
+                     "--dims", "20", "20", "20", "--seed", str(seed),
+                     "--modality", modality]) == 0
+        return img, lbl
+
+    target, atlas = phantom("target", 1), phantom("atlas", 3)
+    bssfp, t2 = phantom("bssfp", 7, "bssfp"), phantom("t2", 9, "t2")
+
+    tfm = tmp_path / "ffd.tfm"
+    assert main(["register", "--ref", str(target[0]), "--float", str(atlas[0]),
+                 "--out-transform", str(tfm), "--levels", "1", "--max-iter", "2"]) == 0
+    affine, fwd, bwd = load_transform(tfm)
+    assert fwd is not None and bwd is not None and fwd.reference.dims == (20, 20, 20)
+    manifest = _manifest(tfm)
+    assert len(manifest["objective_trace"]) == len(manifest["converged"]) == 1
+    assert manifest["max_displacement_mm"] >= 0.0
+    assert manifest["config"]["levels"] == 1 and manifest["config"]["max_iter_per_level"] == 2
+
+    tfm = tmp_path / "affine.tfm"
+    assert main(["register", "--ref", str(target[0]), "--float", str(atlas[0]),
+                 "--out-transform", str(tfm), "--affine-only"]) == 0
+    only, fwd, bwd = load_transform(tfm)
+    np.testing.assert_array_equal(only.matrix, affine.matrix)
+    assert fwd is None and bwd is None
+    manifest = _manifest(tfm)
+    assert manifest["objective_trace"] == manifest["converged"] == []
+    assert manifest["max_displacement_mm"] is None
+
+    pseudo = tmp_path / "pseudo.nii"
+    assert main(["pipeline", "--target", str(target[0]), "--atlas", f"{atlas[0]}:{atlas[1]}",
+                 "--bssfp", f"{bssfp[0]}:{bssfp[1]}", "--t2", f"{t2[0]}:{t2[1]}",
+                 "--threads", "2", "--out", str(pseudo)]) == 0
+    manifest = _manifest(pseudo)
+    assert len(manifest["registrations"]) == 3 and manifest["config"]["threads"] == 2
+
+    refined = tmp_path / "refined.nii"
+    assert main(["fuse", "consistency", "--type1", str(pseudo), "--bssfp", str(bssfp[1]),
+                 "--t2", str(t2[1]), "--out", str(refined)]) == 0
+    bssfp_lbl, t2_lbl, type1 = (read_nifti(p, labels=True) for p in (bssfp[1], t2[1], pseudo))
+    agree = bssfp_lbl.data == t2_lbl.data
+    expected = np.where(agree, bssfp_lbl.data, type1.data)
+    np.testing.assert_array_equal(read_nifti(refined, labels=True).data, expected)
+
+    # two models: one-hot maps of the refined labels and of the target's
+    models = []
+    for name, lbl in (("refined", refined), ("truth", target[1])):
+        data = read_nifti(lbl, labels=True).data
+        paths = [tmp_path / f"{name}_p{c}.nii" for c in range(4)]
+        for c, path in enumerate(paths):
+            write_nifti(Volume((data == c).astype(np.float32)), path)
+        models.append(",".join(map(str, paths)))
+    listing = tmp_path / "models.txt"
+    listing.write_text("\n".join(models) + "\n")
+    fused = tmp_path / "ensemble.nii"
+    assert main(["fuse", "ensemble", "--manifest", str(listing), "--keep-largest",
+                 "--out", str(fused)]) == 0
+    assert len(_manifest(fused)["inputs"]) == 1 + 8
+
+    csv = tmp_path / "report.csv"
+    assert main(["evaluate", "--pred", str(fused), "--gt", str(target[1]),
+                 "--out-csv", str(csv)]) == 0
+    assert "lv_cavity" in csv.read_text()

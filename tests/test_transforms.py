@@ -221,6 +221,29 @@ def test_warp_requires_matching_ffd_reference():
         warp_volume(vol, vol, AffineTransform.identity(), ffd)
 
 
+def test_a_grid_is_a_target_geometry():
+    vol = _smooth_phantom()
+    labels = LabelVolume((vol.data > 1.0).astype(np.uint8))
+    shift = AffineTransform.from_linear(np.eye(3), (0.5, 0.0, 0.0))
+    ffd = BSplineTransform.zeros(vol.grid, 3.0)
+    assert ffd.grid_dims == BSplineTransform.zeros(vol, 3.0).grid_dims
+    np.testing.assert_array_equal(warp_volume(vol, vol.grid, shift, ffd).data,
+                                  warp_volume(vol, vol, shift, ffd).data)
+    np.testing.assert_array_equal(warp_labels(labels, vol.grid, shift).data,
+                                  warp_labels(labels, vol, shift).data)
+    fine = Volume(np.zeros((23, 23, 23), dtype=np.float32), (0.5, 0.5, 0.5))
+    assert subdivide(ffd, fine.grid).reference == fine.grid
+
+
+@pytest.mark.parametrize("geometry, affine, ffd", [
+    (None, "x", None), (None, None, "x"), (None, BSplineTransform.zeros(_zeros_volume(), 3.0), None),
+    ("x", None, None)])
+def test_warp_rejects_what_is_not_a_transform_or_a_geometry(geometry, affine, ffd):
+    vol = _zeros_volume()
+    with pytest.raises(InvalidInputError):
+        warp_volume(vol, vol if geometry is None else geometry, affine, ffd)
+
+
 def test_warp_labels_identity_and_class_subset():
     rng = np.random.default_rng(8)
     lbl = LabelVolume(rng.integers(0, 4, size=(6, 6, 6)))
@@ -402,6 +425,17 @@ def test_non_finite_transform_is_rejected(tmp_path, offset, value):
     buf[start:start + 8] = struct.pack("<d", value)
     path.write_bytes(bytes(buf))
     with pytest.raises(InvalidTransformError, match="NaN or Inf"):
+        load_transform(path)
+
+
+def test_stored_grid_dims_that_disagree_with_the_reference_are_rejected(tmp_path):
+    path = tmp_path / "t.tfm"
+    buf = bytearray(_two_ffd_container(path))
+    # the forward FFD's reference dims follow its grid dims and spacing;
+    # an 8^3 reference at spacing 4 has 5^3 nodes, a 12 x 8 x 8 one 6 x 5 x 5
+    struct.pack_into("<I", buf, 16 + 128 + 12 + 24, 12)
+    path.write_bytes(bytes(buf))
+    with pytest.raises(InvalidTransformError, match="coefficient shape"):
         load_transform(path)
 
 

@@ -132,6 +132,8 @@ def test_volume_rejects_nan_and_bad_geometry():
         Volume(np.zeros((2, 2, 2)), spacing=(1, 1, "a"))
     with pytest.raises(InvalidInputError):
         Volume(np.zeros((2, 2, 2)), direction=np.eye(3) * 2.0)
+    with pytest.raises(InvalidInputError, match="origin"):
+        Volume(np.zeros((2, 2, 2)), origin=("a", 0, 0))
 
 
 @pytest.mark.parametrize("dims", [("a", 2, 2), (2.5, 2, 2), (True, 2, 2), (0, 2, 2)])
@@ -143,6 +145,15 @@ def test_grid_rejects_dims_that_are_not_positive_integers(dims):
 def test_label_volume_rejects_undeclared_classes():
     with pytest.raises(InvalidInputError):
         LabelVolume(np.full((2, 2, 2), 7))
+
+
+def test_undeclared_class_ids_are_counted_not_listed():
+    # an intensity image read as labels: 24^3 distinct values
+    with pytest.raises(InvalidInputError, match="undeclared class ids") as exc:
+        LabelVolume(np.arange(24 ** 3, dtype=np.float32).reshape(24, 24, 24))
+    message = str(exc.value)
+    assert len(message) < 200
+    assert "[4.0, 5.0, 6.0, 7.0, 8.0, ...]" in message and "13820 in all" in message
 
 
 def test_probability_volume_channel_sum():
@@ -206,8 +217,9 @@ def test_resample_matches_trilinear_oracle():
 
 def test_resample_rejects_bad_spacing():
     vol = Volume(np.zeros((4, 4, 4), dtype=np.float32))
-    with pytest.raises(InvalidInputError):
-        resample(vol, (0.0, 1.0, 1.0))
+    for spacing in [(0.0, 1.0, 1.0), ("a", 1, 1), (np.inf, 1, 1), 2.0]:
+        with pytest.raises(InvalidInputError, match="target spacings"):
+            resample(vol, spacing)
 
 
 _GEOMETRY = dict(spacing=(1.0, 2.0, 0.5), origin=(3.0, -1.0, 2.0),
