@@ -179,9 +179,11 @@ class BSplineTransform(_PicklesThroughInit):
 
     @classmethod
     def zeros(cls, reference, grid_spacing) -> "BSplineTransform":
-        """Identity transform over `reference`, a Grid or a volume."""
+        """Identity transform over `reference`, a Grid or a volume, with one
+        grid spacing for every axis or three."""
         grid = as_grid(reference, "reference")
-        gs = positive_spacings(np.broadcast_to(grid_spacing, (3,)).tolist(), "grid spacings")
+        gs = positive_spacings(grid_spacing if np.ndim(grid_spacing) else (grid_spacing,) * 3,
+                               "grid spacings")
         return cls(gs, np.zeros(_lattice_dims(grid, gs) + (3,)), grid)
 
     def with_coefficients(self, coef) -> "BSplineTransform":
@@ -244,7 +246,7 @@ def _mapped_source_coords(src, ref_geometry, affine, ffd):
     """Source voxel coordinates sampled for every voxel of the ref grid."""
     for t, kind in ((affine, AffineTransform), (ffd, BSplineTransform)):
         if t is not None and not isinstance(t, kind):
-            raise InvalidInputError(f"expected a {kind.__name__} or None, got {type(t).__name__}")
+            raise InvalidInputError(f"{kind.__name__} or None expected, got {type(t).__name__}")
     grid = as_grid(ref_geometry, "target geometry")
     world = grid.world_points()
     if ffd is not None:

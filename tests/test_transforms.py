@@ -445,7 +445,7 @@ def test_infinite_grid_spacing_is_rejected():
         BSplineTransform((np.inf, np.inf, np.inf), np.zeros((4, 4, 4, 3)), grid)
 
 
-@pytest.mark.parametrize("spacing", [0, -2.0, float("nan"), "5"])
+@pytest.mark.parametrize("spacing", [0, -2.0, float("nan"), "5", (1.0, 2.0)])
 def test_zeros_rejects_a_bad_grid_spacing(spacing):
     with pytest.raises(InvalidInputError, match="grid spacings"):
         BSplineTransform.zeros(_zeros_volume(), spacing)
