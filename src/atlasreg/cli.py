@@ -32,13 +32,8 @@ from .metrics import evaluate
 from .nifti import read_nifti, write_nifti
 from .objective import ObjectiveWeights
 from .phantom import generate_phantom, scaled_spec
-from .registration import (
-    RegistrationConfig,
-    RegistrationResult,
-    default_config,
-    register_affine,
-    register_ffd,
-)
+from .registration import (RegistrationConfig, RegistrationResult, default_config,
+                           register_affine, register_ffd)
 from .transforms import max_displacement, save_transform
 from .volume import ProbabilityVolume, require_same_geometry
 
