@@ -3,7 +3,11 @@
 Exit codes: 0 success, 2 bad flags (argparse), 3 I/O, format or geometry
 errors, 4 numerical failures. Every run writes a JSON manifest next to its
 primary output recording the resolved configuration, inputs/outputs, seed,
-per-stage wall-clock timings and the tool version.
+the wall-clock time of its one timed stage and the tool version.
+
+`COMMANDS` maps each subcommand, under its manifest name, to its function:
+the function reads its inputs, writes its outputs and returns the fields of
+the manifest, which `main` writes.
 """
 from __future__ import annotations
 
@@ -13,7 +17,6 @@ import math
 import os
 import sys
 import time
-from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -38,36 +41,30 @@ from .transforms import max_displacement, save_transform
 from .volume import ProbabilityVolume, require_same_geometry
 
 
-class _Timer:
-    def __init__(self):
-        self.stages = {}
-
-    @contextmanager
-    def stage(self, name):
-        t0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.stages[name] = round(time.perf_counter() - t0, 3)
+def _timed(stage, call, *args):
+    """(call(*args), {stage: its wall-clock seconds})."""
+    t0 = time.perf_counter()
+    result = call(*args)
+    return result, {stage: round(time.perf_counter() - t0, 3)}
 
 
-def _write_manifest(out_path, subcommand, args_dict, inputs, outputs, timer,
-                    seed=None, extra=None):
+def _write_manifest(subcommand, args, inputs, outputs, timings, config=None, seed=None,
+                    **fields):
+    """Write the run's manifest next to its first output: the resolved
+    configuration (by default every parsed option), inputs, outputs, seed,
+    stage timings and any further `fields`."""
     manifest = {
         "tool": "atlasreg",
         "version": __version__,
         "subcommand": subcommand,
-        "config": args_dict,
+        "config": vars(args) if config is None else config,
         "inputs": [str(p) for p in inputs],
         "outputs": [str(p) for p in outputs],
         "seed": seed,
-        "timings_s": timer.stages,
+        "timings_s": timings,
+        **fields,
     }
-    if extra:
-        manifest.update(extra)
-    path = Path(str(out_path) + ".manifest.json")
-    path.write_text(json.dumps(manifest, indent=2) + "\n")
-    return path
+    Path(f"{outputs[0]}.manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
 def _parse_remap(text):
@@ -112,169 +109,129 @@ def _parse_img_lbl(text):
 
 
 def _config_from_args(args) -> RegistrationConfig:
+    """The --preset configuration with every option given in place of its value."""
     cfg = default_config(args.preset)
-    overrides = {}
-    if args.alpha is not None or args.beta is not None:
-        alpha = cfg.weights.alpha if args.alpha is None else args.alpha
-        beta = cfg.weights.beta if args.beta is None else args.beta
-        overrides["weights"] = ObjectiveWeights(alpha, beta)
-    if args.levels is not None:
-        overrides["levels"] = args.levels
-    if args.max_iter is not None:
-        overrides["max_iter_per_level"] = args.max_iter
-    if args.final_spacing is not None:
-        overrides["final_grid_spacing"] = args.final_spacing
-    return replace(cfg, **overrides)
+    alpha = cfg.weights.alpha if args.alpha is None else args.alpha
+    beta = cfg.weights.beta if args.beta is None else args.beta
+    given = {"levels": args.levels, "max_iter_per_level": args.max_iter,
+             "final_grid_spacing": args.final_spacing}
+    return replace(cfg, weights=ObjectiveWeights(alpha, beta),
+                   **{name: value for name, value in given.items() if value is not None})
 
 
-def _config_dict(cfg: RegistrationConfig):
-    return {
-        "alpha": cfg.weights.alpha,
-        "beta": cfg.weights.beta,
-        "levels": cfg.levels,
-        "max_iter_per_level": cfg.max_iter_per_level,
-        "final_grid_spacing": cfg.final_grid_spacing,
-    }
+def _labels(args, path):
+    """The label volume at `path`, its values mapped by the command's --label-remap."""
+    return read_nifti(path, labels=True, label_remap=args.label_remap)
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each writes its outputs and returns its manifest's fields
 # ---------------------------------------------------------------------------
 
-def cmd_register(args) -> int:
-    timer = _Timer()
-    ref = read_nifti(args.ref)
-    flt = read_nifti(args.float)
+def cmd_register(args):
+    ref, flt = read_nifti(args.ref), read_nifti(args.float)
     cfg = _config_from_args(args)
-    with timer.stage("registration"):
+
+    def register():
         affine = register_affine(ref, flt)
-        result = (RegistrationResult(affine, None, None, [], []) if args.affine_only
-                  else register_ffd(ref, flt, affine, cfg))
+        return (RegistrationResult(affine, None, None, [], []) if args.affine_only
+                else register_ffd(ref, flt, affine, cfg))
+
+    result, timings = _timed("registration", register)
     save_transform(args.out_transform, result.affine, result.fwd, result.bwd)
-    extra = {
-        "objective_trace": result.objective_trace,
-        "converged": result.converged,
-        "max_displacement_mm": (
-            None if result.fwd is None else max_displacement(result.fwd)),
-    }
-    _write_manifest(args.out_transform, "register", _config_dict(cfg),
-                    [args.ref, args.float], [args.out_transform], timer,
-                    extra=extra)
-    return 0
+    config = {"alpha": cfg.weights.alpha, "beta": cfg.weights.beta, "levels": cfg.levels,
+              "max_iter_per_level": cfg.max_iter_per_level,
+              "final_grid_spacing": cfg.final_grid_spacing}
+    return dict(inputs=[args.ref, args.float], outputs=[args.out_transform], timings=timings,
+                config=config, objective_trace=result.objective_trace,
+                converged=result.converged,
+                max_displacement_mm=None if result.fwd is None else max_displacement(result.fwd))
 
 
-def cmd_fuse(args) -> int:
-    timer = _Timer()
-    if args.fuse_mode == "vote":
-        labels = [read_nifti(p, labels=True, label_remap=args.label_remap)
-                  for p in args.labels]
-        with timer.stage("vote"):
-            fused = majority_vote(labels)
-        inputs = args.labels
-    elif args.fuse_mode == "consistency":
-        type1 = read_nifti(args.type1, labels=True, label_remap=args.label_remap)
-        bssfp = read_nifti(args.bssfp, labels=True, label_remap=args.label_remap)
-        t2 = read_nifti(args.t2, labels=True, label_remap=args.label_remap)
-        with timer.stage("consistency"):
-            fused = consistency_refine(type1, bssfp, t2)
-        inputs = [args.type1, args.bssfp, args.t2]
-    else:  # ensemble
-        models = []
-        inputs = [args.manifest]
-        try:
-            text = Path(args.manifest).read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise InvalidInputError(f"{args.manifest} is not UTF-8 text: {exc}") from None
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            paths = [p.strip() for p in line.split(",")]
-            vols = [read_nifti(p) for p in paths]
-            first = vols[0]
-            for p, v in zip(paths[1:], vols[1:]):
-                require_same_geometry(v, first, f"{p} and {paths[0]}")
-            channels = np.stack([v.data for v in vols])
-            models.append(ProbabilityVolume(channels, first.spacing,
-                                            first.origin, first.direction))
-            inputs.extend(paths)
-        with timer.stage("ensemble"):
-            fused = ensemble_fuse(models)
-            if args.keep_largest:
-                fused = largest_component(fused)
+def cmd_fuse_vote(args):
+    fused, timings = _timed("vote", majority_vote, [_labels(args, p) for p in args.labels])
     write_nifti(fused, args.out)
-    _write_manifest(args.out, f"fuse-{args.fuse_mode}", vars_of(args),
-                    inputs, [args.out], timer)
-    return 0
+    return dict(inputs=args.labels, outputs=[args.out], timings=timings)
 
 
-def cmd_evaluate(args) -> int:
-    timer = _Timer()
-    pred = read_nifti(args.pred, labels=True, label_remap=args.label_remap)
-    gt = read_nifti(args.gt, labels=True, label_remap=args.label_remap)
-    with timer.stage("evaluate"):
-        report = evaluate(pred, gt)
+def cmd_fuse_consistency(args):
+    inputs = [args.type1, args.bssfp, args.t2]
+    fused, timings = _timed("consistency", consistency_refine, *(_labels(args, p) for p in inputs))
+    write_nifti(fused, args.out)
+    return dict(inputs=inputs, outputs=[args.out], timings=timings)
+
+
+def cmd_fuse_ensemble(args):
+    try:
+        text = Path(args.manifest).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"{args.manifest} is not UTF-8 text: {exc}") from None
+    models, inputs = [], [args.manifest]
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        paths = [p.strip() for p in line.split(",")]
+        vols = [read_nifti(p) for p in paths]
+        first = vols[0]
+        for p, v in zip(paths[1:], vols[1:]):
+            require_same_geometry(v, first, f"{p} and {paths[0]}")
+        models.append(ProbabilityVolume(np.stack([v.data for v in vols]), first.spacing,
+                                        first.origin, first.direction))
+        inputs.extend(paths)
+
+    def fuse():
+        fused = ensemble_fuse(models)
+        return largest_component(fused) if args.keep_largest else fused
+
+    fused, timings = _timed("ensemble", fuse)
+    write_nifti(fused, args.out)
+    return dict(inputs=inputs, outputs=[args.out], timings=timings)
+
+
+def cmd_evaluate(args):
+    report, timings = _timed("evaluate", evaluate, _labels(args, args.pred), _labels(args, args.gt))
     Path(args.out_csv).write_text(report.to_csv())
     print(report.to_table())
-    _write_manifest(args.out_csv, "evaluate", vars_of(args),
-                    [args.pred, args.gt], [args.out_csv], timer)
-    return 0
+    return dict(inputs=[args.pred, args.gt], outputs=[args.out_csv], timings=timings)
 
 
-def cmd_pipeline(args) -> int:
-    timer = _Timer()
+def cmd_pipeline(args):
+    pairs = args.atlas + ([] if args.bssfp is None else [args.bssfp, args.t2])
     target = read_nifti(args.target)
-    atlases = []
-    inputs = [args.target]
-    for img_path, lbl_path in args.atlas:
-        atlases.append((read_nifti(img_path),
-                        read_nifti(lbl_path, labels=True, label_remap=args.label_remap)))
-        inputs.extend([img_path, lbl_path])
-    same_patient = None
-    if args.bssfp is not None:
-        pairs = []
-        for img_path, lbl_path in (args.bssfp, args.t2):
-            pairs.append((read_nifti(img_path),
-                          read_nifti(lbl_path, labels=True, label_remap=args.label_remap)))
-            inputs.extend([img_path, lbl_path])
-        same_patient = tuple(pairs)
-
+    read = [(read_nifti(img_path), _labels(args, lbl_path)) for img_path, lbl_path in pairs]
+    atlases, same_patient = read[:len(args.atlas)], tuple(read[len(args.atlas):]) or None
     registrations = []
-    with timer.stage("pipeline"):
-        fused = build_pseudo_labels(
-            target, atlases, same_patient,
-            threads=args.threads, registrations_out=registrations)
+    fused, timings = _timed("pipeline", lambda: build_pseudo_labels(
+        target, atlases, same_patient, threads=args.threads, registrations_out=registrations))
     write_nifti(fused, args.out)
-    extra = {
-        "registrations": [
-            {"objective_trace": r.objective_trace, "converged": r.converged}
-            for r in registrations
-        ],
-    }
-    _write_manifest(args.out, "pipeline", vars_of(args), inputs, [args.out],
-                    timer, extra=extra)
-    return 0
+    return dict(inputs=[args.target, *(p for pair in pairs for p in pair)], outputs=[args.out],
+                timings=timings,
+                registrations=[{"objective_trace": r.objective_trace, "converged": r.converged}
+                               for r in registrations])
 
 
-def cmd_phantom(args) -> int:
-    timer = _Timer()
+def cmd_phantom(args):
     spec = scaled_spec(dims=tuple(args.dims), modality=args.modality,
                        noise_sigma=args.noise, seed=args.seed)
-    with timer.stage("phantom"):
-        vol, lbl = generate_phantom(spec)
+    (vol, lbl), timings = _timed("phantom", generate_phantom, spec)
     write_nifti(vol, args.out_image)
     write_nifti(lbl, args.out_labels)
-    _write_manifest(args.out_image, "phantom",
-                    {"dims": list(args.dims), "modality": args.modality,
-                     "noise": args.noise},
-                    [], [args.out_image, args.out_labels], timer,
-                    seed=args.seed)
-    return 0
+    return dict(inputs=[], outputs=[args.out_image, args.out_labels], timings=timings,
+                config={"dims": list(args.dims), "modality": args.modality, "noise": args.noise},
+                seed=args.seed)
 
 
-def vars_of(args):
-    skip = {"func"}
-    return {k: v for k, v in vars(args).items() if k not in skip}
+# keyed by the manifest's subcommand name, "fuse-" and the mode for fuse
+COMMANDS = {
+    "register": cmd_register,
+    "fuse-vote": cmd_fuse_vote,
+    "fuse-consistency": cmd_fuse_consistency,
+    "fuse-ensemble": cmd_fuse_ensemble,
+    "evaluate": cmd_evaluate,
+    "pipeline": cmd_pipeline,
+    "phantom": cmd_phantom,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     reg.add_argument("--max-iter", type=_at_least_one(int), default=None)
     reg.add_argument("--final-spacing", type=_at_least_one(float), default=None)
     reg.add_argument("--affine-only", action="store_true")
-    reg.set_defaults(func=cmd_register)
 
     fuse = sub.add_parser("fuse", help="label fusion operators")
     fuse_sub = fuse.add_subparsers(dest="fuse_mode", required=True)
@@ -310,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     vote.add_argument("--out", required=True)
     vote.add_argument("--label-remap", type=_parse_remap, default=None,
                       help="e.g. 200:1,500:2,600:3")
-    vote.set_defaults(func=cmd_fuse)
 
     cons = fuse_sub.add_parser("consistency",
                                help="cross-modality consistency refinement")
@@ -319,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     cons.add_argument("--t2", required=True)
     cons.add_argument("--out", required=True)
     cons.add_argument("--label-remap", type=_parse_remap, default=None)
-    cons.set_defaults(func=cmd_fuse)
 
     ens = fuse_sub.add_parser("ensemble",
                               help="median-argmax fusion of probability maps")
@@ -328,14 +282,12 @@ def build_parser() -> argparse.ArgumentParser:
     ens.add_argument("--out", required=True)
     ens.add_argument("--keep-largest", action="store_true",
                      help="keep only the largest foreground component")
-    ens.set_defaults(func=cmd_fuse)
 
     ev = sub.add_parser("evaluate", help="overlap and surface metrics vs ground truth")
     ev.add_argument("--pred", required=True)
     ev.add_argument("--gt", required=True)
     ev.add_argument("--out-csv", required=True)
     ev.add_argument("--label-remap", type=_parse_remap, default=None)
-    ev.set_defaults(func=cmd_evaluate)
 
     pipe = sub.add_parser("pipeline", help="pseudo-label generation end to end")
     pipe.add_argument("--target", required=True)
@@ -355,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "and every affine task starts first; a worker runs each "
                            "objective's two halves in order rather than on two threads. "
                            "Results are bit-identical for any value")
-    pipe.set_defaults(func=cmd_pipeline)
 
     ph = sub.add_parser("phantom", help="write a synthetic image + label pair")
     ph.add_argument("--out-image", required=True)
@@ -364,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     ph.add_argument("--modality", choices=("lge", "bssfp", "t2"), default="lge")
     ph.add_argument("--noise", type=float, default=2.0)
     ph.add_argument("--seed", type=int, default=0)
-    ph.set_defaults(func=cmd_phantom)
 
     return parser
 
@@ -374,8 +324,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "pipeline" and (args.bssfp is None) != (args.t2 is None):
         parser.error("pipeline: --bssfp and --t2 must be given together")
+    subcommand = f"fuse-{args.fuse_mode}" if args.command == "fuse" else args.command
     try:
-        return args.func(args)
+        _write_manifest(subcommand, args, **COMMANDS[subcommand](args))
+        return 0
     except NumericalFailureError as exc:
         print(f"atlasreg: numerical failure: {exc}", file=sys.stderr)
         return 4

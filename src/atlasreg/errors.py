@@ -18,6 +18,13 @@ def is_number(x) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
+def require_type(kind, **values):
+    """InvalidInputError naming the first of `values` that is not a `kind`."""
+    for name, value in values.items():
+        if not isinstance(value, kind):
+            raise InvalidInputError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
+
+
 class AtlasRegError(Exception):
     """Base class for all errors raised by this package."""
 

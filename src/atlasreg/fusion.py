@@ -14,8 +14,7 @@ from functools import partial
 import numpy as np
 from scipy import ndimage
 
-from . import objective
-from .errors import AtlasRegError, InvalidInputError, is_count
+from .errors import AtlasRegError, InvalidInputError, is_count, require_type
 from .registration import (
     RegistrationConfig,
     RegistrationResult,
@@ -43,6 +42,7 @@ def majority_vote(warped_labels: list[LabelVolume]) -> LabelVolume:
     """
     if not warped_labels:
         raise InvalidInputError("majority_vote needs at least one label volume")
+    require_type(LabelVolume, **{f"warped_labels[{i}]": lv for i, lv in enumerate(warped_labels)})
     first = warped_labels[0]
     for other in warped_labels[1:]:
         require_same_geometry(first, other, "label volumes")
@@ -57,6 +57,7 @@ def consistency_refine(type1: LabelVolume, from_bssfp: LabelVolume,
                        from_t2: LabelVolume) -> LabelVolume:
     """Keep the class where the two same-patient propagations agree; elsewhere
     fall back to the inter-patient (type 1) label."""
+    require_type(LabelVolume, type1=type1, from_bssfp=from_bssfp, from_t2=from_t2)
     require_same_geometry(type1, from_bssfp, "label volumes")
     require_same_geometry(type1, from_t2, "label volumes")
     out = np.where(from_bssfp.data == from_t2.data, from_bssfp.data, type1.data)
@@ -125,15 +126,11 @@ def _ffd_task(target: Volume, img: Volume, affine: AffineTransform,
 
 
 def _start_worker(parent: int) -> None:
-    """Worker initializer: have every objective evaluation run its halves
-    in order on the worker's thread (`objective._SERIAL_HALVES`), and end
-    the worker soon after process `parent` is gone.
+    """Worker initializer: end the worker soon after process `parent` is gone.
 
     A parent killed outright (by a timeout's SIGKILL, say) cannot shut its
     pool down, and its idle workers would wait for jobs for ever.
     """
-    objective._SERIAL_HALVES = True
-
     def watch():
         while os.getppid() == parent:
             time.sleep(PARENT_POLL_S)

@@ -8,17 +8,24 @@ mean of the two directed means.
 """
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 from scipy.spatial import cKDTree
 
-from .errors import UndefinedMetricError
+from .errors import UndefinedMetricError, require_type
 from .volume import CLASS_NAMES, LabelVolume, require_same_geometry
 
 FOREGROUND_CLASSES = (1, 2, 3)
+# per reported metric: (table row title, CSV column, ClassMetrics field,
+# decimals in the table); the CSV keeps six decimals
+REPORT_METRICS = (
+    ("Dice", "dice", "dice", 3),
+    ("Jaccard", "jaccard", "jaccard", 3),
+    ("Surface distance [mm]", "asd_mm", "asd_mm", 2),
+    ("Hausdorff distance [mm]", "hd_mm", "hausdorff_mm", 2),
+)
 
 
 def dice(pred: LabelVolume, gt: LabelVolume, class_id: int) -> float:
@@ -68,6 +75,10 @@ def surface_distances(pred: LabelVolume, gt: LabelVolume,
     return asd, hausdorff
 
 
+def _fmt(value, decimals: int) -> str:
+    return "NA" if value is None else f"{value:.{decimals}f}"
+
+
 @dataclass(frozen=True)
 class ClassMetrics:
     dice: float
@@ -86,41 +97,25 @@ class EvaluationReport:
             return None
         return float(np.mean(vals))
 
-    def to_csv(self) -> str:
-        def fmt(v):
-            return "NA" if v is None else f"{v:.6f}"
+    def _values(self, field: str) -> list:
+        """`field` of the three foreground classes, then its average."""
+        values = [getattr(self.per_class[c], field) for c in FOREGROUND_CLASSES]
+        return values + [self.average(field)]
 
-        buf = io.StringIO()
-        buf.write("class,dice,jaccard,asd_mm,hd_mm\n")
-        for cls in FOREGROUND_CLASSES:
-            m = self.per_class[cls]
-            buf.write(f"{CLASS_NAMES[cls]},{fmt(m.dice)},{fmt(m.jaccard)},"
-                      f"{fmt(m.asd_mm)},{fmt(m.hausdorff_mm)}\n")
-        buf.write(f"average,{fmt(self.average('dice'))},{fmt(self.average('jaccard'))},"
-                  f"{fmt(self.average('asd_mm'))},{fmt(self.average('hausdorff_mm'))}\n")
-        return buf.getvalue()
+    def to_csv(self) -> str:
+        names = [CLASS_NAMES[c] for c in FOREGROUND_CLASSES] + ["average"]
+        columns = [self._values(field) for _, _, field, _ in REPORT_METRICS]
+        lines = [",".join(["class"] + [column for _, column, _, _ in REPORT_METRICS])]
+        for name, *values in zip(names, *columns):
+            lines.append(",".join([name] + [_fmt(v, 6) for v in values]))
+        return "\n".join(lines) + "\n"
 
     def to_table(self) -> str:
-        def fmt(v, prec):
-            return "NA" if v is None else f"{v:.{prec}f}"
-
-        rows = [
-            ("Metric", "LV Cavity", "LV Myocardium", "RV Cavity", "Average"),
-            ("Dice", *(fmt(self.per_class[c].dice, 3) for c in FOREGROUND_CLASSES),
-             fmt(self.average("dice"), 3)),
-            ("Jaccard", *(fmt(self.per_class[c].jaccard, 3) for c in FOREGROUND_CLASSES),
-             fmt(self.average("jaccard"), 3)),
-            ("Surface distance [mm]",
-             *(fmt(self.per_class[c].asd_mm, 2) for c in FOREGROUND_CLASSES),
-             fmt(self.average("asd_mm"), 2)),
-            ("Hausdorff distance [mm]",
-             *(fmt(self.per_class[c].hausdorff_mm, 2) for c in FOREGROUND_CLASSES),
-             fmt(self.average("hausdorff_mm"), 2)),
-        ]
+        rows = [("Metric", "LV Cavity", "LV Myocardium", "RV Cavity", "Average")]
+        rows += [(title, *(_fmt(v, decimals) for v in self._values(field)))
+                 for title, _, field, decimals in REPORT_METRICS]
         widths = [max(len(r[i]) for r in rows) for i in range(5)]
-        lines = []
-        for r in rows:
-            lines.append(" | ".join(c.ljust(w) for c, w in zip(r, widths)))
+        lines = [" | ".join(c.ljust(w) for c, w in zip(r, widths)) for r in rows]
         lines.insert(1, "-+-".join("-" * w for w in widths))
         return "\n".join(lines)
 
@@ -131,6 +126,7 @@ def evaluate(pred: LabelVolume, gt: LabelVolume) -> EvaluationReport:
     Undefined surface distances (a class empty on either side) are reported
     as missing entries, not as zeros.
     """
+    require_type(LabelVolume, pred=pred, gt=gt)
     require_same_geometry(pred, gt)
     per_class = {}
     for cls in FOREGROUND_CLASSES:

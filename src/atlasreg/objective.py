@@ -46,7 +46,8 @@ trip's finish, which pops and scatters the residual, then its similarity's
 finish, which recomputes the footprint from the bin positions bit for bit,
 then applies the weights. A line search thus pays for the gradient only at
 the probes it accepts, without evaluating them twice. The affine hands its
-ascent the same kind of finish (`registration._overlap_nmi`).
+ascent the same kind of finish, which holds the probe's one stencil
+(`registration._overlap_nmi`).
 
 Both passes split into a forward and a backward half, which do not meet
 until their values and gradients are summed. The value pass runs the halves
@@ -57,8 +58,9 @@ joins that thread: an evaluation and its finish start three threads, two
 when beta is 0. Calls share nothing and no thread outlives its call, so a
 registration runs at most two threads at a time. In a registration worker
 of `build_pseudo_labels`, the other workers already share the CPUs, so
-there the halves run one after the other on the calling thread
-(`_SERIAL_HALVES`, set by the pool's initializer). Each reduction keeps its
+there the halves run one after the other on the calling thread. They do
+so in every process that `multiprocessing` started, the processes whose
+`multiprocessing.parent_process()` is not None. Each reduction keeps its
 serial order, so results are bit for bit those of running the halves one
 after the other. A call returns or raises only once both halves have
 finished, so no work of a rejected line-search probe runs on into the next;
@@ -74,6 +76,7 @@ what exceeds the 128 MiB of free heap kept mapped.
 """
 from __future__ import annotations
 
+import multiprocessing
 import threading
 from dataclasses import dataclass, field
 from functools import partial
@@ -118,22 +121,17 @@ class ObjectiveWeights:
 # The forward and backward halves
 # ---------------------------------------------------------------------------
 
-# True in a registration worker of `build_pseudo_labels`; set by the pool's
-# initializer (`fusion._start_worker`), never in the process that owns the
-# pool.
-_SERIAL_HALVES = False
-
-
 def _both_halves(fwd_part, bwd_part):
     """(fwd_part(), bwd_part()), the forward half run on a thread started
-    for this call while this thread runs the backward half; with
-    `_SERIAL_HALVES`, both on this thread, the forward half first.
+    for this call while this thread runs the backward half; in a process
+    that `multiprocessing` started (a registration worker of
+    `build_pseudo_labels`), both on this thread, the forward half first.
 
     Returns or raises only once both halves have finished, so no work of a
     call outlives it. If both raise, the forward half's error propagates: the
     serial order ran that half first.
     """
-    if _SERIAL_HALVES:
+    if multiprocessing.parent_process() is not None:
         return fwd_part(), bwd_part()
     fwd = error = None
 
@@ -386,9 +384,8 @@ def _nmi_deposit(ref: Volume, flt: Volume, mask, values, ranges, shell=None):
     Returns (counts, finish). `finish(stencil)` returns d NMI / d mapped
     world point (N, 3), zero off the mask: the floating gradient times
     d NMI / d sample (Mattes et al., IEEE TMI 2003), plus a shell point's
-    deposit-weight derivative. `stencil()` gives the stencil the points were
-    sampled through; it is called only once the counts and bin positions
-    are gone, which the finish drops.
+    deposit-weight derivative. `stencil` is the stencil the points were
+    sampled through.
     """
     rv = ref.data.reshape(-1)[mask].astype(np.float64)
     if rv.size == 0:
@@ -417,7 +414,7 @@ def _nmi_deposit(ref: Volume, flt: Volume, mask, values, ranges, shell=None):
             lam[idx] *= w
             d_nmi_d_w = _deposit_weight_gradient(counts, ds, positions, idx)
         del counts, positions, ds
-        grad = stencil().gather(flt.data, want_gradient=True)[1]  # 0 outside the grid
+        grad = stencil.gather(flt.data, want_gradient=True)[1]  # 0 outside the grid
         g = grad[mask]
         if shell is not None:
             # on a face the edge-clamped value is flat across it only
@@ -528,7 +525,7 @@ def similarity_and_gradient(ref: Volume, flt: Volume, sampled: SampledMap,
     counts, finish_points = _nmi_deposit(ref, flt, mask, stencil.gather(flt.data)[mask], ranges)
 
     def finish():
-        field = finish_points(lambda: stencil)
+        field = finish_points(stencil)
         return splat_to_coefficients(ffd, field.reshape(ffd.reference.dims + (3,)))
 
     return nmi(counts), finish

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from .errors import (DegenerateInputError, InvalidInputError, NumericalFailureError,
-                     is_count, is_number)
+                     is_count, is_number, require_type)
 from .objective import (
     ObjectiveWeights,
     _nmi_deposit,
@@ -203,21 +203,16 @@ def _overlap_nmi(ref: Volume, flt: Volume, linear: np.ndarray, offset: np.ndarra
     value.
 
     Returns (nmi, finish): `finish()` returns d NMI / d mapped world point
-    from the deposit's finish, (N, 3) over ref's voxels and zero where a
-    point weighs 0. The stencil is built again for it, so that it is not
-    held while the histogram allocates.
+    from the deposit's finish through the probe's one stencil, (N, 3) over
+    ref's voxels and zero where a point weighs 0.
     """
-    def stencil():
-        points = ref.grid.world_points() @ linear
-        points += offset
-        return TrilinearStencil(flt.dims, points), points
-
-    sampling, points = stencil()
-    mask, shell = _soft_overlap(sampling, points)
-    values = sampling.gather(flt.data)[mask]
-    del sampling, points
-    counts, finish = _nmi_deposit(ref, flt, mask, values, ranges, shell)
-    return nmi(counts), lambda: finish(lambda: stencil()[0])
+    points = ref.grid.world_points() @ linear
+    points += offset
+    stencil = TrilinearStencil(flt.dims, points)
+    mask, shell = _soft_overlap(stencil, points)
+    del points
+    counts, finish = _nmi_deposit(ref, flt, mask, stencil.gather(flt.data)[mask], ranges, shell)
+    return nmi(counts), lambda: finish(stencil)
 
 
 def register_affine(ref: Volume, flt: Volume, *, max_iter=(40, 25, 12)) -> AffineTransform:
@@ -249,6 +244,7 @@ def register_affine(ref: Volume, flt: Volume, *, max_iter=(40, 25, 12)) -> Affin
     A stage stops once its relative NMI gain falls below AFFINE_GAIN_FLOOR.
     `max_iter` holds one integer iteration cap >= 1 per stage.
     """
+    require_type(Volume, ref=ref, flt=flt)
     max_iter = tuple(max_iter)
     if len(max_iter) != 3 or not all(is_count(n) for n in max_iter):
         raise InvalidInputError(
@@ -323,6 +319,7 @@ def register_ffd(ref: Volume, flt: Volume, affine: AffineTransform | None,
     objective. A non-finite objective raises NumericalFailureError carrying
     the level and iteration.
     """
+    require_type(Volume, ref=ref, flt=flt)
     if affine is None:
         affine = AffineTransform.identity()
     levels = usable_levels(ref.dims, cfg.levels)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import GeometryMismatchError, InvalidInputError, InvalidTransformError
+from .errors import GeometryMismatchError, InvalidInputError, InvalidTransformError, require_type
 from .volume import (
     Grid,
     LabelVolume,
@@ -116,7 +116,11 @@ class AffineTransform(_PicklesThroughInit):
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.float64)
+        try:
+            m = np.asarray(self.matrix, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise InvalidInputError(
+                f"affine matrix must be 4x4 numbers, got {self.matrix!r}") from None
         if m.shape != (4, 4):
             raise InvalidTransformError(f"affine matrix must be 4x4, got {m.shape}")
         if not np.all(np.isfinite(m)):
@@ -270,6 +274,7 @@ def warp_volume(src: Volume, ref_geometry, affine: AffineTransform | None,
 
 def warp_volume_masked(src, ref_geometry, affine, ffd=None):
     """Like warp_volume but also returns the in-bounds sample mask."""
+    require_type(Volume, src=src)
     coords = _mapped_source_coords(src, ref_geometry, affine, ffd)
     stencil = TrilinearStencil(src.dims, coords)
     vals = stencil.gather(src.data, 0.0)
@@ -281,6 +286,7 @@ def warp_volume_masked(src, ref_geometry, affine, ffd=None):
 def warp_labels(src: LabelVolume, ref_geometry, affine: AffineTransform | None,
                 ffd: BSplineTransform | None = None) -> LabelVolume:
     """Nearest-neighbor label warp; out-of-bounds samples become background."""
+    require_type(LabelVolume, src=src)
     coords = _mapped_source_coords(src, ref_geometry, affine, ffd)
     # at a rounded point every fraction is 0 (or 1 on a clamped last cell),
     # so the trilinear gather returns the nearest voxel's class exactly

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import GeometryMismatchError, InvalidInputError, is_count, is_number
+from .errors import GeometryMismatchError, InvalidInputError, is_count, is_number, require_type
 
 LABEL_CLASS_IDS = (0, 1, 2, 3)
 CLASS_NAMES = {1: "lv_cavity", 2: "lv_myocardium", 3: "rv_cavity"}
@@ -66,7 +66,10 @@ class Grid(_PicklesThroughInit):
     direction: np.ndarray = field(default_factory=lambda: np.eye(3))
 
     def __post_init__(self):
-        dims = tuple(self.dims)
+        try:
+            dims = tuple(self.dims)
+        except TypeError:
+            dims = (self.dims,)
         if len(dims) != 3 or not all(is_count(n) for n in dims):
             raise InvalidInputError(f"dims must be three positive integers, got {dims}")
         spacing = positive_spacings(self.spacing)
@@ -430,6 +433,7 @@ def resample(vol: Volume, target_spacing) -> Volume:
     Output dims are ceil(n * s_old / s_new) per axis. Samples are trilinear,
     with background 0 outside the source grid.
     """
+    require_type(Volume, vol=vol)
     target_spacing = positive_spacings(target_spacing, "target spacings")
 
     old = np.asarray(vol.spacing)

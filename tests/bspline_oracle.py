@@ -144,7 +144,7 @@ def _similarity(ref, flt, ffd, ranges, ref_mask, flt_valid, with_gradient):
     counts, finish = _nmi_deposit(ref, flt, mask, stencil.gather(flt.data, 0.0)[mask], ranges)
     if not with_gradient:
         return nmi(counts), None
-    field = finish(lambda: stencil)
+    field = finish(stencil)
     return nmi(counts), splat_to_coefficients(ffd, field.reshape(ffd.reference.dims + (3,)))
 
 

@@ -158,14 +158,86 @@ def test_ensemble_manifest_that_is_not_utf8_exits_three(tmp_path, capsys):
     assert not (tmp_path / "fused.nii").exists()
 
 
-def test_timer_records_a_stage_that_raises():
-    from atlasreg.cli import _Timer
+# subcommand: (its one timed stage, its config keys, its manifest keys beyond
+# those every manifest has)
+SUBCOMMAND_MANIFESTS = {
+    "register": ("registration",
+                 {"alpha", "beta", "levels", "max_iter_per_level", "final_grid_spacing"},
+                 {"objective_trace", "converged", "max_displacement_mm"}),
+    "fuse-vote": ("vote", {"command", "fuse_mode", "labels", "out", "label_remap"}, set()),
+    "fuse-consistency": ("consistency",
+                         {"command", "fuse_mode", "type1", "bssfp", "t2", "out", "label_remap"},
+                         set()),
+    "fuse-ensemble": ("ensemble", {"command", "fuse_mode", "manifest", "out", "keep_largest"},
+                      set()),
+    "evaluate": ("evaluate", {"command", "pred", "gt", "out_csv", "label_remap"}, set()),
+    "pipeline": ("pipeline",
+                 {"command", "target", "atlas", "bssfp", "t2", "out", "label_remap", "threads"},
+                 {"registrations"}),
+    "phantom": ("phantom", {"dims", "modality", "noise"}, set()),
+}
 
-    timer = _Timer()
-    with pytest.raises(RuntimeError):
-        with timer.stage("failing"):
-            raise RuntimeError("boom")
-    assert timer.stages["failing"] >= 0.0
+
+def test_every_subcommand_writes_its_manifest(tmp_path):
+    def run(subcommand, argv, inputs, outputs, seed=None):
+        assert main(argv) == 0, subcommand
+        manifest = _manifest(outputs[0])
+        stage, config_keys, extra_keys = SUBCOMMAND_MANIFESTS[subcommand]
+        assert manifest.keys() == MANIFEST_KEYS | extra_keys | {
+            "tool", "version", "subcommand", "seed"}, subcommand
+        assert manifest["subcommand"] == subcommand
+        assert manifest["config"].keys() == config_keys, subcommand
+        assert manifest["inputs"] == [str(p) for p in inputs], subcommand
+        assert manifest["outputs"] == [str(p) for p in outputs], subcommand
+        assert manifest["seed"] == seed and list(manifest["timings_s"]) == [stage], subcommand
+        return manifest
+
+    def phantom(name, seed, modality="lge"):
+        img, lbl = tmp_path / f"{name}.nii", tmp_path / f"{name}_lbl.nii"
+        run("phantom", ["phantom", "--out-image", str(img), "--out-labels", str(lbl),
+                        "--dims", "20", "20", "20", "--seed", str(seed),
+                        "--modality", modality], [], [img, lbl], seed)
+        return img, lbl
+
+    # the seeds of the end-to-end test below, whose registrations converge fast
+    target, atlas = phantom("target", 1), phantom("atlas", 3)
+    bssfp, t2 = phantom("bssfp", 7, "bssfp"), phantom("t2", 9, "t2")
+
+    for tfm, flags in ((tmp_path / "ffd.tfm", ["--levels", "1", "--max-iter", "1"]),
+                       (tmp_path / "affine.tfm", ["--affine-only"])):
+        run("register", ["register", "--ref", str(target[0]), "--float", str(atlas[0]),
+                         "--out-transform", str(tfm), *flags], [target[0], atlas[0]], [tfm])
+
+    labels = [target[1], atlas[1], bssfp[1]]
+    vote = tmp_path / "vote.nii"
+    manifest = run("fuse-vote", ["fuse", "vote", "--labels", *map(str, labels),
+                                 "--out", str(vote)], labels, [vote])
+    assert manifest["config"]["fuse_mode"] == "vote"
+
+    refined = tmp_path / "refined.nii"
+    run("fuse-consistency", ["fuse", "consistency", "--type1", str(vote), "--bssfp",
+                             str(bssfp[1]), "--t2", str(t2[1]), "--out", str(refined)],
+        [vote, bssfp[1], t2[1]], [refined])
+
+    data = read_nifti(refined, labels=True).data
+    channels = [tmp_path / f"p{c}.nii" for c in range(4)]
+    for c, path in enumerate(channels):
+        write_nifti(Volume((data == c).astype(np.float32)), path)
+    listing = tmp_path / "models.txt"
+    listing.write_text("# one model\n" + ",".join(map(str, channels)) + "\n")
+    fused = tmp_path / "ensemble.nii"
+    run("fuse-ensemble", ["fuse", "ensemble", "--manifest", str(listing), "--out", str(fused)],
+        [listing, *channels], [fused])
+
+    csv = tmp_path / "report.csv"
+    run("evaluate", ["evaluate", "--pred", str(fused), "--gt", str(target[1]),
+                     "--out-csv", str(csv)], [fused, target[1]], [csv])
+
+    pseudo = tmp_path / "pseudo.nii"
+    run("pipeline", ["pipeline", "--target", str(target[0]), "--atlas", f"{atlas[0]}:{atlas[1]}",
+                     "--bssfp", f"{bssfp[0]}:{bssfp[1]}", "--t2", f"{t2[0]}:{t2[1]}",
+                     "--threads", "1", "--out", str(pseudo)],
+        [target[0], *atlas, *bssfp, *t2], [pseudo])
 
 
 def test_register_pipeline_consistency_ensemble_and_evaluate_end_to_end(tmp_path):

@@ -96,6 +96,11 @@ def test_vote_output_is_one_of_the_inputs_per_voxel():
 def test_vote_errors():
     with pytest.raises(InvalidInputError):
         majority_vote([])
+    with pytest.raises(InvalidInputError, match=r"warped_labels\[1\] must be a LabelVolume"):
+        majority_vote([_lbl(np.zeros((2, 2, 2))), Volume(np.zeros((2, 2, 2)))])
+    labels = _lbl(np.zeros((2, 2, 2)))
+    with pytest.raises(InvalidInputError, match="from_t2 must be a LabelVolume"):
+        consistency_refine(labels, labels, Volume(np.zeros((2, 2, 2))))
     with pytest.raises(GeometryMismatchError):
         majority_vote([_lbl(np.zeros((2, 2, 2))), _lbl(np.zeros((3, 3, 3)))])
 

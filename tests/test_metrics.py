@@ -3,8 +3,10 @@ import pytest
 
 from atlasreg import (
     GeometryMismatchError,
+    InvalidInputError,
     LabelVolume,
     UndefinedMetricError,
+    Volume,
     dice,
     evaluate,
     jaccard,
@@ -173,6 +175,11 @@ def test_empty_class_raises_undefined_metric():
 
 
 # --- full report ---------------------------------------------------------
+
+def test_evaluate_rejects_intensity_volumes():
+    with pytest.raises(InvalidInputError, match="gt must be a LabelVolume"):
+        evaluate(_lbl(np.zeros((2, 2, 2))), Volume(np.zeros((2, 2, 2))))
+
 
 def test_evaluate_perfect_prediction():
     rng = np.random.default_rng(8)

@@ -342,6 +342,16 @@ def test_affine_max_iter_needs_one_cap_per_stage(max_iter):
         register_affine(vol, vol, max_iter=max_iter)
 
 
+@pytest.mark.parametrize("register", [
+    register_affine, lambda ref, flt: register_ffd(ref, flt, None, default_config("type1"))])
+def test_registration_rejects_what_is_not_a_volume(register):
+    vol = _phantom((16, 16, 16))
+    with pytest.raises(InvalidInputError, match="flt must be a Volume"):
+        register(vol, "x")
+    with pytest.raises(InvalidInputError, match="ref must be a Volume"):
+        register("x", vol)
+
+
 def _affine_stages(monkeypatch, ref, flt):
     """(evaluate, start) of every stage `register_affine` runs, none ascended."""
     stages = []

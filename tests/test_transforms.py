@@ -158,6 +158,8 @@ def test_einsum_with_a_cached_path_equals_the_searched_path_exactly(subscripts, 
 # --- affine --------------------------------------------------------------
 
 def test_affine_validates_structure():
+    with pytest.raises(InvalidInputError, match="4x4 numbers"):
+        AffineTransform("x")
     with pytest.raises(InvalidTransformError):
         AffineTransform(np.zeros((4, 4)))
     bad = np.eye(4)
@@ -242,6 +244,14 @@ def test_warp_rejects_what_is_not_a_transform_or_a_geometry(geometry, affine, ff
     vol = _zeros_volume()
     with pytest.raises(InvalidInputError):
         warp_volume(vol, vol if geometry is None else geometry, affine, ffd)
+
+
+@pytest.mark.parametrize("warp, src, kind", [
+    (warp_volume, "x", "Volume"), (warp_labels, "x", "LabelVolume"),
+    (warp_labels, _zeros_volume(), "LabelVolume")])
+def test_warp_rejects_a_source_of_another_type(warp, src, kind):
+    with pytest.raises(InvalidInputError, match=f"src must be a {kind}"):
+        warp(src, _zeros_volume(), None)
 
 
 def test_warp_labels_identity_and_class_subset():

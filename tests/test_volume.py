@@ -136,7 +136,7 @@ def test_volume_rejects_nan_and_bad_geometry():
         Volume(np.zeros((2, 2, 2)), origin=("a", 0, 0))
 
 
-@pytest.mark.parametrize("dims", [("a", 2, 2), (2.5, 2, 2), (True, 2, 2), (0, 2, 2)])
+@pytest.mark.parametrize("dims", [("a", 2, 2), (2.5, 2, 2), (True, 2, 2), (0, 2, 2), 5])
 def test_grid_rejects_dims_that_are_not_positive_integers(dims):
     with pytest.raises(InvalidInputError, match="dims"):
         Grid(dims)
@@ -213,6 +213,11 @@ def test_resample_matches_trilinear_oracle():
                 pt = [(2.0 * a, 2.0 * b, 2.0 * c)]
                 expected = TrilinearStencil(vol.dims, pt).gather(vol.data, 0.0)[0]
                 assert out.data[a, b, c] == pytest.approx(expected, abs=1e-6)
+
+
+def test_resample_rejects_what_is_not_a_volume():
+    with pytest.raises(InvalidInputError, match="vol must be a Volume"):
+        resample("x", (1.0, 1.0, 1.0))
 
 
 def test_resample_rejects_bad_spacing():

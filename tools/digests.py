@@ -55,27 +55,40 @@ def _ffd_arrays(res):
     yield from res.objective_trace
 
 
-def affine_xmod(seed: int) -> str:
+# The registration call of each workload's case 0 for a seed, its inputs
+# made: `tools/faults.py` times the same calls.
+
+def affine_xmod_call(seed: int):
     inputs = workloads.make_inputs("affine_xmod", seed)
-    res = registration.register_affine(inputs["target"], inputs["floating"],
-                                       max_iter=workloads.AFFINE_MAX_ITER)
-    return digest([res.matrix])
+    return lambda: registration.register_affine(inputs["target"], inputs["floating"],
+                                                max_iter=workloads.AFFINE_MAX_ITER)
+
+
+def ffd_stack_call(seed: int):
+    inputs = workloads.make_inputs("ffd_stack", seed)
+    return lambda: registration.register_ffd(inputs["target"], inputs["floating"], None,
+                                             workloads.FFD_STACK_CFG)
+
+
+def pseudo_label_call(seed: int, threads: int, registrations_out=None):
+    inputs = workloads.make_inputs("pseudo_label", seed)
+    return lambda: fusion.build_pseudo_labels(
+        inputs["target"], inputs["atlases"], inputs["same_patient"],
+        type1_cfg=workloads.PSEUDO_TYPE1_CFG, type2_cfg=workloads.PSEUDO_TYPE2_CFG,
+        threads=threads, registrations_out=registrations_out)
+
+
+def affine_xmod(seed: int) -> str:
+    return digest([affine_xmod_call(seed)().matrix])
 
 
 def ffd_stack(seed: int) -> str:
-    inputs = workloads.make_inputs("ffd_stack", seed)
-    res = registration.register_ffd(inputs["target"], inputs["floating"], None,
-                                    workloads.FFD_STACK_CFG)
-    return digest(_ffd_arrays(res))
+    return digest(_ffd_arrays(ffd_stack_call(seed)()))
 
 
 def pseudo_label(seed: int, threads: int) -> str:
-    inputs = workloads.make_inputs("pseudo_label", seed)
     registrations: list = []
-    fused = fusion.build_pseudo_labels(
-        inputs["target"], inputs["atlases"], inputs["same_patient"],
-        type1_cfg=workloads.PSEUDO_TYPE1_CFG, type2_cfg=workloads.PSEUDO_TYPE2_CFG,
-        threads=threads, registrations_out=registrations)
+    fused = pseudo_label_call(seed, threads, registrations)()
     arrays = [fused.data]
     for res in registrations:
         arrays.append(res.affine.matrix)

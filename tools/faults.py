@@ -2,10 +2,11 @@
 
     python3 tools/faults.py
 
-Runs case 0 of affine_xmod, ffd_stack and pseudo_label for seed 1, with the
-inputs and configurations of `bench/workloads.py`, and prints one line per
-workload: the minor page faults and the user and system CPU seconds of its
-registrations, input generation left out. For pseudo_label, whose
+Runs case 0 of affine_xmod, ffd_stack and pseudo_label for seed 1 through
+the calls of `tools/digests.py`, with the inputs and configurations of
+`bench/workloads.py`, and prints one line per workload: the minor page
+faults and the user and system CPU seconds of its registrations, input
+generation left out. For pseudo_label, whose
 registrations run in forked worker processes, the workers' counts
 (`RUSAGE_CHILDREN`, taken once the pool has joined them) are added to the
 process's and also shown on their own.
@@ -18,23 +19,19 @@ takes again. BLAS is pinned to one thread, as in the benchmark. Imports
 """
 from __future__ import annotations
 
-import os
 import resource
 import sys
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-sys.dont_write_bytecode = True  # leave no __pycache__ under bench/
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+sys.dont_write_bytecode = True  # leave no __pycache__ under tools/ or bench/
 
-import run  # noqa: E402  (bench/run.py, which loads no numpy)
-
-os.environ.update(run.THREAD_PIN)  # before numpy loads its BLAS
-
+import digests  # noqa: E402  (puts src/ and bench/ on the path and pins BLAS first)
 import workloads  # noqa: E402
-from atlasreg import fusion, registration  # noqa: E402
 
 SEED = 1
+# the workload calls of `tools/digests.py`, pseudo_label on the benchmark's threads
+CALLS = (("affine_xmod", digests.affine_xmod_call, ()),
+         ("ffd_stack", digests.ffd_stack_call, ()),
+         ("pseudo_label", digests.pseudo_label_call, (workloads.PSEUDO_THREADS,)))
 
 
 def _usage(who):
@@ -51,31 +48,11 @@ def _measure(call) -> tuple:
     return tuple(tuple(b - a for a, b in zip(x, y)) for x, y in zip(before, after))
 
 
-def affine_xmod():
-    inputs = workloads.make_inputs("affine_xmod", SEED)
-    return lambda: registration.register_affine(inputs["target"], inputs["floating"],
-                                                max_iter=workloads.AFFINE_MAX_ITER)
-
-
-def ffd_stack():
-    inputs = workloads.make_inputs("ffd_stack", SEED)
-    return lambda: registration.register_ffd(inputs["target"], inputs["floating"], None,
-                                             workloads.FFD_STACK_CFG)
-
-
-def pseudo_label():
-    inputs = workloads.make_inputs("pseudo_label", SEED)
-    return lambda: fusion.build_pseudo_labels(
-        inputs["target"], inputs["atlases"], inputs["same_patient"],
-        type1_cfg=workloads.PSEUDO_TYPE1_CFG, type2_cfg=workloads.PSEUDO_TYPE2_CFG,
-        threads=workloads.PSEUDO_THREADS)
-
-
 def main() -> int:
-    for workload in (affine_xmod, ffd_stack, pseudo_label):
-        own, workers = _measure(workload())
+    for name, make_call, args in CALLS:
+        own, workers = _measure(make_call(SEED, *args))
         faults, user, system = (a + b for a, b in zip(own, workers))
-        line = (f"{workload.__name__:<12} seed {SEED} case 0: {faults} minor faults, "
+        line = (f"{name:<12} seed {SEED} case 0: {faults} minor faults, "
                 f"user {user:.2f} s, sys {system:.2f} s")
         if workers[0]:
             line += f" (workers: {workers[0]} faults, user {workers[1]:.2f} s, sys {workers[2]:.2f} s)"
