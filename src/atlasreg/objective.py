@@ -67,12 +67,15 @@ finished, so no work of a rejected line-search probe runs on into the next;
 if both raise, the forward half's error propagates, as in the serial order.
 The per-voxel kernels (the trilinear gather and scatter, the Parzen
 footprint) work in place in a few reused buffers, which keeps the memory of
-two halves at once near that of one. Freed pages stay mapped as well: the
-package sets the C allocator's thresholds at import
-(`atlasreg._keep_freed_pages_mapped`), so an evaluation reuses the pages
-the previous one freed rather than faulting them in again as zero-filled
-pages. The resident memory after a call therefore stays at its peak, less
-what exceeds the 128 MiB of free heap kept mapped.
+two halves at once near that of one. They build no index array per cell
+corner or footprint cell: each point's first cell indexes the view of the
+data, or of the output, that starts at the corner's or cell's offset.
+Freed pages stay mapped as well: the package sets the C allocator's
+thresholds at import (`atlasreg._keep_freed_pages_mapped`), so an
+evaluation reuses the pages the previous one freed rather than faulting
+them in again as zero-filled pages. The resident memory after a call
+therefore stays at its peak, less what exceeds the 128 MiB of free heap
+kept mapped.
 """
 from __future__ import annotations
 
@@ -256,10 +259,13 @@ def _footprint(q_r, q_f, d1_f=False):
     """The 4x4 Parzen footprint of every (ref, float) bin-position pair,
     cell by cell with the reference offset slowest.
 
-    Yields (flat histogram cell of each pair, reference weight, floating
-    weight, or with d1_f the kernel's derivative there). The cell and
-    reference-weight arrays are buffers, rewritten as the loop goes on: the
-    four floating rows are computed once, the reference rows one at a time.
+    Yields (the cell's offset dr * BINS + df from each pair's first cell,
+    the flat histogram index of that first cell, reference weight, floating
+    weight, or with d1_f the kernel's derivative there). A pair's cell is
+    its first cell in the view of the flat histogram from the offset on, so
+    no per-cell index array is formed. The reference-weight array is a
+    buffer, rewritten as the loop goes on: the four floating rows are
+    computed once, the reference rows one at a time.
     """
     t, cell = _bin_offsets(q_f)
     rows_f = [_footprint_row(t, k, d1_f) for k in range(4)]
@@ -270,11 +276,11 @@ def _footprint(q_r, q_f, d1_f=False):
     cell += f_r
     cell -= 1
     del f_r
-    idx, w_r = np.empty_like(cell), np.empty_like(t)
+    w_r = np.empty_like(t)
     for dr in range(4):
         _footprint_row(t, dr, out=w_r)
         for df in range(4):
-            yield np.add(cell, dr * BINS + df, out=idx), w_r, rows_f[df]
+            yield dr * BINS + df, cell, w_r, rows_f[df]
 
 
 def build_joint_histogram(ref: Volume, warped: Volume, mask=None,
@@ -396,11 +402,11 @@ def _nmi_deposit(ref: Volume, flt: Volume, mask, values, ranges, shell=None):
     q_f, scale_f, interior_f = _bin_positions(values, ranges[1])
     counts = np.zeros(BINS * BINS)
     deposit = np.empty(q_r.size)
-    for cell, w_r, w_f in _footprint(q_r, q_f):
+    for off, cell, w_r, w_f in _footprint(q_r, q_f):
         np.multiply(w_r, w_f, out=deposit)
         if shell is not None:
             deposit[shell[0]] *= shell[1]
-        counts += np.bincount(cell, weights=deposit, minlength=BINS * BINS)
+        counts[off:] += np.bincount(cell, deposit, BINS * BINS - off)
     counts = counts.reshape(BINS, BINS)
     histogram = [counts, (q_r, q_f, scale_f, interior_f)]
 
@@ -444,9 +450,11 @@ def _sample_gradient(ds, positions):
     ds_flat = ds.reshape(-1)
     lam = np.zeros(q_r.size)
     term = np.empty(q_r.size)
-    for cell, w_r, dw_f in _footprint(q_r, q_f, d1_f=True):
-        # the cells lie in the histogram, so "clip" changes none of them
-        ds_flat.take(cell, out=term, mode="clip")
+    for off, cell, w_r, dw_f in _footprint(q_r, q_f, d1_f=True):
+        # every first cell lies in the view from `off`, so "clip" changes
+        # none of them; unlike "raise" it lets take write into `term`
+        # without a buffer
+        ds_flat[off:].take(cell, out=term, mode="clip")
         term *= w_r
         term *= dw_f
         lam += term
@@ -464,8 +472,8 @@ def _deposit_weight_gradient(counts, ds, positions, idx):
     count derivative, which cancels for a sample's value, stays here.
     """
     grad = np.full(idx.size, -float((counts * ds).sum()) / counts.sum())
-    for cell, w_r, w_f in _footprint(positions[0][idx], positions[1][idx]):
-        grad += ds.reshape(-1)[cell] * w_r * w_f
+    for off, cell, w_r, w_f in _footprint(positions[0][idx], positions[1][idx]):
+        grad += ds.reshape(-1)[off:][cell] * w_r * w_f
     return grad
 
 

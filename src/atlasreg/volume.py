@@ -267,8 +267,9 @@ def require_same_geometry(a, b, what: str = "volumes"):
 class TrilinearStencil:
     """Trilinear interpolation of points on a voxel grid, and its adjoint.
 
-    Built once from the grid dims and continuous voxel coordinates (N, 3):
-    it holds each point's cell (base linear index, clamped so the cell lies
+    Built once from the grid dims (three positive integers) and continuous
+    voxel coordinates (N, 3); other shapes raise InvalidInputError. It
+    holds each point's cell (base linear index, clamped so the cell lies
     inside the grid), the per-axis fractions (clamped to [0, 1], so points
     outside take the values of the nearest face) and the `inside` mask of
     points within [0, n-1] on every axis. An axis of length 1 has a zero
@@ -283,8 +284,10 @@ class TrilinearStencil:
     """
 
     def __init__(self, dims, points):
-        p = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-        self.dims = tuple(int(n) for n in dims)
+        self.dims = Grid(dims).dims  # three positive integers, or InvalidInputError
+        p = np.asarray(points, dtype=np.float64)
+        if p.ndim != 2 or p.shape[1] != 3:
+            raise InvalidInputError(f"stencil points must be (N, 3), got shape {p.shape}")
         nx, ny, nz = self.dims
         self.inside = (
             (p[:, 0] >= 0) & (p[:, 0] <= nx - 1)
@@ -320,8 +323,10 @@ class TrilinearStencil:
         Every interpolation step is a lerp a + (b - a) * f: along x on the
         four cell edges, then along y, then along z. The gradient weighs the
         x slopes of the edges along y and z, the y slopes of the two z faces
-        along z, and takes the z slope. The work runs in a few reused (N,)
-        buffers, and the gradient columns are written in place.
+        along z, and takes the z slope. A cell corner at linear offset `off`
+        from the cell's base is read as `base` in the view of the data from
+        `off` on, so no index array is formed. The work runs in a few reused
+        (N,) buffers, and the gradient columns are written in place.
         """
         data = np.asarray(data)
         if data.shape != self.dims:
@@ -331,18 +336,16 @@ class TrilinearStencil:
         fx, fy, fz = self.fx, self.fy, self.fz
         sx, sy, sz = self.strides
         n = self.base.size
-        idx = np.empty(n, dtype=np.intp)
 
         def edge(off, out, slope, scratch):
             """Values along the x-edge at `off` of every cell into `out`, and
             its x slope into `slope` (which may be the scratch)."""
-            # the indices lie in the grid by construction, so "clip" changes
-            # none of them; unlike "raise" it lets take write into `out`
-            # without a buffer
-            np.add(self.base, off, out=idx)
-            flat.take(idx, out=out, mode="clip")
-            np.add(idx, sx, out=idx)
-            flat.take(idx, out=slope, mode="clip")
+            # corner `off` of each cell is `base` in the view of `flat` from
+            # `off` on. Every base lies in that view by construction, so
+            # "clip" changes none of them; unlike "raise" it lets take write
+            # into `out` without a buffer
+            flat[off:].take(self.base, out=out, mode="clip")
+            flat[off + sx:].take(self.base, out=slope, mode="clip")
             slope -= out
             out += np.multiply(slope, fx, out=scratch)
 
@@ -396,16 +399,19 @@ class TrilinearStencil:
         """Adjoint of the edge-clamped gather (oob=None), channel by channel.
 
         Deposits per-point values (N,) or vectors (N, C) onto the grid with
-        the same indices and weights; returns (nx, ny, nz) or the
-        channel-last (nx, ny, nz, C).
+        the same cells and weights, each corner counted at `base` into the
+        view of the output from its offset on; returns (nx, ny, nz) or the
+        channel-last (nx, ny, nz, C). Other shapes raise InvalidInputError.
         """
         vecs = np.asarray(vecs, dtype=np.float64)
+        if vecs.shape[:1] != self.base.shape or vecs.ndim > 2:
+            raise InvalidInputError(f"scatter takes (N,) or (N, C) values for N = "
+                                    f"{self.base.size} points, got shape {vecs.shape}")
         cols = vecs.reshape(len(self.base), -1)
         size = int(np.prod(self.dims))
         out = np.zeros((size, cols.shape[1]))
         sx, sy, sz = self.strides
         n = self.base.size
-        lin = np.empty(n, dtype=np.intp)
         w, deposit = np.empty(n), np.empty(n)
         x_weights = ((0, 1.0 - self.fx), (sx, self.fx))
         y_weights = ((0, 1.0 - self.fy), (sy, self.fy))
@@ -415,10 +421,10 @@ class TrilinearStencil:
                 for dz, wz in z_weights:
                     np.multiply(wx, wy, out=w)
                     w *= wz
-                    np.add(self.base, dx + dy + dz, out=lin)
+                    off = dx + dy + dz  # the corner's cells are `base` from `off` on
                     for d in range(cols.shape[1]):
                         np.multiply(w, cols[:, d], out=deposit)
-                        out[:, d] += np.bincount(lin, weights=deposit, minlength=size)
+                        out[off:, d] += np.bincount(self.base, deposit, size - off)
         return out.reshape(self.dims + vecs.shape[1:])
 
 

@@ -1,10 +1,13 @@
 """Pointwise B-spline evaluation, the voxel-sum bending energy, the
-four-stencil objective and the expression form of the trilinear gather: the
+four-stencil objective, the expression form of the trilinear gather and the
+index-array forms of the stencil scatter and the Parzen kernels: the
 references the dense evaluation, the lattice bending, the shared sampling of
-the objective and the buffered gather are tested against."""
+the objective, the buffered gather and the shifted-view scatter, deposit and
+histogram gradients are tested against."""
 import numpy as np
 
 from atlasreg.objective import (
+    BINS,
     ObjectiveResult,
     _nmi_deposit,
     bending_energy_gradient,
@@ -112,6 +115,72 @@ def gather_lerp(stencil: TrilinearStencil, data, oob=None, want_gradient=False):
     grad = np.stack([gx, gy, gz], axis=-1)
     grad[~stencil.inside] = 0.0
     return vals, grad
+
+
+def scatter_bincount(stencil: TrilinearStencil, vecs) -> np.ndarray:
+    """`TrilinearStencil.scatter` with an index array per cell corner: each
+    corner's weight times each channel, counted at `base + offset` over the
+    whole grid, corner by corner and channel by channel."""
+    vecs = np.asarray(vecs, dtype=np.float64)
+    cols = vecs.reshape(len(stencil.base), -1)
+    size = int(np.prod(stencil.dims))
+    out = np.zeros((size, cols.shape[1]))
+    sx, sy, sz = stencil.strides
+    for dx, wx in ((0, 1.0 - stencil.fx), (sx, stencil.fx)):
+        for dy, wy in ((0, 1.0 - stencil.fy), (sy, stencil.fy)):
+            for dz, wz in ((0, 1.0 - stencil.fz), (sz, stencil.fz)):
+                w = wx * wy * wz
+                lin = stencil.base + (dx + dy + dz)
+                for d in range(cols.shape[1]):
+                    out[:, d] += np.bincount(lin, weights=w * cols[:, d], minlength=size)
+    return out.reshape(stencil.dims + vecs.shape[1:])
+
+
+def parzen_cells(q_r, q_f, d1_f=False):
+    """The 4x4 Parzen footprint of every (ref, float) bin-position pair, the
+    reference offset slowest: yields (flat histogram cell of each pair, as an
+    index array, reference kernel weight, floating kernel weight or with d1_f
+    its derivative), each weight the kernel at q - floor(q) + 1 - k."""
+    f_r, f_f = np.floor(q_r).astype(np.intp), np.floor(q_f).astype(np.intp)
+    kernel_f = bspline_kernel_d1 if d1_f else bspline_kernel
+    rows_r = [bspline_kernel(q_r - f_r - (k - 1.0)) for k in range(4)]
+    rows_f = [kernel_f(q_f - f_f - (k - 1.0)) for k in range(4)]
+    for dr in range(4):
+        for df in range(4):
+            yield (f_r - 1 + dr) * BINS + f_f - 1 + df, rows_r[dr], rows_f[df]
+
+
+def parzen_counts(q_r, q_f, shell=None):
+    """The joint counts (BINS, BINS) of `_nmi_deposit` from the bin
+    positions: one `bincount` over the whole histogram per footprint cell.
+    `shell` = (pair indices, their deposit weights) scales those pairs."""
+    counts = np.zeros(BINS * BINS)
+    for cell, w_r, w_f in parzen_cells(q_r, q_f):
+        deposit = w_r * w_f
+        if shell is not None:
+            deposit[shell[0]] *= shell[1]
+        counts += np.bincount(cell, weights=deposit, minlength=BINS * BINS)
+    return counts.reshape(BINS, BINS)
+
+
+def parzen_sample_gradient(ds, q_r, q_f, scale_f, interior_f):
+    """d NMI / d floating sample of every pair (`objective._sample_gradient`)
+    from the count derivative `ds` and the bin positions."""
+    lam = np.zeros(q_r.size)
+    for cell, w_r, dw_f in parzen_cells(q_r, q_f, d1_f=True):
+        lam += ds.reshape(-1)[cell] * w_r * dw_f
+    lam *= scale_f
+    lam[~interior_f] = 0.0
+    return lam
+
+
+def parzen_weight_gradient(counts, ds, q_r, q_f):
+    """d NMI / d deposit weight of the pairs at bin positions (q_r, q_f)
+    (`objective._deposit_weight_gradient`)."""
+    grad = np.full(q_r.size, -float((counts * ds).sum()) / counts.sum())
+    for cell, w_r, w_f in parzen_cells(q_r, q_f):
+        grad += ds.reshape(-1)[cell] * w_r * w_f
+    return grad
 
 
 def _roundtrip_residual(outer: BSplineTransform, inner: BSplineTransform):

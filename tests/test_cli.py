@@ -4,7 +4,16 @@ import json
 import numpy as np
 import pytest
 
-from atlasreg import Volume, load_transform, read_nifti, write_nifti
+from atlasreg import (
+    AffineTransform,
+    Volume,
+    dice,
+    load_transform,
+    read_nifti,
+    warp_labels,
+    warp_volume,
+    write_nifti,
+)
 from atlasreg.cli import main
 
 MANIFEST_KEYS = {"config", "inputs", "outputs", "timings_s"}
@@ -307,3 +316,32 @@ def test_register_pipeline_consistency_ensemble_and_evaluate_end_to_end(tmp_path
     assert main(["evaluate", "--pred", str(fused), "--gt", str(target[1]),
                  "--out-csv", str(csv)]) == 0
     assert "lv_cavity" in csv.read_text()
+
+
+def test_pipeline_moves_a_shifted_atlas_onto_the_target(tmp_path):
+    # The atlas is the target phantom translated by (3, -2, 1) mm, so its
+    # labels overlap the target's poorly until registration moves them back:
+    # mean Dice measured 0.05 unregistered and 1.00 after the pipeline. A
+    # pipeline that moved the labels the wrong way would score below the
+    # unregistered atlas.
+    img, lbl = tmp_path / "target.nii", tmp_path / "target_lbl.nii"
+    assert main(["phantom", "--out-image", str(img), "--out-labels", str(lbl),
+                 "--dims", "20", "20", "20", "--seed", "1"]) == 0
+    target, truth = read_nifti(img), read_nifti(lbl, labels=True)
+    shift = np.eye(4)
+    shift[:3, 3] = (3.0, -2.0, 1.0)
+    atlas_img, atlas_lbl = tmp_path / "atlas.nii", tmp_path / "atlas_lbl.nii"
+    write_nifti(warp_volume(target, target, AffineTransform(shift)), atlas_img)
+    write_nifti(warp_labels(truth, truth, AffineTransform(shift)), atlas_lbl)
+
+    pseudo = tmp_path / "pseudo.nii"
+    assert main(["pipeline", "--target", str(img), "--atlas", f"{atlas_img}:{atlas_lbl}",
+                 "--threads", "1", "--out", str(pseudo)]) == 0
+
+    def mean_dice(path):
+        labels = read_nifti(path, labels=True)
+        return np.mean([dice(labels, truth, c) for c in (1, 2, 3)])
+
+    unregistered = mean_dice(atlas_lbl)
+    assert unregistered < 0.2
+    assert mean_dice(pseudo) > unregistered + 0.6

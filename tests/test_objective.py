@@ -144,13 +144,44 @@ def test_footprint_yields_the_deposit_cells_and_kernel_rows(d1_f):
     u_f = q_f[:, None] - f_f[:, None] - (np.arange(4) - 1.0)
     kernel_f = bspline_kernel_d1 if d1_f else bspline_kernel
     seen = []
-    for cell, w_r, w_f in _footprint(q_r, q_f, d1_f):
+    for off, cell, w_r, w_f in _footprint(q_r, q_f, d1_f):
         dr, df = divmod(len(seen), 4)
-        assert np.array_equal(cell, (f_r - 1 + dr) * BINS + f_f - 1 + df)
+        assert off == dr * BINS + df
+        assert np.array_equal(cell + off, (f_r - 1 + dr) * BINS + f_f - 1 + df)
         assert np.array_equal(_bits(w_r), _bits(bspline_kernel(u_r[:, dr])))
         assert np.array_equal(_bits(w_f), _bits(kernel_f(u_f[:, df])))
         seen.append((dr, df))
     assert seen == [(dr, df) for dr in range(4) for df in range(4)]
+
+
+@pytest.mark.parametrize("with_shell", [False, True])
+def test_parzen_kernels_equal_the_index_oracle_bit_for_bit(with_shell):
+    from bspline_oracle import parzen_counts, parzen_sample_gradient, parzen_weight_gradient
+
+    # ranges (0, BINS - 4) put a value v at bin position v + 1, so the
+    # fixture reaches both ends of the bin range; the last two values of
+    # each side lie outside it and are clamped
+    ranges = ((0.0, BINS - 4.0),) * 2
+    ref_values = np.append(_footprint_positions(24, 2000) - 1.0, [-3.0, BINS + 5.0])
+    values = np.append(_footprint_positions(25, 2000)[::-1] - 1.0, [BINS + 2.0, -1.0])
+    ref = Volume(ref_values.reshape(-1, 1, 1))
+    mask = np.ones(values.size, dtype=bool)
+    rng = np.random.default_rng(26)
+    idx = np.sort(rng.choice(values.size, 300, replace=False))
+    shell = (idx, rng.uniform(0.01, 1.0, idx.size)) if with_shell else None
+    counts = objective_module._nmi_deposit(ref, ref, mask, values.copy(), ranges, shell)[0]
+
+    q_r = objective_module._bin_positions(ref.data.reshape(-1).astype(np.float64), ranges[0])[0]
+    q_f, scale_f, interior_f = objective_module._bin_positions(values.copy(), ranges[1])
+    assert q_r.min() == q_f.min() == 1.0 and q_r.max() == q_f.max() == BINS - 3.0
+    assert np.array_equal(_bits(counts), _bits(parzen_counts(q_r, q_f, shell)))
+    ds = objective_module._nmi_and_count_gradient(counts)[1]
+    lam = objective_module._sample_gradient(ds, (q_r, q_f, scale_f, interior_f))
+    assert np.array_equal(_bits(lam), _bits(parzen_sample_gradient(ds, q_r, q_f, scale_f,
+                                                                    interior_f)))
+    got = objective_module._deposit_weight_gradient(counts, ds, (q_r, q_f), idx)
+    assert np.array_equal(_bits(got), _bits(parzen_weight_gradient(counts, ds, q_r[idx],
+                                                                    q_f[idx])))
 
 
 def test_constant_image_is_degenerate():

@@ -103,6 +103,25 @@ def test_gather_equals_the_lerp_oracle_bit_for_bit(dims, oob):
             assert np.array_equal(_bits(g), _bits(e))
 
 
+@pytest.mark.parametrize("dims", [(7, 5, 6), (6, 1, 5), (1, 4, 3)])
+@pytest.mark.parametrize("channels", [(), (3,)])
+def test_scatter_equals_the_bincount_oracle_bit_for_bit(dims, channels):
+    from bspline_oracle import scatter_bincount
+
+    rng = np.random.default_rng(sum(dims) + len(channels))
+    top = np.asarray(dims, dtype=np.float64)
+    pts = rng.uniform(-1.5, top + 0.5, (4000, 3))  # inside and outside the grid
+    pts[:100] = rng.integers(0, dims, (100, 3))    # on voxels: zero fractions
+    axis = np.arange(300) % 3
+    pts[100 + np.arange(300), axis] = top[axis] - 1.0  # on the far faces
+    stencil = TrilinearStencil(dims, pts)
+    assert stencil.inside.any() and not stencil.inside.all()
+    vecs = rng.normal(size=(4000,) + channels)
+    got, expected = stencil.scatter(vecs), scatter_bincount(stencil, vecs)
+    assert got.shape == expected.shape == dims + channels
+    assert np.array_equal(_bits(got), _bits(expected))
+
+
 def test_world_points_cache_no_voxel_grid():
     from atlasreg.volume import Grid, _grid_points
 
@@ -121,6 +140,21 @@ def test_stencil_gather_takes_one_scalar_field():
     stencil = TrilinearStencil((4, 5, 6), np.zeros((3, 3)))
     with pytest.raises(InvalidInputError, match="scalar field"):
         stencil.gather(np.zeros((4, 5, 6, 3)))
+
+
+@pytest.mark.parametrize("dims, points, vecs, match", [
+    ((4, 4, 4), np.zeros((6, 2)), None, r"\(N, 3\), got shape \(6, 2\)"),
+    ((4, 4, 4), np.zeros(3), None, r"\(N, 3\), got shape \(3,\)"),
+    ((4, 4, 0), np.zeros((6, 3)), None, r"dims .*\(4, 4, 0\)"),
+    ((4, 4), np.zeros((6, 3)), None, r"dims .*\(4, 4\)"),
+    ((4, 4, 4), np.zeros((6, 3)), np.zeros(18), r"N = 6 points, got shape \(18,\)"),
+    ((4, 4, 4), np.zeros((6, 3)), np.zeros((5, 3)), r"N = 6 points, got shape \(5, 3\)"),
+    ((4, 4, 4), np.zeros((6, 3)), np.zeros((6, 3, 1)), r"got shape \(6, 3, 1\)"),
+], ids=["points-6x2", "points-3", "dims-4x4x0", "dims-4x4", "scatter-18", "scatter-5x3",
+        "scatter-6x3x1"])
+def test_stencil_rejects_shapes_it_cannot_read(dims, points, vecs, match):
+    with pytest.raises(InvalidInputError, match=match):
+        TrilinearStencil(dims, points).scatter(vecs)
 
 
 def test_volume_rejects_nan_and_bad_geometry():

@@ -1,0 +1,91 @@
+"""Median times of the per-voxel kernels of the FFD objective.
+
+    python3 tools/kernels.py
+
+Builds one trilinear stencil at fixed seeds: the mapped points of a smooth
+B-spline displacement (at most 3 mm, lattice 5 x 5 x 1.25 voxels) on a
+128 x 128 x 16 grid of 1.25 x 1.25 x 5 mm, the geometry of the ffd_stack
+benchmark workload, with uniform-noise reference and floating images. It
+then prints the median milliseconds over REPEATS calls, after one warm-up
+call, of:
+
+- gather: the floating image at the points
+- gradient gather: the same with its gradient
+- scatter, 3 channels: (N, 3) vectors onto the grid
+- Parzen deposit: the joint histogram of the points inside the grid, at
+  fixed intensity ranges, as the FFD similarity deposits it
+- deposit finish: that deposit's gradient with respect to the points
+
+BLAS is pinned to one thread, as in the benchmark. Timings on one machine
+compare; the machine's own drift between runs can reach 20 %, so compare
+runs made one after the other. Imports nothing from `bench/`.
+"""
+from __future__ import annotations
+
+import os
+import statistics
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.dont_write_bytecode = True
+sys.path.insert(0, str(ROOT / "src"))
+# before numpy loads its BLAS
+os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"})
+
+import numpy as np  # noqa: E402
+
+from atlasreg import Volume, random_smooth_deformation  # noqa: E402
+from atlasreg.objective import _nmi_deposit, robust_range, sample_map  # noqa: E402
+
+DIMS, SPACING = (128, 128, 16), (1.25, 1.25, 5.0)
+LATTICE = (5.0, 5.0, 1.25)  # lattice spacing in voxels: 6.25 mm on every axis
+REPEATS = 15
+
+
+def median_ms(run, prepare=lambda: None) -> float:
+    """Median ms of `run(prepare())` over REPEATS calls after one warm-up;
+    `prepare` is not timed."""
+    run(prepare())
+    times = []
+    for _ in range(REPEATS):
+        arg = prepare()
+        t0 = time.perf_counter()
+        run(arg)
+        times.append(time.perf_counter() - t0)
+    return 1e3 * statistics.median(times)
+
+
+def main() -> int:
+    rng = np.random.default_rng(0)
+    ref, flt = (Volume(rng.uniform(0.0, 100.0, DIMS).astype(np.float32), SPACING)
+                for _ in range(2))
+    stencil = sample_map(random_smooth_deformation(ref, 3.0, LATTICE, seed=0)).stencil
+    vecs = rng.normal(size=(stencil.base.size, 3))
+    mask = stencil.inside
+    values = stencil.gather(flt.data)[mask]
+    ranges = (robust_range(ref.data.reshape(-1)[mask].astype(np.float64)),
+              robust_range(values))
+
+    def deposit(samples):
+        return _nmi_deposit(ref, flt, mask, samples, ranges)
+
+    kernels = (
+        ("gather", lambda _: stencil.gather(flt.data), lambda: None),
+        ("gradient gather", lambda _: stencil.gather(flt.data, want_gradient=True),
+         lambda: None),
+        ("scatter, 3 channels", lambda _: stencil.scatter(vecs), lambda: None),
+        # the deposit computes its bin positions in place of the samples
+        ("Parzen deposit", deposit, values.copy),
+        ("deposit finish", lambda finish: finish(stencil), lambda: deposit(values.copy())[1]),
+    )
+    print(f"{DIMS[0]}x{DIMS[1]}x{DIMS[2]} grid, {stencil.base.size} points "
+          f"({int(mask.sum())} inside), median of {REPEATS}", flush=True)
+    for name, run, prepare in kernels:
+        print(f"{name:<20} {median_ms(run, prepare):8.2f} ms", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
