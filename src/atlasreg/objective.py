@@ -70,6 +70,13 @@ footprint) work in place in a few reused buffers, which keeps the memory of
 two halves at once near that of one. They build no index array per cell
 corner or footprint cell: each point's first cell indexes the view of the
 data, or of the output, that starts at the corner's or cell's offset.
+Points and gradients go as three contiguous rows (3, N), so that every
+elementwise pass runs over N elements: `sample_map` maps the world points
+to voxel coordinates on rows, and the stencil reads them through their
+(N, 3) view. `_nmi_deposit`'s finish works on the gradient's three rows
+over the whole grid, with λ spread over every point, and writes the one
+C-contiguous (N, 3) field it returns through that field's transpose; it
+takes no boolean (N, 3) gather or scatter.
 Freed pages stay mapped as well: the package sets the C allocator's
 thresholds at import (`atlasreg._keep_freed_pages_mapped`), so an
 evaluation reuses the pages the previous one freed rather than faulting
@@ -355,8 +362,9 @@ def _soft_overlap(stencil: TrilinearStencil, points: np.ndarray):
     weight, the shell). The shell holds the points outside the grid whose
     weight is positive: (their indices among the points of the mask, their
     weights, d weight / d voxel coordinate (n, 3), the mask (n, 3) of the
-    axes on which they lie inside, and the points clamped onto the grid
-    (n, 3)). Points inside the grid weigh exactly 1 and make no shell state.
+    axes on which they lie inside, the points clamped onto the grid (n, 3),
+    and their indices among all the points). Points inside the grid weigh
+    exactly 1 and make no shell state.
     """
     rows = np.flatnonzero(~stencil.inside)
     outside = points[rows]
@@ -373,7 +381,7 @@ def _soft_overlap(stencil: TrilinearStencil, points: np.ndarray):
     # other axes' weights multiply its derivative (none of them is 0 here)
     d_weight = -np.sign(excursion) * (weights[:, None] / axis_w[kept])
     return mask, (shell_rows - np.searchsorted(dropped, shell_rows), weights, d_weight,
-                  excursion == 0, clamped[kept])
+                  excursion == 0, clamped[kept], shell_rows)
 
 
 def _nmi_deposit(ref: Volume, flt: Volume, mask, values, ranges, shell=None):
@@ -388,10 +396,10 @@ def _nmi_deposit(ref: Volume, flt: Volume, mask, values, ranges, shell=None):
     scale, float unclamped mask), are computed in place of `values`.
 
     Returns (counts, finish). `finish(stencil)` returns d NMI / d mapped
-    world point (N, 3), zero off the mask: the floating gradient times
-    d NMI / d sample (Mattes et al., IEEE TMI 2003), plus a shell point's
-    deposit-weight derivative. `stencil` is the stencil the points were
-    sampled through.
+    world point (N, 3), C-contiguous and zero off the mask: the floating
+    gradient times d NMI / d sample (Mattes et al., IEEE TMI 2003), plus a
+    shell point's deposit-weight derivative. `stencil` is the stencil the
+    points were sampled through.
     """
     rv = ref.data.reshape(-1)[mask].astype(np.float64)
     if rv.size == 0:
@@ -414,28 +422,30 @@ def _nmi_deposit(ref: Volume, flt: Volume, mask, values, ranges, shell=None):
         counts, positions = histogram
         histogram.clear()
         ds = _nmi_and_count_gradient(counts)[1]
-        lam = _sample_gradient(ds, positions)
+        lam = np.zeros(mask.size)  # spread over every point
+        lam[mask] = _sample_gradient(ds, positions)
         if shell is not None:
-            idx, w, d_w, inner, clamped = shell
-            lam[idx] *= w
+            idx, w, d_w, inner, clamped, cells = shell
+            lam[cells] *= w
             d_nmi_d_w = _deposit_weight_gradient(counts, ds, positions, idx)
         del counts, positions, ds
-        grad = stencil.gather(flt.data, want_gradient=True)[1]  # 0 outside the grid
-        g = grad[mask]
+        # the gradient's three rows (3, N), 0 outside the grid
+        rows = stencil.gather(flt.data, want_gradient=True)[1].T
         if shell is not None:
             # on a face the edge-clamped value is flat across it only
-            g[idx] = TrilinearStencil(flt.dims, clamped).gather(
-                flt.data, want_gradient=True)[1] * inner
+            rows[:, cells] = (TrilinearStencil(flt.dims, clamped).gather(
+                flt.data, want_gradient=True)[1] * inner).T
         # d(sample)/d(world point) = direction @ (voxel gradient / spacing)
         spacing = np.asarray(flt.spacing)
-        g /= spacing
-        g = g @ flt.direction.T
-        g *= lam[:, None]
+        rows /= spacing[:, None]
+        rows = flt.direction @ rows  # frees the gathered rows
+        # +0 off the mask, where lam * rows could be -0
+        field = np.zeros((mask.size, 3))
+        np.multiply(rows, lam, out=field.T, where=mask)
+        del rows
         if shell is not None:
-            g[idx] += (d_nmi_d_w[:, None] * d_w / spacing) @ flt.direction.T
-        grad[~mask] = 0.0
-        grad[mask] = g
-        return grad
+            field[cells] += (d_nmi_d_w[:, None] * d_w / spacing) @ flt.direction.T
+        return field
 
     return counts, finish
 
@@ -501,9 +511,13 @@ def sample_map(ffd: BSplineTransform) -> SampledMap:
     the inconsistency penalty."""
     grid = ffd.reference
     u = np.ascontiguousarray(np.moveaxis(dense_displacement(ffd), -1, 0))
-    # the world points x + u(x) go as soon as their voxel coordinates exist
-    points = grid.voxel_from_world(grid.world_points() + u.reshape(3, -1).T)
-    return SampledMap(ffd, u, TrilinearStencil(grid.dims, points))
+    # the world points x + u(x) as three rows, taken to voxel coordinates
+    # by `voxel_from_world`'s steps in its order
+    rows = grid.world_points().T + u.reshape(3, -1)
+    rows -= grid.origin[:, None]
+    rows = grid.direction.T @ rows
+    rows /= np.asarray(grid.spacing)[:, None]
+    return SampledMap(ffd, u, TrilinearStencil(grid.dims, rows.T))
 
 
 # ---------------------------------------------------------------------------

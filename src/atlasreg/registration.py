@@ -206,11 +206,11 @@ def _overlap_nmi(ref: Volume, flt: Volume, linear: np.ndarray, offset: np.ndarra
     from the deposit's finish through the probe's one stencil, (N, 3) over
     ref's voxels and zero where a point weighs 0.
     """
-    points = ref.grid.world_points() @ linear
-    points += offset
-    stencil = TrilinearStencil(flt.dims, points)
-    mask, shell = _soft_overlap(stencil, points)
-    del points
+    rows = linear.T @ ref.grid.world_points().T
+    rows += offset[:, None]
+    stencil = TrilinearStencil(flt.dims, rows.T)
+    mask, shell = _soft_overlap(stencil, rows.T)
+    del rows
     counts, finish = _nmi_deposit(ref, flt, mask, stencil.gather(flt.data)[mask], ranges, shell)
     return nmi(counts), lambda: finish(stencil)
 

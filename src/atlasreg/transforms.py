@@ -287,10 +287,12 @@ def warp_labels(src: LabelVolume, ref_geometry, affine: AffineTransform | None,
                 ffd: BSplineTransform | None = None) -> LabelVolume:
     """Nearest-neighbor label warp; out-of-bounds samples become background."""
     require_type(LabelVolume, src=src)
-    coords = _mapped_source_coords(src, ref_geometry, affine, ffd)
-    # at a rounded point every fraction is 0 (or 1 on a clamped last cell),
-    # so the trilinear gather returns the nearest voxel's class exactly
-    vals = TrilinearStencil(src.dims, np.rint(coords)).gather(src.data, 0.0)
+    rows = np.rint(_mapped_source_coords(src, ref_geometry, affine, ffd)).T
+    # one take of each voxel's class at its nearest source voxel, clamped
+    # onto the source; a voxel whose nearest voxel lies outside gets 0
+    vals = src.data.take(np.ravel_multi_index(rows.astype(np.intp), src.dims, mode="clip"))
+    inside = (rows >= 0) & (rows <= np.subtract(src.dims, 1)[:, None])
+    vals[~inside.all(axis=0)] = 0
     return LabelVolume(vals.reshape(ref_geometry.dims),
                        ref_geometry.spacing, ref_geometry.origin, ref_geometry.direction)
 

@@ -123,11 +123,13 @@ class Grid(_PicklesThroughInit):
         )
 
     def voxel_points(self) -> np.ndarray:
-        """Voxel coordinates (N, 3) of every voxel, x-slowest; cached, read-only."""
+        """Voxel coordinates (N, 3) of every voxel, x-slowest; cached, read-only.
+        The columns are contiguous: the array is the transpose of (3, N) rows."""
         return _grid_points(self, world=False)
 
     def world_points(self) -> np.ndarray:
-        """World coordinates (N, 3) of every voxel, x-slowest; cached, read-only."""
+        """World coordinates (N, 3) of every voxel, x-slowest; cached, read-only.
+        The columns are contiguous: the array is the transpose of (3, N) rows."""
         return _grid_points(self, world=True)
 
 
@@ -142,13 +144,15 @@ def as_grid(geometry, what: str = "geometry") -> Grid:
 @lru_cache(maxsize=32)
 def _grid_points(grid: Grid, world: bool) -> np.ndarray:
     # world points start from a voxel grid of their own, so that asking for
-    # them caches no voxel points beside them
-    ii, jj, kk = np.meshgrid(*(np.arange(n) for n in grid.dims), indexing="ij")
-    pts = np.stack([ii, jj, kk], axis=-1).reshape(-1, 3).astype(np.float64)
+    # them caches no voxel points beside them; `world_from_voxel`'s steps on
+    # the rows
+    rows = np.indices(grid.dims, dtype=np.float64).reshape(3, -1)
     if world:
-        pts = grid.world_from_voxel(pts)
-    pts.flags.writeable = False
-    return pts
+        rows *= np.asarray(grid.spacing)[:, None]
+        rows = grid.direction @ rows
+        rows += grid.origin[:, None]
+    rows.flags.writeable = False
+    return rows.T
 
 
 class _OnGrid(_PicklesThroughInit):
@@ -275,11 +279,15 @@ class TrilinearStencil:
     points within [0, n-1] on every axis. An axis of length 1 has a zero
     stride, so both cell corners are that single voxel.
 
-    Channel layout: `gather` reads one scalar field (nx, ny, nz). A vector
-    field is gathered one channel at a time, best from a C-contiguous
-    channel-first copy (C, nx, ny, nz), whose channels are contiguous and are
-    read without a copy. `scatter` takes per-point vectors (N, C) and
-    returns the channel-last grid field (nx, ny, nz, C), the layout
+    Channel layout: the points are read one axis at a time, fastest from an
+    (N, 3) view of three contiguous rows (3, N), such as `Grid.voxel_points`
+    or the transpose of rows mapped to voxel coordinates. `gather` reads one
+    scalar field (nx, ny, nz). A vector field is gathered one channel at a
+    time, best from a C-contiguous channel-first copy (C, nx, ny, nz), whose
+    channels are contiguous and are read without a copy. The gradient of
+    `gather` is written the same way, as three contiguous rows, and returned
+    as their (N, 3) transpose view. `scatter` takes per-point vectors (N, C)
+    and returns the channel-last grid field (nx, ny, nz, C), the layout
     `splat_to_coefficients` takes.
     """
 
@@ -318,7 +326,8 @@ class TrilinearStencil:
         Returns values (N,). Points outside the grid take `oob` when it is
         given, and the edge-clamped value when it is None. With
         want_gradient, returns (values, d values / d voxel coordinate), the
-        latter (N, 3) and zero outside the grid.
+        latter (N, 3), zero outside the grid, and the transpose view of three
+        contiguous rows (3, N).
 
         Every interpolation step is a lerp a + (b - a) * f: along x on the
         four cell edges, then along y, then along z. The gradient weighs the
@@ -326,7 +335,7 @@ class TrilinearStencil:
         along z, and takes the z slope. A cell corner at linear offset `off`
         from the cell's base is read as `base` in the view of the data from
         `off` on, so no index array is formed. The work runs in a few reused
-        (N,) buffers, and the gradient columns are written in place.
+        (N,) buffers, and the gradient rows are written in place.
         """
         data = np.asarray(data)
         if data.shape != self.dims:
@@ -377,8 +386,8 @@ class TrilinearStencil:
             np.add(slope, np.multiply(slope_hi, fy, out=tmp), out=slope)
             return slope
 
-        grad = np.empty((n, 3))
-        gx, gy, gz = grad[:, 0], grad[:, 1], grad[:, 2]
+        grad = np.empty((3, n))
+        gx, gy, gz = grad
         face(0, c0, dy, slope, slope_hi, tmp)
         one_minus_fz = np.subtract(1.0, fz, out=c1)
         np.multiply(dy, one_minus_fz, out=gy)
@@ -392,8 +401,8 @@ class TrilinearStencil:
         vals += c0
         if oob is not None:
             vals[~self.inside] = oob
-        grad[~self.inside] = 0.0
-        return vals, grad
+        grad[:, ~self.inside] = 0.0
+        return vals, grad.T
 
     def scatter(self, vecs) -> np.ndarray:
         """Adjoint of the edge-clamped gather (oob=None), channel by channel.

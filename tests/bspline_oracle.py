@@ -1,17 +1,22 @@
 """Pointwise B-spline evaluation, the voxel-sum bending energy, the
-four-stencil objective, the expression form of the trilinear gather and the
-index-array forms of the stencil scatter and the Parzen kernels: the
-references the dense evaluation, the lattice bending, the shared sampling of
-the objective, the buffered gather and the shifted-view scatter, deposit and
-histogram gradients are tested against."""
+four-stencil objective, the expression form of the trilinear gather, the
+index-array forms of the stencil scatter and the Parzen kernels, and the
+row-major (N, 3) forms of the grid points, the mapping of points to voxel
+coordinates and the NMI gradient's finish: the references the dense
+evaluation, the lattice bending, the shared sampling of the objective, the
+buffered gather, the shifted-view scatter, deposit and histogram gradients,
+and the channel-contiguous (3, N) points and finish are tested against."""
 import numpy as np
 
 from atlasreg.objective import (
     BINS,
     ObjectiveResult,
+    _bin_positions,
+    _nmi_and_count_gradient,
     _nmi_deposit,
     bending_energy_gradient,
     nmi,
+    robust_range,
 )
 from atlasreg.transforms import (
     BSplineTransform,
@@ -183,6 +188,59 @@ def parzen_weight_gradient(counts, ds, q_r, q_f):
     return grad
 
 
+def grid_points(grid, world: bool) -> np.ndarray:
+    """Voxel or world coordinates of every voxel of `grid`, x-slowest, as a
+    C-contiguous (N, 3) array: the meshgrid's points, mapped to world by
+    `world_from_voxel`."""
+    ii, jj, kk = np.meshgrid(*(np.arange(n) for n in grid.dims), indexing="ij")
+    pts = np.stack([ii, jj, kk], axis=-1).reshape(-1, 3).astype(np.float64)
+    return grid.world_from_voxel(pts) if world else pts
+
+
+def mapped_points(ffd: BSplineTransform, grid) -> np.ndarray:
+    """Voxel coordinates (N, 3) on `grid` of the mapped points x + u(x) of
+    `ffd`'s reference voxels, row-major: `voxel_from_world` of the world
+    points plus the dense displacement, both C-contiguous (N, 3)."""
+    world = grid_points(ffd.reference, world=True) + dense_displacement(ffd).reshape(-1, 3)
+    return grid.voxel_from_world(world)
+
+
+def nmi_finish_masked(ref, flt, mask, values, ranges, stencil, shell=None):
+    """The finish of `_nmi_deposit(ref, flt, mask, values, ranges, shell)`
+    through `stencil`, row-major: λ from the index-array Parzen kernels, the
+    gradient of the masked points gathered as (M, 3) (`grad[mask]`), divided
+    by the spacing, times direction.T and λ, then scattered back into a
+    C-contiguous (N, 3) field that is 0 off the mask. A `_soft_overlap`
+    shell's points take the gradient at their clamped points, and their
+    deposit-weight term is added."""
+    rv = ref.data.reshape(-1)[mask].astype(np.float64)
+    values = np.array(values, dtype=np.float64)
+    if ranges is None:
+        ranges = (robust_range(rv), robust_range(values))
+    q_r = _bin_positions(rv, ranges[0])[0]
+    q_f, scale_f, interior_f = _bin_positions(values, ranges[1])
+    counts = parzen_counts(q_r, q_f, None if shell is None else shell[:2])
+    ds = _nmi_and_count_gradient(counts)[1]
+    lam = parzen_sample_gradient(ds, q_r, q_f, scale_f, interior_f)
+    grad = np.ascontiguousarray(stencil.gather(flt.data, want_gradient=True)[1])
+    g = grad[mask]
+    spacing = np.asarray(flt.spacing)
+    if shell is not None:
+        idx, w, d_w, inner, clamped = (np.ascontiguousarray(a) for a in shell[:5])
+        lam[idx] *= w
+        d_nmi_d_w = parzen_weight_gradient(counts, ds, q_r[idx], q_f[idx])
+        g[idx] = np.ascontiguousarray(TrilinearStencil(flt.dims, clamped).gather(
+            flt.data, want_gradient=True)[1]) * inner
+    g /= spacing
+    g = g @ flt.direction.T
+    g *= lam[:, None]
+    if shell is not None:
+        g[idx] += (d_nmi_d_w[:, None] * d_w / spacing) @ flt.direction.T
+    grad[~mask] = 0.0
+    grad[mask] = g
+    return grad
+
+
 def _roundtrip_residual(outer: BSplineTransform, inner: BSplineTransform):
     """Residual m(x) = u_inner(x) + u_outer(map_inner(x)) at every voxel,
     (N, 3), from the transforms alone.
@@ -192,9 +250,7 @@ def _roundtrip_residual(outer: BSplineTransform, inner: BSplineTransform):
     """
     dense_outer = dense_displacement(outer)
     u_in = dense_displacement(inner).reshape(-1, 3)
-    y_world = inner.reference.world_points() + u_in
-    stencil = TrilinearStencil(outer.reference.dims,
-                               outer.reference.voxel_from_world(y_world))
+    stencil = TrilinearStencil(outer.reference.dims, mapped_points(inner, outer.reference))
     sampled = np.stack([stencil.gather(dense_outer[..., d]) for d in range(3)], axis=-1)
     return u_in + sampled, stencil
 
@@ -202,18 +258,18 @@ def _roundtrip_residual(outer: BSplineTransform, inner: BSplineTransform):
 def _similarity(ref, flt, ffd, ranges, ref_mask, flt_valid, with_gradient):
     """NMI of ref against flt warped by `ffd` over the hard overlap (mapped
     point inside flt's grid, ref_mask set, flt_valid gathered >= 0.999),
-    and its gradient, through a stencil of its own."""
-    world = ref.grid.world_points() + dense_displacement(ffd).reshape(-1, 3)
-    stencil = TrilinearStencil(flt.dims, flt.voxel_from_world(world))
+    and its gradient, through a stencil of its own and the row-major finish."""
+    stencil = TrilinearStencil(flt.dims, mapped_points(ffd, flt.grid))
     mask = stencil.inside.copy()
     if ref_mask is not None:
         mask &= ref_mask.reshape(-1)
     if flt_valid is not None:
         mask &= stencil.gather(flt_valid, 0.0) >= 0.999
-    counts, finish = _nmi_deposit(ref, flt, mask, stencil.gather(flt.data, 0.0)[mask], ranges)
+    values = stencil.gather(flt.data, 0.0)[mask]
+    counts = _nmi_deposit(ref, flt, mask, values.copy(), ranges)[0]
     if not with_gradient:
         return nmi(counts), None
-    field = finish(stencil)
+    field = nmi_finish_masked(ref, flt, mask, values, ranges, stencil)
     return nmi(counts), splat_to_coefficients(ffd, field.reshape(ffd.reference.dims + (3,)))
 
 

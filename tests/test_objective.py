@@ -583,6 +583,62 @@ def test_objective_equals_four_stencil_oracle_bit_for_bit(with_gradient):
             assert res.grad_fwd is None and res.grad_bwd is None
 
 
+def _oblique_setup():
+    """Images, a lattice whose map carries points out of the grid, a
+    reference mask and a partial floating mask, all on one oblique,
+    anisotropic, offset grid."""
+    rng = np.random.default_rng(41)
+    a, b = 0.3, 0.5
+    rz = np.array([[np.cos(a), -np.sin(a), 0.0], [np.sin(a), np.cos(a), 0.0], [0.0, 0.0, 1.0]])
+    rx = np.array([[1.0, 0.0, 0.0], [0.0, np.cos(b), -np.sin(b)], [0.0, np.sin(b), np.cos(b)]])
+    geometry = dict(spacing=(1.25, 1.5, 4.0), origin=(3.0, -7.5, 12.0), direction=rz @ rx)
+    ref, flt = (Volume(rng.uniform(0, 100, (20, 18, 8)).astype(np.float32), **geometry)
+                for _ in range(2))
+    ffd = BSplineTransform.zeros(ref, (3.0, 2.5, 1.5))
+    ffd = ffd.with_coefficients(rng.normal(0, 2.0, ffd.coefficients.shape))
+    ref_mask = np.ones(ref.dims, dtype=bool)
+    ref_mask[:3] = False
+    flt_valid = np.ones(flt.dims, dtype=bool)
+    flt_valid[:, -4:, 2:] = False
+    return ref, flt, ffd, ref_mask, flt_valid
+
+
+def test_sample_map_builds_the_stencil_of_the_row_major_mapping():
+    from bspline_oracle import mapped_points
+
+    ref, _, ffd, _, _ = _oblique_setup()
+    got = sample_map(ffd).stencil
+    expected = TrilinearStencil(ref.dims, mapped_points(ffd, ref.grid))
+    assert 0 < got.inside.sum() < got.inside.size
+    assert np.array_equal(got.inside, expected.inside)
+    assert np.array_equal(got.base, expected.base)
+    for name in ("fx", "fy", "fz"):
+        assert np.array_equal(_bits(getattr(got, name)), _bits(getattr(expected, name))), name
+
+
+def test_similarity_finish_equals_the_row_major_finish_bit_for_bit():
+    from bspline_oracle import _similarity, mapped_points, nmi_finish_masked
+
+    ref, flt, ffd, ref_mask, flt_valid = _oblique_setup()
+    sampled = sample_map(ffd)
+    stencil = sampled.stencil
+    mask = stencil.inside & ref_mask.reshape(-1) & (stencil.gather(flt_valid) >= 0.999)
+    assert 0 < mask.sum() < stencil.inside.sum()
+    values = stencil.gather(flt.data)[mask]
+    field = objective_module._nmi_deposit(ref, flt, mask, values.copy(), None)[1](stencil)
+    expected = nmi_finish_masked(ref, flt, mask, values, None,
+                                 TrilinearStencil(flt.dims, mapped_points(ffd, flt.grid)))
+    # splat_to_coefficients and the affine's sums read a C-ordered field
+    assert field.flags.c_contiguous
+    assert np.array_equal(_bits(field), _bits(expected))
+
+    s, finish = similarity_and_gradient(ref, flt, sampled, ref_mask=ref_mask,
+                                        flt_valid=flt_valid)
+    s_oracle, g_oracle = _similarity(ref, flt, ffd, None, ref_mask, flt_valid, True)
+    assert _bits(s) == _bits(s_oracle)
+    assert np.array_equal(_bits(finish()), _bits(g_oracle))
+
+
 def test_inconsistency_sums_the_residual_point_major():
     # bit identity with earlier outputs rests on summing each round-trip
     # residual as a C-contiguous (N, 3) array; on this fixture a channel-major

@@ -425,6 +425,33 @@ def test_affine_gradient_matches_central_differences_across_the_overlap_edge(
     assert np.linalg.norm(analytic - fd) <= tol * np.linalg.norm(fd)
 
 
+def test_affine_probe_finish_equals_the_row_major_finish_bit_for_bit():
+    from bspline_oracle import grid_points, nmi_finish_masked
+
+    ref = _xmod_pair((20, 18, 12))[0]
+    flt = _rotated_stack(ref)
+    ranges = (registration.robust_range(ref.data.reshape(-1).astype(np.float64)),
+              registration.robust_range(flt.data.reshape(-1)))
+    # a sheared, scaled and shifted map that puts a slab of ref's voxels
+    # into the one-voxel shell outside flt's oblique, anisotropic grid
+    to_voxel = flt.direction / np.asarray(flt.spacing)
+    m3 = np.array([[1.1, 0.05, 0.0], [-0.04, 0.95, 0.02], [0.0, 0.03, 1.05]])
+    linear = m3.T @ to_voxel
+    offset = (np.array([-3.2, 1.5, 0.7]) - flt.origin) @ to_voxel
+    value, finish = registration._overlap_nmi(ref, flt, linear, offset, ranges)
+    field = finish()
+
+    points = grid_points(ref.grid, world=True) @ linear + offset
+    stencil = TrilinearStencil(flt.dims, points)
+    mask, shell = registration._soft_overlap(stencil, points)
+    assert shell[0].size > 100 and not mask.all()
+    values = stencil.gather(flt.data)[mask]
+    assert value == nmi(_nmi_deposit(ref, flt, mask, values.copy(), ranges, shell)[0])
+    assert field.flags.c_contiguous
+    expected = nmi_finish_masked(ref, flt, mask, values, ranges, stencil, shell)
+    assert np.array_equal(field.view(np.uint64), expected.view(np.uint64))
+
+
 def test_affine_score_is_the_hard_masked_nmi_inside_the_grid_and_not_across_its_edge():
     ref, flt = _xmod_pair()
     ranges = (registration.robust_range(ref.data.reshape(-1).astype(np.float64)),

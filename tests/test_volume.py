@@ -136,6 +136,22 @@ def test_world_points_cache_no_voxel_grid():
     assert np.array_equal(_bits(world), _bits(expected))
 
 
+def test_grid_points_keep_the_row_major_values_and_stay_read_only():
+    from bspline_oracle import grid_points
+    from atlasreg.volume import Grid
+
+    c, s = np.cos(0.4), np.sin(0.4)
+    grid = Grid((6, 5, 4), (1.25, 1.5, 4.0), (3.0, -2.0, 1.0),
+                [[c, -s, 0.0], [s * c, c * c, -s], [s * s, c * s, c]])
+    for world in (False, True):
+        points = grid.world_points() if world else grid.voxel_points()
+        assert points.shape == (grid_points(grid, world).shape[0], 3)
+        assert np.array_equal(_bits(points), _bits(grid_points(grid, world)))
+        assert not points.flags.writeable
+        with pytest.raises(ValueError):
+            points[0, 0] = 1.0
+
+
 def test_stencil_gather_takes_one_scalar_field():
     stencil = TrilinearStencil((4, 5, 6), np.zeros((3, 3)))
     with pytest.raises(InvalidInputError, match="scalar field"):

@@ -9,6 +9,8 @@ benchmark workload, with uniform-noise reference and floating images. It
 then prints the median milliseconds over REPEATS calls, after one warm-up
 call, of:
 
+- map sampling: `sample_map` of the displacement's lattice, which builds
+  the dense displacement, the points' voxel coordinates and the stencil
 - gather: the floating image at the points
 - gradient gather: the same with its gradient
 - scatter, 3 channels: (N, 3) vectors onto the grid
@@ -61,7 +63,8 @@ def main() -> int:
     rng = np.random.default_rng(0)
     ref, flt = (Volume(rng.uniform(0.0, 100.0, DIMS).astype(np.float32), SPACING)
                 for _ in range(2))
-    stencil = sample_map(random_smooth_deformation(ref, 3.0, LATTICE, seed=0)).stencil
+    ffd = random_smooth_deformation(ref, 3.0, LATTICE, seed=0)
+    stencil = sample_map(ffd).stencil
     vecs = rng.normal(size=(stencil.base.size, 3))
     mask = stencil.inside
     values = stencil.gather(flt.data)[mask]
@@ -72,6 +75,7 @@ def main() -> int:
         return _nmi_deposit(ref, flt, mask, samples, ranges)
 
     kernels = (
+        ("map sampling", lambda _: sample_map(ffd), lambda: None),
         ("gather", lambda _: stencil.gather(flt.data), lambda: None),
         ("gradient gather", lambda _: stencil.gather(flt.data, want_gradient=True),
          lambda: None),
