@@ -73,10 +73,12 @@ data, or of the output, that starts at the corner's or cell's offset.
 Points and gradients go as three contiguous rows (3, N), so that every
 elementwise pass runs over N elements: `sample_map` maps the world points
 to voxel coordinates on rows, and the stencil reads them through their
-(N, 3) view. `_nmi_deposit`'s finish works on the gradient's three rows
-over the whole grid, with λ spread over every point, and writes the one
-C-contiguous (N, 3) field it returns through that field's transpose; it
-takes no boolean (N, 3) gather or scatter.
+(N, 3) view. `_nmi_deposit`'s finish reads the gradient's three rows from
+the one stencil its points were sampled through (`TrilinearStencil.gradient`),
+works on them over the whole grid, with λ spread over every point, and
+writes the one C-contiguous (N, 3) field it returns through that field's
+transpose; it builds no stencil and takes no boolean (N, 3) gather or
+scatter.
 Freed pages stay mapped as well: the package sets the C allocator's
 thresholds at import (`atlasreg._keep_freed_pages_mapped`), so an
 evaluation reuses the pages the previous one freed rather than faulting
@@ -362,9 +364,8 @@ def _soft_overlap(stencil: TrilinearStencil, points: np.ndarray):
     weight, the shell). The shell holds the points outside the grid whose
     weight is positive: (their indices among the points of the mask, their
     weights, d weight / d voxel coordinate (n, 3), the mask (n, 3) of the
-    axes on which they lie inside, the points clamped onto the grid (n, 3),
-    and their indices among all the points). Points inside the grid weigh
-    exactly 1 and make no shell state.
+    axes on which they lie inside, and their indices among all the points).
+    Points inside the grid weigh exactly 1 and make no shell state.
     """
     rows = np.flatnonzero(~stencil.inside)
     outside = points[rows]
@@ -381,7 +382,7 @@ def _soft_overlap(stencil: TrilinearStencil, points: np.ndarray):
     # other axes' weights multiply its derivative (none of them is 0 here)
     d_weight = -np.sign(excursion) * (weights[:, None] / axis_w[kept])
     return mask, (shell_rows - np.searchsorted(dropped, shell_rows), weights, d_weight,
-                  excursion == 0, clamped[kept], shell_rows)
+                  excursion == 0, shell_rows)
 
 
 def _nmi_deposit(ref: Volume, flt: Volume, mask, values, ranges, shell=None):
@@ -399,7 +400,10 @@ def _nmi_deposit(ref: Volume, flt: Volume, mask, values, ranges, shell=None):
     world point (N, 3), C-contiguous and zero off the mask: the floating
     gradient times d NMI / d sample (Mattes et al., IEEE TMI 2003), plus a
     shell point's deposit-weight derivative. `stencil` is the stencil the
-    points were sampled through.
+    points were sampled through, and the finish reads the floating gradient
+    through it alone: a shell point takes the gradient at its edge-clamped
+    point, which the stencil gives it, along the axes on which it lies
+    inside, and 0 across the faces it lies outside.
     """
     rv = ref.data.reshape(-1)[mask].astype(np.float64)
     if rv.size == 0:
@@ -425,16 +429,15 @@ def _nmi_deposit(ref: Volume, flt: Volume, mask, values, ranges, shell=None):
         lam = np.zeros(mask.size)  # spread over every point
         lam[mask] = _sample_gradient(ds, positions)
         if shell is not None:
-            idx, w, d_w, inner, clamped, cells = shell
+            idx, w, d_w, inner, cells = shell
             lam[cells] *= w
             d_nmi_d_w = _deposit_weight_gradient(counts, ds, positions, idx)
         del counts, positions, ds
-        # the gradient's three rows (3, N), 0 outside the grid
-        rows = stencil.gather(flt.data, want_gradient=True)[1].T
+        rows = stencil.gradient(flt.data).T  # three rows (3, N)
         if shell is not None:
-            # on a face the edge-clamped value is flat across it only
-            rows[:, cells] = (TrilinearStencil(flt.dims, clamped).gather(
-                flt.data, want_gradient=True)[1] * inner).T
+            # a shell point has the gradient at its clamped point; on a face
+            # the edge-clamped value is flat across it only
+            rows[:, cells] *= inner.T
         # d(sample)/d(world point) = direction @ (voxel gradient / spacing)
         spacing = np.asarray(flt.spacing)
         rows /= spacing[:, None]

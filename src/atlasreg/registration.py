@@ -84,8 +84,6 @@ class RegistrationResult:
 # ---------------------------------------------------------------------------
 
 def _smooth(vol: Volume, sigma_vox: float) -> Volume:
-    if sigma_vox <= 0:
-        return vol
     data = gaussian_filter(vol.data.astype(np.float64), sigma=sigma_vox,
                            mode="nearest")
     return Volume(data.astype(np.float32), vol.spacing, vol.origin, vol.direction)
@@ -189,9 +187,7 @@ def _ascend(evaluate, x, step, max_iter, gain_tol):
 def _center_of_mass(vol: Volume) -> np.ndarray:
     data = vol.data.astype(np.float64)
     w = data - data.min()
-    total = w.sum()
-    if total <= 0:
-        return vol.world_from_voxel((np.asarray(vol.dims, dtype=np.float64) - 1) / 2)
+    total = w.sum()  # positive: `robust_range` rejected a constant image
     w, pts = w.reshape(-1), vol.grid.voxel_points()
     return vol.world_from_voxel(np.array([(w * pts[:, a]).sum() / total for a in range(3)]))
 

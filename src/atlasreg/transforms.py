@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import GeometryMismatchError, InvalidInputError, InvalidTransformError, require_type
 from .volume import (
+    GEOMETRY_TOL,
     Grid,
     LabelVolume,
     TrilinearStencil,
@@ -335,6 +336,11 @@ def subdivide(t: BSplineTransform, fine_reference) -> BSplineTransform:
         raise GeometryMismatchError(
             f"subdivision requires a 2x finer grid, got spacing ratio {ratio}"
         )
+    ref = t.reference
+    if not (np.allclose(fine.origin, ref.origin, atol=GEOMETRY_TOL)
+            and np.allclose(fine.direction, ref.direction, atol=GEOMETRY_TOL)):
+        raise GeometryMismatchError(
+            "subdivision requires the origin and direction of the coarse reference")
     coef = t.coefficients
     for a, g in enumerate(_lattice_dims(fine, t.grid_spacing)):
         coef = _subdivide_axis(coef, a, g)

@@ -7,9 +7,10 @@ ProbabilityVolume each carry one. Data is stored as an (nx, ny, nz) array;
 the serialized layout is x-fastest.
 
 Every trilinear interpolation of the package (images, masks, displacement
-fields) goes through TrilinearStencil, whose scatter is the exact adjoint of
-its edge-clamped gather. `resample` changes the spacing of intensity volumes
-only; labels move between grids by nearest neighbour in `transforms.warp_labels`.
+fields) and its gradient goes through TrilinearStencil, whose scatter is the
+exact adjoint of its edge-clamped gather. `resample` changes the spacing of
+intensity volumes only; labels move between grids by nearest neighbour in
+`transforms.warp_labels`.
 """
 from __future__ import annotations
 
@@ -84,8 +85,11 @@ class Grid(_PicklesThroughInit):
             raise InvalidInputError(f"origin must be finite, got {origin}")
         if direction.shape != (3, 3):
             raise InvalidInputError(f"direction must be 3x3, got {direction.shape}")
-        if not abs(abs(np.linalg.det(direction)) - 1.0) <= 1e-6:
-            raise InvalidInputError("direction matrix must be orthonormal (|det| = 1)")
+        # unit columns and |det| = 1 together bound the shear (Hadamard's inequality)
+        if not (abs(abs(np.linalg.det(direction)) - 1.0) <= 1e-6
+                and np.abs(np.linalg.norm(direction, axis=0) - 1.0).max() <= 1e-6):
+            raise InvalidInputError(
+                "direction matrix must be orthonormal (unit columns, |det| = 1)")
         origin.flags.writeable = False
         direction.flags.writeable = False
         object.__setattr__(self, "dims", tuple(int(n) for n in dims))
@@ -269,7 +273,8 @@ def require_same_geometry(a, b, what: str = "volumes"):
 # ---------------------------------------------------------------------------
 
 class TrilinearStencil:
-    """Trilinear interpolation of points on a voxel grid, and its adjoint.
+    """Trilinear interpolation of points on a voxel grid, its gradient and
+    its adjoint.
 
     Built once from the grid dims (three positive integers) and continuous
     voxel coordinates (N, 3); other shapes raise InvalidInputError. It
@@ -277,18 +282,24 @@ class TrilinearStencil:
     inside the grid), the per-axis fractions (clamped to [0, 1], so points
     outside take the values of the nearest face) and the `inside` mask of
     points within [0, n-1] on every axis. An axis of length 1 has a zero
-    stride, so both cell corners are that single voxel.
+    stride and a zero fraction, so both cell corners are that single voxel.
 
     Channel layout: the points are read one axis at a time, fastest from an
     (N, 3) view of three contiguous rows (3, N), such as `Grid.voxel_points`
-    or the transpose of rows mapped to voxel coordinates. `gather` reads one
-    scalar field (nx, ny, nz). A vector field is gathered one channel at a
-    time, best from a C-contiguous channel-first copy (C, nx, ny, nz), whose
-    channels are contiguous and are read without a copy. The gradient of
-    `gather` is written the same way, as three contiguous rows, and returned
-    as their (N, 3) transpose view. `scatter` takes per-point vectors (N, C)
+    or the transpose of rows mapped to voxel coordinates. `gather` and
+    `gradient` read one scalar field (nx, ny, nz). A vector field is
+    gathered one channel at a time, best from a C-contiguous channel-first
+    copy (C, nx, ny, nz), whose channels are contiguous and are read
+    without a copy. `gradient` writes three contiguous rows and returns
+    their (N, 3) transpose view. `scatter` takes per-point vectors (N, C)
     and returns the channel-last grid field (nx, ny, nz, C), the layout
     `splat_to_coefficients` takes.
+
+    Every interpolation step is a lerp a + (b - a) * f: along x on the four
+    cell edges, then along y, then along z. A cell corner at linear offset
+    `off` from the cell's base is read as `base` in the view of the data
+    from `off` on, so no index array is formed. The work runs in a few
+    reused (N,) buffers.
     """
 
     def __init__(self, dims, points):
@@ -309,7 +320,8 @@ class TrilinearStencil:
             i0 = frac.astype(np.intp)
             np.clip(i0, 0, max(n - 2, 0), out=i0)
             np.subtract(p[:, a], i0, out=frac)
-            fractions.append(np.clip(frac, 0.0, 1.0, out=frac))
+            # a point and its edge-clamped point share their fractions
+            fractions.append(np.clip(frac, 0.0, min(n - 1, 1), out=frac))
             if base is None:
                 base = i0
             else:
@@ -320,65 +332,68 @@ class TrilinearStencil:
         self.strides = (ny * nz if nx > 1 else 0, nz if ny > 1 else 0,
                         1 if nz > 1 else 0)
 
-    def gather(self, data, oob=None, want_gradient=False):
-        """Interpolate the scalar field `data` (nx, ny, nz) at the points.
-
-        Returns values (N,). Points outside the grid take `oob` when it is
-        given, and the edge-clamped value when it is None. With
-        want_gradient, returns (values, d values / d voxel coordinate), the
-        latter (N, 3), zero outside the grid, and the transpose view of three
-        contiguous rows (3, N).
-
-        Every interpolation step is a lerp a + (b - a) * f: along x on the
-        four cell edges, then along y, then along z. The gradient weighs the
-        x slopes of the edges along y and z, the y slopes of the two z faces
-        along z, and takes the z slope. A cell corner at linear offset `off`
-        from the cell's base is read as `base` in the view of the data from
-        `off` on, so no index array is formed. The work runs in a few reused
-        (N,) buffers, and the gradient rows are written in place.
-        """
+    def _flat(self, data, what: str) -> np.ndarray:
         data = np.asarray(data)
         if data.shape != self.dims:
             raise InvalidInputError(
-                f"gather takes one scalar field of shape {self.dims}, got {data.shape}")
-        flat = np.ascontiguousarray(data, dtype=np.float64).reshape(-1)
-        fx, fy, fz = self.fx, self.fy, self.fz
-        sx, sy, sz = self.strides
-        n = self.base.size
+                f"{what} takes one scalar field of shape {self.dims}, got {data.shape}")
+        return np.ascontiguousarray(data, dtype=np.float64).reshape(-1)
 
-        def edge(off, out, slope, scratch):
-            """Values along the x-edge at `off` of every cell into `out`, and
-            its x slope into `slope` (which may be the scratch)."""
-            # corner `off` of each cell is `base` in the view of `flat` from
-            # `off` on. Every base lies in that view by construction, so
-            # "clip" changes none of them; unlike "raise" it lets take write
-            # into `out` without a buffer
-            flat[off:].take(self.base, out=out, mode="clip")
-            flat[off + sx:].take(self.base, out=slope, mode="clip")
-            slope -= out
-            out += np.multiply(slope, fx, out=scratch)
+    def _edge(self, flat, off, out, slope, scratch):
+        """Values along the x-edge at `off` of every cell into `out`, and
+        its x slope into `slope` (which may be the scratch)."""
+        # corner `off` of each cell is `base` in the view of `flat` from
+        # `off` on. Every base lies in that view by construction, so "clip"
+        # changes none of them; unlike "raise" it lets take write into `out`
+        # without a buffer
+        flat[off:].take(self.base, out=out, mode="clip")
+        flat[off + self.strides[0]:].take(self.base, out=slope, mode="clip")
+        slope -= out
+        out += np.multiply(slope, self.fx, out=scratch)
 
-        def face(dz, lo, hi, slope_lo, slope_hi, scratch):
-            """Values lerped along y on the cell face at `dz` into `lo`, and
-            its y slope into `hi` (which may be the scratch)."""
-            edge(dz, lo, slope_lo, scratch)
-            edge(sy + dz, hi, slope_hi, scratch)
-            hi -= lo
-            lo += np.multiply(hi, fy, out=scratch)
+    def _face(self, flat, dz, lo, hi, slope_lo, slope_hi, scratch):
+        """Values lerped along y on the cell face at `dz` into `lo`, and its
+        y slope into `hi` (which may be the scratch); the x slopes of its
+        two edges into `slope_lo` and `slope_hi`."""
+        self._edge(flat, dz, lo, slope_lo, scratch)
+        self._edge(flat, self.strides[1] + dz, hi, slope_hi, scratch)
+        hi -= lo
+        lo += np.multiply(hi, self.fy, out=scratch)
 
-        c0, c1, dy, slope = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
-        if not want_gradient:
-            face(0, c0, dy, slope, slope, slope)
-            face(sz, c1, dy, slope, slope, slope)
-            vals = c1
-            vals -= c0
-            vals *= fz
-            vals += c0
-            if oob is not None:
-                vals[~self.inside] = oob
-            return vals
+    def gather(self, data, oob=None) -> np.ndarray:
+        """Interpolate the scalar field `data` (nx, ny, nz) at the points.
 
-        slope_hi, tmp = np.empty(n), np.empty(n)
+        Returns values (N,). Points outside the grid take `oob` when it is
+        given, and the edge-clamped value when it is None.
+        """
+        flat = self._flat(data, "gather")
+        c0, c1, dy, slope = (np.empty(self.base.size) for _ in range(4))
+        self._face(flat, 0, c0, dy, slope, slope, slope)
+        self._face(flat, self.strides[2], c1, dy, slope, slope, slope)
+        vals = c1
+        vals -= c0
+        vals *= self.fz
+        vals += c0
+        if oob is not None:
+            vals[~self.inside] = oob
+        return vals
+
+    def gradient(self, data) -> np.ndarray:
+        """d gather(data) / d voxel coordinate at the points, (N, 3): the
+        transpose view of three contiguous rows (3, N).
+
+        It weighs the x slopes of the edges along y and z, the y slopes of
+        the two z faces along z, and takes the z slope. A point outside the
+        grid gets the gradient at its edge-clamped point: that point has the
+        same base cell and the same clamped fractions, so the bits match.
+        The work takes five (N,) buffers and the three rows, whose z row
+        holds the faces' y slopes until its last write.
+        """
+        flat = self._flat(data, "gradient")
+        fy, fz = self.fy, self.fz
+        c0, c1, slope, slope_hi, tmp = (np.empty(self.base.size) for _ in range(5))
+        grad = np.empty((3, self.base.size))
+        gx, gy, gz = grad
 
         def x_slope():
             """The face's x slope lerped along y, into `slope`."""
@@ -386,23 +401,16 @@ class TrilinearStencil:
             np.add(slope, np.multiply(slope_hi, fy, out=tmp), out=slope)
             return slope
 
-        grad = np.empty((3, n))
-        gx, gy, gz = grad
-        face(0, c0, dy, slope, slope_hi, tmp)
+        self._face(flat, 0, c0, gz, slope, slope_hi, tmp)
         one_minus_fz = np.subtract(1.0, fz, out=c1)
-        np.multiply(dy, one_minus_fz, out=gy)
+        np.multiply(gz, one_minus_fz, out=gy)
         np.multiply(x_slope(), one_minus_fz, out=gx)
-        face(sz, c1, dy, slope, slope_hi, tmp)
+        self._face(flat, self.strides[2], c1, gz, slope, slope_hi, tmp)
         gx += np.multiply(x_slope(), fz, out=tmp)
-        dy *= fz
-        gy += dy
+        gz *= fz
+        gy += gz
         np.subtract(c1, c0, out=gz)
-        vals = np.multiply(gz, fz, out=c1)
-        vals += c0
-        if oob is not None:
-            vals[~self.inside] = oob
-        grad[:, ~self.inside] = 0.0
-        return vals, grad.T
+        return grad.T
 
     def scatter(self, vecs) -> np.ndarray:
         """Adjoint of the edge-clamped gather (oob=None), channel by channel.

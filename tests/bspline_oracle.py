@@ -90,10 +90,11 @@ def bending_voxel_sum(t: BSplineTransform):
     return energy / n_vox, grad
 
 
-def gather_lerp(stencil: TrilinearStencil, data, oob=None, want_gradient=False):
+def gather_lerp(stencil: TrilinearStencil, data, oob=None, gradient=False):
     """`TrilinearStencil.gather` written as plain expressions, each
     intermediate a new array: lerps along x on the four cell edges, then
-    along y and z."""
+    along y and z. With `gradient`, `TrilinearStencil.gradient` instead,
+    (N, 3)."""
     flat = np.ascontiguousarray(data, dtype=np.float64).reshape(-1)
     fx, fy, fz = stencil.fx, stencil.fy, stencil.fz
     sx, sy, sz = stencil.strides
@@ -108,18 +109,13 @@ def gather_lerp(stencil: TrilinearStencil, data, oob=None, want_gradient=False):
     c00, c10, c01, c11 = edge(0), edge(sy), edge(sz), edge(sy + sz)
     c0 = c00 + (c10 - c00) * fy
     c1 = c01 + (c11 - c01) * fy
+    if gradient:
+        d00, d10, d01, d11 = slopes
+        gx = (d00 * (1 - fy) + d10 * fy) * (1 - fz) + (d01 * (1 - fy) + d11 * fy) * fz
+        gy = (c10 - c00) * (1 - fz) + (c11 - c01) * fz
+        return np.stack([gx, gy, c1 - c0], axis=-1)
     vals = c0 + (c1 - c0) * fz
-    if oob is not None:
-        vals = np.where(stencil.inside, vals, oob)
-    if not want_gradient:
-        return vals
-    d00, d10, d01, d11 = slopes
-    gx = (d00 * (1 - fy) + d10 * fy) * (1 - fz) + (d01 * (1 - fy) + d11 * fy) * fz
-    gy = (c10 - c00) * (1 - fz) + (c11 - c01) * fz
-    gz = c1 - c0
-    grad = np.stack([gx, gy, gz], axis=-1)
-    grad[~stencil.inside] = 0.0
-    return vals, grad
+    return vals if oob is None else np.where(stencil.inside, vals, oob)
 
 
 def scatter_bincount(stencil: TrilinearStencil, vecs) -> np.ndarray:
@@ -205,14 +201,15 @@ def mapped_points(ffd: BSplineTransform, grid) -> np.ndarray:
     return grid.voxel_from_world(world)
 
 
-def nmi_finish_masked(ref, flt, mask, values, ranges, stencil, shell=None):
+def nmi_finish_masked(ref, flt, mask, values, ranges, stencil, shell=None, points=None):
     """The finish of `_nmi_deposit(ref, flt, mask, values, ranges, shell)`
     through `stencil`, row-major: λ from the index-array Parzen kernels, the
     gradient of the masked points gathered as (M, 3) (`grad[mask]`), divided
     by the spacing, times direction.T and λ, then scattered back into a
     C-contiguous (N, 3) field that is 0 off the mask. A `_soft_overlap`
-    shell's points take the gradient at their clamped points, and their
-    deposit-weight term is added."""
+    shell's points take the gradient through a second stencil at their
+    `points` (the points `stencil` was built from) clamped onto the grid,
+    and their deposit-weight term is added."""
     rv = ref.data.reshape(-1)[mask].astype(np.float64)
     values = np.array(values, dtype=np.float64)
     if ranges is None:
@@ -222,15 +219,16 @@ def nmi_finish_masked(ref, flt, mask, values, ranges, stencil, shell=None):
     counts = parzen_counts(q_r, q_f, None if shell is None else shell[:2])
     ds = _nmi_and_count_gradient(counts)[1]
     lam = parzen_sample_gradient(ds, q_r, q_f, scale_f, interior_f)
-    grad = np.ascontiguousarray(stencil.gather(flt.data, want_gradient=True)[1])
+    grad = np.ascontiguousarray(stencil.gradient(flt.data))
     g = grad[mask]
     spacing = np.asarray(flt.spacing)
     if shell is not None:
-        idx, w, d_w, inner, clamped = (np.ascontiguousarray(a) for a in shell[:5])
+        idx, w, d_w, inner, cells = (np.ascontiguousarray(a) for a in shell)
         lam[idx] *= w
         d_nmi_d_w = parzen_weight_gradient(counts, ds, q_r[idx], q_f[idx])
-        g[idx] = np.ascontiguousarray(TrilinearStencil(flt.dims, clamped).gather(
-            flt.data, want_gradient=True)[1]) * inner
+        clamped = np.clip(points[cells], 0.0, np.asarray(flt.dims) - 1.0)
+        g[idx] = np.ascontiguousarray(
+            TrilinearStencil(flt.dims, clamped).gradient(flt.data)) * inner
     g /= spacing
     g = g @ flt.direction.T
     g *= lam[:, None]

@@ -448,7 +448,7 @@ def test_affine_probe_finish_equals_the_row_major_finish_bit_for_bit():
     values = stencil.gather(flt.data)[mask]
     assert value == nmi(_nmi_deposit(ref, flt, mask, values.copy(), ranges, shell)[0])
     assert field.flags.c_contiguous
-    expected = nmi_finish_masked(ref, flt, mask, values, ranges, stencil, shell)
+    expected = nmi_finish_masked(ref, flt, mask, values, ranges, stencil, shell, points)
     assert np.array_equal(field.view(np.uint64), expected.view(np.uint64))
 
 

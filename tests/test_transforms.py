@@ -8,6 +8,7 @@ from atlasreg import (
     AtlasRegError,
     BSplineTransform,
     GeometryMismatchError,
+    Grid,
     InvalidInputError,
     InvalidTransformError,
     LabelVolume,
@@ -364,6 +365,13 @@ def test_subdivision_requires_doubling():
     t = BSplineTransform.zeros(coarse, 2.0)
     with pytest.raises(GeometryMismatchError):
         subdivide(t, bad)
+    # twice as fine, but shifted by 5 mm or with the x and y axes swapped
+    fine = Grid((16, 16, 16), (1.0, 1.0, 1.0))
+    for other in (Grid(fine.dims, fine.spacing, origin=(5.0, 0.0, 0.0)),
+                  Grid(fine.dims, fine.spacing, direction=np.eye(3)[[1, 0, 2]])):
+        with pytest.raises(GeometryMismatchError, match="origin and direction"):
+            subdivide(t, other)
+    assert subdivide(t, fine).reference is fine
 
 
 # --- serialization -------------------------------------------------------

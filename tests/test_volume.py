@@ -1,4 +1,5 @@
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,11 +97,41 @@ def test_gather_equals_the_lerp_oracle_bit_for_bit(dims, oob):
     for data in (image, 3.1 * image.astype(np.float64)):
         assert np.array_equal(_bits(stencil.gather(data, oob)),
                               _bits(gather_lerp(stencil, data, oob)))
-        got = stencil.gather(data, oob, want_gradient=True)
-        expected = gather_lerp(stencil, data, oob, want_gradient=True)
-        for g, e in zip(got, expected):
-            assert g.shape == e.shape
-            assert np.array_equal(_bits(g), _bits(e))
+        got = stencil.gradient(data)
+        expected = gather_lerp(stencil, data, gradient=True)
+        assert got.shape == expected.shape == (4000, 3)
+        assert np.array_equal(_bits(got), _bits(expected))
+
+
+@pytest.mark.parametrize("dims", [(7, 5, 6), (6, 1, 5), (1, 4, 3)])
+def test_gradient_outside_the_grid_is_that_at_the_clamped_point_bit_for_bit(dims):
+    rng = np.random.default_rng(sum(dims) + 1)
+    top = np.asarray(dims, dtype=np.float64) - 1.0
+    pts = rng.uniform(-2.5, top + 2.5, (4000, 3))
+    outside = pts[~TrilinearStencil(dims, pts).inside]
+    assert len(outside) > 1000
+    stencil = TrilinearStencil(dims, outside)
+    at_clamped = TrilinearStencil(dims, np.clip(outside, 0.0, top))
+    image = rng.normal(size=dims)
+    for data in (image.astype(np.float32), image):
+        assert np.array_equal(_bits(stencil.gradient(data)), _bits(at_clamped.gradient(data)))
+
+
+def test_gradient_holds_eight_float64_arrays_per_point_and_the_image_copy():
+    dims, n = (32, 32, 16), 1 << 16
+    rng = np.random.default_rng(5)
+    stencil = TrilinearStencil(dims, rng.uniform(-1.0, 32.0, (n, 3)))
+    image = rng.normal(size=dims).astype(np.float32)
+    stencil.gradient(image)  # warm-up
+    tracemalloc.start()
+    try:
+        grad = stencil.gradient(image)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grad.shape == (n, 3) and grad.T.flags.c_contiguous
+    # a ninth array would add 512 KiB, the image copy is 128 KiB
+    assert peak <= 8 * n * 8 + image.size * 8 + 64 * 1024
 
 
 @pytest.mark.parametrize("dims", [(7, 5, 6), (6, 1, 5), (1, 4, 3)])
@@ -156,6 +187,8 @@ def test_stencil_gather_takes_one_scalar_field():
     stencil = TrilinearStencil((4, 5, 6), np.zeros((3, 3)))
     with pytest.raises(InvalidInputError, match="scalar field"):
         stencil.gather(np.zeros((4, 5, 6, 3)))
+    with pytest.raises(InvalidInputError, match="gradient takes one scalar field"):
+        stencil.gradient(np.zeros((4, 5, 4)))
 
 
 @pytest.mark.parametrize("dims, points, vecs, match", [
@@ -184,6 +217,18 @@ def test_volume_rejects_nan_and_bad_geometry():
         Volume(np.zeros((2, 2, 2)), direction=np.eye(3) * 2.0)
     with pytest.raises(InvalidInputError, match="origin"):
         Volume(np.zeros((2, 2, 2)), origin=("a", 0, 0))
+
+
+@pytest.mark.parametrize("direction", [
+    [[1, 1, 0], [0, 1, 0], [0, 0, 1]],  # det 1, sheared
+    np.diag([2.0, 0.5, 1.0]),            # det 1, scaled
+    np.diag([1.0 + 1e-5, 1.0 / (1.0 + 1e-5), 1.0]),
+], ids=["shear", "scale", "slight-scale"])
+def test_grid_rejects_a_direction_that_is_not_orthonormal(direction):
+    with pytest.raises(InvalidInputError, match="orthonormal"):
+        Grid((4, 4, 4), direction=direction)
+    with pytest.raises(InvalidInputError, match="orthonormal"):
+        Volume(np.zeros((4, 4, 4)), direction=direction)
 
 
 @pytest.mark.parametrize("dims", [("a", 2, 2), (2.5, 2, 2), (True, 2, 2), (0, 2, 2), 5])

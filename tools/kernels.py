@@ -7,12 +7,12 @@ B-spline displacement (at most 3 mm, lattice 5 x 5 x 1.25 voxels) on a
 128 x 128 x 16 grid of 1.25 x 1.25 x 5 mm, the geometry of the ffd_stack
 benchmark workload, with uniform-noise reference and floating images. It
 then prints the median milliseconds over REPEATS calls, after one warm-up
-call, of:
+call, and the tracemalloc peak (MiB) of one more call, of:
 
 - map sampling: `sample_map` of the displacement's lattice, which builds
   the dense displacement, the points' voxel coordinates and the stencil
 - gather: the floating image at the points
-- gradient gather: the same with its gradient
+- gradient: the gradient of the floating image at the points
 - scatter, 3 channels: (N, 3) vectors onto the grid
 - Parzen deposit: the joint histogram of the points inside the grid, at
   fixed intensity ranges, as the FFD similarity deposits it
@@ -28,6 +28,7 @@ import os
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -59,6 +60,17 @@ def median_ms(run, prepare=lambda: None) -> float:
     return 1e3 * statistics.median(times)
 
 
+def peak_mib(run, prepare) -> float:
+    """The tracemalloc peak of one `run(prepare())`, `prepare` not traced."""
+    arg = prepare()
+    tracemalloc.start()
+    try:
+        run(arg)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def main() -> int:
     rng = np.random.default_rng(0)
     ref, flt = (Volume(rng.uniform(0.0, 100.0, DIMS).astype(np.float32), SPACING)
@@ -77,8 +89,7 @@ def main() -> int:
     kernels = (
         ("map sampling", lambda _: sample_map(ffd), lambda: None),
         ("gather", lambda _: stencil.gather(flt.data), lambda: None),
-        ("gradient gather", lambda _: stencil.gather(flt.data, want_gradient=True),
-         lambda: None),
+        ("gradient", lambda _: stencil.gradient(flt.data), lambda: None),
         ("scatter, 3 channels", lambda _: stencil.scatter(vecs), lambda: None),
         # the deposit computes its bin positions in place of the samples
         ("Parzen deposit", deposit, values.copy),
@@ -87,7 +98,8 @@ def main() -> int:
     print(f"{DIMS[0]}x{DIMS[1]}x{DIMS[2]} grid, {stencil.base.size} points "
           f"({int(mask.sum())} inside), median of {REPEATS}", flush=True)
     for name, run, prepare in kernels:
-        print(f"{name:<20} {median_ms(run, prepare):8.2f} ms", flush=True)
+        print(f"{name:<20} {median_ms(run, prepare):8.2f} ms "
+              f"{peak_mib(run, prepare):8.1f} MiB peak", flush=True)
     return 0
 
 
