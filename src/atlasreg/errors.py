@@ -19,10 +19,13 @@ def is_number(x) -> bool:
 
 
 def require_type(kind, **values):
-    """InvalidInputError naming the first of `values` that is not a `kind`."""
+    """InvalidInputError naming the first of `values` that is not a `kind`,
+    a type or a tuple of types (`type(None)` to allow None)."""
+    kinds = kind if isinstance(kind, tuple) else (kind,)
     for name, value in values.items():
-        if not isinstance(value, kind):
-            raise InvalidInputError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
+        if not isinstance(value, kinds):
+            expected = " or ".join("None" if k is type(None) else k.__name__ for k in kinds)
+            raise InvalidInputError(f"{name} must be a {expected}, got {type(value).__name__}")
 
 
 class AtlasRegError(Exception):

@@ -72,6 +72,7 @@ def ensemble_fuse(probs: list[ProbabilityVolume]) -> LabelVolume:
     """
     if not probs:
         raise InvalidInputError("ensemble_fuse needs at least one probability volume")
+    require_type(ProbabilityVolume, **{f"probs[{i}]": p for i, p in enumerate(probs)})
     first = probs[0]
     for other in probs[1:]:
         require_same_geometry(first, other, "probability volumes")
@@ -92,6 +93,7 @@ def largest_component(labels: LabelVolume) -> LabelVolume:
     linear (x-fastest) voxel index. Class ids inside the kept component are
     unchanged; all other foreground becomes background.
     """
+    require_type(LabelVolume, labels=labels)
     fg = labels.data > 0
     if not fg.any():
         return labels
@@ -149,6 +151,20 @@ def _named(name: str, call):
         named = type(exc)(f"{name}: {exc}")
         named.__dict__.update(exc.__dict__)
         raise named from exc
+
+
+def _job(name: str, entry, cfg: RegistrationConfig) -> tuple:
+    """The job (name, image, labels, cfg) of atlas `name`, whose `entry` must
+    be an (image, labels) pair of a Volume and a LabelVolume; otherwise an
+    InvalidInputError named after the atlas."""
+    try:
+        img, lbl = entry
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"{name}: must be an (image, labels) pair, "
+                                f"got {type(entry).__name__}") from None
+    _named(name, partial(require_type, Volume, image=img))
+    _named(name, partial(require_type, LabelVolume, labels=lbl))
+    return name, img, lbl, cfg
 
 
 def _register_in_pool(target: Volume, jobs: list, workers: int) -> list:
@@ -246,25 +262,30 @@ def build_pseudo_labels(target: Volume,
     runs its FFD objectives' forward halves on a short-lived thread of
     their own; in a worker, it runs the halves one after the other (see
     `atlasreg.objective`). Outputs are bit-identical for any `threads`.
-    A failure names its atlas. The error raised is that of the earliest
+    Inputs are checked before any registration starts, and an error in an
+    atlas entry names it (`atlas 2`, `same-patient atlas 1`), as a failed
+    registration names its atlas. The error raised is that of the earliest
     failed job in input order, and no task of a later job starts once a
     failure is seen.
     `registrations_out`, if provided, collects the RegistrationResults in
     input order (type-1 first) for manifest reporting.
     """
+    require_type(Volume, target=target)
     if not atlases:
         raise InvalidInputError("at least one atlas is required")
-    if same_patient is not None and len(same_patient) != 2:
+    if same_patient is not None and not (isinstance(same_patient, (tuple, list))
+                                         and len(same_patient) == 2):
         raise InvalidInputError("same_patient must be the (bSSFP, T2) pair")
     if not is_count(threads):
         raise InvalidInputError(f"threads must be an integer >= 1, got {threads!r}")
     type1_cfg = type1_cfg or default_config("type1")
     type2_cfg = type2_cfg or default_config("type2")
+    require_type(RegistrationConfig, type1_cfg=type1_cfg, type2_cfg=type2_cfg)
 
-    jobs = [(f"atlas {i}", img, lbl, type1_cfg) for i, (img, lbl) in enumerate(atlases)]
+    jobs = [_job(f"atlas {i}", entry, type1_cfg) for i, entry in enumerate(atlases)]
     if same_patient is not None:
-        jobs += [(f"same-patient atlas {i}", img, lbl, type2_cfg)
-                 for i, (img, lbl) in enumerate(same_patient)]
+        jobs += [_job(f"same-patient atlas {i}", entry, type2_cfg)
+                 for i, entry in enumerate(same_patient)]
 
     workers = min(threads, len(jobs))
     results = _register_all(target, jobs, workers)

@@ -30,6 +30,7 @@ REPORT_METRICS = (
 
 def dice(pred: LabelVolume, gt: LabelVolume, class_id: int) -> float:
     """2|P∩G| / (|P|+|G|); 1.0 when both sets are empty, 0.0 when one is."""
+    require_type(LabelVolume, pred=pred, gt=gt)
     require_same_geometry(pred, gt)
     p = pred.data == class_id
     g = gt.data == class_id
@@ -41,6 +42,7 @@ def dice(pred: LabelVolume, gt: LabelVolume, class_id: int) -> float:
 
 def jaccard(pred: LabelVolume, gt: LabelVolume, class_id: int) -> float:
     """|P∩G| / |P∪G|; empty-set conventions as dice."""
+    require_type(LabelVolume, pred=pred, gt=gt)
     require_same_geometry(pred, gt)
     p = pred.data == class_id
     g = gt.data == class_id
@@ -61,6 +63,7 @@ def _surface_points(mask: np.ndarray, spacing) -> np.ndarray:
 def surface_distances(pred: LabelVolume, gt: LabelVolume,
                       class_id: int) -> tuple[float, float]:
     """(average surface distance, Hausdorff distance) in mm for one class."""
+    require_type(LabelVolume, pred=pred, gt=gt)
     require_same_geometry(pred, gt)
     p_pts = _surface_points(pred.data == class_id, pred.spacing)
     g_pts = _surface_points(gt.data == class_id, gt.spacing)
@@ -124,10 +127,9 @@ def evaluate(pred: LabelVolume, gt: LabelVolume) -> EvaluationReport:
     """All four metrics for the three foreground classes plus averages.
 
     Undefined surface distances (a class empty on either side) are reported
-    as missing entries, not as zeros.
+    as missing entries, not as zeros. The per-class metrics check the
+    argument types and the geometry.
     """
-    require_type(LabelVolume, pred=pred, gt=gt)
-    require_same_geometry(pred, gt)
     per_class = {}
     for cls in FOREGROUND_CLASSES:
         try:

@@ -21,6 +21,7 @@ from .errors import (
     TruncatedFileError,
     UnsupportedDatatypeError,
     UnsupportedDimensionalityError,
+    require_type,
 )
 from .volume import Grid, LabelVolume, Volume
 
@@ -144,6 +145,7 @@ def read_nifti(path, *, labels: bool = False, label_remap: dict | None = None):
 
 def write_nifti(vol, path) -> None:
     """Write a Volume (float32) or LabelVolume (uint8) as little-endian NIfTI-1."""
+    require_type((Volume, LabelVolume), vol=vol)
     if isinstance(vol, LabelVolume):
         datatype, arr = 2, vol.data
     else:

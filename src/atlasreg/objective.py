@@ -211,26 +211,22 @@ def _footprint_row(t, k, d1=False, out=None):
     the offset u = t + 1 - k, that of bin floor(q) - 1 + k, or with d1 the
     kernel's first derivative there.
 
-    Evaluates the branch of `bspline_kernel` (and `bspline_kernel_d1`) that
-    covers u, with the kernel's own operations in their order, so the row
-    equals the kernel bit for bit, signed zeros included. With r2 = 2 - |u|
-    and r1 = 1 - |u|: rows 0 and 3 lie where the kernel's inner cubic in r1
-    is zero, rows 1 and 2 where both cubics count.
+    The footprint is symmetric about t = 1/2: with the row's distance
+    d = 1 - t on rows 0-1 and d = t on rows 2-3, the kernel's r2 = 2 - |u|
+    and r1 = 1 - |u| are d and none on the outer rows 0 and 3, where the
+    kernel's inner cubic is zero (weight d^3 / 6), and 1 + d and d on the
+    inner rows 1 and 2 (weight ((1 + d)^3 - 4 d^3) / 6). The row then takes
+    the kernel's own operations on r2 and r1 in their order.
+
+    The row equals `bspline_kernel` (and `bspline_kernel_d1`) at u bit for
+    bit, signed zeros included, because every distance is exact. That needs
+    t from `_bin_offsets` of positions q in [1, BINS - 3], as
+    `_bin_positions` clips them: a q >= 1 is a multiple of 2^-52, so t is
+    too, and 1 - t, 1 + t and 2 - t are exact. The caller's t is read,
+    never written; rows 2-3 read it as their distance.
     """
-    if k == 0:
-        r2 = np.add(t, 1.0)
-        np.subtract(2.0, r2, out=r2)
-        r1 = None
-    elif k == 1:
-        r2, r1 = 2.0 - t, 1.0 - t
-    elif k == 2:
-        r1 = 1.0 - t
-        r2 = 2.0 - r1
-        np.subtract(1.0, r1, out=r1)
-    else:
-        r2 = 2.0 - t
-        np.subtract(2.0, r2, out=r2)
-        r1 = None
+    near = np.subtract(1.0, t) if k < 2 else t
+    r2, r1 = (np.add(near, 1.0), near) if k in (1, 2) else (near, None)
     row = np.empty_like(t) if out is None else out
     if d1:
         # sign(u) is +1 on row 0, -1 on rows 2-3; on row 1 it is 0 only at
@@ -654,7 +650,7 @@ def inconsistency_gradient(fwd: SampledMap, bwd: SampledMap):
 # Full objective
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObjectiveResult:
     value: float
     similarity_fwd: float
@@ -665,7 +661,7 @@ class ObjectiveResult:
     grad_fwd: np.ndarray | None
     grad_bwd: np.ndarray | None
     # a value-only call's two half finishes; None with the gradients
-    forward: list | None = field(default=None, repr=False, compare=False)
+    forward: list | None = field(default=None, repr=False)
 
 
 def _half(ref: Volume, flt: Volume, ffd: BSplineTransform, weights: ObjectiveWeights,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, is_natural, is_number
-from .transforms import BSplineTransform, dense_displacement
+from .transforms import BSplineTransform, max_displacement
 from .volume import Grid, LabelVolume, Volume
 
 # class intensity tables per pseudo-modality: {class id: mean intensity}
@@ -44,13 +44,14 @@ class PhantomSpec:
     def __post_init__(self):
         if not is_natural(self.seed):
             raise InvalidInputError(f"seed must be an integer >= 0, got {self.seed!r}")
-        if self.lv_radius <= 0 or self.myo_thickness <= 0 or self.rv_radius <= 0:
-            raise InvalidInputError("phantom radii and thickness must be positive")
-        if self.modality not in DEFAULT_INTENSITIES:
+        if not all(is_number(r) and r > 0
+                   for r in (self.lv_radius, self.myo_thickness, self.rv_radius)):
+            raise InvalidInputError("lv_radius, myo_thickness and rv_radius must be > 0")
+        if not (isinstance(self.modality, str) and self.modality in DEFAULT_INTENSITIES):
             raise InvalidInputError(f"no intensity table for modality {self.modality!r}")
         for name in ("noise_sigma", "texture_amplitude"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
+            if not (is_number(value) and math.isfinite(value) and value >= 0):
                 raise InvalidInputError(f"{name} must be finite and >= 0, got {value}")
 
     def center(self) -> np.ndarray:
@@ -144,8 +145,7 @@ def random_smooth_deformation(geometry, max_disp_mm: float, grid_spacing,
     rng = np.random.default_rng(seed)
     coef = rng.uniform(-max_disp_mm, max_disp_mm, size=t.coefficients.shape)
     t = t.with_coefficients(coef)
-    dense = dense_displacement(t)
-    peak = float(np.sqrt((dense ** 2).sum(axis=-1)).max())
+    peak = max_displacement(t)
     if peak == 0:
         return t
     return t.with_coefficients(coef * (max_disp_mm / peak))

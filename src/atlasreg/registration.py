@@ -70,7 +70,7 @@ def default_config(kind: str) -> RegistrationConfig:
     return RegistrationConfig(levels, max_iter, spacing, ObjectiveWeights(0.001, 0.001))
 
 
-@dataclass
+@dataclass(eq=False)
 class RegistrationResult:
     affine: AffineTransform
     fwd: BSplineTransform | None
@@ -241,7 +241,7 @@ def register_affine(ref: Volume, flt: Volume, *, max_iter=(40, 25, 12)) -> Affin
     `max_iter` holds one integer iteration cap >= 1 per stage.
     """
     require_type(Volume, ref=ref, flt=flt)
-    max_iter = tuple(max_iter)
+    max_iter = tuple(max_iter) if np.iterable(max_iter) else (max_iter,)
     if len(max_iter) != 3 or not all(is_count(n) for n in max_iter):
         raise InvalidInputError(
             f"max_iter needs 3 integer iteration caps >= 1 (x4, x2, x1), got {max_iter}")
@@ -316,6 +316,7 @@ def register_ffd(ref: Volume, flt: Volume, affine: AffineTransform | None,
     the level and iteration.
     """
     require_type(Volume, ref=ref, flt=flt)
+    require_type(RegistrationConfig, cfg=cfg)
     if affine is None:
         affine = AffineTransform.identity()
     levels = usable_levels(ref.dims, cfg.levels)
@@ -369,4 +370,5 @@ def register_ffd(ref: Volume, flt: Volume, affine: AffineTransform | None,
 
 def register(ref: Volume, flt: Volume, cfg: RegistrationConfig) -> RegistrationResult:
     """Affine initialization followed by symmetric FFD refinement."""
+    require_type(RegistrationConfig, cfg=cfg)
     return register_ffd(ref, flt, register_affine(ref, flt), cfg)

@@ -7,6 +7,7 @@ the lattice covers the reference domain plus one extra node on every side.
 The dense displacement at voxel coordinate x is the tensor-product cubic
 B-spline sum of the 4x4x4 surrounding nodes; the full mapping of a point is
 world(x) + u(x). Zero coefficients therefore give the identity.
+Both transform types compare and hash by identity, as the volume types do.
 """
 from __future__ import annotations
 
@@ -110,7 +111,7 @@ def _axis_gram(n: int, spacing: float, grid_n: int, order: int) -> np.ndarray:
 # Transform types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AffineTransform(_PicklesThroughInit):
     """4x4 homogeneous matrix mapping reference world coords to source world coords."""
 
@@ -152,7 +153,7 @@ class AffineTransform(_PicklesThroughInit):
         return pts @ self.matrix[:3, :3].T + self.matrix[:3, 3]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BSplineTransform(_PicklesThroughInit):
     """Cubic B-spline lattice of displacement vectors over a reference grid.
 
@@ -249,9 +250,8 @@ def max_displacement(t: BSplineTransform) -> float:
 
 def _mapped_source_coords(src, ref_geometry, affine, ffd):
     """Source voxel coordinates sampled for every voxel of the ref grid."""
-    for t, kind in ((affine, AffineTransform), (ffd, BSplineTransform)):
-        if t is not None and not isinstance(t, kind):
-            raise InvalidInputError(f"{kind.__name__} or None expected, got {type(t).__name__}")
+    require_type((AffineTransform, type(None)), affine=affine)
+    require_type((BSplineTransform, type(None)), ffd=ffd)
     grid = as_grid(ref_geometry, "target geometry")
     world = grid.world_points()
     if ffd is not None:
@@ -330,6 +330,7 @@ def subdivide(t: BSplineTransform, fine_reference) -> BSplineTransform:
     spacing, same origin and direction); the grid spacing in local voxels is
     unchanged.
     """
+    require_type(BSplineTransform, t=t)
     fine = as_grid(fine_reference, "fine reference")
     ratio = np.asarray(t.reference.spacing) / np.asarray(fine.spacing)
     if not np.allclose(ratio, 2.0, atol=1e-6):
@@ -399,6 +400,8 @@ def _unpack_ffd(buf: bytes, off: int):
 def save_transform(path, affine: AffineTransform,
                    fwd: BSplineTransform | None = None,
                    bwd: BSplineTransform | None = None) -> None:
+    require_type(AffineTransform, affine=affine)
+    require_type((BSplineTransform, type(None)), fwd=fwd, bwd=bwd)
     flags = (1 if fwd is not None else 0) | (2 if bwd is not None else 0)
     parts = [
         TRANSFORM_MAGIC,

@@ -4,7 +4,9 @@ A Grid is the geometry of a volume: dims, voxel spacing in mm, a world-space
 origin (center of voxel (0,0,0)) and an orthonormal direction matrix whose
 columns are the world axes of the voxel axes. Volume, LabelVolume and
 ProbabilityVolume each carry one. Data is stored as an (nx, ny, nz) array;
-the serialized layout is x-fastest.
+the serialized layout is x-fastest. The volume types compare and hash by
+identity, since their arrays give `==` no single truth value;
+`same_geometry` compares their grids.
 
 Every trilinear interpolation of the package (images, masks, displacement
 fields) and its gradient goes through TrilinearStencil, whose scatter is the
@@ -183,7 +185,7 @@ class _OnGrid(_PicklesThroughInit):
         return self.grid.same_geometry(other.grid)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Volume(_OnGrid):
     """3D scalar image with physical geometry. Immutable after construction."""
 
@@ -191,7 +193,7 @@ class Volume(_OnGrid):
     spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
     origin: np.ndarray = field(default_factory=lambda: np.zeros(3))
     direction: np.ndarray = field(default_factory=lambda: np.eye(3))
-    grid: Grid = field(init=False, repr=False, compare=False)
+    grid: Grid = field(init=False, repr=False)
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=np.float32)
@@ -205,7 +207,7 @@ class Volume(_OnGrid):
         self._set_grid(data.shape)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabelVolume(_OnGrid):
     """Integer-class grid; 0 background, 1 LV cavity, 2 LV myocardium, 3 RV cavity."""
 
@@ -213,7 +215,7 @@ class LabelVolume(_OnGrid):
     spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
     origin: np.ndarray = field(default_factory=lambda: np.zeros(3))
     direction: np.ndarray = field(default_factory=lambda: np.eye(3))
-    grid: Grid = field(init=False, repr=False, compare=False)
+    grid: Grid = field(init=False, repr=False)
 
     def __post_init__(self):
         data = np.asarray(self.data)
@@ -230,7 +232,7 @@ class LabelVolume(_OnGrid):
         self._set_grid(data.shape)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProbabilityVolume(_OnGrid):
     """Per-class probability channels; shape (C, nx, ny, nz), per-voxel sum 1."""
 
@@ -238,7 +240,7 @@ class ProbabilityVolume(_OnGrid):
     spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
     origin: np.ndarray = field(default_factory=lambda: np.zeros(3))
     direction: np.ndarray = field(default_factory=lambda: np.eye(3))
-    grid: Grid = field(init=False, repr=False, compare=False)
+    grid: Grid = field(init=False, repr=False)
 
     def __post_init__(self):
         ch = np.asarray(self.channels, dtype=np.float32)

@@ -1,0 +1,63 @@
+"""Public entries of every module reject an argument of the wrong type with
+an InvalidInputError that names the argument."""
+import numpy as np
+import pytest
+
+from atlasreg import (
+    AffineTransform,
+    InvalidInputError,
+    PhantomSpec,
+    ProbabilityVolume,
+    Volume,
+    dice,
+    ensemble_fuse,
+    jaccard,
+    largest_component,
+    register,
+    register_affine,
+    register_ffd,
+    save_transform,
+    surface_distances,
+    write_nifti,
+)
+from atlasreg.transforms import subdivide
+
+
+# one call per row: (the call on an intensity volume v and an output path,
+# the InvalidInputError message it must raise)
+_WRONG_TYPES = {
+    "register_affine max_iter": (lambda v, path: register_affine(v, v, max_iter=5),
+                                 "max_iter"),
+    "register_ffd cfg": (lambda v, path: register_ffd(v, v, None, None),
+                         "cfg must be a RegistrationConfig"),
+    "register cfg": (lambda v, path: register(v, v, None), "cfg must be a RegistrationConfig"),
+    "subdivide t": (lambda v, path: subdivide("x", v), "t must be a BSplineTransform"),
+    "save_transform affine": (lambda v, path: save_transform(path, "x"),
+                              "affine must be a AffineTransform"),
+    "save_transform fwd": (lambda v, path: save_transform(path, AffineTransform.identity(), "x"),
+                           "fwd must be a BSplineTransform or None"),
+    "write_nifti str": (lambda v, path: write_nifti("x", path),
+                        "vol must be a Volume or LabelVolume"),
+    "write_nifti probabilities": (
+        lambda v, path: write_nifti(ProbabilityVolume(np.full((2, 4, 4, 4), 0.5)), path),
+        "vol must be a Volume or LabelVolume"),
+    "ensemble_fuse": (lambda v, path: ensemble_fuse([v]),
+                      r"probs\[0\] must be a ProbabilityVolume"),
+    "PhantomSpec lv_radius": (lambda v, path: PhantomSpec(lv_radius="a"), "lv_radius"),
+    "PhantomSpec noise_sigma": (lambda v, path: PhantomSpec(noise_sigma="a"), "noise_sigma"),
+    "PhantomSpec modality": (lambda v, path: PhantomSpec(modality=["lge"]), "modality"),
+    "largest_component": (lambda v, path: largest_component(v), "labels must be a LabelVolume"),
+    "dice": (lambda v, path: dice(v, v, 1), "pred must be a LabelVolume"),
+    "jaccard": (lambda v, path: jaccard(v, v, 1), "pred must be a LabelVolume"),
+    "surface_distances": (lambda v, path: surface_distances(v, v, 1),
+                          "pred must be a LabelVolume"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WRONG_TYPES))
+def test_public_entries_name_the_argument_of_a_wrong_type(tmp_path, case):
+    call, match = _WRONG_TYPES[case]
+    path = tmp_path / "out"
+    with pytest.raises(InvalidInputError, match=match):
+        call(Volume(np.zeros((4, 4, 4))), path)
+    assert not path.exists()

@@ -616,3 +616,33 @@ def test_pseudo_labels_need_both_same_patient_atlases(monkeypatch, tmp_path):
     with pytest.raises(InvalidInputError, match="same_patient"):
         build_pseudo_labels(target, atlases, same_patient[:1])
     assert _started(tmp_path / "log") == []
+
+
+# (the arguments target, atlases, same_patient, type1_cfg, type2_cfg made
+# from those of `_pseudo_inputs`, with one of them spoiled; the error it
+# must raise)
+_BAD_PIPELINE_INPUTS = {
+    "atlas labels": (lambda t, a, s: (t, a[:2] + [(a[2][0], a[2][0])], s),
+                     "^atlas 2: labels must be a LabelVolume"),
+    "atlas image": (lambda t, a, s: (t, [("x", a[0][1])] + a[1:], s),
+                    "^atlas 0: image must be a Volume"),
+    "same-patient labels": (lambda t, a, s: (t, a, (s[0], (s[1][0], s[1][0]))),
+                            "^same-patient atlas 1: labels must be a LabelVolume"),
+    "same-patient entry": (lambda t, a, s: (t, a, (s[0], s[1][0])),
+                           r"^same-patient atlas 1: must be an \(image, labels\) pair"),
+    "same-patient pair": (lambda t, a, s: (t, a, 5), "^same_patient must be the"),
+    "target": (lambda t, a, s: ("x", a, s), "^target must be a Volume"),
+    "type-2 config": (lambda t, a, s: (t, a, s, None, "type2"),
+                      "^type2_cfg must be a RegistrationConfig"),
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("bad", sorted(_BAD_PIPELINE_INPUTS))
+def test_pseudo_labels_check_every_input_before_registering(monkeypatch, tmp_path, bad,
+                                                           threads):
+    spoil, match = _BAD_PIPELINE_INPUTS[bad]
+    _fake_stages(monkeypatch, tmp_path / "log")
+    with pytest.raises(InvalidInputError, match=match):
+        build_pseudo_labels(*spoil(*_pseudo_inputs()), threads=threads)
+    assert _started(tmp_path / "log", "a") == _started(tmp_path / "log", "f") == []

@@ -112,12 +112,16 @@ def _bits(a):
 
 def _footprint_positions(seed, n):
     """Random bin positions plus every integer of the bin range and both its
-    neighbours, where the kernel's branches meet."""
+    neighbours, where the kernel's branches meet, and dense positions in
+    [1, 2), where the offsets t = q - floor(q) have their finest grid
+    (multiples of 2^-52), the first and last 64 steps of it included."""
     rng = np.random.default_rng(seed)
     top = BINS - 3.0
     ints = np.arange(1.0, top + 1.0)  # 1 .. BINS-3, the ends of the bin range
+    steps = np.arange(1.0, 65.0) * 2.0 ** -52
     return np.concatenate([rng.uniform(1.0, top, n), ints,
-                           np.nextafter(ints[1:], 0.0), np.nextafter(ints[:-1], np.inf)])
+                           np.nextafter(ints[1:], 0.0), np.nextafter(ints[:-1], np.inf),
+                           rng.uniform(1.0, 2.0, n), 1.0 + steps, 2.0 - steps])
 
 
 def test_footprint_weights_equal_kernel_bit_for_bit():
@@ -134,6 +138,18 @@ def test_footprint_weights_equal_kernel_bit_for_bit():
             assert np.array_equal(np.signbit(row), np.signbit(expected)), (k, d1)
             signed_zeros += int(np.count_nonzero((row == 0) & np.signbit(row)))
     assert signed_zeros > 0  # the fixture reaches the kernel's negative zeros
+
+
+@pytest.mark.parametrize("out", [False, True])
+def test_footprint_rows_leave_their_offsets_unchanged(out):
+    # rows 2-3 take t itself as their distance; a write into it would shift
+    # the offsets of every later row and of the deposit's cells
+    t = _bin_offsets(_footprint_positions(27, 500))[0]
+    before = t.copy()
+    for k in range(4):
+        for d1 in (False, True):
+            _footprint_row(t, k, d1, np.empty_like(t) if out else None)
+            assert np.array_equal(_bits(t), _bits(before)), (k, d1)
 
 
 @pytest.mark.parametrize("d1_f", [False, True])

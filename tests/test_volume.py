@@ -10,10 +10,13 @@ from atlasreg import (
     Grid,
     InvalidInputError,
     LabelVolume,
+    ObjectiveWeights,
     ProbabilityVolume,
+    RegistrationResult,
     Volume,
     resample,
 )
+from atlasreg.objective import objective
 from atlasreg.volume import TrilinearStencil
 
 
@@ -368,3 +371,26 @@ def test_pickle_round_trip_is_equal_and_read_only(kind):
     # the rest (dims, spacings, Grids) compares with ==
     assert ({k: v for k, v in vars(copy).items() if k not in after}
             == {k: v for k, v in vars(original).items() if k not in before})
+
+
+def _identity_cases():
+    """The array-holding cases of `_pickle_cases` (not Grid, whose exact
+    `==` and `hash` key the point caches) and the two result types."""
+    cases = _pickle_cases()
+    del cases["Grid"]
+    vol, ffd = cases["Volume"], cases["BSplineTransform"]
+    cases["RegistrationResult"] = RegistrationResult(cases["AffineTransform"], ffd, ffd,
+                                                     [[0.5]], [True])
+    cases["ObjectiveResult"] = objective(vol, vol, ffd, ffd, ObjectiveWeights())
+    return cases
+
+
+@pytest.mark.parametrize("kind", sorted(_identity_cases()))
+def test_value_types_compare_and_hash_by_identity(kind):
+    value = _identity_cases()[kind]
+    copy = pickle.loads(pickle.dumps(value))
+    assert type(copy) is type(value)
+    assert value == value and value != copy
+    assert hash(value) == hash(value)
+    assert value in [copy, value] and value not in [copy]
+    assert {value: kind}[value] == kind

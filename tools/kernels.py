@@ -14,6 +14,8 @@ call, and the tracemalloc peak (MiB) of one more call, of:
 - gather: the floating image at the points
 - gradient: the gradient of the floating image at the points
 - scatter, 3 channels: (N, 3) vectors onto the grid
+- Parzen rows (8): the four cubic footprint rows and their four
+  derivative rows at the deposit's floating bin offsets, all held at once
 - Parzen deposit: the joint histogram of the points inside the grid, at
   fixed intensity ranges, as the FFD similarity deposits it
 - deposit finish: that deposit's gradient with respect to the points
@@ -40,7 +42,14 @@ os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM
 import numpy as np  # noqa: E402
 
 from atlasreg import Volume, random_smooth_deformation  # noqa: E402
-from atlasreg.objective import _nmi_deposit, robust_range, sample_map  # noqa: E402
+from atlasreg.objective import (  # noqa: E402
+    _bin_offsets,
+    _bin_positions,
+    _footprint_row,
+    _nmi_deposit,
+    robust_range,
+    sample_map,
+)
 
 DIMS, SPACING = (128, 128, 16), (1.25, 1.25, 5.0)
 LATTICE = (5.0, 5.0, 1.25)  # lattice spacing in voxels: 6.25 mm on every axis
@@ -83,6 +92,8 @@ def main() -> int:
     ranges = (robust_range(ref.data.reshape(-1)[mask].astype(np.float64)),
               robust_range(values))
 
+    t = _bin_offsets(_bin_positions(values.copy(), ranges[1])[0])[0]
+
     def deposit(samples):
         return _nmi_deposit(ref, flt, mask, samples, ranges)
 
@@ -91,6 +102,9 @@ def main() -> int:
         ("gather", lambda _: stencil.gather(flt.data), lambda: None),
         ("gradient", lambda _: stencil.gradient(flt.data), lambda: None),
         ("scatter, 3 channels", lambda _: stencil.scatter(vecs), lambda: None),
+        ("Parzen rows (8)",
+         lambda _: [_footprint_row(t, k, d1) for d1 in (False, True) for k in range(4)],
+         lambda: None),
         # the deposit computes its bin positions in place of the samples
         ("Parzen deposit", deposit, values.copy),
         ("deposit finish", lambda finish: finish(stencil), lambda: deposit(values.copy())[1]),
