@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import gzip
 import math
+import os
 import struct
 import zlib
 from pathlib import Path
@@ -53,6 +54,7 @@ def read_nifti(path, *, labels: bool = False, label_remap: dict | None = None):
     the values it does not name as they are) against the internal class ids
     and a LabelVolume is returned.
     """
+    require_type((str, os.PathLike), path=path)
     raw = _read_bytes(path)
     if len(raw) < HEADER_SIZE:
         raise TruncatedFileError(f"{path}: file shorter than the 348-byte header")

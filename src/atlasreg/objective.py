@@ -95,7 +95,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DegenerateInputError, InvalidInputError, is_number
+from .errors import DegenerateInputError, InvalidInputError, is_number, require_type
 from .transforms import (
     BSplineTransform,
     dense_displacement,
@@ -297,6 +297,7 @@ def build_joint_histogram(ref: Volume, warped: Volume, mask=None,
     `ranges` optionally fixes the (ref, float) intensity ranges; by default
     they are the robust percentile ranges of the masked voxels.
     """
+    require_type(Volume, ref=ref, warped=warped)
     require_same_geometry(ref, warped)
     m = np.ones(ref.dims, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
     if m.shape != ref.dims:
@@ -329,6 +330,7 @@ def _nmi_terms(counts: np.ndarray):
 def nmi(counts: np.ndarray) -> float:
     """Normalized mutual information (H(R) + H(F)) / H(R, F), in [1, 2], of a
     joint count histogram with reference bins along axis 0."""
+    require_type(np.ndarray, counts=counts)
     return _nmi_terms(counts)[0]
 
 
@@ -419,6 +421,8 @@ def _nmi_deposit(ref: Volume, flt: Volume, mask, values, ranges, shell=None):
     histogram = [counts, (q_r, q_f, scale_f, interior_f)]
 
     def finish(stencil):
+        if not histogram:
+            raise InvalidInputError("this NMI gradient was already finished")
         counts, positions = histogram
         histogram.clear()
         ds = _nmi_and_count_gradient(counts)[1]
@@ -508,6 +512,7 @@ class SampledMap:
 def sample_map(ffd: BSplineTransform) -> SampledMap:
     """Sample `ffd` once, onto its own reference grid, for the similarity and
     the inconsistency penalty."""
+    require_type(BSplineTransform, ffd=ffd)
     grid = ffd.reference
     u = np.ascontiguousarray(np.moveaxis(dense_displacement(ffd), -1, 0))
     # the world points x + u(x) as three rows, taken to voxel coordinates
@@ -569,6 +574,7 @@ _BENDING_TERMS = (
 
 def bending_energy_gradient(t: BSplineTransform):
     """(`bending_energy(t)`, d energy / d coefficients)."""
+    require_type(BSplineTransform, t=t)
     # The voxel sum of a squared derivative field W C is <C, W^T W C>, and
     # W^T W factorises per axis, so every term is a product on the lattice.
     n_vox = float(np.prod(t.reference.dims))
@@ -620,6 +626,7 @@ def _roundtrip(outer: SampledMap, inner: SampledMap):
 def _roundtrip_residuals(fwd: SampledMap, bwd: SampledMap):
     """(penalty, [finish of the trip with fwd outer, that with bwd outer]),
     see `_roundtrip`; the two trips run as the two halves."""
+    require_type(SampledMap, fwd=fwd, bwd=bwd)
     require_same_geometry(fwd.ffd.reference, bwd.ffd.reference, "fwd and bwd references")
     (c_f, finish_f), (c_b, finish_b) = _both_halves(lambda: _roundtrip(fwd, bwd),
                                                     lambda: _roundtrip(bwd, fwd))

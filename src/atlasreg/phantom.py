@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, is_natural, is_number
+from .errors import InvalidInputError, is_natural, is_number, require_type
 from .transforms import BSplineTransform, max_displacement
 from .volume import Grid, LabelVolume, Volume
 
@@ -44,6 +44,11 @@ class PhantomSpec:
     def __post_init__(self):
         if not is_natural(self.seed):
             raise InvalidInputError(f"seed must be an integer >= 0, got {self.seed!r}")
+        Grid(self.dims, self.spacing)  # dims and spacing, checked as a grid's
+        offset = self.rv_offset
+        if not (isinstance(offset, (tuple, list, np.ndarray)) and len(offset) == 3
+                and all(is_number(v) and math.isfinite(v) for v in offset)):
+            raise InvalidInputError(f"rv_offset must be three finite numbers, got {offset!r}")
         if not all(is_number(r) and r > 0
                    for r in (self.lv_radius, self.myo_thickness, self.rv_radius)):
             raise InvalidInputError("lv_radius, myo_thickness and rv_radius must be > 0")
@@ -95,6 +100,7 @@ def scaled_spec(dims=(64, 64, 64), spacing=(1.0, 1.0, 1.0), **kwargs) -> Phantom
 
 def generate_phantom(spec: PhantomSpec) -> tuple[Volume, LabelVolume]:
     """Render the phantom image and its ground-truth labels."""
+    require_type(PhantomSpec, spec=spec)
     spec.validate_margin()
     pos = Grid(spec.dims, spec.spacing).world_points().reshape(*spec.dims, 3)  # mm
 

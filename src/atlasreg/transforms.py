@@ -11,6 +11,7 @@ Both transform types compare and hash by identity, as the volume types do.
 """
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -417,6 +418,7 @@ def save_transform(path, affine: AffineTransform,
 
 def load_transform(path):
     """Returns (affine, fwd | None, bwd | None)."""
+    require_type((str, os.PathLike), path=path)
     buf = Path(path).read_bytes()
     if len(buf) < 16 + 128 or buf[:8] != TRANSFORM_MAGIC:
         raise InvalidInputError(f"{path}: not a transform container")

@@ -2,11 +2,13 @@
 
 A Grid is the geometry of a volume: dims, voxel spacing in mm, a world-space
 origin (center of voxel (0,0,0)) and an orthonormal direction matrix whose
-columns are the world axes of the voxel axes. Volume, LabelVolume and
-ProbabilityVolume each carry one. Data is stored as an (nx, ny, nz) array;
-the serialized layout is x-fastest. The volume types compare and hash by
-identity, since their arrays give `==` no single truth value;
-`same_geometry` compares their grids.
+columns are the world axes of the voxel axes. A volume (Volume, LabelVolume,
+ProbabilityVolume) is its values and one Grid, nothing more: its spacing,
+origin, direction and dims are read from that Grid. Values are stored as an
+(nx, ny, nz) array, channels first for probabilities; the serialized layout
+is x-fastest. Volumes are immutable, their arrays read-only, and they compare
+and hash by identity, since their arrays give `==` no single truth value;
+`same_geometry` compares grids, and takes a Grid or a volume on either side.
 
 Every trilinear interpolation of the package (images, masks, displacement
 fields) and its gradient goes through TrilinearStencil, whose scatter is the
@@ -120,7 +122,10 @@ class Grid(_PicklesThroughInit):
         vox /= np.asarray(self.spacing)
         return vox
 
-    def same_geometry(self, other: "Grid") -> bool:
+    def same_geometry(self, other) -> bool:
+        """Whether `other`, a Grid or a volume, has this geometry within
+        GEOMETRY_TOL; anything else raises InvalidInputError."""
+        other = as_grid(other, "other")
         return self is other or self == other or (
             self.dims == other.dims
             and np.allclose(self.spacing, other.spacing, atol=GEOMETRY_TOL)
@@ -161,19 +166,49 @@ def _grid_points(grid: Grid, world: bool) -> np.ndarray:
     return rows.T
 
 
-class _OnGrid(_PicklesThroughInit):
-    """Geometry accessors of the volume types below, all answered by their Grid."""
+_ORIGIN = (0.0, 0.0, 0.0)
+_DIRECTION = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
-    def _set_grid(self, dims):
-        grid = Grid(dims, self.spacing, self.origin, self.direction)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "spacing", grid.spacing)
-        object.__setattr__(self, "origin", grid.origin)
-        object.__setattr__(self, "direction", grid.direction)
 
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.grid.dims
+class _OnGrid:
+    """A volume: its values and one Grid, and nothing else.
+
+    The constructor reads the values as an array of `_DTYPE` (None keeps
+    theirs), which the type's `_checked` hook checks and returns as an array
+    of the volume's own. It makes that array read-only and stores it under
+    `_VALUES`, then builds the Grid of its last three axes from spacing,
+    origin and direction, which checks those. Spacing, origin, direction and
+    dims are read from that Grid. Instances are immutable, pickle as a new
+    constructor call (so copies are checked and read-only too) and compare
+    and hash by identity.
+    """
+
+    _VALUES, _DTYPE = "data", None  # the values' attribute, and the dtype they are read as
+
+    def __init__(self, data, spacing=(1.0, 1.0, 1.0), origin=_ORIGIN, direction=_DIRECTION):
+        try:
+            values = np.asarray(data, dtype=self._DTYPE)
+        except (TypeError, ValueError):
+            raise InvalidInputError(
+                f"{self._VALUES} must be numbers, got {type(data).__name__}") from None
+        values = self._checked(values)
+        values.flags.writeable = False
+        object.__setattr__(self, self._VALUES, values)
+        object.__setattr__(self, "grid", Grid(values.shape[-3:], spacing, origin, direction))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return type(self), (getattr(self, self._VALUES), self.spacing, self.origin, self.direction)
+
+    dims = property(lambda self: self.grid.dims)
+    spacing = property(lambda self: self.grid.spacing)
+    origin = property(lambda self: self.grid.origin)
+    direction = property(lambda self: self.grid.direction)
 
     def world_from_voxel(self, pts) -> np.ndarray:
         return self.grid.world_from_voxel(pts)
@@ -182,43 +217,26 @@ class _OnGrid(_PicklesThroughInit):
         return self.grid.voxel_from_world(pts)
 
     def same_geometry(self, other) -> bool:
-        return self.grid.same_geometry(other.grid)
+        return self.grid.same_geometry(other)
 
 
-@dataclass(frozen=True, eq=False)
 class Volume(_OnGrid):
-    """3D scalar image with physical geometry. Immutable after construction."""
+    """3D scalar image with physical geometry."""
 
-    data: np.ndarray
-    spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
-    origin: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    direction: np.ndarray = field(default_factory=lambda: np.eye(3))
-    grid: Grid = field(init=False, repr=False)
+    _DTYPE = np.float32
 
-    def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float32)
+    def _checked(self, data) -> np.ndarray:
         if data.ndim != 3:
             raise InvalidInputError(f"volume data must be 3D, got shape {data.shape}")
         if not np.all(np.isfinite(data)):
             raise InvalidInputError("volume data contains NaN or Inf")
-        data = data.copy()
-        data.flags.writeable = False
-        object.__setattr__(self, "data", data)
-        self._set_grid(data.shape)
+        return data.copy()
 
 
-@dataclass(frozen=True, eq=False)
 class LabelVolume(_OnGrid):
     """Integer-class grid; 0 background, 1 LV cavity, 2 LV myocardium, 3 RV cavity."""
 
-    data: np.ndarray
-    spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
-    origin: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    direction: np.ndarray = field(default_factory=lambda: np.eye(3))
-    grid: Grid = field(init=False, repr=False)
-
-    def __post_init__(self):
-        data = np.asarray(self.data)
+    def _checked(self, data) -> np.ndarray:
         if data.ndim != 3:
             raise InvalidInputError(f"label data must be 3D, got shape {data.shape}")
         if not np.isin(data, LABEL_CLASS_IDS).all():
@@ -226,24 +244,18 @@ class LabelVolume(_OnGrid):
             more = ", ..." if len(bad) > 5 else ""
             raise InvalidInputError(f"label volume contains undeclared class ids "
                                     f"[{', '.join(map(str, bad[:5]))}{more}], {len(bad)} in all")
-        data = data.astype(np.uint8)
-        data.flags.writeable = False
-        object.__setattr__(self, "data", data)
-        self._set_grid(data.shape)
+        return data.astype(np.uint8)
 
 
-@dataclass(frozen=True, eq=False)
 class ProbabilityVolume(_OnGrid):
     """Per-class probability channels; shape (C, nx, ny, nz), per-voxel sum 1."""
 
-    channels: np.ndarray
-    spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
-    origin: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    direction: np.ndarray = field(default_factory=lambda: np.eye(3))
-    grid: Grid = field(init=False, repr=False)
+    _VALUES, _DTYPE = "channels", np.float32
 
-    def __post_init__(self):
-        ch = np.asarray(self.channels, dtype=np.float32)
+    def __init__(self, channels, spacing=(1.0, 1.0, 1.0), origin=_ORIGIN, direction=_DIRECTION):
+        super().__init__(channels, spacing, origin, direction)
+
+    def _checked(self, ch) -> np.ndarray:
         if ch.ndim != 4 or ch.shape[0] < 2:
             raise InvalidInputError(f"channels must be (C>=2, nx, ny, nz), got {ch.shape}")
         if not np.all(np.isfinite(ch)):
@@ -253,10 +265,7 @@ class ProbabilityVolume(_OnGrid):
         sums = ch.sum(axis=0, dtype=np.float64)
         if np.abs(sums - 1.0).max() > 1e-4:
             raise InvalidInputError("per-voxel channel sums must equal 1 within 1e-4")
-        ch = ch.copy()
-        ch.flags.writeable = False
-        object.__setattr__(self, "channels", ch)
-        self._set_grid(ch.shape[1:])
+        return ch.copy()
 
     @property
     def num_classes(self) -> int:

@@ -9,13 +9,21 @@ from atlasreg import (
     PhantomSpec,
     ProbabilityVolume,
     Volume,
+    bending_energy,
+    build_joint_histogram,
     dice,
     ensemble_fuse,
+    generate_phantom,
+    inconsistency_penalty,
     jaccard,
     largest_component,
+    load_transform,
+    nmi,
+    read_nifti,
     register,
     register_affine,
     register_ffd,
+    sample_map,
     save_transform,
     surface_distances,
     write_nifti,
@@ -51,6 +59,23 @@ _WRONG_TYPES = {
     "jaccard": (lambda v, path: jaccard(v, v, 1), "pred must be a LabelVolume"),
     "surface_distances": (lambda v, path: surface_distances(v, v, 1),
                           "pred must be a LabelVolume"),
+    "PhantomSpec dims": (lambda v, path: generate_phantom(PhantomSpec(dims="a")), "dims"),
+    "PhantomSpec spacing": (lambda v, path: PhantomSpec(spacing="a"), "spacing"),
+    "PhantomSpec rv_offset": (lambda v, path: generate_phantom(PhantomSpec(rv_offset="a")),
+                              "rv_offset"),
+    "generate_phantom": (lambda v, path: generate_phantom("x"), "spec must be a PhantomSpec"),
+    "build_joint_histogram": (lambda v, path: build_joint_histogram("x", v),
+                              "ref must be a Volume"),
+    "bending_energy": (lambda v, path: bending_energy("x"), "t must be a BSplineTransform"),
+    "sample_map": (lambda v, path: sample_map("x"), "ffd must be a BSplineTransform"),
+    "inconsistency_penalty": (lambda v, path: inconsistency_penalty("x", "x"),
+                              "fwd must be a SampledMap"),
+    "nmi": (lambda v, path: nmi("x"), "counts must be a ndarray"),
+    "Volume data": (lambda v, path: Volume("x"), "data must be numbers"),
+    "ProbabilityVolume channels": (lambda v, path: ProbabilityVolume("x"),
+                                   "channels must be numbers"),
+    "read_nifti": (lambda v, path: read_nifti(123), "path must be a str or PathLike"),
+    "load_transform": (lambda v, path: load_transform(123), "path must be a str or PathLike"),
 }
 
 

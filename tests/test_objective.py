@@ -481,6 +481,16 @@ def test_similarity_rejects_a_map_off_the_reference_grid():
                                 sample_map(ffd))
 
 
+def test_a_similarity_gradient_finishes_once():
+    ref = _gradient_phantom(3)
+    ffd = random_smooth_deformation(ref, 1.5, 5.0, seed=2)
+    _, finish = similarity_and_gradient(ref, _gradient_phantom(4), sample_map(ffd))
+    assert np.all(np.isfinite(finish()))
+    # the finish consumed the deposit it kept, as the objective's does
+    with pytest.raises(InvalidInputError, match="already finished"):
+        finish()
+
+
 # --- combined objective ----------------------------------------------------
 
 def test_weights_validation():

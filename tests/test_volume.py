@@ -7,6 +7,7 @@ import pytest
 from atlasreg import (
     AffineTransform,
     BSplineTransform,
+    GeometryMismatchError,
     Grid,
     InvalidInputError,
     LabelVolume,
@@ -17,7 +18,7 @@ from atlasreg import (
     resample,
 )
 from atlasreg.objective import objective
-from atlasreg.volume import TrilinearStencil
+from atlasreg.volume import TrilinearStencil, require_same_geometry
 
 
 def test_constant_volume_interpolates_to_constant():
@@ -394,3 +395,61 @@ def test_value_types_compare_and_hash_by_identity(kind):
     assert hash(value) == hash(value)
     assert value in [copy, value] and value not in [copy]
     assert {value: kind}[value] == kind
+
+
+def _volume_cases():
+    """One volume of each type on the `_GEOMETRY` grid, by the name of its values."""
+    rng = np.random.default_rng(12)
+    raw = rng.uniform(0.1, 1.0, size=(2, 3, 4, 5))
+    return {
+        "Volume": (Volume(rng.normal(size=(3, 4, 5)), **_GEOMETRY), "data"),
+        "LabelVolume": (LabelVolume(rng.integers(0, 4, (3, 4, 5)), **_GEOMETRY), "data"),
+        "ProbabilityVolume": (ProbabilityVolume(raw / raw.sum(axis=0), **_GEOMETRY),
+                              "channels"),
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(_volume_cases()))
+def test_a_volume_holds_its_values_and_one_grid(kind):
+    vol, values = _volume_cases()[kind]
+    assert sorted(vars(vol)) == sorted([values, "grid"])
+    grid = vol.grid
+    assert grid == Grid((3, 4, 5), **_GEOMETRY)
+    assert (vol.dims, vol.spacing) == (grid.dims, grid.spacing)
+    assert vol.origin is grid.origin and vol.direction is grid.direction
+
+
+@pytest.mark.parametrize("kind", sorted(_volume_cases()))
+def test_a_volume_rejects_assignment_and_deletion(kind):
+    vol, values = _volume_cases()[kind]
+    before = dict(vars(vol))
+    for name in (values, "grid", "spacing", "other"):
+        with pytest.raises(AttributeError):
+            setattr(vol, name, None)
+        with pytest.raises(AttributeError):
+            delattr(vol, name)
+    assert vars(vol) == before
+
+
+def test_volumes_construct_from_keywords():
+    vol = Volume(data=np.zeros((2, 3, 4)), origin=(1.0, 2.0, 3.0))
+    assert vol.dims == (2, 3, 4) and vol.origin.tolist() == [1.0, 2.0, 3.0]
+    labels = LabelVolume(data=np.ones((2, 3, 4)), direction=np.eye(3)[[1, 0, 2]])
+    assert labels.direction[0].tolist() == [0.0, 1.0, 0.0]
+    probs = ProbabilityVolume(channels=np.full((2, 2, 3, 4), 0.5), spacing=(1.0, 2.0, 3.0))
+    assert (probs.dims, probs.spacing, probs.num_classes) == ((2, 3, 4), (1.0, 2.0, 3.0), 2)
+
+
+def test_same_geometry_takes_a_grid_or_a_volume_on_either_side():
+    vol = _volume_cases()["Volume"][0]
+    other = Volume(vol.data, spacing=(1.0, 1.0, 1.0))
+    for a, b in ((vol, vol.grid), (vol.grid, vol), (vol, vol), (vol.grid, vol.grid)):
+        assert a.same_geometry(b)
+        require_same_geometry(a, b)
+    for a, b in ((vol, other.grid), (vol.grid, other), (vol, other), (vol.grid, other.grid)):
+        assert not a.same_geometry(b)
+        with pytest.raises(GeometryMismatchError):
+            require_same_geometry(a, b)
+    for a in (vol, vol.grid):
+        with pytest.raises(InvalidInputError, match="other must be a Grid or a volume"):
+            a.same_geometry("x")

@@ -12,6 +12,12 @@ digits of a SHA-256 over the float64 bytes of:
 - pseudo_label, at threads 1 and at threads 2: the fused labels, then each
   registration's affine matrix, forward and backward coefficients and traces
 
+A last line per seed digests the inputs of case 0 of each workload: the
+first 16 hex digits of a SHA-256 over `workloads.input_digest`, the bytes of
+every volume's values, spacing, origin and direction. Every phantom and
+every warp of the inputs builds volumes, so a change to how volumes are
+built or stored shows there first.
+
 A change meant to keep the outputs bit for bit prints the same digests as its
 parent. BLAS is pinned to one thread, as in the benchmark, because a
 threaded BLAS may round differently; another machine's BLAS may also print
@@ -96,6 +102,11 @@ def pseudo_label(seed: int, threads: int) -> str:
     return digest(arrays)
 
 
+def input_digest(workload: str, seed: int) -> str:
+    raw = workloads.input_digest(workloads.make_inputs(workload, seed, 0))
+    return hashlib.sha256(raw).hexdigest()[:16]
+
+
 def main() -> int:
     status = 0
     for name, seed in SEEDS:
@@ -106,6 +117,8 @@ def main() -> int:
         if one != two:
             print("pseudo_label differs between threads 1 and 2", file=sys.stderr)
             status = 1
+        inputs = ", ".join(f"{w} {input_digest(w, seed)}" for w in workloads.WORKLOADS)
+        print(f"inputs       seed {name}: {inputs}", flush=True)
     return status
 
 
