@@ -148,6 +148,7 @@ def read_nifti(path, *, labels: bool = False, label_remap: dict | None = None):
 def write_nifti(vol, path) -> None:
     """Write a Volume (float32) or LabelVolume (uint8) as little-endian NIfTI-1."""
     require_type((Volume, LabelVolume), vol=vol)
+    require_type((str, os.PathLike), path=path)
     if isinstance(vol, LabelVolume):
         datatype, arr = 2, vol.data
     else:

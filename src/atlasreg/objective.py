@@ -181,7 +181,10 @@ def _finish_both(pair: list):
 # ---------------------------------------------------------------------------
 
 def robust_range(values: np.ndarray) -> tuple[float, float]:
-    """0.1-99.9 percentile intensity range; degenerate ranges are rejected."""
+    """0.1-99.9 percentile intensity range; degenerate ranges, and no values
+    at all, are rejected."""
+    if np.size(values) == 0:
+        raise DegenerateInputError("image has no values to take an intensity range of")
     lo, hi = np.percentile(values, (0.1, 99.9))
     if not hi > lo:
         raise DegenerateInputError("image has no intensity range (constant image)")
@@ -331,6 +334,8 @@ def nmi(counts: np.ndarray) -> float:
     """Normalized mutual information (H(R) + H(F)) / H(R, F), in [1, 2], of a
     joint count histogram with reference bins along axis 0."""
     require_type(np.ndarray, counts=counts)
+    if counts.ndim != 2:
+        raise InvalidInputError(f"counts must be a 2-D histogram, got shape {counts.shape}")
     return _nmi_terms(counts)[0]
 
 

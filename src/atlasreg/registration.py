@@ -339,8 +339,7 @@ def register_ffd(ref: Volume, flt: Volume, affine: AffineTransform | None,
             bwd = subdivide(bwd, ref_k)
 
         r_ref = robust_range(ref_k.data.reshape(-1))
-        masked = f_al.data[f_mask]
-        r_fal = robust_range(masked.reshape(-1)) if masked.size else r_ref
+        r_fal = robust_range(f_al.data[f_mask])
         # an all-True mask excludes nothing (its gather is 1 at every
         # in-bounds point), so leave it out of every objective call
         kwargs = dict(ranges=(r_ref, r_fal), flt_mask=None if f_mask.all() else f_mask)

@@ -7,13 +7,13 @@ the lattice covers the reference domain plus one extra node on every side.
 The dense displacement at voxel coordinate x is the tensor-product cubic
 B-spline sum of the 4x4x4 surrounding nodes; the full mapping of a point is
 world(x) + u(x). Zero coefficients therefore give the identity.
-Both transform types compare and hash by identity, as the volume types do.
+Both transform types are immutable values on `volume._Frozen`, checked by
+their constructors, and compare and hash by identity, as the volume types do.
 """
 from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -26,7 +26,7 @@ from .volume import (
     LabelVolume,
     TrilinearStencil,
     Volume,
-    _PicklesThroughInit,
+    _Frozen,
     as_grid,
     positive_spacings,
     require_same_geometry,
@@ -112,18 +112,17 @@ def _axis_gram(n: int, spacing: float, grid_n: int, order: int) -> np.ndarray:
 # Transform types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class AffineTransform(_PicklesThroughInit):
+class AffineTransform(_Frozen):
     """4x4 homogeneous matrix mapping reference world coords to source world coords."""
 
-    matrix: np.ndarray
+    _ARGS = ("matrix",)
 
-    def __post_init__(self):
+    def __init__(self, matrix):
         try:
-            m = np.asarray(self.matrix, dtype=np.float64)
+            m = np.asarray(matrix, dtype=np.float64)
         except (TypeError, ValueError):
             raise InvalidInputError(
-                f"affine matrix must be 4x4 numbers, got {self.matrix!r}") from None
+                f"affine matrix must be 4x4 numbers, got {matrix!r}") from None
         if m.shape != (4, 4):
             raise InvalidTransformError(f"affine matrix must be 4x4, got {m.shape}")
         if not np.all(np.isfinite(m)):
@@ -135,7 +134,7 @@ class AffineTransform(_PicklesThroughInit):
         m = m.copy()
         m[3] = (0, 0, 0, 1)
         m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        self._set(matrix=m)
 
     @classmethod
     def identity(cls) -> "AffineTransform":
@@ -154,25 +153,22 @@ class AffineTransform(_PicklesThroughInit):
         return pts @ self.matrix[:3, :3].T + self.matrix[:3, 3]
 
 
-@dataclass(frozen=True, eq=False)
-class BSplineTransform(_PicklesThroughInit):
+class BSplineTransform(_Frozen):
     """Cubic B-spline lattice of displacement vectors over a reference grid.
 
-    `grid_dims`, the lattice's node counts, follow from the reference dims
-    and the grid spacing (`grid_dim_for`).
+    `grid_spacing` is in voxels of the reference Grid and `coefficients`
+    (gx, gy, gz, 3) in mm. `grid_dims`, the lattice's node counts, follow
+    from the reference dims and the grid spacing (`grid_dim_for`).
     """
 
-    grid_spacing: tuple[float, float, float]  # in voxels of the reference grid
-    coefficients: np.ndarray                  # (gx, gy, gz, 3), mm
-    reference: Grid
-    grid_dims: tuple[int, int, int] = field(init=False)
+    _ARGS = ("grid_spacing", "coefficients", "reference")
 
-    def __post_init__(self):
-        gs = positive_spacings(self.grid_spacing, "grid spacings")
-        if not isinstance(self.reference, Grid):
+    def __init__(self, grid_spacing, coefficients, reference):
+        gs = positive_spacings(grid_spacing, "grid spacings")
+        if not isinstance(reference, Grid):
             raise InvalidInputError("reference must be a Grid")
-        gd = _lattice_dims(self.reference, gs)
-        coef = np.asarray(self.coefficients, dtype=np.float64)
+        gd = _lattice_dims(reference, gs)
+        coef = np.asarray(coefficients, dtype=np.float64)
         if coef.shape != gd + (3,):
             raise InvalidTransformError(
                 f"coefficient shape {coef.shape} does not match the lattice {gd} + (3,) "
@@ -180,9 +176,7 @@ class BSplineTransform(_PicklesThroughInit):
             )
         coef = coef.copy()
         coef.flags.writeable = False
-        object.__setattr__(self, "coefficients", coef)
-        object.__setattr__(self, "grid_dims", gd)
-        object.__setattr__(self, "grid_spacing", gs)
+        self._set(grid_spacing=gs, coefficients=coef, reference=reference, grid_dims=gd)
 
     @classmethod
     def zeros(cls, reference, grid_spacing) -> "BSplineTransform":
@@ -194,7 +188,7 @@ class BSplineTransform(_PicklesThroughInit):
         return cls(gs, np.zeros(_lattice_dims(grid, gs) + (3,)), grid)
 
     def with_coefficients(self, coef) -> "BSplineTransform":
-        return replace(self, coefficients=np.asarray(coef, dtype=np.float64))
+        return type(self)(self.grid_spacing, coef, self.reference)
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +395,7 @@ def _unpack_ffd(buf: bytes, off: int):
 def save_transform(path, affine: AffineTransform,
                    fwd: BSplineTransform | None = None,
                    bwd: BSplineTransform | None = None) -> None:
+    require_type((str, os.PathLike), path=path)
     require_type(AffineTransform, affine=affine)
     require_type((BSplineTransform, type(None)), fwd=fwd, bwd=bwd)
     flags = (1 if fwd is not None else 0) | (2 if bwd is not None else 0)

@@ -6,9 +6,11 @@ columns are the world axes of the voxel axes. A volume (Volume, LabelVolume,
 ProbabilityVolume) is its values and one Grid, nothing more: its spacing,
 origin, direction and dims are read from that Grid. Values are stored as an
 (nx, ny, nz) array, channels first for probabilities; the serialized layout
-is x-fastest. Volumes are immutable, their arrays read-only, and they compare
-and hash by identity, since their arrays give `==` no single truth value;
-`same_geometry` compares grids, and takes a Grid or a volume on either side.
+is x-fastest. Grids, volumes and both transform types are immutable values
+on `_Frozen`, their arrays read-only. A Grid's `==` and `hash` are exact,
+so it keys caches; the others compare and hash by identity, since their
+arrays give `==` no single truth value. `same_geometry` compares grids, and
+takes a Grid or a volume on either side.
 
 Every trilinear interpolation of the package (images, masks, displacement
 fields) and its gradient goes through TrilinearStencil, whose scatter is the
@@ -19,7 +21,6 @@ intensity volumes only; labels move between grids by nearest neighbour in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
 import numpy as np
@@ -43,20 +44,39 @@ def positive_spacings(spacing, what: str = "spacings") -> tuple[float, float, fl
     return tuple(float(s) for s in spacing)
 
 
-class _PicklesThroughInit:
-    """Pickles a dataclass as a call of its constructor with its init fields.
+_ORIGIN = (0.0, 0.0, 0.0)
+_DIRECTION = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
-    An unpickled copy is then validated like any new instance, and its arrays
-    are read-only like the original's; the default pickling restores the
-    instance dict as it is, with writeable arrays.
+
+class _Frozen:
+    """An immutable value, checked once by its constructor: Grid, the volume
+    types (through _OnGrid), AffineTransform and BSplineTransform. Scalar
+    configs and result records stay dataclasses.
+
+    `_set` is the only writer; assigning or deleting an attribute raises
+    AttributeError. A value pickles as a new constructor call with the
+    attributes `_ARGS` names, so a copy (a worker's result, a deepcopy) is
+    checked again and its arrays are read-only; default pickling would
+    restore the instance dict with writeable arrays.
     """
 
+    _ARGS: tuple[str, ...] = ()  # the constructor's arguments, read back by pickling
+
+    def _set(self, **attrs):
+        for name, value in attrs.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
     def __reduce__(self):
-        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
+        return type(self), tuple(getattr(self, name) for name in self._ARGS)
 
 
-@dataclass(frozen=True, eq=False)
-class Grid(_PicklesThroughInit):
+class Grid(_Frozen):
     """Voxel grid geometry: dims, spacing (mm), origin and direction.
 
     The origin is the world position of voxel (0, 0, 0); the columns of the
@@ -65,26 +85,23 @@ class Grid(_PicklesThroughInit):
     `same_geometry` compares within GEOMETRY_TOL.
     """
 
-    dims: tuple[int, int, int]
-    spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
-    origin: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    direction: np.ndarray = field(default_factory=lambda: np.eye(3))
+    _ARGS = ("dims", "spacing", "origin", "direction")
 
-    def __post_init__(self):
+    def __init__(self, dims, spacing=(1.0, 1.0, 1.0), origin=_ORIGIN, direction=_DIRECTION):
         try:
-            dims = tuple(self.dims)
+            dims = tuple(dims)
         except TypeError:
-            dims = (self.dims,)
+            dims = (dims,)
         if len(dims) != 3 or not all(is_count(n) for n in dims):
             raise InvalidInputError(f"dims must be three positive integers, got {dims}")
-        spacing = positive_spacings(self.spacing)
-        try:
-            origin = np.asarray(self.origin, dtype=np.float64).reshape(3).copy()
-            direction = np.asarray(self.direction, dtype=np.float64).copy()
+        spacing = positive_spacings(spacing)
+        try:  # both converted before either name is rebound, so the message shows the inputs
+            origin, direction = (np.asarray(origin, dtype=np.float64).reshape(3).copy(),
+                                 np.asarray(direction, dtype=np.float64).copy())
         except (TypeError, ValueError):
             raise InvalidInputError(
-                f"origin must be 3 numbers and direction 3x3 numbers, got {self.origin!r} "
-                f"and {self.direction!r}") from None
+                f"origin must be 3 numbers and direction 3x3 numbers, got {origin!r} "
+                f"and {direction!r}") from None
         if not np.all(np.isfinite(origin)):
             raise InvalidInputError(f"origin must be finite, got {origin}")
         if direction.shape != (3, 3):
@@ -96,10 +113,8 @@ class Grid(_PicklesThroughInit):
                 "direction matrix must be orthonormal (unit columns, |det| = 1)")
         origin.flags.writeable = False
         direction.flags.writeable = False
-        object.__setattr__(self, "dims", tuple(int(n) for n in dims))
-        object.__setattr__(self, "spacing", spacing)
-        object.__setattr__(self, "origin", origin)
-        object.__setattr__(self, "direction", direction)
+        self._set(dims=tuple(int(n) for n in dims), spacing=spacing, origin=origin,
+                  direction=direction)
 
     def _key(self):
         return (self.dims, self.spacing, self.origin.tobytes(), self.direction.tobytes())
@@ -166,44 +181,30 @@ def _grid_points(grid: Grid, world: bool) -> np.ndarray:
     return rows.T
 
 
-_ORIGIN = (0.0, 0.0, 0.0)
-_DIRECTION = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
-
-
-class _OnGrid:
+class _OnGrid(_Frozen):
     """A volume: its values and one Grid, and nothing else.
 
     The constructor reads the values as an array of `_DTYPE` (None keeps
     theirs), which the type's `_checked` hook checks and returns as an array
     of the volume's own. It makes that array read-only and stores it under
-    `_VALUES`, then builds the Grid of its last three axes from spacing,
+    `_ARGS[0]`, then builds the Grid of its last three axes from spacing,
     origin and direction, which checks those. Spacing, origin, direction and
-    dims are read from that Grid. Instances are immutable, pickle as a new
-    constructor call (so copies are checked and read-only too) and compare
-    and hash by identity.
+    dims are read from that Grid. Volumes compare and hash by identity.
     """
 
-    _VALUES, _DTYPE = "data", None  # the values' attribute, and the dtype they are read as
+    _ARGS = ("data", "spacing", "origin", "direction")
+    _DTYPE = None  # the dtype the values are read as
 
     def __init__(self, data, spacing=(1.0, 1.0, 1.0), origin=_ORIGIN, direction=_DIRECTION):
         try:
             values = np.asarray(data, dtype=self._DTYPE)
         except (TypeError, ValueError):
             raise InvalidInputError(
-                f"{self._VALUES} must be numbers, got {type(data).__name__}") from None
+                f"{self._ARGS[0]} must be numbers, got {type(data).__name__}") from None
         values = self._checked(values)
         values.flags.writeable = False
-        object.__setattr__(self, self._VALUES, values)
-        object.__setattr__(self, "grid", Grid(values.shape[-3:], spacing, origin, direction))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable: cannot assign {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
-
-    def __reduce__(self):
-        return type(self), (getattr(self, self._VALUES), self.spacing, self.origin, self.direction)
+        self._set(**{self._ARGS[0]: values},
+                  grid=Grid(values.shape[-3:], spacing, origin, direction))
 
     dims = property(lambda self: self.grid.dims)
     spacing = property(lambda self: self.grid.spacing)
@@ -250,7 +251,8 @@ class LabelVolume(_OnGrid):
 class ProbabilityVolume(_OnGrid):
     """Per-class probability channels; shape (C, nx, ny, nz), per-voxel sum 1."""
 
-    _VALUES, _DTYPE = "channels", np.float32
+    _ARGS = ("channels", "spacing", "origin", "direction")
+    _DTYPE = np.float32
 
     def __init__(self, channels, spacing=(1.0, 1.0, 1.0), origin=_ORIGIN, direction=_DIRECTION):
         super().__init__(channels, spacing, origin, direction)
@@ -273,6 +275,9 @@ class ProbabilityVolume(_OnGrid):
 
 
 def require_same_geometry(a, b, what: str = "volumes"):
+    """GeometryMismatchError unless `a` and `b`, each a Grid or a volume,
+    share geometry; InvalidInputError naming the one that is neither."""
+    a, b = as_grid(a, "a"), as_grid(b, "b")
     if not a.same_geometry(b):
         raise GeometryMismatchError(
             f"{what} must share geometry: {a.dims}/{a.spacing} vs {b.dims}/{b.spacing}"

@@ -5,6 +5,7 @@ import pytest
 
 from atlasreg import (
     AffineTransform,
+    DegenerateInputError,
     InvalidInputError,
     PhantomSpec,
     ProbabilityVolume,
@@ -28,7 +29,9 @@ from atlasreg import (
     surface_distances,
     write_nifti,
 )
+from atlasreg.objective import robust_range
 from atlasreg.transforms import subdivide
+from atlasreg.volume import require_same_geometry
 
 
 # one call per row: (the call on an intensity volume v and an output path,
@@ -42,10 +45,13 @@ _WRONG_TYPES = {
     "subdivide t": (lambda v, path: subdivide("x", v), "t must be a BSplineTransform"),
     "save_transform affine": (lambda v, path: save_transform(path, "x"),
                               "affine must be a AffineTransform"),
+    "save_transform path": (lambda v, path: save_transform(123, AffineTransform.identity()),
+                            "path must be a str or PathLike"),
     "save_transform fwd": (lambda v, path: save_transform(path, AffineTransform.identity(), "x"),
                            "fwd must be a BSplineTransform or None"),
     "write_nifti str": (lambda v, path: write_nifti("x", path),
                         "vol must be a Volume or LabelVolume"),
+    "write_nifti path": (lambda v, path: write_nifti(v, 987), "path must be a str or PathLike"),
     "write_nifti probabilities": (
         lambda v, path: write_nifti(ProbabilityVolume(np.full((2, 4, 4, 4), 0.5)), path),
         "vol must be a Volume or LabelVolume"),
@@ -71,6 +77,12 @@ _WRONG_TYPES = {
     "inconsistency_penalty": (lambda v, path: inconsistency_penalty("x", "x"),
                               "fwd must be a SampledMap"),
     "nmi": (lambda v, path: nmi("x"), "counts must be a ndarray"),
+    "nmi 1-D": (lambda v, path: nmi(np.ones(3)), "counts must be a 2-D histogram"),
+    "nmi 3-D": (lambda v, path: nmi(np.ones((2, 2, 2))), "counts must be a 2-D histogram"),
+    "require_same_geometry a": (lambda v, path: require_same_geometry("x", v),
+                                "a must be a Grid or a volume"),
+    "require_same_geometry b": (lambda v, path: require_same_geometry(v, "x"),
+                                "b must be a Grid or a volume"),
     "Volume data": (lambda v, path: Volume("x"), "data must be numbers"),
     "ProbabilityVolume channels": (lambda v, path: ProbabilityVolume("x"),
                                    "channels must be numbers"),
@@ -86,3 +98,8 @@ def test_public_entries_name_the_argument_of_a_wrong_type(tmp_path, case):
     with pytest.raises(InvalidInputError, match=match):
         call(Volume(np.zeros((4, 4, 4))), path)
     assert not path.exists()
+
+
+def test_the_intensity_range_of_no_values_is_degenerate():
+    with pytest.raises(DegenerateInputError, match="no values"):
+        robust_range(np.array([]))

@@ -295,6 +295,23 @@ def test_ffd_passes_the_floating_mask_only_when_it_excludes_voxels(
         assert all(m is not None and m.any() and not m.all() for m in masks)
 
 
+def test_ffd_of_a_floating_image_mapped_off_the_reference_fails_before_any_evaluation(
+        monkeypatch):
+    calls = []
+    real = registration.objective
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(registration, "objective", counted)
+    vol = _phantom((16, 16, 16))
+    away = AffineTransform.from_linear(np.eye(3), (100.0, 0.0, 0.0))
+    with pytest.raises(DegenerateInputError, match="no values"):
+        register_ffd(vol, vol, away, RegistrationConfig(levels=1, max_iter_per_level=1))
+    assert calls == []
+
+
 # --- affine -----------------------------------------------------------------
 
 def test_affine_self_registration_is_identity():

@@ -457,6 +457,12 @@ def test_stored_grid_dims_that_disagree_with_the_reference_are_rejected(tmp_path
         load_transform(path)
 
 
+def test_coefficients_of_another_lattice_are_rejected():
+    t = BSplineTransform.zeros(_zeros_volume(), 4.0)
+    with pytest.raises(InvalidTransformError, match="coefficient shape"):
+        t.with_coefficients(np.zeros((4, 4, 4, 3)))
+
+
 def test_infinite_grid_spacing_is_rejected():
     grid = _zeros_volume().grid
     with pytest.raises(InvalidInputError, match="finite"):

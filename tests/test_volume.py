@@ -419,16 +419,28 @@ def test_a_volume_holds_its_values_and_one_grid(kind):
     assert vol.origin is grid.origin and vol.direction is grid.direction
 
 
-@pytest.mark.parametrize("kind", sorted(_volume_cases()))
+@pytest.mark.parametrize("kind", sorted(_pickle_cases()))
 def test_a_volume_rejects_assignment_and_deletion(kind):
-    vol, values = _volume_cases()[kind]
-    before = dict(vars(vol))
-    for name in (values, "grid", "spacing", "other"):
+    value = _pickle_cases()[kind]
+    before = dict(vars(value))
+    for name in (*before, "spacing", "other"):
         with pytest.raises(AttributeError):
-            setattr(vol, name, None)
+            setattr(value, name, None)
         with pytest.raises(AttributeError):
-            delattr(vol, name)
-    assert vars(vol) == before
+            delattr(value, name)
+    assert vars(value) == before
+
+
+_ATTRIBUTES = {
+    "Grid": ["dims", "spacing", "origin", "direction"],
+    "AffineTransform": ["matrix"],
+    "BSplineTransform": ["grid_spacing", "coefficients", "reference", "grid_dims"],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_ATTRIBUTES))
+def test_a_grid_or_transform_holds_its_checked_attributes_and_nothing_else(kind):
+    assert sorted(vars(_pickle_cases()[kind])) == sorted(_ATTRIBUTES[kind])
 
 
 def test_volumes_construct_from_keywords():

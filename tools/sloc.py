@@ -1,14 +1,15 @@
-"""Code lines of the `atlasreg` package.
+"""Code and source lines of the `atlasreg` package.
 
     python3 tools/sloc.py [SRC_DIR]
 
-Prints the code lines of each module under SRC_DIR (default
-`src/atlasreg`) and their total. A code line holds at least one token
-that is neither a comment nor part of a docstring, so blank lines,
+Prints the code lines and the source lines of each module under SRC_DIR
+(default `src/atlasreg`), and both totals. A code line holds at least one
+token that is neither a comment nor part of a docstring, so blank lines,
 comment lines and docstring lines are left out; a line that carries code
 and a trailing comment counts. A docstring is the string-literal first
-statement of a module, class or function. Exits 1 if a module does not
-parse.
+statement of a module, class or function. Source lines are all lines of
+the file, counted as the bench metadata's `src_atlasreg_lines` counts them.
+Exits 1 if a module does not parse.
 """
 from __future__ import annotations
 
@@ -45,16 +46,20 @@ def code_lines(source: str) -> int:
 
 def main(argv: list[str]) -> int:
     src = Path(argv[0]) if argv else ROOT / "src" / "atlasreg"
-    total = 0
+    total = total_source = 0
+    print(f"{'module':<16}{'code':>6}{'source':>8}")
     for path in sorted(src.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
         try:
-            n = code_lines(path.read_text(encoding="utf-8"))
+            n = code_lines(source)
         except (SyntaxError, tokenize.TokenError) as exc:
             print(f"{path}: {exc}", file=sys.stderr)
             return 1
+        n_source = len(source.splitlines())
         total += n
-        print(f"{path.name:<16}{n:>6}")
-    print(f"{'total':<16}{total:>6}")
+        total_source += n_source
+        print(f"{path.name:<16}{n:>6}{n_source:>8}")
+    print(f"{'total':<16}{total:>6}{total_source:>8}")
     return 0
 
 
