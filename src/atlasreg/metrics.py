@@ -5,14 +5,22 @@ class (the volume border counts as outside); distances are measured between
 surface voxel centers in millimeters. The Hausdorff distance is the exact
 maximum of the two directed maxima, and the average surface distance is the
 mean of the two directed means.
+
+Each directed distance is exact, and its float64 value is that of a k-d tree
+query: the squared differences summed in x, y, z order, their minimum over
+the other surface, then the square root. The search works in the bounding
+box of both classes, whose rows run along z. A surface voxel first takes as
+an upper bound its distance to the nearest of the other surface's voxels
+just before and after its z in raster order, from its own row and from the
+four neighboring rows. Every row that holds voxels of the other surface
+within that bound is then searched; in a row the nearest voxel is one of the
+two around the query's z, so each row costs two distances.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
-from scipy.spatial import cKDTree
 
 from .errors import UndefinedMetricError, require_type
 from .volume import CLASS_NAMES, LabelVolume, require_same_geometry
@@ -52,12 +60,104 @@ def jaccard(pred: LabelVolume, gt: LabelVolume, class_id: int) -> float:
     return int((p & g).sum()) / union
 
 
-def _surface_points(mask: np.ndarray, spacing) -> np.ndarray:
-    """Surface voxel centers (mm): class voxels with a 6-neighbor outside."""
-    structure = ndimage.generate_binary_structure(3, 1)
-    eroded = ndimage.binary_erosion(mask, structure=structure, border_value=0)
-    surf = mask & ~eroded
-    return np.argwhere(surf) * np.asarray(spacing)
+def _surface_points(mask: np.ndarray) -> np.ndarray:
+    """Voxel indices (K, 3), in raster order, of the voxels of `mask` with a
+    six-neighbor outside it; the array border counts as outside."""
+    padded = np.zeros([n + 2 for n in mask.shape], dtype=bool)
+    padded[1:-1, 1:-1, 1:-1] = mask
+    inner = mask.copy()
+    for axis in range(3):
+        for shift in (0, 2):  # the neighbor before, then after, along `axis`
+            view = [slice(1, -1)] * 3
+            view[axis] = slice(shift, shift + mask.shape[axis])
+            inner &= padded[tuple(view)]
+    return np.argwhere(mask & ~inner)
+
+
+_NEIGHBOR_ROWS = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))
+_CHUNK = 1 << 18  # rows searched at once
+_REACH = 1.0 + 1e-9  # grows the bound past the rounding of coordinates
+
+
+def _spread(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, rank) of every item when owner o holds counts[o] items."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    return owner, np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
+
+
+def _nearest_distances(queries: np.ndarray, targets: np.ndarray, dims, corner,
+                       spacing) -> np.ndarray:
+    """Distance (mm) from each query voxel to its nearest target voxel.
+
+    Both are voxel indices of a box of `dims` whose voxel 0 is `corner` of
+    the volume, the targets in raster order; a voxel's center is its volume
+    index times `spacing`. See the module docstring for the search.
+    """
+    nx, ny, nz = dims
+    qi, qj, qk = queries.T
+    qx, qy, qz = ((queries + corner) * spacing).T
+    tx, ty, tz = ((targets + corner) * spacing).T
+    last = len(targets) - 1
+    # before[v]: the number of targets ahead of box voxel v in raster order
+    before = np.zeros(nx * ny * nz + 1, dtype=np.int64)
+    linear = (targets[:, 0] * ny + targets[:, 1]) * nz + targets[:, 2]
+    np.cumsum(np.bincount(linear, minlength=nx * ny * nz), out=before[1:])
+
+    def squared(q, t):
+        d = qx[q] - tx[t]
+        s = d * d
+        d = qy[q] - ty[t]
+        s += d * d
+        d = qz[q] - tz[t]
+        s += d * d
+        return s
+
+    def in_rows(q, i, j):
+        """Squared distance from queries q to the targets just before and
+        after (i, j, q's z) in raster order: the nearest of row (i, j), if
+        the row holds one, is among them."""
+        k = before[(i * ny + j) * nz + qk[q]]
+        return np.minimum(squared(q, np.minimum(k, last)), squared(q, np.maximum(k - 1, 0)))
+
+    every = slice(None)
+    bound = np.full(len(queries), np.inf)
+    for di, dj in _NEIGHBOR_ROWS:
+        i = np.minimum(np.maximum(qi + di, 0), nx - 1)
+        j = np.minimum(np.maximum(qj + dj, 0), ny - 1)
+        np.minimum(bound, in_rows(every, i, j), out=bound)
+
+    # the rows within reach of each query, among those holding targets:
+    # the slices (i) first, then the rows (j) of each slice
+    reach2 = bound * _REACH
+    j_low, j_high = np.full(nx, ny), np.full(nx, -1)
+    np.minimum.at(j_low, targets[:, 0], targets[:, 1])
+    np.maximum.at(j_high, targets[:, 0], targets[:, 1])
+    wx = (np.sqrt(reach2) / spacing[0]).astype(np.int64)
+    i0 = np.maximum(qi - wx, targets[0, 0])
+    sq, rank = _spread(np.maximum(np.minimum(qi + wx, targets[-1, 0]) - i0 + 1, 0))
+    si = i0[sq] + rank
+    dx = (si - qi[sq]) * spacing[0]
+    wy = (np.sqrt(np.maximum(reach2[sq] - dx * dx, 0.0)) / spacing[1]).astype(np.int64)
+    j0 = np.maximum(qj[sq] - wy, j_low[si])
+    rows = np.maximum(np.minimum(qj[sq] + wy, j_high[si]) - j0 + 1, 0)
+
+    best = np.full(len(queries), np.inf)
+    ends = np.cumsum(rows)
+    cuts = [0, *np.searchsorted(ends, np.arange(_CHUNK, ends[-1], _CHUNK)), len(rows)]
+    for a, b in zip(cuts, cuts[1:]):
+        owner, rank = _spread(rows[a:b])
+        q = sq[a:b][owner]
+        np.minimum.at(best, q, in_rows(q, si[a:b][owner], j0[a:b][owner] + rank))
+    return np.sqrt(best)
+
+
+def _bounding_box(mask: np.ndarray) -> tuple[slice, ...]:
+    """The smallest box of `mask`'s array that holds all its True voxels."""
+    box = []
+    for axis in range(mask.ndim):
+        hit = np.flatnonzero(mask.any(axis=tuple(a for a in range(mask.ndim) if a != axis)))
+        box.append(slice(int(hit[0]), int(hit[-1]) + 1))
+    return tuple(box)
 
 
 def surface_distances(pred: LabelVolume, gt: LabelVolume,
@@ -65,14 +165,16 @@ def surface_distances(pred: LabelVolume, gt: LabelVolume,
     """(average surface distance, Hausdorff distance) in mm for one class."""
     require_type(LabelVolume, pred=pred, gt=gt)
     require_same_geometry(pred, gt)
-    p_pts = _surface_points(pred.data == class_id, pred.spacing)
-    g_pts = _surface_points(gt.data == class_id, gt.spacing)
-    if len(p_pts) == 0 or len(g_pts) == 0:
-        raise UndefinedMetricError(
-            f"class {class_id} is empty in {'prediction' if len(p_pts) == 0 else 'ground truth'}"
-        )
-    d_pg = cKDTree(g_pts).query(p_pts)[0]
-    d_gp = cKDTree(p_pts).query(g_pts)[0]
+    p_mask, g_mask = pred.data == class_id, gt.data == class_id
+    for name, mask in (("prediction", p_mask), ("ground truth", g_mask)):
+        if not mask.any():
+            raise UndefinedMetricError(f"class {class_id} is empty in {name}")
+    box = _bounding_box(p_mask | g_mask)  # every voxel outside is outside both
+    p_mask, g_mask = p_mask[box], g_mask[box]
+    p_pts, g_pts = _surface_points(p_mask), _surface_points(g_mask)
+    geometry = (p_mask.shape, np.array([b.start for b in box]), np.asarray(pred.spacing))
+    d_pg = _nearest_distances(p_pts, g_pts, *geometry)
+    d_gp = _nearest_distances(g_pts, p_pts, *geometry)
     asd = (float(d_pg.mean()) + float(d_gp.mean())) / 2.0
     hausdorff = max(float(d_pg.max()), float(d_gp.max()))
     return asd, hausdorff

@@ -317,8 +317,16 @@ def _entropy(p: np.ndarray) -> float:
 
 def _nmi_terms(counts: np.ndarray):
     """NMI of a count histogram with the terms its gradient reuses:
-    (nmi, joint entropy, joint p, ref marginal, float marginal, total)."""
+    (nmi, joint entropy, joint p, ref marginal, float marginal, total).
+    InvalidInputError unless the counts are finite numbers >= 0."""
+    if counts.dtype.kind not in "iuf":
+        raise InvalidInputError(f"counts must be numbers, got dtype {counts.dtype}")
+    low = counts.min(initial=0)  # NaN if any count is NaN
+    if not low >= 0:
+        raise InvalidInputError(f"counts must be >= 0 and not NaN, got {low}")
     total = counts.sum()
+    if not np.isfinite(total):
+        raise InvalidInputError(f"counts must be finite, got a total of {total}")
     if total <= 0:
         raise DegenerateInputError("joint histogram has zero mass")
     p = counts / total

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidInputError, is_natural, is_number, require_type
 from .transforms import BSplineTransform, max_displacement
-from .volume import Grid, LabelVolume, Volume
+from .volume import Grid, LabelVolume, Volume, gaussian_smooth
 
 # class intensity tables per pseudo-modality: {class id: mean intensity}
 DEFAULT_INTENSITIES = {
@@ -122,10 +122,8 @@ def generate_phantom(spec: PhantomSpec) -> tuple[Volume, LabelVolume]:
     if spec.noise_sigma > 0:
         data = data + rng.normal(0.0, spec.noise_sigma, size=spec.dims)
     if spec.texture_amplitude > 0:
-        from scipy.ndimage import gaussian_filter
-
         raw = rng.normal(size=spec.dims)
-        smooth = gaussian_filter(raw, sigma=4.0, mode="nearest")
+        smooth = gaussian_smooth(raw, 4.0)
         smooth /= max(smooth.std(), 1e-12)
         data = data + spec.texture_amplitude * smooth
 

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .errors import (DegenerateInputError, InvalidInputError, NumericalFailureError,
                      is_count, is_number, require_type)
@@ -31,7 +30,7 @@ from .transforms import (
     subdivide,
     warp_volume_masked,
 )
-from .volume import TrilinearStencil, Volume, resample
+from .volume import TrilinearStencil, Volume, gaussian_smooth, resample
 
 STEP_FLOOR_MM = 0.01      # smallest line-search probe, both stages
 AFFINE_GAIN_FLOOR = 1e-7  # relative gain per iteration below which a stage stops
@@ -84,8 +83,7 @@ class RegistrationResult:
 # ---------------------------------------------------------------------------
 
 def _smooth(vol: Volume, sigma_vox: float) -> Volume:
-    data = gaussian_filter(vol.data.astype(np.float64), sigma=sigma_vox,
-                           mode="nearest")
+    data = gaussian_smooth(vol.data.astype(np.float64), sigma_vox)
     return Volume(data.astype(np.float32), vol.spacing, vol.origin, vol.direction)
 
 

@@ -12,6 +12,7 @@ from atlasreg import (
     jaccard,
     surface_distances,
 )
+from atlasreg.metrics import _nearest_distances, _surface_points
 
 
 def _lbl(data, spacing=(1.0, 1.0, 1.0)):
@@ -165,6 +166,71 @@ def test_distances_use_physical_spacing():
     asd, hd = surface_distances(_lbl(a, spacing=(2.5, 1.0, 1.0)),
                                 _lbl(b, spacing=(2.5, 1.0, 1.0)), 1)
     assert hd == pytest.approx(5.0)
+
+
+def _kdtree_distances(pred, gt, cls):
+    """(asd, hd) through scipy's six-neighbour erosion and cKDTree queries,
+    and the two directed distance arrays."""
+    from scipy import ndimage
+    from scipy.spatial import cKDTree
+
+    structure = ndimage.generate_binary_structure(3, 1)
+    p_pts, g_pts = (np.argwhere(m & ~ndimage.binary_erosion(m, structure, border_value=0))
+                    * np.asarray(pred.spacing) for m in (pred.data == cls, gt.data == cls))
+    d_pg, d_gp = cKDTree(g_pts).query(p_pts)[0], cKDTree(p_pts).query(g_pts)[0]
+    asd = (float(d_pg.mean()) + float(d_gp.mean())) / 2.0
+    return asd, max(float(d_pg.max()), float(d_gp.max())), d_pg, d_gp
+
+
+def _bits(*values) -> np.ndarray:
+    return np.array(values, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_surface_points_equal_scipys_erosion_on_masks_that_touch_the_border(seed):
+    from scipy import ndimage
+
+    rng = np.random.default_rng(seed)
+    structure = ndimage.generate_binary_structure(3, 1)
+    for dims in ((7, 6, 5), (1, 6, 5), (4, 2, 1)):
+        for mask in (rng.random(dims) < 0.8, np.ones(dims, dtype=bool)):
+            want = np.argwhere(mask & ~ndimage.binary_erosion(mask, structure,
+                                                              border_value=0))
+            assert np.array_equal(_surface_points(mask), want)
+
+
+def _ball(dims, center, radius, spacing):
+    pos = np.indices(dims).transpose(1, 2, 3, 0) * np.asarray(spacing)
+    return (((pos - np.asarray(center)) ** 2).sum(axis=-1) < radius ** 2).astype(np.uint8)
+
+
+@pytest.mark.parametrize("spacing", [(1.0, 1.0, 1.0), (1.25, 0.7, 5.0), (0.3, 2.5, 1.1)])
+def test_surface_distances_equal_kdtree_queries_bit_for_bit(spacing):
+    rng = np.random.default_rng(11)
+    dims = (14, 12, 9)
+    extent = (np.asarray(dims) - 1) * np.asarray(spacing)
+    corners = np.zeros(dims, dtype=np.uint8)
+    corners[0, 0, 0] = corners[-1, -1, -1] = 1
+    one_a, one_b = np.zeros(dims, dtype=np.uint8), np.zeros(dims, dtype=np.uint8)
+    one_a[2, 3, 4] = one_b[11, 1, 7] = 1
+    corner_a, corner_b = np.zeros(dims, dtype=np.uint8), np.zeros(dims, dtype=np.uint8)
+    corner_a[:4, :3, :3] = corner_b[-3:, -4:, -2:] = 1
+    pairs = [
+        (_ball(dims, 0.5 * extent, 0.3 * extent.max(), spacing),
+         _ball(dims, 0.55 * extent, 0.25 * extent.max(), spacing)),
+        (corner_a, corner_b),  # far apart
+        (one_a, one_b),  # single voxels
+        (one_a, corners),
+        (rng.random(dims) < 0.3, rng.random(dims) < 0.6),
+    ]
+    for a, b in pairs:
+        pred, gt = (_lbl(np.asarray(v, dtype=np.uint8), spacing) for v in (a, b))
+        asd, hd, d_pg, d_gp = _kdtree_distances(pred, gt, 1)
+        assert np.array_equal(_bits(*surface_distances(pred, gt, 1)), _bits(asd, hd))
+        p_pts, g_pts = (_surface_points(v.data == 1) for v in (pred, gt))
+        geometry = (dims, np.zeros(3, dtype=np.int64), np.asarray(spacing))
+        assert np.array_equal(_bits(*_nearest_distances(p_pts, g_pts, *geometry)), _bits(*d_pg))
+        assert np.array_equal(_bits(*_nearest_distances(g_pts, p_pts, *geometry)), _bits(*d_gp))
 
 
 def test_empty_class_raises_undefined_metric():

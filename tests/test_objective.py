@@ -266,6 +266,17 @@ def test_nmi_invariant_under_positive_rescaling():
     assert nmi(h1) == pytest.approx(nmi(h2), abs=1e-12)
 
 
+@pytest.mark.parametrize("counts, match", [
+    (np.array([[-1.0, 2.0], [1.0, 1.0]]), ">= 0"),
+    (np.array([[np.nan, 2.0], [1.0, 1.0]]), "NaN"),
+    (np.array([[np.inf, 2.0], [1.0, 1.0]]), "finite"),
+    (np.array([["a", "b"], ["c", "d"]]), "numbers"),
+], ids=["negative", "nan", "inf", "strings"])
+def test_nmi_rejects_counts_that_are_not_counts(counts, match):
+    with pytest.raises(InvalidInputError, match=match):
+        nmi(counts)
+
+
 def test_zero_mass_histogram_is_degenerate():
     with pytest.raises(DegenerateInputError):
         nmi(np.zeros((4, 4)))

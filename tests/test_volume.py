@@ -18,7 +18,7 @@ from atlasreg import (
     resample,
 )
 from atlasreg.objective import objective
-from atlasreg.volume import TrilinearStencil, require_same_geometry
+from atlasreg.volume import TrilinearStencil, gaussian_smooth, require_same_geometry
 
 
 def test_constant_volume_interpolates_to_constant():
@@ -284,6 +284,38 @@ def test_world_voxel_round_trip():
 
 
 # --- resampling ---------------------------------------------------------
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    """The float64 bit patterns of `a`'s values (exact for float32 too)."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+# Radius int(4 sigma + 0.5): 3, 6, 11 and 16 voxels, so every axis of
+# length 1 or 2, and the 5-voxel axis, is shorter than the radius.
+@pytest.mark.parametrize("sigma", [0.7, 1.4, 2.8, 4.0])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dims", [(13, 9, 7), (1, 5, 2), (2, 1, 11)])
+def test_gaussian_smooth_equals_scipys_filter_bit_for_bit(sigma, dtype, dims):
+    from scipy.ndimage import gaussian_filter
+
+    data = np.random.default_rng(7).normal(0.0, 10.0, dims).astype(dtype)
+    got = gaussian_smooth(data, sigma)
+    want = gaussian_filter(data, sigma, mode="nearest")
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+@pytest.mark.parametrize("data, sigma, match", [
+    (np.ones((3, 3, 3), dtype=np.int64), 1.0, "float array"),
+    (np.ones((0, 3, 3)), 1.0, "non-empty"),
+    (np.ones((3, 3, 3)), 0.0, "sigma"),
+    (np.ones((3, 3, 3)), float("nan"), "sigma"),
+    ([[1.0]], 1.0, "data must be a ndarray"),
+])
+def test_gaussian_smooth_rejects_what_it_cannot_filter(data, sigma, match):
+    with pytest.raises(InvalidInputError, match=match):
+        gaussian_smooth(data, sigma)
+
 
 def test_resample_dims_follow_ceil_rule():
     vol = Volume(np.zeros((10, 10, 10), dtype=np.float32), spacing=(2.0, 2.0, 2.0))

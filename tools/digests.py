@@ -12,11 +12,18 @@ digits of a SHA-256 over the float64 bytes of:
 - pseudo_label, at threads 1 and at threads 2: the fused labels, then each
   registration's affine matrix, forward and backward coefficients and traces
 
-A last line per seed digests the inputs of case 0 of each workload: the
-first 16 hex digits of a SHA-256 over `workloads.input_digest`, the bytes of
-every volume's values, spacing, origin and direction. Every phantom and
-every warp of the inputs builds volumes, so a change to how volumes are
-built or stored shows there first.
+A line per seed digests the inputs of case 0 of each workload: the first 16
+hex digits of a SHA-256 over `workloads.input_digest`, the bytes of every
+volume's values, spacing, origin and direction. Every phantom and every warp
+of the inputs builds volumes, so a change to how volumes are built or stored
+shows there first.
+
+A last line per seed digests `metrics.evaluate` of each workload's output
+labels against the ground truth, as the benchmark scores them (the floating
+labels warped by the result; the fused labels of the threads-1 run): the
+float64 bits of Dice, average surface distance and Hausdorff distance per
+class (NaN where a distance is undefined). It pins the surface erosion and
+the nearest-point search.
 
 A change meant to keep the outputs bit for bit prints the same digests as its
 parent. BLAS is pinned to one thread, as in the benchmark, because a
@@ -28,6 +35,7 @@ without writing to `bench/`.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import sys
 from pathlib import Path
@@ -43,7 +51,7 @@ os.environ.update(run.THREAD_PIN)  # before numpy loads its BLAS
 import numpy as np  # noqa: E402
 
 import workloads  # noqa: E402
-from atlasreg import fusion, registration  # noqa: E402
+from atlasreg import fusion, metrics, registration, transforms  # noqa: E402
 
 SEEDS = (("1", 1), ("heldout", run.HELDOUT_SEED))
 
@@ -84,22 +92,43 @@ def pseudo_label_call(seed: int, threads: int, registrations_out=None):
         threads=threads, registrations_out=registrations_out)
 
 
-def affine_xmod(seed: int) -> str:
-    return digest([affine_xmod_call(seed)().matrix])
+def _scored(workload: str, seed: int, labels=None, affine=None, ffd=None):
+    """(the labels the benchmark scores, the ground truth) of case 0: `labels`,
+    or the floating labels warped by `affine` and `ffd`."""
+    inputs = workloads.make_inputs(workload, seed)
+    if labels is None:
+        labels = transforms.warp_labels(inputs["floating_labels"], inputs["target"], affine, ffd)
+    return labels, inputs["gt"]
 
 
-def ffd_stack(seed: int) -> str:
-    return digest(_ffd_arrays(ffd_stack_call(seed)()))
+def affine_xmod(seed: int):
+    """(digest, scored labels and ground truth)"""
+    res = affine_xmod_call(seed)()
+    return digest([res.matrix]), _scored("affine_xmod", seed, affine=res)
 
 
-def pseudo_label(seed: int, threads: int) -> str:
+def ffd_stack(seed: int):
+    res = ffd_stack_call(seed)()
+    return digest(_ffd_arrays(res)), _scored("ffd_stack", seed, affine=res.affine, ffd=res.fwd)
+
+
+def pseudo_label(seed: int, threads: int):
     registrations: list = []
     fused = pseudo_label_call(seed, threads, registrations)()
     arrays = [fused.data]
     for res in registrations:
         arrays.append(res.affine.matrix)
         arrays.extend(_ffd_arrays(res))
-    return digest(arrays)
+    return digest(arrays), _scored("pseudo_label", seed, labels=fused)
+
+
+def evaluate_digest(labels, gt) -> str:
+    report = metrics.evaluate(labels, gt)
+    values = [math.nan if v is None else v
+              for c in metrics.FOREGROUND_CLASSES
+              for v in (report.per_class[c].dice, report.per_class[c].asd_mm,
+                        report.per_class[c].hausdorff_mm)]
+    return digest([np.array(values)])
 
 
 def input_digest(workload: str, seed: int) -> str:
@@ -110,15 +139,21 @@ def input_digest(workload: str, seed: int) -> str:
 def main() -> int:
     status = 0
     for name, seed in SEEDS:
-        print(f"affine_xmod  seed {name}: {affine_xmod(seed)}", flush=True)
-        print(f"ffd_stack    seed {name}: {ffd_stack(seed)}", flush=True)
-        one, two = pseudo_label(seed, 1), pseudo_label(seed, 2)
+        affine, scored = affine_xmod(seed)
+        print(f"affine_xmod  seed {name}: {affine}", flush=True)
+        ffd, scored_ffd = ffd_stack(seed)
+        print(f"ffd_stack    seed {name}: {ffd}", flush=True)
+        (one, scored_fused), (two, _) = pseudo_label(seed, 1), pseudo_label(seed, 2)
         print(f"pseudo_label seed {name}: {one} (threads 1), {two} (threads 2)", flush=True)
         if one != two:
             print("pseudo_label differs between threads 1 and 2", file=sys.stderr)
             status = 1
         inputs = ", ".join(f"{w} {input_digest(w, seed)}" for w in workloads.WORKLOADS)
         print(f"inputs       seed {name}: {inputs}", flush=True)
+        scores = (("affine_xmod", scored), ("ffd_stack", scored_ffd),
+                  ("pseudo_label", scored_fused))
+        print(f"evaluate     seed {name}: "
+              + ", ".join(f"{w} {evaluate_digest(*pair)}" for w, pair in scores), flush=True)
     return status
 
 

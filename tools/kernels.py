@@ -1,4 +1,5 @@
-"""Median times of the per-voxel kernels of the FFD objective.
+"""Median times of the per-voxel kernels of the FFD objective, the
+pyramid's smoothing and the surface distances.
 
     python3 tools/kernels.py
 
@@ -19,6 +20,10 @@ call, and the tracemalloc peak (MiB) of one more call, of:
 - Parzen deposit: the joint histogram of the points inside the grid, at
   fixed intensity ranges, as the FFD similarity deposits it
 - deposit finish: that deposit's gradient with respect to the points
+- Gaussian smooth: the float64 reference image at sigma 1.4 voxel, the
+  pre-smoothing of every pyramid level
+- surface distances: `surface_distances` of the three classes between the
+  labels of an ffd_stack phantom and those labels warped by the displacement
 
 BLAS is pinned to one thread, as in the benchmark. Timings on one machine
 compare; the machine's own drift between runs can reach 20 %, so compare
@@ -41,7 +46,14 @@ os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM
 
 import numpy as np  # noqa: E402
 
-from atlasreg import Volume, random_smooth_deformation  # noqa: E402
+from atlasreg import (  # noqa: E402
+    PhantomSpec,
+    Volume,
+    generate_phantom,
+    random_smooth_deformation,
+    surface_distances,
+    warp_labels,
+)
 from atlasreg.objective import (  # noqa: E402
     _bin_offsets,
     _bin_positions,
@@ -50,6 +62,7 @@ from atlasreg.objective import (  # noqa: E402
     robust_range,
     sample_map,
 )
+from atlasreg.volume import gaussian_smooth  # noqa: E402
 
 DIMS, SPACING = (128, 128, 16), (1.25, 1.25, 5.0)
 LATTICE = (5.0, 5.0, 1.25)  # lattice spacing in voxels: 6.25 mm on every axis
@@ -94,6 +107,10 @@ def main() -> int:
 
     t = _bin_offsets(_bin_positions(values.copy(), ranges[1])[0])[0]
 
+    image = ref.data.astype(np.float64)
+    _, labels = generate_phantom(PhantomSpec(dims=DIMS, spacing=SPACING, seed=0))
+    warped = warp_labels(labels, labels, None, ffd)
+
     def deposit(samples):
         return _nmi_deposit(ref, flt, mask, samples, ranges)
 
@@ -108,6 +125,9 @@ def main() -> int:
         # the deposit computes its bin positions in place of the samples
         ("Parzen deposit", deposit, values.copy),
         ("deposit finish", lambda finish: finish(stencil), lambda: deposit(values.copy())[1]),
+        ("Gaussian smooth", lambda _: gaussian_smooth(image, 1.4), lambda: None),
+        ("surface distances",
+         lambda _: [surface_distances(warped, labels, c) for c in (1, 2, 3)], lambda: None),
     )
     print(f"{DIMS[0]}x{DIMS[1]}x{DIMS[2]} grid, {stencil.base.size} points "
           f"({int(mask.sum())} inside), median of {REPEATS}", flush=True)
