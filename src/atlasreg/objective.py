@@ -43,11 +43,14 @@ scaled sum more than the energy) and, when beta > 0, the finish of the
 round trip with that map outer; none holds a displacement field. The
 finishing step (`objective_gradient`) runs the two. Each runs its round
 trip's finish, which pops and scatters the residual, then its similarity's
-finish, which recomputes the footprint from the bin positions bit for bit,
-then applies the weights. A line search thus pays for the gradient only at
-the probes it accepts, without evaluating them twice. The affine hands its
-ascent the same kind of finish, which holds the probe's one stencil
-(`registration._overlap_nmi`).
+finish, then applies the weights. The similarity's finish is one gather,
+`_footprint_gather`, the adjoint of the deposit: it recomputes the
+footprint from the bin positions bit for bit and sums the count derivative
+over it, once per sample with the floating kernel's derivative and, for
+the affine's shell, once per deposit weight. A line search thus pays for
+the gradient only at the probes it accepts, without evaluating them twice.
+The affine hands its ascent the same kind of finish, which holds the
+probe's one stencil (`registration._overlap_nmi`).
 
 Both passes split into a forward and a backward half, which do not meet
 until their values and gradients are summed. The value pass runs the halves
@@ -165,17 +168,6 @@ def _both_halves(fwd_part, bwd_part):
     return fwd, bwd
 
 
-def _finish_both(pair: list):
-    """(pair[0](), pair[1]()) of two finishes, run as the two halves. Empties
-    `pair`, so that the finishes go once both have run; an empty `pair`
-    raises InvalidInputError."""
-    if not pair:
-        raise InvalidInputError("this objective evaluation's gradient was already finished")
-    fwd_finish, bwd_finish = pair
-    pair.clear()
-    return _both_halves(fwd_finish, bwd_finish)
-
-
 # ---------------------------------------------------------------------------
 # Parzen joint histogram and NMI
 # ---------------------------------------------------------------------------
@@ -183,6 +175,9 @@ def _finish_both(pair: list):
 def robust_range(values: np.ndarray) -> tuple[float, float]:
     """0.1-99.9 percentile intensity range; degenerate ranges, and no values
     at all, are rejected."""
+    dtype = np.asarray(values).dtype
+    if dtype.kind not in "iuf":
+        raise InvalidInputError(f"values must be numbers, got dtype {dtype}")
     if np.size(values) == 0:
         raise DegenerateInputError("image has no values to take an intensity range of")
     lo, hi = np.percentile(values, (0.1, 99.9))
@@ -401,21 +396,34 @@ def _nmi_deposit(ref: Volume, flt: Volume, mask, values, ranges, shell=None):
     paired with `values`, flt's float64 samples at their mapped points, and
     the finish of its gradient.
 
-    `ranges` fixes the (ref, float) intensity ranges; None takes the robust
-    percentile ranges of the samples. Every pair deposits a unit mass,
-    except those of a `_soft_overlap` shell, which deposit their weight. The
-    bin positions the gradient reads, (ref positions, float positions, float
-    scale, float unclamped mask), are computed in place of `values`.
+    `ranges` fixes the (ref, float) intensity ranges, two (lo, hi) pairs of
+    numbers (else InvalidInputError); None takes the robust percentile
+    ranges of the samples. Every pair deposits a unit mass, except those of
+    a `_soft_overlap` shell, which deposit their weight. The bin positions
+    the gradient reads, (ref positions, float positions, float scale, float
+    unclamped mask), are computed in place of `values`.
 
     Returns (counts, finish). `finish(stencil)` returns d NMI / d mapped
     world point (N, 3), C-contiguous and zero off the mask: the floating
     gradient times d NMI / d sample (Mattes et al., IEEE TMI 2003), plus a
-    shell point's deposit-weight derivative. `stencil` is the stencil the
-    points were sampled through, and the finish reads the floating gradient
-    through it alone: a shell point takes the gradient at its edge-clamped
-    point, which the stencil gives it, along the axes on which it lies
-    inside, and 0 across the faces it lies outside.
+    shell point's deposit-weight derivative. Both derivatives are one
+    gather of the count derivative over the footprint, `_footprint_gather`:
+    per sample with the floating kernel's derivative, per shell weight with
+    the kernel itself and from the uniform term. `stencil` is the stencil
+    the points were sampled through, and the finish reads the floating
+    gradient through it alone: a shell point takes the gradient at its
+    edge-clamped point, which the stencil gives it, along the axes on which
+    it lies inside, and 0 across the faces it lies outside.
     """
+    if ranges is not None:
+        try:
+            (lo_r, hi_r), (lo_f, hi_f) = ranges
+            numbers = all(map(is_number, (lo_r, hi_r, lo_f, hi_f)))
+        except (TypeError, ValueError):
+            numbers = False
+        if not numbers:
+            raise InvalidInputError(
+                f"ranges must be two (lo, hi) pairs of numbers, got {ranges!r}")
     rv = ref.data.reshape(-1)[mask].astype(np.float64)
     if rv.size == 0:
         raise DegenerateInputError("no contributing voxels (empty mask or no overlap)")
@@ -436,16 +444,25 @@ def _nmi_deposit(ref: Volume, flt: Volume, mask, values, ranges, shell=None):
     def finish(stencil):
         if not histogram:
             raise InvalidInputError("this NMI gradient was already finished")
-        counts, positions = histogram
+        counts, (q_r, q_f, scale_f, interior_f) = histogram
         histogram.clear()
         ds = _nmi_and_count_gradient(counts)[1]
         lam = np.zeros(mask.size)  # spread over every point
-        lam[mask] = _sample_gradient(ds, positions)
+        # d NMI / d sample; clamped samples sit on the flat part of the
+        # intensity mapping
+        lam_m = _footprint_gather(ds, q_r, q_f, np.zeros(q_r.size), d1_f=True)
+        lam_m *= scale_f
+        lam_m[~interior_f] = 0.0
+        lam[mask] = lam_m
         if shell is not None:
             idx, w, d_w, inner, cells = shell
             lam[cells] *= w
-            d_nmi_d_w = _deposit_weight_gradient(counts, ds, positions, idx)
-        del counts, positions, ds
+            # d NMI / d deposit weight: a weight changes the histogram's
+            # total mass, so the uniform term of the count derivative, which
+            # cancels for a sample, stays
+            d_nmi_d_w = _footprint_gather(ds, q_r[idx], q_f[idx],
+                                          np.full(idx.size, -(counts * ds).sum() / counts.sum()))
+        del counts, q_r, q_f, interior_f, ds, lam_m
         rows = stencil.gradient(flt.data).T  # three rows (3, N)
         if shell is not None:
             # a shell point has the gradient at its clamped point; on a face
@@ -466,41 +483,24 @@ def _nmi_deposit(ref: Volume, flt: Volume, mask, values, ranges, shell=None):
     return counts, finish
 
 
-def _sample_gradient(ds, positions):
-    """d NMI / d floating sample of every histogram pair, from the count
-    derivative `ds` of `_nmi_and_count_gradient` and the `_nmi_deposit` bin
-    positions. The footprint cells and reference weights are recomputed,
-    bit for bit those of the deposit; of the floating footprint only the
-    kernel derivative is evaluated."""
-    q_r, q_f, scale_f, interior_f = positions
+def _footprint_gather(ds, q_r, q_f, out, d1_f=False):
+    """Add into `out`, for each (ref, float) bin-position pair, the count
+    derivative `ds` (BINS, BINS) summed over the pair's 4x4 footprint, each
+    cell weighted by its reference weight and its floating weight, or with
+    d1_f the floating kernel's derivative there: the adjoint of the
+    deposit. The footprint cells and weights are recomputed, bit for bit
+    those of the deposit. Returns `out`."""
     ds_flat = ds.reshape(-1)
-    lam = np.zeros(q_r.size)
     term = np.empty(q_r.size)
-    for off, cell, w_r, dw_f in _footprint(q_r, q_f, d1_f=True):
+    for off, cell, w_r, w_f in _footprint(q_r, q_f, d1_f):
         # every first cell lies in the view from `off`, so "clip" changes
         # none of them; unlike "raise" it lets take write into `term`
         # without a buffer
         ds_flat[off:].take(cell, out=term, mode="clip")
         term *= w_r
-        term *= dw_f
-        lam += term
-    # clamped samples sit on the flat part of the intensity mapping
-    lam *= scale_f
-    lam[~interior_f] = 0.0
-    return lam
-
-
-def _deposit_weight_gradient(counts, ds, positions, idx):
-    """d NMI / d deposit weight of the histogram pairs `idx`, from the joint
-    counts, their derivative `ds` and the `_nmi_deposit` bin positions.
-
-    A weight changes the histogram's total mass, so the uniform term of the
-    count derivative, which cancels for a sample's value, stays here.
-    """
-    grad = np.full(idx.size, -float((counts * ds).sum()) / counts.sum())
-    for off, cell, w_r, w_f in _footprint(positions[0][idx], positions[1][idx]):
-        grad += ds.reshape(-1)[off:][cell] * w_r * w_f
-    return grad
+        term *= w_f
+        out += term
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -663,7 +663,7 @@ def inconsistency_gradient(fwd: SampledMap, bwd: SampledMap):
     derivative of its own term.
     """
     value, finishes = _roundtrip_residuals(fwd, bwd)
-    return (value, *_finish_both(finishes))
+    return (value, *objective_gradient(finishes))
 
 
 # ---------------------------------------------------------------------------
@@ -724,6 +724,8 @@ def objective(ref: Volume, flt: Volume, fwd: BSplineTransform,
     as `forward`, for `objective_gradient`. With the gradient, the same
     finishing step runs before the call returns (see the module docstring).
     """
+    require_type(Volume, ref=ref, flt=flt)
+    require_type(ObjectiveWeights, weights=weights)
     swapped = None if ranges is None else ranges[::-1]
     (map_f, s_f, e_f, finish_f), (map_b, s_b, e_b, finish_b) = _both_halves(
         lambda: _half(ref, flt, fwd, weights, ranges, flt_valid=flt_mask),
@@ -744,7 +746,13 @@ def objective(ref: Volume, flt: Volume, fwd: BSplineTransform,
 
 def objective_gradient(forward: list):
     """(grad_fwd, grad_bwd) of the objective, finished from the `forward`
-    of a value-only `objective` call by running its two half finishes as the
-    two halves. They are consumed: a second call raises InvalidInputError.
+    of a value-only `objective` call (or any pair of two finishes) by running
+    its two half finishes as the two halves. The pair is emptied first, so
+    the finishes go once both have run; a second call raises
+    InvalidInputError.
     """
-    return _finish_both(forward)
+    if not forward:
+        raise InvalidInputError("this objective evaluation's gradient was already finished")
+    fwd_finish, bwd_finish = forward
+    forward.clear()
+    return _both_halves(fwd_finish, bwd_finish)

@@ -83,7 +83,7 @@ class RegistrationResult:
 # ---------------------------------------------------------------------------
 
 def _smooth(vol: Volume, sigma_vox: float) -> Volume:
-    data = gaussian_smooth(vol.data.astype(np.float64), sigma_vox)
+    data = gaussian_smooth(vol.data, sigma_vox)
     return Volume(data.astype(np.float32), vol.spacing, vol.origin, vol.direction)
 
 
@@ -93,6 +93,9 @@ def build_pyramid(vol: Volume, levels: int) -> list[Volume]:
     Each coarsening is Gaussian pre-smoothing (sigma 0.7 voxel of the coarser
     grid, i.e. 1.4 of the current) followed by 2x trilinear decimation.
     """
+    require_type(Volume, vol=vol)
+    if not is_count(levels):
+        raise InvalidInputError(f"levels must be an integer >= 1, got {levels!r}")
     pyr = [vol]
     for _ in range(levels - 1):
         prev = pyr[0]
@@ -103,6 +106,9 @@ def build_pyramid(vol: Volume, levels: int) -> list[Volume]:
 
 def usable_levels(dims, requested: int, min_dim: int = 4) -> int:
     """Cap the pyramid depth so the coarsest level keeps min_dim voxels."""
+    if not (is_count(requested) and is_count(min_dim)):
+        raise InvalidInputError(
+            f"requested and min_dim must be integers >= 1, got {requested!r} and {min_dim!r}")
     largest = min(dims)
     cap = 1
     while largest // 2 >= min_dim:

@@ -112,17 +112,25 @@ def _axis_gram(n: int, spacing: float, grid_n: int, order: int) -> np.ndarray:
 # Transform types
 # ---------------------------------------------------------------------------
 
+def _float_array(value, must: str, shape=None) -> np.ndarray:
+    """`value` as a float64 array, of `shape` if given; otherwise
+    InvalidInputError with the message `must`, which names the argument."""
+    try:
+        a = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        a = None
+    if a is None or shape is not None and a.shape != shape:
+        raise InvalidInputError(f"{must}, got {value!r}")
+    return a
+
+
 class AffineTransform(_Frozen):
     """4x4 homogeneous matrix mapping reference world coords to source world coords."""
 
     _ARGS = ("matrix",)
 
     def __init__(self, matrix):
-        try:
-            m = np.asarray(matrix, dtype=np.float64)
-        except (TypeError, ValueError):
-            raise InvalidInputError(
-                f"affine matrix must be 4x4 numbers, got {matrix!r}") from None
+        m = _float_array(matrix, "affine matrix must be 4x4 numbers")
         if m.shape != (4, 4):
             raise InvalidTransformError(f"affine matrix must be 4x4, got {m.shape}")
         if not np.all(np.isfinite(m)):
@@ -143,8 +151,8 @@ class AffineTransform(_Frozen):
     @classmethod
     def from_linear(cls, linear, translation) -> "AffineTransform":
         m = np.eye(4)
-        m[:3, :3] = linear
-        m[:3, 3] = translation
+        m[:3, :3] = _float_array(linear, "linear must be 3x3 numbers", (3, 3))
+        m[:3, 3] = _float_array(translation, "translation must be 3 numbers", (3,))
         return cls(m)
 
     def apply(self, pts) -> np.ndarray:
@@ -168,7 +176,7 @@ class BSplineTransform(_Frozen):
         if not isinstance(reference, Grid):
             raise InvalidInputError("reference must be a Grid")
         gd = _lattice_dims(reference, gs)
-        coef = np.asarray(coefficients, dtype=np.float64)
+        coef = _float_array(coefficients, "coefficients must be numbers")  # NaN passes
         if coef.shape != gd + (3,):
             raise InvalidTransformError(
                 f"coefficient shape {coef.shape} does not match the lattice {gd} + (3,) "
@@ -222,6 +230,7 @@ def _einsum(subscripts: str, *operands) -> np.ndarray:
 
 def dense_displacement(t: BSplineTransform) -> np.ndarray:
     """Displacement field (nx, ny, nz, 3) in mm at every reference voxel."""
+    require_type(BSplineTransform, t=t)
     wx, wy, wz = _weight_matrices(t)
     return _einsum("ia,jb,kc,abcd->ijkd", wx, wy, wz, t.coefficients)
 
@@ -229,6 +238,10 @@ def dense_displacement(t: BSplineTransform) -> np.ndarray:
 def splat_to_coefficients(t: BSplineTransform, voxel_field: np.ndarray) -> np.ndarray:
     """Adjoint of dense evaluation: scatter an (nx, ny, nz, 3) voxel field to
     per-coefficient sums with the same tensor-product weights."""
+    require_type(BSplineTransform, t=t)
+    if np.shape(voxel_field) != t.reference.dims + (3,):
+        raise InvalidInputError(f"voxel_field shape {np.shape(voxel_field)} is not the "
+                                f"reference's {t.reference.dims} + (3,)")
     wx, wy, wz = _weight_matrices(t)
     return _einsum("ia,jb,kc,ijkd->abcd", wx, wy, wz, voxel_field)
 

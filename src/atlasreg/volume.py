@@ -474,9 +474,10 @@ def gaussian_smooth(data: np.ndarray, sigma: float) -> np.ndarray:
 
     The kernel is exp(-0.5 / sigma**2 * x**2) / sum for x within
     int(4 * sigma + 0.5) of the centre. The axes are filtered in order, each
-    line in float64 and stored in the input's dtype, as the centre tap
-    times its weight plus each symmetric pair (x[-j] + x[+j]) * w[j], from
-    the outermost pair inwards.
+    line in float64, as the centre tap times its weight plus each symmetric
+    pair (x[-j] + x[+j]) * w[j], from the outermost pair inwards. The result
+    is float64 for any float input: a float32 array is filtered as its
+    float64 copy would be.
     """
     require_type(np.ndarray, data=data)
     if data.dtype.kind != "f" or data.size == 0:
@@ -509,7 +510,7 @@ def gaussian_smooth(data: np.ndarray, sigma: float) -> np.ndarray:
                        padded[a + radius + j:b + radius + j], out=t)
                 t *= w[radius + j]
                 o += t
-        out = np.moveaxis(acc.astype(data.dtype, copy=False), 0, axis)
+        out = np.moveaxis(acc, 0, axis)
     return np.ascontiguousarray(out)
 
 

@@ -29,8 +29,15 @@ from atlasreg import (
     surface_distances,
     write_nifti,
 )
-from atlasreg.objective import robust_range
-from atlasreg.transforms import subdivide
+from atlasreg.objective import ObjectiveWeights, objective, robust_range
+from atlasreg.registration import build_pyramid, usable_levels
+from atlasreg.transforms import (
+    BSplineTransform,
+    dense_displacement,
+    max_displacement,
+    splat_to_coefficients,
+    subdivide,
+)
 from atlasreg.volume import require_same_geometry
 
 
@@ -88,6 +95,39 @@ _WRONG_TYPES = {
                                    "channels must be numbers"),
     "read_nifti": (lambda v, path: read_nifti(123), "path must be a str or PathLike"),
     "load_transform": (lambda v, path: load_transform(123), "path must be a str or PathLike"),
+    "AffineTransform.from_linear shape": (
+        lambda v, path: AffineTransform.from_linear(np.eye(2), [0, 0, 0]), "linear must be 3x3"),
+    "AffineTransform.from_linear linear": (
+        lambda v, path: AffineTransform.from_linear("x", [0, 0, 0]), "linear must be 3x3"),
+    "AffineTransform.from_linear translation": (
+        lambda v, path: AffineTransform.from_linear(np.eye(3), [0, 0]), "translation must be 3"),
+    "BSplineTransform coefficients": (
+        lambda v, path: BSplineTransform((4.0, 4.0, 4.0), "x", v.grid),
+        "coefficients must be numbers"),
+    "with_coefficients": (lambda v, path: BSplineTransform.zeros(v, 4.0).with_coefficients("x"),
+                          "coefficients must be numbers"),
+    "dense_displacement": (lambda v, path: dense_displacement(v),
+                           "t must be a BSplineTransform"),
+    "max_displacement": (lambda v, path: max_displacement(v), "t must be a BSplineTransform"),
+    "splat_to_coefficients": (
+        lambda v, path: splat_to_coefficients(BSplineTransform.zeros(v, 4.0),
+                                              np.ones((3, 3, 3, 3))),
+        "voxel_field shape"),
+    "objective weights": (
+        lambda v, path: objective(v, v, BSplineTransform.zeros(v, 4.0),
+                                  BSplineTransform.zeros(v, 4.0), None),
+        "weights must be a ObjectiveWeights"),
+    "objective ranges": (
+        lambda v, path: objective(v, v, BSplineTransform.zeros(v, 4.0),
+                                  BSplineTransform.zeros(v, 4.0), ObjectiveWeights(),
+                                  ranges=(1, 2)),
+        "ranges must be two"),
+    "build_joint_histogram ranges": (
+        lambda v, path: build_joint_histogram(v, v, ranges=((0, 1),)), "ranges must be two"),
+    "robust_range": (lambda v, path: robust_range("abc"), "values must be numbers"),
+    "build_pyramid vol": (lambda v, path: build_pyramid("x", 2), "vol must be a Volume"),
+    "build_pyramid levels": (lambda v, path: build_pyramid(v, 2.5), "levels"),
+    "usable_levels requested": (lambda v, path: usable_levels((8, 8, 8), "a"), "requested"),
 }
 
 

@@ -41,6 +41,7 @@ from atlasreg.objective import (
     similarity_and_gradient,
     _bin_offsets,
     _footprint,
+    _footprint_gather,
     _footprint_row,
 )
 from atlasreg.transforms import bspline_kernel, bspline_kernel_d1, dense_displacement
@@ -192,12 +193,37 @@ def test_parzen_kernels_equal_the_index_oracle_bit_for_bit(with_shell):
     assert q_r.min() == q_f.min() == 1.0 and q_r.max() == q_f.max() == BINS - 3.0
     assert np.array_equal(_bits(counts), _bits(parzen_counts(q_r, q_f, shell)))
     ds = objective_module._nmi_and_count_gradient(counts)[1]
-    lam = objective_module._sample_gradient(ds, (q_r, q_f, scale_f, interior_f))
+    # the two gathers of `_nmi_deposit`'s finish: per sample, and per shell weight
+    lam = _footprint_gather(ds, q_r, q_f, np.zeros(q_r.size), d1_f=True)
+    lam *= scale_f
+    lam[~interior_f] = 0.0
     assert np.array_equal(_bits(lam), _bits(parzen_sample_gradient(ds, q_r, q_f, scale_f,
                                                                     interior_f)))
-    got = objective_module._deposit_weight_gradient(counts, ds, (q_r, q_f), idx)
+    got = _footprint_gather(ds, q_r[idx], q_f[idx],
+                            np.full(idx.size, -(counts * ds).sum() / counts.sum()))
     assert np.array_equal(_bits(got), _bits(parzen_weight_gradient(counts, ds, q_r[idx],
                                                                     q_f[idx])))
+
+
+@pytest.mark.parametrize("d1_f", [False, True])
+def test_footprint_gather_adds_into_out_and_writes_no_input(d1_f):
+    # the finish gathers twice over the same bin positions and count
+    # derivative, so a gather may write `out` alone: the inputs are made
+    # read-only, and any write to them raises
+    from bspline_oracle import parzen_cells
+
+    rng = np.random.default_rng(28)
+    q_r, q_f = _footprint_positions(29, 500), _footprint_positions(30, 500)[::-1].copy()
+    ds = rng.normal(size=(BINS, BINS))
+    start = rng.normal(size=q_r.size)
+    want = start.copy()
+    for cell, w_r, w_f in parzen_cells(q_r, q_f, d1_f):
+        want += ds.reshape(-1)[cell] * w_r * w_f
+    for a in (ds, q_r, q_f):
+        a.flags.writeable = False
+    out = start.copy()
+    assert _footprint_gather(ds, q_r, q_f, out, d1_f) is out
+    assert np.array_equal(_bits(out), _bits(want))
 
 
 def test_constant_image_is_degenerate():

@@ -1,5 +1,5 @@
-"""Median times of the per-voxel kernels of the FFD objective, the
-pyramid's smoothing and the surface distances.
+"""Median times of the per-voxel kernels of the FFD objective, the affine
+similarity's finish, the pyramid's smoothing and the surface distances.
 
     python3 tools/kernels.py
 
@@ -20,6 +20,11 @@ call, and the tracemalloc peak (MiB) of one more call, of:
 - Parzen deposit: the joint histogram of the points inside the grid, at
   fixed intensity ranges, as the FFD similarity deposits it
 - deposit finish: that deposit's gradient with respect to the points
+- affine finish, shell: the gradient of a `registration._overlap_nmi` probe
+  that maps the reference onto the floating grid shifted by half a voxel
+  along x, so that the last x face's points lie half a voxel outside, in
+  the soft overlap's shell, and the finish takes their deposit-weight
+  derivative as well
 - Gaussian smooth: the float64 reference image at sigma 1.4 voxel, the
   pre-smoothing of every pyramid level
 - surface distances: `surface_distances` of the three classes between the
@@ -62,6 +67,7 @@ from atlasreg.objective import (  # noqa: E402
     robust_range,
     sample_map,
 )
+from atlasreg.registration import _overlap_nmi  # noqa: E402
 from atlasreg.volume import gaussian_smooth  # noqa: E402
 
 DIMS, SPACING = (128, 128, 16), (1.25, 1.25, 5.0)
@@ -114,6 +120,10 @@ def main() -> int:
     def deposit(samples):
         return _nmi_deposit(ref, flt, mask, samples, ranges)
 
+    # reference world points to floating voxel coordinates, half a voxel on
+    # along x: the probe's shell is the last x face
+    to_voxel, shift = np.diag(1.0 / np.asarray(SPACING)), np.array([0.5, 0.0, 0.0])
+
     kernels = (
         ("map sampling", lambda _: sample_map(ffd), lambda: None),
         ("gather", lambda _: stencil.gather(flt.data), lambda: None),
@@ -125,6 +135,8 @@ def main() -> int:
         # the deposit computes its bin positions in place of the samples
         ("Parzen deposit", deposit, values.copy),
         ("deposit finish", lambda finish: finish(stencil), lambda: deposit(values.copy())[1]),
+        ("affine finish, shell", lambda finish: finish(),
+         lambda: _overlap_nmi(ref, flt, to_voxel, shift, ranges)[1]),
         ("Gaussian smooth", lambda _: gaussian_smooth(image, 1.4), lambda: None),
         ("surface distances",
          lambda _: [surface_distances(warped, labels, c) for c in (1, 2, 3)], lambda: None),
