@@ -39,6 +39,7 @@ def majority_vote(warped_labels: list[LabelVolume]) -> LabelVolume:
 
     Background votes count like any other class.
     """
+    require_type((list, tuple), warped_labels=warped_labels)
     if not warped_labels:
         raise InvalidInputError("majority_vote needs at least one label volume")
     require_type(LabelVolume, **{f"warped_labels[{i}]": lv for i, lv in enumerate(warped_labels)})
@@ -69,6 +70,7 @@ def ensemble_fuse(probs: list[ProbabilityVolume]) -> LabelVolume:
     An even model count uses the mean of the two middle values; the medians
     are not renormalized before the argmax. Argmax ties pick the smallest id.
     """
+    require_type((list, tuple), probs=probs)
     if not probs:
         raise InvalidInputError("ensemble_fuse needs at least one probability volume")
     require_type(ProbabilityVolume, **{f"probs[{i}]": p for i, p in enumerate(probs)})
@@ -275,6 +277,8 @@ def build_pseudo_labels(target: Volume,
     input order (type-1 first) for manifest reporting.
     """
     require_type(Volume, target=target)
+    require_type((list, tuple), atlases=atlases)
+    require_type((list, type(None)), registrations_out=registrations_out)
     if not atlases:
         raise InvalidInputError("at least one atlas is required")
     if same_patient is not None and not (isinstance(same_patient, (tuple, list))
@@ -282,8 +286,8 @@ def build_pseudo_labels(target: Volume,
         raise InvalidInputError("same_patient must be the (bSSFP, T2) pair")
     if not is_count(threads):
         raise InvalidInputError(f"threads must be an integer >= 1, got {threads!r}")
-    type1_cfg = type1_cfg or default_config("type1")
-    type2_cfg = type2_cfg or default_config("type2")
+    type1_cfg = default_config("type1") if type1_cfg is None else type1_cfg
+    type2_cfg = default_config("type2") if type2_cfg is None else type2_cfg
     require_type(RegistrationConfig, type1_cfg=type1_cfg, type2_cfg=type2_cfg)
 
     jobs = [_job(f"atlas {i}", entry, type1_cfg) for i, entry in enumerate(atlases)]

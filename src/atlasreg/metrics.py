@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UndefinedMetricError, require_type
+from .errors import InvalidInputError, UndefinedMetricError, is_natural, require_type
 from .volume import CLASS_NAMES, LabelVolume, require_same_geometry
 
 FOREGROUND_CLASSES = (1, 2, 3)
@@ -36,28 +36,32 @@ REPORT_METRICS = (
 )
 
 
-def dice(pred: LabelVolume, gt: LabelVolume, class_id: int) -> float:
-    """2|P∩G| / (|P|+|G|); 1.0 when both sets are empty, 0.0 when one is."""
+def _class_masks(pred: LabelVolume, gt: LabelVolume, class_id) -> tuple[np.ndarray, np.ndarray]:
+    """The voxels of class `class_id` in pred and in gt, once the argument
+    types and the geometry are checked."""
     require_type(LabelVolume, pred=pred, gt=gt)
     require_same_geometry(pred, gt)
-    p = pred.data == class_id
-    g = gt.data == class_id
-    np_, ng = int(p.sum()), int(g.sum())
-    if np_ == 0 and ng == 0:
-        return 1.0
-    return 2.0 * int((p & g).sum()) / (np_ + ng)
+    if not is_natural(class_id):
+        raise InvalidInputError(f"class_id must be an integer >= 0, got {class_id!r}")
+    return pred.data == class_id, gt.data == class_id
+
+
+def _overlap(pred: LabelVolume, gt: LabelVolume, class_id) -> tuple[int, int]:
+    """(|P∩G|, |P|+|G|) of the voxels of class `class_id` in pred and gt."""
+    p, g = _class_masks(pred, gt, class_id)
+    return int((p & g).sum()), int(p.sum()) + int(g.sum())
+
+
+def dice(pred: LabelVolume, gt: LabelVolume, class_id: int) -> float:
+    """2|P∩G| / (|P|+|G|); 1.0 when both sets are empty, 0.0 when one is."""
+    both, total = _overlap(pred, gt, class_id)
+    return 2.0 * both / total if total else 1.0
 
 
 def jaccard(pred: LabelVolume, gt: LabelVolume, class_id: int) -> float:
     """|P∩G| / |P∪G|; empty-set conventions as dice."""
-    require_type(LabelVolume, pred=pred, gt=gt)
-    require_same_geometry(pred, gt)
-    p = pred.data == class_id
-    g = gt.data == class_id
-    union = int((p | g).sum())
-    if union == 0:
-        return 1.0
-    return int((p & g).sum()) / union
+    both, total = _overlap(pred, gt, class_id)
+    return both / (total - both) if total else 1.0
 
 
 def _surface_points(mask: np.ndarray) -> np.ndarray:
@@ -163,9 +167,7 @@ def _bounding_box(mask: np.ndarray) -> tuple[slice, ...]:
 def surface_distances(pred: LabelVolume, gt: LabelVolume,
                       class_id: int) -> tuple[float, float]:
     """(average surface distance, Hausdorff distance) in mm for one class."""
-    require_type(LabelVolume, pred=pred, gt=gt)
-    require_same_geometry(pred, gt)
-    p_mask, g_mask = pred.data == class_id, gt.data == class_id
+    p_mask, g_mask = _class_masks(pred, gt, class_id)
     for name, mask in (("prediction", p_mask), ("ground truth", g_mask)):
         if not mask.any():
             raise UndefinedMetricError(f"class {class_id} is empty in {name}")

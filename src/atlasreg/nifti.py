@@ -55,6 +55,8 @@ def read_nifti(path, *, labels: bool = False, label_remap: dict | None = None):
     and a LabelVolume is returned.
     """
     require_type((str, os.PathLike), path=path)
+    require_type(bool, labels=labels)
+    require_type((dict, type(None)), label_remap=label_remap)
     raw = _read_bytes(path)
     if len(raw) < HEADER_SIZE:
         raise TruncatedFileError(f"{path}: file shorter than the 348-byte header")

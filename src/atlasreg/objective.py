@@ -37,13 +37,15 @@ pass returns its value and a finish: a closure that holds only what its
 gradient reads and returns that gradient when called. `_nmi_deposit`'s
 finish holds the voxel mask, the counts and the bin positions;
 `similarity_and_gradient`'s adds the map's stencil and FFD; `_roundtrip`'s
-holds the residual m. The value pass (`objective`) returns one finish per
-half, holding that map's similarity finish, its bending gradient (one
-scaled sum more than the energy) and, when beta > 0, the finish of the
-round trip with that map outer; none holds a displacement field. The
-finishing step (`objective_gradient`) runs the two. Each runs its round
-trip's finish, which pops and scatters the residual, then its similarity's
-finish, then applies the weights. The similarity's finish is one gather,
+holds the residual m, and `inconsistency_gradient` returns the penalty with
+the finishes of both round trips. The value pass (`objective`) calls those
+two public entries and returns one finish per half, holding that map's
+similarity finish, its bending gradient (one scaled sum more than the
+energy) and, when beta > 0, the finish of the round trip with that map
+outer; none holds a displacement field. The finishing step
+(`objective_gradient`) runs the two. Each runs its round trip's finish,
+which pops and scatters the residual, then its similarity's finish, then
+applies the weights. The similarity's finish is one gather,
 `_footprint_gather`, the adjoint of the deposit: it recomputes the
 footprint from the bin positions bit for bit and sums the count derivative
 over it, once per sample with the floating kernel's derivative and, for
@@ -391,6 +393,19 @@ def _soft_overlap(stencil: TrilinearStencil, points: np.ndarray):
                   excursion == 0, shell_rows)
 
 
+def _check_ranges(ranges):
+    """InvalidInputError unless `ranges` is None or two (lo, hi) pairs of numbers."""
+    if ranges is not None:
+        try:
+            (lo_r, hi_r), (lo_f, hi_f) = ranges
+            numbers = all(map(is_number, (lo_r, hi_r, lo_f, hi_f)))
+        except (TypeError, ValueError):
+            numbers = False
+        if not numbers:
+            raise InvalidInputError(
+                f"ranges must be two (lo, hi) pairs of numbers, got {ranges!r}")
+
+
 def _nmi_deposit(ref: Volume, flt: Volume, mask, values, ranges, shell=None):
     """The Parzen joint histogram (BINS, BINS) of ref's voxels under `mask`
     paired with `values`, flt's float64 samples at their mapped points, and
@@ -415,15 +430,7 @@ def _nmi_deposit(ref: Volume, flt: Volume, mask, values, ranges, shell=None):
     edge-clamped point, which the stencil gives it, along the axes on which
     it lies inside, and 0 across the faces it lies outside.
     """
-    if ranges is not None:
-        try:
-            (lo_r, hi_r), (lo_f, hi_f) = ranges
-            numbers = all(map(is_number, (lo_r, hi_r, lo_f, hi_f)))
-        except (TypeError, ValueError):
-            numbers = False
-        if not numbers:
-            raise InvalidInputError(
-                f"ranges must be two (lo, hi) pairs of numbers, got {ranges!r}")
+    _check_ranges(ranges)
     rv = ref.data.reshape(-1)[mask].astype(np.float64)
     if rv.size == 0:
         raise DegenerateInputError("no contributing voxels (empty mask or no overlap)")
@@ -636,9 +643,16 @@ def _roundtrip(outer: SampledMap, inner: SampledMap):
     return float((residual[0] ** 2).sum()) / n_vox, finish
 
 
-def _roundtrip_residuals(fwd: SampledMap, bwd: SampledMap):
-    """(penalty, [finish of the trip with fwd outer, that with bwd outer]),
-    see `_roundtrip`; the two trips run as the two halves."""
+def inconsistency_gradient(fwd: SampledMap, bwd: SampledMap):
+    """(`inconsistency_penalty(fwd, bwd)`, [finish of the round trip with
+    fwd outer, finish of that with bwd outer]), the value-and-finish form of
+    `similarity_and_gradient`; the two trips run as the two halves.
+
+    `objective_gradient` of the pair returns (grad wrt fwd's coefficients,
+    grad wrt bwd's coefficients). Each round-trip term drives only its outer
+    transform; the inner field is held fixed (alternating scheme), so each
+    gradient is the exact derivative of its own term (see `_roundtrip`).
+    """
     require_type(SampledMap, fwd=fwd, bwd=bwd)
     require_same_geometry(fwd.ffd.reference, bwd.ffd.reference, "fwd and bwd references")
     (c_f, finish_f), (c_b, finish_b) = _both_halves(lambda: _roundtrip(fwd, bwd),
@@ -650,20 +664,10 @@ def inconsistency_penalty(fwd: SampledMap, bwd: SampledMap) -> float:
     """Voxel-average squared residual of fwd∘bwd plus that of bwd∘fwd (mm^2).
 
     Both lattices must lie on one grid:
-    `inconsistency_penalty(sample_map(fwd), sample_map(bwd))`.
+    `inconsistency_penalty(sample_map(fwd), sample_map(bwd))`. The value of
+    `inconsistency_gradient`, whose finishes are dropped unrun.
     """
-    return _roundtrip_residuals(fwd, bwd)[0]
-
-
-def inconsistency_gradient(fwd: SampledMap, bwd: SampledMap):
-    """(value, grad wrt fwd's coefficients, grad wrt bwd's coefficients).
-
-    Each round-trip term drives only its outer transform; the inner field is
-    held fixed (alternating scheme), so each returned gradient is the exact
-    derivative of its own term.
-    """
-    value, finishes = _roundtrip_residuals(fwd, bwd)
-    return (value, *objective_gradient(finishes))
+    return inconsistency_gradient(fwd, bwd)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -726,6 +730,7 @@ def objective(ref: Volume, flt: Volume, fwd: BSplineTransform,
     """
     require_type(Volume, ref=ref, flt=flt)
     require_type(ObjectiveWeights, weights=weights)
+    _check_ranges(ranges)  # before the swap, which a non-sequence fails
     swapped = None if ranges is None else ranges[::-1]
     (map_f, s_f, e_f, finish_f), (map_b, s_b, e_b, finish_b) = _both_halves(
         lambda: _half(ref, flt, fwd, weights, ranges, flt_valid=flt_mask),
@@ -733,7 +738,7 @@ def objective(ref: Volume, flt: Volume, fwd: BSplineTransform,
 
     c, trips = 0.0, [None, None]
     if weights.beta != 0:
-        c, trips = _roundtrip_residuals(map_f, map_b)
+        c, trips = inconsistency_gradient(map_f, map_b)
     del map_f, map_b  # the displacements: only the residuals read them
 
     ws = weights.similarity

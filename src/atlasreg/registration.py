@@ -30,7 +30,7 @@ from .transforms import (
     subdivide,
     warp_volume_masked,
 )
-from .volume import TrilinearStencil, Volume, gaussian_smooth, resample
+from .volume import Grid, TrilinearStencil, Volume, gaussian_smooth, resample
 
 STEP_FLOOR_MM = 0.01      # smallest line-search probe, both stages
 AFFINE_GAIN_FLOOR = 1e-7  # relative gain per iteration below which a stage stops
@@ -63,7 +63,7 @@ def default_config(kind: str) -> RegistrationConfig:
     final grid spacing one voxel, same weights.
     """
     presets = {"type1": (5, 300, 5.0), "type2": (6, 4000, 1.0)}
-    if kind not in presets:
+    if not (isinstance(kind, str) and kind in presets):
         raise InvalidInputError(f"unknown registration preset {kind!r}")
     levels, max_iter, spacing = presets[kind]
     return RegistrationConfig(levels, max_iter, spacing, ObjectiveWeights(0.001, 0.001))
@@ -105,16 +105,13 @@ def build_pyramid(vol: Volume, levels: int) -> list[Volume]:
 
 
 def usable_levels(dims, requested: int, min_dim: int = 4) -> int:
-    """Cap the pyramid depth so the coarsest level keeps min_dim voxels."""
+    """Cap the pyramid depth so the coarsest level keeps min_dim voxels along
+    its shortest axis; the coarsest of k levels keeps min(dims) // 2^(k-1).
+    `dims` are three positive integers (else InvalidInputError)."""
     if not (is_count(requested) and is_count(min_dim)):
         raise InvalidInputError(
             f"requested and min_dim must be integers >= 1, got {requested!r} and {min_dim!r}")
-    largest = min(dims)
-    cap = 1
-    while largest // 2 >= min_dim:
-        largest //= 2
-        cap += 1
-    return max(1, min(requested, cap))
+    return max(1, min(requested, (min(Grid(dims).dims) // min_dim).bit_length()))
 
 
 # ---------------------------------------------------------------------------

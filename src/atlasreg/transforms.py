@@ -41,7 +41,7 @@ def bspline_kernel(u):
 
     Branch-free form: ((2-|u|)_+^3 - 4 (1-|u|)_+^3) / 6.
     """
-    a = np.abs(np.asarray(u, dtype=np.float64))
+    a = np.abs(_float_array(u, "u must be numbers"))
     r2 = np.maximum(2.0 - a, 0.0)
     r1 = np.maximum(1.0 - a, 0.0)
     out = (r2 * r2 * r2 - 4.0 * r1 * r1 * r1) / 6.0

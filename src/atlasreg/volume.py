@@ -323,15 +323,11 @@ class TrilinearStencil:
         p = np.asarray(points, dtype=np.float64)
         if p.ndim != 2 or p.shape[1] != 3:
             raise InvalidInputError(f"stencil points must be (N, 3), got shape {p.shape}")
-        nx, ny, nz = self.dims
-        self.inside = (
-            (p[:, 0] >= 0) & (p[:, 0] <= nx - 1)
-            & (p[:, 1] >= 0) & (p[:, 1] <= ny - 1)
-            & (p[:, 2] >= 0) & (p[:, 2] <= nz - 1)
-        )
+        self.inside = np.ones(len(p), dtype=bool)
         base = None
         fractions = []
         for a, n in enumerate(self.dims):
+            self.inside &= (p[:, a] >= 0) & (p[:, a] <= n - 1)
             frac = np.floor(p[:, a])
             i0 = frac.astype(np.intp)
             np.clip(i0, 0, max(n - 2, 0), out=i0)
@@ -345,6 +341,7 @@ class TrilinearStencil:
                 base += i0
         self.base = base
         self.fx, self.fy, self.fz = fractions
+        nx, ny, nz = self.dims
         self.strides = (ny * nz if nx > 1 else 0, nz if ny > 1 else 0,
                         1 if nz > 1 else 0)
 

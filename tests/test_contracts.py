@@ -1,14 +1,25 @@
 """Public entries of every module reject an argument of the wrong type with
-an InvalidInputError that names the argument."""
+an InvalidInputError that names the argument, and no exported entry raises
+anything but a package error for a wrong value in any argument."""
+import inspect
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import atlasreg
 from atlasreg import (
     AffineTransform,
+    AtlasRegError,
     DegenerateInputError,
+    EvaluationReport,
     InvalidInputError,
+    LabelVolume,
+    ObjectiveWeights,
     PhantomSpec,
     ProbabilityVolume,
+    RegistrationConfig,
+    RegistrationResult,
     Volume,
     bending_energy,
     build_joint_histogram,
@@ -29,7 +40,8 @@ from atlasreg import (
     surface_distances,
     write_nifti,
 )
-from atlasreg.objective import ObjectiveWeights, objective, robust_range
+from atlasreg.objective import objective, robust_range
+from atlasreg.phantom import scaled_spec
 from atlasreg.registration import build_pyramid, usable_levels
 from atlasreg.transforms import (
     BSplineTransform,
@@ -122,12 +134,19 @@ _WRONG_TYPES = {
                                   BSplineTransform.zeros(v, 4.0), ObjectiveWeights(),
                                   ranges=(1, 2)),
         "ranges must be two"),
+    "objective ranges number": (
+        lambda v, path: objective(v, v, BSplineTransform.zeros(v, 4.0),
+                                  BSplineTransform.zeros(v, 4.0), ObjectiveWeights(),
+                                  ranges=5),
+        "ranges must be two"),
     "build_joint_histogram ranges": (
         lambda v, path: build_joint_histogram(v, v, ranges=((0, 1),)), "ranges must be two"),
     "robust_range": (lambda v, path: robust_range("abc"), "values must be numbers"),
     "build_pyramid vol": (lambda v, path: build_pyramid("x", 2), "vol must be a Volume"),
     "build_pyramid levels": (lambda v, path: build_pyramid(v, 2.5), "levels"),
     "usable_levels requested": (lambda v, path: usable_levels((8, 8, 8), "a"), "requested"),
+    "usable_levels dims": (lambda v, path: usable_levels("abc", 2), "dims must be three"),
+    "usable_levels dims number": (lambda v, path: usable_levels(5, 2), "dims must be three"),
 }
 
 
@@ -143,3 +162,111 @@ def test_public_entries_name_the_argument_of_a_wrong_type(tmp_path, case):
 def test_the_intensity_range_of_no_values_is_degenerate():
     with pytest.raises(DegenerateInputError, match="no values"):
         robust_range(np.array([]))
+
+
+# --- the sweep of every exported entry ------------------------------------
+
+def _wrong_values() -> tuple:
+    """What each argument of each exported entry is swapped for in turn, made
+    anew for each call, so that no call sees another's writes."""
+    return (None, "x", 5, -1, 2.5, float("nan"), float("inf"), [], np.array([1.0, 2.0]),
+            np.zeros((2, 2, 2, 2)), {}, object(), True)
+
+
+def _exported_entries() -> list[str]:
+    """The package's exported callables, its error types left out."""
+    return sorted(name for name, value in vars(atlasreg).items()
+                  if not name.startswith("_") and callable(value)
+                  and not (isinstance(value, type) and issubclass(value, BaseException)))
+
+
+@pytest.fixture(scope="module")
+def sweep_inputs(tmp_path_factory):
+    spec = scaled_spec((16, 16, 16), seed=3)
+    img, lbl = generate_phantom(spec)
+    ffd = BSplineTransform.zeros(img, 4.0)
+    cfg = RegistrationConfig(levels=1, max_iter_per_level=2, final_grid_spacing=4.0)
+    nii = tmp_path_factory.mktemp("sweep") / "img.nii"
+    write_nifti(img, nii)
+    xfm = nii.with_name("t.xfm")
+    save_transform(xfm, AffineTransform.identity(), ffd, ffd)
+    probs = ProbabilityVolume(np.stack([(lbl.data == c).astype(np.float32) for c in range(4)]))
+    return SimpleNamespace(spec=spec, img=img, lbl=lbl, ffd=ffd, cfg=cfg, nii=nii, xfm=xfm,
+                           probs=probs, affine=AffineTransform.identity())
+
+
+# one valid call per exported entry: (positional args, keyword args)
+_VALID_CALLS = {
+    "AffineTransform": lambda s: ((np.eye(4),), {}),
+    "BSplineTransform": lambda s: ((s.ffd.grid_spacing, s.ffd.coefficients, s.img.grid), {}),
+    "EvaluationReport": lambda s: (({},), {}),
+    "Grid": lambda s: (((16, 16, 16),), {}),
+    "LabelVolume": lambda s: ((s.lbl.data,), {}),
+    "ObjectiveWeights": lambda s: ((0.001, 0.001), {}),
+    "PhantomSpec": lambda s: ((), {"dims": (16, 16, 16), "lv_radius": 2.0}),
+    "ProbabilityVolume": lambda s: ((s.probs.channels,), {}),
+    "RegistrationConfig": lambda s: ((1, 2, 4.0), {}),
+    "RegistrationResult": lambda s: ((s.affine, None, None, [], []), {}),
+    "Volume": lambda s: ((s.img.data,), {}),
+    "bending_energy": lambda s: ((s.ffd,), {}),
+    "bspline_kernel": lambda s: ((np.linspace(-3.0, 3.0, 7),), {}),
+    "build_joint_histogram": lambda s: ((s.img, s.img), {}),
+    "build_pseudo_labels": lambda s: ((s.img, [(s.img, s.lbl)]),
+                                      {"type1_cfg": s.cfg, "type2_cfg": s.cfg,
+                                       "registrations_out": []}),
+    "consistency_refine": lambda s: ((s.lbl, s.lbl, s.lbl), {}),
+    "default_config": lambda s: (("type1",), {}),
+    "dice": lambda s: ((s.lbl, s.lbl, 1), {}),
+    "ensemble_fuse": lambda s: (([s.probs, s.probs],), {}),
+    "evaluate": lambda s: ((s.lbl, s.lbl), {}),
+    "generate_phantom": lambda s: ((s.spec,), {}),
+    "inconsistency_penalty": lambda s: ((sample_map(s.ffd), sample_map(s.ffd)), {}),
+    "jaccard": lambda s: ((s.lbl, s.lbl, 1), {}),
+    "largest_component": lambda s: ((s.lbl,), {}),
+    "load_transform": lambda s: ((s.xfm,), {}),
+    "majority_vote": lambda s: (([s.lbl, s.lbl],), {}),
+    "nmi": lambda s: ((build_joint_histogram(s.img, s.img),), {}),
+    "random_smooth_deformation": lambda s: ((s.img, 2.0, 4.0, 0), {}),
+    "read_nifti": lambda s: ((s.nii,), {}),
+    "register": lambda s: ((s.img, s.img, s.cfg), {}),
+    "register_affine": lambda s: ((s.img, s.img), {}),
+    "register_ffd": lambda s: ((s.img, s.img, s.affine, s.cfg), {}),
+    "resample": lambda s: ((s.img, (2.0, 2.0, 2.0)), {}),
+    "sample_map": lambda s: ((s.ffd,), {}),
+    "save_transform": lambda s: (("out.xfm", s.affine, s.ffd), {}),
+    "surface_distances": lambda s: ((s.lbl, s.lbl, 1), {}),
+    "warp_labels": lambda s: ((s.lbl, s.img, s.affine, s.ffd), {}),
+    "warp_volume": lambda s: ((s.img, s.img, s.affine, s.ffd), {}),
+    "write_nifti": lambda s: ((s.img, "out.nii"), {}),
+}
+
+
+def test_the_sweep_has_one_valid_call_per_exported_entry():
+    assert sorted(_VALID_CALLS) == _exported_entries()
+
+
+@pytest.mark.parametrize("name", _exported_entries())
+def test_a_wrong_value_in_any_argument_raises_a_package_error(sweep_inputs, tmp_path,
+                                                             monkeypatch, name):
+    monkeypatch.chdir(tmp_path)  # where a path swapped for "x" is written
+    entry = getattr(atlasreg, name)
+    args, kwargs = _VALID_CALLS[name](sweep_inputs)
+    entry(*args, **kwargs)
+    signature = inspect.signature(entry)
+    raw = []
+    for argument in signature.parameters:
+        for wrong in _wrong_values():
+            args, kwargs = _VALID_CALLS[name](sweep_inputs)  # anew, as the wrong values
+            call = signature.bind(*args, **kwargs)
+            call.apply_defaults()
+            call.arguments[argument] = wrong
+            try:
+                entry(*call.args, **call.kwargs)
+            except AtlasRegError:
+                pass
+            except OSError:  # a path that names no file
+                if argument != "path":
+                    raw.append(f"{argument}={wrong!r:.30}: OSError")
+            except Exception as exc:
+                raw.append(f"{argument}={wrong!r:.30}: {type(exc).__name__}")
+    assert raw == []

@@ -428,7 +428,8 @@ def test_inconsistency_gradient_matches_per_term_fd():
     base = _transform()
     fwd = base.with_coefficients(rng.normal(0, 0.8, base.coefficients.shape))
     bwd = base.with_coefficients(rng.normal(0, 0.8, base.coefficients.shape))
-    val, g_f, g_b = inconsistency_gradient(sample_map(fwd), sample_map(bwd))
+    val, finishes = inconsistency_gradient(sample_map(fwd), sample_map(bwd))
+    g_f, g_b = objective_gradient(finishes)
     n_vox = float(np.prod(fwd.reference.dims))
 
     def term(outer, inner):
@@ -826,6 +827,28 @@ def test_each_pass_runs_its_forward_half_on_another_thread(monkeypatch):
     assert _bits(value_only.value) == _bits(oracle.value)
     assert np.array_equal(_bits(finished[0]), _bits(oracle.grad_fwd))
     assert np.array_equal(_bits(finished[1]), _bits(oracle.grad_bwd))
+
+
+@pytest.mark.parametrize("beta, round_trips", [(0.02, 1), (0.0, 0)])
+def test_a_value_call_reaches_each_term_through_its_module_binding(monkeypatch, beta,
+                                                                  round_trips):
+    # a tracer that wraps the module's bindings, as the bench's does, sees
+    # the similarities and the round trips of every value call
+    ref, flt, fwd, bwd, flt_mask = _anisotropic_pair()
+    calls = Counter()
+    for name in ("similarity_and_gradient", "inconsistency_gradient"):
+        def wrapper(*args, _name=name, _original=getattr(objective_module, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(objective_module, name, wrapper)
+    for with_gradient in (False, True):
+        calls.clear()
+        result = objective(ref, flt, fwd, bwd, ObjectiveWeights(0.01, beta),
+                           flt_mask=flt_mask, with_gradient=with_gradient)
+        if not with_gradient:
+            objective_gradient(result.forward)
+        assert calls["similarity_and_gradient"] == 2
+        assert calls["inconsistency_gradient"] == round_trips
 
 
 def test_an_evaluation_and_its_finish_start_one_half_thread_per_pass(monkeypatch):

@@ -3,6 +3,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atlasreg import (
     AffineTransform,
@@ -108,6 +110,24 @@ def test_usable_levels_caps_small_volumes():
     assert usable_levels((40, 40, 40), 3, min_dim=16) == 2
     assert usable_levels((64, 64, 64), 3, min_dim=16) == 3
     assert usable_levels((128, 128, 16), 3, min_dim=16) == 1
+
+
+def _halving_levels(dims, requested, min_dim):
+    """The pyramid depth by halving the shortest axis while a halving keeps
+    min_dim voxels: the loop `usable_levels` replaced."""
+    largest = min(dims)
+    cap = 1
+    while largest // 2 >= min_dim:
+        largest //= 2
+        cap += 1
+    return max(1, min(requested, cap))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 600), min_size=3, max_size=3), st.integers(1, 12),
+       st.integers(1, 40))
+def test_usable_levels_equals_the_halving_loop(dims, requested, min_dim):
+    assert usable_levels(dims, requested, min_dim) == _halving_levels(dims, requested, min_dim)
 
 
 # --- ascent loop ------------------------------------------------------------

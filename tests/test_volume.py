@@ -82,6 +82,17 @@ def test_stencil_scatter_is_adjoint_of_gather(dims, channels):
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
+def test_stencil_inside_holds_no_nan_or_inf_point():
+    # inside, on the far corner, outside through two faces, then non-finite
+    points = np.array([[1.0, 2.0, 3.0], [6.0, 4.0, 5.0], [-0.5, 1.0, 1.0], [1.0, 4.5, 1.0],
+                       [np.nan, 1.0, 1.0], [1.0, np.inf, 1.0], [1.0, 1.0, -np.inf]])
+    # taken, not rejected, so that a probe mapped off every grid is judged by
+    # the ascent; only casting a non-finite cell index warns
+    with np.errstate(invalid="ignore"):
+        stencil = TrilinearStencil((7, 5, 6), points)
+    assert stencil.inside.tolist() == [True, True, False, False, False, False, False]
+
+
 def _bits(a):
     return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
 
