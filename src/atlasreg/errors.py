@@ -49,14 +49,18 @@ class InvalidTransformError(AtlasRegError):
 
 
 class NumericalFailureError(AtlasRegError):
-    """Optimization produced a non-finite objective value."""
+    """Optimization produced a non-finite objective value or gradient.
+
+    The message names the level and iteration that are given; `reason`
+    keeps the message without them."""
 
     def __init__(self, message, level=None, iteration=None):
+        self.reason, self.level, self.iteration = message, level, iteration
         if level is not None:
             message = f"{message} (level {level}, iteration {iteration})"
+        elif iteration is not None:
+            message = f"{message} at iteration {iteration}"
         super().__init__(message)
-        self.level = level
-        self.iteration = iteration
 
 
 class UndefinedMetricError(AtlasRegError):

@@ -24,7 +24,7 @@ from .errors import (
     UnsupportedDimensionalityError,
     require_type,
 )
-from .volume import Grid, LabelVolume, Volume
+from .volume import LabelVolume, Volume
 
 HEADER_SIZE = 348
 # sizeof_hdr (=348) read with the wrong byte order comes out as this value.
@@ -53,6 +53,11 @@ def read_nifti(path, *, labels: bool = False, label_remap: dict | None = None):
     optional `label_remap` table, e.g. {200: 1, 500: 2, 600: 3}, which leaves
     the values it does not name as they are) against the internal class ids
     and a LabelVolume is returned.
+
+    The reader checks the file format: header fields, datatype, payload
+    length and an srow matrix it can normalise. The volume types check the
+    values (finite voxels, class ids, spacing, orthonormal direction), and
+    their InvalidInputError is raised as a NiftiFormatError naming the path.
     """
     require_type((str, os.PathLike), path=path)
     require_type(bool, labels=labels)
@@ -107,12 +112,6 @@ def read_nifti(path, *, labels: bool = False, label_remap: dict | None = None):
         if not np.all(np.isfinite(srow)) or np.any(norms <= 0):
             raise NiftiFormatError(f"{path}: degenerate srow matrix")
         direction = m / norms
-        if abs(abs(np.linalg.det(direction)) - 1.0) > 1e-4:
-            raise NiftiFormatError(f"{path}: srow direction is not orthonormal")
-    try:
-        Grid(dims, spacing, origin, direction)
-    except InvalidInputError as exc:
-        raise NiftiFormatError(f"{path}: {exc}") from exc
 
     dtype = _DTYPES[datatype].newbyteorder(order)
     count = dims[0] * dims[1] * dims[2]
@@ -126,35 +125,30 @@ def read_nifti(path, *, labels: bool = False, label_remap: dict | None = None):
     data = flat.reshape(dims, order="F")
 
     if labels:
-        arr = np.asarray(data)
+        kind = LabelVolume
         if label_remap:
             # a value the table does not name passes through, to be validated
-            out = arr.astype(np.float64)
+            out = data.astype(np.float64)
             for src, dst in label_remap.items():
-                out[arr == src] = dst
-            arr = out
-        try:
-            return LabelVolume(arr, spacing, origin, direction)
-        except InvalidInputError as exc:
-            raise NiftiFormatError(f"{path}: {exc}") from exc
-
-    data = data.astype(np.float32)
-    if scl_slope != 0.0 and not (scl_slope == 1.0 and scl_inter == 0.0):
-        with np.errstate(over="ignore", invalid="ignore"):  # rejected below as Inf/NaN
-            data = data * np.float32(scl_slope) + np.float32(scl_inter)
-    if not np.all(np.isfinite(data)):
-        raise NiftiFormatError(f"{path}: voxel data contains NaN or Inf")
-    return Volume(data, spacing, origin, direction)
+                out[data == src] = dst
+            data = out
+    else:
+        kind = Volume
+        data = data.astype(np.float32)
+        if scl_slope != 0.0 and not (scl_slope == 1.0 and scl_inter == 0.0):
+            with np.errstate(over="ignore", invalid="ignore"):  # Volume rejects NaN and Inf
+                data = data * np.float32(scl_slope) + np.float32(scl_inter)
+    try:
+        return kind(data, spacing, origin, direction)
+    except InvalidInputError as exc:
+        raise NiftiFormatError(f"{path}: {exc}") from exc
 
 
 def write_nifti(vol, path) -> None:
     """Write a Volume (float32) or LabelVolume (uint8) as little-endian NIfTI-1."""
     require_type((Volume, LabelVolume), vol=vol)
     require_type((str, os.PathLike), path=path)
-    if isinstance(vol, LabelVolume):
-        datatype, arr = 2, vol.data
-    else:
-        datatype, arr = 16, vol.data.astype(np.float32)
+    datatype = 2 if isinstance(vol, LabelVolume) else 16
 
     hdr = bytearray(HEADER_SIZE)
     struct.pack_into("<i", hdr, 0, HEADER_SIZE)
@@ -171,10 +165,8 @@ def write_nifti(vol, path) -> None:
         struct.pack_into("<4f", hdr, 280 + 16 * r, *srow[r], vol.origin[r])
     hdr[344:348] = b"n+1\x00"
 
-    payload = np.asarray(arr).flatten(order="F")
-    if payload.dtype.byteorder == ">":
-        payload = payload.byteswap()
+    payload = vol.data.astype(_DTYPES[datatype].newbyteorder("<")).tobytes(order="F")
     with open(path, "wb") as fh:
         fh.write(bytes(hdr))
         fh.write(b"\x00\x00\x00\x00")  # empty extension flag, pads to vox_offset 352
-        fh.write(payload.tobytes())
+        fh.write(payload)

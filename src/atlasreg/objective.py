@@ -559,6 +559,8 @@ def similarity_and_gradient(ref: Volume, flt: Volume, sampled: SampledMap,
     touches invalid voxels are skipped). Returns (nmi, finish); `finish()`
     returns the gradient, from the deposit's finish through the map's stencil.
     """
+    require_type(Volume, ref=ref, flt=flt)
+    require_type(SampledMap, sampled=sampled)
     require_same_geometry(sampled.ffd.reference, ref.grid, "FFD reference and ref")
     require_same_geometry(ref.grid, flt.grid, "ref and flt")
     ffd, stencil = sampled.ffd, sampled.stencil
@@ -628,7 +630,8 @@ def _roundtrip(outer: SampledMap, inner: SampledMap):
     (N, 3); the outer field is sampled edge-clamped through the inner map's
     stencil, so both maps must lie on one grid. `finish()` returns
     d(mean |m|^2) / d outer coefficients, the inner field held fixed; it pops
-    m, which is freed once it returns, and scales it in place."""
+    m, which is freed once it returns, and scales it in place, so a second
+    run raises InvalidInputError."""
     ffd, stencil = outer.ffd, inner.stencil
     residual = [np.empty((stencil.base.size, 3))]
     for d in range(3):
@@ -636,6 +639,8 @@ def _roundtrip(outer: SampledMap, inner: SampledMap):
     n_vox = float(np.prod(ffd.reference.dims))
 
     def finish():
+        if not residual:
+            raise InvalidInputError("this round-trip gradient was already finished")
         m = residual.pop()
         np.multiply(m, 2.0 / n_vox, out=m)
         return splat_to_coefficients(ffd, stencil.scatter(m))
@@ -754,10 +759,13 @@ def objective_gradient(forward: list):
     of a value-only `objective` call (or any pair of two finishes) by running
     its two half finishes as the two halves. The pair is emptied first, so
     the finishes go once both have run; a second call raises
-    InvalidInputError.
+    InvalidInputError, as does anything but a list of two callables.
     """
+    require_type(list, forward=forward)
     if not forward:
         raise InvalidInputError("this objective evaluation's gradient was already finished")
+    if len(forward) != 2 or not all(map(callable, forward)):
+        raise InvalidInputError(f"forward must hold two finishes, got {len(forward)} items")
     fwd_finish, bwd_finish = forward
     forward.clear()
     return _both_halves(fwd_finish, bwd_finish)

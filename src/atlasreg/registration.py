@@ -141,13 +141,13 @@ def _ascend(evaluate, x, step, max_iter, gain_tol):
     converges at a zero gradient, when no probe of at least STEP_FLOOR_MM is
     accepted, or when the gain falls below gain_tol * max(|previous|, 1).
     Returns (x, trace of the start and accepted values, converged); converged
-    is False only when max_iter runs out. A non-finite value raises
-    NumericalFailureError carrying the iteration.
+    is False only when max_iter runs out. A non-finite value or gradient
+    raises NumericalFailureError carrying the iteration: a NaN gradient would
+    otherwise send every probe to NaN and end the ascent as converged.
     """
-    def finite(v, it):
+    def finite(v, it, what="objective"):
         if not math.isfinite(v):
-            raise NumericalFailureError(f"objective is not finite at iteration {it}",
-                                        iteration=it)
+            raise NumericalFailureError(f"{what} is not finite", iteration=it)
         return v
 
     step_max = step
@@ -156,7 +156,7 @@ def _ascend(evaluate, x, step, max_iter, gain_tol):
     for it in range(max_iter):
         g = finish()
         finish = None  # the point's state was kept for its gradient only
-        gmax = np.sqrt((g * g).sum(axis=-1)).max()
+        gmax = finite(np.sqrt((g * g).sum(axis=-1)).max(), it, "gradient")
         if gmax == 0:
             return x, trace, True
         d = g / gmax
@@ -313,8 +313,8 @@ def register_ffd(ref: Volume, flt: Volume, affine: AffineTransform | None,
     at an accepted probe is finished from that call's finishes by
     `objective_gradient`. A level stops early when the relative objective gain
     drops below FFD_GAIN_FLOOR or no step of at least STEP_FLOOR_MM raises the
-    objective. A non-finite objective raises NumericalFailureError carrying
-    the level and iteration.
+    objective. A non-finite value or gradient raises NumericalFailureError
+    carrying the level and iteration.
     """
     require_type(Volume, ref=ref, flt=flt)
     require_type(RegistrationConfig, cfg=cfg)
@@ -359,8 +359,7 @@ def register_ffd(ref: Volume, flt: Volume, affine: AffineTransform | None,
                 evaluate, np.stack([fwd.coefficients, bwd.coefficients]),
                 step, cfg.max_iter_per_level, FFD_GAIN_FLOOR)
         except NumericalFailureError as exc:
-            raise NumericalFailureError("objective is not finite", level=k,
-                                        iteration=exc.iteration) from exc
+            raise NumericalFailureError(exc.reason, level=k, iteration=exc.iteration) from exc
         fwd, bwd = pair(x)
         traces.append(trace)
         converged.append(done)

@@ -9,6 +9,8 @@ B-spline sum of the 4x4x4 surrounding nodes; the full mapping of a point is
 world(x) + u(x). Zero coefficients therefore give the identity.
 Both transform types are immutable values on `volume._Frozen`, checked by
 their constructors, and compare and hash by identity, as the volume types do.
+Each constructor rejects a NaN or Inf in its numbers, so the affine matrix
+and the FFD coefficients of any transform are finite.
 """
 from __future__ import annotations
 
@@ -27,6 +29,7 @@ from .volume import (
     TrilinearStencil,
     Volume,
     _Frozen,
+    _points,
     as_grid,
     positive_spacings,
     require_same_geometry,
@@ -157,7 +160,7 @@ class AffineTransform(_Frozen):
 
     def apply(self, pts) -> np.ndarray:
         """Apply to world points of shape (..., 3)."""
-        pts = np.asarray(pts, dtype=np.float64)
+        pts = _points(pts)
         return pts @ self.matrix[:3, :3].T + self.matrix[:3, 3]
 
 
@@ -165,8 +168,9 @@ class BSplineTransform(_Frozen):
     """Cubic B-spline lattice of displacement vectors over a reference grid.
 
     `grid_spacing` is in voxels of the reference Grid and `coefficients`
-    (gx, gy, gz, 3) in mm. `grid_dims`, the lattice's node counts, follow
-    from the reference dims and the grid spacing (`grid_dim_for`).
+    (gx, gy, gz, 3) in mm, all finite (else InvalidTransformError).
+    `grid_dims`, the lattice's node counts, follow from the reference dims
+    and the grid spacing (`grid_dim_for`).
     """
 
     _ARGS = ("grid_spacing", "coefficients", "reference")
@@ -176,12 +180,14 @@ class BSplineTransform(_Frozen):
         if not isinstance(reference, Grid):
             raise InvalidInputError("reference must be a Grid")
         gd = _lattice_dims(reference, gs)
-        coef = _float_array(coefficients, "coefficients must be numbers")  # NaN passes
+        coef = _float_array(coefficients, "coefficients must be numbers")
         if coef.shape != gd + (3,):
             raise InvalidTransformError(
                 f"coefficient shape {coef.shape} does not match the lattice {gd} + (3,) "
                 f"that covers the reference domain"
             )
+        if not np.all(np.isfinite(coef)):
+            raise InvalidTransformError("FFD coefficients contain NaN or Inf")
         coef = coef.copy()
         coef.flags.writeable = False
         self._set(grid_spacing=gs, coefficients=coef, reference=reference, grid_dims=gd)
@@ -399,8 +405,6 @@ def _unpack_ffd(buf: bytes, off: int):
         raise InvalidInputError("transform container ends inside FFD coefficients")
     coef = np.frombuffer(buf, dtype="<f8", count=n, offset=off).reshape(gd + (3,))
     off += n * 8
-    if not np.all(np.isfinite(coef)):
-        raise InvalidTransformError("FFD coefficients contain NaN or Inf")
     reference = Grid(rd, rs, np.array(ro), np.array(rdir).reshape(3, 3))
     return BSplineTransform(gs, coef, reference), off
 

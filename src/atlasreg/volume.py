@@ -44,6 +44,19 @@ def positive_spacings(spacing, what: str = "spacings") -> tuple[float, float, fl
     return tuple(float(s) for s in spacing)
 
 
+def _points(pts) -> np.ndarray:
+    """`pts` as a float64 array of points (..., 3); otherwise
+    InvalidInputError naming `pts`."""
+    try:
+        a = np.asarray(pts, dtype=np.float64)
+    except (TypeError, ValueError):
+        a = None
+    if a is None or a.shape[-1:] != (3,):
+        got = type(pts).__name__ if a is None else f"shape {a.shape}"
+        raise InvalidInputError(f"pts must be numbers of shape (..., 3), got {got}")
+    return a
+
+
 _ORIGIN = (0.0, 0.0, 0.0)
 _DIRECTION = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
@@ -127,12 +140,12 @@ class Grid(_Frozen):
 
     def world_from_voxel(self, pts) -> np.ndarray:
         """Map continuous voxel coordinates (..., 3) to world mm coordinates."""
-        pts = np.asarray(pts, dtype=np.float64)
+        pts = _points(pts)
         return pts * np.asarray(self.spacing) @ self.direction.T + self.origin
 
     def voxel_from_world(self, pts) -> np.ndarray:
         """Map world mm coordinates (..., 3) to continuous voxel coordinates."""
-        pts = np.asarray(pts, dtype=np.float64)
+        pts = _points(pts)
         vox = (pts - self.origin) @ self.direction
         vox /= np.asarray(self.spacing)
         return vox

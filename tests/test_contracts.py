@@ -40,7 +40,8 @@ from atlasreg import (
     surface_distances,
     write_nifti,
 )
-from atlasreg.objective import objective, robust_range
+from atlasreg.objective import (objective, objective_gradient, robust_range,
+                                similarity_and_gradient)
 from atlasreg.phantom import scaled_spec
 from atlasreg.registration import build_pyramid, usable_levels
 from atlasreg.transforms import (
@@ -147,6 +148,31 @@ _WRONG_TYPES = {
     "usable_levels requested": (lambda v, path: usable_levels((8, 8, 8), "a"), "requested"),
     "usable_levels dims": (lambda v, path: usable_levels("abc", 2), "dims must be three"),
     "usable_levels dims number": (lambda v, path: usable_levels(5, 2), "dims must be three"),
+    "similarity_and_gradient sampled": (lambda v, path: similarity_and_gradient(v, v, "x"),
+                                        "sampled must be a SampledMap"),
+    "similarity_and_gradient ref": (
+        lambda v, path: similarity_and_gradient("x", v, sample_map(BSplineTransform.zeros(v, 4.0))),
+        "ref must be a Volume"),
+    "objective_gradient number": (lambda v, path: objective_gradient(5),
+                                  "forward must be a list"),
+    "objective_gradient str": (lambda v, path: objective_gradient("ab"),
+                               "forward must be a list"),
+    "objective_gradient one finish": (lambda v, path: objective_gradient([lambda: 0.0]),
+                                      "forward must hold two finishes"),
+    "Grid.world_from_voxel str": (lambda v, path: v.grid.world_from_voxel("x"),
+                                  "pts must be numbers"),
+    "Grid.world_from_voxel two": (lambda v, path: v.grid.world_from_voxel([1, 2]),
+                                  "pts must be numbers"),
+    "Grid.voxel_from_world two": (lambda v, path: v.grid.voxel_from_world([1, 2]),
+                                  "pts must be numbers"),
+    "Volume.world_from_voxel two": (lambda v, path: v.world_from_voxel([1, 2]),
+                                    "pts must be numbers"),
+    "Volume.voxel_from_world two": (lambda v, path: v.voxel_from_world([1, 2]),
+                                    "pts must be numbers"),
+    "AffineTransform.apply str": (lambda v, path: AffineTransform.identity().apply("x"),
+                                  "pts must be numbers"),
+    "AffineTransform.apply two": (lambda v, path: AffineTransform.identity().apply([1, 2]),
+                                  "pts must be numbers"),
 }
 
 

@@ -169,6 +169,45 @@ def test_label_file_with_undeclared_class_is_a_format_error(tmp_path, value):
         read_nifti(path, labels=True)
 
 
+def _srow_off_by(det_error):
+    """A 348-byte header whose srow columns have unit norm and a normalised
+    |det| of 1 - det_error: the second column leans towards the first."""
+    hdr = build_header(sform=1)
+    lean = np.sqrt(1.0 - (1.0 - det_error) ** 2)
+    struct.pack_into("<12f", hdr, 280, 1.0, lean, 0.0, 0.0, 0.0, 1.0 - det_error, 0.0, 0.0,
+                     0.0, 0.0, 1.0, 0.0)
+    return hdr
+
+
+@pytest.mark.parametrize("case", ["nan voxel", "nan pixdim", "srow det"])
+def test_values_the_volume_types_reject_are_format_errors_naming_the_path(tmp_path, case):
+    hdr = build_header()
+    values = np.zeros(8, dtype="<f4")
+    if case == "nan voxel":
+        values[3] = np.nan
+    elif case == "nan pixdim":
+        hdr = build_header(spacing=(1.0, np.nan, 1.0))
+    else:
+        hdr = _srow_off_by(1e-3)
+    path = tmp_path / "values.nii"
+    path.write_bytes(bytes(hdr) + b"\x00" * 4 + values.tobytes())
+    with pytest.raises(NiftiFormatError) as caught:
+        read_nifti(path)
+    assert str(caught.value).startswith(f"{path}: ")
+
+
+def test_written_payload_is_the_little_endian_values_x_fastest(tmp_path):
+    vol = _make_volume(seed=3)
+    lbl = LabelVolume(np.random.default_rng(4).integers(0, 4, size=(3, 4, 5)))
+    for written, payload in ((vol, np.asarray(vol.data, "<f4").tobytes(order="F")),
+                             (lbl, lbl.data.astype(np.uint8).tobytes(order="F"))):
+        path = tmp_path / "payload.nii"
+        write_nifti(written, path)
+        raw = path.read_bytes()
+        assert struct.unpack_from("<f", raw, 108)[0] == 352.0  # vox_offset
+        assert raw[352:] == payload
+
+
 def test_big_endian_header_is_byte_swapped(tmp_path):
     values = np.arange(8, dtype=">f4")
     hdr = build_header(byte_order=">", spacing=(1.0, 1.0, 1.0))

@@ -449,6 +449,16 @@ def test_inconsistency_gradient_matches_per_term_fd():
         assert g_f[ix] == pytest.approx(fd, rel=1e-2, abs=1e-9)
 
 
+def test_a_round_trip_finish_run_twice_says_it_was_already_finished():
+    base = _transform()
+    _, finishes = inconsistency_gradient(sample_map(base), sample_map(base))
+    for finish in finishes:
+        assert np.all(np.isfinite(finish()))
+        # the finish consumed the residual it kept, as the deposit's does
+        with pytest.raises(InvalidInputError, match="already finished"):
+            finish()
+
+
 # --- NMI similarity gradient ----------------------------------------------
 
 def test_similarity_gradient_matches_finite_differences():

@@ -210,6 +210,20 @@ def test_ascend_non_finite_value_raises_with_iteration():
     assert exc.value.iteration == 2  # probes at x0 = 1, 2 accepted, then 3
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_ascend_non_finite_gradient_raises_with_iteration(bad):
+    f = Quadratic()
+
+    def evaluate(x):
+        gradient = f.gradient(x) if x[0, 0] < 0.5 else np.full_like(x, bad)
+        return f.value(x), lambda: gradient
+
+    # the start point's gradient is finite, the first accepted probe's is not
+    with pytest.raises(NumericalFailureError, match="gradient is not finite at iteration 1") as exc:
+        _ascend(evaluate, np.zeros((2, 1)), 1.0, 100, 1e-9)
+    assert exc.value.iteration == 1
+
+
 class _State:
     """Stands for what an evaluation keeps for its gradient."""
 
@@ -291,6 +305,34 @@ def test_ffd_non_finite_objective_names_level_and_iteration(monkeypatch):
         register_ffd(vol, vol, None, SMALL_CFG)
     assert (exc.value.level, exc.value.iteration) == (0, 0)
     assert "level 0, iteration 0" in str(exc.value)
+
+
+def test_ffd_non_finite_gradient_names_level_and_iteration(monkeypatch):
+    # a NaN gradient sends every probe to NaN coefficients; the ascent must
+    # stop on the gradient itself, not end the level as converged
+    finished = registration.objective_gradient
+
+    def nan_gradient(forward):
+        return [np.full_like(g, np.nan) for g in finished(forward)]
+
+    monkeypatch.setattr(registration, "objective_gradient", nan_gradient)
+    with pytest.raises(NumericalFailureError) as exc:
+        register_ffd(_phantom((16, 16, 16)), _phantom((16, 16, 16), seed=2), None, SMALL_CFG)
+    assert (exc.value.level, exc.value.iteration) == (0, 0)
+    assert str(exc.value) == "gradient is not finite (level 0, iteration 0)"
+
+
+def test_affine_non_finite_gradient_raises_with_iteration(monkeypatch):
+    overlap_nmi = registration._overlap_nmi
+
+    def nan_finish(*args):
+        value, finish = overlap_nmi(*args)
+        return value, lambda: np.full_like(finish(), np.nan)
+
+    monkeypatch.setattr(registration, "_overlap_nmi", nan_finish)
+    with pytest.raises(NumericalFailureError, match="gradient is not finite at iteration 0") as exc:
+        register_affine(_phantom((16, 16, 16)), _phantom((16, 16, 16), seed=2))
+    assert (exc.value.level, exc.value.iteration) == (None, 0)
 
 
 @pytest.mark.parametrize("shift_mm, all_in_bounds", [(0.0, True), (6.0, False)])

@@ -463,6 +463,17 @@ def test_coefficients_of_another_lattice_are_rejected():
         t.with_coefficients(np.zeros((4, 4, 4, 3)))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_coefficients_are_rejected_by_the_constructor(value):
+    t = BSplineTransform.zeros(_zeros_volume(), 4.0)
+    coef = t.coefficients.copy()
+    coef[1, 2, 0, 1] = value
+    with pytest.raises(InvalidTransformError, match="NaN or Inf"):
+        BSplineTransform(t.grid_spacing, coef, t.reference)
+    with pytest.raises(InvalidTransformError, match="NaN or Inf"):
+        t.with_coefficients(coef)
+
+
 def test_infinite_grid_spacing_is_rejected():
     grid = _zeros_volume().grid
     with pytest.raises(InvalidInputError, match="finite"):

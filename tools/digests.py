@@ -18,6 +18,11 @@ volume's values, spacing, origin and direction. Every phantom and every warp
 of the inputs builds volumes, so a change to how volumes are built or stored
 shows there first.
 
+A `nifti` line per seed digests what `nifti.write_nifti` writes, header and
+payload, for the target and the ground-truth labels of pseudo_label case 0:
+the first 16 hex digits of a SHA-256 over the bytes of both files, which it
+writes to a temporary directory. It pins the writer's bytes.
+
 A last line per seed digests `metrics.evaluate` of each workload's output
 labels against the ground truth, as the benchmark scores them (the floating
 labels warped by the result; the fused labels of the threads-1 run): the
@@ -38,6 +43,7 @@ import hashlib
 import math
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -51,7 +57,7 @@ os.environ.update(run.THREAD_PIN)  # before numpy loads its BLAS
 import numpy as np  # noqa: E402
 
 import workloads  # noqa: E402
-from atlasreg import fusion, metrics, registration, transforms  # noqa: E402
+from atlasreg import fusion, metrics, nifti, registration, transforms  # noqa: E402
 
 SEEDS = (("1", 1), ("heldout", run.HELDOUT_SEED))
 
@@ -136,6 +142,17 @@ def input_digest(workload: str, seed: int) -> str:
     return hashlib.sha256(raw).hexdigest()[:16]
 
 
+def nifti_digest(seed: int) -> str:
+    inputs = workloads.make_inputs("pseudo_label", seed)
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in ("target", "gt"):
+            path = Path(tmp) / f"{name}.nii"
+            nifti.write_nifti(inputs[name], path)
+            h.update(path.read_bytes())
+    return h.hexdigest()[:16]
+
+
 def main() -> int:
     status = 0
     for name, seed in SEEDS:
@@ -150,6 +167,7 @@ def main() -> int:
             status = 1
         inputs = ", ".join(f"{w} {input_digest(w, seed)}" for w in workloads.WORKLOADS)
         print(f"inputs       seed {name}: {inputs}", flush=True)
+        print(f"nifti        seed {name}: pseudo_label {nifti_digest(seed)}", flush=True)
         scores = (("affine_xmod", scored), ("ffd_stack", scored_ffd),
                   ("pseudo_label", scored_fused))
         print(f"evaluate     seed {name}: "
