@@ -245,6 +245,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # the option of every command that reads label maps
+    remap = argparse.ArgumentParser(add_help=False)
+    remap.add_argument("--label-remap", type=_parse_remap, default=None,
+                       help="e.g. 200:1,500:2,600:3")
 
     reg = sub.add_parser("register", help="affine + symmetric FFD registration")
     reg.add_argument("--ref", required=True)
@@ -261,19 +265,16 @@ def build_parser() -> argparse.ArgumentParser:
     fuse = sub.add_parser("fuse", help="label fusion operators")
     fuse_sub = fuse.add_subparsers(dest="fuse_mode", required=True)
 
-    vote = fuse_sub.add_parser("vote", help="majority voting over label maps")
+    vote = fuse_sub.add_parser("vote", parents=[remap], help="majority voting over label maps")
     vote.add_argument("--labels", nargs="+", required=True)
     vote.add_argument("--out", required=True)
-    vote.add_argument("--label-remap", type=_parse_remap, default=None,
-                      help="e.g. 200:1,500:2,600:3")
 
-    cons = fuse_sub.add_parser("consistency",
+    cons = fuse_sub.add_parser("consistency", parents=[remap],
                                help="cross-modality consistency refinement")
     cons.add_argument("--type1", required=True)
     cons.add_argument("--bssfp", required=True)
     cons.add_argument("--t2", required=True)
     cons.add_argument("--out", required=True)
-    cons.add_argument("--label-remap", type=_parse_remap, default=None)
 
     ens = fuse_sub.add_parser("ensemble",
                               help="median-argmax fusion of probability maps")
@@ -283,13 +284,13 @@ def build_parser() -> argparse.ArgumentParser:
     ens.add_argument("--keep-largest", action="store_true",
                      help="keep only the largest foreground component")
 
-    ev = sub.add_parser("evaluate", help="overlap and surface metrics vs ground truth")
+    ev = sub.add_parser("evaluate", parents=[remap],
+                        help="overlap and surface metrics vs ground truth")
     ev.add_argument("--pred", required=True)
     ev.add_argument("--gt", required=True)
     ev.add_argument("--out-csv", required=True)
-    ev.add_argument("--label-remap", type=_parse_remap, default=None)
 
-    pipe = sub.add_parser("pipeline", help="pseudo-label generation end to end")
+    pipe = sub.add_parser("pipeline", parents=[remap], help="pseudo-label generation end to end")
     pipe.add_argument("--target", required=True)
     pipe.add_argument("--atlas", action="append", required=True,
                       type=_parse_img_lbl, metavar="IMAGE:LABELS")
@@ -298,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     pipe.add_argument("--t2", type=_parse_img_lbl, default=None,
                       metavar="IMAGE:LABELS")
     pipe.add_argument("--out", required=True)
-    pipe.add_argument("--label-remap", type=_parse_remap, default=None)
     pipe.add_argument("--threads", type=_at_least_one(int), default=usable_cpus(),
                       help="worker processes for the atlas registrations (default: the "
                            "CPUs this process may use; capped at the number of "

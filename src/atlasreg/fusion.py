@@ -34,18 +34,26 @@ from .volume import (
 PARENT_POLL_S = 0.5  # how often a registration worker checks that its parent lives
 
 
+def _first_of_one_grid(name: str, volumes, kind, what: str, empty: str):
+    """The first of `volumes`, the argument `name`: InvalidInputError unless
+    it is a list or tuple of at least one `kind` (the message `empty` when it
+    has none), GeometryMismatchError naming `what` unless all share one grid."""
+    require_type((list, tuple), **{name: volumes})
+    if not volumes:
+        raise InvalidInputError(empty)
+    require_type(kind, **{f"{name}[{i}]": v for i, v in enumerate(volumes)})
+    for other in volumes[1:]:
+        require_same_geometry(volumes[0], other, what)
+    return volumes[0]
+
+
 def majority_vote(warped_labels: list[LabelVolume]) -> LabelVolume:
     """Per-voxel modal class over the inputs; ties go to the smallest class id.
 
     Background votes count like any other class.
     """
-    require_type((list, tuple), warped_labels=warped_labels)
-    if not warped_labels:
-        raise InvalidInputError("majority_vote needs at least one label volume")
-    require_type(LabelVolume, **{f"warped_labels[{i}]": lv for i, lv in enumerate(warped_labels)})
-    first = warped_labels[0]
-    for other in warped_labels[1:]:
-        require_same_geometry(first, other, "label volumes")
+    first = _first_of_one_grid("warped_labels", warped_labels, LabelVolume, "label volumes",
+                               "majority_vote needs at least one label volume")
     stack = np.stack([lv.data for lv in warped_labels])
     votes = np.stack([(stack == c).sum(axis=0) for c in LABEL_CLASS_IDS])
     # argmax returns the first (= smallest) class id on ties
@@ -70,13 +78,9 @@ def ensemble_fuse(probs: list[ProbabilityVolume]) -> LabelVolume:
     An even model count uses the mean of the two middle values; the medians
     are not renormalized before the argmax. Argmax ties pick the smallest id.
     """
-    require_type((list, tuple), probs=probs)
-    if not probs:
-        raise InvalidInputError("ensemble_fuse needs at least one probability volume")
-    require_type(ProbabilityVolume, **{f"probs[{i}]": p for i, p in enumerate(probs)})
-    first = probs[0]
+    first = _first_of_one_grid("probs", probs, ProbabilityVolume, "probability volumes",
+                               "ensemble_fuse needs at least one probability volume")
     for other in probs[1:]:
-        require_same_geometry(first, other, "probability volumes")
         if other.num_classes != first.num_classes:
             raise InvalidInputError(
                 f"channel counts differ: {other.num_classes} vs {first.num_classes}"

@@ -10,7 +10,6 @@ from __future__ import annotations
 import gzip
 import math
 import os
-import struct
 import zlib
 from pathlib import Path
 
@@ -27,11 +26,33 @@ from .errors import (
 from .volume import LabelVolume, Volume
 
 HEADER_SIZE = 348
-# sizeof_hdr (=348) read with the wrong byte order comes out as this value.
-_SWAPPED_SIZEOF_HDR = 1543569408
+# The header fields this module reads or writes, little-endian, at their
+# byte offsets; `.newbyteorder(">")` gives the big-endian layout.
+_HEADER = np.dtype({
+    "names": ["sizeof_hdr", "dim", "datatype", "bitpix", "pixdim", "vox_offset", "scl_slope",
+              "scl_inter", "qform_code", "sform_code", "quatern", "qoffset", "srow", "magic"],
+    "formats": ["<i4", "(8,)<i2", "<i2", "<i2", "(8,)<f4", "<f4", "<f4",
+                "<f4", "<i2", "<i2", "(3,)<f4", "(3,)<f4", "(3,4)<f4", "V4"],
+    "offsets": [0, 40, 70, 72, 76, 108, 112, 116, 252, 254, 256, 268, 280, 344],
+})
 
 _DTYPES = {2: np.dtype(np.uint8), 4: np.dtype(np.int16), 16: np.dtype(np.float32)}
-_BITPIX = {2: 8, 4: 16, 16: 32}
+
+
+def _quaternion_direction(bcd, qfac) -> np.ndarray:
+    """The direction of NIfTI-1 method 2: the rotation of the unit quaternion
+    (a, b, c, d) with a = sqrt(1 - b^2 - c^2 - d^2), or a = 0 and (b, c, d)
+    normalised when that is below 1e-7, its third column negated when
+    qfac (pixdim[0]) is negative."""
+    rest = 1.0 - bcd @ bcd
+    a, b, c, d = math.sqrt(rest) if rest >= 1e-7 else 0.0, *bcd
+    n2 = a * a + b * b + c * c + d * d
+    rotation = np.array([
+        [a * a + b * b - c * c - d * d, 2 * (b * c - a * d), 2 * (b * d + a * c)],
+        [2 * (b * c + a * d), a * a + c * c - b * b - d * d, 2 * (c * d - a * b)],
+        [2 * (b * d - a * c), 2 * (c * d + a * b), a * a + d * d - b * b - c * c],
+    ]) / n2
+    return rotation * (1.0, 1.0, -1.0 if qfac < 0 else 1.0)
 
 
 def _read_bytes(path) -> bytes:
@@ -54,8 +75,12 @@ def read_nifti(path, *, labels: bool = False, label_remap: dict | None = None):
     the values it does not name as they are) against the internal class ids
     and a LabelVolume is returned.
 
-    The reader checks the file format: header fields, datatype, payload
-    length and an srow matrix it can normalise. The volume types check the
+    The origin and direction come from the sform when sform_code > 0, else
+    from the qform when qform_code > 0 (NIfTI-1 method 2: the quaternion
+    rotation, qfac = pixdim[0], the qoffset), else they are the identity at
+    origin 0. The reader checks the file format: header fields, datatype,
+    payload length, an srow matrix it can normalise and a finite
+    quaternion. The volume types check the
     values (finite voxels, class ids, spacing, orthonormal direction), and
     their InvalidInputError is raised as a NiftiFormatError naming the path.
     """
@@ -66,21 +91,20 @@ def read_nifti(path, *, labels: bool = False, label_remap: dict | None = None):
     if len(raw) < HEADER_SIZE:
         raise TruncatedFileError(f"{path}: file shorter than the 348-byte header")
 
-    order = "<"
-    (sizeof_hdr,) = struct.unpack_from("<i", raw, 0)
-    if sizeof_hdr == _SWAPPED_SIZEOF_HDR:
-        order = ">"
-        (sizeof_hdr,) = struct.unpack_from(">i", raw, 0)
-    if sizeof_hdr != HEADER_SIZE:
-        raise NiftiFormatError(f"{path}: sizeof_hdr is {sizeof_hdr}, expected 348")
+    # a big-endian sizeof_hdr reads as 348 byte-swapped
+    hdr = np.frombuffer(raw, _HEADER, count=1)[0]
+    order = ">" if hdr["sizeof_hdr"].byteswap() == HEADER_SIZE else "<"
+    hdr = np.frombuffer(raw, _HEADER.newbyteorder(order), count=1)[0]
+    if hdr["sizeof_hdr"] != HEADER_SIZE:
+        raise NiftiFormatError(f"{path}: sizeof_hdr is {hdr['sizeof_hdr']}, expected 348")
 
-    magic = raw[344:348]
+    magic = hdr["magic"].tobytes()
     if magic != b"n+1\x00":
         raise NiftiFormatError(
             f"{path}: magic {magic!r} is not the single-file NIfTI-1 magic"
         )
 
-    dim = struct.unpack_from(f"{order}8h", raw, 40)
+    dim = hdr["dim"]
     if dim[0] != 3:
         raise UnsupportedDimensionalityError(
             f"{path}: dim[0] is {dim[0]}, only 3D volumes are supported"
@@ -89,29 +113,32 @@ def read_nifti(path, *, labels: bool = False, label_remap: dict | None = None):
     if any(d <= 0 for d in dims):
         raise NiftiFormatError(f"{path}: non-positive dims {dims}")
 
-    (datatype,) = struct.unpack_from(f"{order}h", raw, 70)
+    datatype = int(hdr["datatype"])
     if datatype not in _DTYPES:
         raise UnsupportedDatatypeError(f"{path}: unsupported datatype code {datatype}")
 
-    pixdim = struct.unpack_from(f"{order}8f", raw, 76)
-    spacing = tuple(abs(float(p)) if p != 0 else 1.0 for p in pixdim[1:4])
-    (vox_offset,) = struct.unpack_from(f"{order}f", raw, 108)
+    spacing = tuple(abs(float(p)) if p != 0 else 1.0 for p in hdr["pixdim"][1:4])
+    vox_offset = float(hdr["vox_offset"])
     if not HEADER_SIZE <= vox_offset < math.inf:
         raise NiftiFormatError(f"{path}: vox_offset {vox_offset} does not point past the header")
-    scl_slope, scl_inter = struct.unpack_from(f"{order}2f", raw, 112)
-    (sform_code,) = struct.unpack_from(f"{order}h", raw, 254)
+    scl_slope, scl_inter = hdr["scl_slope"], hdr["scl_inter"]
 
     origin = np.zeros(3)
     direction = np.eye(3)
-    if sform_code > 0:
-        srow = np.array(struct.unpack_from(f"{order}12f", raw, 280), dtype=np.float64)
-        srow = srow.reshape(3, 4)
+    if hdr["sform_code"] > 0:
+        srow = hdr["srow"].astype(np.float64)
         origin = srow[:, 3].copy()
         m = srow[:, :3]
         norms = np.linalg.norm(m, axis=0)
         if not np.all(np.isfinite(srow)) or np.any(norms <= 0):
             raise NiftiFormatError(f"{path}: degenerate srow matrix")
         direction = m / norms
+    elif hdr["qform_code"] > 0:
+        bcd = hdr["quatern"].astype(np.float64)
+        if not np.all(np.isfinite(bcd)):
+            raise NiftiFormatError(f"{path}: quaternion is not finite")
+        origin = hdr["qoffset"].astype(np.float64)
+        direction = _quaternion_direction(bcd, hdr["pixdim"][0])
 
     dtype = _DTYPES[datatype].newbyteorder(order)
     count = dims[0] * dims[1] * dims[2]
@@ -150,23 +177,19 @@ def write_nifti(vol, path) -> None:
     require_type((str, os.PathLike), path=path)
     datatype = 2 if isinstance(vol, LabelVolume) else 16
 
-    hdr = bytearray(HEADER_SIZE)
-    struct.pack_into("<i", hdr, 0, HEADER_SIZE)
-    struct.pack_into("<8h", hdr, 40, 3, *vol.dims, 1, 1, 1, 1)
-    struct.pack_into("<h", hdr, 70, datatype)
-    struct.pack_into("<h", hdr, 72, _BITPIX[datatype])
-    struct.pack_into("<8f", hdr, 76, 1.0, *vol.spacing, 0.0, 0.0, 0.0, 0.0)
-    struct.pack_into("<f", hdr, 108, 352.0)  # vox_offset
-    struct.pack_into("<2f", hdr, 112, 0.0, 0.0)  # scl_slope/inter unset
-    struct.pack_into("<h", hdr, 252, 0)  # qform_code
-    struct.pack_into("<h", hdr, 254, 1)  # sform_code
-    srow = vol.direction @ np.diag(vol.spacing)
-    for r in range(3):
-        struct.pack_into("<4f", hdr, 280 + 16 * r, *srow[r], vol.origin[r])
-    hdr[344:348] = b"n+1\x00"
+    hdr = np.zeros((), _HEADER)  # scl_slope/inter and qform_code stay 0, unset
+    hdr["sizeof_hdr"] = HEADER_SIZE
+    hdr["dim"] = (3, *vol.dims, 1, 1, 1, 1)
+    hdr["datatype"] = datatype
+    hdr["bitpix"] = 8 * _DTYPES[datatype].itemsize
+    hdr["pixdim"] = (1.0, *vol.spacing, 0.0, 0.0, 0.0, 0.0)
+    hdr["vox_offset"] = 352.0
+    hdr["sform_code"] = 1
+    hdr["srow"] = np.column_stack([vol.direction @ np.diag(vol.spacing), vol.origin])
+    hdr["magic"] = b"n+1\x00"
 
     payload = vol.data.astype(_DTYPES[datatype].newbyteorder("<")).tobytes(order="F")
     with open(path, "wb") as fh:
-        fh.write(bytes(hdr))
+        fh.write(hdr.tobytes())
         fh.write(b"\x00\x00\x00\x00")  # empty extension flag, pads to vox_offset 352
         fh.write(payload)

@@ -231,7 +231,11 @@ def register_affine(ref: Volume, flt: Volume, *, max_iter=(40, 25, 12)) -> Affin
 
     Parameters are optimized in a millimeter-scaled space (linear part scaled
     by the half-extent) by `_ascend`, starting from center-of-mass
-    alignment; each parameter is one node, so the first probe of a stage
+    alignment. They are expressed on the reference's own axes, its direction
+    D: the linear part is I + D L D^T / half-extent and the translation D t'.
+    So the result does not depend on the world frame: turning both images'
+    world by a rotation R turns the affine A into R A R^T, up to rounding.
+    Each parameter is one node, so the first probe of a stage
     moves the one of largest derivative by max(extent/32, 1) mm. Every probe
     builds one joint histogram, through the NMI core the FFD shares
     (`objective._nmi_deposit` with the soft-overlap shell). The gradient is
@@ -253,12 +257,13 @@ def register_affine(ref: Volume, flt: Volume, *, max_iter=(40, 25, 12)) -> Affin
     extent = float(np.max(np.asarray(ref.dims) * np.asarray(ref.spacing)))
     scale_len = max(extent / 2.0, 1.0)
 
-    t0 = _center_of_mass(flt) - _center_of_mass(ref)
-    q = np.concatenate([np.zeros(9), t0])[:, None]  # [L*(M - I).flat, t] in mm
+    d = ref.direction  # the parameters live on the reference's own axes
+    t0 = d.T @ (_center_of_mass(flt) - _center_of_mass(ref))
+    q = np.concatenate([np.zeros(9), t0])[:, None]  # [L*(M' - I).flat, t'] in mm
 
     def matrix_of(qv):
-        m3 = np.eye(3) + qv[:9, 0].reshape(3, 3) / scale_len
-        t = qv[9:, 0]
+        m3 = np.eye(3) + d @ qv[:9, 0].reshape(3, 3) @ d.T / scale_len
+        t = d @ qv[9:, 0]
         mat = np.eye(4)
         mat[:3, :3] = m3
         # rotation/scale about the reference center: A(w) = M(w-c) + c + t
@@ -284,7 +289,8 @@ def register_affine(ref: Volume, flt: Volume, *, max_iter=(40, 25, 12)) -> Affin
                 g = finish_points()
                 g_sum = g.sum(axis=0)
                 linear = g.T @ ref_world - np.outer(g_sum, center)
-                return np.concatenate([linear.reshape(-1) / scale_len, g_sum])[:, None]
+                return np.concatenate([(d.T @ linear @ d).reshape(-1) / scale_len,
+                                       d.T @ g_sum])[:, None]
 
             return value, finish
 

@@ -28,6 +28,7 @@ from .volume import (
     LabelVolume,
     TrilinearStencil,
     Volume,
+    _float_array,
     _Frozen,
     _points,
     as_grid,
@@ -114,18 +115,6 @@ def _axis_gram(n: int, spacing: float, grid_n: int, order: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Transform types
 # ---------------------------------------------------------------------------
-
-def _float_array(value, must: str, shape=None) -> np.ndarray:
-    """`value` as a float64 array, of `shape` if given; otherwise
-    InvalidInputError with the message `must`, which names the argument."""
-    try:
-        a = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError):
-        a = None
-    if a is None or shape is not None and a.shape != shape:
-        raise InvalidInputError(f"{must}, got {value!r}")
-    return a
-
 
 class AffineTransform(_Frozen):
     """4x4 homogeneous matrix mapping reference world coords to source world coords."""

@@ -44,16 +44,24 @@ def positive_spacings(spacing, what: str = "spacings") -> tuple[float, float, fl
     return tuple(float(s) for s in spacing)
 
 
+def _float_array(value, must: str, shape=None) -> np.ndarray:
+    """`value` as a float64 array, of `shape` if given; otherwise
+    InvalidInputError with the message `must`, which names the argument."""
+    try:
+        a = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        a = None
+    if a is None or shape is not None and a.shape != shape:
+        raise InvalidInputError(f"{must}, got {value!r}")
+    return a
+
+
 def _points(pts) -> np.ndarray:
     """`pts` as a float64 array of points (..., 3); otherwise
     InvalidInputError naming `pts`."""
-    try:
-        a = np.asarray(pts, dtype=np.float64)
-    except (TypeError, ValueError):
-        a = None
-    if a is None or a.shape[-1:] != (3,):
-        got = type(pts).__name__ if a is None else f"shape {a.shape}"
-        raise InvalidInputError(f"pts must be numbers of shape (..., 3), got {got}")
+    a = _float_array(pts, "pts must be numbers of shape (..., 3)")
+    if a.shape[-1:] != (3,):
+        raise InvalidInputError(f"pts must be numbers of shape (..., 3), got shape {a.shape}")
     return a
 
 

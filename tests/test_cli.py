@@ -81,6 +81,16 @@ def test_bad_flags_exit_two(argv, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["fuse", "vote"], ["fuse", "consistency"], ["evaluate"],
+                                     ["pipeline"]])
+def test_every_command_that_reads_label_maps_shows_the_remap_example(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "--label-remap" in out and "e.g. 200:1,500:2,600:3" in out
+
+
 @pytest.mark.parametrize("spacing", ["inf", "nan"])
 def test_register_rejects_a_non_finite_final_spacing(capsys, spacing):
     with pytest.raises(SystemExit) as exc:

@@ -25,7 +25,8 @@ def _make_volume(seed=0, dims=(3, 4, 5)):
 
 
 def build_header(dims=(2, 2, 2), datatype=16, magic=b"n+1\x00", dim0=3,
-                 spacing=(1.0, 1.0, 1.0), vox_offset=352.0, sform=0,
+                 spacing=(1.0, 1.0, 1.0), vox_offset=352.0, sform=0, srow=np.zeros((3, 4)),
+                 qform=0, quatern=(0.0, 0.0, 0.0), qoffset=(0.0, 0.0, 0.0), qfac=1.0,
                  byte_order="<"):
     """Hand-construct a 348-byte NIfTI-1 header field by field."""
     hdr = bytearray(348)
@@ -34,9 +35,13 @@ def build_header(dims=(2, 2, 2), datatype=16, magic=b"n+1\x00", dim0=3,
     struct.pack_into(f"{byte_order}h", hdr, 70, datatype)
     bitpix = {2: 8, 4: 16, 16: 32}.get(datatype, 0)
     struct.pack_into(f"{byte_order}h", hdr, 72, bitpix)
-    struct.pack_into(f"{byte_order}8f", hdr, 76, 1.0, *spacing, 0, 0, 0, 0)
+    struct.pack_into(f"{byte_order}8f", hdr, 76, qfac, *spacing, 0, 0, 0, 0)
     struct.pack_into(f"{byte_order}f", hdr, 108, vox_offset)
+    struct.pack_into(f"{byte_order}h", hdr, 252, qform)
     struct.pack_into(f"{byte_order}h", hdr, 254, sform)
+    struct.pack_into(f"{byte_order}3f", hdr, 256, *quatern)   # quatern_b, _c, _d
+    struct.pack_into(f"{byte_order}3f", hdr, 268, *qoffset)   # qoffset_x, _y, _z
+    struct.pack_into(f"{byte_order}12f", hdr, 280, *np.ravel(srow))  # srow_x, _y, _z
     hdr[344:348] = magic
     return hdr
 
@@ -130,8 +135,9 @@ def test_vox_offset_before_payload_is_rejected(tmp_path, vox_offset):
         read_nifti(path)
 
 
-_FLOAT_FIELDS = [*range(76, 120, 4), *range(280, 328, 4)]  # pixdim, vox_offset, scl, srow
-_SHORT_FIELDS = [*range(40, 56, 2), 70, 72, 254]            # dim, datatype, bitpix, sform
+# pixdim, vox_offset, scl; quatern, qoffset, srow
+_FLOAT_FIELDS = [*range(76, 120, 4), *range(256, 328, 4)]
+_SHORT_FIELDS = [*range(40, 56, 2), 70, 72, 252, 254]  # dim, datatype, bitpix, qform, sform
 _EDIT = st.one_of(
     st.tuples(st.integers(0, 347), st.binary(min_size=1, max_size=1)),
     st.tuples(st.sampled_from(_FLOAT_FIELDS),
@@ -145,9 +151,10 @@ _EDIT = st.one_of(
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(st.lists(_EDIT, min_size=1, max_size=4))
 def test_mutated_header_raises_only_format_errors(tmp_path_factory, edits):
-    hdr = build_header(datatype=4, sform=1)
-    struct.pack_into("<12f", hdr, 280, 1.0, 0.0, 0.0, 2.0, 0.0, 1.0, 0.0, -1.0,
-                     0.0, 0.0, 1.0, 0.5)
+    # an sform and, behind it, a qform of 90 degrees about z
+    hdr = build_header(datatype=4, sform=1, srow=[[1.0, 0.0, 0.0, 2.0], [0.0, 1.0, 0.0, -1.0],
+                                                  [0.0, 0.0, 1.0, 0.5]],
+                       qform=1, quatern=(0.0, 0.0, np.sqrt(0.5)), qoffset=(2.0, -1.0, 0.5))
     struct.pack_into("<2f", hdr, 112, 2.0, 1.0)  # scl_slope, scl_inter
     for offset, chunk in edits:
         hdr[offset:offset + len(chunk)] = chunk
@@ -172,11 +179,9 @@ def test_label_file_with_undeclared_class_is_a_format_error(tmp_path, value):
 def _srow_off_by(det_error):
     """A 348-byte header whose srow columns have unit norm and a normalised
     |det| of 1 - det_error: the second column leans towards the first."""
-    hdr = build_header(sform=1)
     lean = np.sqrt(1.0 - (1.0 - det_error) ** 2)
-    struct.pack_into("<12f", hdr, 280, 1.0, lean, 0.0, 0.0, 0.0, 1.0 - det_error, 0.0, 0.0,
-                     0.0, 0.0, 1.0, 0.0)
-    return hdr
+    return build_header(sform=1, srow=[[1.0, lean, 0.0, 0.0], [0.0, 1.0 - det_error, 0.0, 0.0],
+                                       [0.0, 0.0, 1.0, 0.0]])
 
 
 @pytest.mark.parametrize("case", ["nan voxel", "nan pixdim", "srow det"])
@@ -206,6 +211,74 @@ def test_written_payload_is_the_little_endian_values_x_fastest(tmp_path):
         raw = path.read_bytes()
         assert struct.unpack_from("<f", raw, 108)[0] == 352.0  # vox_offset
         assert raw[352:] == payload
+
+
+def _oblique(kind):
+    """A Volume or a LabelVolume on an oblique, anisotropic 3x4x5 grid."""
+    rng = np.random.default_rng(5)
+    direction = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+    data = (rng.normal(size=(3, 4, 5)).astype(np.float32) if kind is Volume
+            else rng.integers(0, 4, size=(3, 4, 5)))
+    return kind(data, (1.5, 2.0, 0.75), np.array([3.0, -2.0, 7.5]), direction)
+
+
+@pytest.mark.parametrize("kind, datatype", [(Volume, 16), (LabelVolume, 2)])
+def test_written_header_is_the_field_by_field_header(tmp_path, kind, datatype):
+    vol = _oblique(kind)
+    path = tmp_path / "oblique.nii"
+    write_nifti(vol, path)
+    raw = path.read_bytes()
+    fields = dict(dims=vol.dims, datatype=datatype, spacing=vol.spacing, sform=1,
+                  srow=np.column_stack([vol.direction @ np.diag(vol.spacing), vol.origin]))
+    assert raw[:348] == build_header(**fields)
+    assert raw[348:352] == bytes(4)
+    # the same file with every field and value byte-swapped reads back the same
+    payload = np.frombuffer(raw, np.dtype("<f4" if kind is Volume else "u1"), offset=352)
+    swapped = tmp_path / "swapped.nii"
+    swapped.write_bytes(bytes(build_header(**fields, byte_order=">")) + bytes(4)
+                        + payload.astype(payload.dtype.newbyteorder(">")).tobytes())
+    back = read_nifti(path, labels=kind is LabelVolume)
+    back_swapped = read_nifti(swapped, labels=kind is LabelVolume)
+    assert back_swapped.spacing == back.spacing
+    for field in ("origin", "direction", "data"):
+        np.testing.assert_array_equal(getattr(back_swapped, field), getattr(back, field))
+    np.testing.assert_allclose(back.direction, vol.direction, atol=1e-6)
+
+
+def test_qform_gives_the_geometry_when_the_sform_is_unset(tmp_path):
+    # 90 degrees about z: a = cos 45, (b, c, d) = (0, 0, sin 45)
+    qform = dict(spacing=(2.0, 1.0, 3.0), qform=1, quatern=(0.0, 0.0, np.sqrt(0.5)),
+                 qoffset=(10.0, -5.0, 2.0))
+    path = tmp_path / "qform.nii"
+
+    def read(**fields):
+        path.write_bytes(bytes(build_header(**fields)) + bytes(4) + bytes(32))
+        return read_nifti(path)
+
+    vol = read(**qform)
+    turn = [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
+    np.testing.assert_allclose(vol.direction, turn, atol=1e-6)
+    np.testing.assert_array_equal(vol.origin, (10.0, -5.0, 2.0))
+    np.testing.assert_allclose(vol.world_from_voxel((1.0, 0.0, 1.0)), (10.0, -3.0, 5.0),
+                               atol=1e-6)
+    # qfac = pixdim[0] < 0 turns the third voxel axis round; 0 reads as 1
+    np.testing.assert_allclose(read(**qform, qfac=-1.0).direction[:, 2], (0.0, 0.0, -1.0),
+                               atol=1e-6)
+    np.testing.assert_allclose(read(**qform, qfac=0.0).direction, turn, atol=1e-6)
+    # an sform with a code above 0 wins
+    srow = [[2.0, 0.0, 0.0, 4.0], [0.0, 1.0, 0.0, 5.0], [0.0, 0.0, 3.0, 6.0]]
+    vol = read(**qform, sform=1, srow=srow)
+    np.testing.assert_array_equal(vol.direction, np.eye(3))
+    np.testing.assert_array_equal(vol.origin, (4.0, 5.0, 6.0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_quaternion_is_a_format_error(tmp_path, bad):
+    hdr = build_header(qform=1, quatern=(0.0, bad, 0.0))
+    path = tmp_path / "quatern.nii"
+    path.write_bytes(bytes(hdr) + bytes(4) + bytes(32))
+    with pytest.raises(NiftiFormatError, match="quaternion"):
+        read_nifti(path)
 
 
 def test_big_endian_header_is_byte_swapped(tmp_path):
