@@ -15,7 +15,6 @@ and the FFD coefficients of any transform are finite.
 from __future__ import annotations
 
 import os
-import struct
 from functools import lru_cache
 from pathlib import Path
 
@@ -354,48 +353,26 @@ def subdivide(t: BSplineTransform, fine_reference) -> BSplineTransform:
 # ---------------------------------------------------------------------------
 # Serialization: self-describing binary transform container
 # ---------------------------------------------------------------------------
-#
-# Layout (little-endian):
-#   magic           8 bytes  b"ATLXFRM1"
-#   version         uint32   (1)
-#   flags           uint32   bit0 = forward FFD present, bit1 = backward FFD present;
-#                            the other bits are 0 (a file setting one is rejected)
-#   affine          16 float64, row-major 4x4
-#   per present FFD (forward first), a header then the coefficients:
-#     grid_dims           3 uint32
-#     grid_spacing        3 float64  (reference voxels)
-#     reference_dims      3 uint32
-#     reference_spacing   3 float64  (mm)
-#     reference_origin    3 float64
-#     reference_direction 9 float64, row-major
-#     coefficients        gx*gy*gz*3 float64, C order of (gx, gy, gz, 3)
-# and nothing after the last FFD.
 
 TRANSFORM_MAGIC = b"ATLXFRM1"
-_FFD_HEADER = struct.Struct("<3I3d3I3d3d9d")
+
+# The container, little-endian: this head; then per present FFD, forward
+# first, one _FFD block followed by its gx*gy*gz*3 coefficients as <f8 in the
+# C order of (gx, gy, gz, 3); nothing after the last FFD. Flag bit 0 marks a
+# forward FFD, bit 1 a backward one; a file setting any other bit is rejected.
+_HEAD = np.dtype([("magic", "S8"), ("version", "<u4"), ("flags", "<u4"),
+                  ("affine", "<f8", (4, 4))])
+# the lattice (spacing in reference voxels), then its reference Grid
+_FFD = np.dtype([("grid_dims", "<u4", 3), ("grid_spacing", "<f8", 3), ("dims", "<u4", 3),
+                 ("spacing", "<f8", 3), ("origin", "<f8", 3), ("direction", "<f8", (3, 3))])
 
 
-def _pack_ffd(t: BSplineTransform) -> bytes:
-    ref = t.reference
-    header = _FFD_HEADER.pack(*t.grid_dims, *t.grid_spacing, *ref.dims, *ref.spacing,
-                              *ref.origin, *ref.direction.reshape(-1))
-    return header + np.ascontiguousarray(t.coefficients, dtype="<f8").tobytes()
-
-
-def _unpack_ffd(buf: bytes, off: int):
-    """Read one FFD block at `off`; returns (transform, offset after it)."""
-    if len(buf) - off < _FFD_HEADER.size:
-        raise InvalidInputError("transform container ends inside an FFD header")
-    h = _FFD_HEADER.unpack_from(buf, off)
-    off += _FFD_HEADER.size
-    gd, gs, rd, rs, ro, rdir = h[0:3], h[3:6], h[6:9], h[9:12], h[12:15], h[15:]
-    n = gd[0] * gd[1] * gd[2] * 3
-    if len(buf) - off < n * 8:
-        raise InvalidInputError("transform container ends inside FFD coefficients")
-    coef = np.frombuffer(buf, dtype="<f8", count=n, offset=off).reshape(gd + (3,))
-    off += n * 8
-    reference = Grid(rd, rs, np.array(ro), np.array(rdir).reshape(3, 3))
-    return BSplineTransform(gs, coef, reference), off
+def _record(dtype: np.dtype, **fields) -> bytes:
+    """The bytes of one `dtype` record with the named fields set."""
+    rec = np.zeros((), dtype)
+    for name, value in fields.items():
+        rec[name] = value
+    return rec.tobytes()
 
 
 def save_transform(path, affine: AffineTransform,
@@ -405,15 +382,14 @@ def save_transform(path, affine: AffineTransform,
     require_type(AffineTransform, affine=affine)
     require_type((BSplineTransform, type(None)), fwd=fwd, bwd=bwd)
     flags = (1 if fwd is not None else 0) | (2 if bwd is not None else 0)
-    parts = [
-        TRANSFORM_MAGIC,
-        struct.pack("<II", 1, flags),
-        np.ascontiguousarray(affine.matrix, dtype="<f8").tobytes(),
-    ]
-    if fwd is not None:
-        parts.append(_pack_ffd(fwd))
-    if bwd is not None:
-        parts.append(_pack_ffd(bwd))
+    parts = [_record(_HEAD, magic=TRANSFORM_MAGIC, version=1, flags=flags, affine=affine.matrix)]
+    for t in (fwd, bwd):
+        if t is not None:
+            ref = t.reference
+            parts += [_record(_FFD, grid_dims=t.grid_dims, grid_spacing=t.grid_spacing,
+                              dims=ref.dims, spacing=ref.spacing, origin=ref.origin,
+                              direction=ref.direction),
+                      np.ascontiguousarray(t.coefficients, dtype="<f8").tobytes()]
     Path(path).write_bytes(b"".join(parts))
 
 
@@ -421,21 +397,32 @@ def load_transform(path):
     """Returns (affine, fwd | None, bwd | None)."""
     require_type((str, os.PathLike), path=path)
     buf = Path(path).read_bytes()
-    if len(buf) < 16 + 128 or buf[:8] != TRANSFORM_MAGIC:
+    if len(buf) < _HEAD.itemsize or buf[:8] != TRANSFORM_MAGIC:
         raise InvalidInputError(f"{path}: not a transform container")
-    version, flags = struct.unpack_from("<II", buf, 8)
+    head = np.frombuffer(buf, _HEAD, count=1)[0]
+    version, flags = int(head["version"]), int(head["flags"])
     if version != 1:
         raise InvalidInputError(f"{path}: unsupported container version {version}")
     if flags & ~3:
         raise InvalidInputError(f"{path}: unknown flag bits {flags & ~3:#x} (flags {flags})")
-    mat = np.frombuffer(buf, dtype="<f8", count=16, offset=16).reshape(4, 4)
-    affine = AffineTransform(mat)
-    off = 16 + 128
-    fwd = bwd = None
-    if flags & 1:
-        fwd, off = _unpack_ffd(buf, off)
-    if flags & 2:
-        bwd, off = _unpack_ffd(buf, off)
+    affine = AffineTransform(head["affine"])
+    off = _HEAD.itemsize
+    ffds = [None, None]  # forward, backward
+    for i in (0, 1):
+        if flags & 1 << i:
+            if len(buf) - off < _FFD.itemsize:
+                raise InvalidInputError("transform container ends inside an FFD header")
+            h = np.frombuffer(buf, _FFD, count=1, offset=off)[0]
+            off += _FFD.itemsize
+            # Python numbers: the product cannot wrap, and messages show plain values
+            gd = h["grid_dims"].tolist()
+            n = gd[0] * gd[1] * gd[2] * 3
+            if len(buf) - off < n * 8:
+                raise InvalidInputError("transform container ends inside FFD coefficients")
+            coef = np.frombuffer(buf, dtype="<f8", count=n, offset=off).reshape(*gd, 3)
+            off += n * 8
+            ref = Grid(h["dims"].tolist(), h["spacing"].tolist(), h["origin"], h["direction"])
+            ffds[i] = BSplineTransform(h["grid_spacing"].tolist(), coef, ref)
     if off != len(buf):
         raise InvalidInputError(f"{path}: {len(buf) - off} bytes after the last transform")
-    return affine, fwd, bwd
+    return (affine, *ffds)

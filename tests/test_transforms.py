@@ -403,6 +403,41 @@ def test_transform_container_round_trip(tmp_path):
     np.testing.assert_array_equal(a3.matrix, affine.matrix)
 
 
+def test_written_container_is_the_field_by_field_layout(tmp_path):
+    rng = np.random.default_rng(23)
+    direction, _ = np.linalg.qr(rng.normal(size=(3, 3)))  # oblique, orthonormal
+    ref = Grid((9, 7, 5), (1.25, 0.8, 3.0), (-12.5, 4.0, 30.25), direction)
+    fwd = BSplineTransform.zeros(ref, (2.0, 3.0, 1.5))
+    fwd = fwd.with_coefficients(rng.normal(size=fwd.coefficients.shape))
+    bwd = BSplineTransform.zeros(ref, (3.0, 1.5, 2.0))
+    bwd = bwd.with_coefficients(rng.normal(size=bwd.coefficients.shape))
+    affine = AffineTransform.from_linear(direction * (1.1, 0.9, 1.05), (4.0, -1.5, 0.25))
+    path = tmp_path / "t.tfm"
+    for f, b in ((None, None), (fwd, None), (None, bwd), (fwd, bwd)):
+        expected = (b"ATLXFRM1" + struct.pack("<I", 1)
+                    + struct.pack("<I", (f is not None) | (b is not None) << 1)
+                    + struct.pack("<16d", *affine.matrix.ravel()))
+        for t in (f, b):
+            if t is not None:
+                expected += (struct.pack("<3I", *t.grid_dims)
+                             + struct.pack("<3d", *t.grid_spacing)
+                             + struct.pack("<3I", *ref.dims)
+                             + struct.pack("<3d", *ref.spacing)
+                             + struct.pack("<3d", *ref.origin)
+                             + struct.pack("<9d", *ref.direction.ravel())
+                             + struct.pack(f"<{t.coefficients.size}d", *t.coefficients.ravel()))
+        save_transform(path, affine, f, b)
+        assert path.read_bytes() == expected
+        a2, f2, b2 = load_transform(path)
+        np.testing.assert_array_equal(a2.matrix, affine.matrix)
+        for t, t2 in ((f, f2), (b, b2)):
+            if t is None:
+                assert t2 is None
+            else:
+                assert t2.reference == ref and t2.grid_spacing == t.grid_spacing
+                np.testing.assert_array_equal(t2.coefficients, t.coefficients)
+
+
 def _two_ffd_container(path):
     """A saved affine plus forward and backward FFDs on an 8^3 grid."""
     rng = np.random.default_rng(17)

@@ -1,6 +1,7 @@
 """Bit-identity digests of the three benchmark workloads.
 
-    python3 tools/digests.py
+    python3 tools/digests.py                      # print the digest lines
+    python3 tools/digests.py --check DIGESTS.txt  # and compare them with a file
 
 Runs case 0 of affine_xmod, ffd_stack and pseudo_label for seed 1 and the
 held-out seed, with the inputs and configurations of `bench/workloads.py`,
@@ -21,7 +22,9 @@ shows there first.
 A `nifti` line per seed digests what `nifti.write_nifti` writes, header and
 payload, for the target and the ground-truth labels of pseudo_label case 0:
 the first 16 hex digits of a SHA-256 over the bytes of both files, which it
-writes to a temporary directory. It pins the writer's bytes.
+writes to a temporary directory. It pins the writer's bytes. A `transform`
+line per seed does the same for what `transforms.save_transform` writes for
+ffd_stack case 0's result: its affine, forward and backward FFD.
 
 A last line per seed digests `metrics.evaluate` of each workload's output
 labels against the ground truth, as the benchmark scores them (the floating
@@ -32,13 +35,21 @@ the nearest-point search.
 
 A change meant to keep the outputs bit for bit prints the same digests as its
 parent. BLAS is pinned to one thread, as in the benchmark, because a
-threaded BLAS may round differently; another machine's BLAS may also print
-other digests, so compare digests taken on one machine. Exits 1 if the two
-pseudo_label runs differ. Imports `bench/run.py` and `bench/workloads.py`
-without writing to `bench/`.
+threaded BLAS may round differently. The lines should also not depend on the
+x86-64 host, so OpenBLAS runs its Haswell (AVX2) kernels and numpy its AVX2
+loops, not the AVX-512 ones: on an AVX-512 host either alone changes bits,
+one of a matrix product, the other of `np.log` and `np.exp`. The C
+library's scalar `exp` and `log` are not pinned. With `--check FILE`, the
+lines that differ from FILE are printed after the digests and the exit
+status is 1; `python3 tools/digests.py > DIGESTS.txt` rewrites the file.
+Exits 1 also if the two pseudo_label runs differ. Imports `bench/run.py` and
+`bench/workloads.py` without writing to `bench/`.
 """
 from __future__ import annotations
 
+import argparse
+import difflib
+import functools
 import hashlib
 import math
 import os
@@ -52,7 +63,9 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import run  # noqa: E402  (bench/run.py, which loads no numpy)
 
-os.environ.update(run.THREAD_PIN)  # before numpy loads its BLAS
+# before numpy loads its BLAS and picks its loops for this CPU
+os.environ.update(run.THREAD_PIN, OPENBLAS_CORETYPE="Haswell",
+                  NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
 
 import numpy as np  # noqa: E402
 
@@ -114,8 +127,11 @@ def affine_xmod(seed: int):
 
 
 def ffd_stack(seed: int):
+    """(digest, scored labels and ground truth, transform digest)"""
     res = ffd_stack_call(seed)()
-    return digest(_ffd_arrays(res)), _scored("ffd_stack", seed, affine=res.affine, ffd=res.fwd)
+    return (digest(_ffd_arrays(res)), _scored("ffd_stack", seed, affine=res.affine, ffd=res.fwd),
+            _written_digest(functools.partial(transforms.save_transform, affine=res.affine,
+                                              fwd=res.fwd, bwd=res.bwd)))
 
 
 def pseudo_label(seed: int, threads: int):
@@ -142,36 +158,58 @@ def input_digest(workload: str, seed: int) -> str:
     return hashlib.sha256(raw).hexdigest()[:16]
 
 
-def nifti_digest(seed: int) -> str:
-    inputs = workloads.make_inputs("pseudo_label", seed)
+def _written_digest(*writers) -> str:
+    """The digest of the bytes each `writer(path)` writes, in turn."""
     h = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
-        for name in ("target", "gt"):
-            path = Path(tmp) / f"{name}.nii"
-            nifti.write_nifti(inputs[name], path)
+        path = Path(tmp) / "out"
+        for write in writers:
+            write(path)
             h.update(path.read_bytes())
     return h.hexdigest()[:16]
 
 
-def main() -> int:
+def nifti_digest(seed: int) -> str:
+    inputs = workloads.make_inputs("pseudo_label", seed)
+    return _written_digest(*(functools.partial(nifti.write_nifti, inputs[name])
+                             for name in ("target", "gt")))
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--check", type=Path, metavar="FILE",
+                   help="print the lines that differ from FILE and exit 1 if any do")
+    args = p.parse_args(argv)
     status = 0
+    lines = []
+
+    def emit(line):
+        lines.append(line)
+        print(line, flush=True)
+
     for name, seed in SEEDS:
         affine, scored = affine_xmod(seed)
-        print(f"affine_xmod  seed {name}: {affine}", flush=True)
-        ffd, scored_ffd = ffd_stack(seed)
-        print(f"ffd_stack    seed {name}: {ffd}", flush=True)
+        emit(f"affine_xmod  seed {name}: {affine}")
+        ffd, scored_ffd, transform = ffd_stack(seed)
+        emit(f"ffd_stack    seed {name}: {ffd}")
         (one, scored_fused), (two, _) = pseudo_label(seed, 1), pseudo_label(seed, 2)
-        print(f"pseudo_label seed {name}: {one} (threads 1), {two} (threads 2)", flush=True)
+        emit(f"pseudo_label seed {name}: {one} (threads 1), {two} (threads 2)")
         if one != two:
             print("pseudo_label differs between threads 1 and 2", file=sys.stderr)
             status = 1
         inputs = ", ".join(f"{w} {input_digest(w, seed)}" for w in workloads.WORKLOADS)
-        print(f"inputs       seed {name}: {inputs}", flush=True)
-        print(f"nifti        seed {name}: pseudo_label {nifti_digest(seed)}", flush=True)
+        emit(f"inputs       seed {name}: {inputs}")
+        emit(f"nifti        seed {name}: pseudo_label {nifti_digest(seed)}")
+        emit(f"transform    seed {name}: ffd_stack {transform}")
         scores = (("affine_xmod", scored), ("ffd_stack", scored_ffd),
                   ("pseudo_label", scored_fused))
-        print(f"evaluate     seed {name}: "
-              + ", ".join(f"{w} {evaluate_digest(*pair)}" for w, pair in scores), flush=True)
+        emit(f"evaluate     seed {name}: "
+             + ", ".join(f"{w} {evaluate_digest(*pair)}" for w, pair in scores))
+    if args.check is not None:
+        diff = list(difflib.unified_diff(args.check.read_text().splitlines(), lines,
+                                         str(args.check), "this run", n=0, lineterm=""))
+        print("\n".join(diff) if diff else f"every line equals {args.check}")
+        status |= bool(diff)
     return status
 
 

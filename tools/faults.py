@@ -14,8 +14,9 @@ process's and also shown on their own.
 A minor fault maps one page the process touches for the first time, most
 often a zero-filled page of memory the allocator has just taken from the
 OS, so the count shows how much memory a run hands back to the OS and
-takes again. BLAS is pinned to one thread, as in the benchmark. Imports
-`bench/run.py` and `bench/workloads.py` without writing to `bench/`.
+takes again. It inherits the pins of `tools/digests.py`: BLAS on one thread,
+as in the benchmark, OpenBLAS's Haswell kernels and numpy's AVX2 loops.
+Imports `bench/run.py` and `bench/workloads.py` without writing to `bench/`.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ import sys
 
 sys.dont_write_bytecode = True  # leave no __pycache__ under tools/ or bench/
 
-import digests  # noqa: E402  (puts src/ and bench/ on the path and pins BLAS first)
+import digests  # noqa: E402  (puts src/ and bench/ on the path and sets its pins first)
 import workloads  # noqa: E402
 
 SEED = 1
