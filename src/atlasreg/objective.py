@@ -108,10 +108,11 @@ from .transforms import (
     _einsum,
     _weight_matrices,
 )
-from .volume import TrilinearStencil, Volume, require_same_geometry
+from .volume import TrilinearStencil, Volume, _float_array, require_same_geometry
 
 BINS = 64  # joint histogram bins per axis
 _PAD = 1.0  # histogram deposit offset keeping the 4-bin footprint in range
+_RANGES_RULE = "ranges must be two (lo, hi) pairs of numbers"
 
 
 @dataclass(frozen=True)
@@ -393,19 +394,6 @@ def _soft_overlap(stencil: TrilinearStencil, points: np.ndarray):
                   excursion == 0, shell_rows)
 
 
-def _check_ranges(ranges):
-    """InvalidInputError unless `ranges` is None or two (lo, hi) pairs of numbers."""
-    if ranges is not None:
-        try:
-            (lo_r, hi_r), (lo_f, hi_f) = ranges
-            numbers = all(map(is_number, (lo_r, hi_r, lo_f, hi_f)))
-        except (TypeError, ValueError):
-            numbers = False
-        if not numbers:
-            raise InvalidInputError(
-                f"ranges must be two (lo, hi) pairs of numbers, got {ranges!r}")
-
-
 def _nmi_deposit(ref: Volume, flt: Volume, mask, values, ranges, shell=None):
     """The Parzen joint histogram (BINS, BINS) of ref's voxels under `mask`
     paired with `values`, flt's float64 samples at their mapped points, and
@@ -430,7 +418,8 @@ def _nmi_deposit(ref: Volume, flt: Volume, mask, values, ranges, shell=None):
     edge-clamped point, which the stencil gives it, along the axes on which
     it lies inside, and 0 across the faces it lies outside.
     """
-    _check_ranges(ranges)
+    if ranges is not None:
+        ranges = _float_array(ranges, _RANGES_RULE, (2, 2))
     rv = ref.data.reshape(-1)[mask].astype(np.float64)
     if rv.size == 0:
         raise DegenerateInputError("no contributing voxels (empty mask or no overlap)")
@@ -735,8 +724,8 @@ def objective(ref: Volume, flt: Volume, fwd: BSplineTransform,
     """
     require_type(Volume, ref=ref, flt=flt)
     require_type(ObjectiveWeights, weights=weights)
-    _check_ranges(ranges)  # before the swap, which a non-sequence fails
-    swapped = None if ranges is None else ranges[::-1]
+    # read before the swap, which a non-sequence fails
+    swapped = None if ranges is None else _float_array(ranges, _RANGES_RULE, (2, 2))[::-1]
     (map_f, s_f, e_f, finish_f), (map_b, s_b, e_b, finish_b) = _both_halves(
         lambda: _half(ref, flt, fwd, weights, ranges, flt_valid=flt_mask),
         lambda: _half(flt, ref, bwd, weights, swapped, ref_mask=flt_mask))

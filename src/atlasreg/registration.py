@@ -50,23 +50,25 @@ class RegistrationConfig:
         spacing = self.final_grid_spacing
         if not (is_number(spacing) and math.isfinite(spacing) and spacing >= 1):
             raise InvalidInputError("final_grid_spacing must be a finite number >= 1 voxel")
-        if not isinstance(self.weights, ObjectiveWeights):
-            raise InvalidInputError("weights must be an ObjectiveWeights")
+        require_type(ObjectiveWeights, weights=self.weights)
+
+
+_PRESETS = {"type1": RegistrationConfig(),
+            "type2": RegistrationConfig(levels=6, max_iter_per_level=4000, final_grid_spacing=1.0)}
 
 
 def default_config(kind: str) -> RegistrationConfig:
     """Presets for the two registration flavors.
 
-    type1 (inter-patient, intra-modality): alpha = beta = 0.001, five levels,
-    300 iterations per level, final grid spacing five voxels. type2
-    (intra-patient, inter-modality): six levels, 4000 iterations per level,
-    final grid spacing one voxel, same weights.
+    type1 (inter-patient, intra-modality) is `RegistrationConfig()` itself,
+    the defaults of `RegistrationConfig` and `ObjectiveWeights`: alpha =
+    beta = 0.001, five levels, 300 iterations per level, final grid spacing
+    five voxels. type2 (intra-patient, inter-modality): six levels, 4000
+    iterations per level, final grid spacing one voxel, the same weights.
     """
-    presets = {"type1": (5, 300, 5.0), "type2": (6, 4000, 1.0)}
-    if not (isinstance(kind, str) and kind in presets):
+    if not (isinstance(kind, str) and kind in _PRESETS):
         raise InvalidInputError(f"unknown registration preset {kind!r}")
-    levels, max_iter, spacing = presets[kind]
-    return RegistrationConfig(levels, max_iter, spacing, ObjectiveWeights(0.001, 0.001))
+    return _PRESETS[kind]
 
 
 @dataclass(eq=False)

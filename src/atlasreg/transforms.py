@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import GeometryMismatchError, InvalidInputError, InvalidTransformError, require_type
 from .volume import (
-    GEOMETRY_TOL,
     Grid,
     LabelVolume,
     TrilinearStencil,
@@ -53,7 +52,7 @@ def bspline_kernel(u):
 
 def bspline_kernel_d1(u):
     """First derivative of the cubic B-spline kernel."""
-    u = np.asarray(u, dtype=np.float64)
+    u = _float_array(u, "u must be numbers")
     a = np.abs(u)
     r2 = np.maximum(2.0 - a, 0.0)
     r1 = np.maximum(1.0 - a, 0.0)
@@ -63,7 +62,7 @@ def bspline_kernel_d1(u):
 
 def bspline_kernel_d2(u):
     """Second derivative of the cubic B-spline kernel."""
-    a = np.abs(np.asarray(u, dtype=np.float64))
+    a = np.abs(_float_array(u, "u must be numbers"))
     out = np.maximum(2.0 - a, 0.0) - 4.0 * np.maximum(1.0 - a, 0.0)
     return out if out.ndim else float(out)
 
@@ -72,8 +71,14 @@ _KERNELS = (bspline_kernel, bspline_kernel_d1, bspline_kernel_d2)
 
 
 def grid_dim_for(n: int, spacing: float) -> int:
-    """Lattice node count covering voxel domain [0, n-1] at the given spacing."""
-    return int(np.floor((n - 1) / spacing)) + 4
+    """Lattice node count covering voxel domain [0, n-1] at the given spacing;
+    InvalidInputError when it exceeds 2**32 - 1, the most the container's
+    `<u4` grid_dims field stores."""
+    nodes = (n - 1) / spacing
+    if not nodes < 2**32 - 4:
+        raise InvalidInputError(f"grid spacing {spacing} puts more than 2**32 - 1 lattice "
+                                f"nodes on an axis of {n} voxels")
+    return int(nodes) + 4
 
 
 def _lattice_dims(reference: Grid, spacing) -> tuple[int, int, int]:
@@ -165,8 +170,7 @@ class BSplineTransform(_Frozen):
 
     def __init__(self, grid_spacing, coefficients, reference):
         gs = positive_spacings(grid_spacing, "grid spacings")
-        if not isinstance(reference, Grid):
-            raise InvalidInputError("reference must be a Grid")
+        require_type(Grid, reference=reference)
         gd = _lattice_dims(reference, gs)
         coef = _float_array(coefficients, "coefficients must be numbers")
         if coef.shape != gd + (3,):
@@ -333,15 +337,13 @@ def subdivide(t: BSplineTransform, fine_reference) -> BSplineTransform:
     unchanged.
     """
     require_type(BSplineTransform, t=t)
-    fine = as_grid(fine_reference, "fine reference")
-    ratio = np.asarray(t.reference.spacing) / np.asarray(fine.spacing)
+    fine, ref = as_grid(fine_reference, "fine reference"), t.reference
+    ratio = np.asarray(ref.spacing) / np.asarray(fine.spacing)
     if not np.allclose(ratio, 2.0, atol=1e-6):
         raise GeometryMismatchError(
             f"subdivision requires a 2x finer grid, got spacing ratio {ratio}"
         )
-    ref = t.reference
-    if not (np.allclose(fine.origin, ref.origin, atol=GEOMETRY_TOL)
-            and np.allclose(fine.direction, ref.direction, atol=GEOMETRY_TOL)):
+    if not fine.same_geometry(Grid(fine.dims, fine.spacing, ref.origin, ref.direction)):
         raise GeometryMismatchError(
             "subdivision requires the origin and direction of the coarse reference")
     coef = t.coefficients

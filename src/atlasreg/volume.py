@@ -46,14 +46,19 @@ def positive_spacings(spacing, what: str = "spacings") -> tuple[float, float, fl
 
 def _float_array(value, must: str, shape=None) -> np.ndarray:
     """`value` as a float64 array, of `shape` if given; otherwise
-    InvalidInputError with the message `must`, which names the argument."""
+    InvalidInputError with the message `must`, which names the argument.
+
+    Only an integer or float dtype passes: like `is_number` for a scalar,
+    it refuses bools, strings (numeric ones too), complex numbers and
+    objects (so a Python int beyond 64 bits). numpy reads a bool mixed
+    into numbers as an integer, so ((0, True), (0, 1)) passes."""
     try:
-        a = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError):
+        a = np.asarray(value)
+    except (TypeError, ValueError):  # a ragged sequence, say
         a = None
-    if a is None or shape is not None and a.shape != shape:
+    if a is None or a.dtype.kind not in "iuf" or shape is not None and a.shape != shape:
         raise InvalidInputError(f"{must}, got {value!r}")
-    return a
+    return a.astype(np.float64, copy=False)
 
 
 def _points(pts) -> np.ndarray:
@@ -116,19 +121,15 @@ class Grid(_Frozen):
         if len(dims) != 3 or not all(is_count(n) for n in dims):
             raise InvalidInputError(f"dims must be three positive integers, got {dims}")
         spacing = positive_spacings(spacing)
-        try:  # both converted before either name is rebound, so the message shows the inputs
-            origin, direction = (np.asarray(origin, dtype=np.float64).reshape(3).copy(),
-                                 np.asarray(direction, dtype=np.float64).copy())
-        except (TypeError, ValueError):
-            raise InvalidInputError(
-                f"origin must be 3 numbers and direction 3x3 numbers, got {origin!r} "
-                f"and {direction!r}") from None
+        origin = _float_array(origin, "origin must be 3 numbers", (3,)).copy()
+        direction = _float_array(direction, "direction must be 3x3 numbers", (3, 3)).copy()
         if not np.all(np.isfinite(origin)):
             raise InvalidInputError(f"origin must be finite, got {origin}")
-        if direction.shape != (3, 3):
-            raise InvalidInputError(f"direction must be 3x3, got {direction.shape}")
-        # unit columns and |det| = 1 together bound the shear (Hadamard's inequality)
-        if not (abs(abs(np.linalg.det(direction)) - 1.0) <= 1e-6
+        # entries within 1 first, so that a NaN or huge entry fails before det
+        # and norm can warn; unit columns and |det| = 1 together bound the
+        # shear (Hadamard's inequality)
+        if not (np.abs(direction).max() <= 1.0 + 1e-6
+                and abs(abs(np.linalg.det(direction)) - 1.0) <= 1e-6
                 and np.abs(np.linalg.norm(direction, axis=0) - 1.0).max() <= 1e-6):
             raise InvalidInputError(
                 "direction matrix must be orthonormal (unit columns, |det| = 1)")

@@ -13,6 +13,7 @@ from atlasreg import (
     AtlasRegError,
     DegenerateInputError,
     EvaluationReport,
+    Grid,
     InvalidInputError,
     LabelVolume,
     ObjectiveWeights,
@@ -117,6 +118,17 @@ _WRONG_TYPES = {
     "BSplineTransform coefficients": (
         lambda v, path: BSplineTransform((4.0, 4.0, 4.0), "x", v.grid),
         "coefficients must be numbers"),
+    "BSplineTransform reference": (
+        lambda v, path: BSplineTransform((4.0, 4.0, 4.0), np.zeros((4, 4, 4, 3)), v),
+        "reference must be a Grid"),
+    "BSplineTransform.zeros subnormal grid spacing": (
+        lambda v, path: BSplineTransform.zeros(v, 1e-320), "grid spacing 1e-320"),
+    "BSplineTransform.zeros tiny grid spacing": (
+        lambda v, path: BSplineTransform.zeros(v, 1e-20), "grid spacing 1e-20"),
+    "Grid NaN direction": (lambda v, path: Grid(v.dims, direction=np.full((3, 3), np.nan)),
+                           "orthonormal"),
+    "RegistrationConfig weights": (lambda v, path: RegistrationConfig(weights=(0.001, 0.001)),
+                                   "weights must be a ObjectiveWeights"),
     "with_coefficients": (lambda v, path: BSplineTransform.zeros(v, 4.0).with_coefficients("x"),
                           "coefficients must be numbers"),
     "dense_displacement": (lambda v, path: dense_displacement(v),

@@ -80,6 +80,17 @@ def test_histogram_rejects_a_mask_off_the_grid():
                               mask=np.ones((4, 4, 4), dtype=bool))
 
 
+@pytest.mark.parametrize("ranges", [(("0", "100"), ("0", "100")), ((False, True),) * 2,
+                                    ((0, 100), (0j, 100))], ids=["strings", "bools", "complex"])
+def test_ranges_of_anything_but_numbers_are_refused(ranges):
+    vol = _noise_volume(0)
+    ffd = BSplineTransform.zeros(vol, 4.0)
+    with pytest.raises(InvalidInputError, match="ranges must be two"):
+        build_joint_histogram(vol, vol, ranges=ranges)
+    with pytest.raises(InvalidInputError, match="ranges must be two"):
+        objective(vol, vol, ffd, ffd, ObjectiveWeights(), ranges=ranges)
+
+
 def test_identical_images_concentrate_on_diagonal():
     ref = _noise_volume(2)
     h = build_joint_histogram(ref, ref)

@@ -1,4 +1,5 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from atlasreg.transforms import (
     bspline_kernel_d1,
     bspline_kernel_d2,
     dense_displacement,
+    grid_dim_for,
     splat_to_coefficients,
     subdivide,
 )
@@ -519,6 +521,51 @@ def test_infinite_grid_spacing_is_rejected():
 def test_zeros_rejects_a_bad_grid_spacing(spacing):
     with pytest.raises(InvalidInputError, match="grid spacings"):
         BSplineTransform.zeros(_zeros_volume(), spacing)
+
+
+@pytest.mark.parametrize("kind", [str, bool])
+def test_coefficients_of_strings_or_bools_are_rejected(kind):
+    t = BSplineTransform.zeros(_zeros_volume(), 4.0)
+    with pytest.raises(InvalidInputError, match="coefficients must be numbers"):
+        t.with_coefficients(t.coefficients.astype(kind))
+
+
+@pytest.mark.parametrize("spacing", [1e-320, 1e-300, 1e-20])
+def test_a_lattice_too_fine_for_the_container_is_rejected(tmp_path, spacing):
+    path = tmp_path / "t.tfm"
+    buf = bytearray(_two_ffd_container(path))
+    struct.pack_into("<3d", buf, 144 + 12, spacing, spacing, spacing)  # forward grid spacing
+    path.write_bytes(bytes(buf))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="grid spacing"):
+            BSplineTransform.zeros(Grid((8, 8, 8)), spacing)
+        with pytest.raises(InvalidInputError, match="grid spacing"):
+            load_transform(path)
+
+
+def test_node_counts_are_the_floor_up_to_the_largest_the_container_stores():
+    rng = np.random.default_rng(5)
+    counts, spacings = rng.integers(1, 600, 2000), 10.0 ** rng.uniform(-6, 3, 2000)
+    for n, s in zip(counts.tolist(), spacings.tolist()):
+        assert grid_dim_for(n, s) == int(np.floor((n - 1) / s)) + 4
+    assert grid_dim_for(8, 7 / (2**32 - 5)) == 2**32 - 1  # the largest <u4
+    with pytest.raises(InvalidInputError, match="grid spacing"):
+        grid_dim_for(8, 7 / (2**32 - 4))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, 1e155, 1e200])
+def test_a_stored_direction_of_huge_or_non_finite_entries_is_rejected(tmp_path, value):
+    path = tmp_path / "t.tfm"
+    buf = bytearray(_two_ffd_container(path))
+    for direction in (np.full((3, 3), value), np.diag([value] * 3)):
+        # the forward FFD's reference direction follows its lattice, dims, spacing and origin
+        struct.pack_into("<9d", buf, 144 + 12 + 24 + 12 + 24 + 24, *direction.ravel())
+        path.write_bytes(bytes(buf))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="orthonormal"):
+                load_transform(path)
 
 
 @pytest.mark.parametrize("ffds, flags", [(False, 12), (False, 4), (True, 3 | 1 << 31)])

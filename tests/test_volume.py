@@ -1,5 +1,6 @@
 import pickle
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -244,6 +245,30 @@ def test_grid_rejects_a_direction_that_is_not_orthonormal(direction):
         Grid((4, 4, 4), direction=direction)
     with pytest.raises(InvalidInputError, match="orthonormal"):
         Volume(np.zeros((4, 4, 4)), direction=direction)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, 1e155, 1e200])
+def test_grid_refuses_a_huge_or_non_finite_direction_without_a_warning(value):
+    one_entry = np.eye(3)
+    one_entry[1, 2] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for direction in (np.full((3, 3), value), one_entry, np.diag([value] * 3)):
+            with pytest.raises(InvalidInputError, match="orthonormal"):
+                Grid((4, 4, 4), direction=direction)
+
+
+@pytest.mark.parametrize("origin", [("1", "2", "3"), (True, False, True), (1j, 0, 0),
+                                    [[0.0, 0.0, 0.0]]], ids=["strings", "bools", "complex", "1x3"])
+def test_grid_refuses_an_origin_of_anything_but_three_numbers(origin):
+    with pytest.raises(InvalidInputError, match="origin must be 3 numbers"):
+        Grid((4, 4, 4), origin=origin)
+
+
+@pytest.mark.parametrize("kind", [str, bool, complex])
+def test_grid_refuses_a_direction_of_anything_but_numbers(kind):
+    with pytest.raises(InvalidInputError, match="direction must be 3x3 numbers"):
+        Grid((4, 4, 4), direction=np.eye(3).astype(kind))
 
 
 @pytest.mark.parametrize("dims", [("a", 2, 2), (2.5, 2, 2), (True, 2, 2), (0, 2, 2), 5])
