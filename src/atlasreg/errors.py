@@ -3,9 +3,14 @@
 import numbers
 
 
+def is_integer(n) -> bool:
+    """True if `n` is an integer, not a bool."""
+    return isinstance(n, numbers.Integral) and not isinstance(n, bool)
+
+
 def is_natural(n) -> bool:
     """True if `n` is an integer >= 0, not a bool."""
-    return isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 0
+    return is_integer(n) and n >= 0
 
 
 def is_count(n) -> bool:

@@ -21,6 +21,7 @@ from .errors import (
     TruncatedFileError,
     UnsupportedDatatypeError,
     UnsupportedDimensionalityError,
+    is_integer,
     require_type,
 )
 from .volume import LabelVolume, Volume
@@ -71,9 +72,9 @@ def read_nifti(path, *, labels: bool = False, label_remap: dict | None = None):
     """Parse a single-file NIfTI-1 volume.
 
     With labels=True the voxel values are validated (after applying the
-    optional `label_remap` table, e.g. {200: 1, 500: 2, 600: 3}, which leaves
-    the values it does not name as they are) against the internal class ids
-    and a LabelVolume is returned.
+    optional `label_remap` table of integers to integers, e.g. {200: 1,
+    500: 2, 600: 3}, which leaves the values it does not name as they are)
+    against the internal class ids and a LabelVolume is returned.
 
     The origin and direction come from the sform when sform_code > 0, else
     from the qform when qform_code > 0 (NIfTI-1 method 2: the quaternion
@@ -87,6 +88,8 @@ def read_nifti(path, *, labels: bool = False, label_remap: dict | None = None):
     require_type((str, os.PathLike), path=path)
     require_type(bool, labels=labels)
     require_type((dict, type(None)), label_remap=label_remap)
+    if label_remap and not all(map(is_integer, [*label_remap, *label_remap.values()])):
+        raise InvalidInputError(f"label_remap must map integers to integers, got {label_remap!r}")
     raw = _read_bytes(path)
     if len(raw) < HEADER_SIZE:
         raise TruncatedFileError(f"{path}: file shorter than the 348-byte header")

@@ -178,7 +178,10 @@ def _both_halves(fwd_part, bwd_part):
 def robust_range(values: np.ndarray) -> tuple[float, float]:
     """0.1-99.9 percentile intensity range; degenerate ranges, and no values
     at all, are rejected."""
-    dtype = np.asarray(values).dtype
+    try:  # the dtype alone: the percentiles run on the values' own dtype
+        dtype = np.asarray(values).dtype
+    except (TypeError, ValueError):  # a ragged sequence, say
+        dtype = np.dtype(object)
     if dtype.kind not in "iuf":
         raise InvalidInputError(f"values must be numbers, got dtype {dtype}")
     if np.size(values) == 0:
@@ -294,18 +297,25 @@ def build_joint_histogram(ref: Volume, warped: Volume, mask=None,
     """Parzen joint histogram counts (BINS, BINS) of two geometrically
     identical volumes, reference bins along axis 0.
 
-    `mask` (bool array over the grid) excludes padding or irrelevant voxels.
-    `ranges` optionally fixes the (ref, float) intensity ranges; by default
-    they are the robust percentile ranges of the masked voxels.
+    `mask`, numbers or bools over the grid with nonzero marking a voxel,
+    excludes padding or irrelevant voxels; other dtypes and shapes raise
+    InvalidInputError. `ranges` optionally fixes the (ref, float) intensity
+    ranges; by default they are the robust percentile ranges of the masked
+    voxels.
     """
     require_type(Volume, ref=ref, warped=warped)
     require_same_geometry(ref, warped)
-    m = np.ones(ref.dims, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
-    if m.shape != ref.dims:
-        raise InvalidInputError(f"mask shape {m.shape} is not the grid's {ref.dims}")
+    m = np.ones(ref.dims, dtype=bool) if mask is None else _mask(mask, "mask", ref) != 0
     m = m.reshape(-1)
     return _nmi_deposit(ref, warped, m, warped.data.reshape(-1)[m].astype(np.float64),
                         ranges)[0]
+
+
+def _mask(mask, what: str, vol: Volume) -> np.ndarray:
+    """`mask` as float64 over `vol`'s grid, from numbers or bools; otherwise
+    InvalidInputError naming `what`."""
+    return _float_array(mask, f"{what} must be numbers or bools of shape {vol.dims}",
+                        vol.dims, bools=True)
 
 
 def _entropy(p: np.ndarray) -> float:
@@ -543,9 +553,11 @@ def similarity_and_gradient(ref: Volume, flt: Volume, sampled: SampledMap,
     of its gradient with respect to that FFD's coefficients.
 
     The FFD's reference, ref and flt must lie on one grid; `sampled` is
-    `sample_map(ffd)`. `ref_mask` excludes reference voxels; `flt_valid`
-    marks usable voxels of the floating image (pairs whose warped sample
-    touches invalid voxels are skipped). Returns (nmi, finish); `finish()`
+    `sample_map(ffd)`. `ref_mask` excludes reference voxels (nonzero marks
+    a voxel); `flt_valid` marks usable voxels of the floating image (a
+    voxel whose warped sample gathers below 0.999 is skipped). Both are
+    numbers or bools over the grid; other dtypes and shapes raise
+    InvalidInputError naming the argument. Returns (nmi, finish); `finish()`
     returns the gradient, from the deposit's finish through the map's stencil.
     """
     require_type(Volume, ref=ref, flt=flt)
@@ -556,9 +568,9 @@ def similarity_and_gradient(ref: Volume, flt: Volume, sampled: SampledMap,
     # a hard overlap: only points inside the floating grid count
     mask = stencil.inside
     if ref_mask is not None:
-        mask = mask & np.asarray(ref_mask, dtype=bool).reshape(-1)
+        mask = mask & (_mask(ref_mask, "ref_mask", ref).reshape(-1) != 0)
     if flt_valid is not None:
-        mask = mask & (stencil.gather(flt_valid) >= 0.999)
+        mask = mask & (stencil.gather(_mask(flt_valid, "flt_valid", flt)) >= 0.999)
     counts, finish_points = _nmi_deposit(ref, flt, mask, stencil.gather(flt.data)[mask], ranges)
 
     def finish():
@@ -716,7 +728,8 @@ def objective(ref: Volume, flt: Volume, fwd: BSplineTransform,
     `ranges` fixes the (ref, flt) intensity ranges of S_fwd, and S_bwd takes
     the pair swapped; None takes each similarity's robust ranges. `flt_mask`
     marks the usable voxels of flt (the in-bounds part of an affinely
-    resampled floating image).
+    resampled floating image): numbers or bools over the grid, read once
+    as S_fwd's `flt_valid` and S_bwd's `ref_mask`.
 
     This is the value pass; a value-only call returns its two half finishes
     as `forward`, for `objective_gradient`. With the gradient, the same
@@ -726,6 +739,7 @@ def objective(ref: Volume, flt: Volume, fwd: BSplineTransform,
     require_type(ObjectiveWeights, weights=weights)
     # read before the swap, which a non-sequence fails
     swapped = None if ranges is None else _float_array(ranges, _RANGES_RULE, (2, 2))[::-1]
+    flt_mask = None if flt_mask is None else _mask(flt_mask, "flt_mask", flt)
     (map_f, s_f, e_f, finish_f), (map_b, s_b, e_b, finish_b) = _both_halves(
         lambda: _half(ref, flt, fwd, weights, ranges, flt_valid=flt_mask),
         lambda: _half(flt, ref, bwd, weights, swapped, ref_mask=flt_mask))

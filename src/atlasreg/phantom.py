@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidInputError, is_natural, is_number, require_type
 from .transforms import BSplineTransform, max_displacement
-from .volume import Grid, LabelVolume, Volume, gaussian_smooth
+from .volume import Grid, LabelVolume, Volume, _float_array, gaussian_smooth
 
 # class intensity tables per pseudo-modality: {class id: mean intensity}
 DEFAULT_INTENSITIES = {
@@ -45,10 +45,9 @@ class PhantomSpec:
         if not is_natural(self.seed):
             raise InvalidInputError(f"seed must be an integer >= 0, got {self.seed!r}")
         Grid(self.dims, self.spacing)  # dims and spacing, checked as a grid's
-        offset = self.rv_offset
-        if not (isinstance(offset, (tuple, list, np.ndarray)) and len(offset) == 3
-                and all(is_number(v) and math.isfinite(v) for v in offset)):
-            raise InvalidInputError(f"rv_offset must be three finite numbers, got {offset!r}")
+        rule = "rv_offset must be three finite numbers"
+        if not np.all(np.isfinite(_float_array(self.rv_offset, rule, (3,)))):
+            raise InvalidInputError(f"{rule}, got {self.rv_offset!r}")
         if not all(is_number(r) and r > 0
                    for r in (self.lv_radius, self.myo_thickness, self.rv_radius)):
             raise InvalidInputError("lv_radius, myo_thickness and rv_radius must be > 0")

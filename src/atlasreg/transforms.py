@@ -237,9 +237,8 @@ def splat_to_coefficients(t: BSplineTransform, voxel_field: np.ndarray) -> np.nd
     """Adjoint of dense evaluation: scatter an (nx, ny, nz, 3) voxel field to
     per-coefficient sums with the same tensor-product weights."""
     require_type(BSplineTransform, t=t)
-    if np.shape(voxel_field) != t.reference.dims + (3,):
-        raise InvalidInputError(f"voxel_field shape {np.shape(voxel_field)} is not the "
-                                f"reference's {t.reference.dims} + (3,)")
+    shape = t.reference.dims + (3,)
+    voxel_field = _float_array(voxel_field, f"voxel_field shape must be {shape} numbers", shape)
     wx, wy, wz = _weight_matrices(t)
     return _einsum("ia,jb,kc,ijkd->abcd", wx, wy, wz, voxel_field)
 

@@ -35,29 +35,34 @@ GEOMETRY_TOL = 1e-5  # absolute tolerance of `same_geometry` on spacing, origin,
 def positive_spacings(spacing, what: str = "spacings") -> tuple[float, float, float]:
     """The three spacings as floats; InvalidInputError unless there are three
     and each is a finite positive number."""
-    try:
-        spacing = tuple(spacing)
-    except TypeError:
-        spacing = (spacing,)
-    if len(spacing) != 3 or not all(is_number(s) and 0 < s < math.inf for s in spacing):
-        raise InvalidInputError(f"{what} must be three finite positive numbers, got {spacing}")
-    return tuple(float(s) for s in spacing)
+    s = _float_array(spacing, f"{what} must be three finite positive numbers", (3,))
+    if not np.all((s > 0) & (s < math.inf)):
+        raise InvalidInputError(f"{what} must be three finite positive numbers, got {spacing!r}")
+    return tuple(s.tolist())
 
 
-def _float_array(value, must: str, shape=None) -> np.ndarray:
+def _float_array(value, must: str, shape=None, bools: bool = False) -> np.ndarray:
     """`value` as a float64 array, of `shape` if given; otherwise
-    InvalidInputError with the message `must`, which names the argument.
+    InvalidInputError with the message `must`, which names the argument,
+    and the value: its repr, or for more than nine entries its dtype and
+    shape.
 
-    Only an integer or float dtype passes: like `is_number` for a scalar,
-    it refuses bools, strings (numeric ones too), complex numbers and
-    objects (so a Python int beyond 64 bits). numpy reads a bool mixed
-    into numbers as an integer, so ((0, True), (0, 1)) passes."""
+    The dtype rule is `bools`, fixed at each call site. By default only an
+    integer or float dtype passes: like `is_number` for a scalar, it
+    refuses bools, strings (numeric ones too), complex numbers and objects
+    (so a Python int beyond 64 bits). With `bools`, for a mask and for a
+    field that TrilinearStencil gathers, a bool dtype passes too, read as
+    0.0 and 1.0. numpy reads a bool mixed into numbers as an integer, so
+    ranges ((0, True), (0, 1)), spacings (True, 1, 1) and an rv_offset
+    (True, 0, 0) pass, with True as 1.0."""
     try:
         a = np.asarray(value)
     except (TypeError, ValueError):  # a ragged sequence, say
         a = None
-    if a is None or a.dtype.kind not in "iuf" or shape is not None and a.shape != shape:
-        raise InvalidInputError(f"{must}, got {value!r}")
+    kinds = "iufb" if bools else "iuf"
+    if a is None or a.dtype.kind not in kinds or shape is not None and a.shape != shape:
+        got = repr(value) if a is None or a.size <= 9 else f"{a.dtype} array of shape {a.shape}"
+        raise InvalidInputError(f"{must}, got {got}")
     return a.astype(np.float64, copy=False)
 
 
@@ -315,7 +320,10 @@ class TrilinearStencil:
     its adjoint.
 
     Built once from the grid dims (three positive integers) and continuous
-    voxel coordinates (N, 3); other shapes raise InvalidInputError. It
+    voxel coordinates (N, 3) of numbers. The fields `gather` and `gradient`
+    read are numbers or bools (a mask gathers as 0.0 and 1.0), `oob` is a
+    number and the values `scatter` deposits are numbers; other dtypes and
+    shapes raise InvalidInputError naming the argument. It
     holds each point's cell (base linear index, clamped so the cell lies
     inside the grid), the per-axis fractions (clamped to [0, 1], so points
     outside take the values of the nearest face) and the `inside` mask of
@@ -342,7 +350,7 @@ class TrilinearStencil:
 
     def __init__(self, dims, points):
         self.dims = Grid(dims).dims  # three positive integers, or InvalidInputError
-        p = np.asarray(points, dtype=np.float64)
+        p = _float_array(points, "stencil points must be numbers of shape (N, 3)")
         if p.ndim != 2 or p.shape[1] != 3:
             raise InvalidInputError(f"stencil points must be (N, 3), got shape {p.shape}")
         self.inside = np.ones(len(p), dtype=bool)
@@ -368,11 +376,9 @@ class TrilinearStencil:
                         1 if nz > 1 else 0)
 
     def _flat(self, data, what: str) -> np.ndarray:
-        data = np.asarray(data)
-        if data.shape != self.dims:
-            raise InvalidInputError(
-                f"{what} takes one scalar field of shape {self.dims}, got {data.shape}")
-        return np.ascontiguousarray(data, dtype=np.float64).reshape(-1)
+        data = _float_array(data, f"{what} takes one scalar field of shape {self.dims} as "
+                            "data, of numbers or bools", self.dims, bools=True)
+        return np.ascontiguousarray(data).reshape(-1)
 
     def _edge(self, flat, off, out, slope, scratch):
         """Values along the x-edge at `off` of every cell into `out`, and
@@ -410,7 +416,7 @@ class TrilinearStencil:
         vals *= self.fz
         vals += c0
         if oob is not None:
-            vals[~self.inside] = oob
+            vals[~self.inside] = _float_array(oob, "oob must be None or a number", ())
         return vals
 
     def gradient(self, data) -> np.ndarray:
@@ -455,7 +461,7 @@ class TrilinearStencil:
         view of the output from its offset on; returns (nx, ny, nz) or the
         channel-last (nx, ny, nz, C). Other shapes raise InvalidInputError.
         """
-        vecs = np.asarray(vecs, dtype=np.float64)
+        vecs = _float_array(vecs, "scatter takes vecs of numbers")
         if vecs.shape[:1] != self.base.shape or vecs.ndim > 2:
             raise InvalidInputError(f"scatter takes (N,) or (N, C) values for N = "
                                     f"{self.base.size} points, got shape {vecs.shape}")

@@ -165,8 +165,9 @@ def parzen_counts(q_r, q_f, shell=None):
 
 
 def parzen_sample_gradient(ds, q_r, q_f, scale_f, interior_f):
-    """d NMI / d floating sample of every pair (`objective._sample_gradient`)
-    from the count derivative `ds` and the bin positions."""
+    """d NMI / d floating sample of every pair from the count derivative
+    `ds` and the bin positions (`objective._footprint_gather` with `d1_f`,
+    then scaled and zeroed at the clamped samples, in `_nmi_deposit`)."""
     lam = np.zeros(q_r.size)
     for cell, w_r, dw_f in parzen_cells(q_r, q_f, d1_f=True):
         lam += ds.reshape(-1)[cell] * w_r * dw_f
@@ -177,7 +178,7 @@ def parzen_sample_gradient(ds, q_r, q_f, scale_f, interior_f):
 
 def parzen_weight_gradient(counts, ds, q_r, q_f):
     """d NMI / d deposit weight of the pairs at bin positions (q_r, q_f)
-    (`objective._deposit_weight_gradient`)."""
+    (`objective._footprint_gather` added to the uniform term, in `_nmi_deposit`)."""
     grad = np.full(q_r.size, -float((counts * ds).sum()) / counts.sum())
     for cell, w_r, w_f in parzen_cells(q_r, q_f):
         grad += ds.reshape(-1)[cell] * w_r * w_f

@@ -4,8 +4,10 @@ import json
 import numpy as np
 import pytest
 
+import atlasreg.cli as cli
 from atlasreg import (
     AffineTransform,
+    NumericalFailureError,
     Volume,
     dice,
     load_transform,
@@ -73,6 +75,8 @@ def test_phantom_vote_evaluate_exit_zero_and_write_manifests(phantom_files):
      "--t2", "c.nii:cl.nii"],
     ["pipeline", "--target", "t.nii", "--atlas", "a.nii:l.nii", "--out", "o.nii",
      "--threads", "0"],
+    # an atlas is IMAGE:LABELS
+    ["pipeline", "--target", "t.nii", "--atlas", "foo", "--out", "o.nii"],
 ])
 def test_bad_flags_exit_two(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -118,6 +122,33 @@ def test_phantom_rejects_a_negative_seed(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "seed" in err and "Traceback" not in err
     assert not img.exists() and not lbl.exists()
+
+
+def test_a_numerical_failure_exits_four(phantom_files, monkeypatch, capsys):
+    root, paths = phantom_files
+    (img1, _), (img2, _) = paths[:2]
+
+    def fail(*args):
+        raise NumericalFailureError("non-finite objective value", level=0, iteration=3)
+
+    monkeypatch.setattr(cli, "register_affine", lambda ref, flt: AffineTransform.identity())
+    monkeypatch.setattr(cli, "register_ffd", fail)
+    out = root / "failed.tfm"
+    assert main(["register", "--ref", str(img1), "--float", str(img2),
+                 "--out-transform", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "numerical failure: non-finite objective value (level 0, iteration 3)" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_a_missing_input_file_exits_three(phantom_files, capsys):
+    root, paths = phantom_files
+    missing = root / "missing.nii"
+    assert main(["evaluate", "--pred", str(missing), "--gt", str(paths[0][1]),
+                 "--out-csv", str(root / "missing.csv")]) == 3
+    err = capsys.readouterr().err
+    assert "I/O error" in err and "missing.nii" in err and "Traceback" not in err
+    assert not (root / "missing.csv").exists()
 
 
 def test_truncated_nifti_exits_three(phantom_files, capsys):

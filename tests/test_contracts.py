@@ -2,6 +2,7 @@
 an InvalidInputError that names the argument, and no exported entry raises
 anything but a package error for a wrong value in any argument."""
 import inspect
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -52,7 +53,12 @@ from atlasreg.transforms import (
     splat_to_coefficients,
     subdivide,
 )
-from atlasreg.volume import require_same_geometry
+from atlasreg.volume import TrilinearStencil, require_same_geometry
+
+
+def _stencil(v):
+    """A stencil of two points on v's grid."""
+    return TrilinearStencil(v.dims, np.zeros((2, 3)))
 
 
 # one call per row: (the call on an intensity volume v and an output path,
@@ -155,6 +161,47 @@ _WRONG_TYPES = {
     "build_joint_histogram ranges": (
         lambda v, path: build_joint_histogram(v, v, ranges=((0, 1),)), "ranges must be two"),
     "robust_range": (lambda v, path: robust_range("abc"), "values must be numbers"),
+    "robust_range ragged": (lambda v, path: robust_range([[1.0], [2.0, 3.0]]),
+                            "values must be numbers"),
+    # TrilinearStencil is not exported, so the sweep below does not reach it
+    "TrilinearStencil points": (lambda v, path: TrilinearStencil(v.dims, "x"),
+                                "stencil points must be numbers"),
+    "TrilinearStencil ragged points": (
+        lambda v, path: TrilinearStencil(v.dims, [[0, 0, 0], [1, 1]]),
+        "stencil points must be numbers"),
+    "TrilinearStencil.gather data": (lambda v, path: _stencil(v).gather(np.full(v.dims, "a")),
+                                     "gather takes one scalar field .* as data"),
+    "TrilinearStencil.gradient data": (
+        lambda v, path: _stencil(v).gradient(np.full(v.dims, "a")),
+        "gradient takes one scalar field .* as data"),
+    "TrilinearStencil.gather oob": (lambda v, path: _stencil(v).gather(v.data, oob="x"),
+                                    "oob must be None or a number"),
+    "TrilinearStencil.scatter": (lambda v, path: _stencil(v).scatter("x"),
+                                 "scatter takes vecs of numbers"),
+    "similarity_and_gradient ref_mask shape": (
+        lambda v, path: similarity_and_gradient(v, v, sample_map(BSplineTransform.zeros(v, 4.0)),
+                                                ref_mask=np.ones(7, bool)),
+        "ref_mask must be numbers or bools of shape"),
+    "similarity_and_gradient ref_mask strings": (
+        lambda v, path: similarity_and_gradient(v, v, sample_map(BSplineTransform.zeros(v, 4.0)),
+                                                ref_mask=np.full(v.dims, "x")),
+        "ref_mask must be numbers or bools"),
+    "similarity_and_gradient flt_valid strings": (
+        lambda v, path: similarity_and_gradient(v, v, sample_map(BSplineTransform.zeros(v, 4.0)),
+                                                flt_valid=np.full(v.dims, "x")),
+        "flt_valid must be numbers or bools"),
+    "build_joint_histogram mask strings": (
+        lambda v, path: build_joint_histogram(v, v, mask=np.full(v.dims, "x")),
+        "mask must be numbers or bools"),
+    "objective flt_mask strings": (
+        lambda v, path: objective(v, v, BSplineTransform.zeros(v, 4.0),
+                                  BSplineTransform.zeros(v, 4.0), ObjectiveWeights(),
+                                  flt_mask=np.full(v.dims, "x")),
+        "flt_mask must be numbers or bools"),
+    "splat_to_coefficients strings": (
+        lambda v, path: splat_to_coefficients(BSplineTransform.zeros(v, 4.0),
+                                              np.full(v.dims + (3,), "x")),
+        "voxel_field shape"),
     "build_pyramid vol": (lambda v, path: build_pyramid("x", 2), "vol must be a Volume"),
     "build_pyramid levels": (lambda v, path: build_pyramid(v, 2.5), "levels"),
     "usable_levels requested": (lambda v, path: usable_levels((8, 8, 8), "a"), "requested"),
@@ -192,7 +239,8 @@ _WRONG_TYPES = {
 def test_public_entries_name_the_argument_of_a_wrong_type(tmp_path, case):
     call, match = _WRONG_TYPES[case]
     path = tmp_path / "out"
-    with pytest.raises(InvalidInputError, match=match):
+    with warnings.catch_warnings(), pytest.raises(InvalidInputError, match=match):
+        warnings.simplefilter("error")  # the error comes first, with no warning before it
         call(Volume(np.zeros((4, 4, 4))), path)
     assert not path.exists()
 

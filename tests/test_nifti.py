@@ -1,5 +1,6 @@
 import gzip
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atlasreg import (
+    InvalidInputError,
     LabelVolume,
     NiftiFormatError,
     TruncatedFileError,
@@ -123,6 +125,9 @@ def test_truncated_payload(tmp_path):
     path = tmp_path / "short.nii"
     path.write_bytes(bytes(hdr) + b"\x00" * 4 + np.zeros(5, dtype="<f4").tobytes())
     with pytest.raises(TruncatedFileError):
+        read_nifti(path)
+    path.write_bytes(b"\x00" * 10)
+    with pytest.raises(TruncatedFileError, match="shorter than the 348-byte header"):
         read_nifti(path)
 
 
@@ -342,6 +347,17 @@ def test_scl_slope_applied_to_int16(tmp_path):
     vol = read_nifti(path)
     expected = (values.astype(np.float32) * 0.5 + 10.0).reshape((2, 2, 2), order="F")
     np.testing.assert_allclose(vol.data, expected, atol=1e-6)
+
+
+@pytest.mark.parametrize("table", [{1: "x"}, {"a": 1}, {1: 2.0}, {True: 1}, {1: None}],
+                         ids=["string-value", "string-key", "float-value", "bool-key",
+                              "none-value"])
+def test_a_label_remap_of_anything_but_integers_is_rejected(tmp_path, table):
+    path = tmp_path / "labels.nii"
+    write_nifti(LabelVolume(np.ones((2, 2, 2), dtype=np.uint8)), path)
+    with warnings.catch_warnings(), pytest.raises(InvalidInputError, match="label_remap"):
+        warnings.simplefilter("error")
+        read_nifti(path, labels=True, label_remap=table)
 
 
 def test_label_remap_table(tmp_path):

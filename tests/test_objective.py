@@ -319,6 +319,15 @@ def test_zero_mass_histogram_is_degenerate():
         nmi(np.zeros((4, 4)))
 
 
+def test_an_empty_intensity_range_and_a_one_cell_histogram_are_degenerate():
+    vol = _noise_volume(0)
+    ffd = BSplineTransform.zeros(vol, 4.0)
+    with pytest.raises(DegenerateInputError, match="empty intensity range"):
+        objective(vol, vol, ffd, ffd, ObjectiveWeights(), ranges=((5, 5), (0, 1)))
+    with pytest.raises(DegenerateInputError, match="joint entropy is zero"):
+        nmi(np.array([[5.0, 0.0], [0.0, 0.0]]))
+
+
 # --- bending energy ------------------------------------------------------
 
 def _transform(dims=(12, 12, 12), spacing=4.0):
@@ -519,6 +528,30 @@ def test_all_true_flt_valid_equals_no_mask():
     with pytest.raises(DegenerateInputError):
         similarity_and_gradient(ref, flt, sample_map(ffd),
                                 flt_valid=np.full(flt.dims, 0.5))
+
+
+def test_masks_of_integers_and_a_float_flt_valid_pass_as_their_bools():
+    # a mask is numbers or bools, nonzero marking a voxel; flt_valid is
+    # gathered, so its float copy gathers as the bools do
+    ref, flt, ffd, ref_mask, flt_valid = _oblique_setup()
+    s0, finish0 = similarity_and_gradient(ref, flt, sample_map(ffd), ref_mask=ref_mask,
+                                          flt_valid=flt_valid)
+    s1, finish1 = similarity_and_gradient(ref, flt, sample_map(ffd),
+                                          ref_mask=ref_mask.astype(np.int32) * 3,
+                                          flt_valid=flt_valid.astype(np.float32))
+    assert _bits(s1) == _bits(s0)
+    assert np.array_equal(_bits(finish1()), _bits(finish0()))
+    h0 = build_joint_histogram(ref, flt, mask=ref_mask)
+    h1 = build_joint_histogram(ref, flt, mask=ref_mask.astype(np.uint8))
+    assert np.array_equal(_bits(h1), _bits(h0))
+
+    ref, flt, fwd, bwd, flt_mask = _anisotropic_pair()
+    w = ObjectiveWeights(0.01, 0.02)
+    res0 = objective(ref, flt, fwd, bwd, w, flt_mask=flt_mask)
+    res1 = objective(ref, flt, fwd, bwd, w, flt_mask=flt_mask.astype(np.int64))
+    assert _bits(res1.value) == _bits(res0.value)
+    for g0, g1 in ((res0.grad_fwd, res1.grad_fwd), (res0.grad_bwd, res1.grad_bwd)):
+        assert np.array_equal(_bits(g1), _bits(g0))
 
 
 def test_similarity_rejects_a_map_off_the_reference_grid():

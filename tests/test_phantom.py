@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from atlasreg import InvalidInputError, PhantomSpec, generate_phantom, random_smooth_deformation
-from atlasreg.phantom import DEFAULT_INTENSITIES
+from atlasreg.phantom import DEFAULT_INTENSITIES, scaled_spec
 from atlasreg.transforms import dense_displacement
 from atlasreg.volume import Volume
 
@@ -83,6 +83,18 @@ def test_modalities_are_not_affinely_related():
     order_a = np.argsort(ta)
     order_b = np.argsort(tb)
     assert not np.array_equal(order_a, order_b)  # no monotone map exists
+
+
+def test_a_volume_too_small_for_the_margin_has_no_scaled_spec():
+    with pytest.raises(InvalidInputError, match="volume too small for a phantom"):
+        scaled_spec((8, 8, 8))
+
+
+@pytest.mark.parametrize("offset", [(np.nan, 0.0, 0.0), (1.0, 2.0), [[1.0, 2.0], [3.0]]],
+                         ids=["nan", "two", "ragged"])
+def test_an_rv_offset_of_anything_but_three_finite_numbers_is_rejected(offset):
+    with pytest.raises(InvalidInputError, match="rv_offset must be three finite numbers"):
+        PhantomSpec(rv_offset=offset)
 
 
 def test_unknown_modality_rejected():

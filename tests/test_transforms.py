@@ -468,6 +468,15 @@ def test_truncated_or_padded_container_raises_package_errors(tmp_path):
         load_transform(path)
 
 
+def test_a_container_of_another_version_is_rejected(tmp_path):
+    path = tmp_path / "t.tfm"
+    buf = bytearray(_two_ffd_container(path))
+    struct.pack_into("<I", buf, 8, 2)  # the version follows the 8-byte magic
+    path.write_bytes(bytes(buf))
+    with pytest.raises(InvalidInputError, match="unsupported container version 2"):
+        load_transform(path)
+
+
 @pytest.mark.parametrize("offset, value", [
     (16 + 8 * 5, np.nan),     # linear part, m[1, 1]
     (16 + 8 * 3, np.inf),     # translation, m[0, 3]

@@ -207,6 +207,15 @@ def test_stencil_gather_takes_one_scalar_field():
         stencil.gradient(np.zeros((4, 5, 4)))
 
 
+def test_a_refused_array_of_many_entries_is_named_by_dtype_and_shape():
+    stencil = TrilinearStencil((4, 5, 6), np.zeros((3, 3)))
+    with pytest.raises(InvalidInputError) as caught:
+        stencil.gather(np.zeros((4, 5, 6, 3)))
+    assert str(caught.value).endswith(", got float64 array of shape (4, 5, 6, 3)")
+    with pytest.raises(InvalidInputError, match=r"got \[\[0, 0, 0\], \[1, 1\]\]$"):
+        TrilinearStencil((4, 5, 6), [[0, 0, 0], [1, 1]])
+
+
 @pytest.mark.parametrize("dims, points, vecs, match", [
     ((4, 4, 4), np.zeros((6, 2)), None, r"\(N, 3\), got shape \(6, 2\)"),
     ((4, 4, 4), np.zeros(3), None, r"\(N, 3\), got shape \(3,\)"),
@@ -259,9 +268,17 @@ def test_grid_refuses_a_huge_or_non_finite_direction_without_a_warning(value):
 
 
 @pytest.mark.parametrize("origin", [("1", "2", "3"), (True, False, True), (1j, 0, 0),
-                                    [[0.0, 0.0, 0.0]]], ids=["strings", "bools", "complex", "1x3"])
+                                    [[0.0, 0.0, 0.0]], [[0.0, 0.0], [0.0]]],
+                         ids=["strings", "bools", "complex", "1x3", "ragged"])
 def test_grid_refuses_an_origin_of_anything_but_three_numbers(origin):
     with pytest.raises(InvalidInputError, match="origin must be 3 numbers"):
+        Grid((4, 4, 4), origin=origin)
+
+
+@pytest.mark.parametrize("origin", [(np.nan, 0.0, 0.0), (0.0, np.inf, 0.0)], ids=["nan", "inf"])
+def test_grid_refuses_a_non_finite_origin_without_a_warning(origin):
+    with warnings.catch_warnings(), pytest.raises(InvalidInputError, match="origin must be finite"):
+        warnings.simplefilter("error")
         Grid((4, 4, 4), origin=origin)
 
 
@@ -300,6 +317,14 @@ def test_probability_volume_channel_sum():
     ch2[0] += 0.01
     with pytest.raises(InvalidInputError):
         ProbabilityVolume(ch2)
+
+
+def test_probability_volume_rejects_values_outside_zero_to_one():
+    ch = np.zeros((2, 2, 2, 2), dtype=np.float32)
+    ch[0] = 1.5
+    ch[1] = -0.5  # each voxel still sums to 1
+    with pytest.raises(InvalidInputError, match=r"channel values must lie in \[0, 1\]"):
+        ProbabilityVolume(ch)
 
 
 def test_probability_volume_rejects_nan_channels():
