@@ -129,8 +129,8 @@ def _labels(args, path):
 # ---------------------------------------------------------------------------
 
 def cmd_register(args):
+    cfg = _config_from_args(args)  # a bad flag fails before any file is read
     ref, flt = read_nifti(args.ref), read_nifti(args.float)
-    cfg = _config_from_args(args)
 
     def register():
         affine = register_affine(ref, flt)

@@ -108,7 +108,7 @@ from .transforms import (
     _einsum,
     _weight_matrices,
 )
-from .volume import TrilinearStencil, Volume, _float_array, require_same_geometry
+from .volume import TrilinearStencil, Volume, _float_array, _numbers, require_same_geometry
 
 BINS = 64  # joint histogram bins per axis
 _PAD = 1.0  # histogram deposit offset keeping the 4-bin footprint in range
@@ -178,13 +178,8 @@ def _both_halves(fwd_part, bwd_part):
 def robust_range(values: np.ndarray) -> tuple[float, float]:
     """0.1-99.9 percentile intensity range; degenerate ranges, and no values
     at all, are rejected."""
-    try:  # the dtype alone: the percentiles run on the values' own dtype
-        dtype = np.asarray(values).dtype
-    except (TypeError, ValueError):  # a ragged sequence, say
-        dtype = np.dtype(object)
-    if dtype.kind not in "iuf":
-        raise InvalidInputError(f"values must be numbers, got dtype {dtype}")
-    if np.size(values) == 0:
+    values = _numbers(values, "values must be numbers")  # the percentiles run on their dtype
+    if values.size == 0:
         raise DegenerateInputError("image has no values to take an intensity range of")
     lo, hi = np.percentile(values, (0.1, 99.9))
     if not hi > lo:
@@ -305,17 +300,18 @@ def build_joint_histogram(ref: Volume, warped: Volume, mask=None,
     """
     require_type(Volume, ref=ref, warped=warped)
     require_same_geometry(ref, warped)
-    m = np.ones(ref.dims, dtype=bool) if mask is None else _mask(mask, "mask", ref) != 0
+    m = np.ones(ref.dims, dtype=bool) if mask is None else _mask(mask, "mask", ref)
     m = m.reshape(-1)
     return _nmi_deposit(ref, warped, m, warped.data.reshape(-1)[m].astype(np.float64),
                         ranges)[0]
 
 
 def _mask(mask, what: str, vol: Volume) -> np.ndarray:
-    """`mask` as float64 over `vol`'s grid, from numbers or bools; otherwise
-    InvalidInputError naming `what`."""
-    return _float_array(mask, f"{what} must be numbers or bools of shape {vol.dims}",
-                        vol.dims, bools=True)
+    """The voxel set of `mask` over `vol`'s grid as bools, from numbers or
+    bools, nonzero marking a voxel (a bool mask is returned uncopied);
+    otherwise InvalidInputError naming `what`."""
+    return _numbers(mask, f"{what} must be numbers or bools of shape {vol.dims}", vol.dims,
+                    bools=True).astype(bool, copy=False)
 
 
 def _entropy(p: np.ndarray) -> float:
@@ -553,12 +549,13 @@ def similarity_and_gradient(ref: Volume, flt: Volume, sampled: SampledMap,
     of its gradient with respect to that FFD's coefficients.
 
     The FFD's reference, ref and flt must lie on one grid; `sampled` is
-    `sample_map(ffd)`. `ref_mask` excludes reference voxels (nonzero marks
-    a voxel); `flt_valid` marks usable voxels of the floating image (a
-    voxel whose warped sample gathers below 0.999 is skipped). Both are
-    numbers or bools over the grid; other dtypes and shapes raise
-    InvalidInputError naming the argument. Returns (nmi, finish); `finish()`
-    returns the gradient, from the deposit's finish through the map's stencil.
+    `sample_map(ffd)`. `ref_mask` excludes reference voxels; `flt_valid`
+    marks usable voxels of the floating image, whose set is gathered as a
+    0/1 indicator (a voxel whose warped sample gathers below 0.999 is
+    skipped). Both are numbers or bools over the grid, nonzero marking a
+    voxel; other dtypes and shapes raise InvalidInputError naming the
+    argument. Returns (nmi, finish); `finish()` returns the gradient, from
+    the deposit's finish through the map's stencil.
     """
     require_type(Volume, ref=ref, flt=flt)
     require_type(SampledMap, sampled=sampled)
@@ -568,7 +565,7 @@ def similarity_and_gradient(ref: Volume, flt: Volume, sampled: SampledMap,
     # a hard overlap: only points inside the floating grid count
     mask = stencil.inside
     if ref_mask is not None:
-        mask = mask & (_mask(ref_mask, "ref_mask", ref).reshape(-1) != 0)
+        mask = mask & _mask(ref_mask, "ref_mask", ref).reshape(-1)
     if flt_valid is not None:
         mask = mask & (stencil.gather(_mask(flt_valid, "flt_valid", flt)) >= 0.999)
     counts, finish_points = _nmi_deposit(ref, flt, mask, stencil.gather(flt.data)[mask], ranges)
@@ -729,7 +726,8 @@ def objective(ref: Volume, flt: Volume, fwd: BSplineTransform,
     the pair swapped; None takes each similarity's robust ranges. `flt_mask`
     marks the usable voxels of flt (the in-bounds part of an affinely
     resampled floating image): numbers or bools over the grid, read once
-    as S_fwd's `flt_valid` and S_bwd's `ref_mask`.
+    as the set of its nonzero voxels, which S_fwd takes as `flt_valid` and
+    S_bwd as `ref_mask`.
 
     This is the value pass; a value-only call returns its two half finishes
     as `forward`, for `objective_gradient`. With the gradient, the same

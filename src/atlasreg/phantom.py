@@ -83,14 +83,15 @@ def scaled_spec(dims=(64, 64, 64), spacing=(1.0, 1.0, 1.0), **kwargs) -> Phantom
     The farthest structure reach from the LV center is 27 mm at the default
     64 mm extent; the scale keeps that reach inside the MARGIN_VOXELS margin.
     """
-    half = min((n - 1) * s for n, s in zip(dims, spacing)) / 2.0
-    margin = MARGIN_VOXELS * max(spacing)
+    grid = Grid(dims, spacing)  # dims and spacing, checked as a grid's
+    half = min((n - 1) * s for n, s in zip(grid.dims, grid.spacing)) / 2.0
+    margin = MARGIN_VOXELS * max(grid.spacing)
     k = (half - margin) / 28.0
     if k <= 0:
         raise InvalidInputError(
             f"volume too small for a phantom with a {MARGIN_VOXELS:g}-voxel margin")
     return PhantomSpec(
-        dims=tuple(dims), spacing=tuple(spacing),
+        dims=grid.dims, spacing=grid.spacing,
         lv_radius=10.0 * k, myo_thickness=6.0 * k,
         rv_offset=(18.0 * k, 6.0 * k, 0.0), rv_radius=9.0 * k,
         **kwargs,
@@ -126,8 +127,7 @@ def generate_phantom(spec: PhantomSpec) -> tuple[Volume, LabelVolume]:
         smooth /= max(smooth.std(), 1e-12)
         data = data + spec.texture_amplitude * smooth
 
-    vol = Volume(data.astype(np.float32), spec.spacing)
-    return vol, LabelVolume(labels, spec.spacing)
+    return Volume(data, spec.spacing), LabelVolume(labels, spec.spacing)
 
 
 def random_smooth_deformation(geometry, max_disp_mm: float, grid_spacing,

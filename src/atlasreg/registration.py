@@ -85,8 +85,7 @@ class RegistrationResult:
 # ---------------------------------------------------------------------------
 
 def _smooth(vol: Volume, sigma_vox: float) -> Volume:
-    data = gaussian_smooth(vol.data, sigma_vox)
-    return Volume(data.astype(np.float32), vol.spacing, vol.origin, vol.direction)
+    return Volume(gaussian_smooth(vol.data, sigma_vox), vol.spacing, vol.origin, vol.direction)
 
 
 def build_pyramid(vol: Volume, levels: int) -> list[Volume]:

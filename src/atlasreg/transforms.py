@@ -284,7 +284,7 @@ def warp_volume_masked(src, ref_geometry, affine, ffd=None):
     coords = _mapped_source_coords(src, ref_geometry, affine, ffd)
     stencil = TrilinearStencil(src.dims, coords)
     vals = stencil.gather(src.data, 0.0)
-    vol = Volume(vals.reshape(ref_geometry.dims).astype(np.float32),
+    vol = Volume(vals.reshape(ref_geometry.dims),
                  ref_geometry.spacing, ref_geometry.origin, ref_geometry.direction)
     return vol, stencil.inside.reshape(ref_geometry.dims)
 

@@ -4,7 +4,9 @@ A Grid is the geometry of a volume: dims, voxel spacing in mm, a world-space
 origin (center of voxel (0,0,0)) and an orthonormal direction matrix whose
 columns are the world axes of the voxel axes. A volume (Volume, LabelVolume,
 ProbabilityVolume) is its values and one Grid, nothing more: its spacing,
-origin, direction and dims are read from that Grid. Values are stored as an
+origin, direction and dims are read from that Grid. A volume reads its
+values through `_numbers`, the one reader of every array argument, and
+copies them once, into its own dtype. Values are stored as an
 (nx, ny, nz) array, channels first for probabilities; the serialized layout
 is x-fastest. Grids, volumes and both transform types are immutable values
 on `_Frozen`, their arrays read-only. A Grid's `==` and `hash` are exact,
@@ -41,20 +43,20 @@ def positive_spacings(spacing, what: str = "spacings") -> tuple[float, float, fl
     return tuple(s.tolist())
 
 
-def _float_array(value, must: str, shape=None, bools: bool = False) -> np.ndarray:
-    """`value` as a float64 array, of `shape` if given; otherwise
+def _numbers(value, must: str, shape=None, bools: bool = False) -> np.ndarray:
+    """`value` as an array in its own dtype, of `shape` if given; otherwise
     InvalidInputError with the message `must`, which names the argument,
     and the value: its repr, or for more than nine entries its dtype and
-    shape.
+    shape. An array passes as it is, uncopied.
 
     The dtype rule is `bools`, fixed at each call site. By default only an
     integer or float dtype passes: like `is_number` for a scalar, it
     refuses bools, strings (numeric ones too), complex numbers and objects
     (so a Python int beyond 64 bits). With `bools`, for a mask and for a
-    field that TrilinearStencil gathers, a bool dtype passes too, read as
-    0.0 and 1.0. numpy reads a bool mixed into numbers as an integer, so
-    ranges ((0, True), (0, 1)), spacings (True, 1, 1) and an rv_offset
-    (True, 0, 0) pass, with True as 1.0."""
+    field that TrilinearStencil gathers, a bool dtype passes too. numpy
+    reads a bool mixed into numbers as an integer, so ranges ((0, True),
+    (0, 1)), spacings (True, 1, 1) and an rv_offset (True, 0, 0) pass, with
+    True as 1."""
     try:
         a = np.asarray(value)
     except (TypeError, ValueError):  # a ragged sequence, say
@@ -63,7 +65,13 @@ def _float_array(value, must: str, shape=None, bools: bool = False) -> np.ndarra
     if a is None or a.dtype.kind not in kinds or shape is not None and a.shape != shape:
         got = repr(value) if a is None or a.size <= 9 else f"{a.dtype} array of shape {a.shape}"
         raise InvalidInputError(f"{must}, got {got}")
-    return a.astype(np.float64, copy=False)
+    return a
+
+
+def _float_array(value, must: str, shape=None, bools: bool = False) -> np.ndarray:
+    """`_numbers(value, must, shape, bools)` cast to float64, a bool as 0.0
+    and 1.0; a float64 array is returned as it is, uncopied."""
+    return _numbers(value, must, shape, bools).astype(np.float64, copy=False)
 
 
 def _points(pts) -> np.ndarray:
@@ -211,23 +219,29 @@ def _grid_points(grid: Grid, world: bool) -> np.ndarray:
 class _OnGrid(_Frozen):
     """A volume: its values and one Grid, and nothing else.
 
-    The constructor reads the values as an array of `_DTYPE` (None keeps
-    theirs), which the type's `_checked` hook checks and returns as an array
-    of the volume's own. It makes that array read-only and stores it under
-    `_ARGS[0]`, then builds the Grid of its last three axes from spacing,
-    origin and direction, which checks those. Spacing, origin, direction and
-    dims are read from that Grid. Volumes compare and hash by identity.
+    The constructor reads the values through `_numbers`, numbers only:
+    bools, strings (numeric ones too), complex numbers and objects raise
+    InvalidInputError naming `_ARGS[0]`. It casts them to the type's
+    `_DTYPE` as a new C-ordered array, the one copy of the values; a value
+    beyond float32 becomes Inf there, with no overflow warning, and the
+    type's NaN-or-Inf check refuses it. With `_DTYPE` None (LabelVolume)
+    they keep their dtype until `_checked` copies them into its own. The
+    type's `_checked` hook checks the values and returns the array the
+    volume holds, which the constructor makes read-only and stores under
+    `_ARGS[0]`. It then builds the Grid of the last three axes from
+    spacing, origin and direction, which checks those. Spacing, origin,
+    direction and dims are read from that Grid. Volumes compare and hash
+    by identity.
     """
 
     _ARGS = ("data", "spacing", "origin", "direction")
-    _DTYPE = None  # the dtype the values are read as
+    _DTYPE = None  # the dtype the values are cast to, None to keep theirs
 
     def __init__(self, data, spacing=(1.0, 1.0, 1.0), origin=_ORIGIN, direction=_DIRECTION):
-        try:
-            values = np.asarray(data, dtype=self._DTYPE)
-        except (TypeError, ValueError):
-            raise InvalidInputError(
-                f"{self._ARGS[0]} must be numbers, got {type(data).__name__}") from None
+        values = _numbers(data, f"{self._ARGS[0]} must be numbers")
+        if self._DTYPE is not None:
+            with np.errstate(over="ignore"):  # to Inf, which `_checked` refuses
+                values = values.astype(self._DTYPE, order="C")
         values = self._checked(values)
         values.flags.writeable = False
         self._set(**{self._ARGS[0]: values},
@@ -258,7 +272,7 @@ class Volume(_OnGrid):
             raise InvalidInputError(f"volume data must be 3D, got shape {data.shape}")
         if not np.all(np.isfinite(data)):
             raise InvalidInputError("volume data contains NaN or Inf")
-        return data.copy()
+        return data
 
 
 class LabelVolume(_OnGrid):
@@ -272,7 +286,7 @@ class LabelVolume(_OnGrid):
             more = ", ..." if len(bad) > 5 else ""
             raise InvalidInputError(f"label volume contains undeclared class ids "
                                     f"[{', '.join(map(str, bad[:5]))}{more}], {len(bad)} in all")
-        return data.astype(np.uint8)
+        return data.astype(np.uint8)  # the one copy: `_DTYPE` None keeps the values' dtype
 
 
 class ProbabilityVolume(_OnGrid):
@@ -294,7 +308,7 @@ class ProbabilityVolume(_OnGrid):
         sums = ch.sum(axis=0, dtype=np.float64)
         if np.abs(sums - 1.0).max() > 1e-4:
             raise InvalidInputError("per-voxel channel sums must equal 1 within 1e-4")
-        return ch.copy()
+        return ch
 
     @property
     def num_classes(self) -> int:
@@ -558,5 +572,4 @@ def resample(vol: Volume, target_spacing) -> Volume:
     new_dims = tuple(int(math.ceil(vol.dims[a] * old[a] / new[a])) for a in range(3))
     pts = Grid(new_dims, target_spacing, vol.origin, vol.direction).voxel_points() * (new / old)
     vals = TrilinearStencil(vol.dims, pts).gather(vol.data, oob=0.0)
-    return Volume(vals.reshape(new_dims).astype(np.float32), target_spacing,
-                  vol.origin, vol.direction)
+    return Volume(vals.reshape(new_dims), target_spacing, vol.origin, vol.direction)

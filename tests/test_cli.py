@@ -198,6 +198,16 @@ def test_ensemble_files_off_one_geometry_exit_three(tmp_path, capsys, dims, spac
     assert not (tmp_path / "fused.nii").exists()
 
 
+def test_register_checks_its_flags_before_reading_a_file(tmp_path, capsys):
+    out = tmp_path / "t.xfm"
+    assert main(["register", "--ref", str(tmp_path / "missing.nii"), "--float",
+                 str(tmp_path / "missing.nii"), "--out-transform", str(out),
+                 "--alpha", "2"]) == 3
+    err = capsys.readouterr().err
+    assert "alpha" in err and "missing.nii" not in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_ensemble_manifest_that_is_not_utf8_exits_three(tmp_path, capsys):
     manifest = tmp_path / "models.txt"
     manifest.write_bytes(b"\xff\xfe" + "p0.nii\n".encode("utf-16-le"))  # a UTF-16 file

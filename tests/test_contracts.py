@@ -97,6 +97,11 @@ _WRONG_TYPES = {
     "PhantomSpec rv_offset": (lambda v, path: generate_phantom(PhantomSpec(rv_offset="a")),
                               "rv_offset"),
     "generate_phantom": (lambda v, path: generate_phantom("x"), "spec must be a PhantomSpec"),
+    "scaled_spec dims strings": (lambda v, path: scaled_spec(dims=("a", 1, 1)), "dims"),
+    "scaled_spec dims number": (lambda v, path: scaled_spec(dims=5), "dims"),
+    "scaled_spec spacing strings": (lambda v, path: scaled_spec(spacing=("x", 1, 1)),
+                                    "spacings"),
+    "scaled_spec spacing None": (lambda v, path: scaled_spec(spacing=None), "spacings"),
     "build_joint_histogram": (lambda v, path: build_joint_histogram("x", v),
                               "ref must be a Volume"),
     "bending_energy": (lambda v, path: bending_energy("x"), "t must be a BSplineTransform"),
@@ -256,7 +261,8 @@ def _wrong_values() -> tuple:
     """What each argument of each exported entry is swapped for in turn, made
     anew for each call, so that no call sees another's writes."""
     return (None, "x", 5, -1, 2.5, float("nan"), float("inf"), [], np.array([1.0, 2.0]),
-            np.zeros((2, 2, 2, 2)), {}, object(), True)
+            np.zeros((2, 2, 2, 2)), {}, object(), True, np.full((4, 4, 4), 1 + 1j),
+            np.full((4, 4, 4), "7"), np.full((4, 4, 4), 1e300))
 
 
 def _exported_entries() -> list[str]:

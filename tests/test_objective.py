@@ -524,10 +524,10 @@ def test_all_true_flt_valid_equals_no_mask():
     s1, finish1 = similarity_and_gradient(ref, flt, sampled, flt_valid=valid)
     assert s1 == s0
     assert np.array_equal(_bits(finish1()), _bits(finish0()))
-    # a mask below the 0.999 threshold everywhere still excludes every voxel
-    with pytest.raises(DegenerateInputError):
-        similarity_and_gradient(ref, flt, sample_map(ffd),
-                                flt_valid=np.full(flt.dims, 0.5))
+    # a mask marks its nonzero voxels, as `ref_mask` does: an all-0.5 mask is
+    # the all-True one
+    s2, _ = similarity_and_gradient(ref, flt, sampled, flt_valid=np.full(flt.dims, 0.5))
+    assert s2 == s0
 
 
 def test_masks_of_integers_and_a_float_flt_valid_pass_as_their_bools():

@@ -308,6 +308,45 @@ def test_undeclared_class_ids_are_counted_not_listed():
     assert "[4.0, 5.0, 6.0, 7.0, 8.0, ...]" in message and "13820 in all" in message
 
 
+_VOLUME_TYPES = {  # a valid value of each volume type, and the argument its values are
+    Volume: (np.zeros((4, 4, 4)), "data"),
+    LabelVolume: (np.zeros((4, 4, 4), dtype=np.uint8), "data"),
+    ProbabilityVolume: (np.full((2, 4, 4, 4), 0.5), "channels"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_VOLUME_TYPES, key=lambda k: k.__name__))
+@pytest.mark.parametrize("dtype", [str, bool, complex])
+def test_volumes_refuse_values_of_anything_but_numbers(kind, dtype):
+    valid, argument = _VOLUME_TYPES[kind]
+    kind(valid)
+    # numeric strings ("0.0", "0.5") and complex values with no imaginary
+    # part: each holds numbers that a cast would read without an error
+    with warnings.catch_warnings(), pytest.raises(
+            InvalidInputError, match=f"^{argument} must be numbers, got "):
+        warnings.simplefilter("error")  # refused, not cast with a warning
+        kind(valid.astype(dtype))
+
+
+def test_a_value_beyond_float32_is_refused_as_inf_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="volume data contains NaN or Inf"):
+            Volume(np.full((4, 4, 4), 1e300))
+        with pytest.raises(InvalidInputError, match="channels contain NaN or Inf"):
+            ProbabilityVolume(np.full((2, 4, 4, 4), -1e300))
+
+
+def test_a_volume_holds_its_own_c_ordered_copy():
+    values = np.asfortranarray(np.arange(60.0).reshape(3, 4, 5) % 4)  # a NIfTI payload's order
+    for data in (values, values.astype(np.float32)):
+        vol = Volume(data)
+        assert vol.data.flags.c_contiguous and not np.shares_memory(vol.data, data)
+        assert np.array_equal(vol.data, data)
+    labels = values.astype(np.uint8)
+    assert not np.shares_memory(LabelVolume(labels).data, labels)
+
+
 def test_probability_volume_channel_sum():
     ch = np.zeros((2, 2, 2, 2), dtype=np.float32)
     ch[0] = 0.25
