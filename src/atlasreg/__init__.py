@@ -30,9 +30,7 @@ from .metrics import (
 from .nifti import read_nifti, write_nifti
 from .objective import (
     ObjectiveWeights,
-    bending_energy,
     build_joint_histogram,
-    inconsistency_penalty,
     nmi,
     sample_map,
 )

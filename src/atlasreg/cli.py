@@ -1,9 +1,10 @@
 """Command-line interface binding the pipeline end to end.
 
 Exit codes: 0 success, 2 bad flags (argparse), 3 I/O, format or geometry
-errors, 4 numerical failures. Every run writes a JSON manifest next to its
-primary output recording the resolved configuration, inputs/outputs, seed,
-the wall-clock time of its one timed stage and the tool version.
+errors and a registration worker process that died, 4 numerical failures.
+Every run writes a JSON manifest next to its primary output recording the
+resolved configuration, inputs/outputs, seed, the wall-clock time of its
+one timed stage and the tool version.
 
 `COMMANDS` maps each subcommand, under its manifest name, to its function:
 the function reads its inputs, writes its outputs and returns the fields of

@@ -8,7 +8,8 @@ import multiprocessing
 import os
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from functools import partial
 
 import numpy as np
@@ -178,7 +179,8 @@ def _job(name: str, entry, cfg: RegistrationConfig) -> tuple:
 
 def _register_in_pool(target: Volume, jobs: list, workers: int) -> list:
     """Per job, the futures of the tasks it started: none, [affine] or
-    [affine, FFD]. See `_register_all`."""
+    [affine, FFD]. A task handed to a broken pool is a future that holds
+    the pool's BrokenProcessPool. See `_register_all`."""
     tasks = [[] for _ in jobs]
 
     def next_task():
@@ -202,7 +204,11 @@ def _register_in_pool(target: Volume, jobs: list, workers: int) -> list:
             task = next_task() if len(running) < workers else None
             if task is not None:
                 started, call = task
-                started.append(pool.submit(*call))
+                try:
+                    started.append(pool.submit(*call))
+                except BrokenProcessPool as exc:  # a worker died since the last wait
+                    started.append(Future())
+                    started[-1].set_exception(exc)
                 running.add(started[-1])
             elif running:
                 _, running = wait(running, return_when=FIRST_COMPLETED)
@@ -237,7 +243,10 @@ def _register_all(target: Volume, jobs: list, workers: int) -> list:
     Each result is bit for bit that of `register`. The error raised is that
     of the earliest failed job in input order, named after its atlas, with
     its attributes (such as `level` and `iteration`) and chained from the
-    job's own error.
+    job's own error. A worker that dies (killed, or out of memory) breaks
+    the pool, and every task not yet returned fails with it: the earliest
+    such job raises an AtlasRegError named after its atlas, chained from
+    the pool's BrokenProcessPool.
     """
     if workers == 1 or "fork" not in multiprocessing.get_all_start_methods():
         return [_named(name, partial(register, target, img, cfg))
@@ -245,7 +254,11 @@ def _register_all(target: Volume, jobs: list, workers: int) -> list:
     tasks = _register_in_pool(target, jobs, workers)
     for (name, *_), started in zip(jobs, tasks):
         for future in started:
-            if future.exception() is not None:
+            error = future.exception()
+            if isinstance(error, BrokenProcessPool):
+                raise AtlasRegError(f"{name}: a registration worker process ended before "
+                                    "this registration returned") from error
+            if error is not None:
                 _named(name, future.result)  # raises
     return [ffd.result() for _, ffd in tasks]
 

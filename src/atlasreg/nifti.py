@@ -81,9 +81,12 @@ def read_nifti(path, *, labels: bool = False, label_remap: dict | None = None):
     rotation, qfac = pixdim[0], the qoffset), else they are the identity at
     origin 0. The reader checks the file format: header fields, datatype,
     payload length, an srow matrix it can normalise and a finite
-    quaternion. The volume types check the
-    values (finite voxels, class ids, spacing, orthonormal direction), and
-    their InvalidInputError is raised as a NiftiFormatError naming the path.
+    quaternion. An intensity volume is scaled by scl_slope and scl_inter
+    unless the slope is 0 or not finite, which means no scaling, as
+    nibabel's `get_slope_inter` reads it. The volume types check the
+    values (finite voxels, class ids, spacing, orthonormal direction), so a
+    finite slope with a non-finite intercept is refused, and their
+    InvalidInputError is raised as a NiftiFormatError naming the path.
     """
     require_type((str, os.PathLike), path=path)
     require_type(bool, labels=labels)
@@ -165,7 +168,8 @@ def read_nifti(path, *, labels: bool = False, label_remap: dict | None = None):
     else:
         kind = Volume
         data = data.astype(np.float32)
-        if scl_slope != 0.0 and not (scl_slope == 1.0 and scl_inter == 0.0):
+        if (scl_slope != 0.0 and math.isfinite(scl_slope)
+                and not (scl_slope == 1.0 and scl_inter == 0.0)):
             with np.errstate(over="ignore", invalid="ignore"):  # Volume rejects NaN and Inf
                 data = data * np.float32(scl_slope) + np.float32(scl_inter)
     try:

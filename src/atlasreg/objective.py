@@ -25,12 +25,14 @@ raises GeometryMismatchError.
 All gradients with respect to B-spline coefficients are analytic. The
 composition gradient treats the inner field of each round trip as fixed, so
 each of the two composition terms drives only its outer transform. The
-affine and FFD similarities share one NMI core, `_nmi_deposit` and the
-finish it returns. The FFD's overlap is hard, so its gradient holds the
-mask fixed: a voxel whose mapped point crosses the floating grid's edge
-enters or leaves the histogram as a step, and that term is left out. The
-affine's overlap has the soft edge of `_soft_overlap`, so its gradient
-includes the term.
+affine and FFD similarities share one NMI core, one path through
+`_nmi_deposit` and the finish it returns. An overlap is a mask of points
+and a shell, the points outside the floating grid that deposit a weight
+below 1. The affine's overlap has the soft edge of `_soft_overlap`, so its
+gradient includes the weights' term. The FFD's overlap is hard, an overlap
+whose shell is empty (`_NO_SHELL`), so its gradient holds the mask fixed:
+a voxel whose mapped point crosses the floating grid's edge enters or
+leaves the histogram as a step, and that term is left out.
 
 An objective evaluation is a value pass and a finishing step. Every value
 pass returns its value and a finish: a closure that holds only what its
@@ -48,9 +50,10 @@ which pops and scatters the residual, then its similarity's finish, then
 applies the weights. The similarity's finish is one gather,
 `_footprint_gather`, the adjoint of the deposit: it recomputes the
 footprint from the bin positions bit for bit and sums the count derivative
-over it, once per sample with the floating kernel's derivative and, for
-the affine's shell, once per deposit weight. A line search thus pays for
-the gradient only at the probes it accepts, without evaluating them twice.
+over it, once per sample with the floating kernel's derivative and once
+per shell point's deposit weight, which for the FFD is on no point. A line
+search thus pays for the gradient only at the probes it accepts, without
+evaluating them twice.
 The affine hands its ascent the same kind of finish, which holds the
 probe's one stencil (`registration._overlap_nmi`).
 
@@ -76,10 +79,11 @@ two halves at once near that of one. They build no index array per cell
 corner or footprint cell: each point's first cell indexes the view of the
 data, or of the output, that starts at the corner's or cell's offset.
 Points and gradients go as three contiguous rows (3, N), so that every
-elementwise pass runs over N elements: `sample_map` maps the world points
-to voxel coordinates on rows, and the stencil reads them through their
-(N, 3) view. `_nmi_deposit`'s finish reads the gradient's three rows from
-the one stencil its points were sampled through (`TrilinearStencil.gradient`),
+elementwise pass runs over N elements: `transforms._source_rows` maps the
+world points to voxel coordinates on rows, for `sample_map` as for the
+warps, and the stencil reads them through their (N, 3) view.
+`_nmi_deposit`'s finish reads the gradient's three rows from the one
+stencil its points were sampled through (`TrilinearStencil.gradient`),
 works on them over the whole grid, with λ spread over every point, and
 writes the one C-contiguous (N, 3) field it returns through that field's
 transpose; it builds no stencil and takes no boolean (N, 3) gather or
@@ -106,6 +110,7 @@ from .transforms import (
     dense_displacement,
     splat_to_coefficients,
     _einsum,
+    _source_rows,
     _weight_matrices,
 )
 from .volume import TrilinearStencil, Volume, _float_array, _numbers, require_same_geometry
@@ -380,7 +385,8 @@ def _soft_overlap(stencil: TrilinearStencil, points: np.ndarray):
     weight is positive: (their indices among the points of the mask, their
     weights, d weight / d voxel coordinate (n, 3), the mask (n, 3) of the
     axes on which they lie inside, and their indices among all the points).
-    Points inside the grid weigh exactly 1 and make no shell state.
+    Points inside the grid weigh exactly 1 and make no shell state: with
+    none outside, the shell is `_NO_SHELL`'s five empty fields.
     """
     rows = np.flatnonzero(~stencil.inside)
     outside = points[rows]
@@ -400,7 +406,13 @@ def _soft_overlap(stencil: TrilinearStencil, points: np.ndarray):
                   excursion == 0, shell_rows)
 
 
-def _nmi_deposit(ref: Volume, flt: Volume, mask, values, ranges, shell=None):
+# the shell of an overlap with no point outside the grid, such as the FFD's
+# hard overlap: the five fields of `_soft_overlap`'s shell, empty
+_NO_SHELL = (np.empty(0, np.intp), np.empty(0), np.empty((0, 3)), np.empty((0, 3), bool),
+             np.empty(0, np.intp))
+
+
+def _nmi_deposit(ref: Volume, flt: Volume, mask, values, ranges, shell=_NO_SHELL):
     """The Parzen joint histogram (BINS, BINS) of ref's voxels under `mask`
     paired with `values`, flt's float64 samples at their mapped points, and
     the finish of its gradient.
@@ -408,7 +420,8 @@ def _nmi_deposit(ref: Volume, flt: Volume, mask, values, ranges, shell=None):
     `ranges` fixes the (ref, float) intensity ranges, two (lo, hi) pairs of
     numbers (else InvalidInputError); None takes the robust percentile
     ranges of the samples. Every pair deposits a unit mass, except those of
-    a `_soft_overlap` shell, which deposit their weight. The bin positions
+    the `_soft_overlap` shell, which deposit their weight; the default shell
+    is empty (`_NO_SHELL`), a hard overlap. The bin positions
     the gradient reads, (ref positions, float positions, float scale, float
     unclamped mask), are computed in place of `values`.
 
@@ -418,11 +431,12 @@ def _nmi_deposit(ref: Volume, flt: Volume, mask, values, ranges, shell=None):
     shell point's deposit-weight derivative. Both derivatives are one
     gather of the count derivative over the footprint, `_footprint_gather`:
     per sample with the floating kernel's derivative, per shell weight with
-    the kernel itself and from the uniform term. `stencil` is the stencil
-    the points were sampled through, and the finish reads the floating
-    gradient through it alone: a shell point takes the gradient at its
-    edge-clamped point, which the stencil gives it, along the axes on which
-    it lies inside, and 0 across the faces it lies outside.
+    the kernel itself and from the uniform term. One path serves both
+    overlaps: an empty shell's steps run on no point. `stencil` is the
+    stencil the points were sampled through, and the finish reads the
+    floating gradient through it alone: a shell point takes the gradient at
+    its edge-clamped point, which the stencil gives it, along the axes on
+    which it lies inside, and 0 across the faces it lies outside.
     """
     if ranges is not None:
         ranges = _float_array(ranges, _RANGES_RULE, (2, 2))
@@ -437,8 +451,7 @@ def _nmi_deposit(ref: Volume, flt: Volume, mask, values, ranges, shell=None):
     deposit = np.empty(q_r.size)
     for off, cell, w_r, w_f in _footprint(q_r, q_f):
         np.multiply(w_r, w_f, out=deposit)
-        if shell is not None:
-            deposit[shell[0]] *= shell[1]
+        deposit[shell[0]] *= shell[1]
         counts[off:] += np.bincount(cell, deposit, BINS * BINS - off)
     counts = counts.reshape(BINS, BINS)
     histogram = [counts, (q_r, q_f, scale_f, interior_f)]
@@ -456,20 +469,18 @@ def _nmi_deposit(ref: Volume, flt: Volume, mask, values, ranges, shell=None):
         lam_m *= scale_f
         lam_m[~interior_f] = 0.0
         lam[mask] = lam_m
-        if shell is not None:
-            idx, w, d_w, inner, cells = shell
-            lam[cells] *= w
-            # d NMI / d deposit weight: a weight changes the histogram's
-            # total mass, so the uniform term of the count derivative, which
-            # cancels for a sample, stays
-            d_nmi_d_w = _footprint_gather(ds, q_r[idx], q_f[idx],
-                                          np.full(idx.size, -(counts * ds).sum() / counts.sum()))
+        idx, w, d_w, inner, cells = shell
+        lam[cells] *= w
+        # d NMI / d deposit weight: a weight changes the histogram's total
+        # mass, so the uniform term of the count derivative, which cancels
+        # for a sample, stays
+        d_nmi_d_w = _footprint_gather(ds, q_r[idx], q_f[idx],
+                                      np.full(idx.size, -(counts * ds).sum() / counts.sum()))
         del counts, q_r, q_f, interior_f, ds, lam_m
         rows = stencil.gradient(flt.data).T  # three rows (3, N)
-        if shell is not None:
-            # a shell point has the gradient at its clamped point; on a face
-            # the edge-clamped value is flat across it only
-            rows[:, cells] *= inner.T
+        # a shell point has the gradient at its clamped point; on a face the
+        # edge-clamped value is flat across it only
+        rows[:, cells] *= inner.T
         # d(sample)/d(world point) = direction @ (voxel gradient / spacing)
         spacing = np.asarray(flt.spacing)
         rows /= spacing[:, None]
@@ -478,8 +489,7 @@ def _nmi_deposit(ref: Volume, flt: Volume, mask, values, ranges, shell=None):
         field = np.zeros((mask.size, 3))
         np.multiply(rows, lam, out=field.T, where=mask)
         del rows
-        if shell is not None:
-            field[cells] += (d_nmi_d_w[:, None] * d_w / spacing) @ flt.direction.T
+        field[cells] += (d_nmi_d_w[:, None] * d_w / spacing) @ flt.direction.T
         return field
 
     return counts, finish
@@ -526,16 +536,13 @@ class SampledMap:
 
 def sample_map(ffd: BSplineTransform) -> SampledMap:
     """Sample `ffd` once, onto its own reference grid, for the similarity and
-    the inconsistency penalty."""
+    the inconsistency penalty: its dense displacement u, then the stencil of
+    the points x + u(x), which `transforms._source_rows` maps to voxel
+    coordinates as the warps' points are."""
     require_type(BSplineTransform, ffd=ffd)
     grid = ffd.reference
     u = np.ascontiguousarray(np.moveaxis(dense_displacement(ffd), -1, 0))
-    # the world points x + u(x) as three rows, taken to voxel coordinates
-    # by `voxel_from_world`'s steps in its order
-    rows = grid.world_points().T + u.reshape(3, -1)
-    rows -= grid.origin[:, None]
-    rows = grid.direction.T @ rows
-    rows /= np.asarray(grid.spacing)[:, None]
+    rows = _source_rows(grid, grid, u.reshape(3, -1))
     return SampledMap(ffd, u, TrilinearStencil(grid.dims, rows.T))
 
 

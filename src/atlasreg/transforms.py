@@ -253,18 +253,38 @@ def max_displacement(t: BSplineTransform) -> float:
 # Warping
 # ---------------------------------------------------------------------------
 
+def _source_rows(source: Grid, grid: Grid, u=None, affine=None) -> np.ndarray:
+    """Voxel coordinates on `source` of affine(x + u(x)) at every voxel x of
+    `grid`, as three contiguous rows (3, N): `u` is the displacement (mm)
+    at those voxels as rows (3, N), and a missing `u` or `affine` is the
+    identity.
+
+    The one map from reference voxels into a grid, for `objective.sample_map`
+    and the warps. It takes `AffineTransform.apply` and then
+    `Grid.voxel_from_world`'s steps in their order on the rows, bit for bit
+    those of the (N, 3) points. The sum with `u` (or a copy) and each matrix
+    product make a fresh array; every other step works in place.
+    """
+    rows = grid.world_points().T.copy() if u is None else grid.world_points().T + u
+    if affine is not None:
+        rows = affine.matrix[:3, :3] @ rows
+        rows += affine.matrix[:3, 3:]
+    rows -= source.origin[:, None]
+    rows = source.direction.T @ rows
+    rows /= np.asarray(source.spacing)[:, None]
+    return rows
+
+
 def _mapped_source_coords(src, ref_geometry, affine, ffd):
-    """Source voxel coordinates sampled for every voxel of the ref grid."""
+    """Source voxel coordinates sampled for every voxel of the ref grid, as
+    three contiguous rows (3, N) (`_source_rows`)."""
     require_type((AffineTransform, type(None)), affine=affine)
     require_type((BSplineTransform, type(None)), ffd=ffd)
     grid = as_grid(ref_geometry, "target geometry")
-    world = grid.world_points()
     if ffd is not None:
         require_same_geometry(ffd.reference, grid, "FFD reference and target")
-        world = world + dense_displacement(ffd).reshape(-1, 3)
-    if affine is not None:
-        world = affine.apply(world)
-    return src.voxel_from_world(world)
+    u = None if ffd is None else dense_displacement(ffd).reshape(-1, 3).T
+    return _source_rows(src.grid, grid, u, affine)
 
 
 def warp_volume(src: Volume, ref_geometry, affine: AffineTransform | None,
@@ -281,8 +301,7 @@ def warp_volume(src: Volume, ref_geometry, affine: AffineTransform | None,
 def warp_volume_masked(src, ref_geometry, affine, ffd=None):
     """Like warp_volume but also returns the in-bounds sample mask."""
     require_type(Volume, src=src)
-    coords = _mapped_source_coords(src, ref_geometry, affine, ffd)
-    stencil = TrilinearStencil(src.dims, coords)
+    stencil = TrilinearStencil(src.dims, _mapped_source_coords(src, ref_geometry, affine, ffd).T)
     vals = stencil.gather(src.data, 0.0)
     vol = Volume(vals.reshape(ref_geometry.dims),
                  ref_geometry.spacing, ref_geometry.origin, ref_geometry.direction)
@@ -293,7 +312,7 @@ def warp_labels(src: LabelVolume, ref_geometry, affine: AffineTransform | None,
                 ffd: BSplineTransform | None = None) -> LabelVolume:
     """Nearest-neighbor label warp; out-of-bounds samples become background."""
     require_type(LabelVolume, src=src)
-    rows = np.rint(_mapped_source_coords(src, ref_geometry, affine, ffd)).T
+    rows = np.rint(_mapped_source_coords(src, ref_geometry, affine, ffd))
     # one take of each voxel's class at its nearest source voxel, clamped
     # onto the source; a voxel whose nearest voxel lies outside gets 0
     vals = src.data.take(np.ravel_multi_index(rows.astype(np.intp), src.dims, mode="clip"))

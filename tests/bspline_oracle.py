@@ -202,6 +202,19 @@ def mapped_points(ffd: BSplineTransform, grid) -> np.ndarray:
     return grid.voxel_from_world(world)
 
 
+def warped_points(src_grid, grid, affine=None, ffd=None) -> np.ndarray:
+    """Voxel coordinates (N, 3) on `src_grid` that the warps sample at the
+    voxels of `grid`, row-major: the world points plus the dense
+    displacement, both C-contiguous (N, 3), then `AffineTransform.apply`,
+    then `voxel_from_world`."""
+    world = grid_points(grid, world=True)
+    if ffd is not None:
+        world = world + dense_displacement(ffd).reshape(-1, 3)
+    if affine is not None:
+        world = affine.apply(world)
+    return src_grid.voxel_from_world(world)
+
+
 def nmi_finish_masked(ref, flt, mask, values, ranges, stencil, shell=None, points=None):
     """The finish of `_nmi_deposit(ref, flt, mask, values, ranges, shell)`
     through `stencil`, row-major: λ from the index-array Parzen kernels, the

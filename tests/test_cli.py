@@ -1,10 +1,12 @@
 import gzip
 import json
+import os
 
 import numpy as np
 import pytest
 
 import atlasreg.cli as cli
+from atlasreg import fusion
 from atlasreg import (
     AffineTransform,
     NumericalFailureError,
@@ -138,6 +140,26 @@ def test_a_numerical_failure_exits_four(phantom_files, monkeypatch, capsys):
                  "--out-transform", str(out)]) == 4
     err = capsys.readouterr().err
     assert "numerical failure: non-finite objective value (level 0, iteration 3)" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+def _end_worker(*args):
+    """An FFD task that ends its worker process at once; module-level, so
+    that the pool sends it to the worker by name."""
+    os._exit(9)
+
+
+def test_a_dead_registration_worker_exits_three(phantom_files, monkeypatch, capsys):
+    root, paths = phantom_files
+    (target, _), (img2, lbl2), (img3, lbl3) = paths
+    # forked workers inherit both stand-ins
+    monkeypatch.setattr(fusion, "register_affine", lambda ref, flt: AffineTransform.identity())
+    monkeypatch.setattr(fusion, "_ffd_task", _end_worker)
+    out = root / "dead.nii"
+    assert main(["pipeline", "--target", str(target), "--atlas", f"{img2}:{lbl2}",
+                 "--atlas", f"{img3}:{lbl3}", "--threads", "2", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "atlasreg: error: atlas 0: a registration worker process ended" in err
     assert "Traceback" not in err and not out.exists()
 
 

@@ -23,12 +23,10 @@ from atlasreg import (
     RegistrationConfig,
     RegistrationResult,
     Volume,
-    bending_energy,
     build_joint_histogram,
     dice,
     ensemble_fuse,
     generate_phantom,
-    inconsistency_penalty,
     jaccard,
     largest_component,
     load_transform,
@@ -42,8 +40,8 @@ from atlasreg import (
     surface_distances,
     write_nifti,
 )
-from atlasreg.objective import (objective, objective_gradient, robust_range,
-                                similarity_and_gradient)
+from atlasreg.objective import (bending_energy, inconsistency_penalty, objective,
+                                objective_gradient, robust_range, similarity_and_gradient)
 from atlasreg.phantom import scaled_spec
 from atlasreg.registration import build_pyramid, usable_levels
 from atlasreg.transforms import (
@@ -300,7 +298,6 @@ _VALID_CALLS = {
     "RegistrationConfig": lambda s: ((1, 2, 4.0), {}),
     "RegistrationResult": lambda s: ((s.affine, None, None, [], []), {}),
     "Volume": lambda s: ((s.img.data,), {}),
-    "bending_energy": lambda s: ((s.ffd,), {}),
     "bspline_kernel": lambda s: ((np.linspace(-3.0, 3.0, 7),), {}),
     "build_joint_histogram": lambda s: ((s.img, s.img), {}),
     "build_pseudo_labels": lambda s: ((s.img, [(s.img, s.lbl)]),
@@ -312,7 +309,6 @@ _VALID_CALLS = {
     "ensemble_fuse": lambda s: (([s.probs, s.probs],), {}),
     "evaluate": lambda s: ((s.lbl, s.lbl), {}),
     "generate_phantom": lambda s: ((s.spec,), {}),
-    "inconsistency_penalty": lambda s: ((sample_map(s.ffd), sample_map(s.ffd)), {}),
     "jaccard": lambda s: ((s.lbl, s.lbl, 1), {}),
     "largest_component": lambda s: ((s.lbl,), {}),
     "load_transform": lambda s: ((s.xfm,), {}),

@@ -1,5 +1,6 @@
 import importlib
 import itertools
+import multiprocessing
 import os
 import pickle
 import signal
@@ -9,6 +10,7 @@ import textwrap
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +18,7 @@ import pytest
 
 from atlasreg import (
     AffineTransform,
+    AtlasRegError,
     BSplineTransform,
     GeometryMismatchError,
     InvalidInputError,
@@ -475,6 +478,49 @@ def test_an_earlier_jobs_ffd_failure_wins_over_a_later_jobs_affine_failure(
     assert (info.value.level, info.value.iteration) == (1, 3)
     assert type(info.value.__cause__) is NumericalFailureError
     assert _started(log, "f") == [0]
+
+
+def _end_worker(*args):
+    """A registration task that ends its worker process at once, as the
+    kernel's OOM killer or a SIGKILL would. Module-level, so that the pool
+    sends it to the worker by name."""
+    os._exit(9)
+
+
+def test_a_dead_worker_raises_a_package_error_named_after_its_atlas(monkeypatch, tmp_path):
+    # every FFD task ends its worker, which breaks the pool: each task not
+    # yet returned fails, and the earliest such job, 0, is named
+    target, atlases, same_patient = _pseudo_inputs()
+    _fake_stages(monkeypatch, tmp_path / "log")
+    monkeypatch.setattr(fusion, "_ffd_task", _end_worker)
+    with pytest.raises(AtlasRegError, match="^atlas 0: a registration worker process ended") \
+            as info:
+        build_pseudo_labels(target, atlases, same_patient, threads=2)
+    assert type(info.value) is AtlasRegError
+    assert isinstance(info.value.__cause__, BrokenProcessPool)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_task_handed_to_a_broken_pool_fails_its_job(monkeypatch, tmp_path):
+    # the pool raises BrokenProcessPool from `submit` once a worker has died
+    # since the last wait; here it does so for job 1's FFD task alone
+    target, atlases, same_patient = _pseudo_inputs()
+    log = tmp_path / "log"
+    _fake_stages(monkeypatch, log)
+
+    class Breaking(ProcessPoolExecutor):
+        def submit(self, fn, target, img, *args):
+            if fn is fusion._ffd_task and int(img.data.flat[0]) == 1:
+                raise BrokenProcessPool("a child process terminated abruptly")
+            return super().submit(fn, target, img, *args)
+
+    monkeypatch.setattr(fusion, "ProcessPoolExecutor", Breaking)
+    with pytest.raises(AtlasRegError, match="^atlas 1: a registration worker process ended") \
+            as info:
+        build_pseudo_labels(target, atlases, same_patient, threads=2)
+    assert type(info.value) is AtlasRegError
+    assert isinstance(info.value.__cause__, BrokenProcessPool)
+    assert 1 not in _started(log, "f") and 2 not in _started(log, "f")
 
 
 def _log_half_threads(monkeypatch, log):

@@ -349,6 +349,29 @@ def test_scl_slope_applied_to_int16(tmp_path):
     np.testing.assert_allclose(vol.data, expected, atol=1e-6)
 
 
+@pytest.mark.parametrize("slope", [float("nan"), float("inf"), -float("inf")],
+                         ids=["nan", "inf", "-inf"])
+def test_a_non_finite_scl_slope_means_no_scaling(tmp_path, slope):
+    # as nibabel's `Nifti1Header.get_slope_inter` reads it, whatever the intercept
+    vol = _make_volume(seed=3)
+    path = tmp_path / "slope.nii"
+    write_nifti(vol, path)
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<2f", raw, 112, slope, 5.0)  # scl_slope, scl_inter
+    path.write_bytes(bytes(raw))
+    assert np.array_equal(read_nifti(path).data, vol.data)
+
+
+def test_a_finite_scl_slope_with_a_non_finite_intercept_is_refused(tmp_path):
+    path = tmp_path / "inter.nii"
+    write_nifti(_make_volume(seed=3), path)
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<2f", raw, 112, 2.0, float("nan"))  # scl_slope, scl_inter
+    path.write_bytes(bytes(raw))
+    with pytest.raises(NiftiFormatError, match="NaN or Inf"):
+        read_nifti(path)
+
+
 @pytest.mark.parametrize("table", [{1: "x"}, {"a": 1}, {1: 2.0}, {True: 1}, {1: None}],
                          ids=["string-value", "string-key", "float-value", "bool-key",
                               "none-value"])

@@ -23,22 +23,23 @@ from atlasreg import (
     ObjectiveWeights,
     PhantomSpec,
     Volume,
-    bending_energy,
     build_joint_histogram,
     generate_phantom,
-    inconsistency_penalty,
     nmi,
     random_smooth_deformation,
     sample_map,
 )
 from atlasreg.objective import (
     BINS,
+    bending_energy,
     bending_energy_gradient,
     inconsistency_gradient,
+    inconsistency_penalty,
     objective,
     objective_gradient,
     robust_range,
     similarity_and_gradient,
+    _NO_SHELL,
     _bin_offsets,
     _footprint,
     _footprint_gather,
@@ -197,7 +198,9 @@ def test_parzen_kernels_equal_the_index_oracle_bit_for_bit(with_shell):
     rng = np.random.default_rng(26)
     idx = np.sort(rng.choice(values.size, 300, replace=False))
     shell = (idx, rng.uniform(0.01, 1.0, idx.size)) if with_shell else None
-    counts = objective_module._nmi_deposit(ref, ref, mask, values.copy(), ranges, shell)[0]
+    # without a shell, the deposit takes its default, the empty shell
+    args = (ref, ref, mask, values.copy(), ranges) + ((shell,) if with_shell else ())
+    counts = objective_module._nmi_deposit(*args)[0]
 
     q_r = objective_module._bin_positions(ref.data.reshape(-1).astype(np.float64), ranges[0])[0]
     q_f, scale_f, interior_f = objective_module._bin_positions(values.copy(), ranges[1])
@@ -214,6 +217,25 @@ def test_parzen_kernels_equal_the_index_oracle_bit_for_bit(with_shell):
                             np.full(idx.size, -(counts * ds).sum() / counts.sum()))
     assert np.array_equal(_bits(got), _bits(parzen_weight_gradient(counts, ds, q_r[idx],
                                                                     q_f[idx])))
+
+
+def test_the_empty_shell_is_the_shell_of_an_overlap_all_inside():
+    # `_nmi_deposit`'s default shell is the one `_soft_overlap` finds for a
+    # probe whose every point maps inside the grid, field for field, and
+    # the deposit and its finish are bit for bit the same with either
+    ref, flt = _noise_volume(60), _noise_volume(61)
+    points = 0.3 + 0.9 * ref.grid.voxel_points()
+    stencil = TrilinearStencil(flt.dims, points)
+    mask, shell = objective_module._soft_overlap(stencil, points)
+    assert mask.all()
+    assert len(shell) == len(_NO_SHELL) == 5
+    for got, empty in zip(shell, _NO_SHELL):
+        assert (got.dtype, got.shape) == (empty.dtype, empty.shape)
+    values = stencil.gather(flt.data)[mask]
+    counts, finish = objective_module._nmi_deposit(ref, flt, mask, values.copy(), None, shell)
+    counts_0, finish_0 = objective_module._nmi_deposit(ref, flt, mask, values.copy(), None)
+    assert np.array_equal(_bits(counts), _bits(counts_0))
+    assert np.array_equal(_bits(finish(stencil)), _bits(finish_0(stencil)))
 
 
 @pytest.mark.parametrize("d1_f", [False, True])
@@ -1083,7 +1105,8 @@ def test_similarity_gradient_evaluates_no_floating_weights(monkeypatch):
     footprint_row = objective_module._footprint_row
 
     def counted(t, k, d1=False, out=None):
-        rows.append(d1)
+        if t.size:  # the empty shell's gather evaluates its rows on no point
+            rows.append(d1)
         return footprint_row(t, k, d1, out)
 
     monkeypatch.setattr(objective_module, "_footprint_row", counted)

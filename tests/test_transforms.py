@@ -20,6 +20,7 @@ from atlasreg import (
     warp_labels,
     warp_volume,
 )
+from atlasreg import transforms
 from atlasreg.transforms import (
     _einsum,
     bspline_kernel_d1,
@@ -28,7 +29,9 @@ from atlasreg.transforms import (
     grid_dim_for,
     splat_to_coefficients,
     subdivide,
+    warp_volume_masked,
 )
+from atlasreg.volume import TrilinearStencil
 from bspline_oracle import _roundtrip_residual, deform
 
 
@@ -289,6 +292,49 @@ def _nearest_label_oracle(data, points):
         if all(0 <= i < size for i, size in zip(idx, data.shape)):
             out[n] = data[idx]
     return out
+
+
+def test_the_warps_sample_the_row_major_points_bit_for_bit(monkeypatch):
+    from bspline_oracle import warped_points
+
+    # an oblique, anisotropic target and a source of another geometry, an
+    # affine and an FFD: every step of the map moves the points
+    rng = np.random.default_rng(43)
+    a, b = 0.3, 0.5
+    rz = np.array([[np.cos(a), -np.sin(a), 0.0], [np.sin(a), np.cos(a), 0.0], [0.0, 0.0, 1.0]])
+    rx = np.array([[1.0, 0.0, 0.0], [0.0, np.cos(b), -np.sin(b)], [0.0, np.sin(b), np.cos(b)]])
+    target = Volume(np.zeros((16, 14, 6), np.float32), spacing=(1.25, 1.5, 4.0),
+                    origin=(3.0, -7.5, 12.0), direction=rz @ rx)
+    geometry = dict(spacing=(1.0, 1.75, 3.0), origin=(1.0, -9.0, 10.0), direction=rx @ rz)
+    src = Volume(rng.uniform(0.0, 100.0, (18, 12, 8)).astype(np.float32), **geometry)
+    labels = LabelVolume(rng.integers(0, 4, src.dims), **geometry)
+    m = np.eye(4)
+    m[:3, :3] += rng.uniform(-0.05, 0.05, size=(3, 3))
+    m[:3, 3] = rng.uniform(-2.0, 2.0, size=3)
+    affine = AffineTransform(m)
+    ffd = BSplineTransform.zeros(target, (3.0, 2.5, 1.5))
+    ffd = ffd.with_coefficients(rng.normal(0.0, 2.0, ffd.coefficients.shape))
+
+    seen = []
+    source_rows = transforms._source_rows
+
+    def recorded(*args):
+        seen.append(source_rows(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(transforms, "_source_rows", recorded)
+    vol, inside = warp_volume_masked(src, target, affine, ffd)
+    out = warp_labels(labels, target, affine, ffd)
+    expected = warped_points(src.grid, target.grid, affine, ffd)
+    assert 0 < inside.sum() < inside.size
+    assert len(seen) == 2
+    for rows in seen:  # three contiguous rows, whose columns are the oracle's points
+        assert rows.flags.c_contiguous and rows.shape == (3, target.data.size)
+        assert np.array_equal(rows.T.view(np.uint64), expected.view(np.uint64))
+    stencil = TrilinearStencil(src.dims, expected)
+    assert np.array_equal(vol.data.reshape(-1), stencil.gather(src.data, 0.0).astype(np.float32))
+    assert np.array_equal(inside.reshape(-1), stencil.inside)
+    assert np.array_equal(out.data.reshape(-1), _nearest_label_oracle(labels.data, expected))
 
 
 def test_warp_labels_equals_nearest_neighbour_oracle_at_ties_edges_and_size_one_axes():

@@ -1,5 +1,6 @@
 """Median times of the per-voxel kernels of the FFD objective, the affine
-similarity's finish, the pyramid's smoothing and the surface distances.
+similarity's finish, the pyramid's smoothing, the warps and the surface
+distances.
 
     python3 tools/kernels.py
 
@@ -27,6 +28,9 @@ call, and the tracemalloc peak (MiB) of one more call, of:
   derivative as well
 - Gaussian smooth: the float64 reference image at sigma 1.4 voxel, the
   pre-smoothing of every pyramid level
+- warps: `warp_volume_masked` of the floating image and `warp_labels` of
+  the phantom's labels onto the reference grid, each through an affine (a
+  turn of 0.05 rad about z and a shift of a few mm) and the displacement
 - surface distances: `surface_distances` of the three classes between the
   labels of an ffd_stack phantom and those labels warped by the displacement
 
@@ -52,6 +56,7 @@ os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM
 import numpy as np  # noqa: E402
 
 from atlasreg import (  # noqa: E402
+    AffineTransform,
     PhantomSpec,
     Volume,
     generate_phantom,
@@ -68,6 +73,7 @@ from atlasreg.objective import (  # noqa: E402
     sample_map,
 )
 from atlasreg.registration import _overlap_nmi  # noqa: E402
+from atlasreg.transforms import warp_volume_masked  # noqa: E402
 from atlasreg.volume import gaussian_smooth  # noqa: E402
 
 DIMS, SPACING = (128, 128, 16), (1.25, 1.25, 5.0)
@@ -123,6 +129,9 @@ def main() -> int:
     # reference world points to floating voxel coordinates, half a voxel on
     # along x: the probe's shell is the last x face
     to_voxel, shift = np.diag(1.0 / np.asarray(SPACING)), np.array([0.5, 0.0, 0.0])
+    c, s = np.cos(0.05), np.sin(0.05)
+    affine = AffineTransform.from_linear([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]],
+                                         (1.5, -1.0, 2.0))
 
     kernels = (
         ("map sampling", lambda _: sample_map(ffd), lambda: None),
@@ -138,6 +147,8 @@ def main() -> int:
         ("affine finish, shell", lambda finish: finish(),
          lambda: _overlap_nmi(ref, flt, to_voxel, shift, ranges)[1]),
         ("Gaussian smooth", lambda _: gaussian_smooth(image, 1.4), lambda: None),
+        ("warps", lambda _: (warp_volume_masked(flt, ref, affine, ffd),
+                             warp_labels(labels, ref, affine, ffd)), lambda: None),
         ("surface distances",
          lambda _: [surface_distances(warped, labels, c) for c in (1, 2, 3)], lambda: None),
     )
