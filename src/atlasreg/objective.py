@@ -9,18 +9,24 @@ second derivatives of the displacement field (cross terms doubled); it is
 evaluated on the lattice through per-axis Gram matrices of the B-spline
 derivative weights, which equals the voxel average without forming the
 voxel fields. The inconsistency penalty averages the squared residual of
-composing the forward and backward maps.
+composing the forward and backward maps over a sample grid of the inner
+map: every s-th voxel along each axis, s = max(1, floor(g / 2)) of that
+axis's lattice spacing g in voxels (`_sample_strides`). The residual
+composes two cubic B-splines, so a grid at half the knot spacing estimates
+its voxel average from one point in eight; on lattices under 4 voxels
+every stride is 1 and the penalty is the voxel average.
 
 Each map is sampled once per objective call (`sample_map`): one dense
 displacement and one trilinear stencil of the mapped points x + u(x), on
-the map's own reference grid. The similarity and the inconsistency share
-them, so both require one grid: the similarity its map's lattice, the
-reference and the floating image, the penalty both lattices. On that grid
-the points where the backward similarity samples the reference are those
-where the round trip with the forward map outer samples the forward field,
-and the other way round. `register_ffd` resamples the floating image onto
-each level's reference grid and lays both lattices over it. A violation
-raises GeometryMismatchError.
+the map's own reference grid, plus the stencil and displacement of its
+sample voxels when a stride exceeds 1. The similarity and the
+inconsistency share them, so both require one grid: the similarity its
+map's lattice, the reference and the floating image, the penalty both
+lattices. On that grid the points where the round trip with the forward
+map outer samples the forward field are among those where the backward
+similarity samples the reference, and the other way round. `register_ffd`
+resamples the floating image onto each level's reference grid and lays
+both lattices over it. A violation raises GeometryMismatchError.
 
 All gradients with respect to B-spline coefficients are analytic. The
 composition gradient treats the inner field of each round trip as fixed, so
@@ -39,13 +45,14 @@ pass returns its value and a finish: a closure that holds only what its
 gradient reads and returns that gradient when called. `_nmi_deposit`'s
 finish holds the voxel mask, the counts and the bin positions;
 `similarity_and_gradient`'s adds the map's stencil and FFD; `_roundtrip`'s
-holds the residual m, and `inconsistency_gradient` returns the penalty with
-the finishes of both round trips. The value pass (`objective`) calls those
-two public entries and returns one finish per half, holding that map's
-similarity finish, its bending gradient (one scaled sum more than the
-energy) and, when beta > 0, the finish of the round trip with that map
-outer; none holds a displacement field. The finishing step
-(`objective_gradient`) runs the two. Each runs its round trip's finish,
+holds the residual m at the inner map's sample voxels, and
+`inconsistency_gradient` returns the penalty with the finishes of both
+round trips. The value pass (`objective`) calls those two public entries
+and returns one finish per half, holding that map's similarity finish, its
+bending gradient (one scaled sum more than the energy) and, when beta > 0,
+the finish of the round trip with that map outer; none holds a
+displacement field. The finishing step (`objective_gradient`) runs the
+two. Each runs its round trip's finish,
 which pops and scatters the residual, then its similarity's finish, then
 applies the weights. The similarity's finish is one gather,
 `_footprint_gather`, the adjoint of the deposit: it recomputes the
@@ -526,24 +533,48 @@ class SampledMap:
     `u` is the displacement (mm) channel-first, (3, nx, ny, nz) and
     C-contiguous, so each world axis is one contiguous scalar field.
     `stencil` interpolates on that grid at the mapped points, one per voxel
-    in C order.
+    in C order; the similarity reads it. `samples` and `u_samples` are the
+    stencil and the displacement rows (3, n) at the map's sample voxels
+    (`_sample_strides`), in C order, which the inconsistency penalty reads.
+    Where every stride is 1 they are `stencil` itself and the rows of `u`.
     """
 
     ffd: BSplineTransform
     u: np.ndarray
     stencil: TrilinearStencil
+    samples: TrilinearStencil
+    u_samples: np.ndarray
+
+
+def _sample_strides(ffd: BSplineTransform) -> tuple[int, int, int]:
+    """The strides (s_x, s_y, s_z) of the inconsistency penalty's sample
+    grid of `ffd`: every s_a-th voxel along axis a (voxels 0, s_a, 2 s_a,
+    ...), where s_a = max(1, floor(g_a / 2)) of the lattice spacing g_a in
+    voxels. A grid at half the knot spacing estimates the voxel average of
+    a smooth residual from one point in eight, as sample-based registration
+    treats its cost terms (Klein et al., IEEE TIP 2007)."""
+    return tuple(max(1, int(g // 2)) for g in ffd.grid_spacing)
 
 
 def sample_map(ffd: BSplineTransform) -> SampledMap:
     """Sample `ffd` once, onto its own reference grid, for the similarity and
     the inconsistency penalty: its dense displacement u, then the stencil of
     the points x + u(x), which `transforms._source_rows` maps to voxel
-    coordinates as the warps' points are."""
+    coordinates as the warps' points are. When a sample stride exceeds 1,
+    the sample voxels' stencil is built from their mapped rows, so each of
+    their cells and fractions equals the full stencil's bit for bit."""
     require_type(BSplineTransform, ffd=ffd)
     grid = ffd.reference
     u = np.ascontiguousarray(np.moveaxis(dense_displacement(ffd), -1, 0))
     rows = _source_rows(grid, grid, u.reshape(3, -1))
-    return SampledMap(ffd, u, TrilinearStencil(grid.dims, rows.T))
+    stencil = TrilinearStencil(grid.dims, rows.T)
+    strides = _sample_strides(ffd)
+    if strides == (1, 1, 1):
+        return SampledMap(ffd, u, stencil, stencil, u.reshape(3, -1))
+    every = (slice(None),) + tuple(slice(None, None, s) for s in strides)
+    # the reshapes copy the strided views into contiguous rows (3, n)
+    samples = TrilinearStencil(grid.dims, rows.reshape(u.shape)[every].reshape(3, -1).T)
+    return SampledMap(ffd, u, stencil, samples, u[every].reshape(3, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -630,27 +661,30 @@ def bending_energy(t: BSplineTransform) -> float:
 # ---------------------------------------------------------------------------
 
 def _roundtrip(outer: SampledMap, inner: SampledMap):
-    """(mean |m|^2, finish) of the round trip with `outer` as the outer map.
+    """(mean |m|^2, finish) of the round trip with `outer` as the outer map,
+    averaged over the inner map's sample voxels x (`SampledMap.samples`).
     The residual m(x) = u_inner(x) + u_outer(x + u_inner(x)) is C-contiguous
-    (N, 3); the outer field is sampled edge-clamped through the inner map's
-    stencil, so both maps must lie on one grid. `finish()` returns
-    d(mean |m|^2) / d outer coefficients, the inner field held fixed; it pops
-    m, which is freed once it returns, and scales it in place, so a second
-    run raises InvalidInputError."""
-    ffd, stencil = outer.ffd, inner.stencil
+    (n, 3); the outer field is sampled edge-clamped through the inner map's
+    sample stencil, so both maps must lie on one grid. `finish()` returns
+    d(mean |m|^2) / d outer coefficients, the inner field held fixed: it
+    scatters m through that stencil onto the grid and splats it, the exact
+    derivative of the sampled mean. It pops m, which is freed once it
+    returns, and scales it in place, so a second run raises
+    InvalidInputError."""
+    ffd, stencil = outer.ffd, inner.samples
     residual = [np.empty((stencil.base.size, 3))]
     for d in range(3):
-        np.add(inner.u[d].reshape(-1), stencil.gather(outer.u[d]), out=residual[0][:, d])
-    n_vox = float(np.prod(ffd.reference.dims))
+        np.add(inner.u_samples[d], stencil.gather(outer.u[d]), out=residual[0][:, d])
+    n_samples = float(stencil.base.size)
 
     def finish():
         if not residual:
             raise InvalidInputError("this round-trip gradient was already finished")
         m = residual.pop()
-        np.multiply(m, 2.0 / n_vox, out=m)
+        np.multiply(m, 2.0 / n_samples, out=m)
         return splat_to_coefficients(ffd, stencil.scatter(m))
 
-    return float((residual[0] ** 2).sum()) / n_vox, finish
+    return float((residual[0] ** 2).sum()) / n_samples, finish
 
 
 def inconsistency_gradient(fwd: SampledMap, bwd: SampledMap):
@@ -659,9 +693,11 @@ def inconsistency_gradient(fwd: SampledMap, bwd: SampledMap):
     `similarity_and_gradient`; the two trips run as the two halves.
 
     `objective_gradient` of the pair returns (grad wrt fwd's coefficients,
-    grad wrt bwd's coefficients). Each round-trip term drives only its outer
+    grad wrt bwd's coefficients). Each round trip is averaged over its inner
+    map's sample voxels. Each round-trip term drives only its outer
     transform; the inner field is held fixed (alternating scheme), so each
-    gradient is the exact derivative of its own term (see `_roundtrip`).
+    gradient is the exact derivative of its own sampled term (see
+    `_roundtrip`).
     """
     require_type(SampledMap, fwd=fwd, bwd=bwd)
     require_same_geometry(fwd.ffd.reference, bwd.ffd.reference, "fwd and bwd references")
@@ -671,7 +707,9 @@ def inconsistency_gradient(fwd: SampledMap, bwd: SampledMap):
 
 
 def inconsistency_penalty(fwd: SampledMap, bwd: SampledMap) -> float:
-    """Voxel-average squared residual of fwd∘bwd plus that of bwd∘fwd (mm^2).
+    """Mean squared residual of fwd∘bwd plus that of bwd∘fwd (mm^2), each
+    over its inner map's sample voxels (`_sample_strides`): the voxel
+    average where every stride is 1.
 
     Both lattices must lie on one grid:
     `inconsistency_penalty(sample_map(fwd), sample_map(bwd))`. The value of

@@ -1,11 +1,13 @@
 """Pointwise B-spline evaluation, the voxel-sum bending energy, the
-four-stencil objective, the expression form of the trilinear gather, the
+four-stencil objective, the round-trip residual at the sample voxels and
+at every voxel, the expression form of the trilinear gather, the
 index-array forms of the stencil scatter and the Parzen kernels, and the
 row-major (N, 3) forms of the grid points, the mapping of points to voxel
 coordinates and the NMI gradient's finish: the references the dense
 evaluation, the lattice bending, the shared sampling of the objective, the
-buffered gather, the shifted-view scatter, deposit and histogram gradients,
-and the channel-contiguous (3, N) points and finish are tested against."""
+sampled inconsistency penalty, the buffered gather, the shifted-view
+scatter, deposit and histogram gradients, and the channel-contiguous
+(3, N) points and finish are tested against."""
 import numpy as np
 
 from atlasreg.objective import (
@@ -253,18 +255,49 @@ def nmi_finish_masked(ref, flt, mask, values, ranges, stencil, shell=None, point
     return grad
 
 
-def _roundtrip_residual(outer: BSplineTransform, inner: BSplineTransform):
-    """Residual m(x) = u_inner(x) + u_outer(map_inner(x)) at every voxel,
-    (N, 3), from the transforms alone.
+def sample_voxels(t: BSplineTransform) -> np.ndarray:
+    """Flat C-order indices of the inconsistency penalty's sample voxels on
+    `t`'s reference grid: along each axis, voxels 0, s, 2 s, ... with
+    s = max(1, floor(g / 2)) of the lattice spacing g in voxels."""
+    axes = [np.arange(0, n, max(1, int(np.floor(g / 2))))
+            for n, g in zip(t.reference.dims, t.grid_spacing)]
+    ii, jj, kk = np.meshgrid(*axes, indexing="ij")
+    return np.ravel_multi_index((ii.ravel(), jj.ravel(), kk.ravel()), t.reference.dims)
+
+
+def _roundtrip_residual(outer: BSplineTransform, inner: BSplineTransform, every_voxel=False):
+    """Residual m(x) = u_inner(x) + u_outer(map_inner(x)) at the inner map's
+    sample voxels (`sample_voxels`), or with every_voxel at every voxel,
+    (n, 3) in C order, from the transforms alone.
 
     Returns (m, stencil): the outer field is sampled edge-clamped through
     `stencil`, whose scatter is the adjoint of that sampling.
     """
+    n_vox = int(np.prod(inner.reference.dims))
+    idx = np.arange(n_vox) if every_voxel else sample_voxels(inner)
     dense_outer = dense_displacement(outer)
-    u_in = dense_displacement(inner).reshape(-1, 3)
-    stencil = TrilinearStencil(outer.reference.dims, mapped_points(inner, outer.reference))
+    u_in = dense_displacement(inner).reshape(-1, 3)[idx]
+    stencil = TrilinearStencil(outer.reference.dims,
+                               mapped_points(inner, outer.reference)[idx])
     sampled = np.stack([stencil.gather(dense_outer[..., d]) for d in range(3)], axis=-1)
     return u_in + sampled, stencil
+
+
+def roundtrip_every_voxel(outer, inner):
+    """(mean |m|^2 over every voxel, finish) of the round trip with the
+    sampled map `outer` as the outer map: the form that averaged the residual
+    over every voxel, through the inner map's full stencil, before the sample
+    grid. Where every sample stride is 1 the two forms are one."""
+    ffd, stencil = outer.ffd, inner.stencil
+    m = np.empty((stencil.base.size, 3))
+    for d in range(3):
+        np.add(inner.u[d].reshape(-1), stencil.gather(outer.u[d]), out=m[:, d])
+    n_vox = float(np.prod(ffd.reference.dims))
+
+    def finish():
+        return splat_to_coefficients(ffd, stencil.scatter(m * (2.0 / n_vox)))
+
+    return float((m ** 2).sum()) / n_vox, finish
 
 
 def _similarity(ref, flt, ffd, ranges, ref_mask, flt_valid, with_gradient):
@@ -290,20 +323,21 @@ def objective_four_stencils(ref, flt, fwd, bwd, weights, ranges=None, flt_mask=N
     """The symmetric objective with every term sampling its own maps: a
     stencil and a dense displacement for each similarity and each round
     trip, four of each per call, in the order of operations of the shared
-    form. Both weights must be nonzero."""
+    form; each round trip averages over its inner map's sample voxels. Both
+    weights must be nonzero."""
     ws = weights.similarity
     s_f, g_sf = _similarity(ref, flt, fwd, ranges, None, flt_mask, with_gradient)
     s_b, g_sb = _similarity(flt, ref, bwd, None if ranges is None else ranges[::-1],
                             flt_mask, None, with_gradient)
     e_f, g_ef = bending_energy_gradient(fwd)
     e_b, g_eb = bending_energy_gradient(bwd)
-    n_vox = float(np.prod(fwd.reference.dims))
     c = 0.0
     g_c = []
     for outer, inner in ((fwd, bwd), (bwd, fwd)):
         m, stencil = _roundtrip_residual(outer, inner)
-        c += float((m ** 2).sum()) / n_vox
-        g_c.append(splat_to_coefficients(outer, stencil.scatter((2.0 / n_vox) * m)))
+        n = float(len(m))
+        c += float((m ** 2).sum()) / n
+        g_c.append(splat_to_coefficients(outer, stencil.scatter((2.0 / n) * m)))
     value = ws * (s_f + s_b) - weights.alpha * (e_f + e_b) - weights.beta * c
     if not with_gradient:
         return ObjectiveResult(value, s_f, s_b, e_f, e_b, c, None, None)

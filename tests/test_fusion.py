@@ -459,19 +459,35 @@ def test_an_earlier_jobs_ffd_failure_wins_over_a_later_jobs_affine_failure(
         monkeypatch, tmp_path, threads):
     # job 0's FFD fails, and job 3's affine fails at once; at threads=2 that
     # affine starts, and fails, before job 0's FFD. The error raised is job
-    # 0's, as at threads=1, and no FFD starts after it.
+    # 0's, as at threads=1, and no FFD starts after it. Job 2's affine, in
+    # its worker, returns only once the parent's wait has returned job 0's
+    # FFD failure, which the parent marks with a file: job 1's FFD is ready
+    # from then on, and would start on the worker job 2's affine frees, were
+    # that failure not seen first.
     target, atlases, same_patient = _pseudo_inputs()
-    log = tmp_path / "log"
+    log, seen = tmp_path / "log", tmp_path / "ffd_failure_seen"
     error = NumericalFailureError("objective is not finite", level=1, iteration=3)
     _fake_stages(monkeypatch, log, fail_on=0, error=error)
-    affine = fusion.register_affine
+    affine, wait = fusion.register_affine, fusion.wait
 
     def register_affine(target, img):
-        if int(img.data.flat[0]) == 3:
+        k = int(img.data.flat[0])
+        if k == 3:
             raise GeometryMismatchError("late")
+        if k == 2:
+            deadline = time.monotonic() + 60.0
+            while not seen.exists() and time.monotonic() < deadline:
+                time.sleep(0.005)
         return affine(target, img)
 
+    def wait_and_mark(futures, **kwargs):
+        result = wait(futures, **kwargs)
+        if any(type(f.exception()) is NumericalFailureError for f in result.done):
+            seen.touch()
+        return result
+
     monkeypatch.setattr(fusion, "register_affine", register_affine)
+    monkeypatch.setattr(fusion, "wait", wait_and_mark)
     with pytest.raises(NumericalFailureError) as info:
         build_pseudo_labels(target, atlases, same_patient, threads=threads)
     assert str(info.value) == "atlas 0: objective is not finite (level 1, iteration 3)"

@@ -657,6 +657,27 @@ def test_registration_is_deterministic():
     assert r1.objective_trace == r2.objective_trace
 
 
+@pytest.mark.parametrize("spacing, same", [(1.0, True), (2.0, True), (5.0, False)])
+def test_ffd_on_lattices_under_four_voxels_keeps_the_every_voxel_penalty_bit_for_bit(
+        monkeypatch, spacing, same):
+    # the type-2 preset's lattice (1 voxel) and the benchmark's type-2 one
+    # (2 voxels) sample every voxel, so the registration is bit for bit that
+    # of the every-voxel penalty; the type-1 lattice (5 voxels) samples
+    # every other voxel along each axis, and its result moves
+    from bspline_oracle import roundtrip_every_voxel
+
+    objective_module = importlib.import_module("atlasreg.objective")
+    ref, flt = _phantom((16, 16, 16)), _phantom((16, 16, 16), seed=2)
+    cfg = RegistrationConfig(levels=2, max_iter_per_level=3, final_grid_spacing=spacing)
+    sampled = register_ffd(ref, flt, None, cfg)
+    monkeypatch.setattr(objective_module, "_roundtrip", roundtrip_every_voxel)
+    every = register_ffd(ref, flt, None, cfg)
+    for name in ("fwd", "bwd"):
+        a, b = getattr(sampled, name).coefficients, getattr(every, name).coefficients
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64)) is same
+    assert (sampled.objective_trace == every.objective_trace) is same
+
+
 def _textured(dims, modality, seed):
     return generate_phantom(scaled_spec(dims=dims, modality=modality, seed=seed,
                                         noise_sigma=1.5, texture_amplitude=6.0))

@@ -21,6 +21,10 @@ call, and the tracemalloc peak (MiB) of one more call, of:
 - Parzen deposit: the joint histogram of the points inside the grid, at
   fixed intensity ranges, as the FFD similarity deposits it
 - deposit finish: that deposit's gradient with respect to the points
+- round trips: one `inconsistency_gradient` value pass and both its
+  finishes, for two smooth maps (at most 3 mm) on the ffd_stack workload's
+  lattice of 5 voxels on every axis, whose samples are every other voxel
+  along each axis
 - affine finish, shell: the gradient of a `registration._overlap_nmi` probe
   that maps the reference onto the floating grid shifted by half a voxel
   along x, so that the last x face's points lie half a voxel outside, in
@@ -69,6 +73,7 @@ from atlasreg.objective import (  # noqa: E402
     _bin_positions,
     _footprint_row,
     _nmi_deposit,
+    inconsistency_gradient,
     robust_range,
     sample_map,
 )
@@ -78,6 +83,7 @@ from atlasreg.volume import gaussian_smooth  # noqa: E402
 
 DIMS, SPACING = (128, 128, 16), (1.25, 1.25, 5.0)
 LATTICE = (5.0, 5.0, 1.25)  # lattice spacing in voxels: 6.25 mm on every axis
+FFD_STACK_LATTICE = 5.0  # the ffd_stack workload's lattice spacing in voxels
 REPEATS = 15
 
 
@@ -123,6 +129,13 @@ def main() -> int:
     _, labels = generate_phantom(PhantomSpec(dims=DIMS, spacing=SPACING, seed=0))
     warped = warp_labels(labels, labels, None, ffd)
 
+    map_f, map_b = (sample_map(random_smooth_deformation(ref, 3.0, FFD_STACK_LATTICE, seed=s))
+                    for s in (1, 2))
+
+    def round_trips(_):
+        for finish in inconsistency_gradient(map_f, map_b)[1]:
+            finish()
+
     def deposit(samples):
         return _nmi_deposit(ref, flt, mask, samples, ranges)
 
@@ -144,6 +157,7 @@ def main() -> int:
         # the deposit computes its bin positions in place of the samples
         ("Parzen deposit", deposit, values.copy),
         ("deposit finish", lambda finish: finish(stencil), lambda: deposit(values.copy())[1]),
+        ("round trips", round_trips, lambda: None),
         ("affine finish, shell", lambda finish: finish(),
          lambda: _overlap_nmi(ref, flt, to_voxel, shift, ranges)[1]),
         ("Gaussian smooth", lambda _: gaussian_smooth(image, 1.4), lambda: None),
