@@ -92,3 +92,11 @@ def test_pairs_alternate_and_cycle_the_seeds(monkeypatch, tmp_path):
         (side, k // 2, k) for k, (side, _) in enumerate(runs)]
     assert all(r["comparison"] == "1111111 -> 2222222" and len(r["loadavg"]) == 3
                and r["argv"][-2:] == ["--seconds", "15"] for r in records)
+    # a second call appends pairs 4 and 5, numbered and ordered after these
+    runs.clear()
+    assert len(pairs.run_pairs(trees, commits, ["ffd_stack"], ["1", "heldout"], 1, 15.0,
+                               out)) == 12
+    assert runs == [("parent", "1"), ("change", "1"), ("change", "heldout"),
+                    ("parent", "heldout")]
+    assert [(r["pair"], r["run_order"]) for r in pairs.load_records(out)[8:]] == [
+        (4, 8), (4, 9), (5, 10), (5, 11)]

@@ -17,10 +17,12 @@ Each run appends one JSON line to `--out`, in the format of BENCH_11.json:
 side, pair, run_order (per workload), argv (of `bench/run.py`),
 started_unix, loadavg (`os.getloadavg()` at the run's start), exit,
 meta_line and result_line (the last two lines `bench/run.py` prints, or
-null), tree_commit and comparison ("PARENT -> CHANGE", short hashes).
+null), tree_commit and comparison ("PARENT -> CHANGE", short hashes). The
+pairs `--out` already holds for a comparison and workload are kept, and
+new ones are numbered after them.
 
-Then prints, per comparison, workload and end-to-end metric of
-BENCHMARK.json: the parent's and the change's medians over their runs, the
+Then prints, over every record of `--out`, per comparison, workload and
+end-to-end metric of BENCHMARK.json: the parent's and the change's medians over their runs, the
 relative change of the medians, the pairs in which the change is better,
 the parent's interquartile range, and whether the change passes the
 metric's bound, that is, is worse than the parent's median by at most that
@@ -132,12 +134,17 @@ def _run(tree: Path, argv: list[str]) -> tuple[int, dict | None, dict | None]:
 
 def run_pairs(trees: dict, commits: dict, workloads, seeds, rounds: int, seconds: float,
               out: Path) -> list[dict]:
-    """Run the alternating pairs and append each run's record to `out`."""
+    """Run the alternating pairs and append each run's record to `out`.
+    Returns every record of `out`. Pairs of a comparison and workload that
+    `out` already holds are kept: the new pairs are numbered after them,
+    and their seeds and order go on from there."""
     comparison = " -> ".join(commits[side][:7] for side in SIDES)
-    records = []
+    records = load_records(out) if out.exists() else []
     for workload in workloads:
-        run_order = 0
-        for pair in range(rounds * len(seeds)):
+        done = [r for r in records if (r["comparison"], r["argv"][1]) == (comparison, workload)]
+        first = 1 + max((r["pair"] for r in done), default=-1)
+        run_order = len(done)
+        for pair in range(first, first + rounds * len(seeds)):
             argv = ["--workload", workload, "--seed", seeds[pair % len(seeds)],
                     "--seconds", f"{seconds:g}"]
             for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
