@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -59,17 +60,31 @@ def test_a_change_worse_than_its_bound_does_not_pass():
     assert not row["passes"]
 
 
-@pytest.mark.parametrize("bad", [dict(correct=False), dict(exit=1)])
+@pytest.mark.parametrize("bad", [dict(correct=False), dict(exit=1), dict(exit=-1)])
 def test_the_summary_exits_one_when_a_run_failed(tmp_path, capsys, bad):
     path = tmp_path / "records.json"
     records = [_record("parent", 0, 1.0), _record("change", 0, 0.9)]
     path.write_text("".join(json.dumps(r) + "\n" for r in records))
     assert pairs.main(["--summary", str(path)]) == 0
-    records.append(_record("change", 1, 0.9, **bad))
-    records.append(_record("parent", 1, 1.0))
+    failed = _record("change", 1, 5.0, **bad)
+    if bad.get("exit") == -1:  # a run that timed out printed no result line
+        failed["result_line"] = None
+    records += [failed, _record("parent", 1, 1.2), _record("parent", 2, 1.4),
+                _record("change", 2, 1.1)]
     path.write_text("".join(json.dumps(r) + "\n" for r in records))
     assert pairs.main(["--summary", str(path)]) == 1
     assert "wall_s" in capsys.readouterr().out
+    # the failed run and its pair count in no median, win or range
+    row = next(r for r in pairs.summarize(records, END_TO_END) if r["metric"] == "wall_s")
+    assert (row["parent"], row["change"]) == (pytest.approx(1.2), pytest.approx(1.0))
+    assert (row["wins"], row["pairs"], row["left_out"]) == (2, 2, 1)
+    assert row["parent_iqr"] == pytest.approx(0.2) and row["passes"]
+
+
+def test_a_parent_median_of_zero_gives_no_relative_change():
+    records = [_record("parent", 0, 0.0), _record("change", 0, 0.1)]
+    row = next(r for r in pairs.summarize(records, END_TO_END) if r["metric"] == "wall_s")
+    assert math.isnan(row["rel"]) and not row["passes"]
 
 
 def test_pairs_alternate_and_cycle_the_seeds(monkeypatch, tmp_path):

@@ -4,14 +4,14 @@
     python3 tools/pairs.py --summary BENCH_11.json
 
 Checks the revisions PARENT and CHANGE out with `git worktree`, outside the
-repository, as `parent` and `change` in one new temporary directory (under
-`--root` if given), so that both trees' paths have the same length: the
+repository, as `parent` and `change` in one new temporary directory, so
+that both trees' paths have the same length: the
 ffd_stack workload's peak RSS follows the checkout's path length. Then runs
 each tree's own `bench/run.py` in a subprocess, alternately. For each
 workload, pair i runs seed i of the cycle `--seeds` (default 1, 2, 3,
 heldout) in both trees, the parent first in even pairs and the change first
-in odd ones, for `--rounds` cycles of the seeds, at `--seconds` (default
-BENCHMARK.json's `run_seconds`). The worktrees are removed at the end.
+in odd ones, for `--rounds` cycles of the seeds, at BENCHMARK.json's
+`run_seconds`. The worktrees are removed at the end.
 
 Each run appends one JSON line to `--out`, in the format of BENCH_11.json:
 side, pair, run_order (per workload), argv (of `bench/run.py`),
@@ -22,12 +22,13 @@ pairs `--out` already holds for a comparison and workload are kept, and
 new ones are numbered after them.
 
 Then prints, over every record of `--out`, per comparison, workload and
-end-to-end metric of BENCHMARK.json: the parent's and the change's medians over their runs, the
-relative change of the medians, the pairs in which the change is better,
-the parent's interquartile range, and whether the change passes the
-metric's bound, that is, is worse than the parent's median by at most that
-fraction of it. `--summary FILE` prints that table for the records of FILE
-alone and runs nothing.
+end-to-end metric of BENCHMARK.json: the parent's and the change's medians
+over their runs, the relative change of the medians, the pairs in which the
+change is better, the parent's interquartile range, whether the change
+passes the metric's bound, that is, is worse than the parent's median by at
+most that fraction of it, and the number of failed runs left out of all of
+these. `--summary FILE` prints that table for the records of FILE alone and
+runs nothing.
 
 Exits 1 when a run fails, by exiting nonzero or by reporting
 `"correct": false`, and 2 on bad arguments. Changes nothing under `bench/`.
@@ -69,18 +70,25 @@ def _metric(record: dict, name: str) -> float:
         return math.nan
 
 
+def _median(values: list[float]) -> float:
+    return statistics.median(values) if values else math.nan
+
+
 def summarize(records: list[dict], end_to_end: list[dict]) -> list[dict]:
     """One row per comparison, workload and end-to-end metric, in the order
     they first appear: the sides' medians, the relative change of the
     medians, the pairs in which the change is better out of the pairs with
     both sides, the parent's interquartile range (`statistics.quantiles`,
-    inclusive; NaN for one run) and whether the change passes the metric's
-    bound."""
+    inclusive; NaN for one run), whether the change passes the metric's
+    bound, and how many failed runs were left out. A failed run counts in
+    none of the others, nor does its pair; a side with no run left, or a
+    parent median of 0, gives NaN and does not pass."""
     groups: dict[tuple, list[dict]] = {}
     for record in records:
         groups.setdefault((record["comparison"], record["argv"][1]), []).append(record)
     rows = []
-    for (comparison, workload), group in groups.items():
+    for (comparison, workload), everything in groups.items():
+        group = [r for r in everything if not failed(r)]
         for spec in end_to_end:
             name, lower = spec["name"], spec["better"] == "lower"
             values = {side: [_metric(r, name) for r in group if r["side"] == side]
@@ -91,25 +99,26 @@ def summarize(records: list[dict], end_to_end: list[dict]) -> list[dict]:
             both = [p for p in pairs.values() if len(p) == 2]
             wins = sum((p["change"] < p["parent"]) if lower else (p["change"] > p["parent"])
                        for p in both)
-            parent, change = (statistics.median(values[side]) for side in SIDES)
+            parent, change = (_median(values[side]) for side in SIDES)
             q1, _, q3 = (statistics.quantiles(values["parent"], n=4, method="inclusive")
                          if len(values["parent"]) > 1 else (math.nan,) * 3)
-            rel = (change - parent) / abs(parent)
+            rel = (change - parent) / abs(parent) if parent else math.nan
             rows.append(dict(comparison=comparison, workload=workload, metric=name,
                              parent=parent, change=change, rel=rel, wins=wins,
                              pairs=len(both), parent_iqr=q3 - q1, bound=spec["bound"],
-                             passes=(rel if lower else -rel) <= spec["bound"]))
+                             passes=(rel if lower else -rel) <= spec["bound"],
+                             left_out=len(everything) - len(group)))
     return rows
 
 
 def print_summary(rows: list[dict]) -> None:
     print(f"{'comparison':<20} {'workload':<13} {'metric':<12} {'parent':>10} {'change':>10} "
-          f"{'rel':>8} {'wins':>6} {'parent_iqr':>10} {'bound':>6}  passes")
+          f"{'rel':>8} {'wins':>6} {'parent_iqr':>10} {'bound':>6} passes  left_out")
     for r in rows:
         print(f"{r['comparison']:<20} {r['workload']:<13} {r['metric']:<12} "
               f"{r['parent']:>10.5g} {r['change']:>10.5g} {r['rel']:>+8.2%} "
-              f"{r['wins']:>3}/{r['pairs']:<2} {r['parent_iqr']:>10.4g} {r['bound']:>6.2f}  "
-              f"{'yes' if r['passes'] else 'NO'}")
+              f"{r['wins']:>3}/{r['pairs']:<2} {r['parent_iqr']:>10.4g} {r['bound']:>6.2f} "
+              f"{'yes' if r['passes'] else 'NO':>6}  {r['left_out']:>8}")
 
 
 def _git(*args, cwd=ROOT) -> str:
@@ -134,7 +143,8 @@ def _run(tree: Path, argv: list[str]) -> tuple[int, dict | None, dict | None]:
 
 def run_pairs(trees: dict, commits: dict, workloads, seeds, rounds: int, seconds: float,
               out: Path) -> list[dict]:
-    """Run the alternating pairs and append each run's record to `out`.
+    """Run the alternating pairs, each run for `seconds`, and append each
+    run's record to `out`.
     Returns every record of `out`. Pairs of a comparison and workload that
     `out` already holds are kept: the new pairs are numbered after them,
     and their seeds and order go on from there."""
@@ -172,9 +182,7 @@ def main(argv=None) -> int:
                    help="a workload to run (repeatable); default every one of BENCHMARK.json")
     p.add_argument("--seeds", nargs="+", default=["1", "2", "3", "heldout"])
     p.add_argument("--rounds", type=int, default=2, help="cycles of the seeds")
-    p.add_argument("--seconds", type=float)
     p.add_argument("--out", type=Path, help="file the records are appended to")
-    p.add_argument("--root", type=Path, help="directory the worktrees' directory is made in")
     args = p.parse_args(argv)
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
 
@@ -189,16 +197,15 @@ def main(argv=None) -> int:
         workloads = args.workloads or names
         if not set(workloads) <= set(names):
             p.error(f"workloads are {', '.join(names)}")
-        seconds = benchmark["run_seconds"] if args.seconds is None else args.seconds
         commits = dict(zip(SIDES, (_git("rev-parse", "--verify", f"{rev}^{{commit}}")
                                    for rev in args.revisions)))
-        base = Path(tempfile.mkdtemp(prefix="pairs-", dir=args.root)).resolve()
+        base = Path(tempfile.mkdtemp(prefix="pairs-")).resolve()
         trees = {side: base / side for side in SIDES}  # names of equal length
         try:
             for side in SIDES:
                 _git("worktree", "add", "--detach", str(trees[side]), commits[side])
-            records = run_pairs(trees, commits, workloads, args.seeds, args.rounds, seconds,
-                                args.out)
+            records = run_pairs(trees, commits, workloads, args.seeds, args.rounds,
+                                benchmark["run_seconds"], args.out)
         finally:
             for side in SIDES:
                 if trees[side].exists():
